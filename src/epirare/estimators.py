@@ -39,8 +39,6 @@ from .events import (
 __all__ = [
     "Diagnostics",
     "Estimate",
-    "Particle",
-    "ParticleEnsemble",
     "ce_estimate",
     "cmc",
     "is_estimate",
@@ -87,25 +85,6 @@ class Estimate:
             raise ValueError("estimate and standard error must be non-negative")
         if any(not 0.0 <= p <= 1.0 for p in self.per_level):
             raise ValueError("per-level survival fractions must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class Particle:
-    """One member of a splitting ensemble with its stopping-time caches."""
-
-    path: object
-    level_hit_times: tuple
-    horizon: float
-
-
-@dataclass(frozen=True)
-class ParticleEnsemble:
-    """Final ensemble of a splitting run: an empirical conditional law."""
-
-    particles: tuple[Particle, ...]
-    weights: tuple[float, ...]
-    stage: int
-    levels: tuple[float, ...] = ()
 
 
 def _stop_config(spec: EventSpec) -> dict:

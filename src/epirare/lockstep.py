@@ -3,11 +3,12 @@
 The single-path samplers in ``models`` are the reference implementations;
 these engines produce the same processes in bulk for the estimator hot loops,
 tracking exactly the per-path summaries the estimators need (running maxima,
-event counts, rate integrals, optional full event records).
+event counts, rate integrals, and with ``record=True`` a flat event log).
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,13 +16,114 @@ from scipy.special import gammaln
 
 from .core import Axis, EventKind, HivParams, ReedFrostParams, Scaling, SirParams
 
-__all__ = ["JumpEnsemble", "hiv_ensemble", "rf_advance", "rf_chains", "rf_loglik", "sir_ensemble"]
+__all__ = [
+    "EventLog", "JumpEnsemble", "hiv_ensemble", "rf_advance", "rf_chains", "rf_loglik",
+    "sir_ensemble",
+]
 
 _INF = EventKind.INFECTION.value
 _REM = EventKind.REMOVAL.value
 _DET = EventKind.DETECTION.value
 
 _ITERATION_CAP = 100_000_000
+
+
+@dataclass
+class EventLog:
+    """A batch of paths: their events as flat columns, grouped by path.
+
+    Rows ``offsets[p]:offsets[p + 1]`` are path p's events in time order, and
+    ``t_stop[p]`` is the time at which its simulation stopped.
+    Besides each event's time and kind, a row carries the path's state right
+    after the event: compartment counts, the running maximum of infectives,
+    the count of removals inside the stop window (``window_rem``, when the
+    batch had one) and the decayed contact-tracing sum (``decayed``, contact-tracing
+    batches only).
+    """
+
+    path: np.ndarray
+    t: np.ndarray
+    kind: np.ndarray
+    s: np.ndarray
+    i: np.ndarray
+    r: np.ndarray
+    max_i: np.ndarray
+    window_rem: np.ndarray | None
+    decayed: np.ndarray | None
+    offsets: np.ndarray
+    t_stop: np.ndarray
+
+    STATE = ("s", "i", "r", "t", "decayed", "max_i", "window_rem")
+
+    def count(self, mask: np.ndarray) -> np.ndarray:
+        """Per path, the number of its rows where ``mask`` holds."""
+        return np.bincount(self.path[mask], minlength=len(self.offsets) - 1)
+
+    def state_after(
+        self, paths: np.ndarray, n_rows: np.ndarray, start: dict, columns=STATE
+    ) -> dict:
+        """State of path ``paths[j]`` after its first ``n_rows[j]`` rows, by
+        column; ``start[column]`` where ``n_rows[j]`` is 0."""
+        has_rows = n_rows > 0
+        rows = (self.offsets[paths] + n_rows - 1)[has_rows]
+        state = {}
+        for name in columns:
+            col = getattr(self, name)
+            if col is not None:
+                state[name] = np.full(len(paths), start[name], dtype=col.dtype)
+                state[name][has_rows] = col[rows]
+        return state
+
+    def splice(
+        self,
+        targets: np.ndarray,
+        parents: np.ndarray,
+        keep: np.ndarray,
+        tail: "EventLog | None" = None,
+        whole: bool = True,
+    ) -> "EventLog":
+        """This log with path ``targets[j]`` replaced by the first ``keep[j]``
+        rows of path ``parents[j]`` followed by path j of ``tail``, or by all
+        of the parent when there is no tail.
+
+        ``whole=False`` keeps only the last of those parent rows: the state a
+        later cut needs, since cuts never move back in time.
+        """
+        n = len(self.offsets) - 1
+        head_len = np.diff(self.offsets)
+        head_len[targets] = keep if whole else np.minimum(keep, 1)
+        head_start = self.offsets[:-1].copy()
+        head_start[targets] = self.offsets[parents] + keep - head_len[targets]
+        tail_start = np.zeros(n, dtype=np.int64)
+        tail_len = np.zeros(n, dtype=np.int64)
+        t_stop = self.t_stop.copy()
+        t_stop[targets] = self.t_stop[parents] if tail is None else tail.t_stop
+        columns = {
+            name: getattr(self, name)
+            for name in ("kind", *self.STATE) if getattr(self, name) is not None
+        }
+        if tail is not None:
+            tail_start[targets] = len(self.t) + tail.offsets[:-1]
+            tail_len[targets] = np.diff(tail.offsets)
+            columns = {
+                name: np.concatenate([col, getattr(tail, name)])
+                for name, col in columns.items()
+            }
+        # new rows: path k's head range, then its tail range
+        starts = np.column_stack([head_start, tail_start]).ravel()
+        lengths = np.column_stack([head_len, tail_len]).ravel()
+        ends = np.cumsum(lengths)
+        rows = np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
+        per_path = head_len + tail_len
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(per_path, out=offsets[1:])
+        return dataclasses.replace(
+            self,
+            path=np.repeat(np.arange(n), per_path),
+            offsets=offsets,
+            t_stop=t_stop,
+            **{name: col[rows] for name, col in columns.items()},
+        )
 
 
 @dataclass
@@ -38,7 +140,7 @@ class JumpEnsemble:
     int_pair: np.ndarray
     int_i: np.ndarray
     window_rem: np.ndarray | None = None
-    events: list[tuple[np.ndarray, np.ndarray]] | None = None
+    log: EventLog | None = None
     decayed: np.ndarray | None = None
 
     @property
@@ -50,25 +152,51 @@ class JumpEnsemble:
         return np.where(self.extinct, self.t, alive_value)
 
 
-def _collect_events(
-    n: int,
-    rec_idx: list[np.ndarray],
-    rec_t: list[np.ndarray],
-    rec_k: list[np.ndarray],
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    if rec_idx:
-        idx = np.concatenate(rec_idx)
-        times = np.concatenate(rec_t)
-        kinds = np.concatenate(rec_k)
-    else:
-        idx = np.empty(0, dtype=np.int64)
-        times = np.empty(0)
-        kinds = np.empty(0, dtype=np.int8)
+def _segment_cumsum(x: np.ndarray, path: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Running sum of ``x`` along each path's rows."""
+    total = np.cumsum(x, dtype=np.int64)
+    before = np.concatenate(([0], total))[offsets[:-1]]
+    return total - before[path]
+
+
+def _event_log(
+    init: tuple[np.ndarray, np.ndarray, np.ndarray],
+    rec: tuple[list[np.ndarray], ...],
+    window: tuple[float, float] | None,
+    t_stop: np.ndarray,
+) -> EventLog:
+    """Group the per-iteration records by path and derive post-event states.
+
+    ``init`` holds each path's starting (s, i, r); ``rec`` the recorded path
+    indices, times, kinds and, for contact tracing, decayed sums.
+    """
+    s0, i0, r0 = init
+    n = len(s0)
+    idx, times, kinds, *decayed = (
+        np.concatenate(col) if col else np.empty(0, dtype)
+        for col, dtype in zip(rec, (np.int64, float, np.int8, float))
+    )
     order = np.argsort(idx, kind="stable")
-    idx, times, kinds = idx[order], times[order], kinds[order]
-    starts = np.searchsorted(idx, np.arange(n))
-    ends = np.searchsorted(idx, np.arange(n), side="right")
-    return [(times[a:b], kinds[a:b]) for a, b in zip(starts, ends)]
+    path, t, kind = idx[order], times[order], kinds[order]
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(path, minlength=n), out=offsets[1:])
+    is_inf = kind == _INF
+    n_inf = _segment_cumsum(is_inf, path, offsets)
+    n_rem = np.arange(1, len(path) + 1) - offsets[path] - n_inf
+    i = i0[path] + n_inf - n_rem
+    # a running maximum restarted per path: lift path p's values above all of
+    # path p-1's, accumulate once, and drop the lift again
+    lift = path * (int(i.max(initial=0)) + 1)
+    max_i = np.maximum(np.maximum.accumulate(i + lift) - lift, i0[path])
+    in_window = None
+    if window is not None:
+        in_window = _segment_cumsum(
+            ~is_inf & (t > window[0]) & (t <= window[1]), path, offsets
+        )
+    return EventLog(
+        path, t, kind, s0[path] - n_inf, i, r0[path] + n_rem, max_i, in_window,
+        decayed[0][order] if decayed else None, offsets, t_stop,
+    )
 
 
 def _target_hit(axis: Axis | None, level: float | None, i: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -114,6 +242,7 @@ def sir_ensemble(
     int_pair = np.zeros(n)
     int_i = np.zeros(n)
     window_rem = np.zeros(n, dtype=np.int64) if window is not None else None
+    start = (s.copy(), i.copy(), r.copy()) if record else None
     rec_idx: list[np.ndarray] = []
     rec_t: list[np.ndarray] = []
     rec_k: list[np.ndarray] = []
@@ -156,8 +285,8 @@ def sir_ensemble(
             rec_k.append(np.where(is_inf[~over], _INF, _REM).astype(np.int8))
         active = (i > 0) & (t < horizon) & ~_target_hit(target_axis, target_level, i, r)
 
-    events = _collect_events(n, rec_idx, rec_t, rec_k) if record else None
-    return JumpEnsemble(s, i, r, t, max_i, n_inf, n_rem, int_pair, int_i, window_rem, events)
+    log = _event_log(start, (rec_idx, rec_t, rec_k), window, t) if record else None
+    return JumpEnsemble(s, i, r, t, max_i, n_inf, n_rem, int_pair, int_i, window_rem, log)
 
 
 def hiv_ensemble(
@@ -199,9 +328,11 @@ def hiv_ensemble(
     int_pair = np.zeros(n)
     int_i = np.zeros(n)
     window_rem = np.zeros(n, dtype=np.int64) if window is not None else None
+    start = (s.copy(), i.copy(), r.copy()) if record else None
     rec_idx: list[np.ndarray] = []
     rec_t: list[np.ndarray] = []
     rec_k: list[np.ndarray] = []
+    rec_d: list[np.ndarray] = []
 
     active = (i > 0) & (t < horizon) & ~_target_hit(target_axis, target_level, i, r)
     iterations = 0
@@ -245,11 +376,12 @@ def hiv_ensemble(
             rec_idx.append(ev)
             rec_t.append(t[ev])
             rec_k.append(np.where(is_inf[accepted], _INF, _DET).astype(np.int8))
+            rec_d.append(decayed[ev])
         active = (i > 0) & (t < horizon) & ~_target_hit(target_axis, target_level, i, r)
 
-    events = _collect_events(n, rec_idx, rec_t, rec_k) if record else None
+    log = _event_log(start, (rec_idx, rec_t, rec_k, rec_d), window, t) if record else None
     return JumpEnsemble(
-        s, i, r, t, max_i, n_inf, n_rem, int_pair, int_i, window_rem, events, decayed
+        s, i, r, t, max_i, n_inf, n_rem, int_pair, int_i, window_rem, log, decayed
     )
 
 

@@ -24,6 +24,15 @@ Discrete-generation events instead redraw the whole ensemble from the
 weighted selection distribution every generation (the weighted-potential
 normalization requires it), so ``variant`` has no effect on them.
 
+Continuous-time ensembles keep their paths in one flat event log
+(``lockstep.EventLog``): each slot's events with the state after each.  Every
+refill is one primitive, ``_branch``: count each parent's rows up to its cut
+in one pass over the log (a level cut is the first event at which progress
+reaches the level, a time cut the last event at or before the time), start
+one lockstep batch from the parents' states there, and splice the batch's
+events in after the parents' rows.  Whole histories are kept only when the
+conditional sample is returned; otherwise a child keeps just its cut row.
+
 Stream layout per stage s: particle 0 carries batched mutation draws,
 particle 1 carries selection draws; stage 0 is the initial ensemble.
 Restarts shift all stage coordinates by a large fixed offset.
@@ -40,7 +49,6 @@ from . import lockstep
 from .core import (
     NEVER,
     CompartmentState,
-    EventKind,
     HivParams,
     ModelParams,
     ReedFrostParams,
@@ -48,7 +56,7 @@ from .core import (
     SirParams,
     path_from_arrays,
 )
-from .estimators import Diagnostics, Estimate, Particle, ParticleEnsemble, _stop_config
+from .estimators import Diagnostics, Estimate, _ensemble_fn, _stop_config
 from .events import (
     CumulativeInfections,
     DiagnosesIncrement,
@@ -62,9 +70,8 @@ from .events import (
     quantile_levels,
 )
 
-__all__ = ["ibps_estimate", "temporal_split_estimate"]
+__all__ = ["Particle", "ParticleEnsemble", "ibps_estimate", "temporal_split_estimate"]
 
-_INF = EventKind.INFECTION.value
 _RESTART_STAGE_OFFSET = 1_000_000
 _STAGE_CAP = 100_000
 
@@ -73,226 +80,131 @@ WEIGHT_RULES = ("indicator", "potential_v", "potential_dv")
 
 
 # ---------------------------------------------------------------------------
-# continuous-time ensembles: per-slot event arrays plus vector caches
+# final ensembles
 
 
-@dataclass
-class _Slots:
-    """Parallel per-slot path records for a jump-process ensemble."""
+@dataclass(frozen=True)
+class Particle:
+    """One member of a splitting ensemble with its stopping-time caches."""
 
-    times: list[np.ndarray]
-    kinds: list[np.ndarray]
-    s: np.ndarray
-    i: np.ndarray
-    r: np.ndarray
-    t: np.ndarray
-    max_i: np.ndarray
-    window_rem: np.ndarray | None
-    decayed: np.ndarray | None
-    log_w: np.ndarray
-
-    @classmethod
-    def from_batch(cls, batch: lockstep.JumpEnsemble) -> "_Slots":
-        n = len(batch.t)
-        return cls(
-            times=[ev[0] for ev in batch.events],
-            kinds=[ev[1] for ev in batch.events],
-            s=batch.s,
-            i=batch.i,
-            r=batch.r,
-            t=batch.t,
-            max_i=batch.max_i,
-            window_rem=batch.window_rem,
-            decayed=batch.decayed,
-            log_w=np.zeros(n),
-        )
+    path: object
+    level_hit_times: tuple
+    horizon: float
 
 
-def _progress(slots: _Slots, spec: EventSpec) -> np.ndarray:
-    if isinstance(spec, FinalSize):
-        return slots.r.astype(float)
-    if isinstance(spec, Incidence):
-        return slots.max_i.astype(float)
-    return slots.window_rem.astype(float)
+@dataclass(frozen=True)
+class ParticleEnsemble:
+    """Final ensemble of a splitting run: an empirical conditional law."""
+
+    particles: tuple[Particle, ...]
+    weights: tuple[float, ...]
+    stage: int
+    levels: tuple[float, ...] = ()
 
 
-def _initial_state(model: ModelParams) -> CompartmentState:
+# ---------------------------------------------------------------------------
+# continuous-time ensembles: one event log and one branch primitive
+
+
+def _initial_row(model: ModelParams) -> dict:
+    """The state every history starts from, by log column."""
+    r0 = model.r0_count if isinstance(model, HivParams) else 0
+    row = dict(s=model.s0, i=model.i0, r=r0, t=0.0, max_i=model.i0, window_rem=0)
     if isinstance(model, HivParams):
-        return CompartmentState(model.s0, model.i0, model.r0_count)
-    return CompartmentState(model.s0, model.i0, 0)
+        row["decayed"] = float(sum(np.exp(-model.c * a) for a in model.initial_detection_ages))
+    return row
 
 
-def _hiv_decayed_at(model: HivParams, times: np.ndarray, kinds: np.ndarray, t_cut: float) -> float:
-    """Contact-tracing sum at t_cut from the recorded detections before it."""
-    det = times[(kinds != _INF) & (times <= t_cut)]
-    total = float(np.sum(np.exp(-model.c * (t_cut - det)))) if det.size else 0.0
-    for age in model.initial_detection_ages:
-        total += math.exp(-model.c * (t_cut + age))
-    return total
+def _end_state(log: lockstep.EventLog, model: ModelParams, column: str) -> np.ndarray:
+    """Each slot's value of ``column`` after its last event."""
+    every = np.arange(len(log.t_stop))
+    return log.state_after(every, np.diff(log.offsets), _initial_row(model), (column,))[column]
 
 
-def _hit_index(
-    slots: _Slots, parent: int, spec: EventSpec, level: float, initial: CompartmentState
-) -> int:
-    """Index of the parent's event that first attains the level, -1 if the
-    initial state already does."""
-    kinds = slots.kinds[parent]
-    lvl = int(math.ceil(level))
-    if isinstance(spec, FinalSize):
-        if initial.r >= lvl:
-            return -1
-        removals = np.flatnonzero(kinds != _INF)
-        return int(removals[lvl - initial.r - 1])
-    if isinstance(spec, Incidence):
-        if initial.i >= lvl:
-            return -1
-        running = initial.i + np.cumsum(np.where(kinds == _INF, 1, -1))
-        return int(np.flatnonzero(running >= lvl)[0])
-    times = slots.times[parent]
-    in_window = (kinds != _INF) & (times > spec.t) & (times <= spec.t + spec.u)
-    return int(np.flatnonzero(np.cumsum(in_window) >= lvl)[0])
+# log column that measures a path's progress towards each event
+_PROGRESS = {FinalSize: "r", Incidence: "max_i", DiagnosesIncrement: "window_rem"}
 
 
-def _cut_state(
-    slots: _Slots,
-    parent: int,
-    cut: int,
-    model: ModelParams,
-    spec: EventSpec,
-    initial: CompartmentState,
-) -> tuple:
-    """Prefix summaries of a parent's path up to (and including) event ``cut``."""
-    times = slots.times[parent][: cut + 1]
-    kinds = slots.kinds[parent][: cut + 1]
-    n_inf = int(np.sum(kinds == _INF))
-    n_rem = len(kinds) - n_inf
-    s = initial.s - n_inf
-    i = initial.i + n_inf - n_rem
-    r = initial.r + n_rem
-    t = float(times[-1]) if len(times) else 0.0
-    if len(kinds):
-        running = initial.i + np.cumsum(np.where(kinds == _INF, 1, -1))
-        max_i = max(initial.i, int(running.max()))
-    else:
-        max_i = initial.i
-    wc = 0
-    if isinstance(spec, DiagnosesIncrement):
-        wc = int(np.sum((kinds != _INF) & (times > spec.t) & (times <= spec.t + spec.u)))
-    decayed = (
-        _hiv_decayed_at(model, times, kinds, t) if isinstance(model, HivParams) else 0.0
-    )
-    return times, kinds, s, i, r, t, max_i, wc, decayed
+def _level_cut(
+    log: lockstep.EventLog, model: ModelParams, spec: EventSpec, level: float
+) -> np.ndarray:
+    """Per slot, how many history rows lead up to the event at which its
+    progress first reaches ``ceil(level)``, that event included.
+
+    0 when the initial state already reaches it; one more than the slot's
+    row count when it never does.  Progress only grows along a history, so
+    the rows below the level are the leading ones.
+    """
+    lvl = math.ceil(level)
+    column = _PROGRESS[type(spec)]
+    return log.count(getattr(log, column) < lvl) + (_initial_row(model)[column] < lvl)
 
 
-def _extend_slots(
-    slots: _Slots,
+def _branch(
+    log: lockstep.EventLog,
     targets: np.ndarray,
     parents: np.ndarray,
-    level: float,
+    keep: np.ndarray,
     model: ModelParams,
-    spec: EventSpec,
     rng: np.random.Generator,
-) -> None:
-    """Replace each target slot by its parent's prefix plus a fresh tail."""
-    initial = _initial_state(model)
-    prefixes = []
-    init_s = np.empty(len(targets), dtype=np.int64)
-    init_i = np.empty(len(targets), dtype=np.int64)
-    init_r = np.empty(len(targets), dtype=np.int64)
-    init_t = np.empty(len(targets))
-    init_d = np.empty(len(targets))
-    cut_max_i = np.empty(len(targets), dtype=np.int64)
-    cut_wc = np.empty(len(targets), dtype=np.int64)
-    for j, (slot, parent) in enumerate(zip(targets, parents)):
-        cut = _hit_index(slots, int(parent), spec, level, initial)
-        times, kinds, s, i, r, t, max_i, wc, decayed = _cut_state(
-            slots, int(parent), cut, model, spec, initial
-        )
-        prefixes.append((times, kinds))
-        init_s[j], init_i[j], init_r[j], init_t[j] = s, i, r, t
-        init_d[j] = decayed
-        cut_max_i[j] = max_i
-        cut_wc[j] = wc
-    parent_log_w = slots.log_w[parents].copy()
-    stop = _stop_config(spec)
-    if isinstance(model, HivParams):
-        batch = lockstep.hiv_ensemble(
-            model, None, rng, record=True,
-            init=(init_s, init_i, init_r, init_t, init_d), **stop,
-        )
-    else:
-        batch = lockstep.sir_ensemble(
-            model, None, rng, record=True,
-            init=(init_s, init_i, init_r, init_t), **stop,
-        )
-    for j, slot in enumerate(targets):
-        times, kinds = prefixes[j]
-        new_t, new_k = batch.events[j]
-        slots.times[slot] = np.concatenate([times, new_t])
-        slots.kinds[slot] = np.concatenate([kinds, new_k])
-    slots.s[targets] = batch.s
-    slots.i[targets] = batch.i
-    slots.r[targets] = batch.r
-    slots.t[targets] = batch.t
-    slots.max_i[targets] = np.maximum(cut_max_i, batch.max_i)
-    if slots.window_rem is not None:
-        slots.window_rem[targets] = cut_wc + batch.window_rem
-    if slots.decayed is not None:
-        slots.decayed[targets] = batch.decayed
-    slots.log_w[targets] = parent_log_w
+    *,
+    whole: bool,
+    t_cut: float | None = None,
+    **stop,
+) -> lockstep.EventLog:
+    """Branch each target slot from its parent at a cut and simulate it onward.
+
+    ``keep`` counts, per slot, the history rows up to its cut: a level cut
+    (``_level_cut``) or a time cut, the rows at or before ``t_cut``.  A child
+    starts from its parent's state after those rows, at time ``t_cut`` if
+    given and at the cut event's time otherwise.  One lockstep batch
+    simulates all children; each child's history is its parent's rows up to
+    the cut (only the last of them unless ``whole``) followed by its tail.
+    """
+    keep = keep[parents]
+    cut = log.state_after(parents, keep, _initial_row(model))
+    if t_cut is not None:
+        if "decayed" in cut:
+            cut["decayed"] *= np.exp(-model.c * (t_cut - cut["t"]))
+        cut["t"] = np.full(len(parents), t_cut)
+    init = tuple(cut[name] for name in ("s", "i", "r", "t", "decayed") if name in cut)
+    tail = _ensemble_fn(model)(model, None, rng, record=True, init=init, **stop).log
+    tail.max_i = np.maximum(tail.max_i, cut["max_i"][tail.path])
+    if tail.window_rem is not None:
+        tail.window_rem += cut["window_rem"][tail.path]
+    return log.splice(targets, parents, keep, tail, whole=whole)
 
 
 def _materialize(
-    slots: _Slots,
+    log: lockstep.EventLog,
     model: ModelParams,
     spec: EventSpec,
-    weights: np.ndarray,
     stage: int,
     levels: list[float],
 ) -> ParticleEnsemble:
-    initial = _initial_state(model)
+    """The final paths, weighted by whether they attain the event."""
+    initial = _initial_row(model)
+    start = CompartmentState(initial["s"], initial["i"], initial["r"])
     init_det = tuple(-a for a in model.initial_detection_ages) if isinstance(
         model, HivParams
     ) else ()
+    every, length = np.arange(len(log.t_stop)), np.diff(log.offsets)
+    hits = []
+    for lvl in levels:
+        keep = _level_cut(log, model, spec, lvl)
+        times = log.state_after(every, np.minimum(keep, length), initial, ("t",))["t"]
+        hits.append([NEVER if k > m else float(x) for x, k, m in zip(times, keep, length)])
+    extinct = _end_state(log, model, "i") == 0
+    progress = _end_state(log, model, _PROGRESS[type(spec)])
     particles = []
-    for k in range(len(slots.times)):
-        extinct = slots.i[k] == 0
-        horizon = math.inf if extinct else float(slots.t[k])
-        path = path_from_arrays(
-            initial, slots.times[k], slots.kinds[k], horizon, init_det
-        )
-        hits = tuple(
-            _level_hit_time(slots, k, lvl, initial, spec) for lvl in levels
-        )
-        particles.append(Particle(path, hits, horizon))
+    for k, (a, b) in enumerate(zip(log.offsets[:-1], log.offsets[1:])):
+        horizon = math.inf if extinct[k] else float(log.t_stop[k])
+        path = path_from_arrays(start, log.t[a:b], log.kind[a:b], horizon, init_det)
+        particles.append(Particle(path, tuple(h[k] for h in hits), horizon))
     return ParticleEnsemble(
-        tuple(particles), tuple(float(w) for w in weights), stage, tuple(levels)
+        tuple(particles), tuple(float(w) for w in progress >= event_threshold(spec)),
+        stage, tuple(levels),
     )
-
-
-def _level_hit_time(
-    slots: _Slots, k: int, level: float, initial: CompartmentState, spec: EventSpec
-):
-    """First time slot k attained the level on the event's axis, or NEVER."""
-    kinds = slots.kinds[k]
-    times = slots.times[k]
-    lvl = int(math.ceil(level))
-    if isinstance(spec, FinalSize):
-        if initial.r >= lvl:
-            return 0.0
-        removals = np.flatnonzero(kinds != _INF)
-        if removals.size >= lvl - initial.r:
-            return float(times[removals[lvl - initial.r - 1]])
-        return NEVER
-    if isinstance(spec, Incidence):
-        if initial.i >= lvl:
-            return 0.0
-        running = initial.i + np.cumsum(np.where(kinds == _INF, 1, -1))
-        hit = np.flatnonzero(running >= lvl)
-        return float(times[hit[0]]) if hit.size else NEVER
-    in_window = (kinds != _INF) & (times > spec.t) & (times <= spec.t + spec.u)
-    hit = np.flatnonzero(np.cumsum(in_window) >= lvl)
-    return float(times[hit[0]]) if hit.size else NEVER
 
 
 def _ibps_continuous(
@@ -304,15 +216,18 @@ def _ibps_continuous(
     variant: str,
     seed: SeedSpec,
     stage_base: int,
-) -> tuple[float, list[float], list[float], _Slots, np.ndarray, int, bool]:
-    """One splitting run; returns (value, per_level, levels, slots, final
-    weights, stage count, extinct flag)."""
+    whole: bool,
+) -> tuple[float, list[float], list[float], lockstep.EventLog, bool]:
+    """One splitting run; returns (value, per_level, levels, final paths,
+    extinct flag).
+
+    ``whole`` keeps every slot's whole history and ends the run with the
+    conditional-law refill; without it slots keep only what later cuts read.
+    """
     threshold = event_threshold(spec)
+    stop = _stop_config(spec)
     rng0 = seed.stream(particle=0, stage=stage_base).generator()
-    fn = lockstep.hiv_ensemble if isinstance(model, HivParams) else lockstep.sir_ensemble
-    slots = _Slots.from_batch(
-        fn(model, n_particles, rng0, record=True, **_stop_config(spec))
-    )
+    log = _ensemble_fn(model)(model, n_particles, rng0, record=True, **stop).log
     per_level: list[float] = []
     levels: list[float] = []
     prev: float | None = None
@@ -322,7 +237,7 @@ def _ibps_continuous(
         stage += 1
         if stage > _STAGE_CAP:
             raise RuntimeError("stage cap exceeded in splitting run")
-        progress = _progress(slots, spec)
+        progress = _end_state(log, model, _PROGRESS[type(spec)]).astype(float)
         if fixed_iter is not None:
             try:
                 level = float(next(fixed_iter))
@@ -343,39 +258,27 @@ def _ibps_continuous(
         n_surv = int(np.count_nonzero(surv))
         per_level.append(n_surv / n_particles)
         if n_surv == 0:
-            return 0.0, per_level, levels, slots, surv.astype(float), stage, True
+            return 0.0, per_level, levels, log, True
         final_stage = level >= threshold
         sel_rng = seed.stream(particle=1, stage=stage_base + stage).generator()
         surv_idx = np.flatnonzero(surv)
-        if final_stage:
-            # conditional-law refill: dead slots copy a surviving path wholesale
-            dead = np.flatnonzero(~surv)
-            if dead.size:
-                parents = surv_idx[sel_rng.integers(0, surv_idx.size, size=dead.size)]
-                for slot, parent in zip(dead, parents):
-                    slots.times[slot] = slots.times[parent]
-                    slots.kinds[slot] = slots.kinds[parent]
-                for arr in (slots.s, slots.i, slots.r, slots.t, slots.max_i):
-                    arr[dead] = arr[parents]
-                if slots.window_rem is not None:
-                    slots.window_rem[dead] = slots.window_rem[parents]
-                if slots.decayed is not None:
-                    slots.decayed[dead] = slots.decayed[parents]
-                slots.log_w[dead] = slots.log_w[parents]
-            break
-        targets = np.flatnonzero(~surv)
-        if targets.size:
-            if variant == "multinomial":
-                parents = surv_idx[sel_rng.integers(0, surv_idx.size, size=targets.size)]
+        dead = np.flatnonzero(~surv)
+        if dead.size and (whole or not final_stage):
+            if variant == "keepall" and not final_stage:
+                parents = np.full(dead.size, surv_idx[int(sel_rng.integers(0, surv_idx.size))])
             else:
-                parent = surv_idx[int(sel_rng.integers(0, surv_idx.size))]
-                parents = np.full(targets.size, parent)
-            mut_rng = seed.stream(particle=0, stage=stage_base + stage).generator()
-            _extend_slots(slots, targets, parents, level, model, spec, mut_rng)
+                parents = surv_idx[sel_rng.integers(0, surv_idx.size, size=dead.size)]
+            if final_stage:
+                # conditional-law refill: dead slots copy a surviving path wholesale
+                log = log.splice(dead, parents, np.diff(log.offsets)[parents])
+            else:
+                mut_rng = seed.stream(particle=0, stage=stage_base + stage).generator()
+                keep = _level_cut(log, model, spec, level)
+                log = _branch(log, dead, parents, keep, model, mut_rng, whole=whole, **stop)
+        if final_stage:
+            break
         prev = level
-    value = math.prod(per_level)
-    weights = (_progress(slots, spec) >= threshold).astype(float)
-    return value, per_level, levels, slots, weights, stage, False
+    return math.prod(per_level), per_level, levels, log, False
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +425,9 @@ def ibps_estimate(
                 weight_rule, alpha, seed, stage_base,
             )
         else:
-            value, per_level, levels, slots, weights, _, extinct = _ibps_continuous(
+            value, per_level, levels, log, extinct = _ibps_continuous(
                 model, spec, n_particles, levels_fixed, keep_fraction,
-                variant, seed, stage_base,
+                variant, seed, stage_base, conditional_sample,
             )
         if not extinct:
             break
@@ -542,7 +445,7 @@ def ibps_estimate(
             particles, tuple(float(w) for w in weights), len(per_level), tuple(levels)
         )
     else:
-        ensemble = _materialize(slots, model, spec, weights, len(per_level), levels)
+        ensemble = _materialize(log, model, spec, len(per_level), levels)
     diag = Diagnostics(
         extinct_ensembles=extinct_count, zero_runs=int(value == 0.0)
     )
@@ -583,15 +486,13 @@ def temporal_split_estimate(
     if not isinstance(model, (SirParams, HivParams)):
         raise TypeError("temporal splitting applies to the jump-process models")
 
-    fn = lockstep.hiv_ensemble if isinstance(model, HivParams) else lockstep.sir_ensemble
     extinct_count = 0
     value = 0.0
     per_level: list[float] = []
     for attempt in range(restart_on_extinction + 1):
         stage_base = attempt * _RESTART_STAGE_OFFSET
         rng0 = seed.stream(particle=0, stage=stage_base).generator()
-        slots = _Slots.from_batch(fn(model, n_particles, rng0, record=True, horizon=horizon))
-        ext = np.where(slots.i == 0, slots.t, math.inf)
+        log = _ensemble_fn(model)(model, n_particles, rng0, record=True, horizon=horizon).log
         per_level = []
         extinct = False
         stage = 0
@@ -601,6 +502,7 @@ def temporal_split_estimate(
             stage += 1
             if stage > _STAGE_CAP:
                 raise RuntimeError("stage cap exceeded in temporal splitting")
+            ext = np.where(_end_state(log, model, "i") == 0, log.t_stop, math.inf)
             if grid_iter is not None:
                 t_k = next(grid_iter, None)
                 if t_k is None:
@@ -624,71 +526,19 @@ def temporal_split_estimate(
                 alive_idx = np.flatnonzero(alive)
                 parents = alive_idx[sel_rng.integers(0, alive_idx.size, size=dead.size)]
                 mut_rng = seed.stream(particle=0, stage=stage_base + stage).generator()
-                _refill_at_time(slots, dead, parents, t_k, model, horizon, mut_rng)
-                ext[dead] = np.where(slots.i[dead] == 0, slots.t[dead], math.inf)
+                keep = log.count(log.t <= t_k)
+                log = _branch(
+                    log, dead, parents, keep, model, mut_rng,
+                    whole=False, t_cut=t_k, horizon=horizon,
+                )
             t_prev = t_k
         if extinct:
             extinct_count += 1
             value = 0.0
             continue
-        final_p = float(np.mean(ext > horizon))
-        per_level.append(final_p)
+        per_level.append(float(np.mean(ext > horizon)))
         value = math.prod(per_level)
         break
     diag = Diagnostics(extinct_ensembles=extinct_count, zero_runs=int(value == 0.0))
     return Estimate(value, per_level=tuple(per_level), diagnostics=diag)
 
-
-def _refill_at_time(
-    slots: _Slots,
-    targets: np.ndarray,
-    parents: np.ndarray,
-    t_k: float,
-    model: ModelParams,
-    horizon: float,
-    rng: np.random.Generator,
-) -> None:
-    """Replace target slots by parent prefixes at time t_k plus fresh tails."""
-    initial = _initial_state(model)
-    prefixes = []
-    m = len(targets)
-    init_s = np.empty(m, dtype=np.int64)
-    init_i = np.empty(m, dtype=np.int64)
-    init_r = np.empty(m, dtype=np.int64)
-    init_t = np.full(m, t_k)
-    init_d = np.empty(m)
-    for j, parent in enumerate(parents):
-        times = slots.times[parent]
-        kinds = slots.kinds[parent]
-        cut = int(np.searchsorted(times, t_k, side="right"))
-        times, kinds = times[:cut], kinds[:cut]
-        prefixes.append((times, kinds))
-        n_inf = int(np.sum(kinds == _INF))
-        n_rem = len(kinds) - n_inf
-        init_s[j] = initial.s - n_inf
-        init_i[j] = initial.i + n_inf - n_rem
-        init_r[j] = initial.r + n_rem
-        if isinstance(model, HivParams):
-            init_d[j] = _hiv_decayed_at(model, times, kinds, t_k)
-    if isinstance(model, HivParams):
-        batch = lockstep.hiv_ensemble(
-            model, None, rng, record=True, horizon=horizon,
-            init=(init_s, init_i, init_r, init_t, init_d),
-        )
-    else:
-        batch = lockstep.sir_ensemble(
-            model, None, rng, record=True, horizon=horizon,
-            init=(init_s, init_i, init_r, init_t),
-        )
-    for j, slot in enumerate(targets):
-        times, kinds = prefixes[j]
-        new_t, new_k = batch.events[j]
-        slots.times[slot] = np.concatenate([times, new_t])
-        slots.kinds[slot] = np.concatenate([kinds, new_k])
-    slots.s[targets] = batch.s
-    slots.i[targets] = batch.i
-    slots.r[targets] = batch.r
-    slots.t[targets] = batch.t
-    slots.max_i[targets] = batch.max_i  # max over the tail only; unused here
-    if slots.decayed is not None:
-        slots.decayed[targets] = batch.decayed
