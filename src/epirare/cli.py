@@ -119,7 +119,12 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         raise ValueError("config has several sections; pick one with --section")
     config = _apply_overrides(config, args)
     row = run(config)
-    write_sweep_csv([row], _out_stream(args.out), timing=args.timing)
+    out = _out_stream(args.out)
+    try:
+        write_sweep_csv([row], out, timing=args.timing)
+    finally:
+        if args.out:
+            out.close()
     return 0
 
 

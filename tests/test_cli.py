@@ -1,5 +1,7 @@
+import gc
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -78,6 +80,24 @@ def test_estimate_with_overrides(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("method,params")
     assert lines[1].startswith("ibps[keepall;keep=0.2]")
+
+
+def test_estimate_closes_out_file(tmp_path):
+    config = tmp_path / "exp.ini"
+    config.write_text(
+        "[toy]\nmodel = sir\nlambda = 0.12\ngamma = 1.0\nscaling = unscaled\n"
+        "s0 = 9\ni0 = 1\nevent = final_size\nn_c = 10\nmethod = cmc\n"
+        "particles = 100\nreplications = 4\nmaster_seed = 5\n"
+    )
+    out = tmp_path / "row.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main(["estimate", "--config", str(config), "--out", str(out)]) == 0
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    lines = out.read_text().splitlines()
+    assert lines[0].startswith("method,params")
+    assert len(lines) == 2 and lines[1].startswith("cmc,N=100;reps=4;seed=5,")
 
 
 def test_sweep_deterministic_bytes(tmp_path):
