@@ -33,12 +33,12 @@ class EventLog:
     """A batch of paths: their events as flat columns, grouped by path.
 
     Rows ``offsets[p]:offsets[p + 1]`` are path p's events in time order, and
-    ``t_stop[p]`` is the time at which its simulation stopped.
-    Besides each event's time and kind, a row carries the path's state right
-    after the event: compartment counts, the running maximum of infectives,
-    the count of removals inside the stop window (``window_rem``, when the
-    batch had one) and the decayed contact-tracing sum (``decayed``, contact-tracing
-    batches only).
+    ``t_stop[p]`` is the time at which its simulation stopped.  Besides each
+    event's time and kind, a row carries the path's state right after the
+    event: compartment counts, the running maximum of infectives, the count
+    of removals inside the stop window (``window_rem``, when the batch had
+    one) and the decayed contact-tracing sum (``decayed``, contact tracing
+    only).
     """
 
     path: np.ndarray

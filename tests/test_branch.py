@@ -48,10 +48,9 @@ def _rows(log, k):
     }
 
 
-def _replay(model, spec, times, kinds):
+def _replay(model, window, times, kinds):
     """Post-event states of one history, event by event."""
     state = _initial_row(model)
-    window = (spec.t, spec.t + spec.u) if isinstance(spec, DiagnosesIncrement) else None
     out = []
     for t, kind in zip(times, kinds):
         infection = kind == _INF
@@ -73,12 +72,13 @@ def _decayed_at(model, times, kinds, t_cut):
     return total + sum(math.exp(-model.c * (t_cut + a)) for a in model.initial_detection_ages)
 
 
-def _check_history(log, model, spec, k):
+def _check_history(log, model, k, spec=None):
     """Slot k's rows are a time-ordered history that replays to its columns."""
     rows = _rows(log, k)
     assert np.all(np.diff(rows["t"]) >= 0)
     assert np.all(log.path[log.offsets[k]:log.offsets[k + 1]] == k)
-    for n, state in enumerate(_replay(model, spec, rows["t"], rows["kind"])):
+    window = (spec.t, spec.t + spec.u) if isinstance(spec, DiagnosesIncrement) else None
+    for n, state in enumerate(_replay(model, window, rows["t"], rows["kind"])):
         for name in ("s", "i", "r", "max_i"):
             assert rows[name][n] == state[name]
         if log.window_rem is not None:
@@ -143,7 +143,7 @@ def test_level_branch(model_name, event_name, n, seed, level, whole, data):
             assert np.all(fresh["t"][kept:] >= old["t"][cut - 1])
         assert _end_state(new, model, column)[child] >= level
         if whole:
-            _check_history(new, model, spec, child)
+            _check_history(new, model, child, spec)
 
 
 @settings(max_examples=40, deadline=None)
@@ -182,7 +182,7 @@ def test_time_branch(model_name, n, seed, t_cut, whole, data):
         assert np.all(fresh["t"][kept:] > t_cut)
         assert new.t_stop[child] == pytest.approx(horizon) or fresh["i"][-1] == 0
         if whole:
-            _check_history(new, model, EVENTS["final_size"], child)
+            _check_history(new, model, child)
 
 
 @pytest.mark.parametrize("model_name", sorted(MODELS))
@@ -191,7 +191,7 @@ def test_engine_log_replays(model_name, event_name):
     model, spec, log = _start(model_name, event_name, 30, 7)
     assert log.offsets[-1] == len(log.t)
     for k in range(30):
-        _check_history(log, model, spec, k)
+        _check_history(log, model, k, spec)
 
 
 def test_level_cut_counts_from_the_initial_state():
