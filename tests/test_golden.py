@@ -3,19 +3,23 @@
 A change that keeps the order of random draws must leave every value here
 unchanged: the bytes of a small sweep covering every method x model pairing,
 the per-level survival fractions of splitting runs on every event the
-splitting estimators accept, and the level-hit times of one conditional
-sample.  A change that moves draws on purpose regenerates the pins with
+splitting estimators accept, the level-hit times of one conditional sample,
+and a digest of every field and event-log column the jump engines return.  A change that moves draws on purpose regenerates the pins with
 ``PYTHONPATH=src python tests/test_golden.py`` and says so in CHANGES.md.
 """
 
+import dataclasses
+import hashlib
 import io
 import pprint
 
+import numpy as np
 import pytest
 
 from epirare import (
     Axis,
     DiagnosesIncrement,
+    Duration,
     FinalSize,
     HivParams,
     Incidence,
@@ -27,6 +31,8 @@ from epirare import (
     ibps_estimate,
     temporal_split_estimate,
 )
+from epirare import lockstep
+from epirare.estimators import _stop_config
 from epirare.harness import parse_config_text, sweep, write_sweep_csv
 
 SWEEP_INI = """\
@@ -245,6 +251,22 @@ TEMPORAL_CASES = {
 
 HIT_TIME_CASES = ("hiv-incidence", "sir-diagnoses", "sir-final_size")
 
+ENGINE_EVENTS = {
+    "final_size": FinalSize(n_c=16),
+    "incidence": Incidence(T=2.0, n_i=9),
+    "duration": Duration(T=1.5),
+    "diagnoses": DiagnosesIncrement(t=0.5, u=1.5, n_r=8),
+}
+ENGINE_CASES = {
+    f"{model_name}-{event_name}-{'record' if record else 'bare'}-{start}": (
+        model_name, event_name, record, start
+    )
+    for model_name in ("sir", "hiv")
+    for event_name in ENGINE_EVENTS
+    for record in (False, True)
+    for start in ("fresh", "init")
+}
+
 
 def _sweep_csv() -> str:
     buf = io.StringIO()
@@ -289,6 +311,56 @@ def _conditional_hit_times(name: str) -> tuple:
         tuple(p.level_hit_times for p in ensemble.particles),
         tuple(len(p.path.events) for p in ensemble.particles),
     )
+
+
+def _engine_init(model_name: str, spec) -> tuple:
+    """Start points cut at time 0.4, with some paths finished at the start:
+    extinct ones, and ones already at the horizon or the target."""
+    model = SIR if model_name == "sir" else HIV
+    engine = getattr(lockstep, f"{model_name}_ensemble")
+    ens = engine(model, 150, SeedSpec(2027).generator(), horizon=0.4)
+    s, i, r, t = (x.copy() for x in (ens.s, ens.i, ens.r, ens.t))
+    total = s + i + r
+    stop = _stop_config(spec)
+    if "horizon" in stop:
+        t[:3] = stop["horizon"]
+    if stop.get("target_axis") is Axis.REMOVED:
+        r[3:5] = stop["target_level"]
+    elif stop.get("target_axis") is Axis.INFECTED:
+        i[3:5] = stop["target_level"]
+    i[5:7] = 0
+    s[3:7] = total[3:7] - i[3:7] - r[3:7]
+    return (s, i, r, t, ens.decayed) if model_name == "hiv" else (s, i, r, t)
+
+
+def _digest(ens: lockstep.JumpEnsemble) -> str:
+    """sha256 over the name, dtype, shape and bytes of every ensemble field
+    and event-log column."""
+    digest = hashlib.sha256()
+    items = [(f.name, getattr(ens, f.name)) for f in dataclasses.fields(ens) if f.name != "log"]
+    if ens.log is not None:
+        items += [(f"log.{f.name}", getattr(ens.log, f.name)) for f in dataclasses.fields(ens.log)]
+    for name, value in items:
+        digest.update(name.encode())
+        if value is None:
+            digest.update(b"None")
+        else:
+            value = np.ascontiguousarray(value)
+            digest.update(f"{value.dtype.str}{value.shape}".encode())
+            digest.update(value.tobytes())
+    return digest.hexdigest()
+
+
+def _engine_digest(name: str) -> str:
+    model_name, event_name, record, start = ENGINE_CASES[name]
+    spec = ENGINE_EVENTS[event_name]
+    model = SIR if model_name == "sir" else HIV
+    engine = getattr(lockstep, f"{model_name}_ensemble")
+    init = _engine_init(model_name, spec) if start == "init" else None
+    ens = engine(
+        model, 200, SeedSpec(2028).generator(), record=record, init=init, **_stop_config(spec)
+    )
+    return _digest(ens)
 
 
 PER_LEVEL = {'hiv-diagnoses-keepall': (0.20833333333333334, 0.8666666666666667, 0.31666666666666665, 0.075),
@@ -402,6 +474,39 @@ HIT_TIMES = {'hiv-incidence': ((5.0, 6.0, 8.0, 9.0),
                      (8.185042130719344,)),
                     (31, 31, 31, 31, 32, 34, 34, 34, 31, 31))}
 
+ENGINE_DIGESTS = {'hiv-diagnoses-bare-fresh': 'ea4b0da4cc8b51ccacf1746a9505955e4d8299b0734f9000d7ad89a12f34ff1d',
+ 'hiv-diagnoses-bare-init': '7eb50f9f13154547559c3fe01e0f48b95fd1c1b71ed4f9774a9f78924eddd810',
+ 'hiv-diagnoses-record-fresh': '7da268699b47b814efb292d9a22a63ec930690fdb5e91b50f4971d51ebda36f7',
+ 'hiv-diagnoses-record-init': 'b30ca10896b5c8d6c2c5d36372e35c89200c33cae7c7d55872a8318bd34288a0',
+ 'hiv-duration-bare-fresh': '141164b0db43b74ef49199bd61fdf2f4c34275fd109c4cfbf01231a9d559d8db',
+ 'hiv-duration-bare-init': 'a536ee44c2278992c09fefb28ca9224cff47ec3a57e2bfac8cb9c474d1d37eb2',
+ 'hiv-duration-record-fresh': '01af785faba769a41731f094c871cb97ac2afc31113e5ec14f5f9b38af0eb4a2',
+ 'hiv-duration-record-init': '310c1235c8d5d93b24a525f90977b1a61e8d2ab68cb3f1cafb281b733e92fc31',
+ 'hiv-final_size-bare-fresh': '57eaca29d1491eb4b746c1df2a80bd6bfbe70b45a6849e57813eed2405a42a9d',
+ 'hiv-final_size-bare-init': '03724109f3ba06e24afeb5699722e0bc6d7a11a73eb5331213406a0aeb5258e5',
+ 'hiv-final_size-record-fresh': '2acb29b680e2957ee49cb4b167fe5e4ee58fc30080e05fee68fe76b3c602ace1',
+ 'hiv-final_size-record-init': '83a159e0b151ab092ce7341ee75e06bfa4b1ab95801dae00486bf794c716efc4',
+ 'hiv-incidence-bare-fresh': 'a480a61f0cfc889252380f7d13907d7bba87626a0f6937f42d8f962c2badb305',
+ 'hiv-incidence-bare-init': 'afa4a39248332347e20b633984fa4eec8ad8db328326830b22229088f3248759',
+ 'hiv-incidence-record-fresh': 'ced682f3bd2da3e006d31b58c45ad14a7585e6dea85a3251789f3a528afa0d0a',
+ 'hiv-incidence-record-init': '259008cfafb3008cc1c784e4804cd844bfed25e31cd5454c04cb2a9cc1bfd162',
+ 'sir-diagnoses-bare-fresh': 'bb799361820b7857fdea39af9de9cf7c7ccb175be110d5cd57092d0a67a4ccf1',
+ 'sir-diagnoses-bare-init': '0220c9cb43082342cda53b7101d200f81cdc37343b6bc33076b9a18919c7a49f',
+ 'sir-diagnoses-record-fresh': '60754ba2b44f98c157230eab7f9259ca893314682a824e73ddcd793e3c2aa966',
+ 'sir-diagnoses-record-init': '08595ef31718089c1a02fc97aa28bfb2cd30d677176e3f690354d46ac8ed625f',
+ 'sir-duration-bare-fresh': 'b8a51ea9a8dfe9e09f7d42d330e3cd1c079c79da70117bca153a9410b76d723e',
+ 'sir-duration-bare-init': '538ca2809a4d5e863d82334fd44adeba6c5f4005a22b303e2f54edc8b491da2a',
+ 'sir-duration-record-fresh': '35ceab641b63f03f80751eceb17644290becfb845f7c1ca65a67aa578671cfaf',
+ 'sir-duration-record-init': '91d3b959fdf012841403490bd75a6dde4f38cdafcf9d09924bc42723b257995d',
+ 'sir-final_size-bare-fresh': 'ed3522562948c521fc42e95764cb82ceb13148eea0c091f4e1a1d79aac29bc4f',
+ 'sir-final_size-bare-init': '1ebd4181753c28cdfec843b2ccd0c8cc6e97a6065ad13585fdef4035d0ec7c2c',
+ 'sir-final_size-record-fresh': '5a8d0fd6e0806c9b8dc896ad8253a8f33f00e9f3e6d274ad12d11b6f9eb1b082',
+ 'sir-final_size-record-init': '5ae5bbfff88c0d4fa9ceb3497ab745ae84ece28458b738fd2e96396730dd38f3',
+ 'sir-incidence-bare-fresh': '57b476331c9c9ee848e76c131a9e6c0bf56305d72763f1c959cf5c39756e1ef2',
+ 'sir-incidence-bare-init': '643a7a7924f18d4540109e54b4cfc1d53757e3ef68604c8b582753cc0cf08aef',
+ 'sir-incidence-record-fresh': '26479c79089099245df88803ce9e3e79d607f5620342cdb022649a72bc369ef4',
+ 'sir-incidence-record-init': '5d57ac3859285d0e520dfe70f8767e699bda2509ad5dec3414e1e57b63b0afc3'}
+
 
 def test_sweep_csv_bytes():
     assert _sweep_csv() == GOLDEN_CSV
@@ -426,6 +531,11 @@ def test_conditional_sample_level_hit_times(name):
     assert _conditional_hit_times(name) == HIT_TIMES[name]
 
 
+@pytest.mark.parametrize("name", sorted(ENGINE_CASES))
+def test_engine_digest(name):
+    assert _engine_digest(name) == ENGINE_DIGESTS[name]
+
+
 if __name__ == "__main__":
     print(f'GOLDEN_CSV = """\\\n{_sweep_csv()}"""')
     for name, value in (
@@ -433,5 +543,6 @@ if __name__ == "__main__":
         ("FIXED_SCHEDULE_PER_LEVEL", _fixed_schedule_per_level()),
         ("TEMPORAL_PER_LEVEL", {n: _temporal_per_level(n) for n in sorted(TEMPORAL_CASES)}),
         ("HIT_TIMES", {n: _conditional_hit_times(n) for n in HIT_TIME_CASES}),
+        ("ENGINE_DIGESTS", {n: _engine_digest(n) for n in sorted(ENGINE_CASES)}),
     ):
         print(f"\n{name} = {pprint.pformat(value, width=96)}")
