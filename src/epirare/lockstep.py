@@ -4,6 +4,21 @@ The single-path samplers in ``models`` are the reference implementations;
 these engines produce the same processes in bulk for the estimator hot loops,
 tracking exactly the per-path summaries the estimators need (running maxima,
 event counts, rate integrals, and with ``record=True`` a flat event log).
+
+Both jump processes run through one loop, ``_jump_loop``, and plug in through
+a rate hook, ``_Rates``.  SIR rates are exact: they stay constant between
+jumps, so every proposal is a jump.  Contact-tracing rates decay between
+jumps, so that model alone runs by thinning: the rate at the last jump
+bounds the rate until the next, a uniform accepts or rejects each proposal,
+and the loop asserts that the bound holds.
+
+The loop keeps the live paths' state compacted: one float64 block with a
+column per live path, in increasing path order, on which each iteration
+works in place.  Paths that finish are set aside and their columns dropped.
+Every iteration draws one batch of uniforms for exactly the live paths: the
+waiting times, then (thinning only) the acceptances, then the event kinds,
+each in path order.  ``tests/test_golden.py`` pins the outputs this order
+gives at fixed seeds.
 """
 
 from __future__ import annotations
@@ -161,26 +176,27 @@ def _segment_cumsum(x: np.ndarray, path: np.ndarray, offsets: np.ndarray) -> np.
 
 def _event_log(
     init: tuple[np.ndarray, np.ndarray, np.ndarray],
-    rec: tuple[list[np.ndarray], ...],
+    rec: list[list[np.ndarray]],
+    other_kind: int,
     window: tuple[float, float] | None,
     t_stop: np.ndarray,
 ) -> EventLog:
     """Group the per-iteration records by path and derive post-event states.
 
     ``init`` holds each path's starting (s, i, r); ``rec`` the recorded path
-    indices, times, kinds and, for contact tracing, decayed sums.
+    indices, times, infection flags and, for contact tracing, decayed sums.
+    Events that are not infections are of ``other_kind``.
     """
     s0, i0, r0 = init
     n = len(s0)
-    idx, times, kinds, *decayed = (
+    idx, times, infections, *decayed = (
         np.concatenate(col) if col else np.empty(0, dtype)
-        for col, dtype in zip(rec, (np.int64, float, np.int8, float))
+        for col, dtype in zip(rec, (float, float, bool, float))
     )
     order = np.argsort(idx, kind="stable")
-    path, t, kind = idx[order], times[order], kinds[order]
+    path, t, is_inf = idx[order].astype(np.int64), times[order], infections[order]
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(path, minlength=n), out=offsets[1:])
-    is_inf = kind == _INF
     n_inf = _segment_cumsum(is_inf, path, offsets)
     n_rem = np.arange(1, len(path) + 1) - offsets[path] - n_inf
     i = i0[path] + n_inf - n_rem
@@ -193,17 +209,160 @@ def _event_log(
         in_window = _segment_cumsum(
             ~is_inf & (t > window[0]) & (t <= window[1]), path, offsets
         )
+    kind = np.where(is_inf, _INF, other_kind).astype(np.int8)
     return EventLog(
         path, t, kind, s0[path] - n_inf, i, r0[path] + n_rem, max_i, in_window,
         decayed[0][order] if decayed else None, offsets, t_stop,
     )
 
 
-def _target_hit(axis: Axis | None, level: float | None, i: np.ndarray, r: np.ndarray) -> np.ndarray:
-    if axis is None:
-        return np.zeros(i.shape, dtype=bool)
-    values = i if axis is Axis.INFECTED else r
-    return values >= level
+@dataclass(frozen=True)
+class _Rates:
+    """The rate hook: how one model's event rates enter the jump loop.
+
+    Infections occur at ``coef * s * i`` and removals (detections) at
+    ``gamma * i + traced * i * decayed``.  ``decay`` is the rate at which the
+    decayed contact-tracing sum falls between jumps; ``None`` means the rates
+    are constant between jumps, so every proposal is a jump and the loop
+    accumulates the rate integrals ``int_pair`` (scaled by ``pair_scale``)
+    and ``int_i`` that importance sampling needs.
+    """
+
+    coef: float
+    gamma: float
+    other_kind: int
+    pair_scale: float = 1.0
+    traced: float = 0.0
+    decay: float | None = None
+
+    def __call__(self, s: np.ndarray, i: np.ndarray, decayed: np.ndarray | None):
+        """Infection rate and total rate; under thinning the total at the
+        last jump, which bounds it until the next."""
+        rate_inf = self.coef * s * i
+        if self.decay is None:
+            return rate_inf, rate_inf + self.gamma * i
+        return rate_inf, rate_inf + self.gamma * i + self.traced * i * decayed
+
+    def detection(self, i: np.ndarray, decayed: np.ndarray) -> np.ndarray:
+        return self.gamma * i + self.traced * i * decayed
+
+
+def _jump_loop(
+    rates: _Rates,
+    start: tuple[np.ndarray, ...],
+    rng: np.random.Generator,
+    horizon: float,
+    target_axis: Axis | None,
+    target_level: float | None,
+    window: tuple[float, float] | None,
+    record: bool,
+) -> JumpEnsemble:
+    """Advance paths from ``start`` = (s, i, r, t[, decayed]) until each is
+    extinct, at the horizon or at the target.
+
+    ``block`` holds the live paths' state, a row per quantity and a column
+    per path; counts are exact in float64.  The columns of paths that finish
+    go to ``finished`` and are written back to ``out`` at the end.
+    """
+    s0, i0, r0, t0, *decayed0 = start
+    n = len(t0)
+    thinning = rates.decay is not None
+    finite = horizon < np.inf
+    target = {Axis.INFECTED: 1, Axis.REMOVED: 2}.get(target_axis)
+    # rows: s, i, r, t, max_i, path, then decayed or the two rate integrals,
+    # then the window's removal count
+    zeros = np.zeros((2 * (not thinning) + (window is not None), n))
+    out = np.array([s0, i0, r0, t0, i0, np.arange(n), *decayed0, *zeros], dtype=float)
+    draws = 3 if thinning else 2
+    rec: list[list[np.ndarray]] = [[] for _ in range(3 + thinning)]
+
+    def live(block: np.ndarray) -> np.ndarray:
+        alive = block[1] > 0
+        if finite:
+            alive &= block[3] < horizon
+        if target is not None:
+            alive &= block[target] < target_level
+        return alive
+
+    finished = []
+    block = out
+    alive = live(out)
+    iterations = 0
+    while True:
+        keep = np.flatnonzero(alive)
+        if keep.size < block.shape[1]:
+            finished.append(block.take(np.flatnonzero(~alive), axis=1))
+            block = block.take(keep, axis=1)
+        if not keep.size:
+            break
+        iterations += 1
+        if iterations > _ITERATION_CAP:
+            raise RuntimeError("iteration cap exceeded in ensemble simulation")
+        s, i, r, t, max_i, path, *extra = block
+        decayed = extra[0] if thinning else None
+        rate_inf, rate_tot = rates(s, i, decayed)
+        u = rng.random((draws, keep.size))
+        t_new = t - np.log1p(-u[0]) / rate_tot
+        t_next = np.minimum(t_new, horizon) if finite else t_new
+        dt = t_next - t
+        if thinning:
+            bound = rate_tot
+            decayed *= np.exp(-rates.decay * dt)
+            rate_tot = rate_inf + rates.detection(i, decayed)
+            if np.any(rate_tot > bound * (1.0 + 1e-12)):
+                raise AssertionError("thinning bound fell below the instantaneous rate")
+            jump = u[1] * bound < rate_tot
+            if finite:
+                jump &= t_new <= horizon
+        else:
+            pair = s * i * dt
+            if rates.pair_scale != 1.0:
+                pair *= rates.pair_scale
+            extra[0] += pair
+            extra[1] += i * dt
+            jump = t_new <= horizon if finite else None
+        is_inf = u[-1] * rate_tot < rate_inf
+        if jump is None:
+            inf, rem = is_inf, ~is_inf
+        else:
+            inf, rem = jump & is_inf, jump > is_inf
+        s -= inf
+        i += inf
+        i -= rem
+        r += rem
+        np.maximum(max_i, i, out=max_i)
+        t[:] = t_next
+        if thinning:
+            decayed += rem
+        if window is not None:
+            extra[-1] += rem & (t > window[0]) & (t <= window[1])
+        if record:
+            for col, x in zip(rec, (path, t, is_inf, decayed)):
+                col.append(x.copy() if jump is None else x[jump])
+        alive = live(block)
+
+    if finished:
+        done = np.concatenate(finished, axis=1)
+        out[:, done[5].astype(np.int64)] = done
+    s, i, r, max_i = (out[k].astype(np.int64) for k in (0, 1, 2, 4))
+    t, integrals = out[3], (np.zeros(n), np.zeros(n)) if thinning else out[6:8]
+    window_rem = out[-1].astype(np.int64) if window is not None else None
+    log = _event_log((s0, i0, r0), rec, rates.other_kind, window, t) if record else None
+    return JumpEnsemble(
+        s, i, r, t, max_i, s0 - s, r - r0, *integrals, window_rem, log,
+        out[6] if thinning else None,
+    )
+
+
+def _start(
+    init: tuple[np.ndarray, ...] | None, n_paths: int | None, fresh: tuple[float, ...]
+) -> tuple[np.ndarray, ...]:
+    """Per-path (s, i, r, t[, decayed]): from ``init``, or ``n_paths`` copies
+    of the ``fresh`` state."""
+    if init is None:
+        init = tuple(np.full(int(n_paths), x) for x in fresh)
+    s, i, r = (np.array(x, dtype=np.int64) for x in init[:3])
+    return (s, i, r, *(np.array(x, dtype=float) for x in init[3:]))
 
 
 def sir_ensemble(
@@ -223,70 +382,15 @@ def sir_ensemble(
     ``init`` supplies per-path (s, i, r, t) start points for continuing
     truncated paths; otherwise all paths start fresh at (s0, i0, 0, 0).
     """
-    if init is not None:
-        s = np.array(init[0], dtype=np.int64)
-        i = np.array(init[1], dtype=np.int64)
-        r = np.array(init[2], dtype=np.int64)
-        t = np.array(init[3], dtype=float)
-        n = len(t)
-    else:
-        n = int(n_paths)
-        s = np.full(n, params.s0, dtype=np.int64)
-        i = np.full(n, params.i0, dtype=np.int64)
-        r = np.zeros(n, dtype=np.int64)
-        t = np.zeros(n)
-    coef = params.lam / params.population if params.scaling is Scaling.MASS_ACTION else params.lam
-    max_i = i.copy()
-    n_inf = np.zeros(n, dtype=np.int64)
-    n_rem = np.zeros(n, dtype=np.int64)
-    int_pair = np.zeros(n)
-    int_i = np.zeros(n)
-    window_rem = np.zeros(n, dtype=np.int64) if window is not None else None
-    start = (s.copy(), i.copy(), r.copy()) if record else None
-    rec_idx: list[np.ndarray] = []
-    rec_t: list[np.ndarray] = []
-    rec_k: list[np.ndarray] = []
-
-    active = (i > 0) & (t < horizon) & ~_target_hit(target_axis, target_level, i, r)
-    iterations = 0
-    while active.any():
-        iterations += 1
-        if iterations > _ITERATION_CAP:
-            raise RuntimeError("iteration cap exceeded in ensemble simulation")
-        idx = np.flatnonzero(active)
-        s_a, i_a = s[idx], i[idx]
-        rate_inf = coef * s_a * i_a
-        rate_tot = rate_inf + params.gamma * i_a
-        dt = -np.log1p(-rng.random(idx.size)) / rate_tot
-        t_new = t[idx] + dt
-        over = t_new > horizon
-        dt_eff = np.minimum(t_new, horizon) - t[idx]
-        int_pair[idx] += (s_a * i_a * dt_eff) * (1.0 / params.population if params.scaling is Scaling.MASS_ACTION else 1.0)
-        int_i[idx] += i_a * dt_eff
-        is_inf = rng.random(idx.size) * rate_tot < rate_inf
-
-        hit_inf = idx[~over & is_inf]
-        hit_rem = idx[~over & ~is_inf]
-        s[hit_inf] -= 1
-        i[hit_inf] += 1
-        n_inf[hit_inf] += 1
-        max_i[hit_inf] = np.maximum(max_i[hit_inf], i[hit_inf])
-        i[hit_rem] -= 1
-        r[hit_rem] += 1
-        n_rem[hit_rem] += 1
-        t[idx] = np.minimum(t_new, horizon)
-        if window is not None and hit_rem.size:
-            t_rem = t[hit_rem]
-            window_rem[hit_rem] += (t_rem > window[0]) & (t_rem <= window[1])
-        if record:
-            ev = idx[~over]
-            rec_idx.append(ev)
-            rec_t.append(t[ev])
-            rec_k.append(np.where(is_inf[~over], _INF, _REM).astype(np.int8))
-        active = (i > 0) & (t < horizon) & ~_target_hit(target_axis, target_level, i, r)
-
-    log = _event_log(start, (rec_idx, rec_t, rec_k), window, t) if record else None
-    return JumpEnsemble(s, i, r, t, max_i, n_inf, n_rem, int_pair, int_i, window_rem, log)
+    mass_action = params.scaling is Scaling.MASS_ACTION
+    rates = _Rates(
+        coef=params.lam / params.population if mass_action else params.lam,
+        gamma=params.gamma,
+        other_kind=_REM,
+        pair_scale=1.0 / params.population if mass_action else 1.0,
+    )
+    start = _start(init, n_paths, (params.s0, params.i0, 0, 0.0))
+    return _jump_loop(rates, start, rng, horizon, target_axis, target_level, window, record)
 
 
 def hiv_ensemble(
@@ -308,81 +412,16 @@ def hiv_ensemble(
     last jump bounds the rate until the next and rejected proposals simply
     re-tighten the bound.  ``init`` supplies (s, i, r, t, decayed).
     """
-    if init is not None:
-        s = np.array(init[0], dtype=np.int64)
-        i = np.array(init[1], dtype=np.int64)
-        r = np.array(init[2], dtype=np.int64)
-        t = np.array(init[3], dtype=float)
-        decayed = np.array(init[4], dtype=float)
-        n = len(t)
-    else:
-        n = int(n_paths)
-        s = np.full(n, params.s0, dtype=np.int64)
-        i = np.full(n, params.i0, dtype=np.int64)
-        r = np.full(n, params.r0_count, dtype=np.int64)
-        t = np.zeros(n)
-        decayed = np.full(n, float(sum(np.exp(-params.c * a) for a in params.initial_detection_ages)))
-    max_i = i.copy()
-    n_inf = np.zeros(n, dtype=np.int64)
-    n_rem = np.zeros(n, dtype=np.int64)
-    int_pair = np.zeros(n)
-    int_i = np.zeros(n)
-    window_rem = np.zeros(n, dtype=np.int64) if window is not None else None
-    start = (s.copy(), i.copy(), r.copy()) if record else None
-    rec_idx: list[np.ndarray] = []
-    rec_t: list[np.ndarray] = []
-    rec_k: list[np.ndarray] = []
-    rec_d: list[np.ndarray] = []
-
-    active = (i > 0) & (t < horizon) & ~_target_hit(target_axis, target_level, i, r)
-    iterations = 0
-    while active.any():
-        iterations += 1
-        if iterations > _ITERATION_CAP:
-            raise RuntimeError("iteration cap exceeded in ensemble simulation")
-        idx = np.flatnonzero(active)
-        i_a = i[idx]
-        rate_inf = params.lam * s[idx] * i_a
-        bound = rate_inf + params.gamma1 * i_a + params.gamma2 * i_a * decayed[idx]
-        dt = -np.log1p(-rng.random(idx.size)) / bound
-        t_new = t[idx] + dt
-        over = t_new > horizon
-        dt_eff = np.minimum(t_new, horizon) - t[idx]
-        decay_factor = np.exp(-params.c * dt_eff)
-        decayed[idx] *= decay_factor
-        t[idx] = np.minimum(t_new, horizon)
-        rate_det = params.gamma1 * i_a + params.gamma2 * i_a * decayed[idx]
-        rate_tot = rate_inf + rate_det
-        if np.any(rate_tot > bound * (1.0 + 1e-12)):
-            raise AssertionError("thinning bound fell below the instantaneous rate")
-        accepted = ~over & (rng.random(idx.size) * bound < rate_tot)
-        is_inf = rng.random(idx.size) * rate_tot < rate_inf
-
-        hit_inf = idx[accepted & is_inf]
-        hit_det = idx[accepted & ~is_inf]
-        s[hit_inf] -= 1
-        i[hit_inf] += 1
-        n_inf[hit_inf] += 1
-        max_i[hit_inf] = np.maximum(max_i[hit_inf], i[hit_inf])
-        i[hit_det] -= 1
-        r[hit_det] += 1
-        n_rem[hit_det] += 1
-        decayed[hit_det] += 1.0
-        if window is not None and hit_det.size:
-            t_det = t[hit_det]
-            window_rem[hit_det] += (t_det > window[0]) & (t_det <= window[1])
-        if record and (accepted.any()):
-            ev = idx[accepted]
-            rec_idx.append(ev)
-            rec_t.append(t[ev])
-            rec_k.append(np.where(is_inf[accepted], _INF, _DET).astype(np.int8))
-            rec_d.append(decayed[ev])
-        active = (i > 0) & (t < horizon) & ~_target_hit(target_axis, target_level, i, r)
-
-    log = _event_log(start, (rec_idx, rec_t, rec_k, rec_d), window, t) if record else None
-    return JumpEnsemble(
-        s, i, r, t, max_i, n_inf, n_rem, int_pair, int_i, window_rem, log, decayed
+    rates = _Rates(
+        coef=params.lam,
+        gamma=params.gamma1,
+        other_kind=_DET,
+        traced=params.gamma2,
+        decay=params.c,
     )
+    decayed = float(sum(np.exp(-params.c * a) for a in params.initial_detection_ages))
+    start = _start(init, n_paths, (params.s0, params.i0, params.r0_count, 0.0, decayed))
+    return _jump_loop(rates, start, rng, horizon, target_axis, target_level, window, record)
 
 
 def rf_advance(
