@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
+import numpy as np
+
 from .core import (
     Axis,
     EpidemicPath,
@@ -261,8 +263,7 @@ def quantile_levels(
         raise ValueError("scores must be non-empty")
     if not 0.0 < keep_fraction < 1.0:
         raise ValueError(f"keep fraction must lie in (0, 1): {keep_fraction}")
-    ordered = sorted(scores, reverse=True)
+    ordered = np.sort(np.asarray(scores))
     if previous is not None and ordered[0] == ordered[-1] == previous:
         raise NoProgressError(f"all scores equal the previous level {previous}")
-    rank = math.ceil(keep_fraction * len(ordered))
-    return ordered[rank - 1]
+    return ordered[-math.ceil(keep_fraction * len(ordered))]

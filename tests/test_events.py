@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from epirare import (
@@ -189,6 +190,16 @@ def test_quantile_levels_returns_member_of_multiset():
     scores = rng.integers(0, 40, size=137).tolist()
     for keep in (0.01, 0.2, 0.5, 0.9):
         assert quantile_levels(scores, keep) in scores
+
+
+def test_quantile_levels_matches_sorted_reference_on_ties():
+    rng = SeedSpec(27).generator()
+    for size in (1, 2, 7, 100):
+        scores = rng.integers(0, 4, size=size).tolist()
+        for keep in (0.01, 0.3, 0.5, 0.99):
+            reference = sorted(scores, reverse=True)[math.ceil(keep * size) - 1]
+            assert quantile_levels(scores, keep) == reference
+            assert quantile_levels(np.array(scores, dtype=float), keep) == reference
 
 
 def test_quantile_levels_no_progress_signal():
