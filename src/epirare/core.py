@@ -204,9 +204,7 @@ class SirParams:
     """Markovian SIR jump process.
 
     ``scaling`` selects the infection rate lambda*S*I/n (MASS_ACTION) or
-    lambda*S*I (UNSCALED).  ``n`` defaults to the initial population.  The
-    demography rates ``mu`` and ``rho`` are configuration stubs and must stay
-    zero.
+    lambda*S*I (UNSCALED).  ``n`` defaults to the initial population.
     """
 
     lam: float
@@ -215,8 +213,6 @@ class SirParams:
     i0: int
     scaling: Scaling = Scaling.MASS_ACTION
     n: int | None = None
-    mu: float = 0.0
-    rho: float = 0.0
 
     def __post_init__(self) -> None:
         if self.lam < 0:
@@ -225,8 +221,6 @@ class SirParams:
             raise ValueError(f"gamma must be positive: {self.gamma}")
         if self.s0 < 0 or self.i0 < 0:
             raise ValueError("initial counts must be non-negative")
-        if self.mu != 0.0 or self.rho != 0.0:
-            raise ValueError("demography rates mu and rho are stubs and must be 0")
         if self.n is not None and self.n <= 0:
             raise ValueError("population size n must be positive")
 
@@ -256,7 +250,6 @@ class HivParams:
     s0: int
     i0: int
     initial_detection_ages: tuple[float, ...] = ()
-    rho: float = 0.0
 
     def __post_init__(self) -> None:
         for name in ("lam", "gamma1", "gamma2", "c"):
@@ -266,8 +259,6 @@ class HivParams:
             raise ValueError("initial counts must be non-negative")
         if any(a < 0 for a in self.initial_detection_ages):
             raise ValueError("detection ages must be non-negative")
-        if self.rho != 0.0:
-            raise ValueError("demography rate rho is a stub and must be 0")
 
     @property
     def r0_count(self) -> int:

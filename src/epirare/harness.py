@@ -255,8 +255,6 @@ def _parse_model(section: configparser.SectionProxy, label: str) -> ModelParams:
             i0=section.getint("i0"),
             scaling=Scaling(scaling),
             n=section.getint("n", fallback=None),
-            mu=section.getfloat("mu", fallback=0.0),
-            rho=section.getfloat("rho", fallback=0.0),
         )
     if kind in ("rf", "reed_frost", "reed-frost"):
         return ReedFrostParams(
@@ -273,7 +271,6 @@ def _parse_model(section: configparser.SectionProxy, label: str) -> ModelParams:
             s0=section.getint("s0"),
             i0=section.getint("i0"),
             initial_detection_ages=ages,
-            rho=section.getfloat("rho", fallback=0.0),
         )
     raise ValueError(f"[{label}] unknown model: {kind}")
 
@@ -322,9 +319,26 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(",") if x.strip())
 
 
+class _ReadTracker(configparser.ConfigParser):
+    """A parser that records every (section, key) it is asked for."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.read_keys: set[tuple[str, str]] = set()
+
+    def get(self, section, option, **kwargs):
+        self.read_keys.add((section, self.optionxform(option)))
+        return super().get(section, option, **kwargs)
+
+
 def parse_config_text(text: str) -> list[ExperimentConfig]:
-    """Parse experiments from INI text; one section per experiment."""
-    parser = configparser.ConfigParser()
+    """Parse experiments from INI text; one section per experiment.
+
+    A key that no parser reads for its section, including one inherited from
+    ``[DEFAULT]``, is an error: a misspelt key would otherwise fall back to
+    its default without a word.
+    """
+    parser = _ReadTracker()
     parser.read_string(text)
     configs = []
     for label in parser.sections():
@@ -353,6 +367,9 @@ def parse_config_text(text: str) -> list[ExperimentConfig]:
             restart_on_extinction=section.getint("restart_on_extinction", fallback=0),
             workers=section.getint("workers", fallback=1),
         )
+        unread = sorted(key for key in section if (label, key) not in parser.read_keys)
+        if unread:
+            raise ValueError(f"[{label}] unknown key(s): {', '.join(unread)}")
         configs.append(config)
     return configs
 

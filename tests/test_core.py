@@ -190,8 +190,3 @@ def test_n_events_counts_jumps_up_to_time():
 def test_compartment_state_rejects_negative_counts():
     with pytest.raises(ValueError):
         CompartmentState(-1, 0, 0)
-
-
-def test_sir_params_demography_stub_must_be_zero():
-    with pytest.raises(ValueError, match="mu and rho"):
-        SirParams(lam=1.0, gamma=1.0, s0=5, i0=1, mu=0.1)

@@ -244,3 +244,11 @@ def test_estimate_validation():
         Estimate(0.1, per_level=(1.5,))
     diag = Diagnostics(extinct_ensembles=1).merged(Diagnostics(zero_runs=2))
     assert diag.extinct_ensembles == 1 and diag.zero_runs == 2
+
+
+@pytest.mark.parametrize("value, std_error", [
+    (math.nan, 0.0), (math.inf, 0.0), (0.1, math.nan), (0.1, math.inf),
+])
+def test_estimate_rejects_non_finite(value, std_error):
+    with pytest.raises(ValueError, match="finite"):
+        Estimate(value, std_error)

@@ -86,6 +86,27 @@ def test_parse_rejects_unknown_fields():
         )
 
 
+@pytest.mark.parametrize(
+    "extra, key",
+    [
+        ("mu = 0.1\n", "mu"),
+        ("rho = 0.0\n", "rho"),
+        ("partcles = 50\n", "partcles"),
+        ("lambda_new = 0.5\nq_new = 0.5\n", "q_new"),
+    ],
+    ids=["mu", "rho", "partcles", "other-model"],
+)
+def test_parse_rejects_unread_keys(extra, key):
+    section = "[x]\nlambda = 1\ngamma = 1\ns0 = 2\ni0 = 1\nevent = final_size\nn_c = 2\n"
+    with pytest.raises(ValueError, match=rf"\[x\] unknown key\(s\): {key}$"):
+        parse_config_text(section + extra)
+
+
+def test_parse_rejects_unread_default_keys():
+    with pytest.raises(ValueError, match=r"\[toy-cmc\] unknown key\(s\): replicatons"):
+        parse_config_text("[DEFAULT]\nreplicatons = 5\n" + TOY_TEXT)
+
+
 def test_run_reports_mean_and_spread():
     config = parse_config_text(TOY_TEXT)[0]
     row = run(config)
