@@ -81,10 +81,8 @@ class Estimate:
     diagnostics: Diagnostics = field(default_factory=Diagnostics)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.value) and math.isfinite(self.std_error)):
-            raise ValueError("estimate and standard error must be finite")
-        if self.value < 0 or self.std_error < 0:
-            raise ValueError("estimate and standard error must be non-negative")
+        if not (0.0 <= self.value < math.inf and 0.0 <= self.std_error < math.inf):
+            raise ValueError("estimate and standard error must be finite and non-negative")
         if any(not 0.0 <= p <= 1.0 for p in self.per_level):
             raise ValueError("per-level survival fractions must lie in [0, 1]")
 

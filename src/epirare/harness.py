@@ -332,12 +332,8 @@ class _ReadTracker(configparser.ConfigParser):
 
 
 def parse_config_text(text: str) -> list[ExperimentConfig]:
-    """Parse experiments from INI text; one section per experiment.
-
-    A key that no parser reads for its section, including one inherited from
-    ``[DEFAULT]``, is an error: a misspelt key would otherwise fall back to
-    its default without a word.
-    """
+    """Parse experiments from INI text; one section per experiment.  A key no
+    parser reads for its section, ``[DEFAULT]`` ones included, is an error."""
     parser = _ReadTracker()
     parser.read_string(text)
     configs = []

@@ -5,20 +5,13 @@ these engines produce the same processes in bulk for the estimator hot loops,
 tracking exactly the per-path summaries the estimators need (running maxima,
 event counts, rate integrals, and with ``record=True`` a flat event log).
 
-Both jump processes run through one loop, ``_jump_loop``, and plug in through
-a rate hook, ``_Rates``.  SIR rates are exact: they stay constant between
-jumps, so every proposal is a jump.  Contact-tracing rates decay between
-jumps, so that model alone runs by thinning: the rate at the last jump
-bounds the rate until the next, a uniform accepts or rejects each proposal,
-and the loop asserts that the bound holds.
-
-The loop keeps the live paths' state compacted: one float64 block with a
-column per live path, in increasing path order, on which each iteration
-works in place.  Paths that finish are set aside and their columns dropped.
-Every iteration draws one batch of uniforms for exactly the live paths: the
-waiting times, then (thinning only) the acceptances, then the event kinds,
-each in path order.  ``tests/test_golden.py`` pins the outputs this order
-gives at fixed seeds.
+SIR and contact tracing share one loop, ``_jump_loop``, and plug into it
+through a rate hook, ``_Rates``; only contact tracing, whose rates decay
+between jumps, runs by thinning.  The loop keeps the live paths' state
+compacted, a column per live path in path order, and drops paths as they
+finish.  Each iteration draws uniforms for exactly the live paths: waiting
+times, then (thinning only) acceptances, then event kinds, each in path
+order.  ``tests/test_golden.py`` pins the outputs of this order.
 """
 
 from __future__ import annotations
@@ -32,13 +25,9 @@ from scipy.special import gammaln
 from .core import Axis, EventKind, HivParams, ReedFrostParams, Scaling, SirParams
 
 __all__ = [
-    "EventLog", "JumpEnsemble", "hiv_ensemble", "rf_advance", "rf_chains", "rf_loglik",
-    "sir_ensemble",
+    "EventLog", "JumpEnsemble", "hiv_ensemble", "initial_row", "rf_advance", "rf_chains",
+    "rf_loglik", "sir_ensemble",
 ]
-
-_INF = EventKind.INFECTION.value
-_REM = EventKind.REMOVAL.value
-_DET = EventKind.DETECTION.value
 
 _ITERATION_CAP = 100_000_000
 
@@ -209,24 +198,28 @@ def _event_log(
         in_window = _segment_cumsum(
             ~is_inf & (t > window[0]) & (t <= window[1]), path, offsets
         )
-    kind = np.where(is_inf, _INF, other_kind).astype(np.int8)
+    kind = np.where(is_inf, EventKind.INFECTION.value, other_kind).astype(np.int8)
     return EventLog(
         path, t, kind, s0[path] - n_inf, i, r0[path] + n_rem, max_i, in_window,
         decayed[0][order] if decayed else None, offsets, t_stop,
     )
 
 
+def initial_row(model: SirParams | HivParams) -> dict:
+    """The state every fresh path starts from, by event-log column."""
+    r0 = model.r0_count if isinstance(model, HivParams) else 0
+    row = dict(s=model.s0, i=model.i0, r=r0, t=0.0, max_i=model.i0, window_rem=0)
+    if isinstance(model, HivParams):
+        row["decayed"] = float(sum(np.exp(-model.c * a) for a in model.initial_detection_ages))
+    return row
+
+
 @dataclass(frozen=True)
 class _Rates:
-    """The rate hook: how one model's event rates enter the jump loop.
-
-    Infections occur at ``coef * s * i`` and removals (detections) at
-    ``gamma * i + traced * i * decayed``.  ``decay`` is the rate at which the
-    decayed contact-tracing sum falls between jumps; ``None`` means the rates
-    are constant between jumps, so every proposal is a jump and the loop
-    accumulates the rate integrals ``int_pair`` (scaled by ``pair_scale``)
-    and ``int_i`` that importance sampling needs.
-    """
+    """The rate hook of one model: infections at ``coef * s * i``, removals
+    (detections) at ``gamma * i + traced * i * decayed``.  With a ``decay``
+    rate of the decayed sum the loop thins; without, every proposal is a
+    jump and the loop sums the rate integrals importance sampling needs."""
 
     coef: float
     gamma: float
@@ -236,8 +229,7 @@ class _Rates:
     decay: float | None = None
 
     def __call__(self, s: np.ndarray, i: np.ndarray, decayed: np.ndarray | None):
-        """Infection rate and total rate; under thinning the total at the
-        last jump, which bounds it until the next."""
+        """Infection and total rate; under thinning, a bound until the next jump."""
         rate_inf = self.coef * s * i
         if self.decay is None:
             return rate_inf, rate_inf + self.gamma * i
@@ -249,22 +241,29 @@ class _Rates:
 
 def _jump_loop(
     rates: _Rates,
-    start: tuple[np.ndarray, ...],
+    model: SirParams | HivParams,
+    n_paths: int | None,
     rng: np.random.Generator,
-    horizon: float,
-    target_axis: Axis | None,
-    target_level: float | None,
-    window: tuple[float, float] | None,
-    record: bool,
+    *,
+    init: tuple[np.ndarray, ...] | None = None,
+    horizon: float = np.inf,
+    target_axis: Axis | None = None,
+    target_level: float | None = None,
+    window: tuple[float, float] | None = None,
+    record: bool = False,
 ) -> JumpEnsemble:
-    """Advance paths from ``start`` = (s, i, r, t[, decayed]) until each is
-    extinct, at the horizon or at the target.
+    """Advance paths from ``init`` = (s, i, r, t[, decayed]), or ``n_paths``
+    fresh ones, until each is extinct, at the horizon or at the target.
 
     ``block`` holds the live paths' state, a row per quantity and a column
-    per path; counts are exact in float64.  The columns of paths that finish
-    go to ``finished`` and are written back to ``out`` at the end.
-    """
-    s0, i0, r0, t0, *decayed0 = start
+    per path (counts are exact in float64); finished columns go to
+    ``finished`` and are written back to ``out`` at the end."""
+    if init is None:
+        fresh = initial_row(model)
+        init = [np.full(int(n_paths), fresh[k]) for k in ("s", "i", "r", "t", "decayed")
+                if k in fresh]
+    s0, i0, r0 = (np.array(x, dtype=np.int64) for x in init[:3])
+    t0, *decayed0 = (np.array(x, dtype=float) for x in init[3:])
     n = len(t0)
     thinning = rates.decay is not None
     finite = horizon < np.inf
@@ -273,35 +272,25 @@ def _jump_loop(
     # then the window's removal count
     zeros = np.zeros((2 * (not thinning) + (window is not None), n))
     out = np.array([s0, i0, r0, t0, i0, np.arange(n), *decayed0, *zeros], dtype=float)
-    draws = 3 if thinning else 2
     rec: list[list[np.ndarray]] = [[] for _ in range(3 + thinning)]
-
-    def live(block: np.ndarray) -> np.ndarray:
+    finished = [out[:, :0]]
+    block = out
+    for _ in range(_ITERATION_CAP + 1):
         alive = block[1] > 0
         if finite:
             alive &= block[3] < horizon
         if target is not None:
             alive &= block[target] < target_level
-        return alive
-
-    finished = []
-    block = out
-    alive = live(out)
-    iterations = 0
-    while True:
         keep = np.flatnonzero(alive)
         if keep.size < block.shape[1]:
             finished.append(block.take(np.flatnonzero(~alive), axis=1))
             block = block.take(keep, axis=1)
         if not keep.size:
             break
-        iterations += 1
-        if iterations > _ITERATION_CAP:
-            raise RuntimeError("iteration cap exceeded in ensemble simulation")
         s, i, r, t, max_i, path, *extra = block
         decayed = extra[0] if thinning else None
         rate_inf, rate_tot = rates(s, i, decayed)
-        u = rng.random((draws, keep.size))
+        u = rng.random((3 if thinning else 2, keep.size))
         t_new = t - np.log1p(-u[0]) / rate_tot
         t_next = np.minimum(t_new, horizon) if finite else t_new
         dt = t_next - t
@@ -315,17 +304,11 @@ def _jump_loop(
             if finite:
                 jump &= t_new <= horizon
         else:
-            pair = s * i * dt
-            if rates.pair_scale != 1.0:
-                pair *= rates.pair_scale
-            extra[0] += pair
+            extra[0] += s * i * dt * rates.pair_scale
             extra[1] += i * dt
             jump = t_new <= horizon if finite else None
         is_inf = u[-1] * rate_tot < rate_inf
-        if jump is None:
-            inf, rem = is_inf, ~is_inf
-        else:
-            inf, rem = jump & is_inf, jump > is_inf
+        inf, rem = (is_inf, ~is_inf) if jump is None else (jump & is_inf, jump > is_inf)
         s -= inf
         i += inf
         i -= rem
@@ -339,11 +322,11 @@ def _jump_loop(
         if record:
             for col, x in zip(rec, (path, t, is_inf, decayed)):
                 col.append(x.copy() if jump is None else x[jump])
-        alive = live(block)
+    else:
+        raise RuntimeError("iteration cap exceeded in ensemble simulation")
 
-    if finished:
-        done = np.concatenate(finished, axis=1)
-        out[:, done[5].astype(np.int64)] = done
+    done = np.concatenate(finished, axis=1)
+    out[:, done[5].astype(np.int64)] = done
     s, i, r, max_i = (out[k].astype(np.int64) for k in (0, 1, 2, 4))
     t, integrals = out[3], (np.zeros(n), np.zeros(n)) if thinning else out[6:8]
     window_rem = out[-1].astype(np.int64) if window is not None else None
@@ -354,43 +337,29 @@ def _jump_loop(
     )
 
 
-def _start(
-    init: tuple[np.ndarray, ...] | None, n_paths: int | None, fresh: tuple[float, ...]
-) -> tuple[np.ndarray, ...]:
-    """Per-path (s, i, r, t[, decayed]): from ``init``, or ``n_paths`` copies
-    of the ``fresh`` state."""
-    if init is None:
-        init = tuple(np.full(int(n_paths), x) for x in fresh)
-    s, i, r = (np.array(x, dtype=np.int64) for x in init[:3])
-    return (s, i, r, *(np.array(x, dtype=float) for x in init[3:]))
-
-
 def sir_ensemble(
     params: SirParams,
     n_paths: int | None,
     rng: np.random.Generator,
     *,
-    horizon: float = np.inf,
-    target_axis: Axis | None = None,
-    target_level: float | None = None,
-    window: tuple[float, float] | None = None,
-    record: bool = False,
     init: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
+    **stop,
 ) -> JumpEnsemble:
     """Advance an ensemble of SIR paths to extinction, horizon, or target.
 
-    ``init`` supplies per-path (s, i, r, t) start points for continuing
-    truncated paths; otherwise all paths start fresh at (s0, i0, 0, 0).
+    ``stop`` takes the keywords ``horizon``, ``target_axis``,
+    ``target_level``, ``window`` and ``record``.  ``init`` supplies per-path
+    (s, i, r, t) start points for continuing truncated paths; otherwise all
+    paths start fresh at (s0, i0, 0, 0).
     """
     mass_action = params.scaling is Scaling.MASS_ACTION
     rates = _Rates(
         coef=params.lam / params.population if mass_action else params.lam,
         gamma=params.gamma,
-        other_kind=_REM,
+        other_kind=EventKind.REMOVAL.value,
         pair_scale=1.0 / params.population if mass_action else 1.0,
     )
-    start = _start(init, n_paths, (params.s0, params.i0, 0, 0.0))
-    return _jump_loop(rates, start, rng, horizon, target_axis, target_level, window, record)
+    return _jump_loop(rates, params, n_paths, rng, init=init, **stop)
 
 
 def hiv_ensemble(
@@ -398,30 +367,22 @@ def hiv_ensemble(
     n_paths: int | None,
     rng: np.random.Generator,
     *,
-    horizon: float = np.inf,
-    target_axis: Axis | None = None,
-    target_level: float | None = None,
-    window: tuple[float, float] | None = None,
-    record: bool = False,
     init: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
+    **stop,
 ) -> JumpEnsemble:
     """Advance contact-tracing paths by thinning, in lockstep.
 
     State carries, per path, the decayed contact-tracing sum
     sum(exp(-c * age)); between jumps it only decays, so the rate at the
     last jump bounds the rate until the next and rejected proposals simply
-    re-tighten the bound.  ``init`` supplies (s, i, r, t, decayed).
+    re-tighten the bound.  ``stop`` takes the keywords of ``sir_ensemble``;
+    ``init`` supplies (s, i, r, t, decayed).
     """
     rates = _Rates(
-        coef=params.lam,
-        gamma=params.gamma1,
-        other_kind=_DET,
-        traced=params.gamma2,
-        decay=params.c,
+        coef=params.lam, gamma=params.gamma1, other_kind=EventKind.DETECTION.value,
+        traced=params.gamma2, decay=params.c,
     )
-    decayed = float(sum(np.exp(-params.c * a) for a in params.initial_detection_ages))
-    start = _start(init, n_paths, (params.s0, params.i0, params.r0_count, 0.0, decayed))
-    return _jump_loop(rates, start, rng, horizon, target_axis, target_level, window, record)
+    return _jump_loop(rates, params, n_paths, rng, init=init, **stop)
 
 
 def rf_advance(

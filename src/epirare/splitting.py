@@ -106,19 +106,11 @@ class ParticleEnsemble:
 # continuous-time ensembles: one event log and one branch primitive
 
 
-def _initial_row(model: ModelParams) -> dict:
-    """The state every history starts from, by log column."""
-    r0 = model.r0_count if isinstance(model, HivParams) else 0
-    row = dict(s=model.s0, i=model.i0, r=r0, t=0.0, max_i=model.i0, window_rem=0)
-    if isinstance(model, HivParams):
-        row["decayed"] = float(sum(np.exp(-model.c * a) for a in model.initial_detection_ages))
-    return row
-
-
 def _end_state(log: lockstep.EventLog, model: ModelParams, column: str) -> np.ndarray:
     """Each slot's value of ``column`` after its last event."""
     every = np.arange(len(log.t_stop))
-    return log.state_after(every, np.diff(log.offsets), _initial_row(model), (column,))[column]
+    start = lockstep.initial_row(model)
+    return log.state_after(every, np.diff(log.offsets), start, (column,))[column]
 
 
 # log column that measures a path's progress towards each event
@@ -137,7 +129,7 @@ def _level_cut(
     """
     lvl = math.ceil(level)
     column = _PROGRESS[type(spec)]
-    return log.count(getattr(log, column) < lvl) + (_initial_row(model)[column] < lvl)
+    return log.count(getattr(log, column) < lvl) + (lockstep.initial_row(model)[column] < lvl)
 
 
 def _branch(
@@ -162,7 +154,7 @@ def _branch(
     the cut (only the last of them unless ``whole``) followed by its tail.
     """
     keep = keep[parents]
-    cut = log.state_after(parents, keep, _initial_row(model))
+    cut = log.state_after(parents, keep, lockstep.initial_row(model))
     if t_cut is not None:
         if "decayed" in cut:
             cut["decayed"] *= np.exp(-model.c * (t_cut - cut["t"]))
@@ -183,7 +175,7 @@ def _materialize(
     levels: list[float],
 ) -> ParticleEnsemble:
     """The final paths, weighted by whether they attain the event."""
-    initial = _initial_row(model)
+    initial = lockstep.initial_row(model)
     start = CompartmentState(initial["s"], initial["i"], initial["r"])
     init_det = tuple(-a for a in model.initial_detection_ages) if isinstance(
         model, HivParams

@@ -23,7 +23,8 @@ from epirare import (
     SirParams,
 )
 from epirare.estimators import _ensemble_fn, _stop_config
-from epirare.splitting import _PROGRESS, _branch, _end_state, _initial_row, _level_cut
+from epirare.lockstep import initial_row
+from epirare.splitting import _PROGRESS, _branch, _end_state, _level_cut
 
 MODELS = {
     "sir": SirParams(lam=0.035, gamma=1.0, s0=30, i0=2, scaling=Scaling.UNSCALED),
@@ -50,7 +51,7 @@ def _rows(log, k):
 
 def _replay(model, window, times, kinds):
     """Post-event states of one history, event by event."""
-    state = _initial_row(model)
+    state = initial_row(model)
     out = []
     for t, kind in zip(times, kinds):
         infection = kind == _INF
@@ -123,12 +124,12 @@ def test_level_branch(model_name, event_name, n, seed, level, whole, data):
     rng = SeedSpec(seed, replication=1).generator()
     new = _branch(log, targets, parents, keep, model, rng, whole=whole, **_stop_config(spec))
 
-    total = model.s0 + model.i0 + _initial_row(model)["r"]
+    total = model.s0 + model.i0 + initial_row(model)["r"]
     assert np.all(new.s + new.i + new.r == total)
     for k in np.setdiff1d(np.arange(n), targets):
         before, after = _rows(log, k), _rows(new, k)
         assert all(np.array_equal(before[name], after[name]) for name in before)
-    initial = _initial_row(model)
+    initial = initial_row(model)
     for child, parent in zip(targets, parents):
         cut = keep[parent]
         old, fresh = _rows(log, parent), _rows(new, child)
@@ -170,7 +171,7 @@ def test_time_branch(model_name, n, seed, t_cut, whole, data):
         log, targets, parents, keep, model, rng, whole=whole, t_cut=t_cut, horizon=horizon
     )
 
-    total = model.s0 + model.i0 + _initial_row(model)["r"]
+    total = model.s0 + model.i0 + initial_row(model)["r"]
     assert np.all(new.s + new.i + new.r == total)
     for child, parent in zip(targets, parents):
         cut = keep[parent]

@@ -1,5 +1,6 @@
 import io
 import math
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +106,12 @@ def test_parse_rejects_unread_keys(extra, key):
 def test_parse_rejects_unread_default_keys():
     with pytest.raises(ValueError, match=r"\[toy-cmc\] unknown key\(s\): replicatons"):
         parse_config_text("[DEFAULT]\nreplicatons = 5\n" + TOY_TEXT)
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (config,) = parse_config_text(readme.split("```ini\n")[1].split("```")[0])
+    assert config.label == "abakaliki-ibps" and config.keep_fraction == 0.01
 
 
 def test_run_reports_mean_and_spread():

@@ -20,7 +20,8 @@ MODELS = {"sir": SIR, "hiv": HIV}
 
 def _simulate(name, n_paths, seed, init=None, **stop):
     engine = getattr(lockstep, f"{name}_ensemble")
-    return engine(MODELS[name], n_paths, SeedSpec(seed).generator(), record=True, init=init, **stop)
+    rng = SeedSpec(seed).generator()
+    return engine(MODELS[name], n_paths, rng, record=True, init=init, **stop)
 
 
 def _fresh_start(name, n):
