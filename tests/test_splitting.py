@@ -245,6 +245,19 @@ def test_ensemble_extinction_policy_and_restart():
     assert est_retry.diagnostics.extinct_ensembles >= 1
 
 
+def test_ibps_final_stage_without_survivors_is_extinction():
+    # particles pass level 2 but none reaches 60: an extinct ensemble, counted
+    big = SirParams(lam=0.005, gamma=1.0, s0=70, i0=1, scaling=Scaling.UNSCALED)
+    est, _ = ibps_estimate(
+        big, FinalSize(n_c=60), n_particles=50,
+        schedule=LevelSchedule((2, 60), Axis.REMOVED), seed=SeedSpec(53),
+        conditional_sample=False,
+    )
+    assert est.per_level[0] > 0.0 and est.per_level[-1] == 0.0
+    assert est.value == 0.0
+    assert est.diagnostics.extinct_ensembles == 1
+
+
 def test_incidence_event_agreement_with_cmc():
     model = SirParams(lam=0.035, gamma=1.0, s0=30, i0=2, scaling=Scaling.UNSCALED)
     spec = Incidence(T=2.0, n_i=12)
@@ -388,6 +401,19 @@ def test_temporal_extinct_ensemble_policy():
         restart_on_extinction=4,
     )
     assert est_retry.diagnostics.extinct_ensembles >= 1
+
+
+def test_temporal_final_stage_without_survivors_is_not_extinction():
+    # some paths outlive t=1 but none the horizon: the value is 0, and the
+    # ensemble is neither counted as extinct nor restarted
+    for restarts in (0, 3):
+        est = temporal_split_estimate(
+            PURE_DEATH, 10.0, n_particles=3, time_grid=(1.0, 10.0), seed=SeedSpec(0),
+            restart_on_extinction=restarts,
+        )
+        assert est.per_level[0] > 0.0 and est.per_level[-1] == 0.0
+        assert est.value == 0.0
+        assert est.diagnostics.extinct_ensembles == 0
 
 
 def test_temporal_argument_validation():
