@@ -1,15 +1,27 @@
-"""Interacting-branching-particle splitting and temporal multilevel splitting.
+"""Interacting-branching-particle splitting along state axes and the time axis.
 
 A particle ensemble is pushed through nested intermediate events.  At each
-stage, particles that reached the stage's level before their own horizon
-survive; the rest are replaced by copies of survivors truncated at the
-survivor's level-hitting time and re-simulated onward.  The estimate is the
-product of stage survival fractions, generalized to weighted selection by the
-unnormalized genealogical formula
+stage, particles that reached the stage's level survive; the rest are
+replaced by copies of survivors truncated where the survivor crossed the
+level and re-simulated onward.  The estimate is the product of stage survival
+fractions, generalized to weighted selection by the unnormalized genealogical
+formula
 
     value = prod_k mean(w_k) * mean(indicator / prod_k w_k(ancestral line)),
 
 which reduces exactly to the survival-fraction product for 0/1 weights.
+
+Level splitting (``ibps_estimate``) and temporal splitting
+(``temporal_split_estimate``) of continuous-time events share one stage loop
+and differ only in the axis the levels sit on.  A slot's score is its
+progress towards the event on a state axis and its extinction time (inf
+while alive) on the time axis; it survives a level it reaches, or on the
+time axis outlives, and is cut where it reaches it, or at the level time.
+
+A stage with no survivors ends the run as an extinct ensemble: it estimates
+0, is counted in ``extinct_ensembles`` and is restarted while
+``restart_on_extinction`` allows.  The exception is temporal splitting's
+final stage, where no path outliving the horizon is just an estimate of 0.
 
 Selection variants for continuous-time events (survivors always keep their
 slots and futures):
@@ -35,7 +47,8 @@ conditional sample is returned; otherwise a child keeps just its cut row.
 
 Stream layout per stage s: particle 0 carries batched mutation draws,
 particle 1 carries selection draws; stage 0 is the initial ensemble.
-Restarts shift all stage coordinates by a large fixed offset.
+Restarts shift all stage coordinates by a large fixed offset.  A stream is
+opened only when it is drawn from.
 """
 
 from __future__ import annotations
@@ -199,63 +212,47 @@ def _materialize(
     )
 
 
-def _ibps_continuous(
+def _stage_loop(
     model: ModelParams,
     spec: EventSpec,
     n_particles: int,
-    levels_fixed: tuple[float, ...] | None,
-    keep_fraction: float | None,
+    next_level,
     variant: str,
     seed: SeedSpec,
     stage_base: int,
     whole: bool,
-) -> tuple[float, list[float], list[float], lockstep.EventLog, bool]:
-    """One splitting run; returns (value, per_level, levels, final paths,
-    extinct flag).
+) -> tuple[list[float], list[float], lockstep.EventLog, bool]:
+    """One splitting run on a continuous-time event; returns (per_level,
+    levels, final paths, extinct flag).
 
+    ``next_level(scores, levels)`` gives the next stage's level, from the
+    scores and the levels so far, and whether that stage is the final one.
     ``whole`` keeps every slot's whole history and ends the run with the
     conditional-law refill; without it slots keep only what later cuts read.
     """
-    threshold = event_threshold(spec)
+    on_time = isinstance(spec, Duration)
     stop = _stop_config(spec)
     rng0 = seed.stream(particle=0, stage=stage_base).generator()
     log = _ensemble_fn(model)(model, n_particles, rng0, record=True, **stop).log
     per_level: list[float] = []
     levels: list[float] = []
-    prev: float | None = None
-    stage = 0
-    fixed_iter = iter(levels_fixed) if levels_fixed is not None else None
-    while True:
-        stage += 1
-        if stage > _STAGE_CAP:
-            raise RuntimeError("stage cap exceeded in splitting run")
-        progress = _end_state(log, model, _PROGRESS[type(spec)]).astype(float)
-        if fixed_iter is not None:
-            try:
-                level = float(next(fixed_iter))
-            except StopIteration:
-                break
+    for stage in range(1, _STAGE_CAP + 1):
+        if on_time:
+            scores = np.where(_end_state(log, model, "i") == 0, log.t_stop, math.inf)
         else:
-            try:
-                level = float(quantile_levels(progress, keep_fraction, previous=prev))
-            except NoProgressError:
-                level = threshold
-            if prev is not None and level <= prev:
-                above = progress[progress > prev]
-                level = float(above.min()) if above.size else threshold
-            if level >= threshold:
-                level = float(threshold)
+            scores = _end_state(log, model, _PROGRESS[type(spec)]).astype(float)
+        level, final_stage = next_level(scores, levels)
         levels.append(level)
-        surv = progress >= level
+        surv = scores > level if on_time else scores >= level
         n_surv = int(np.count_nonzero(surv))
         per_level.append(n_surv / n_particles)
         if n_surv == 0:
-            return 0.0, per_level, levels, log, True
-        final_stage = level >= threshold
-        sel_rng = seed.stream(particle=1, stage=stage_base + stage).generator()
-        surv_idx = np.flatnonzero(surv)
+            # a time-axis run that dies only at the horizon has estimated 0
+            return per_level, levels, log, not (final_stage and on_time)
         dead = np.flatnonzero(~surv)
         if dead.size and (whole or not final_stage):
+            sel_rng = seed.stream(particle=1, stage=stage_base + stage).generator()
+            surv_idx = np.flatnonzero(surv)
             if variant == "keepall" and not final_stage:
                 parents = np.full(dead.size, surv_idx[int(sel_rng.integers(0, surv_idx.size))])
             else:
@@ -265,12 +262,31 @@ def _ibps_continuous(
                 log = log.splice(dead, parents, np.diff(log.offsets)[parents])
             else:
                 mut_rng = seed.stream(particle=0, stage=stage_base + stage).generator()
-                keep = _level_cut(log, model, spec, level)
-                log = _branch(log, dead, parents, keep, model, mut_rng, whole=whole, **stop)
+                if on_time:
+                    keep, t_cut = log.count(log.t <= level), level
+                else:
+                    keep, t_cut = _level_cut(log, model, spec, level), None
+                log = _branch(
+                    log, dead, parents, keep, model, mut_rng, whole=whole, t_cut=t_cut, **stop
+                )
         if final_stage:
+            return per_level, levels, log, False
+    raise RuntimeError(
+        "stage cap exceeded in " + ("temporal splitting" if on_time else "splitting run")
+    )
+
+
+def _with_restarts(run_once, restart_on_extinction: int) -> tuple[tuple, int]:
+    """Run ``run_once(stage_base)`` until an attempt does not end extinct, at
+    most ``restart_on_extinction`` more times; returns the last attempt's
+    result, whose last entry is its extinct flag, and the extinct count."""
+    extinct_count = 0
+    for attempt in range(restart_on_extinction + 1):
+        result = run_once(attempt * _RESTART_STAGE_OFFSET)
+        if not result[-1]:
             break
-        prev = level
-    return math.prod(per_level), per_level, levels, log, False
+        extinct_count += 1
+    return result, extinct_count
 
 
 # ---------------------------------------------------------------------------
@@ -407,23 +423,40 @@ def ibps_estimate(
     if discrete != isinstance(model, ReedFrostParams):
         raise ValueError("cumulative-infection events pair with the Reed-Frost model")
     levels_fixed = schedule.levels if schedule is not None else None
+    threshold = float(event_threshold(spec))
 
-    extinct_count = 0
-    for attempt in range(restart_on_extinction + 1):
-        stage_base = attempt * _RESTART_STAGE_OFFSET
-        if discrete:
-            value, per_level, levels, S, I, weights, extinct = _ibps_discrete(
+    def next_level(scores: np.ndarray, levels: list[float]) -> tuple[float, bool]:
+        if levels_fixed is not None:
+            level = float(levels_fixed[len(levels)])
+            return level, level >= threshold
+        prev = levels[-1] if levels else None
+        try:
+            level = float(quantile_levels(scores, keep_fraction, previous=prev))
+        except NoProgressError:
+            level = threshold
+        if prev is not None and level <= prev:
+            above = scores[scores > prev]
+            level = float(above.min()) if above.size else threshold
+        level = min(level, threshold)
+        return level, level >= threshold
+
+    if discrete:
+        (value, per_level, levels, S, I, weights, _), extinct_count = _with_restarts(
+            lambda stage_base: _ibps_discrete(
                 model, spec, n_particles, levels_fixed, keep_fraction,
                 weight_rule, alpha, seed, stage_base,
-            )
-        else:
-            value, per_level, levels, log, extinct = _ibps_continuous(
-                model, spec, n_particles, levels_fixed, keep_fraction,
-                variant, seed, stage_base, conditional_sample,
-            )
-        if not extinct:
-            break
-        extinct_count += 1
+            ),
+            restart_on_extinction,
+        )
+    else:
+        (per_level, levels, log, _), extinct_count = _with_restarts(
+            lambda stage_base: _stage_loop(
+                model, spec, n_particles, next_level, variant, seed, stage_base,
+                conditional_sample,
+            ),
+            restart_on_extinction,
+        )
+        value = math.prod(per_level)
     if not conditional_sample:
         ensemble = ParticleEnsemble((), (), len(per_level), tuple(levels))
     elif discrete:
@@ -478,59 +511,25 @@ def temporal_split_estimate(
     if not isinstance(model, (SirParams, HivParams)):
         raise TypeError("temporal splitting applies to the jump-process models")
 
-    extinct_count = 0
-    value = 0.0
-    per_level: list[float] = []
-    for attempt in range(restart_on_extinction + 1):
-        stage_base = attempt * _RESTART_STAGE_OFFSET
-        rng0 = seed.stream(particle=0, stage=stage_base).generator()
-        log = _ensemble_fn(model)(model, n_particles, rng0, record=True, horizon=horizon).log
-        per_level = []
-        extinct = False
-        stage = 0
-        t_prev = 0.0
-        grid_iter = iter(time_grid[:-1]) if time_grid is not None else None
-        while True:
-            stage += 1
-            if stage > _STAGE_CAP:
-                raise RuntimeError("stage cap exceeded in temporal splitting")
-            ext = np.where(_end_state(log, model, "i") == 0, log.t_stop, math.inf)
-            if grid_iter is not None:
-                t_k = next(grid_iter, None)
-                if t_k is None:
-                    break
-            else:
-                ordered = np.sort(ext)[::-1]
-                t_k = float(ordered[keep_count]) if keep_count < len(ordered) else -math.inf
-                if not math.isfinite(t_k) or t_k >= horizon:
-                    break
-                if t_k <= t_prev:
-                    break
-            alive = ext > t_k
-            n_alive = int(np.count_nonzero(alive))
-            per_level.append(n_alive / n_particles)
-            if n_alive == 0:
-                extinct = True
-                break
-            dead = np.flatnonzero(~alive)
-            if dead.size:
-                sel_rng = seed.stream(particle=1, stage=stage_base + stage).generator()
-                alive_idx = np.flatnonzero(alive)
-                parents = alive_idx[sel_rng.integers(0, alive_idx.size, size=dead.size)]
-                mut_rng = seed.stream(particle=0, stage=stage_base + stage).generator()
-                keep = log.count(log.t <= t_k)
-                log = _branch(
-                    log, dead, parents, keep, model, mut_rng,
-                    whole=False, t_cut=t_k, horizon=horizon,
-                )
-            t_prev = t_k
-        if extinct:
-            extinct_count += 1
-            value = 0.0
-            continue
-        per_level.append(float(np.mean(ext > horizon)))
-        value = math.prod(per_level)
-        break
+    spec = Duration(horizon)
+
+    def next_level(scores: np.ndarray, levels: list[float]) -> tuple[float, bool]:
+        if time_grid is not None:
+            if len(levels) < len(time_grid) - 1:
+                return time_grid[len(levels)], False
+            return horizon, True
+        t_k = float(np.sort(scores)[::-1][keep_count])
+        if t_k >= horizon or t_k <= (levels[-1] if levels else 0.0):
+            return horizon, True
+        return t_k, False
+
+    (per_level, _, _, _), extinct_count = _with_restarts(
+        lambda stage_base: _stage_loop(
+            model, spec, n_particles, next_level, "multinomial", seed, stage_base, False
+        ),
+        restart_on_extinction,
+    )
+    value = math.prod(per_level)
     diag = Diagnostics(extinct_ensembles=extinct_count, zero_runs=int(value == 0.0))
     return Estimate(value, per_level=tuple(per_level), diagnostics=diag)
 

@@ -427,3 +427,8 @@ def test_temporal_argument_validation():
         temporal_split_estimate(
             PURE_DEATH, 1.0, n_particles=10, keep_count=10, seed=SeedSpec(0)
         )
+    for horizon in (0.0, -1.0):
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            temporal_split_estimate(
+                PURE_DEATH, horizon, n_particles=10, keep_count=5, seed=SeedSpec(0)
+            )
