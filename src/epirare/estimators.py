@@ -237,6 +237,35 @@ def _sir_log_ratio(
     return log_phi
 
 
+def _is_weights(
+    model: ModelParams,
+    spec: EventSpec,
+    instrumental: ModelParams,
+    n_paths: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, bool, object]:
+    """One importance-sampling step: simulate ``n_paths`` under the
+    instrumental law and return the per-path weights (likelihood ratio x
+    event indicator), whether a hit's finite log-ratio overflows, and the
+    paths: the (S, I) chains for Reed-Frost, the engine batch for SIR."""
+    if isinstance(model, ReedFrostParams):
+        S, I = lockstep.rf_chains(instrumental, spec.t - 1, n_paths, rng)
+        hits = I.sum(axis=1) >= spec.n_c
+        log_ratio = lockstep.rf_loglik(S, I, model.q) - lockstep.rf_loglik(
+            S, I, instrumental.q
+        )
+        paths = (S, I)
+    else:
+        paths = lockstep.sir_ensemble(instrumental, n_paths, rng, **_stop_config(spec))
+        hits = _batch_indicators(paths, spec)
+        log_ratio = _sir_log_ratio(paths, model, instrumental)
+    finite = np.isfinite(log_ratio)
+    overflow = bool(np.any(np.abs(log_ratio[finite & hits]) > LOG_RATIO_OVERFLOW))
+    with np.errstate(over="ignore"):
+        weights = np.where(hits, np.exp(log_ratio), 0.0)
+    return weights, overflow, paths
+
+
 def is_estimate(
     model: ModelParams,
     spec: EventSpec,
@@ -247,37 +276,15 @@ def is_estimate(
     """Fixed importance sampling: simulate under the instrumental law and
     reweight by the exact likelihood ratio."""
     _validate_event_model(model, spec)
-    rng = seed.generator()
-    overflow = 0
-    if isinstance(model, ReedFrostParams):
-        if not isinstance(instrumental, ReedFrostParams):
-            raise TypeError("instrumental law must match the model family")
-        if (instrumental.s0, instrumental.i0) != (model.s0, model.i0):
-            raise ValueError("instrumental law must share the initial condition")
-        S, I = lockstep.rf_chains(instrumental, spec.t - 1, n_paths, rng)
-        hits = I.sum(axis=1) >= spec.n_c
-        log_ratio = lockstep.rf_loglik(S, I, model.q) - lockstep.rf_loglik(
-            S, I, instrumental.q
-        )
-    elif isinstance(model, SirParams):
-        if not isinstance(instrumental, SirParams):
-            raise TypeError("instrumental law must match the model family")
-        if (instrumental.s0, instrumental.i0) != (model.s0, model.i0):
-            raise ValueError("instrumental law must share the initial condition")
-        batch = lockstep.sir_ensemble(
-            instrumental, n_paths, rng, **_stop_config(spec)
-        )
-        hits = _batch_indicators(batch, spec)
-        log_ratio = _sir_log_ratio(batch, model, instrumental)
-    else:
+    if not isinstance(model, (ReedFrostParams, SirParams)):
         raise TypeError("importance sampling supports the Reed-Frost and SIR models")
-    used = log_ratio[hits]
-    used = used[np.isfinite(used)]
-    if used.size and np.max(np.abs(used)) > LOG_RATIO_OVERFLOW:
-        overflow = 1
-    with np.errstate(over="ignore"):
-        value = float(np.mean(np.where(hits, np.exp(log_ratio), 0.0)))
-    diag = Diagnostics(zero_runs=int(value == 0.0), likelihood_overflows=overflow)
+    if not isinstance(instrumental, type(model)):
+        raise TypeError("instrumental law must match the model family")
+    if (instrumental.s0, instrumental.i0) != (model.s0, model.i0):
+        raise ValueError("instrumental law must share the initial condition")
+    weights, overflow, _ = _is_weights(model, spec, instrumental, n_paths, seed.generator())
+    value = float(np.mean(weights))
+    diag = Diagnostics(zero_runs=int(value == 0.0), likelihood_overflows=int(overflow))
     return Estimate(value, diagnostics=diag)
 
 
@@ -326,34 +333,21 @@ def ce_estimate(
     theta = 0.0
     for k in range(1, iterations + 1):
         rng = seed.stream(stage=k).generator()
-        if isinstance(model, ReedFrostParams):
-            S, I = lockstep.rf_chains(current, spec.t - 1, n_paths, rng)
-            hits = I.sum(axis=1) >= spec.n_c
-            log_ratio = lockstep.rf_loglik(S, I, model.q) - lockstep.rf_loglik(
-                S, I, current.q
-            )
-        else:
-            batch = lockstep.sir_ensemble(current, n_paths, rng, **_stop_config(spec))
-            hits = _batch_indicators(batch, spec)
-            log_ratio = _sir_log_ratio(batch, model, current)
-        finite = np.isfinite(log_ratio)
-        if np.any(np.abs(log_ratio[finite & hits]) > LOG_RATIO_OVERFLOW):
-            overflow += 1
-        with np.errstate(over="ignore"):
-            weights = np.where(hits, np.exp(log_ratio), 0.0)
+        weights, overflowed, paths = _is_weights(model, spec, current, n_paths, rng)
+        overflow += overflowed
         theta = float(np.mean(weights))
         if not np.any(weights > 0):
             zero_runs += 1
             trace.append(current)
             continue
         if isinstance(model, ReedFrostParams):
-            q_new = _rf_ce_update(S, I, weights, current.q)
+            q_new = _rf_ce_update(*paths, weights, current.q)
             current = dataclasses.replace(current, q=q_new)
         else:
-            w_pair = float(weights @ batch.int_pair)
-            w_int_i = float(weights @ batch.int_i)
-            lam_new = float(weights @ batch.n_inf) / w_pair if w_pair > 0 else current.lam
-            gam_new = float(weights @ batch.n_rem) / w_int_i if w_int_i > 0 else current.gamma
+            w_pair = float(weights @ paths.int_pair)
+            w_int_i = float(weights @ paths.int_i)
+            lam_new = float(weights @ paths.n_inf) / w_pair if w_pair > 0 else current.lam
+            gam_new = float(weights @ paths.n_rem) / w_int_i if w_int_i > 0 else current.gamma
             current = dataclasses.replace(
                 current, lam=max(lam_new, 1e-12), gamma=max(gam_new, 1e-12)
             )
