@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -30,8 +31,14 @@ from .models import StopRule, hiv_simulate, rf_simulate, sir_simulate
 __all__ = ["main"]
 
 
+@contextmanager
 def _out_stream(path: str | None):
-    return open(path, "w", encoding="utf-8", newline="") if path else sys.stdout
+    """The file at ``path``, closed on exit, or stdout when no path is given."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="") as out:
+        yield out
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -71,21 +78,17 @@ def _model_from_args(args: argparse.Namespace):
 def _cmd_simulate(args: argparse.Namespace) -> int:
     model = _model_from_args(args)
     rng = SeedSpec(args.seed).generator()
-    out = _out_stream(args.out)
-    try:
+    with _out_stream(args.out) as out:
         if isinstance(model, ReedFrostParams):
             chain = rf_simulate(model, args.generations, rng)
             out.write("generation,s,i\n")
             for gen, (s, i) in enumerate(chain):
                 out.write(f"{gen},{s},{i}\n")
         else:
-            stop = StopRule.at_time(args.horizon) if args.horizon else StopRule.extinction()
+            stop = StopRule.extinction() if args.horizon is None else StopRule.at_time(args.horizon)
             simulate = hiv_simulate if isinstance(model, HivParams) else sir_simulate
             path = simulate(model, stop, rng)
             write_path_csv(path, out)
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 
@@ -95,14 +98,10 @@ def _cmd_exact(args: argparse.Namespace) -> int:
         scaling=Scaling(args.scaling), n=args.n,
     )
     dist = exact_final_size(model)
-    out = _out_stream(args.out)
-    try:
+    with _out_stream(args.out) as out:
         out.write("k,probability\n")
         for k, prob in enumerate(dist):
             out.write(f"{k},{prob:.12e}\n")
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 
@@ -119,12 +118,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         raise ValueError("config has several sections; pick one with --section")
     config = _apply_overrides(config, args)
     row = run(config)
-    out = _out_stream(args.out)
-    try:
+    with _out_stream(args.out) as out:
         write_sweep_csv([row], out, timing=args.timing)
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 
@@ -150,12 +145,8 @@ def _apply_overrides(config, args: argparse.Namespace):
 def _cmd_sweep(args: argparse.Namespace) -> int:
     configs = parse_config_file(args.config)
     rows = sweep(configs)
-    out = _out_stream(args.out)
-    try:
+    with _out_stream(args.out) as out:
         write_sweep_csv(rows, out, timing=args.timing)
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 
@@ -170,16 +161,12 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
     rng = SeedSpec(args.seed).generator()
     ens = lockstep.sir_ensemble(model, args.replicates, rng)
     sizes = ens.r
-    out = _out_stream(args.out)
-    try:
+    with _out_stream(args.out) as out:
         out.write("n_c,exact,cmc\n")
         for n_c in range(1, model.s0 + model.i0 + 1):
             exact = tail_pf(dist, model.i0, n_c)
             crude = float(np.mean(sizes >= n_c))
             out.write(f"{n_c},{exact:.6e},{crude:.6e}\n")
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 

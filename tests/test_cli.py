@@ -32,6 +32,16 @@ def test_simulate_emits_readable_path(tmp_path):
     assert path.final_state.i == 0
 
 
+def test_simulate_zero_horizon_stops_at_start(capsys):
+    code = main([
+        "simulate", "--model", "sir", "--lam", "0.12", "--gamma", "1",
+        "--scaling", "unscaled", "--s0", "9", "--i0", "1", "--seed", "7",
+        "--horizon", "0",
+    ])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == ["time,kind,s,i,r", "0.0,INIT,9,1,0"]
+
+
 def test_simulate_reed_frost_schema(capsys):
     code = main([
         "simulate", "--model", "rf", "--q", "0.9", "--s0", "10", "--i0", "1",
