@@ -16,7 +16,7 @@ Level splitting (``ibps_estimate``) and temporal splitting
 and differ only in the axis the levels sit on.  A slot's score is its
 progress towards the event on a state axis and its extinction time (inf
 while alive) on the time axis; it survives a level it reaches, or on the
-time axis outlives, and is cut where it reaches it, or at the level time.
+time axis a level it outlives.
 
 A stage with no survivors ends the run as an extinct ensemble: it estimates
 0, is counted in ``extinct_ensembles`` and is restarted while
@@ -280,13 +280,11 @@ def _with_restarts(run_once, restart_on_extinction: int) -> tuple[tuple, int]:
     """Run ``run_once(stage_base)`` until an attempt does not end extinct, at
     most ``restart_on_extinction`` more times; returns the last attempt's
     result, whose last entry is its extinct flag, and the extinct count."""
-    extinct_count = 0
     for attempt in range(restart_on_extinction + 1):
         result = run_once(attempt * _RESTART_STAGE_OFFSET)
         if not result[-1]:
-            break
-        extinct_count += 1
-    return result, extinct_count
+            return result, attempt
+    return result, restart_on_extinction + 1
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +491,8 @@ def temporal_split_estimate(
     Stage k keeps paths not extinct by t_k and refills the rest from uniform
     draws among the keepers, concatenated at t_k and re-simulated onward.  The
     adaptive variant picks the next time point so that ``keep_count`` of the
-    current paths survive it.
+    current paths survive it.  Extinction before the horizon is handled as in
+    ``ibps_estimate``; no path outliving the horizon itself just estimates 0.
     """
     if n_particles < 2:
         raise ValueError("n_particles must be at least 2")

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -148,6 +149,17 @@ def test_keepall_has_larger_spread():
             )
             vals[variant].append(est.value)
     assert np.std(vals["keepall"], ddof=1) > np.std(vals["multinomial"], ddof=1)
+
+
+def test_keepall_final_refill_draws_a_parent_per_slot():
+    # keepall shares one parent only before the final stage; the final
+    # conditional-law refill copies an independently drawn survivor per slot
+    est, ens = ibps_estimate(
+        TOY, TOY_SPEC, n_particles=50, keep_fraction=0.3, variant="keepall", seed=SeedSpec(0)
+    )
+    dead = 50 - round(est.per_level[-1] * 50)
+    copies = Counter(tuple(ev.time for ev in p.path.events) for p in ens.particles)
+    assert dead > 1 and max(copies.values()) < 1 + dead
 
 
 def test_potential_rule_alpha_zero_reduces_to_indicator():
