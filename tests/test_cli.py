@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import subprocess
 import sys
 import warnings
@@ -61,6 +62,47 @@ def test_simulate_hiv_path(capsys):
     assert code == 0
     header = capsys.readouterr().out.splitlines()[0]
     assert header == "time,kind,s,i,r"
+
+
+MODEL_ARGS = {
+    "sir": [
+        "--model", "sir", "--lam", "0.12", "--gamma", "1", "--scaling", "unscaled",
+        "--s0", "9", "--i0", "1",
+    ],
+    "hiv": [
+        "--model", "hiv", "--lam", "1.3e-5", "--gamma1", "0.13", "--gamma2", "0.19",
+        "--c", "1", "--s0", "10000", "--i0", "3",
+    ],
+    "rf": ["--model", "rf", "--q", "0.9", "--s0", "10", "--i0", "1"],
+}
+# `epirare simulate` output by (model, seed), as sha256 of the CSV bytes;
+# contact tracing runs with --horizon 90
+SIMULATE_PINS = {
+    ("sir", 0): "223ee58176682e63e51cadc268887dda3299632824f0ae5b7f24a20c1fbb3201",
+    ("sir", 1): "ffbfababb2096f6abd8e373e16019d908835fb9a5cc607099dd59b97573cf366",
+    ("sir", 7): "4950d0ebc15ccc69d4b3f097704c7f52cd48d4456229e84a0f1f2a0332ecd414",
+    ("hiv", 0): "7d4ec7a8e3e3b26edb8a414234a1305f4e22044cc9dd58ac20ef2a6c0af12a38",
+    ("hiv", 1): "694293418f5696a9bd316c40ad8ab4df1324730c5f740b4ca4d74d4876c80ca2",
+    ("hiv", 7): "e44e3e28b7191eefe906e0d792cdc8b9e5529ec173105f3984fdcbe4a4bb9aa5",
+    ("rf", 0): "1b8d6d75ee387d593c4ecddd8d4275b40ff048ff352b7f10c34a0651966ea920",
+    ("rf", 1): "f139254838e2c162a3ce7add24b88674322415be35d206237b0089e6734d79e1",
+    ("rf", 7): "a9b56a5aa5fd922ba1b3121b7fd85f4585b296904b59f7b1f5e69557be73b2f6",
+}
+
+
+@pytest.mark.parametrize("model,seed", sorted(SIMULATE_PINS))
+def test_simulate_output_pinned(tmp_path, model, seed):
+    out = tmp_path / "path.csv"
+    horizon = ["--horizon", "90"] if model == "hiv" else []
+    argv = [*MODEL_ARGS[model], *horizon, "--seed", str(seed), "--out", str(out)]
+    assert main(["simulate", *argv]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SIMULATE_PINS[model, seed]
+
+
+@pytest.mark.parametrize("model", ["sir", "hiv"])
+def test_simulate_rejects_negative_horizon(capsys, model):
+    assert main(["simulate", *MODEL_ARGS[model], "--horizon", "-1"]) == 2
+    assert "horizon must be non-negative" in capsys.readouterr().err
 
 
 def test_exact_subcommand(capsys):
