@@ -188,3 +188,16 @@ def test_cli_entry_point_runs():
     proc = _run_cli("exact", "--lam", "1", "--gamma", "1", "--s0", "2", "--i0", "1")
     assert proc.returncode == 0
     assert proc.stdout.startswith("k,probability")
+
+
+def test_cli_closed_output_pipe_is_quiet():
+    argv = ["simulate", *MODEL_ARGS["sir"], "--seed", "7"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "epirare.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # no reader left before the first write
+    _, err = proc.communicate(timeout=120)
+    assert err == b""
+    assert proc.returncode == 1
