@@ -22,7 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .core import Axis, EventKind, HivParams, ReedFrostParams, Scaling, SirParams
+from .core import (
+    Axis, EventKind, HivParams, ReedFrostParams, Scaling, SimulationError, SirParams,
+)
 
 __all__ = [
     "EventLog", "JumpEnsemble", "hiv_ensemble", "initial_row", "rf_advance", "rf_chains",
@@ -323,7 +325,7 @@ def _jump_loop(
             for col, x in zip(rec, (path, t, is_inf, decayed)):
                 col.append(x.copy() if jump is None else x[jump])
     else:
-        raise RuntimeError("iteration cap exceeded in ensemble simulation")
+        raise SimulationError("iteration cap exceeded in ensemble simulation")
 
     done = np.concatenate(finished, axis=1)
     out[:, done[5].astype(np.int64)] = done

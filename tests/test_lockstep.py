@@ -8,7 +8,9 @@ runs past the horizon, and the event log agrees with the per-path summaries.
 import numpy as np
 import pytest
 
-from epirare import Axis, EventKind, HivParams, Scaling, SeedSpec, SirParams, lockstep
+from epirare import (
+    Axis, EventKind, HivParams, Scaling, SeedSpec, SimulationError, SirParams, lockstep,
+)
 
 SIR = SirParams(lam=0.035, gamma=1.0, s0=30, i0=2, scaling=Scaling.UNSCALED)
 HIV = HivParams(
@@ -100,3 +102,10 @@ def test_window_without_removals(name):
     np.testing.assert_array_equal(ens.window_rem, removals)
     # windows with infections but no removal count zero
     assert np.any((ens.window_rem == 0) & (ens.n_inf > 0))
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_iteration_cap_raises(monkeypatch, name):
+    monkeypatch.setattr(lockstep, "_ITERATION_CAP", 3)
+    with pytest.raises(SimulationError, match="iteration cap"):
+        _simulate(name, 50, 34)
