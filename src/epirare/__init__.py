@@ -30,8 +30,6 @@ from .estimators import (
     ce_estimate,
     cmc,
     is_estimate,
-    rf_log_likelihood,
-    sir_importance_ratio,
 )
 from .events import (
     CumulativeInfections,
@@ -54,16 +52,6 @@ from .final_size import (
     tail_pf,
     threshold_for_tail,
 )
-from .models import (
-    EVENT_CAP,
-    StopRule,
-    hiv_rates,
-    hiv_simulate,
-    rf_simulate,
-    rf_step,
-    sir_rates,
-    sir_simulate,
-)
 from .splitting import Particle, ParticleEnsemble, ibps_estimate, temporal_split_estimate
 
 __version__ = "0.1.0"
@@ -75,7 +63,6 @@ __all__ = [
     "DiagnosesIncrement",
     "Diagnostics",
     "Duration",
-    "EVENT_CAP",
     "EpidemicPath",
     "Estimate",
     "EventKind",
@@ -96,7 +83,6 @@ __all__ = [
     "SeedSpec",
     "SimulationError",
     "SirParams",
-    "StopRule",
     "UnstableSolveError",
     "brute_force_final_size",
     "ce_estimate",
@@ -104,20 +90,12 @@ __all__ = [
     "exact_final_size",
     "extinction_time",
     "hitting_time",
-    "hiv_rates",
-    "hiv_simulate",
     "ibps_estimate",
     "indicator",
     "is_estimate",
     "quantile_levels",
     "read_path_csv",
-    "rf_log_likelihood",
-    "rf_simulate",
-    "rf_step",
     "score",
-    "sir_importance_ratio",
-    "sir_rates",
-    "sir_simulate",
     "state_at",
     "tail_pf",
     "temporal_split_estimate",

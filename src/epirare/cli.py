@@ -17,6 +17,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from . import lockstep
 from .core import (
     HivParams,
     ReedFrostParams,
@@ -27,7 +28,6 @@ from .core import (
 )
 from .final_size import exact_final_size, tail_pf
 from .harness import parse_config_file, run, sweep, write_sweep_csv
-from .models import StopRule, hiv_simulate, rf_simulate, sir_simulate
 
 __all__ = ["main"]
 
@@ -77,19 +77,26 @@ def _model_from_args(args: argparse.Namespace):
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    """One path of the lockstep engine: a Reed-Frost chain, or a jump-process
+    path run to extinction or to ``--horizon``."""
     model = _model_from_args(args)
+    if args.horizon is not None and args.horizon < 0:
+        raise ValueError("horizon must be non-negative")
+    if args.generations < 0:
+        raise ValueError("generations must be non-negative")
     rng = SeedSpec(args.seed).generator()
     with _out_stream(args.out) as out:
         if isinstance(model, ReedFrostParams):
-            chain = rf_simulate(model, args.generations, rng)
+            S, I = lockstep.rf_chains(model, args.generations, 1, rng)
             out.write("generation,s,i\n")
-            for gen, (s, i) in enumerate(chain):
+            for gen, (s, i) in enumerate(zip(S[0], I[0])):
                 out.write(f"{gen},{s},{i}\n")
         else:
-            stop = StopRule.extinction() if args.horizon is None else StopRule.at_time(args.horizon)
-            simulate = hiv_simulate if isinstance(model, HivParams) else sir_simulate
-            path = simulate(model, stop, rng)
-            write_path_csv(path, out)
+            hiv = isinstance(model, HivParams)
+            engine = lockstep.hiv_ensemble if hiv else lockstep.sir_ensemble
+            stop = {} if args.horizon is None else {"horizon": args.horizon}
+            log = engine(model, 1, rng, record=True, **stop).log
+            write_path_csv(log.epidemic_path(0, model), out)
     return 0
 
 
@@ -153,8 +160,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_fig2(args: argparse.Namespace) -> int:
     """Exact tail curve vs crude Monte-Carlo for the (40, 1) benchmark."""
-    from . import lockstep
-
     model = SirParams(lam=1.0, gamma=1.0, s0=40, i0=1, scaling=Scaling.MASS_ACTION, n=41)
     dist = exact_final_size(model)
     # One simulation batch serves every threshold: tail frequencies are all

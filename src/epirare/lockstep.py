@@ -1,9 +1,8 @@
 """Vectorized ensemble simulation: many paths advanced in lockstep.
 
-The single-path samplers in ``models`` are the reference implementations;
-these engines produce the same processes in bulk for the estimator hot loops,
-tracking exactly the per-path summaries the estimators need (running maxima,
-event counts, rate integrals, and with ``record=True`` a flat event log).
+These engines simulate every path the package produces, tracking exactly the
+per-path summaries the estimators need (running maxima, event counts, rate
+integrals, and with ``record=True`` a flat event log).
 
 SIR and contact tracing share one loop, ``_jump_loop``, and plug into it
 through a rate hook, ``_Rates``; only contact tracing, whose rates decay
@@ -17,13 +16,23 @@ order.  ``tests/test_golden.py`` pins the outputs of this order.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
 from .core import (
-    Axis, EventKind, HivParams, ReedFrostParams, Scaling, SimulationError, SirParams,
+    Axis,
+    CompartmentState,
+    EpidemicPath,
+    EventKind,
+    HivParams,
+    ReedFrostParams,
+    Scaling,
+    SimulationError,
+    SirParams,
+    path_from_arrays,
 )
 
 __all__ = [
@@ -79,6 +88,23 @@ class EventLog:
                 state[name] = np.full(len(paths), start[name], dtype=col.dtype)
                 state[name][has_rows] = col[rows]
         return state
+
+    def epidemic_path(self, k: int, model: SirParams | HivParams) -> EpidemicPath:
+        """Path k as an ``EpidemicPath`` from the model's fresh start, with
+        horizon inf if it is extinct and its stop time otherwise."""
+        start = initial_row(model)
+        a, b = self.offsets[k], self.offsets[k + 1]
+        extinct = (self.i[b - 1] if b > a else start["i"]) == 0
+        detections = (
+            tuple(-age for age in model.initial_detection_ages)
+            if isinstance(model, HivParams) else ()
+        )
+        return path_from_arrays(
+            CompartmentState(start["s"], start["i"], start["r"]),
+            self.t[a:b], self.kind[a:b],
+            math.inf if extinct else float(self.t_stop[k]),
+            detections,
+        )
 
     def splice(
         self,

@@ -61,13 +61,11 @@ import numpy as np
 from . import lockstep
 from .core import (
     NEVER,
-    CompartmentState,
     HivParams,
     ModelParams,
     ReedFrostParams,
     SeedSpec,
     SirParams,
-    path_from_arrays,
 )
 from .estimators import Diagnostics, Estimate, _ensemble_fn, _stop_config
 from .events import (
@@ -189,23 +187,17 @@ def _materialize(
 ) -> ParticleEnsemble:
     """The final paths, weighted by whether they attain the event."""
     initial = lockstep.initial_row(model)
-    start = CompartmentState(initial["s"], initial["i"], initial["r"])
-    init_det = tuple(-a for a in model.initial_detection_ages) if isinstance(
-        model, HivParams
-    ) else ()
     every, length = np.arange(len(log.t_stop)), np.diff(log.offsets)
     hits = []
     for lvl in levels:
         keep = _level_cut(log, model, spec, lvl)
         times = log.state_after(every, np.minimum(keep, length), initial, ("t",))["t"]
         hits.append([NEVER if k > m else float(x) for x, k, m in zip(times, keep, length)])
-    extinct = _end_state(log, model, "i") == 0
     progress = _end_state(log, model, _PROGRESS[type(spec)])
     particles = []
-    for k, (a, b) in enumerate(zip(log.offsets[:-1], log.offsets[1:])):
-        horizon = math.inf if extinct[k] else float(log.t_stop[k])
-        path = path_from_arrays(start, log.t[a:b], log.kind[a:b], horizon, init_det)
-        particles.append(Particle(path, tuple(h[k] for h in hits), horizon))
+    for k in every:
+        path = log.epidemic_path(k, model)
+        particles.append(Particle(path, tuple(h[k] for h in hits), path.horizon))
     return ParticleEnsemble(
         tuple(particles), tuple(float(w) for w in progress >= event_threshold(spec)),
         stage, tuple(levels),

@@ -1,10 +1,16 @@
-"""Exact-distribution samplers: Reed-Frost chain, Markovian SIR jump process,
-and the age-structured contact-tracing process.
+"""Reference single-path samplers and per-path likelihoods.
 
-All samplers are pure functions of (params, stop rule, random stream); any
-number may run concurrently.  Exponential holding times are sampled by
-inversion (-log(1-U)/rate) so that common-random-number couplings can share
-uniforms at the clock level.
+The package simulates every path with the lockstep engine
+(``epirare.lockstep``) and weights batches with its vectorised
+likelihoods.  This module keeps the per-path forms they replaced: the
+Reed-Frost chain, the Markovian SIR jump process and the age-structured
+contact-tracing process simulated one event at a time, and the SIR
+likelihood ratio and Reed-Frost log-likelihood evaluated along one path.
+The tests replay the engine against them.
+
+All samplers are pure functions of (params, stop rule, random stream).
+Exponential holding times are sampled by inversion (-log(1-U)/rate) so that
+common-random-number couplings can share uniforms at the clock level.
 """
 
 from __future__ import annotations
@@ -14,13 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
+from epirare.core import (
     Axis,
     CompartmentState,
     EpidemicPath,
     EventKind,
     HivParams,
     ReedFrostParams,
+    Scaling,
     SimulationError,
     SirParams,
     path_from_arrays,
@@ -31,8 +38,10 @@ __all__ = [
     "StopRule",
     "hiv_rates",
     "hiv_simulate",
+    "rf_log_likelihood",
     "rf_simulate",
     "rf_step",
+    "sir_importance_ratio",
     "sir_rates",
     "sir_simulate",
 ]
@@ -265,3 +274,82 @@ def hiv_simulate(
     )
     init_det = tuple(d for d in detection_times if d <= t0)
     return path_from_arrays(base, new_times, new_kinds, horizon, init_det)
+
+
+def sir_importance_ratio(
+    path: EpidemicPath, base: SirParams, instr: SirParams
+) -> float:
+    """Likelihood ratio d(base)/d(instrumental) of a path simulated under the
+    instrumental SIR law, evaluated at the path's stopping time.
+
+    The rate integrals reduce to finite sums over inter-event intervals since
+    S and I are piecewise constant.  A base rate of zero against a path that
+    used it gives ratio 0 (absolute-continuity edge).
+    """
+    if instr.lam <= 0 or instr.gamma <= 0:
+        raise ValueError("instrumental rates must be positive")
+    if base.scaling is not instr.scaling or base.population != instr.population:
+        raise ValueError("base and instrumental laws must share scaling and population")
+    int_pair = 0.0
+    int_i = 0.0
+    n_inf = 0
+    n_rem = 0
+    state = path.initial
+    t_prev = 0.0
+    divisor = base.population if base.scaling is Scaling.MASS_ACTION else 1
+    for ev in path.events:
+        dt = ev.time - t_prev
+        int_pair += state.s * state.i / divisor * dt
+        int_i += state.i * dt
+        if ev.kind == EventKind.INFECTION:
+            n_inf += 1
+        else:
+            n_rem += 1
+        state = ev.state_after
+        t_prev = ev.time
+    if state.i > 0:
+        if not math.isfinite(path.horizon):
+            raise ValueError("path has no finite stopping time to evaluate the ratio at")
+        dt = path.horizon - t_prev
+        int_pair += state.s * state.i / divisor * dt
+        int_i += state.i * dt
+    if (base.lam == 0 and n_inf > 0) or (base.gamma == 0 and n_rem > 0):
+        return 0.0
+    log_phi = -((base.lam - instr.lam) * int_pair + (base.gamma - instr.gamma) * int_i)
+    if n_inf:
+        log_phi += n_inf * math.log(base.lam / instr.lam)
+    if n_rem:
+        log_phi += n_rem * math.log(base.gamma / instr.gamma)
+    return math.exp(log_phi)
+
+
+def rf_log_likelihood(path, q: float) -> float:
+    """Log-likelihood of a Reed-Frost chain under escape probability q.
+
+    Generations with no infectives contribute nothing; q = 1 with any
+    subsequent infection yields -inf.
+    """
+    if not 0.0 < q <= 1.0:
+        raise ValueError(f"q must lie in (0, 1]: {q}")
+    chain = list(path)
+    total = 0.0
+    for (s, i), (s_next, i_next) in zip(chain, chain[1:]):
+        if i_next > s or s_next != s - i_next:
+            raise ValueError("inconsistent chain: bookkeeping does not close")
+        if i == 0:
+            if i_next != 0:
+                raise ValueError("inconsistent chain: infections out of absorption")
+            continue
+        if q >= 1.0:
+            if i_next > 0:
+                return -math.inf
+            continue
+        p_infect = -math.expm1(i * math.log(q))
+        total += (
+            math.lgamma(s + 1)
+            - math.lgamma(i_next + 1)
+            - math.lgamma(s - i_next + 1)
+            + (i_next * math.log(p_infect) if i_next else 0.0)
+            + (s - i_next) * i * math.log(q)
+        )
+    return total

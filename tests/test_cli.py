@@ -81,8 +81,8 @@ SIMULATE_PINS = {
     ("sir", 0): "223ee58176682e63e51cadc268887dda3299632824f0ae5b7f24a20c1fbb3201",
     ("sir", 1): "ffbfababb2096f6abd8e373e16019d908835fb9a5cc607099dd59b97573cf366",
     ("sir", 7): "4950d0ebc15ccc69d4b3f097704c7f52cd48d4456229e84a0f1f2a0332ecd414",
-    ("hiv", 0): "7d4ec7a8e3e3b26edb8a414234a1305f4e22044cc9dd58ac20ef2a6c0af12a38",
-    ("hiv", 1): "694293418f5696a9bd316c40ad8ab4df1324730c5f740b4ca4d74d4876c80ca2",
+    ("hiv", 0): "cfd0a1b61aa72207a86cc324a49a55a55e64819c5f303c3e6bb12c239ea87fe0",
+    ("hiv", 1): "d117b3bcc1c277f3f371e1d005bccd4a6cc66ce5465645ec5275df7cb4bcb69a",
     ("hiv", 7): "e44e3e28b7191eefe906e0d792cdc8b9e5529ec173105f3984fdcbe4a4bb9aa5",
     ("rf", 0): "1b8d6d75ee387d593c4ecddd8d4275b40ff048ff352b7f10c34a0651966ea920",
     ("rf", 1): "f139254838e2c162a3ce7add24b88674322415be35d206237b0089e6734d79e1",
@@ -103,6 +103,11 @@ def test_simulate_output_pinned(tmp_path, model, seed):
 def test_simulate_rejects_negative_horizon(capsys, model):
     assert main(["simulate", *MODEL_ARGS[model], "--horizon", "-1"]) == 2
     assert "horizon must be non-negative" in capsys.readouterr().err
+
+
+def test_simulate_rejects_negative_generations(capsys):
+    assert main(["simulate", *MODEL_ARGS["rf"], "--generations", "-1"]) == 2
+    assert "must be non-negative" in capsys.readouterr().err
 
 
 def test_exact_subcommand(capsys):

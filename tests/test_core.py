@@ -1,9 +1,11 @@
+import importlib
 import io
 import math
 
 import numpy as np
 import pytest
 
+import epirare
 from epirare import (
     NEVER,
     CompartmentState,
@@ -14,13 +16,12 @@ from epirare import (
     SeedSpec,
     SimulationError,
     SirParams,
-    StopRule,
     extinction_time,
     read_path_csv,
-    sir_simulate,
     state_at,
     write_path_csv,
 )
+from reference import StopRule, sir_simulate
 
 
 def _path(initial, moves, horizon=math.inf):
@@ -190,3 +191,16 @@ def test_n_events_counts_jumps_up_to_time():
 def test_compartment_state_rejects_negative_counts():
     with pytest.raises(ValueError):
         CompartmentState(-1, 0, 0)
+
+
+def test_package_root_exports():
+    for name in epirare.__all__:
+        getattr(epirare, name)
+    # the per-path samplers and likelihoods live in tests/reference.py
+    for name in (
+        "EVENT_CAP", "StopRule", "hiv_rates", "hiv_simulate", "rf_simulate", "rf_step",
+        "sir_rates", "sir_simulate", "sir_importance_ratio", "rf_log_likelihood",
+    ):
+        assert not hasattr(epirare, name), name
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("epirare.models")

@@ -15,19 +15,16 @@ from epirare import (
     Scaling,
     SeedSpec,
     SirParams,
-    StopRule,
     brute_force_final_size,
     ce_estimate,
     cmc,
     indicator,
     is_estimate,
-    rf_log_likelihood,
-    sir_importance_ratio,
-    sir_simulate,
     tail_pf,
 )
-from epirare.estimators import Diagnostics, Estimate
+from epirare.estimators import Diagnostics, Estimate, _sir_log_ratio
 from epirare import lockstep
+from reference import StopRule, rf_log_likelihood, sir_importance_ratio, sir_simulate
 
 TOY = SirParams(lam=0.12, gamma=1.0, s0=9, i0=1, scaling=Scaling.UNSCALED)
 
@@ -59,9 +56,22 @@ def test_cmc_reed_frost_cumulative():
     assert est.value == 1.0
 
 
+def _check_engine_ratio(base, instr, seed, n_paths=40, **stop):
+    """``_sir_log_ratio`` on an engine batch simulated under ``instr`` against
+    the reference ratio of each recorded path; returns the batch."""
+    batch = lockstep.sir_ensemble(instr, n_paths, SeedSpec(seed).generator(), record=True, **stop)
+    ratio = np.exp(_sir_log_ratio(batch, base, instr))
+    for k in range(n_paths):
+        expected = sir_importance_ratio(batch.log.epidemic_path(k, instr), base, instr)
+        assert ratio[k] == pytest.approx(expected, rel=1e-12)
+    return batch
+
+
 def test_importance_ratio_identity_when_laws_match():
     path = sir_simulate(TOY, StopRule.extinction(), SeedSpec(4).generator())
     assert sir_importance_ratio(path, TOY, TOY) == 1.0
+    batch = _check_engine_ratio(TOY, TOY, 4)
+    assert np.all(_sir_log_ratio(batch, TOY, TOY) == 0.0)
 
 
 def test_importance_ratio_zero_event_closed_form():
@@ -71,6 +81,11 @@ def test_importance_ratio_zero_event_closed_form():
     path = EpidemicPath(CompartmentState(1, 1, 0), (), horizon=t)
     expected = math.exp(-((0.4 - 0.9) * 1 * 1 + (1.5 - 0.5) * 1) * t)
     assert sir_importance_ratio(path, base, instr) == pytest.approx(expected, rel=1e-12)
+    batch = _check_engine_ratio(base, instr, 8, horizon=t)
+    quiet = batch.n_inf + batch.n_rem == 0
+    assert quiet.any()
+    ratio = np.exp(_sir_log_ratio(batch, base, instr))[quiet]
+    np.testing.assert_allclose(ratio, expected, rtol=1e-12)
 
 
 def test_importance_ratio_counts_event_kinds():
@@ -95,6 +110,8 @@ def test_importance_ratio_counts_event_kinds():
         * (1.0 / 0.5) ** 1
     )
     assert sir_importance_ratio(path, base, instr) == pytest.approx(expected, rel=1e-12)
+    batch = _check_engine_ratio(base, instr, 9, horizon=1.0)
+    assert np.any((batch.n_inf > 0) & (batch.n_rem > 0) & (batch.i > 0))
 
 
 def test_importance_ratio_absolute_continuity_edge():
@@ -104,15 +121,20 @@ def test_importance_ratio_absolute_continuity_edge():
     ratio = sir_importance_ratio(path, base, instr)
     if any(ev.kind == EventKind.INFECTION for ev in path.events):
         assert ratio == 0.0
+    batch = _check_engine_ratio(base, instr, 5)
+    assert np.any(batch.n_inf > 0) and np.any(batch.n_inf == 0)
 
 
 def test_importance_ratio_rejects_bad_instrumental():
+    bad = dataclasses.replace(TOY, lam=0.0, gamma=1.0)
     with pytest.raises(ValueError):
-        sir_importance_ratio(
-            EpidemicPath(CompartmentState(1, 1, 0), (), 1.0),
-            TOY,
-            dataclasses.replace(TOY, lam=0.0, gamma=1.0),
-        )
+        sir_importance_ratio(EpidemicPath(CompartmentState(1, 1, 0), (), 1.0), TOY, bad)
+    batch = lockstep.sir_ensemble(bad, 5, SeedSpec(10).generator())
+    with pytest.raises(ValueError, match="must be positive"):
+        _sir_log_ratio(batch, TOY, bad)
+    mass_action = dataclasses.replace(TOY, scaling=Scaling.MASS_ACTION)
+    with pytest.raises(ValueError, match="share scaling"):
+        is_estimate(TOY, FinalSize(n_c=5), mass_action, 10, SeedSpec(10))
 
 
 def test_importance_ratio_unbiased_against_oracle():
@@ -133,23 +155,32 @@ def test_importance_ratio_unbiased_against_oracle():
     mean = total / n
     se = math.sqrt((total_sq / n - mean**2) / n)
     assert abs(mean - exact) < 3 * se
+    _check_engine_ratio(base, instr, 6)
     # lockstep route must agree with the same target
     est = is_estimate(base, spec, instr, 1_000_000, SeedSpec(7))
     assert abs(est.value - exact) < 3 * se
 
 
+def _rf_loglik_checked(chain, q):
+    """``rf_log_likelihood`` of a chain, checked against ``lockstep.rf_loglik``."""
+    value = rf_log_likelihood(chain, q)
+    S, I = (np.array([column]) for column in zip(*chain))
+    assert lockstep.rf_loglik(S, I, q)[0] == pytest.approx(value, rel=1e-12)
+    return value
+
+
 def test_rf_log_likelihood_absorbed_chain_is_zero():
-    assert rf_log_likelihood([(5, 0), (5, 0), (5, 0)], 0.5) == 0.0
+    assert _rf_loglik_checked([(5, 0), (5, 0), (5, 0)], 0.5) == 0.0
 
 
 def test_rf_log_likelihood_single_step():
     # s=2, i=1, i'=1: C(2,1) * 0.5 * 0.5
-    assert rf_log_likelihood([(2, 1), (1, 1)], 0.5) == pytest.approx(math.log(0.5))
+    assert _rf_loglik_checked([(2, 1), (1, 1)], 0.5) == pytest.approx(math.log(0.5))
 
 
 def test_rf_log_likelihood_q_one_marker():
-    assert rf_log_likelihood([(2, 1), (1, 1)], 1.0) == -math.inf
-    assert rf_log_likelihood([(2, 1), (2, 0)], 1.0) == 0.0
+    assert _rf_loglik_checked([(2, 1), (1, 1)], 1.0) == -math.inf
+    assert _rf_loglik_checked([(2, 1), (2, 0)], 1.0) == 0.0
 
 
 def test_rf_log_likelihood_rejects_inconsistent_chain():

@@ -21,13 +21,12 @@ from epirare import (
     SeedSpec,
     SimulationError,
     SirParams,
-    StopRule,
     hitting_time,
     indicator,
     quantile_levels,
     score,
-    sir_simulate,
 )
+from reference import StopRule, sir_simulate
 
 
 def _path(initial, moves, horizon=math.inf):

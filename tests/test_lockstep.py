@@ -5,11 +5,21 @@ conserved per path, the event counts match the compartment changes, no path
 runs past the horizon, and the event log agrees with the per-path summaries.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from epirare import (
-    Axis, EventKind, HivParams, Scaling, SeedSpec, SimulationError, SirParams, lockstep,
+    Axis,
+    CompartmentState,
+    EventKind,
+    HivParams,
+    Scaling,
+    SeedSpec,
+    SimulationError,
+    SirParams,
+    lockstep,
 )
 
 SIR = SirParams(lam=0.035, gamma=1.0, s0=30, i0=2, scaling=Scaling.UNSCALED)
@@ -109,3 +119,21 @@ def test_iteration_cap_raises(monkeypatch, name):
     monkeypatch.setattr(lockstep, "_ITERATION_CAP", 3)
     with pytest.raises(SimulationError, match="iteration cap"):
         _simulate(name, 50, 34)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_epidemic_path_replays_the_log(name):
+    n, horizon = 40, 1.5
+    ens = _simulate(name, n, 35, horizon=horizon)
+    assert np.any(ens.i == 0) and np.any(ens.i > 0)
+    log = ens.log
+    for k in range(n):
+        path = log.epidemic_path(k, MODELS[name])
+        rows = slice(log.offsets[k], log.offsets[k + 1])
+        assert [e.time for e in path.events] == log.t[rows].tolist()
+        assert [e.state_after for e in path.events] == [
+            CompartmentState(*x) for x in zip(log.s[rows], log.i[rows], log.r[rows])
+        ]
+        assert path.final_state == CompartmentState(ens.s[k], ens.i[k], ens.r[k])
+        assert path.horizon == (math.inf if ens.i[k] == 0 else horizon)
+        assert path.initial_detection_times == ((-0.5, -2.0) if name == "hiv" else ())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-import epirare.models
+import reference
 from epirare import (
     NEVER,
     CompartmentState,
@@ -14,9 +14,12 @@ from epirare import (
     SeedSpec,
     SimulationError,
     SirParams,
-    StopRule,
     brute_force_final_size,
     extinction_time,
+)
+from epirare import lockstep
+from reference import (
+    StopRule,
     hiv_rates,
     hiv_simulate,
     rf_simulate,
@@ -24,7 +27,6 @@ from epirare import (
     sir_rates,
     sir_simulate,
 )
-from epirare import lockstep
 
 
 def test_rf_step_absorbing_without_infectives():
@@ -170,7 +172,7 @@ def test_sir_absorption_with_extinction_stop():
 
 
 def test_event_cap_raises(monkeypatch):
-    monkeypatch.setattr(epirare.models, "EVENT_CAP", 3)
+    monkeypatch.setattr(reference, "EVENT_CAP", 3)
     params = SirParams(lam=5.0, gamma=0.01, s0=50, i0=1, scaling=Scaling.UNSCALED)
     with pytest.raises(SimulationError, match="event cap"):
         sir_simulate(params, StopRule.extinction(), SeedSpec(12).generator())
@@ -271,14 +273,23 @@ def test_hiv_rates_reject_future_detections():
         hiv_rates(CompartmentState(10, 1, 0), (2.0,), 1.0, params)
 
 
-def _extinction_sample(simulate, params, stop, seed, n):
+def _engine(params):
+    return lockstep.hiv_ensemble if isinstance(params, HivParams) else lockstep.sir_ensemble
+
+
+def _reference_extinctions(params, seed, n, horizon=math.inf):
+    simulate = hiv_simulate if isinstance(params, HivParams) else sir_simulate
     out = np.empty(n)
     rng = SeedSpec(seed).generator()
     for j in range(n):
-        path = simulate(params, stop, rng)
-        ext = extinction_time(path)
+        ext = extinction_time(simulate(params, StopRule.at_time(horizon), rng))
         out[j] = math.inf if ext is NEVER else ext
     return out
+
+
+def _engine_extinctions(params, seed, n, horizon=math.inf):
+    ens = _engine(params)(params, n, SeedSpec(seed).generator(), horizon=horizon)
+    return ens.extinction_times()
 
 
 def test_hiv_without_tracing_reduces_to_sir():
@@ -286,9 +297,10 @@ def test_hiv_without_tracing_reduces_to_sir():
     n = 10_000
     hiv = HivParams(lam=0.05, gamma1=1.0, gamma2=0.0, c=1.0, s0=20, i0=2)
     sir = SirParams(lam=0.05, gamma=1.0, s0=20, i0=2, scaling=Scaling.UNSCALED)
-    ext_hiv = _extinction_sample(hiv_simulate, hiv, StopRule.extinction(), 17, n)
-    ext_sir = _extinction_sample(sir_simulate, sir, StopRule.extinction(), 18, n)
-    assert ks_2samp(ext_hiv, ext_sir).pvalue > 0.01
+    for sample in (_reference_extinctions, _engine_extinctions):
+        ext_hiv = sample(hiv, 17, n)
+        ext_sir = sample(sir, 18, n)
+        assert ks_2samp(ext_hiv, ext_sir).pvalue > 0.01, sample.__name__
 
 
 def test_hiv_fast_decay_matches_no_tracing():
@@ -296,9 +308,47 @@ def test_hiv_fast_decay_matches_no_tracing():
     n = 10_000
     fast = HivParams(lam=0.05, gamma1=1.0, gamma2=0.8, c=1e6, s0=20, i0=2)
     plain = HivParams(lam=0.05, gamma1=1.0, gamma2=0.0, c=1.0, s0=20, i0=2)
-    ext_fast = _extinction_sample(hiv_simulate, fast, StopRule.extinction(), 19, n)
-    ext_plain = _extinction_sample(hiv_simulate, plain, StopRule.extinction(), 20, n)
-    assert ks_2samp(ext_fast, ext_plain).pvalue > 0.01
+    for sample in (_reference_extinctions, _engine_extinctions):
+        ext_fast = sample(fast, 19, n)
+        ext_plain = sample(plain, 20, n)
+        assert ks_2samp(ext_fast, ext_plain).pvalue > 0.01, sample.__name__
+
+
+def test_hiv_engine_matches_reference_extinction_times():
+    # the contact-tracing desk model to T = 90; paths alive there count as inf
+    params = HivParams(lam=1.3e-5, gamma1=0.13, gamma2=0.19, c=1.0, s0=10_000, i0=3)
+    n = 4_000
+    ext_ref = _reference_extinctions(params, 23, n, horizon=90.0)
+    ext_engine = _engine_extinctions(params, 24, n, horizon=90.0)
+    assert ks_2samp(ext_ref, ext_engine).pvalue > 0.01
+
+
+TOY_SIR = SirParams(lam=0.12, gamma=1.0, s0=9, i0=1, scaling=Scaling.UNSCALED)
+ABAKALIKI = SirParams(lam=0.0008254, gamma=0.087613, s0=119, i0=1, scaling=Scaling.UNSCALED)
+
+
+@pytest.mark.parametrize(
+    "params,horizon",
+    [(TOY_SIR, None), (TOY_SIR, 1.0), (ABAKALIKI, None), (ABAKALIKI, 20.0)],
+    ids=["toy", "toy-horizon", "abakaliki", "abakaliki-horizon"],
+)
+def test_sir_engine_matches_reference_event_for_event(params, horizon):
+    # Both draw a waiting time and then a kind per event from one stream, so
+    # one-path engine runs replay the reference up to the rounding of log1p.
+    stop = {} if horizon is None else {"horizon": horizon}
+    rule = StopRule.extinction() if horizon is None else StopRule.at_time(horizon)
+    for seed in range(50):
+        ref = sir_simulate(params, rule, SeedSpec(seed).generator())
+        log = lockstep.sir_ensemble(params, 1, SeedSpec(seed).generator(), record=True, **stop).log
+        path = log.epidemic_path(0, params)
+        assert path.initial == ref.initial
+        assert [(e.kind, e.state_after) for e in path.events] == [
+            (e.kind, e.state_after) for e in ref.events
+        ]
+        np.testing.assert_allclose(
+            [e.time for e in path.events], [e.time for e in ref.events], rtol=1e-15, atol=0
+        )
+        assert path.horizon == ref.horizon
 
 
 def test_hiv_simulate_no_infectives_is_empty():
