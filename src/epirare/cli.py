@@ -26,6 +26,7 @@ from .core import (
     SirParams,
     write_path_csv,
 )
+from .estimators import _ensemble_fn
 from .final_size import exact_final_size, tail_pf
 from .harness import parse_config_file, run, sweep, write_sweep_csv
 
@@ -92,10 +93,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             for gen, (s, i) in enumerate(zip(S[0], I[0])):
                 out.write(f"{gen},{s},{i}\n")
         else:
-            hiv = isinstance(model, HivParams)
-            engine = lockstep.hiv_ensemble if hiv else lockstep.sir_ensemble
             stop = {} if args.horizon is None else {"horizon": args.horizon}
-            log = engine(model, 1, rng, record=True, **stop).log
+            log = _ensemble_fn(model)(model, 1, rng, record=True, **stop).log
             write_path_csv(log.epidemic_path(0, model), out)
     return 0
 

@@ -16,7 +16,6 @@ order.  ``tests/test_golden.py`` pins the outputs of this order.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,7 +101,7 @@ class EventLog:
         return path_from_arrays(
             CompartmentState(start["s"], start["i"], start["r"]),
             self.t[a:b], self.kind[a:b],
-            math.inf if extinct else float(self.t_stop[k]),
+            np.inf if extinct else float(self.t_stop[k]),
             detections,
         )
 

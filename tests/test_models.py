@@ -18,6 +18,7 @@ from epirare import (
     extinction_time,
 )
 from epirare import lockstep
+from epirare.estimators import _ensemble_fn
 from reference import (
     StopRule,
     hiv_rates,
@@ -273,10 +274,6 @@ def test_hiv_rates_reject_future_detections():
         hiv_rates(CompartmentState(10, 1, 0), (2.0,), 1.0, params)
 
 
-def _engine(params):
-    return lockstep.hiv_ensemble if isinstance(params, HivParams) else lockstep.sir_ensemble
-
-
 def _reference_extinctions(params, seed, n, horizon=math.inf):
     simulate = hiv_simulate if isinstance(params, HivParams) else sir_simulate
     out = np.empty(n)
@@ -288,7 +285,7 @@ def _reference_extinctions(params, seed, n, horizon=math.inf):
 
 
 def _engine_extinctions(params, seed, n, horizon=math.inf):
-    ens = _engine(params)(params, n, SeedSpec(seed).generator(), horizon=horizon)
+    ens = _ensemble_fn(params)(params, n, SeedSpec(seed).generator(), horizon=horizon)
     return ens.extinction_times()
 
 
