@@ -81,7 +81,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     """One path of the lockstep engine: a Reed-Frost chain, or a jump-process
     path run to extinction or to ``--horizon``."""
     model = _model_from_args(args)
-    if args.horizon is not None and args.horizon < 0:
+    if args.horizon is not None and not args.horizon >= 0:  # NaN too
         raise ValueError("horizon must be non-negative")
     if args.generations < 0:
         raise ValueError("generations must be non-negative")

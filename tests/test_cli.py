@@ -101,8 +101,9 @@ def test_simulate_output_pinned(tmp_path, model, seed):
 
 @pytest.mark.parametrize("model", ["sir", "hiv"])
 def test_simulate_rejects_negative_horizon(capsys, model):
-    assert main(["simulate", *MODEL_ARGS[model], "--horizon", "-1"]) == 2
-    assert "horizon must be non-negative" in capsys.readouterr().err
+    for horizon in ("-1", "nan"):
+        assert main(["simulate", *MODEL_ARGS[model], "--horizon", horizon]) == 2
+        assert "horizon must be non-negative" in capsys.readouterr().err
 
 
 def test_simulate_rejects_negative_generations(capsys):
