@@ -22,16 +22,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .core import (
-    Axis,
-    CompartmentState,
-    EpidemicPath,
-    EventKind,
-    HivParams,
-    ReedFrostParams,
-    Scaling,
-    SimulationError,
-    SirParams,
-    path_from_arrays,
+    Axis, CompartmentState, EpidemicPath, EventKind, HivParams, ReedFrostParams, Scaling,
+    SimulationError, SirParams, path_from_arrays,
 )
 
 __all__ = [
