@@ -144,10 +144,6 @@ def _sir_log_ratio(
     """Per path, the log likelihood ratio d(base)/d(instrumental) of a batch
     simulated under the instrumental law, at each path's stopping time; -inf
     where a base rate of zero meets a path that used it."""
-    if instr.lam <= 0:
-        raise ValueError("instrumental rates must be positive")
-    if base.scaling is not instr.scaling or base.population != instr.population:
-        raise ValueError("base and instrumental laws must share scaling and population")
     log_phi = -(
         (base.lam - instr.lam) * batch.int_pair
         + (base.gamma - instr.gamma) * batch.int_i
@@ -179,6 +175,10 @@ def _is_weights(
         )
         paths = (S, I)
     else:
+        if instrumental.lam <= 0:
+            raise ValueError("instrumental rates must be positive")
+        if (model.scaling, model.population) != (instrumental.scaling, instrumental.population):
+            raise ValueError("base and instrumental laws must share scaling and population")
         paths = lockstep.sir_ensemble(instrumental, n_paths, rng, **_stop_config(spec))
         hits = _batch_indicators(paths, spec)
         log_ratio = _sir_log_ratio(paths, model, instrumental)

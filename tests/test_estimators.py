@@ -129,9 +129,8 @@ def test_importance_ratio_rejects_bad_instrumental():
     bad = dataclasses.replace(TOY, lam=0.0, gamma=1.0)
     with pytest.raises(ValueError):
         sir_importance_ratio(EpidemicPath(CompartmentState(1, 1, 0), (), 1.0), TOY, bad)
-    batch = lockstep.sir_ensemble(bad, 5, SeedSpec(10).generator())
     with pytest.raises(ValueError, match="must be positive"):
-        _sir_log_ratio(batch, TOY, bad)
+        is_estimate(TOY, FinalSize(n_c=5), bad, 10, SeedSpec(10))
     mass_action = dataclasses.replace(TOY, scaling=Scaling.MASS_ACTION)
     with pytest.raises(ValueError, match="share scaling"):
         is_estimate(TOY, FinalSize(n_c=5), mass_action, 10, SeedSpec(10))
