@@ -123,6 +123,33 @@ def test_exact_subcommand(capsys):
     assert sum(probs) == pytest.approx(1.0, abs=1e-9)
 
 
+# `epirare exact` output by model, as sha256 of the CSV bytes
+EXACT_PINS = {
+    "toy": (
+        ["--lam", "0.12", "--gamma", "1", "--scaling", "unscaled", "--s0", "9", "--i0", "1"],
+        "7a7fea4adcef2c16cba281ca1bb941b1d8747458b7c7f2da05806790abeb28f0",
+    ),
+    "fig2": (
+        ["--lam", "1", "--gamma", "1", "--scaling", "mass_action", "--s0", "40", "--i0", "1",
+         "--n", "41"],
+        "abc75ef56beef62e76b40c186b11b3457602c686edb1d40f1bb00e524c291d59",
+    ),
+    "abakaliki": (
+        ["--lam", "0.0008254", "--gamma", "0.087613", "--scaling", "unscaled", "--s0", "119",
+         "--i0", "1"],
+        "a12c4582bfae0dc2812cd9cdb2ec3e0bd2f3c2e13d9313ff987113311474e8ae",
+    ),
+}
+
+
+@pytest.mark.parametrize("model", sorted(EXACT_PINS))
+def test_exact_output_pinned(tmp_path, model):
+    argv, digest = EXACT_PINS[model]
+    out = tmp_path / "exact.csv"
+    assert main(["exact", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_estimate_with_overrides(tmp_path, capsys):
     config = tmp_path / "exp.ini"
     config.write_text(
