@@ -46,8 +46,6 @@ from .events import (
     score,
 )
 from .final_size import (
-    UnstableSolveError,
-    brute_force_final_size,
     exact_final_size,
     tail_pf,
     threshold_for_tail,
@@ -83,8 +81,6 @@ __all__ = [
     "SeedSpec",
     "SimulationError",
     "SirParams",
-    "UnstableSolveError",
-    "brute_force_final_size",
     "ce_estimate",
     "cmc",
     "exact_final_size",

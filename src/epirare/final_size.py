@@ -1,36 +1,31 @@
 """Final-size distribution of the Markovian SIR model.
 
-Two independent routes compute the distribution of the number of initially
-susceptible individuals ever infected: a triangular linear system solved in
-arbitrary precision, and absorption probabilities of the embedded jump chain
-enumerated by dynamic programming.  The pair serves as ground truth for all
-estimator tests, so disagreement is an error, never silently renormalized.
+The final size is read off the embedded jump chain: from (s, i) with i > 0
+the next event is an infection, to (s-1, i+1), or a removal, to (s, i-1),
+and the states (s, 0) absorb with s0 - s of the initial susceptibles ever
+infected.  ``exact_final_size`` pushes the chain's probability mass through
+the (s, i) lattice one row of constant s at a time, summing only positive
+terms, so nothing cancels and float64 suffices at any population.  It is
+the ground truth for the estimator tests; a result that is not a
+probability vector raises instead of being renormalized.  The independent
+arbitrary-precision solve it is checked against lives with the tests.
 """
 
 from __future__ import annotations
 
 import math
 
-import mpmath
 import numpy as np
 
 from .core import Scaling, SirParams
 
 __all__ = [
-    "UnstableSolveError",
-    "brute_force_final_size",
     "exact_final_size",
     "tail_pf",
     "threshold_for_tail",
 ]
 
-_BRUTE_FORCE_MAX_S0 = 30
 _SUM_TOL = 1e-9
-_NEG_TOL = 1e-6
-
-
-class UnstableSolveError(RuntimeError):
-    """The triangular solve lost too much precision to be trusted."""
 
 
 def _pair_rate_factor(params: SirParams, s: int) -> float:
@@ -40,95 +35,49 @@ def _pair_rate_factor(params: SirParams, s: int) -> float:
     return params.lam * s
 
 
-def exact_final_size(params: SirParams, dps: int | None = None) -> np.ndarray:
+def exact_final_size(params: SirParams) -> np.ndarray:
     """Distribution of k = initially susceptible individuals ever infected.
 
-    Solves, by forward substitution, the triangular system
+    Absorption law of the embedded jump chain, computed a row of constant s
+    at a time from s0 down to 0.  With r the per-infective infection rate at
+    s, an event is an infection with probability p = r / (r + gamma) and a
+    removal with q = gamma / (r + gamma), whatever i is (p = 0, q = 1 at
+    s = 0).  The mass v[i] that ever visits (s, i) is what flows in from
+    row s+1 plus what removals bring down from (s, i+1):
 
-        sum_{k=0}^{l} C(s0-k, l-k) * p_k / phi(l)**(i0+k) = C(s0, l),
-        phi(l) = gamma / (gamma + per-infective rate at s0-l susceptibles),
+        v[i] = inflow[i] + q * v[i+1],   1 <= i <= i0 + s0 - s,
 
-    for l = 0..s0.  The substitution runs in arbitrary-precision arithmetic
-    (``dps`` decimal digits, chosen from s0 when omitted) because the system
-    cancels catastrophically already for moderate populations.
+    of which q * v[1] absorbs at (s, 0), and p * v[i] flows into (s-1, i+1).
+    O(s0^2) time, O(s0) memory.
 
     Returns a length s0+1 probability vector indexed by k.
     """
     s0, i0 = params.s0, params.i0
+    dist = [0.0] * (s0 + 1)
     if i0 == 0:
-        out = np.zeros(s0 + 1)
-        out[0] = 1.0
-        return out
-    phi_min = min(
-        params.gamma / (params.gamma + _pair_rate_factor(params, s))
-        for s in range(s0 + 1)
-    )
-    if dps is None:
-        # Headroom for the binomial growth plus the (1/phi)**(i0+k) blowup;
-        # the system amplifies even input rounding, so be generous.
-        dps = max(60, 30 + 3 * s0 + int((s0 + i0) * math.log10(1.0 / phi_min)))
-    with mpmath.workdps(dps):
-        gamma = mpmath.mpf(params.gamma)
-        lam = mpmath.mpf(params.lam)
-        # Rate factors stay in working precision: double-rounding them first
-        # feeds the solve perturbed inputs that the cancellation amplifies.
-        if params.scaling is Scaling.MASS_ACTION:
-            rates = [lam * (s0 - l) / params.population for l in range(s0 + 1)]
-        else:
-            rates = [lam * (s0 - l) for l in range(s0 + 1)]
-        phi = [gamma / (gamma + rate) for rate in rates]
-        p = [mpmath.mpf(0)] * (s0 + 1)
-        for l in range(s0 + 1):
-            acc = mpmath.binomial(s0, l)
-            inv_phi = 1 / phi[l]
-            # inv_phi**(i0+k), advanced incrementally over k
-            power = inv_phi ** i0
-            for k in range(l):
-                acc -= mpmath.binomial(s0 - k, l - k) * p[k] * power
-                power *= inv_phi
-            p[l] = acc / power  # divides by inv_phi**(i0+l)
-        values = [float(v) for v in p]
-    if min(values) < -_NEG_TOL:
-        raise UnstableSolveError(
-            f"numerically unstable for this s0: min p_k = {min(values):.3e}"
-        )
-    out = np.clip(np.array(values), 0.0, None)
-    total = out.sum()
-    if abs(total - 1.0) > _SUM_TOL:
-        raise UnstableSolveError(
-            f"final-size probabilities sum to {total!r}, off by more than {_SUM_TOL}"
+        dist[0] = 1.0
+        return np.array(dist)
+    # inflow[i] is the mass entering row s at (s, i); index 0 stays unused
+    inflow = [0.0] * (i0 + 1)
+    inflow[i0] = 1.0
+    for s in range(s0, -1, -1):
+        rate = _pair_rate_factor(params, s)  # 0 at s = 0: p = 0 and q = 1 there
+        p = rate / (rate + params.gamma)
+        q = params.gamma / (rate + params.gamma)
+        visits = [0.0] * len(inflow)
+        acc = 0.0
+        for i in range(len(inflow) - 1, 0, -1):
+            acc = inflow[i] + q * acc
+            visits[i] = acc
+        dist[s0 - s] = q * acc
+        inflow = [0.0, 0.0, *(p * v for v in visits[1:])]
+    out = np.array(dist)
+    total = float(out.sum())
+    if not (np.all(np.isfinite(out)) and abs(total - 1.0) <= _SUM_TOL):
+        raise FloatingPointError(
+            f"final-size probabilities are not a distribution: sum {total!r}"
         )
     return out
-
-
-def brute_force_final_size(params: SirParams) -> np.ndarray:
-    """Absorption probabilities of the embedded jump chain, by enumeration.
-
-    From (s, i) with i > 0 the chain moves to (s-1, i+1) with probability
-    rate_inf / (rate_inf + rate_rem) and to (s, i-1) otherwise; states (s, 0)
-    absorb with final size s0 - s.  The (s, i) lattice is O(s0^2), so the
-    population is capped.
-    """
-    s0, i0 = params.s0, params.i0
-    if s0 > _BRUTE_FORCE_MAX_S0:
-        raise ValueError(f"brute force supports s0 <= {_BRUTE_FORCE_MAX_S0}, got {s0}")
-    i_max = i0 + s0
-    mass = np.zeros((s0 + 1, i_max + 1))
-    mass[s0, i0] = 1.0
-    final = np.zeros(s0 + 1)
-    for s in range(s0, -1, -1):
-        for i in range(i_max, 0, -1):
-            m = mass[s, i]
-            if m == 0.0:
-                continue
-            rate_inf = _pair_rate_factor(params, s) * i
-            rate_rem = params.gamma * i
-            p_inf = rate_inf / (rate_inf + rate_rem) if s > 0 else 0.0
-            if s > 0 and p_inf > 0.0:
-                mass[s - 1, i + 1] += m * p_inf
-            mass[s, i - 1] += m * (1.0 - p_inf)
-        final[s0 - s] = mass[s, 0]
-    return final
 
 
 def tail_pf(dist: np.ndarray, i0: int, n_c: int) -> float:

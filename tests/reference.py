@@ -6,7 +6,10 @@ likelihoods.  This module keeps the per-path forms they replaced: the
 Reed-Frost chain, the Markovian SIR jump process and the age-structured
 contact-tracing process simulated one event at a time, and the SIR
 likelihood ratio and Reed-Frost log-likelihood evaluated along one path.
-The tests replay the engine against them.
+The tests replay the engine against them.  It also keeps the
+arbitrary-precision triangular solve for the SIR final-size law, the
+independent reference for the package's embedded-chain oracle
+(``epirare.exact_final_size``).
 
 All samplers are pure functions of (params, stop rule, random stream).
 Exponential holding times are sampled by inversion (-log(1-U)/rate) so that
@@ -18,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from epirare.core import (
@@ -36,6 +40,8 @@ from epirare.core import (
 __all__ = [
     "EVENT_CAP",
     "StopRule",
+    "UnstableSolveError",
+    "final_size_solve",
     "hiv_rates",
     "hiv_simulate",
     "rf_log_likelihood",
@@ -353,3 +359,72 @@ def rf_log_likelihood(path, q: float) -> float:
             + (s - i_next) * i * math.log(q)
         )
     return total
+
+
+_SUM_TOL = 1e-9
+_NEG_TOL = 1e-6
+
+
+class UnstableSolveError(RuntimeError):
+    """The triangular solve lost too much precision to be trusted."""
+
+
+def final_size_solve(params: SirParams, dps: int | None = None) -> np.ndarray:
+    """Distribution of k = initially susceptible individuals ever infected.
+
+    Solves, by forward substitution, the triangular system
+
+        sum_{k=0}^{l} C(s0-k, l-k) * p_k / phi(l)**(i0+k) = C(s0, l),
+        phi(l) = gamma / (gamma + per-infective rate at s0-l susceptibles),
+
+    for l = 0..s0.  The substitution runs in arbitrary-precision arithmetic
+    (``dps`` decimal digits, chosen from s0 when omitted) because the system
+    cancels catastrophically already for moderate populations.
+
+    Returns a length s0+1 probability vector indexed by k.
+    """
+    s0, i0 = params.s0, params.i0
+    if i0 == 0:
+        out = np.zeros(s0 + 1)
+        out[0] = 1.0
+        return out
+    phi_min = min(
+        params.gamma / (params.gamma + params.pair_rate(s, 1))
+        for s in range(s0 + 1)
+    )
+    if dps is None:
+        # Headroom for the binomial growth plus the (1/phi)**(i0+k) blowup;
+        # the system amplifies even input rounding, so be generous.
+        dps = max(60, 30 + 3 * s0 + int((s0 + i0) * math.log10(1.0 / phi_min)))
+    with mpmath.workdps(dps):
+        gamma = mpmath.mpf(params.gamma)
+        lam = mpmath.mpf(params.lam)
+        # Rate factors stay in working precision: double-rounding them first
+        # feeds the solve perturbed inputs that the cancellation amplifies.
+        if params.scaling is Scaling.MASS_ACTION:
+            rates = [lam * (s0 - l) / params.population for l in range(s0 + 1)]
+        else:
+            rates = [lam * (s0 - l) for l in range(s0 + 1)]
+        phi = [gamma / (gamma + rate) for rate in rates]
+        p = [mpmath.mpf(0)] * (s0 + 1)
+        for l in range(s0 + 1):
+            acc = mpmath.binomial(s0, l)
+            inv_phi = 1 / phi[l]
+            # inv_phi**(i0+k), advanced incrementally over k
+            power = inv_phi ** i0
+            for k in range(l):
+                acc -= mpmath.binomial(s0 - k, l - k) * p[k] * power
+                power *= inv_phi
+            p[l] = acc / power  # divides by inv_phi**(i0+l)
+        values = [float(v) for v in p]
+    if min(values) < -_NEG_TOL:
+        raise UnstableSolveError(
+            f"numerically unstable for this s0: min p_k = {min(values):.3e}"
+        )
+    out = np.clip(np.array(values), 0.0, None)
+    total = out.sum()
+    if abs(total - 1.0) > _SUM_TOL:
+        raise UnstableSolveError(
+            f"final-size probabilities sum to {total!r}, off by more than {_SUM_TOL}"
+        )
+    return out

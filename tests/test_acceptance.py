@@ -21,7 +21,6 @@ from epirare import (
     Scaling,
     SeedSpec,
     SirParams,
-    brute_force_final_size,
     ce_estimate,
     cmc,
     exact_final_size,
@@ -33,6 +32,7 @@ from epirare import (
 )
 from epirare import lockstep
 from epirare.harness import parse_config_text, sweep, write_sweep_csv
+from reference import final_size_solve
 
 TOY = SirParams(lam=0.12, gamma=1.0, s0=9, i0=1, scaling=Scaling.UNSCALED)
 ABAKALIKI = SirParams(
@@ -71,7 +71,7 @@ def test_criterion_1_oracle_equivalence():
                             np.max(
                                 np.abs(
                                     exact_final_size(params)
-                                    - brute_force_final_size(params)
+                                    - final_size_solve(params)
                                 )
                             )
                         )
@@ -227,7 +227,7 @@ def test_criterion_5_is_ce_unbiasedness():
     for s0 in (2, 3, 4, 5):
         model = SirParams(lam=1.0, gamma=1.0, s0=s0, i0=1, scaling=Scaling.UNSCALED)
         spec = FinalSize(n_c=s0 + 1)
-        exact = tail_pf(brute_force_final_size(model), model.i0, spec.n_c)
+        exact = tail_pf(exact_final_size(model), model.i0, spec.n_c)
         instr = SirParams(
             lam=2.0, gamma=0.5, s0=s0, i0=1, scaling=Scaling.UNSCALED
         )

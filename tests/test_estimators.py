@@ -15,9 +15,9 @@ from epirare import (
     Scaling,
     SeedSpec,
     SirParams,
-    brute_force_final_size,
     ce_estimate,
     cmc,
+    exact_final_size,
     indicator,
     is_estimate,
     tail_pf,
@@ -36,7 +36,7 @@ def test_cmc_certain_event_is_one():
 
 
 def test_cmc_toy_sir_matches_oracle():
-    dist = brute_force_final_size(TOY)
+    dist = exact_final_size(TOY)
     exact = tail_pf(dist, TOY.i0, 10)
     est = cmc(TOY, FinalSize(n_c=10), 10_000, SeedSpec(1))
     se = math.sqrt(exact * (1 - exact) / 10_000)
@@ -140,7 +140,7 @@ def test_importance_ratio_unbiased_against_oracle():
     base = SirParams(lam=1.0, gamma=1.0, s0=2, i0=1, scaling=Scaling.UNSCALED)
     instr = SirParams(lam=2.0, gamma=0.5, s0=2, i0=1, scaling=Scaling.UNSCALED)
     spec = FinalSize(n_c=3)
-    exact = tail_pf(brute_force_final_size(base), base.i0, spec.n_c)
+    exact = tail_pf(exact_final_size(base), base.i0, spec.n_c)
     # path-level route
     rng = SeedSpec(6).generator()
     n = 20_000
@@ -212,7 +212,7 @@ def test_is_estimate_counts_overflow():
 
 def test_ce_single_iteration_on_common_event_matches_cmc():
     spec = FinalSize(n_c=2)  # P ~ .52 for the toy model
-    exact = tail_pf(brute_force_final_size(TOY), TOY.i0, spec.n_c)
+    exact = tail_pf(exact_final_size(TOY), TOY.i0, spec.n_c)
     est, trace = ce_estimate(TOY, spec, 5_000, 1, SeedSpec(11))
     se = math.sqrt(exact * (1 - exact) / 5_000)
     assert abs(est.value - exact) < 3 * se
@@ -231,7 +231,7 @@ def test_ce_degenerate_event_is_exactly_one():
 def test_ce_adapts_and_stays_unbiased():
     base = SirParams(lam=0.5, gamma=1.0, s0=5, i0=1, scaling=Scaling.UNSCALED)
     spec = FinalSize(n_c=6)
-    exact = tail_pf(brute_force_final_size(base), base.i0, spec.n_c)
+    exact = tail_pf(exact_final_size(base), base.i0, spec.n_c)
     values = []
     for rep in range(200):
         est, _ = ce_estimate(base, spec, 500, 4, SeedSpec(13, replication=rep))

@@ -1,14 +1,19 @@
+import time
+
 import numpy as np
 import pytest
 
 from epirare import (
     Scaling,
     SirParams,
-    UnstableSolveError,
-    brute_force_final_size,
     exact_final_size,
     tail_pf,
     threshold_for_tail,
+)
+from reference import UnstableSolveError, final_size_solve
+
+ABAKALIKI = SirParams(
+    lam=0.0008254, gamma=0.087613, s0=119, i0=1, scaling=Scaling.UNSCALED
 )
 
 
@@ -32,8 +37,8 @@ def test_exact_no_infection_when_lambda_zero():
 def test_exact_matches_brute_force_small_case():
     params = _toy(s0=2, lam=1.0)
     exact = exact_final_size(params)
-    brute = brute_force_final_size(params)
-    assert np.max(np.abs(exact - brute)) < 1e-10
+    reference = final_size_solve(params)
+    assert np.max(np.abs(exact - reference)) < 1e-10
     assert exact[0] == pytest.approx(1 / 3, abs=1e-12)
     assert exact[1] == pytest.approx(1 / 6, abs=1e-12)
 
@@ -44,8 +49,8 @@ def test_exact_matches_brute_force_spot_grid():
         for lam, gamma in ((0.1, 1.0), (5.0, 0.1)):
             params = SirParams(lam=lam, gamma=gamma, s0=9, i0=2, scaling=scaling)
             exact = exact_final_size(params)
-            brute = brute_force_final_size(params)
-            assert np.max(np.abs(exact - brute)) < 1e-10
+            reference = final_size_solve(params)
+            assert np.max(np.abs(exact - reference)) < 1e-10
 
 
 def test_exact_distribution_sums_to_one():
@@ -57,23 +62,47 @@ def test_exact_distribution_sums_to_one():
 def test_exact_low_precision_is_detected():
     params = SirParams(lam=1.0, gamma=1.0, s0=60, i0=1, scaling=Scaling.MASS_ACTION, n=61)
     with pytest.raises(UnstableSolveError):
-        exact_final_size(params, dps=15)
+        final_size_solve(params, dps=15)
 
 
 def test_brute_force_no_infectives():
-    dist = brute_force_final_size(_toy(s0=4, i0=0))
+    dist = exact_final_size(_toy(s0=4, i0=0))
     assert dist[0] == 1.0
     assert np.all(dist[1:] == 0.0)
 
 
 def test_brute_force_tiny_gamma_infects_everyone():
-    dist = brute_force_final_size(_toy(s0=3, gamma=1e-9, lam=1.0))
+    dist = exact_final_size(_toy(s0=3, gamma=1e-9, lam=1.0))
     assert dist[-1] >= 1 - 1e-6
 
 
-def test_brute_force_refuses_large_population():
-    with pytest.raises(ValueError, match="s0"):
-        brute_force_final_size(_toy(s0=31))
+def test_exact_matches_reference_solve_at_abakaliki():
+    started = time.perf_counter()
+    dist = exact_final_size(ABAKALIKI)
+    elapsed = time.perf_counter() - started
+    reference = final_size_solve(ABAKALIKI)
+    assert np.all(reference > 0.0)
+    assert np.max(np.abs(dist - reference) / reference) <= 1e-12
+    assert tail_pf(dist, ABAKALIKI.i0, 81) == pytest.approx(2.4206e-3, rel=1e-4)
+    assert elapsed <= 0.02, f"Abakaliki oracle took {elapsed:.3f}s"
+
+
+def test_exact_large_population_is_a_distribution():
+    params = SirParams(lam=1.5, gamma=1.0, s0=2000, i0=1, scaling=Scaling.MASS_ACTION)
+    started = time.perf_counter()
+    dist = exact_final_size(params)
+    elapsed = time.perf_counter() - started
+    assert len(dist) == 2001
+    assert np.all(np.isfinite(dist)) and np.all(dist >= 0.0)
+    assert abs(dist.sum() - 1.0) <= 1e-12
+    assert elapsed <= 2.0, f"s0=2000 oracle took {elapsed:.2f}s"
+
+
+def test_exact_rejects_a_non_finite_result():
+    # finite rates whose product overflows: p = inf / inf
+    params = SirParams(lam=1e308, gamma=1.0, s0=3, i0=1, scaling=Scaling.UNSCALED)
+    with pytest.raises(FloatingPointError, match="not a distribution"):
+        exact_final_size(params)
 
 
 def test_tail_pf_trivial_bounds():

@@ -14,7 +14,7 @@ from epirare import (
     SeedSpec,
     SimulationError,
     SirParams,
-    brute_force_final_size,
+    exact_final_size,
     extinction_time,
 )
 from epirare import lockstep
@@ -211,7 +211,7 @@ def test_monotone_coupling_final_size_in_lambda():
 
 def test_sellke_construction_matches_oracle():
     params = SirParams(lam=0.3, gamma=1.0, s0=6, i0=1, scaling=Scaling.UNSCALED)
-    dist = brute_force_final_size(params)
+    dist = exact_final_size(params)
     rng = SeedSpec(14).generator()
     n = 60_000
     counts = np.zeros(params.s0 + 1)
@@ -225,7 +225,7 @@ def test_sellke_construction_matches_oracle():
 
 def test_sir_simulate_matches_oracle_distribution():
     params = SirParams(lam=0.3, gamma=1.0, s0=6, i0=1, scaling=Scaling.UNSCALED)
-    dist = brute_force_final_size(params)
+    dist = exact_final_size(params)
     rng = SeedSpec(15).generator()
     n = 60_000
     counts = np.zeros(params.s0 + 1)
@@ -240,7 +240,7 @@ def test_sir_simulate_matches_oracle_distribution():
 
 def test_lockstep_sir_matches_oracle_distribution():
     params = SirParams(lam=1.0, gamma=1.0, s0=8, i0=2, scaling=Scaling.MASS_ACTION)
-    dist = brute_force_final_size(params)
+    dist = exact_final_size(params)
     ens = lockstep.sir_ensemble(params, 60_000, SeedSpec(16).generator())
     sizes = ens.r - params.i0
     n = len(sizes)

@@ -18,9 +18,9 @@ from epirare import (
     Scaling,
     SeedSpec,
     SirParams,
-    brute_force_final_size,
     ce_estimate,
     cmc,
+    exact_final_size,
     ibps_estimate,
     indicator,
     is_estimate,
@@ -108,7 +108,7 @@ def test_desk_scale_unbiasedness_all_estimators():
     runs, n_paths = 500, 200
     for model, n_c in cells:
         spec = FinalSize(n_c=n_c)
-        exact = tail_pf(brute_force_final_size(model), model.i0, n_c)
+        exact = tail_pf(exact_final_size(model), model.i0, n_c)
         instr = SirParams(
             lam=2 * model.lam, gamma=model.gamma / 2, s0=model.s0, i0=model.i0,
             scaling=model.scaling,
@@ -444,3 +444,4 @@ def test_temporal_argument_validation():
             temporal_split_estimate(
                 PURE_DEATH, horizon, n_particles=10, keep_count=5, seed=SeedSpec(0)
             )
+
