@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import lockstep
 from .core import (
@@ -215,6 +214,9 @@ def _rf_ce_update(
     S: np.ndarray, I: np.ndarray, weights: np.ndarray, q_prev: float
 ) -> float:
     """Weighted maximum-likelihood escape probability, by 1-D search."""
+    # imported on use: only Reed-Frost needs it, and `import epirare` stays numpy-only
+    from scipy.optimize import minimize_scalar
+
     eps = 1e-9
     active = weights > 0
 

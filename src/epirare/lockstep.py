@@ -19,7 +19,6 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import (
     Axis, CompartmentState, EpidemicPath, EventKind, HivParams, ReedFrostParams, Scaling,
@@ -433,6 +432,9 @@ def rf_loglik(S: np.ndarray, I: np.ndarray, q: float) -> np.ndarray:
     Generations with no infectives contribute nothing.  q = 1 sends any chain
     with a subsequent infection to -inf.
     """
+    # imported on use: only Reed-Frost needs it, and `import epirare` stays numpy-only
+    from scipy.special import gammaln
+
     s_t, i_t, i_next = S[:, :-1], I[:, :-1], I[:, 1:]
     live = i_t > 0
     out = np.zeros(S.shape[0])

@@ -1,6 +1,9 @@
 import importlib
 import io
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -196,11 +199,28 @@ def test_compartment_state_rejects_negative_counts():
 def test_package_root_exports():
     for name in epirare.__all__:
         getattr(epirare, name)
-    # the per-path samplers and likelihoods live in tests/reference.py
+    # the per-path samplers, likelihoods and the final-size solve live in
+    # tests/reference.py
     for name in (
         "EVENT_CAP", "StopRule", "hiv_rates", "hiv_simulate", "rf_simulate", "rf_step",
         "sir_rates", "sir_simulate", "sir_importance_ratio", "rf_log_likelihood",
+        "UnstableSolveError", "brute_force_final_size",
     ):
         assert not hasattr(epirare, name), name
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("epirare.models")
+
+
+def test_import_loads_no_scipy_submodule_or_mpmath():
+    # Reed-Frost imports scipy.optimize and scipy.special where it uses them
+    code = (
+        "import sys, epirare; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.special', 'mpmath') "
+        "if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "[]"
+
