@@ -215,10 +215,11 @@ class SirParams:
     n: int | None = None
 
     def __post_init__(self) -> None:
-        if self.lam < 0:
-            raise ValueError(f"lambda must be non-negative: {self.lam}")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive: {self.gamma}")
+        # written so that NaN fails every check
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lambda must be finite and non-negative: {self.lam}")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and positive: {self.gamma}")
         if self.s0 < 0 or self.i0 < 0:
             raise ValueError("initial counts must be non-negative")
         if self.n is not None and self.n <= 0:
@@ -252,12 +253,13 @@ class HivParams:
     initial_detection_ages: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        # written so that NaN fails every check
         for name in ("lam", "gamma1", "gamma2", "c"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
         if self.s0 < 0 or self.i0 < 0:
             raise ValueError("initial counts must be non-negative")
-        if any(a < 0 for a in self.initial_detection_ages):
+        if not all(a >= 0 for a in self.initial_detection_ages):
             raise ValueError("detection ages must be non-negative")
 
     @property

@@ -3,6 +3,8 @@
 An event pairs a target set with a horizon rule.  ``score`` reports a path's
 best progress toward the target, ``indicator`` decides occurrence, and
 ``quantile_levels`` turns ensemble scores into adaptive splitting levels.
+Every parameter check is written as ``not value > bound`` so that a NaN
+horizon or threshold fails it instead of slipping through.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ class Duration:
     T: float
 
     def __post_init__(self) -> None:
-        if self.T <= 0:
+        if not self.T > 0:
             raise ValueError("horizon must be positive")
 
 
@@ -65,7 +67,7 @@ class FinalSize:
     n_c: int
 
     def __post_init__(self) -> None:
-        if self.n_c < 1:
+        if not self.n_c >= 1:
             raise ValueError("threshold must be at least 1")
 
 
@@ -77,9 +79,9 @@ class Incidence:
     n_i: int
 
     def __post_init__(self) -> None:
-        if self.T <= 0:
+        if not self.T > 0:
             raise ValueError("horizon must be positive")
-        if self.n_i < 1:
+        if not self.n_i >= 1:
             raise ValueError("threshold must be at least 1")
 
 
@@ -92,11 +94,11 @@ class DiagnosesIncrement:
     n_r: int
 
     def __post_init__(self) -> None:
-        if self.t < 0:
+        if not self.t >= 0:
             raise ValueError("window start must be non-negative")
-        if self.u <= 0:
+        if not self.u > 0:
             raise ValueError("window length must be positive")
-        if self.n_r < 1:
+        if not self.n_r >= 1:
             raise ValueError("threshold must be at least 1")
 
 
@@ -108,9 +110,9 @@ class CumulativeInfections:
     n_c: int
 
     def __post_init__(self) -> None:
-        if self.t < 1:
+        if not self.t >= 1:
             raise ValueError("generation horizon must be positive")
-        if self.n_c < 1:
+        if not self.n_c >= 1:
             raise ValueError("threshold must be at least 1")
 
 
@@ -149,7 +151,7 @@ class LevelSchedule:
     def __post_init__(self) -> None:
         if not self.levels:
             raise ValueError("a level schedule needs at least the target level")
-        if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
+        if not all(b > a for a, b in zip(self.levels, self.levels[1:])):
             raise ValueError("levels must be strictly increasing")
 
     def validate_against(self, spec: EventSpec) -> None:

@@ -14,6 +14,7 @@ from epirare import (
     CompartmentState,
     EpidemicPath,
     EventKind,
+    HivParams,
     JumpEvent,
     Scaling,
     SeedSpec,
@@ -224,3 +225,20 @@ def test_import_loads_no_scipy_submodule_or_mpmath():
     )
     assert proc.stdout.strip() == "[]"
 
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_params_reject_non_finite_rates(value):
+    for name in ("lam", "gamma"):
+        rates = {"lam": 0.5, "gamma": 1.0, name: value}
+        with pytest.raises(ValueError, match="finite"):
+            SirParams(**rates, s0=5, i0=1)
+    for name in ("lam", "gamma1", "gamma2", "c"):
+        rates = {"lam": 0.5, "gamma1": 1.0, "gamma2": 1.0, "c": 1.0, name: value}
+        with pytest.raises(ValueError, match="finite"):
+            HivParams(**rates, s0=5, i0=1)
+
+
+def test_hiv_params_reject_nan_detection_age():
+    with pytest.raises(ValueError, match="detection ages"):
+        HivParams(lam=0.5, gamma1=1.0, gamma2=1.0, c=1.0, s0=5, i0=1,
+                  initial_detection_ages=(1.0, math.nan))

@@ -238,3 +238,27 @@ def test_event_spec_validation():
         DiagnosesIncrement(t=1.0, u=0.0, n_r=1)
     with pytest.raises(ValueError):
         CumulativeInfections(t=0, n_c=1)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Duration(math.nan),
+        lambda: Incidence(T=math.nan, n_i=3),
+        lambda: Incidence(T=1.0, n_i=math.nan),
+        lambda: DiagnosesIncrement(t=math.nan, u=1.0, n_r=1),
+        lambda: DiagnosesIncrement(t=0.0, u=math.nan, n_r=1),
+        lambda: DiagnosesIncrement(t=0.0, u=1.0, n_r=math.nan),
+        lambda: FinalSize(n_c=math.nan),
+        lambda: CumulativeInfections(t=math.nan, n_c=2),
+        lambda: CumulativeInfections(t=2, n_c=math.nan),
+        lambda: LevelSchedule((1.0, math.nan, 3.0), Axis.REMOVED),
+    ],
+    ids=[
+        "duration-T", "incidence-T", "incidence-n_i", "diagnoses-t", "diagnoses-u",
+        "diagnoses-n_r", "final-size-n_c", "cumulative-t", "cumulative-n_c", "schedule-level",
+    ],
+)
+def test_event_parameters_reject_nan(make):
+    with pytest.raises(ValueError):
+        make()

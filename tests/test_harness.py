@@ -78,6 +78,16 @@ master_seed = 1
     assert config.instrumental.q == pytest.approx(0.8)
 
 
+def test_parse_rejects_nan_values():
+    with pytest.raises(ValueError, match="finite"):
+        parse_config_text(TOY_TEXT.replace("lambda = 0.12", "lambda = nan"))
+    with pytest.raises(ValueError, match="horizon"):
+        parse_config_text(
+            "[x]\nmodel = sir\nlambda = 1\ngamma = 1\ns0 = 2\ni0 = 1\n"
+            "event = duration\nT = nan\nmethod = cmc\n"
+        )
+
+
 def test_parse_rejects_unknown_fields():
     with pytest.raises(ValueError, match="unknown model"):
         parse_config_text("[x]\nmodel = seir\nevent = final_size\nn_c = 1\n")

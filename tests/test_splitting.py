@@ -445,3 +445,10 @@ def test_temporal_argument_validation():
                 PURE_DEATH, horizon, n_particles=10, keep_count=5, seed=SeedSpec(0)
             )
 
+
+def test_temporal_rejects_nan_horizon():
+    # a NaN horizon used to pass every comparison and run to the stage cap
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        temporal_split_estimate(
+            PURE_DEATH, math.nan, n_particles=10, keep_count=5, seed=SeedSpec(0)
+        )
