@@ -45,39 +45,35 @@ def exact_final_size(params: SirParams) -> np.ndarray:
     s = 0).  The mass v[i] that ever visits (s, i) is what flows in from
     row s+1 plus what removals bring down from (s, i+1):
 
-        v[i] = inflow[i] + q * v[i+1],   1 <= i <= i0 + s0 - s,
+        v[i] = inflow[i] + q * v[i+1],   0 <= i <= i0 + s0 - s.
 
-    of which q * v[1] absorbs at (s, 0), and p * v[i] flows into (s-1, i+1).
-    O(s0^2) time, O(s0) memory.
+    v[0] is the mass absorbed at (s, 0), and p * v[i] for i >= 1 flows into
+    (s-1, i+1).  O(s0^2) time, O(s0) memory.
 
     Returns a length s0+1 probability vector indexed by k.
     """
     s0, i0 = params.s0, params.i0
-    dist = [0.0] * (s0 + 1)
-    if i0 == 0:
-        dist[0] = 1.0
-        return np.array(dist)
-    # inflow[i] is the mass entering row s at (s, i); index 0 stays unused
+    dist = np.zeros(s0 + 1)
+    # inflow[i]: mass entering row s at (s, i), for i <= i0 + s0 - s
     inflow = [0.0] * (i0 + 1)
     inflow[i0] = 1.0
     for s in range(s0, -1, -1):
         rate = _pair_rate_factor(params, s)  # 0 at s = 0: p = 0 and q = 1 there
         p = rate / (rate + params.gamma)
         q = params.gamma / (rate + params.gamma)
-        visits = [0.0] * len(inflow)
-        acc = 0.0
-        for i in range(len(inflow) - 1, 0, -1):
-            acc = inflow[i] + q * acc
-            visits[i] = acc
-        dist[s0 - s] = q * acc
-        inflow = [0.0, 0.0, *(p * v for v in visits[1:])]
-    out = np.array(dist)
-    total = float(out.sum())
-    if not (np.all(np.isfinite(out)) and abs(total - 1.0) <= _SUM_TOL):
+        visits = []  # v[i] from the top of the row down to v[0]
+        v = 0.0
+        for x in reversed(inflow):
+            v = x + q * v
+            visits.append(v)
+        dist[s0 - s] = visits.pop()
+        inflow = [0.0, 0.0, *[p * v for v in reversed(visits)]]
+    total = float(dist.sum())
+    if not (np.all(np.isfinite(dist)) and abs(total - 1.0) <= _SUM_TOL):
         raise FloatingPointError(
             f"final-size probabilities are not a distribution: sum {total!r}"
         )
-    return out
+    return dist
 
 
 def tail_pf(dist: np.ndarray, i0: int, n_c: int) -> float:
