@@ -491,9 +491,9 @@ def temporal_split_estimate(
     if (time_grid is None) == (keep_count is None):
         raise ValueError("provide exactly one of time_grid or keep_count")
     if time_grid is not None:
-        if time_grid[0] <= 0:
+        if not time_grid[0] > 0:
             raise ValueError("time grid entries must be positive")
-        if any(b <= a for a, b in zip(time_grid, time_grid[1:])):
+        if not all(b > a for a, b in zip(time_grid, time_grid[1:])):
             raise ValueError("time grid must be strictly increasing")
         if not math.isclose(time_grid[-1], horizon):
             raise ValueError("time grid must end at the horizon")

@@ -435,6 +435,11 @@ def test_temporal_argument_validation():
         temporal_split_estimate(
             PURE_DEATH, 2.0, n_particles=10, time_grid=(1.0, 1.5), seed=SeedSpec(0)
         )
+    for grid in ((math.nan, 2.0), (1.0, math.nan, 2.0)):
+        with pytest.raises(ValueError, match="time grid"):
+            temporal_split_estimate(
+                PURE_DEATH, 2.0, n_particles=10, time_grid=grid, seed=SeedSpec(0)
+            )
     with pytest.raises(ValueError, match="keep_count"):
         temporal_split_estimate(
             PURE_DEATH, 1.0, n_particles=10, keep_count=10, seed=SeedSpec(0)
