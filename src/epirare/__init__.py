@@ -39,7 +39,6 @@ from .events import (
     FinalSize,
     Incidence,
     LevelSchedule,
-    NoProgressError,
     hitting_time,
     indicator,
     quantile_levels,
@@ -73,7 +72,6 @@ __all__ = [
     "ModelParams",
     "NEVER",
     "Never",
-    "NoProgressError",
     "Particle",
     "ParticleEnsemble",
     "ReedFrostParams",

@@ -28,7 +28,8 @@ from .core import (
 )
 from .estimators import _ensemble_fn
 from .final_size import exact_final_size, tail_pf
-from .harness import parse_config_file, run, sweep, write_sweep_csv
+from .harness import METHODS, parse_config_file, run, sweep, write_sweep_csv
+from .splitting import VARIANTS
 
 __all__ = ["main"]
 
@@ -100,11 +101,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_exact(args: argparse.Namespace) -> int:
-    model = SirParams(
-        lam=args.lam, gamma=args.gamma, s0=args.s0, i0=args.i0,
-        scaling=Scaling(args.scaling), n=args.n,
-    )
-    dist = exact_final_size(model)
+    dist = exact_final_size(_model_from_args(args))
     with _out_stream(args.out) as out:
         out.write("k,probability\n")
         for k, prob in enumerate(dist):
@@ -198,17 +195,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_exact.add_argument("--scaling", choices=["mass_action", "unscaled"], default="mass_action")
     p_exact.add_argument("--n", type=int, default=None)
     p_exact.add_argument("--out", default=None)
-    p_exact.set_defaults(func=_cmd_exact)
+    p_exact.set_defaults(func=_cmd_exact, model="sir")
 
     p_est = sub.add_parser("estimate", help="run one experiment from a config file")
     p_est.add_argument("--config", required=True)
     p_est.add_argument("--section", default=None)
     p_est.add_argument("--seed", type=int, default=None)
     p_est.add_argument("--replications", type=int, default=None)
-    p_est.add_argument("--method", choices=["cmc", "is", "ce", "ibps", "temporal"], default=None)
+    p_est.add_argument("--method", choices=METHODS, default=None)
     p_est.add_argument("--keep-frac", type=float, default=None)
     p_est.add_argument("--alpha", type=float, default=None)
-    p_est.add_argument("--variant", choices=["multinomial", "keepall"], default=None)
+    p_est.add_argument("--variant", choices=VARIANTS, default=None)
     p_est.add_argument("--restart-on-extinction", type=int, default=None, metavar="MAX_TRIES")
     p_est.add_argument("--timing", action="store_true", help="fill the wall_seconds column")
     p_est.add_argument("--out", default=None)

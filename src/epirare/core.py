@@ -174,15 +174,6 @@ class EpidemicPath:
         """Number of jumps up to and including time t."""
         return int(np.searchsorted(self._times, t, side="right"))
 
-    def detection_times(self, t: float) -> tuple[float, ...]:
-        """Absolute times of all detections recorded up to time t."""
-        recorded = tuple(
-            ev.time
-            for ev in self.events
-            if ev.kind == EventKind.DETECTION and ev.time <= t
-        )
-        return self.initial_detection_times + recorded
-
 
 @dataclass(frozen=True)
 class ReedFrostParams:
@@ -204,7 +195,8 @@ class SirParams:
     """Markovian SIR jump process.
 
     ``scaling`` selects the infection rate lambda*S*I/n (MASS_ACTION) or
-    lambda*S*I (UNSCALED).  ``n`` defaults to the initial population.
+    lambda*S*I (UNSCALED).  ``n`` defaults to the initial population and
+    may not be smaller than it.
     """
 
     lam: float
@@ -224,6 +216,10 @@ class SirParams:
             raise ValueError("initial counts must be non-negative")
         if self.n is not None and self.n <= 0:
             raise ValueError("population size n must be positive")
+        if self.n is not None and self.n < self.s0 + self.i0:
+            raise ValueError(
+                f"population size n={self.n} is smaller than s0 + i0 = {self.s0 + self.i0}"
+            )
 
     @property
     def population(self) -> int:
@@ -341,14 +337,6 @@ def extinction_time(path: EpidemicPath) -> float | Never:
     return path.events[-1].time
 
 
-_KIND_LABELS = {
-    EventKind.INFECTION: "INFECTION",
-    EventKind.REMOVAL: "REMOVAL",
-    EventKind.DETECTION: "DETECTION",
-}
-_LABEL_KINDS = {v: k for k, v in _KIND_LABELS.items()}
-
-
 def write_path_csv(path: EpidemicPath, out: TextIO) -> None:
     """Serialize a path: header, an INIT row, then one row per event."""
     writer = csv.writer(out, lineterminator="\n")
@@ -356,7 +344,7 @@ def write_path_csv(path: EpidemicPath, out: TextIO) -> None:
     writer.writerow([repr(0.0), "INIT", path.initial.s, path.initial.i, path.initial.r])
     for ev in path.events:
         st = ev.state_after
-        writer.writerow([repr(ev.time), _KIND_LABELS[ev.kind], st.s, st.i, st.r])
+        writer.writerow([repr(ev.time), ev.kind.name, st.s, st.i, st.r])
 
 
 def read_path_csv(source: TextIO, horizon: float | None = None) -> EpidemicPath:
@@ -374,10 +362,10 @@ def read_path_csv(source: TextIO, horizon: float | None = None) -> EpidemicPath:
     events = []
     for row in rows[2:]:
         t, label = float(row[0]), row[1]
-        if label not in _LABEL_KINDS:
+        if label not in EventKind.__members__:
             raise ValueError(f"unknown event kind: {label}")
         state = CompartmentState(int(row[2]), int(row[3]), int(row[4]))
-        events.append(JumpEvent(t, _LABEL_KINDS[label], state))
+        events.append(JumpEvent(t, EventKind[label], state))
     if horizon is None:
         final = events[-1].state_after if events else initial
         horizon = math.inf if final.i == 0 else (events[-1].time if events else 0.0)

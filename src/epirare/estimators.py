@@ -30,6 +30,7 @@ from .events import (
     EventSpec,
     FinalSize,
     Incidence,
+    event_threshold,
 )
 
 __all__ = [
@@ -71,7 +72,6 @@ class Estimate:
     value: float
     std_error: float = 0.0
     per_level: tuple[float, ...] = ()
-    replications: int = 1
     diagnostics: Diagnostics = field(default_factory=Diagnostics)
 
     def __post_init__(self) -> None:
@@ -94,14 +94,15 @@ def _stop_config(spec: EventSpec) -> dict:
     raise TypeError(f"no jump-process stop rule for {spec}")
 
 
+# the column that measures a path's progress towards each event, named alike
+# in ``lockstep.JumpEnsemble`` and ``lockstep.EventLog``
+_PROGRESS = {FinalSize: "r", Incidence: "max_i", DiagnosesIncrement: "window_rem"}
+
+
 def _batch_indicators(batch: lockstep.JumpEnsemble, spec: EventSpec) -> np.ndarray:
-    if isinstance(spec, FinalSize):
-        return batch.r >= spec.n_c
-    if isinstance(spec, Incidence):
-        return batch.max_i >= spec.n_i
     if isinstance(spec, Duration):
         return batch.i > 0
-    return batch.window_rem >= spec.n_r
+    return getattr(batch, _PROGRESS[type(spec)]) >= event_threshold(spec)
 
 
 def _ensemble_fn(model: ModelParams):

@@ -3,6 +3,8 @@
 An event pairs a target set with a horizon rule.  ``score`` reports a path's
 best progress toward the target, ``indicator`` decides occurrence, and
 ``quantile_levels`` turns ensemble scores into adaptive splitting levels.
+What follows a level that does not pass the previous one, the stall rule of
+adaptive splitting, is decided in ``ibps_estimate`` alone.
 Every parameter check is written as ``not value > bound`` so that a NaN
 horizon or threshold fails it instead of slipping through.
 """
@@ -33,7 +35,6 @@ __all__ = [
     "FinalSize",
     "Incidence",
     "LevelSchedule",
-    "NoProgressError",
     "event_axis",
     "event_threshold",
     "hitting_time",
@@ -43,10 +44,6 @@ __all__ = [
 ]
 
 DiscretePath = Sequence[tuple[int, int]]
-
-
-class NoProgressError(RuntimeError):
-    """An adaptive level schedule cannot advance past the previous level."""
 
 
 @dataclass(frozen=True)
@@ -251,21 +248,16 @@ def hitting_time(
     return NEVER
 
 
-def quantile_levels(
-    scores: Sequence[float], keep_fraction: float, previous: float | None = None
-) -> float:
+def quantile_levels(scores: Sequence[float], keep_fraction: float) -> float:
     """Next adaptive level: the ceil(keep_fraction * N)-th largest score.
 
     Ties are kept as a multiset, so every path attaining the returned level
-    survives, possibly more than the nominal count.  When a previous level is
-    supplied and every score equals it, the schedule cannot advance and
-    NoProgressError is raised for the caller to decide termination.
+    survives, possibly more than the nominal count.  A level that does not
+    pass the previous one is the caller's to handle.
     """
     if len(scores) == 0:
         raise ValueError("scores must be non-empty")
     if not 0.0 < keep_fraction < 1.0:
         raise ValueError(f"keep fraction must lie in (0, 1): {keep_fraction}")
     ordered = np.sort(np.asarray(scores))
-    if previous is not None and ordered[0] == ordered[-1] == previous:
-        raise NoProgressError(f"all scores equal the previous level {previous}")
     return ordered[-math.ceil(keep_fraction * len(ordered))]

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .core import Scaling, SirParams
+from .core import SirParams
 
 __all__ = [
     "exact_final_size",
@@ -26,13 +26,6 @@ __all__ = [
 ]
 
 _SUM_TOL = 1e-9
-
-
-def _pair_rate_factor(params: SirParams, s: int) -> float:
-    """Per-infective infection rate with s susceptibles left."""
-    if params.scaling is Scaling.MASS_ACTION:
-        return params.lam * s / params.population
-    return params.lam * s
 
 
 def exact_final_size(params: SirParams) -> np.ndarray:
@@ -58,7 +51,7 @@ def exact_final_size(params: SirParams) -> np.ndarray:
     inflow = [0.0] * (i0 + 1)
     inflow[i0] = 1.0
     for s in range(s0, -1, -1):
-        rate = _pair_rate_factor(params, s)  # 0 at s = 0: p = 0 and q = 1 there
+        rate = params.pair_rate(s, 1)  # 0 at s = 0: p = 0 and q = 1 there
         p = rate / (rate + params.gamma)
         q = params.gamma / (rate + params.gamma)
         visits = []  # v[i] from the top of the row down to v[0]

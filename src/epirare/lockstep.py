@@ -169,9 +169,9 @@ class JumpEnsemble:
     def extinct(self) -> np.ndarray:
         return self.i == 0
 
-    def extinction_times(self, alive_value: float = np.inf) -> np.ndarray:
-        """Last event time where extinct, ``alive_value`` elsewhere."""
-        return np.where(self.extinct, self.t, alive_value)
+    def extinction_times(self) -> np.ndarray:
+        """Last event time where extinct, inf elsewhere."""
+        return np.where(self.extinct, self.t, np.inf)
 
 
 def _segment_cumsum(x: np.ndarray, path: np.ndarray, offsets: np.ndarray) -> np.ndarray:

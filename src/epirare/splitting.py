@@ -67,16 +67,19 @@ from .core import (
     SeedSpec,
     SirParams,
 )
-from .estimators import Diagnostics, Estimate, _ensemble_fn, _stop_config
+from .estimators import (
+    _PROGRESS,
+    Diagnostics,
+    Estimate,
+    _ensemble_fn,
+    _stop_config,
+    _validate_event_model,
+)
 from .events import (
     CumulativeInfections,
-    DiagnosesIncrement,
     Duration,
     EventSpec,
-    FinalSize,
-    Incidence,
     LevelSchedule,
-    NoProgressError,
     event_threshold,
     quantile_levels,
 )
@@ -100,7 +103,6 @@ class Particle:
 
     path: object
     level_hit_times: tuple
-    horizon: float
 
 
 @dataclass(frozen=True)
@@ -122,10 +124,6 @@ def _end_state(log: lockstep.EventLog, model: ModelParams, column: str) -> np.nd
     every = np.arange(len(log.t_stop))
     start = lockstep.initial_row(model)
     return log.state_after(every, np.diff(log.offsets), start, (column,))[column]
-
-
-# log column that measures a path's progress towards each event
-_PROGRESS = {FinalSize: "r", Incidence: "max_i", DiagnosesIncrement: "window_rem"}
 
 
 def _level_cut(
@@ -197,7 +195,7 @@ def _materialize(
     particles = []
     for k in every:
         path = log.epidemic_path(k, model)
-        particles.append(Particle(path, tuple(h[k] for h in hits), path.horizon))
+        particles.append(Particle(path, tuple(h[k] for h in hits)))
     return ParticleEnsemble(
         tuple(particles), tuple(float(w) for w in progress >= event_threshold(spec)),
         stage, tuple(levels),
@@ -403,6 +401,8 @@ def ibps_estimate(
         raise ValueError(f"variant must be one of {VARIANTS}")
     if weight_rule not in WEIGHT_RULES:
         raise ValueError(f"weight_rule must be one of {WEIGHT_RULES}")
+    if not -math.inf < alpha < math.inf:  # NaN too
+        raise ValueError(f"alpha must be finite: {alpha}")
     if isinstance(spec, Duration):
         raise ValueError("duration events split along the time axis; use temporal_split_estimate")
     if schedule is not None:
@@ -410,8 +410,7 @@ def ibps_estimate(
     discrete = isinstance(spec, CumulativeInfections)
     if weight_rule != "indicator" and not discrete:
         raise ValueError("potential weight rules apply to discrete-generation events only")
-    if discrete != isinstance(model, ReedFrostParams):
-        raise ValueError("cumulative-infection events pair with the Reed-Frost model")
+    _validate_event_model(model, spec)
     levels_fixed = schedule.levels if schedule is not None else None
     threshold = float(event_threshold(spec))
 
@@ -419,13 +418,11 @@ def ibps_estimate(
         if levels_fixed is not None:
             level = float(levels_fixed[len(levels)])
             return level, level >= threshold
-        prev = levels[-1] if levels else None
-        try:
-            level = float(quantile_levels(scores, keep_fraction, previous=prev))
-        except NoProgressError:
-            level = threshold
-        if prev is not None and level <= prev:
-            above = scores[scores > prev]
+        level = float(quantile_levels(scores, keep_fraction))
+        if levels and level <= levels[-1]:
+            # no progress at the quantile: the lowest score above the previous
+            # level, or the target when no particle passes it
+            above = scores[scores > levels[-1]]
             level = float(above.min()) if above.size else threshold
         level = min(level, threshold)
         return level, level >= threshold
@@ -451,9 +448,7 @@ def ibps_estimate(
         ensemble = ParticleEnsemble((), (), len(per_level), tuple(levels))
     elif discrete:
         particles = tuple(
-            Particle(
-                [(int(a), int(b)) for a, b in zip(S[k], I[k])], (), float(spec.t)
-            )
+            Particle([(int(a), int(b)) for a, b in zip(S[k], I[k])], ())
             for k in range(n_particles)
         )
         ensemble = ParticleEnsemble(
@@ -491,6 +486,8 @@ def temporal_split_estimate(
     if (time_grid is None) == (keep_count is None):
         raise ValueError("provide exactly one of time_grid or keep_count")
     if time_grid is not None:
+        if len(time_grid) == 0:
+            raise ValueError("time grid must not be empty")
         if not time_grid[0] > 0:
             raise ValueError("time grid entries must be positive")
         if not all(b > a for a, b in zip(time_grid, time_grid[1:])):

@@ -22,9 +22,9 @@ from epirare import (
     SeedSpec,
     SirParams,
 )
-from epirare.estimators import _ensemble_fn, _stop_config
+from epirare.estimators import _PROGRESS, _ensemble_fn, _stop_config
 from epirare.lockstep import initial_row
-from epirare.splitting import _PROGRESS, _branch, _end_state, _level_cut
+from epirare.splitting import _branch, _end_state, _level_cut
 
 MODELS = {
     "sir": SirParams(lam=0.035, gamma=1.0, s0=30, i0=2, scaling=Scaling.UNSCALED),

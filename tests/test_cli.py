@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import os
 import subprocess
 import sys
 import warnings
@@ -10,11 +11,16 @@ from epirare import read_path_csv
 from epirare.cli import main
 
 
+# the child interpreter imports epirare from wherever this one does
+_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+
+
 def _run_cli(*argv):
     proc = subprocess.run(
         [sys.executable, "-m", "epirare.cli", *argv],
         capture_output=True,
         text=True,
+        env=_ENV,
     )
     return proc
 
@@ -217,6 +223,15 @@ def test_cli_error_exit_code():
     assert "error" in proc.stderr
 
 
+def test_exact_rejects_population_below_initial_counts(capsys):
+    # used to print P(k=40) = 0.85 for a population of 5 holding 41 people
+    argv = ["exact", "--lam", "1", "--gamma", "1", "--s0", "40", "--i0", "1", "--n", "5"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "smaller than s0 + i0" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_entry_point_runs():
     proc = _run_cli("exact", "--lam", "1", "--gamma", "1", "--s0", "2", "--i0", "1")
     assert proc.returncode == 0
@@ -229,6 +244,7 @@ def test_cli_closed_output_pipe_is_quiet():
         [sys.executable, "-m", "epirare.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        env=_ENV,
     )
     proc.stdout.close()  # no reader left before the first write
     _, err = proc.communicate(timeout=120)

@@ -205,7 +205,7 @@ def test_package_root_exports():
     for name in (
         "EVENT_CAP", "StopRule", "hiv_rates", "hiv_simulate", "rf_simulate", "rf_step",
         "sir_rates", "sir_simulate", "sir_importance_ratio", "rf_log_likelihood",
-        "UnstableSolveError", "brute_force_final_size",
+        "UnstableSolveError", "brute_force_final_size", "NoProgressError",
     ):
         assert not hasattr(epirare, name), name
     with pytest.raises(ModuleNotFoundError):
@@ -236,6 +236,12 @@ def test_params_reject_non_finite_rates(value):
         rates = {"lam": 0.5, "gamma1": 1.0, "gamma2": 1.0, "c": 1.0, name: value}
         with pytest.raises(ValueError, match="finite"):
             HivParams(**rates, s0=5, i0=1)
+
+
+def test_sir_params_reject_population_below_initial_counts():
+    with pytest.raises(ValueError, match=r"smaller than s0 \+ i0"):
+        SirParams(lam=1.0, gamma=1.0, s0=40, i0=1, n=5)
+    assert SirParams(lam=1.0, gamma=1.0, s0=40, i0=1, n=41).population == 41
 
 
 def test_hiv_params_reject_nan_detection_age():

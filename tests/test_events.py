@@ -16,7 +16,6 @@ from epirare import (
     Incidence,
     JumpEvent,
     LevelSchedule,
-    NoProgressError,
     Scaling,
     SeedSpec,
     SimulationError,
@@ -177,6 +176,8 @@ def test_quantile_levels_tie_multiset():
     level = quantile_levels(scores, 0.5)
     assert level == 3
     assert sum(s >= level for s in scores) == 3
+    assert quantile_levels([4, 4, 4], 0.5) == 4
+    assert quantile_levels([4, 5, 4], 0.5) == 4
 
 
 def test_quantile_levels_order_statistic():
@@ -199,14 +200,6 @@ def test_quantile_levels_matches_sorted_reference_on_ties():
             reference = sorted(scores, reverse=True)[math.ceil(keep * size) - 1]
             assert quantile_levels(scores, keep) == reference
             assert quantile_levels(np.array(scores, dtype=float), keep) == reference
-
-
-def test_quantile_levels_no_progress_signal():
-    with pytest.raises(NoProgressError):
-        quantile_levels([4, 4, 4], 0.5, previous=4)
-    # distinct scores or a different previous level do not trip it
-    assert quantile_levels([4, 4, 4], 0.5, previous=3) == 4
-    assert quantile_levels([4, 5, 4], 0.5, previous=4) == 4
 
 
 def test_quantile_levels_validates_inputs():

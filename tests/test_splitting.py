@@ -323,6 +323,31 @@ def test_hiv_splitting_agreement_with_cmc():
     assert abs(values.mean() - p_ref) < 3 * sem + 3 * se_ref
 
 
+def test_adaptive_stall_jumps_to_the_threshold():
+    # without infections every final size is i0: the first adaptive level is
+    # i0, and no particle can pass it, so the next level is the event threshold
+    model = SirParams(lam=0.0, gamma=1.0, s0=5, i0=2, scaling=Scaling.UNSCALED)
+    est, ensemble = ibps_estimate(
+        model, FinalSize(n_c=4), n_particles=10, keep_fraction=0.5, seed=SeedSpec(3),
+        conditional_sample=False,
+    )
+    assert ensemble.levels == (2.0, 4.0)
+    assert est.per_level == (1.0, 0.0)
+    assert est.value == 0.0
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_ibps_rejects_non_finite_alpha(alpha):
+    # used to fail inside numpy's weighted draw with "Probabilities contain NaN"
+    with pytest.raises(ValueError, match="alpha"):
+        ibps_estimate(
+            ReedFrostParams(q=0.9805, s0=99, i0=1), CumulativeInfections(t=10, n_c=90),
+            n_particles=20,
+            schedule=LevelSchedule(tuple(range(10, 100, 10)), Axis.CUMULATIVE_INFECTIONS),
+            weight_rule="potential_v", alpha=alpha, seed=SeedSpec(0),
+        )
+
+
 def test_ibps_argument_validation():
     with pytest.raises(ValueError, match="exactly one"):
         ibps_estimate(TOY, TOY_SPEC, n_particles=10, seed=SeedSpec(0))
@@ -435,7 +460,7 @@ def test_temporal_argument_validation():
         temporal_split_estimate(
             PURE_DEATH, 2.0, n_particles=10, time_grid=(1.0, 1.5), seed=SeedSpec(0)
         )
-    for grid in ((math.nan, 2.0), (1.0, math.nan, 2.0)):
+    for grid in ((), (math.nan, 2.0), (1.0, math.nan, 2.0)):
         with pytest.raises(ValueError, match="time grid"):
             temporal_split_estimate(
                 PURE_DEATH, 2.0, n_particles=10, time_grid=grid, seed=SeedSpec(0)
