@@ -255,8 +255,8 @@ class HivParams:
                 raise ValueError(f"{name} must be finite and non-negative")
         if self.s0 < 0 or self.i0 < 0:
             raise ValueError("initial counts must be non-negative")
-        if not all(a >= 0 for a in self.initial_detection_ages):
-            raise ValueError("detection ages must be non-negative")
+        if not all(0 <= a < math.inf for a in self.initial_detection_ages):
+            raise ValueError("detection ages must be finite and non-negative")
 
     @property
     def r0_count(self) -> int:

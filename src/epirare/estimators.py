@@ -167,6 +167,8 @@ def _is_weights(
     instrumental law and return the per-path weights (likelihood ratio x
     event indicator), whether a hit's finite log-ratio overflows, and the
     paths: the (S, I) chains for Reed-Frost, the engine batch for SIR."""
+    if n_paths < 1:
+        raise ValueError("n_paths must be at least 1")
     if isinstance(model, ReedFrostParams):
         S, I = lockstep.rf_chains(instrumental, spec.t - 1, n_paths, rng)
         hits = I.sum(axis=1) >= spec.n_c

@@ -2,7 +2,9 @@
 
 These engines simulate every path the package produces, tracking exactly the
 per-path summaries the estimators need (running maxima, event counts, rate
-integrals, and with ``record=True`` a flat event log).
+integrals, and with ``record=True`` a flat event log).  A log row is the
+engine's own state of a path right after one of its events, recorded as the
+loop holds it; the log only groups the rows by path.
 
 SIR and contact tracing share one loop, ``_jump_loop``, and plug into it
 through a rate hook, ``_Rates``; only contact tracing, whose rates decay
@@ -174,52 +176,39 @@ class JumpEnsemble:
         return np.where(self.extinct, self.t, np.inf)
 
 
-def _segment_cumsum(x: np.ndarray, path: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Running sum of ``x`` along each path's rows."""
-    total = np.cumsum(x, dtype=np.int64)
-    before = np.concatenate(([0], total))[offsets[:-1]]
-    return total - before[path]
-
-
 def _event_log(
-    init: tuple[np.ndarray, np.ndarray, np.ndarray],
-    rec: list[list[np.ndarray]],
+    rec: list[tuple[np.ndarray, np.ndarray]],
     other_kind: int,
+    thinning: bool,
     window: tuple[float, float] | None,
     t_stop: np.ndarray,
 ) -> EventLog:
-    """Group the per-iteration records by path and derive post-event states.
+    """Group the recorded rows by path.
 
-    ``init`` holds each path's starting (s, i, r); ``rec`` the recorded path
-    indices, times, infection flags and, for contact tracing, decayed sums.
-    Events that are not infections are of ``other_kind``.
+    ``rec`` holds, per iteration, the logged rows of ``_jump_loop``'s block
+    for the paths that jumped, in their post-event state, and whether each
+    jump was an infection; other events are of ``other_kind``.
     """
-    s0, i0, r0 = init
-    n = len(s0)
-    idx, times, infections, *decayed = (
-        np.concatenate(col) if col else np.empty(0, dtype)
-        for col, dtype in zip(rec, (float, float, bool, float))
-    )
-    order = np.argsort(idx, kind="stable")
-    path, t, is_inf = idx[order].astype(np.int64), times[order], infections[order]
+    rows = np.concatenate([x for x, _ in rec], axis=1)
+    is_inf = np.concatenate([x for _, x in rec])
+    rec.clear()  # frees the per-iteration copies before the sorted ones exist
+    order = np.argsort(rows[5], kind="stable")
+
+    def column(k, dtype=float):
+        # one row at a time: a sorted copy of the whole block would double the
+        # log's peak memory
+        return rows[k][order].astype(dtype, copy=False)
+
+    path = column(5, np.int64)
+    n = len(t_stop)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(path, minlength=n), out=offsets[1:])
-    n_inf = _segment_cumsum(is_inf, path, offsets)
-    n_rem = np.arange(1, len(path) + 1) - offsets[path] - n_inf
-    i = i0[path] + n_inf - n_rem
-    # a running maximum restarted per path: lift path p's values above all of
-    # path p-1's, accumulate once, and drop the lift again
-    lift = path * (int(i.max(initial=0)) + 1)
-    max_i = np.maximum(np.maximum.accumulate(i + lift) - lift, i0[path])
-    in_window = None
-    if window is not None:
-        in_window = _segment_cumsum(
-            ~is_inf & (t > window[0]) & (t <= window[1]), path, offsets
-        )
-    kind = np.where(is_inf, EventKind.INFECTION.value, other_kind).astype(np.int8)
+    s, i, r, max_i = (column(k, np.int64) for k in (0, 1, 2, 4))
+    kind = np.where(is_inf[order], EventKind.INFECTION.value, other_kind).astype(np.int8)
     return EventLog(
-        path, t, kind, s0[path] - n_inf, i, r0[path] + n_rem, max_i, in_window,
-        decayed[0][order] if decayed else None, offsets, t_stop,
+        path, column(3), kind, s, i, r, max_i,
+        column(-1, np.int64) if window is not None else None,
+        column(6) if thinning else None, offsets, t_stop,
     )
 
 
@@ -275,7 +264,9 @@ def _jump_loop(
 
     ``block`` holds the live paths' state, a row per quantity and a column
     per path (counts are exact in float64); finished columns go to
-    ``finished`` and are written back to ``out`` at the end."""
+    ``finished`` and are written back to ``out`` at the end.  With
+    ``record``, each iteration keeps the logged rows of the columns that
+    jumped, after the jump."""
     if init is None:
         fresh = initial_row(model)
         init = [np.full(int(n_paths), fresh[k]) for k in ("s", "i", "r", "t", "decayed")
@@ -286,11 +277,13 @@ def _jump_loop(
     thinning = rates.decay is not None
     finite = horizon < np.inf
     target = {Axis.INFECTED: 1, Axis.REMOVED: 2}.get(target_axis)
-    # rows: s, i, r, t, max_i, path, then decayed or the two rate integrals,
-    # then the window's removal count
-    zeros = np.zeros((2 * (not thinning) + (window is not None), n))
+    # rows: s, i, r, t, max_i, path, then decayed (thinning) and the window's
+    # removal count, the rows an event log keeps; then, without thinning, the
+    # two rate integrals
+    logged = 6 + thinning + (window is not None)
+    zeros = np.zeros(((window is not None) + 2 * (not thinning), n))
     out = np.array([s0, i0, r0, t0, i0, np.arange(n), *decayed0, *zeros], dtype=float)
-    rec: list[list[np.ndarray]] = [[] for _ in range(3 + thinning)]
+    rec = [(out[:logged, :0], np.zeros(0, dtype=bool))]
     finished = [out[:, :0]]
     block = out
     for _ in range(_ITERATION_CAP + 1):
@@ -322,8 +315,8 @@ def _jump_loop(
             if finite:
                 jump &= t_new <= horizon
         else:
-            extra[0] += s * i * dt * rates.pair_scale
-            extra[1] += i * dt
+            extra[-2] += s * i * dt * rates.pair_scale
+            extra[-1] += i * dt
             jump = t_new <= horizon if finite else None
         is_inf = u[-1] * rate_tot < rate_inf
         inf, rem = (is_inf, ~is_inf) if jump is None else (jump & is_inf, jump > is_inf)
@@ -336,19 +329,21 @@ def _jump_loop(
         if thinning:
             decayed += rem
         if window is not None:
-            extra[-1] += rem & (t > window[0]) & (t <= window[1])
+            extra[thinning] += rem & (t > window[0]) & (t <= window[1])
         if record:
-            for col, x in zip(rec, (path, t, is_inf, decayed)):
-                col.append(x.copy() if jump is None else x[jump])
+            if jump is None:
+                rec.append((block[:logged].copy(), is_inf))
+            else:
+                rec.append((block[:logged].compress(jump, axis=1), is_inf[jump]))
     else:
         raise SimulationError("iteration cap exceeded in ensemble simulation")
 
     done = np.concatenate(finished, axis=1)
     out[:, done[5].astype(np.int64)] = done
     s, i, r, max_i = (out[k].astype(np.int64) for k in (0, 1, 2, 4))
-    t, integrals = out[3], (np.zeros(n), np.zeros(n)) if thinning else out[6:8]
-    window_rem = out[-1].astype(np.int64) if window is not None else None
-    log = _event_log((s0, i0, r0), rec, rates.other_kind, window, t) if record else None
+    t, integrals = out[3], (np.zeros(n), np.zeros(n)) if thinning else out[-2:]
+    window_rem = out[logged - 1].astype(np.int64) if window is not None else None
+    log = _event_log(rec, rates.other_kind, thinning, window, t) if record else None
     return JumpEnsemble(
         s, i, r, t, max_i, s0 - s, r - r0, *integrals, window_rem, log,
         out[6] if thinning else None,

@@ -285,8 +285,7 @@ def _ibps_discrete(
     model: ReedFrostParams,
     spec: CumulativeInfections,
     n_particles: int,
-    levels_fixed: tuple[float, ...] | None,
-    keep_fraction: float | None,
+    next_level,
     weight_rule: str,
     alpha: float,
     seed: SeedSpec,
@@ -297,14 +296,12 @@ def _ibps_discrete(
     Every generation selects all N slots anew from the weighted ensemble and
     advances them by one fresh transition (the whole future is re-simulated
     generation by generation anyway, so this is the only mutation needed).
+    ``next_level(scores, levels)`` gives each generation's level from the
+    cumulative infection counts, as in ``_stage_loop``.
 
     Returns (value, per_level, levels, S history, I history, final weights,
     extinct flag)."""
     t_end = spec.t
-    if levels_fixed is not None and len(levels_fixed) != t_end - 1:
-        raise ValueError(
-            "discrete schedules need exactly one level per selection generation"
-        )
     n = n_particles
     S = np.zeros((n, t_end), dtype=np.int64)
     I = np.zeros((n, t_end), dtype=np.int64)
@@ -315,16 +312,11 @@ def _ibps_discrete(
     log_mean_total = 0.0
     per_level: list[float] = []
     levels: list[float] = []
-    prev_level = -math.inf
     for g in range(1, t_end):
         adv_rng = seed.stream(particle=0, stage=stage_base + g).generator()
         S[:, g], I[:, g] = lockstep.rf_advance(S[:, g - 1], I[:, g - 1], model.q, adv_rng)
         cum += I[:, g]
-        if levels_fixed is not None:
-            level = float(levels_fixed[g - 1])
-        else:
-            level = float(quantile_levels(cum, keep_fraction))
-            level = max(min(level, float(spec.n_c)), prev_level)
+        level, _ = next_level(cum, levels)
         levels.append(level)
         surv = cum >= level
         if weight_rule == "indicator":
@@ -349,7 +341,6 @@ def _ibps_discrete(
         I[:, : g + 1] = I[parents, : g + 1]
         cum = cum[parents]
         log_w = log_w[parents] + gained[parents]
-        prev_level = level
     ind = cum >= spec.n_c
     per_level.append(float(np.mean(ind)))
     if weight_rule == "indicator":
@@ -405,9 +396,13 @@ def ibps_estimate(
         raise ValueError(f"alpha must be finite: {alpha}")
     if isinstance(spec, Duration):
         raise ValueError("duration events split along the time axis; use temporal_split_estimate")
+    discrete = isinstance(spec, CumulativeInfections)
     if schedule is not None:
         schedule.validate_against(spec)
-    discrete = isinstance(spec, CumulativeInfections)
+        if discrete and len(schedule.levels) != spec.t - 1:
+            raise ValueError(
+                "discrete schedules need exactly one level per selection generation"
+            )
     if weight_rule != "indicator" and not discrete:
         raise ValueError("potential weight rules apply to discrete-generation events only")
     _validate_event_model(model, spec)
@@ -420,18 +415,21 @@ def ibps_estimate(
             return level, level >= threshold
         level = float(quantile_levels(scores, keep_fraction))
         if levels and level <= levels[-1]:
-            # no progress at the quantile: the lowest score above the previous
-            # level, or the target when no particle passes it
-            above = scores[scores > levels[-1]]
-            level = float(above.min()) if above.size else threshold
+            if discrete:
+                # no progress at the quantile: a generation keeps the previous level
+                level = levels[-1]
+            else:
+                # no progress at the quantile: the lowest score above the
+                # previous level, or the target when no particle passes it
+                above = scores[scores > levels[-1]]
+                level = float(above.min()) if above.size else threshold
         level = min(level, threshold)
         return level, level >= threshold
 
     if discrete:
         (value, per_level, levels, S, I, weights, _), extinct_count = _with_restarts(
             lambda stage_base: _ibps_discrete(
-                model, spec, n_particles, levels_fixed, keep_fraction,
-                weight_rule, alpha, seed, stage_base,
+                model, spec, n_particles, next_level, weight_rule, alpha, seed, stage_base,
             ),
             restart_on_extinction,
         )

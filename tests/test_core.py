@@ -245,6 +245,8 @@ def test_sir_params_reject_population_below_initial_counts():
 
 
 def test_hiv_params_reject_nan_detection_age():
-    with pytest.raises(ValueError, match="detection ages"):
-        HivParams(lam=0.5, gamma1=1.0, gamma2=1.0, c=1.0, s0=5, i0=1,
-                  initial_detection_ages=(1.0, math.nan))
+    # an infinite age would make the decayed sum exp(-0 * inf) = nan at c = 0
+    for age in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="detection ages"):
+            HivParams(lam=0.5, gamma1=1.0, gamma2=1.0, c=1.0, s0=5, i0=1,
+                      initial_detection_ages=(1.0, age))

@@ -56,6 +56,24 @@ def test_cmc_reed_frost_cumulative():
     assert est.value == 1.0
 
 
+@pytest.mark.parametrize(
+    "model, spec",
+    [
+        (TOY, FinalSize(n_c=5)),
+        (ReedFrostParams(q=0.5, s0=4, i0=1), CumulativeInfections(t=3, n_c=2)),
+    ],
+)
+def test_every_monte_carlo_estimator_rejects_zero_paths(model, spec):
+    calls = [
+        lambda: cmc(model, spec, 0, SeedSpec(4)),
+        lambda: is_estimate(model, spec, model, 0, SeedSpec(4)),
+        lambda: ce_estimate(model, spec, 0, 2, SeedSpec(4)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="n_paths must be at least 1"):
+            call()
+
+
 def _check_engine_ratio(base, instr, seed, n_paths=40, **stop):
     """``_sir_log_ratio`` on an engine batch simulated under ``instr`` against
     the reference ratio of each recorded path; returns the batch."""

@@ -54,9 +54,19 @@ def _check(ens, start, horizon=np.inf):
     np.testing.assert_array_equal(np.diff(log.offsets), ens.n_inf + ens.n_rem)
     np.testing.assert_array_equal(log.s + log.i + log.r, (s0 + i0 + r0)[log.path])
     assert np.all(log.t <= horizon)
+    # each path's last row is its state after its last event
     last = log.offsets[1:][np.diff(log.offsets) > 0] - 1
-    np.testing.assert_array_equal(log.s[last], ens.s[log.path[last]])
-    np.testing.assert_array_equal(log.max_i[last], ens.max_i[log.path[last]])
+    at = log.path[last]
+    columns = ["s", "i", "r", "max_i"] + ["window_rem"] * (ens.window_rem is not None)
+    for name in columns:
+        np.testing.assert_array_equal(getattr(log, name)[last], getattr(ens, name)[at])
+    assert np.all(log.t[last] <= ens.t[at])
+    if ens.decayed is not None:
+        # between its last event and its stop a path's decayed sum only decays
+        np.testing.assert_allclose(
+            log.decayed[last] * np.exp(-HIV.c * (ens.t[at] - log.t[last])),
+            ens.decayed[at], rtol=1e-12,
+        )
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
