@@ -1,5 +1,8 @@
 import io
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -157,6 +160,23 @@ def test_run_parallel_workers_match_serial():
     serial = run(config)
     parallel = run(type(config)(**{**config.__dict__, "workers": 2}))
     assert serial.estimates == parallel.estimates
+
+
+@pytest.mark.parametrize("workers", [0, -4])
+def test_parse_rejects_workers_below_one(workers):
+    text = TOY_TEXT.split("[toy-ibps]")[0] + f"workers = {workers}\n"
+    with pytest.raises(ValueError, match="workers must be positive"):
+        parse_config_text(text)
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only a run with workers > 1 needs it
+    code = "import sys, epirare.harness; print('concurrent.futures.process' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_run_wraps_errors_with_replication_index():
