@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .core import (
 )
 
 __all__ = [
-    "EventLog", "JumpEnsemble", "hiv_ensemble", "initial_row", "rf_advance", "rf_chains",
+    "EventLog", "JumpEnsemble", "Recorded", "hiv_ensemble", "initial_row", "rf_advance", "rf_chains",
     "rf_loglik", "sir_ensemble",
 ]
 
@@ -98,52 +99,45 @@ class EventLog:
             detections,
         )
 
-    def splice(
+    def take(
         self,
-        targets: np.ndarray,
-        parents: np.ndarray,
-        keep: np.ndarray,
+        paths: np.ndarray,
+        start: np.ndarray | None = None,
+        stop: np.ndarray | None = None,
         tail: "EventLog | None" = None,
-        whole: bool = True,
     ) -> "EventLog":
-        """This log with path ``targets[j]`` replaced by the first ``keep[j]``
-        rows of path ``parents[j]`` followed by path j of ``tail``, or by all
-        of the parent when there is no tail.
+        """Path j of the result: rows ``start[j]:stop[j]`` of this log's path
+        ``paths[j]`` (all of its rows by default), then path j of ``tail``.
 
-        ``whole=False`` keeps only the last of those parent rows: the state a
-        later cut needs, since cuts never move back in time.
+        Path j stops where ``tail``'s path j does, or where path ``paths[j]``
+        does when there is no tail.
         """
-        n = len(self.offsets) - 1
-        head_len = np.diff(self.offsets)
-        head_len[targets] = keep if whole else np.minimum(keep, 1)
-        head_start = self.offsets[:-1].copy()
-        head_start[targets] = self.offsets[parents] + keep - head_len[targets]
-        tail_start = np.zeros(n, dtype=np.int64)
-        tail_len = np.zeros(n, dtype=np.int64)
-        t_stop = self.t_stop.copy()
-        t_stop[targets] = self.t_stop[parents] if tail is None else tail.t_stop
+        base = self.offsets[paths]
+        head_start = base if start is None else base + start
+        head_len = (self.offsets[paths + 1] if stop is None else base + stop) - head_start
         columns = {
             name: getattr(self, name)
             for name in ("kind", *self.STATE) if getattr(self, name) is not None
         }
-        if tail is not None:
-            tail_start[targets] = len(self.t) + tail.offsets[:-1]
-            tail_len[targets] = np.diff(tail.offsets)
+        if tail is None:
+            starts, lengths, per_path, t_stop = head_start, head_len, head_len, self.t_stop[paths]
+        else:
+            # path j's head range, then its tail range, in the joined columns
+            tail_len = np.diff(tail.offsets)
+            starts = np.column_stack([head_start, len(self.t) + tail.offsets[:-1]]).ravel()
+            lengths = np.column_stack([head_len, tail_len]).ravel()
+            per_path, t_stop = head_len + tail_len, tail.t_stop
             columns = {
                 name: np.concatenate([col, getattr(tail, name)])
                 for name, col in columns.items()
             }
-        # new rows: path k's head range, then its tail range
-        starts = np.column_stack([head_start, tail_start]).ravel()
-        lengths = np.column_stack([head_len, tail_len]).ravel()
-        ends = np.cumsum(lengths)
-        rows = np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
-        per_path = head_len + tail_len
-        offsets = np.zeros(n + 1, dtype=np.int64)
+        offsets = np.zeros(len(paths) + 1, dtype=np.int64)
         np.cumsum(per_path, out=offsets[1:])
+        ends = np.cumsum(lengths)
+        rows = np.arange(offsets[-1]) + np.repeat(starts - ends + lengths, lengths)
         return dataclasses.replace(
             self,
-            path=np.repeat(np.arange(n), per_path),
+            path=np.repeat(np.arange(len(paths)), per_path),
             offsets=offsets,
             t_stop=t_stop,
             **{name: col[rows] for name, col in columns.items()},
@@ -151,8 +145,69 @@ class EventLog:
 
 
 @dataclass
+class Recorded:
+    """The rows one recording engine call kept, in the loop's order.
+
+    Column k of ``rows`` is a path's state right after one of its events, as
+    the loop held it: s, i, r, t, max_i and path, then decayed (contact
+    tracing) and the window's removal count (when the call had a window).
+    ``is_inf`` is 1 where the event was an infection; other events are of
+    ``other_kind``.  A path's rows come in time order, interleaved with the
+    other paths' rows; ``log`` groups them.
+    """
+
+    rows: np.ndarray
+    is_inf: np.ndarray
+    other_kind: int
+    thinning: bool
+    windowed: bool
+    t_stop: np.ndarray
+
+    def log(self, paths: np.ndarray | None = None) -> EventLog:
+        """The rows grouped by path: path j of the log holds the rows of this
+        call's path ``paths[j]``, or none where that is -1 (its ``t_stop`` is
+        then nan).  Every path, in order, by default."""
+        path = self.rows[5]
+        if paths is None:
+            order = np.argsort(path, kind="stable")
+            t_stop = self.t_stop
+            log_path = path[order].astype(np.int64)
+        else:
+            # each call path's position in ``paths``; the extra last entry is
+            # where -1 points, and stays -1
+            at = np.full(len(self.t_stop) + 1, -1, dtype=np.int64)
+            at[paths] = np.arange(len(paths))
+            at[-1] = -1
+            position = at[path.astype(np.intp)]
+            (picked,) = (position >= 0).nonzero()
+            order = picked[np.argsort(position[picked], kind="stable")]
+            t_stop = np.append(self.t_stop, np.nan)[paths]
+            log_path = position[order]
+
+        def column(k, dtype=float):
+            # one row at a time: a sorted copy of the whole block would double
+            # the log's peak memory
+            return self.rows[k][order].astype(dtype, copy=False)
+
+        n = len(t_stop)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(log_path, minlength=n), out=offsets[1:])
+        s, i, r, max_i = (column(k, np.int64) for k in (0, 1, 2, 4))
+        kind = np.where(self.is_inf[order], EventKind.INFECTION.value, self.other_kind)
+        return EventLog(
+            log_path, column(3), kind.astype(np.int8), s, i, r, max_i,
+            column(-1, np.int64) if self.windowed else None,
+            column(6) if self.thinning else None, offsets, t_stop,
+        )
+
+
+@dataclass
 class JumpEnsemble:
-    """Per-path summaries of a batch of jump-process simulations."""
+    """Per-path summaries of a batch of jump-process simulations.
+
+    A recording call also hands back the rows it kept, ungrouped, as
+    ``recorded``; ``log`` groups every path's rows on first use.
+    """
 
     s: np.ndarray
     i: np.ndarray
@@ -164,8 +219,15 @@ class JumpEnsemble:
     int_pair: np.ndarray
     int_i: np.ndarray
     window_rem: np.ndarray | None = None
-    log: EventLog | None = None
     decayed: np.ndarray | None = None
+    recorded: dataclasses.InitVar[Recorded | None] = None
+
+    def __post_init__(self, recorded: Recorded | None) -> None:
+        self.recorded = recorded
+
+    @cached_property
+    def log(self) -> EventLog | None:
+        return None if self.recorded is None else self.recorded.log()
 
     @property
     def extinct(self) -> np.ndarray:
@@ -174,42 +236,6 @@ class JumpEnsemble:
     def extinction_times(self) -> np.ndarray:
         """Last event time where extinct, inf elsewhere."""
         return np.where(self.extinct, self.t, np.inf)
-
-
-def _event_log(
-    rec: list[tuple[np.ndarray, np.ndarray]],
-    other_kind: int,
-    thinning: bool,
-    window: tuple[float, float] | None,
-    t_stop: np.ndarray,
-) -> EventLog:
-    """Group the recorded rows by path.
-
-    ``rec`` holds, per iteration, the logged rows of ``_jump_loop``'s block
-    for the paths that jumped, in their post-event state, and whether each
-    jump was an infection; other events are of ``other_kind``.
-    """
-    rows = np.concatenate([x for x, _ in rec], axis=1)
-    is_inf = np.concatenate([x for _, x in rec])
-    rec.clear()  # frees the per-iteration copies before the sorted ones exist
-    order = np.argsort(rows[5], kind="stable")
-
-    def column(k, dtype=float):
-        # one row at a time: a sorted copy of the whole block would double the
-        # log's peak memory
-        return rows[k][order].astype(dtype, copy=False)
-
-    path = column(5, np.int64)
-    n = len(t_stop)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(path, minlength=n), out=offsets[1:])
-    s, i, r, max_i = (column(k, np.int64) for k in (0, 1, 2, 4))
-    kind = np.where(is_inf[order], EventKind.INFECTION.value, other_kind).astype(np.int8)
-    return EventLog(
-        path, column(3), kind, s, i, r, max_i,
-        column(-1, np.int64) if window is not None else None,
-        column(6) if thinning else None, offsets, t_stop,
-    )
 
 
 def initial_row(model: SirParams | HivParams) -> dict:
@@ -226,14 +252,23 @@ class _Rates:
     """The rate hook of one model: infections at ``coef * s * i``, removals
     (detections) at ``gamma * i + traced * i * decayed``.  With a ``decay``
     rate of the decayed sum the loop thins; without, every proposal is a
-    jump and the loop sums the rate integrals importance sampling needs."""
+    jump and the loop sums the rate integrals importance sampling needs,
+    the pair integral scaled by ``pair_scale`` where there is one.
+
+    The rates are held as 0-d arrays: numpy converts a Python float beside a
+    row on every call, which the loop would pay each iteration."""
 
     coef: float
     gamma: float
     other_kind: int
-    pair_scale: float = 1.0
+    pair_scale: float | None = None
     traced: float = 0.0
     decay: float | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("coef", "gamma", "pair_scale", "traced", "decay"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
 
     def __call__(self, s: np.ndarray, i: np.ndarray, decayed: np.ndarray | None):
         """Infection and total rate; under thinning, a bound until the next jump."""
@@ -265,8 +300,13 @@ def _jump_loop(
     ``block`` holds the live paths' state, a row per quantity and a column
     per path (counts are exact in float64); finished columns go to
     ``finished`` and are written back to ``out`` at the end.  With
-    ``record``, each iteration keeps the logged rows of the columns that
-    jumped, after the jump."""
+    ``record``, each iteration appends the logged rows of the columns that
+    jumped, after the jump, and whether each jump was an infection, to one
+    buffer that doubles when full.
+
+    The loop runs once per event of the slowest path, mostly on a handful
+    of live paths, so it keeps numpy's fixed cost per call down: constants
+    are 0-d arrays, and it calls no ufunc with keywords."""
     if init is None:
         fresh = initial_row(model)
         init = [np.full(int(n_paths), fresh[k]) for k in ("s", "i", "r", "t", "decayed")
@@ -277,13 +317,19 @@ def _jump_loop(
     thinning = rates.decay is not None
     finite = horizon < np.inf
     target = {Axis.INFECTED: 1, Axis.REMOVED: 2}.get(target_axis)
+    horizon, target_level = np.array(horizon), np.array(target_level, dtype=float)
+    if window is not None:
+        opens, closes = np.array(window[0]), np.array(window[1])
+    if thinning:
+        neg_decay, slack = -rates.decay, np.array(1.0 + 1e-12)
     # rows: s, i, r, t, max_i, path, then decayed (thinning) and the window's
     # removal count, the rows an event log keeps; then, without thinning, the
     # two rate integrals
     logged = 6 + thinning + (window is not None)
     zeros = np.zeros(((window is not None) + 2 * (not thinning), n))
     out = np.array([s0, i0, r0, t0, i0, np.arange(n), *decayed0, *zeros], dtype=float)
-    rec = [(out[:logged, :0], np.zeros(0, dtype=bool))]
+    if record:
+        buf, filled = np.empty((logged + 1, 8 * n + 64)), 0
     finished = [out[:, :0]]
     block = out
     for _ in range(_ITERATION_CAP + 1):
@@ -292,9 +338,9 @@ def _jump_loop(
             alive &= block[3] < horizon
         if target is not None:
             alive &= block[target] < target_level
-        keep = np.flatnonzero(alive)
+        (keep,) = alive.nonzero()
         if keep.size < block.shape[1]:
-            finished.append(block.take(np.flatnonzero(~alive), axis=1))
+            finished.append(block.take((~alive).nonzero()[0], axis=1))
             block = block.take(keep, axis=1)
         if not keep.size:
             break
@@ -307,15 +353,16 @@ def _jump_loop(
         dt = t_next - t
         if thinning:
             bound = rate_tot
-            decayed *= np.exp(-rates.decay * dt)
+            decayed *= np.exp(neg_decay * dt)
             rate_tot = rate_inf + rates.detection(i, decayed)
-            if np.any(rate_tot > bound * (1.0 + 1e-12)):
+            if (rate_tot > bound * slack).any():
                 raise AssertionError("thinning bound fell below the instantaneous rate")
             jump = u[1] * bound < rate_tot
             if finite:
                 jump &= t_new <= horizon
         else:
-            extra[-2] += s * i * dt * rates.pair_scale
+            pair = s * i * dt
+            extra[-2] += pair if rates.pair_scale is None else pair * rates.pair_scale
             extra[-1] += i * dt
             jump = t_new <= horizon if finite else None
         is_inf = u[-1] * rate_tot < rate_inf
@@ -324,17 +371,22 @@ def _jump_loop(
         i += inf
         i -= rem
         r += rem
-        np.maximum(max_i, i, out=max_i)
-        t[:] = t_next
+        max_i[...] = np.maximum(max_i, i)
+        t[...] = t_next
         if thinning:
             decayed += rem
         if window is not None:
-            extra[thinning] += rem & (t > window[0]) & (t <= window[1])
+            extra[thinning] += rem & (t > opens) & (t <= closes)
         if record:
-            if jump is None:
-                rec.append((block[:logged].copy(), is_inf))
-            else:
-                rec.append((block[:logged].compress(jump, axis=1), is_inf[jump]))
+            rows = block[:logged] if jump is None else block[:logged].compress(jump, axis=1)
+            end = filled + rows.shape[1]
+            if end > buf.shape[1]:
+                grown = np.empty((logged + 1, 2 * end))
+                grown[:, :filled] = buf[:, :filled]
+                buf = grown
+            buf[:logged, filled:end] = rows
+            buf[logged, filled:end] = is_inf if jump is None else is_inf[jump]
+            filled = end
     else:
         raise SimulationError("iteration cap exceeded in ensemble simulation")
 
@@ -343,10 +395,13 @@ def _jump_loop(
     s, i, r, max_i = (out[k].astype(np.int64) for k in (0, 1, 2, 4))
     t, integrals = out[3], (np.zeros(n), np.zeros(n)) if thinning else out[-2:]
     window_rem = out[logged - 1].astype(np.int64) if window is not None else None
-    log = _event_log(rec, rates.other_kind, thinning, window, t) if record else None
+    recorded = Recorded(
+        buf[:logged, :filled], buf[logged, :filled], rates.other_kind, thinning,
+        window is not None, t,
+    ) if record else None
     return JumpEnsemble(
-        s, i, r, t, max_i, s0 - s, r - r0, *integrals, window_rem, log,
-        out[6] if thinning else None,
+        s, i, r, t, max_i, s0 - s, r - r0, *integrals, window_rem,
+        out[6] if thinning else None, recorded=recorded,
     )
 
 
@@ -370,7 +425,7 @@ def sir_ensemble(
         coef=params.lam / params.population if mass_action else params.lam,
         gamma=params.gamma,
         other_kind=EventKind.REMOVAL.value,
-        pair_scale=1.0 / params.population if mass_action else 1.0,
+        pair_scale=1.0 / params.population if mass_action else None,
     )
     return _jump_loop(rates, params, n_paths, rng, init=init, **stop)
 

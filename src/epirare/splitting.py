@@ -119,11 +119,46 @@ class ParticleEnsemble:
 # continuous-time ensembles: one event log and one branch primitive
 
 
-def _end_state(log: lockstep.EventLog, model: ModelParams, column: str) -> np.ndarray:
-    """Each slot's value of ``column`` after its last event."""
-    every = np.arange(len(log.t_stop))
-    start = lockstep.initial_row(model)
-    return log.state_after(every, np.diff(log.offsets), start, (column,))[column]
+@dataclass
+class _Slots:
+    """The slots of a continuous-time ensemble, their histories grouped only
+    on request.
+
+    Slot k's history is its ``head`` rows (an event log over the slots; none
+    before the first refill) followed by its rows in the latest engine call,
+    ``batch``, as that call's path ``member[k]`` (-1: no rows there).  A
+    refill batch counts max_i and the window's removals from its start
+    states, so ``base_max_i`` and ``base_window`` hold, per slot, the state it
+    branched at.  ``end`` holds each slot's state after its last event (i, t
+    and the progress columns), from the engine's end states.
+    """
+
+    head: lockstep.EventLog | None
+    batch: lockstep.Recorded
+    member: np.ndarray
+    base_max_i: np.ndarray | None
+    base_window: np.ndarray | None
+    end: dict
+
+    @classmethod
+    def start(cls, ens: lockstep.JumpEnsemble) -> "_Slots":
+        """Slot k holds path k of a recorded engine call."""
+        end = {
+            name: getattr(ens, name) for name in ("i", "t", "r", "max_i", "window_rem")
+            if getattr(ens, name) is not None
+        }
+        return cls(None, ens.recorded, np.arange(len(ens.t)), None, None, end)
+
+    def histories(self, slots: np.ndarray) -> lockstep.EventLog:
+        """Path j of the log is slot ``slots[j]``'s history."""
+        tail = self.batch.log(self.member[slots])
+        if self.base_max_i is not None:
+            tail.max_i = np.maximum(tail.max_i, self.base_max_i[slots][tail.path])
+            if tail.window_rem is not None:
+                tail.window_rem += self.base_window[slots][tail.path]
+        log = tail if self.head is None else self.head.take(slots, tail=tail)
+        log.t_stop = self.end["t"][slots]
+        return log
 
 
 def _level_cut(
@@ -142,38 +177,68 @@ def _level_cut(
 
 
 def _branch(
-    log: lockstep.EventLog,
+    slots: _Slots,
+    surv: np.ndarray,
     targets: np.ndarray,
     parents: np.ndarray,
-    keep: np.ndarray,
     model: ModelParams,
+    spec: EventSpec,
+    level: float,
     rng: np.random.Generator,
     *,
     whole: bool,
-    t_cut: float | None = None,
-    **stop,
-) -> lockstep.EventLog:
+) -> _Slots:
     """Branch each target slot from its parent at a cut and simulate it onward.
 
-    ``keep`` counts, per slot, the history rows up to its cut: a level cut
-    (``_level_cut``) or a time cut, the rows at or before ``t_cut``.  A child
-    starts from its parent's state after those rows, at time ``t_cut`` if
-    given and at the cut event's time otherwise.  One lockstep batch
-    simulates all children; each child's history is its parent's rows up to
-    the cut (only the last of them unless ``whole``) followed by its tail.
+    Every slot is a survivor, in the sorted ``surv``, or a target; the
+    parents are survivors, and only the survivors' histories are grouped.
+    A parent's cut is the first event at which its progress reaches
+    ``level`` (``_level_cut``) or, on the time axis (``Duration``), its last
+    event at or before the time ``level``.  A child starts from its parent's
+    state after the cut, at that time on the time axis and at the cut
+    event's time otherwise.  One lockstep batch simulates all children; each
+    child's history is its parent's rows up to the cut (only the last of
+    them unless ``whole``) followed by its rows in the batch.  Survivors
+    keep their histories.
     """
-    keep = keep[parents]
-    cut = log.state_after(parents, keep, lockstep.initial_row(model))
-    if t_cut is not None:
+    log = slots.histories(surv)
+    on_time = isinstance(spec, Duration)
+    keep = log.count(log.t <= level) if on_time else _level_cut(log, model, spec, level)
+    at = np.searchsorted(surv, parents)
+    keep = keep[at]
+    cut = log.state_after(at, keep, lockstep.initial_row(model))
+    if on_time:
         if "decayed" in cut:
-            cut["decayed"] *= np.exp(-model.c * (t_cut - cut["t"]))
-        cut["t"] = np.full(len(parents), t_cut)
+            cut["decayed"] *= np.exp(-model.c * (level - cut["t"]))
+        cut["t"] = np.full(len(parents), level)
     init = tuple(cut[name] for name in ("s", "i", "r", "t", "decayed") if name in cut)
-    tail = _ensemble_fn(model)(model, None, rng, record=True, init=init, **stop).log
-    tail.max_i = np.maximum(tail.max_i, cut["max_i"][tail.path])
-    if tail.window_rem is not None:
-        tail.window_rem += cut["window_rem"][tail.path]
-    return log.splice(targets, parents, keep, tail, whole=whole)
+    ens = _ensemble_fn(model)(model, None, rng, record=True, init=init, **_stop_config(spec))
+
+    n = len(slots.member)
+    source = np.zeros(n, dtype=np.int64)
+    source[surv] = np.arange(len(surv))
+    source[targets] = at
+    start = np.zeros(n, dtype=np.int64)
+    start[targets] = keep - (keep if whole else np.minimum(keep, 1))
+    stop = np.diff(log.offsets)[source]
+    stop[targets] = keep
+    member = np.full(n, -1, dtype=np.int64)
+    member[targets] = np.arange(len(targets))
+    base = {}
+    end = {name: col.copy() for name, col in slots.end.items()}
+    for name in end:
+        end[name][targets] = getattr(ens, name)
+    for name in ("max_i", "window_rem"):
+        if name in end:
+            base[name] = np.zeros(n, dtype=np.int64)
+            base[name][targets] = cut[name]
+    end["max_i"][targets] = np.maximum(end["max_i"][targets], cut["max_i"])
+    if "window_rem" in end:
+        end["window_rem"][targets] += cut["window_rem"]
+    return _Slots(
+        log.take(source, start, stop), ens.recorded, member,
+        base["max_i"], base.get("window_rem"), end,
+    )
 
 
 def _materialize(
@@ -191,14 +256,14 @@ def _materialize(
         keep = _level_cut(log, model, spec, lvl)
         times = log.state_after(every, np.minimum(keep, length), initial, ("t",))["t"]
         hits.append([NEVER if k > m else float(x) for x, k, m in zip(times, keep, length)])
-    progress = _end_state(log, model, _PROGRESS[type(spec)])
+    # a path attains the event when its history reaches the threshold
+    attains = _level_cut(log, model, spec, event_threshold(spec)) <= length
     particles = []
     for k in every:
         path = log.epidemic_path(k, model)
         particles.append(Particle(path, tuple(h[k] for h in hits)))
     return ParticleEnsemble(
-        tuple(particles), tuple(float(w) for w in progress >= event_threshold(spec)),
-        stage, tuple(levels),
+        tuple(particles), tuple(float(w) for w in attains), stage, tuple(levels),
     )
 
 
@@ -211,26 +276,29 @@ def _stage_loop(
     seed: SeedSpec,
     stage_base: int,
     whole: bool,
-) -> tuple[list[float], list[float], lockstep.EventLog, bool]:
+) -> tuple[list[float], list[float], lockstep.EventLog | None, bool]:
     """One splitting run on a continuous-time event; returns (per_level,
     levels, final paths, extinct flag).
 
     ``next_level(scores, levels)`` gives the next stage's level, from the
     scores and the levels so far, and whether that stage is the final one.
     ``whole`` keeps every slot's whole history and ends the run with the
-    conditional-law refill; without it slots keep only what later cuts read.
+    conditional-law refill and the final paths grouped; without it slots
+    keep only what later cuts read, and there are no final paths.
     """
     on_time = isinstance(spec, Duration)
-    stop = _stop_config(spec)
     rng0 = seed.stream(particle=0, stage=stage_base).generator()
-    log = _ensemble_fn(model)(model, n_particles, rng0, record=True, **stop).log
+    slots = _Slots.start(
+        _ensemble_fn(model)(model, n_particles, rng0, record=True, **_stop_config(spec))
+    )
+    every = np.arange(n_particles)
     per_level: list[float] = []
     levels: list[float] = []
     for stage in range(1, _STAGE_CAP + 1):
         if on_time:
-            scores = np.where(_end_state(log, model, "i") == 0, log.t_stop, math.inf)
+            scores = np.where(slots.end["i"] == 0, slots.end["t"], math.inf)
         else:
-            scores = _end_state(log, model, _PROGRESS[type(spec)]).astype(float)
+            scores = slots.end[_PROGRESS[type(spec)]].astype(float)
         level, final_stage = next_level(scores, levels)
         levels.append(level)
         surv = scores > level if on_time else scores >= level
@@ -238,29 +306,27 @@ def _stage_loop(
         per_level.append(n_surv / n_particles)
         if n_surv == 0:
             # a time-axis run that dies only at the horizon has estimated 0
-            return per_level, levels, log, not (final_stage and on_time)
-        dead = np.flatnonzero(~surv)
+            final = slots.histories(every) if whole else None
+            return per_level, levels, final, not (final_stage and on_time)
+        (dead,) = (~surv).nonzero()
         if dead.size and (whole or not final_stage):
             sel_rng = seed.stream(particle=1, stage=stage_base + stage).generator()
-            surv_idx = np.flatnonzero(surv)
+            (surv_idx,) = surv.nonzero()
             if variant == "keepall" and not final_stage:
                 parents = np.full(dead.size, surv_idx[int(sel_rng.integers(0, surv_idx.size))])
             else:
                 parents = surv_idx[sel_rng.integers(0, surv_idx.size, size=dead.size)]
             if final_stage:
                 # conditional-law refill: dead slots copy a surviving path wholesale
-                log = log.splice(dead, parents, np.diff(log.offsets)[parents])
-            else:
-                mut_rng = seed.stream(particle=0, stage=stage_base + stage).generator()
-                if on_time:
-                    keep, t_cut = log.count(log.t <= level), level
-                else:
-                    keep, t_cut = _level_cut(log, model, spec, level), None
-                log = _branch(
-                    log, dead, parents, keep, model, mut_rng, whole=whole, t_cut=t_cut, **stop
-                )
+                source = every.copy()
+                source[dead] = parents
+                return per_level, levels, slots.histories(every).take(source), False
+            mut_rng = seed.stream(particle=0, stage=stage_base + stage).generator()
+            slots = _branch(
+                slots, surv_idx, dead, parents, model, spec, level, mut_rng, whole=whole
+            )
         if final_stage:
-            return per_level, levels, log, False
+            return per_level, levels, slots.histories(every) if whole else None, False
     raise RuntimeError(
         "stage cap exceeded in " + ("temporal splitting" if on_time else "splitting run")
     )

@@ -2,7 +2,9 @@
 
 Every check compares the vectorised log against a direct replay of one path
 at a time: the state after each event, the cut a refill starts from, and the
-contact-tracing sum re-summed over the detections of the history.
+contact-tracing sum re-summed over the detections of the history.  A branch
+groups only the survivors' histories and scores slots by the engine's end
+states, so the checks also compare those with the whole grouped histories.
 """
 
 import math
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from epirare import (
     DiagnosesIncrement,
+    Duration,
     EventKind,
     FinalSize,
     HivParams,
@@ -24,7 +27,7 @@ from epirare import (
 )
 from epirare.estimators import _PROGRESS, _ensemble_fn, _stop_config
 from epirare.lockstep import initial_row
-from epirare.splitting import _branch, _end_state, _level_cut
+from epirare.splitting import _branch, _level_cut, _Slots
 
 MODELS = {
     "sir": SirParams(lam=0.035, gamma=1.0, s0=30, i0=2, scaling=Scaling.UNSCALED),
@@ -92,8 +95,26 @@ def _check_history(log, model, k, spec=None):
 def _start(model_name, event_name, n, seed):
     model, spec = MODELS[model_name], EVENTS[event_name]
     fn = _ensemble_fn(model)
-    log = fn(model, n, SeedSpec(seed).generator(), record=True, **_stop_config(spec)).log
-    return model, spec, log
+    ens = fn(model, n, SeedSpec(seed).generator(), record=True, **_stop_config(spec))
+    return model, spec, ens
+
+
+def _grouped(slots, model):
+    """Every slot's history; checks that a slot's end state is its last row's
+    and that grouping some slots gives their rows in the whole log."""
+    n = len(slots.member)
+    log = slots.histories(np.arange(n))
+    names = tuple(name for name in slots.end if name != "t")
+    last = log.state_after(np.arange(n), np.diff(log.offsets), initial_row(model), names)
+    for name in names:
+        assert np.array_equal(slots.end[name], last[name])
+    assert np.array_equal(log.t_stop, slots.end["t"])
+    some = np.arange(n)[::-3]
+    part, expected = slots.histories(some), log.take(some)
+    for name in ("path", "t", "kind", *log.STATE, "offsets", "t_stop"):
+        got, want = getattr(part, name), getattr(expected, name)
+        assert (got is None and want is None) or np.array_equal(got, want)
+    return log
 
 
 def _pick_parents(data, candidates, size):
@@ -114,15 +135,19 @@ def _pick_parents(data, candidates, size):
     data=st.data(),
 )
 def test_level_branch(model_name, event_name, n, seed, level, whole, data):
-    model, spec, log = _start(model_name, event_name, n, seed)
+    model, spec, ens = _start(model_name, event_name, n, seed)
+    slots = _Slots.start(ens)
+    log = _grouped(slots, model)
     column = _PROGRESS[type(spec)]
-    progress = _end_state(log, model, column)
+    progress = slots.end[column]
     assume(np.any(progress >= level) and np.any(progress < level))
     targets = np.flatnonzero(progress < level)
-    parents = _pick_parents(data, np.flatnonzero(progress >= level), targets.size)
+    surv = np.flatnonzero(progress >= level)
+    parents = _pick_parents(data, surv, targets.size)
     keep = _level_cut(log, model, spec, level)
     rng = SeedSpec(seed, replication=1).generator()
-    new = _branch(log, targets, parents, keep, model, rng, whole=whole, **_stop_config(spec))
+    branched = _branch(slots, surv, targets, parents, model, spec, level, rng, whole=whole)
+    new = _grouped(branched, model)
 
     total = model.s0 + model.i0 + initial_row(model)["r"]
     assert np.all(new.s + new.i + new.r == total)
@@ -142,7 +167,7 @@ def test_level_branch(model_name, event_name, n, seed, level, whole, data):
         if cut > 0:
             assert cut == 1 or old[column][cut - 2] < level
             assert np.all(fresh["t"][kept:] >= old["t"][cut - 1])
-        assert _end_state(new, model, column)[child] >= level
+        assert branched.end[column][child] >= level
         if whole:
             _check_history(new, model, child, spec)
 
@@ -160,16 +185,19 @@ def test_time_branch(model_name, n, seed, t_cut, whole, data):
     model = MODELS[model_name]
     horizon = 3.0
     fn = _ensemble_fn(model)
-    log = fn(model, n, SeedSpec(seed).generator(), record=True, horizon=horizon).log
-    ext = np.where(_end_state(log, model, "i") == 0, log.t_stop, math.inf)
+    slots = _Slots.start(fn(model, n, SeedSpec(seed).generator(), record=True, horizon=horizon))
+    log = _grouped(slots, model)
+    ext = np.where(slots.end["i"] == 0, slots.end["t"], math.inf)
     assume(np.any(ext > t_cut) and np.any(ext <= t_cut))
     targets = np.flatnonzero(ext <= t_cut)
-    parents = _pick_parents(data, np.flatnonzero(ext > t_cut), targets.size)
+    surv = np.flatnonzero(ext > t_cut)
+    parents = _pick_parents(data, surv, targets.size)
     keep = log.count(log.t <= t_cut)
     rng = SeedSpec(seed, replication=1).generator()
-    new = _branch(
-        log, targets, parents, keep, model, rng, whole=whole, t_cut=t_cut, horizon=horizon
+    branched = _branch(
+        slots, surv, targets, parents, model, Duration(horizon), t_cut, rng, whole=whole
     )
+    new = _grouped(branched, model)
 
     total = model.s0 + model.i0 + initial_row(model)["r"]
     assert np.all(new.s + new.i + new.r == total)
@@ -189,7 +217,8 @@ def test_time_branch(model_name, n, seed, t_cut, whole, data):
 @pytest.mark.parametrize("model_name", sorted(MODELS))
 @pytest.mark.parametrize("event_name", sorted(EVENTS))
 def test_engine_log_replays(model_name, event_name):
-    model, spec, log = _start(model_name, event_name, 30, 7)
+    model, spec, ens = _start(model_name, event_name, 30, 7)
+    log = ens.log
     assert log.offsets[-1] == len(log.t)
     for k in range(30):
         _check_history(log, model, k, spec)
@@ -197,7 +226,8 @@ def test_engine_log_replays(model_name, event_name):
 
 def test_level_cut_counts_from_the_initial_state():
     # two initial detections: the initial state already has r = 2
-    model, spec, log = _start("hiv", "final_size", 20, 3)
+    model, spec, ens = _start("hiv", "final_size", 20, 3)
+    log = ens.log
     assert np.all(_level_cut(log, model, spec, 2) == 0)
     first_removal = log.count(log.r < 3) + 1
     assert np.array_equal(_level_cut(log, model, spec, 2.5), first_removal)

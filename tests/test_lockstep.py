@@ -147,3 +147,53 @@ def test_epidemic_path_replays_the_log(name):
         assert path.final_state == CompartmentState(ens.s[k], ens.i[k], ens.r[k])
         assert path.horizon == (math.inf if ens.i[k] == 0 else horizon)
         assert path.initial_detection_times == ((-0.5, -2.0) if name == "hiv" else ())
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_recorded_rows_grouped_for_some_paths(name):
+    # a path's rows, grouped on their own, are its rows in the whole log
+    n, horizon = 60, 1.5
+    ens = _simulate(name, n, 36, horizon=horizon, window=(0.5, 1.5))
+    paths = np.array([41, -1, 7, 0, 59, -1, 12])
+    some, whole = ens.recorded.log(paths), ens.log
+    assert np.array_equal(some.path, np.repeat(np.arange(len(paths)), np.diff(some.offsets)))
+    for j, k in enumerate(paths):
+        rows = slice(some.offsets[j], some.offsets[j + 1])
+        if k < 0:
+            assert rows.start == rows.stop and math.isnan(some.t_stop[j])
+            continue
+        assert some.t_stop[j] == whole.t_stop[k]
+        for column in ("t", "kind", *whole.STATE):
+            if getattr(whole, column) is None:
+                assert getattr(some, column) is None
+                continue
+            expected = getattr(whole, column)[whole.offsets[k]:whole.offsets[k + 1]]
+            got = getattr(some, column)[rows]
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_take_rows_of_paths(name):
+    ens = _simulate(name, 12, 37, horizon=1.5)
+    log = ens.log
+    paths = np.array([3, 3, 0, 11, 5])
+    start = np.array([0, 1, 0, 2, 0])
+    stop = np.minimum(np.diff(log.offsets)[paths], np.array([2, 4, 0, 9, 9]))
+    start = np.minimum(start, stop)
+    tail = ens.recorded.log(np.array([1, -1, 2, 4, 4]))
+    for with_tail in (None, tail):
+        taken = log.take(paths, start, stop, with_tail)
+        for j, k in enumerate(paths):
+            a = log.offsets[k]
+            for column in ("t", "kind", *log.STATE):
+                col = getattr(log, column)
+                if col is None:
+                    continue
+                expected = col[a + start[j]:a + stop[j]]
+                if with_tail is not None:
+                    extra = getattr(with_tail, column)[with_tail.offsets[j]:with_tail.offsets[j + 1]]
+                    expected = np.concatenate([expected, extra])
+                got = getattr(taken, column)[taken.offsets[j]:taken.offsets[j + 1]]
+                assert np.array_equal(got, expected)
+        expected_stop = log.t_stop[paths] if with_tail is None else with_tail.t_stop
+        assert np.array_equal(taken.t_stop, expected_stop, equal_nan=True)

@@ -28,6 +28,7 @@ from epirare import (
     temporal_split_estimate,
 )
 from epirare import lockstep
+from test_golden import IBPS_CASES
 
 TOY = SirParams(lam=0.12, gamma=1.0, s0=9, i0=1, scaling=Scaling.UNSCALED)
 TOY_SPEC = FinalSize(n_c=10)
@@ -476,3 +477,19 @@ def test_temporal_argument_validation():
                 PURE_DEATH, horizon, n_particles=10, keep_count=5, seed=SeedSpec(0)
             )
 
+
+
+@pytest.mark.parametrize("name", sorted(IBPS_CASES))
+def test_conditional_sample_leaves_the_estimate_unchanged(name):
+    # with the sample every slot's history is grouped, without it only the
+    # survivors' at each cut: both must cut and draw alike
+    model, spec, variant = IBPS_CASES[name]
+    with_sample, bare = (
+        ibps_estimate(
+            model, spec, n_particles=120, keep_fraction=0.2, variant=variant,
+            seed=SeedSpec(2024, replication=3), conditional_sample=flag,
+        )[0]
+        for flag in (True, False)
+    )
+    assert with_sample.per_level == bare.per_level
+    assert with_sample.value == bare.value
