@@ -151,7 +151,7 @@ class Recorded:
     Column k of ``rows`` is a path's state right after one of its events, as
     the loop held it: s, i, r, t, max_i and path, then decayed (contact
     tracing) and the window's removal count (when the call had a window).
-    ``is_inf`` is 1 where the event was an infection; other events are of
+    ``is_inf`` says whether the event was an infection; other events are of
     ``other_kind``.  A path's rows come in time order, interleaved with the
     other paths' rows; ``log`` groups them.
     """
@@ -167,35 +167,37 @@ class Recorded:
         """The rows grouped by path: path j of the log holds the rows of this
         call's path ``paths[j]``, or none where that is -1 (its ``t_stop`` is
         then nan).  Every path, in order, by default."""
-        path = self.rows[5]
+        key = self.rows[5].astype(np.intp)
         if paths is None:
-            order = np.argsort(path, kind="stable")
-            t_stop = self.t_stop
-            log_path = path[order].astype(np.int64)
+            picked, t_stop = None, self.t_stop
         else:
             # each call path's position in ``paths``; the extra last entry is
             # where -1 points, and stays -1
-            at = np.full(len(self.t_stop) + 1, -1, dtype=np.int64)
+            at = np.full(len(self.t_stop) + 1, -1, dtype=np.intp)
             at[paths] = np.arange(len(paths))
             at[-1] = -1
-            position = at[path.astype(np.intp)]
-            (picked,) = (position >= 0).nonzero()
-            order = picked[np.argsort(position[picked], kind="stable")]
-            t_stop = np.append(self.t_stop, np.nan)[paths]
-            log_path = position[order]
+            key = at[key]
+            (picked,) = (key >= 0).nonzero()
+            key, t_stop = key[picked], np.append(self.t_stop, np.nan)[paths]
+        n = len(t_stop)
+        per_path = np.bincount(key, minlength=n)
+        order = np.argsort(key, kind="stable")
+        if picked is not None:
+            order = picked[order]
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(per_path, out=offsets[1:])
 
         def column(k, dtype=float):
             # one row at a time: a sorted copy of the whole block would double
             # the log's peak memory
             return self.rows[k][order].astype(dtype, copy=False)
 
-        n = len(t_stop)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(log_path, minlength=n), out=offsets[1:])
         s, i, r, max_i = (column(k, np.int64) for k in (0, 1, 2, 4))
-        kind = np.where(self.is_inf[order], EventKind.INFECTION.value, self.other_kind)
+        kind = np.where(
+            self.is_inf[order], np.int8(EventKind.INFECTION.value), np.int8(self.other_kind)
+        )
         return EventLog(
-            log_path, column(3), kind.astype(np.int8), s, i, r, max_i,
+            np.repeat(np.arange(n), per_path), column(3), kind, s, i, r, max_i,
             column(-1, np.int64) if self.windowed else None,
             column(6) if self.thinning else None, offsets, t_stop,
         )
@@ -281,6 +283,14 @@ class _Rates:
         return self.gamma * i + self.traced * i * decayed
 
 
+def _grown(buffer: np.ndarray, filled: int, size: int) -> np.ndarray:
+    """``buffer`` with room for ``size`` entries on its last axis, keeping
+    the first ``filled``."""
+    grown = np.empty((*buffer.shape[:-1], size), dtype=buffer.dtype)
+    grown[..., :filled] = buffer[..., :filled]
+    return grown
+
+
 def _jump_loop(
     rates: _Rates,
     model: SirParams | HivParams,
@@ -293,6 +303,7 @@ def _jump_loop(
     target_level: float | None = None,
     window: tuple[float, float] | None = None,
     record: bool = False,
+    rate_integrals: bool = True,
 ) -> JumpEnsemble:
     """Advance paths from ``init`` = (s, i, r, t[, decayed]), or ``n_paths``
     fresh ones, until each is extinct, at the horizon or at the target.
@@ -301,8 +312,8 @@ def _jump_loop(
     per path (counts are exact in float64); finished columns go to
     ``finished`` and are written back to ``out`` at the end.  With
     ``record``, each iteration appends the logged rows of the columns that
-    jumped, after the jump, and whether each jump was an infection, to one
-    buffer that doubles when full.
+    jumped, after the jump, and whether each jump was an infection, to
+    buffers that double when full.
 
     The loop runs once per event of the slowest path, mostly on a handful
     of live paths, so it keeps numpy's fixed cost per call down: constants
@@ -315,21 +326,25 @@ def _jump_loop(
     t0, *decayed0 = (np.array(x, dtype=float) for x in init[3:])
     n = len(t0)
     thinning = rates.decay is not None
+    sums = rate_integrals and not thinning
     finite = horizon < np.inf
     target = {Axis.INFECTED: 1, Axis.REMOVED: 2}.get(target_axis)
-    horizon, target_level = np.array(horizon), np.array(target_level, dtype=float)
+    horizon = np.array(horizon)
+    if target is not None:
+        target_level = np.array(target_level)
     if window is not None:
         opens, closes = np.array(window[0]), np.array(window[1])
     if thinning:
         neg_decay, slack = -rates.decay, np.array(1.0 + 1e-12)
     # rows: s, i, r, t, max_i, path, then decayed (thinning) and the window's
-    # removal count, the rows an event log keeps; then, without thinning, the
-    # two rate integrals
+    # removal count, the rows an event log keeps; then the two rate
+    # integrals, when the loop sums them
     logged = 6 + thinning + (window is not None)
-    zeros = np.zeros(((window is not None) + 2 * (not thinning), n))
+    zeros = np.zeros(((window is not None) + 2 * sums, n))
     out = np.array([s0, i0, r0, t0, i0, np.arange(n), *decayed0, *zeros], dtype=float)
     if record:
-        buf, filled = np.empty((logged + 1, 8 * n + 64)), 0
+        # the recorded rows, and whether each event was an infection
+        rows, flags, filled = np.empty((logged, 32 * n + 64)), np.empty(32 * n + 64, bool), 0
     finished = [out[:, :0]]
     block = out
     for _ in range(_ITERATION_CAP + 1):
@@ -361,10 +376,11 @@ def _jump_loop(
             if finite:
                 jump &= t_new <= horizon
         else:
+            jump = t_new <= horizon if finite else None
+        if sums:
             pair = s * i * dt
             extra[-2] += pair if rates.pair_scale is None else pair * rates.pair_scale
             extra[-1] += i * dt
-            jump = t_new <= horizon if finite else None
         is_inf = u[-1] * rate_tot < rate_inf
         inf, rem = (is_inf, ~is_inf) if jump is None else (jump & is_inf, jump > is_inf)
         s -= inf
@@ -378,14 +394,12 @@ def _jump_loop(
         if window is not None:
             extra[thinning] += rem & (t > opens) & (t <= closes)
         if record:
-            rows = block[:logged] if jump is None else block[:logged].compress(jump, axis=1)
-            end = filled + rows.shape[1]
-            if end > buf.shape[1]:
-                grown = np.empty((logged + 1, 2 * end))
-                grown[:, :filled] = buf[:, :filled]
-                buf = grown
-            buf[:logged, filled:end] = rows
-            buf[logged, filled:end] = is_inf if jump is None else is_inf[jump]
+            new = block[:logged] if jump is None else block[:logged].compress(jump, axis=1)
+            end = filled + new.shape[1]
+            if end > len(flags):
+                rows, flags = _grown(rows, filled, 2 * end), _grown(flags, filled, 2 * end)
+            rows[:, filled:end] = new
+            flags[filled:end] = is_inf if jump is None else is_inf[jump]
             filled = end
     else:
         raise SimulationError("iteration cap exceeded in ensemble simulation")
@@ -393,11 +407,10 @@ def _jump_loop(
     done = np.concatenate(finished, axis=1)
     out[:, done[5].astype(np.int64)] = done
     s, i, r, max_i = (out[k].astype(np.int64) for k in (0, 1, 2, 4))
-    t, integrals = out[3], (np.zeros(n), np.zeros(n)) if thinning else out[-2:]
+    t, integrals = out[3], out[-2:] if sums else (np.zeros(n), np.zeros(n))
     window_rem = out[logged - 1].astype(np.int64) if window is not None else None
     recorded = Recorded(
-        buf[:logged, :filled], buf[logged, :filled], rates.other_kind, thinning,
-        window is not None, t,
+        rows[:, :filled], flags[:filled], rates.other_kind, thinning, window is not None, t,
     ) if record else None
     return JumpEnsemble(
         s, i, r, t, max_i, s0 - s, r - r0, *integrals, window_rem,
@@ -416,7 +429,9 @@ def sir_ensemble(
     """Advance an ensemble of SIR paths to extinction, horizon, or target.
 
     ``stop`` takes the keywords ``horizon``, ``target_axis``,
-    ``target_level``, ``window`` and ``record``.  ``init`` supplies per-path
+    ``target_level``, ``window``, ``record`` and ``rate_integrals`` (False
+    leaves ``int_pair`` and ``int_i`` at zero, for callers that do not
+    weight paths, and saves the loop two sums).  ``init`` supplies per-path
     (s, i, r, t) start points for continuing truncated paths; otherwise all
     paths start fresh at (s0, i0, 0, 0).
     """

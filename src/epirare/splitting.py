@@ -212,7 +212,9 @@ def _branch(
             cut["decayed"] *= np.exp(-model.c * (level - cut["t"]))
         cut["t"] = np.full(len(parents), level)
     init = tuple(cut[name] for name in ("s", "i", "r", "t", "decayed") if name in cut)
-    ens = _ensemble_fn(model)(model, None, rng, record=True, init=init, **_stop_config(spec))
+    ens = _ensemble_fn(model)(
+        model, None, rng, record=True, rate_integrals=False, init=init, **_stop_config(spec)
+    )
 
     n = len(slots.member)
     source = np.zeros(n, dtype=np.int64)
@@ -288,9 +290,9 @@ def _stage_loop(
     """
     on_time = isinstance(spec, Duration)
     rng0 = seed.stream(particle=0, stage=stage_base).generator()
-    slots = _Slots.start(
-        _ensemble_fn(model)(model, n_particles, rng0, record=True, **_stop_config(spec))
-    )
+    slots = _Slots.start(_ensemble_fn(model)(
+        model, n_particles, rng0, record=True, rate_integrals=False, **_stop_config(spec)
+    ))
     every = np.arange(n_particles)
     per_level: list[float] = []
     levels: list[float] = []

@@ -5,6 +5,7 @@ conserved per path, the event counts match the compartment changes, no path
 runs past the horizon, and the event log agrees with the per-path summaries.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -197,3 +198,20 @@ def test_take_rows_of_paths(name):
                 assert np.array_equal(got, expected)
         expected_stop = log.t_stop[paths] if with_tail is None else with_tail.t_stop
         assert np.array_equal(taken.t_stop, expected_stop, equal_nan=True)
+
+
+def test_rate_integrals_off_changes_only_the_integrals():
+    # callers that do not weight paths skip the two sums; no draw moves
+    summed = _simulate("sir", 80, 38, horizon=1.5)
+    bare = lockstep.sir_ensemble(
+        SIR, 80, SeedSpec(38).generator(), record=True, horizon=1.5, rate_integrals=False
+    )
+    assert summed.int_pair.any() and summed.int_i.any()
+    assert not bare.int_pair.any() and not bare.int_i.any()
+    for field in dataclasses.fields(summed):
+        if field.name not in ("int_pair", "int_i"):
+            a, b = getattr(summed, field.name), getattr(bare, field.name)
+            assert (a is None and b is None) or np.array_equal(a, b)
+    for field in dataclasses.fields(summed.log):
+        a, b = getattr(summed.log, field.name), getattr(bare.log, field.name)
+        assert (a is None and b is None) or np.array_equal(a, b)
