@@ -2,9 +2,11 @@
 
 These engines simulate every path the package produces, tracking exactly the
 per-path summaries the estimators need (running maxima, event counts, rate
-integrals, and with ``record=True`` a flat event log).  A log row is the
+integrals, and with ``record=True`` the rows of an event log).  A row is the
 engine's own state of a path right after one of its events, recorded as the
-loop holds it; the log only groups the rows by path.
+loop holds it.  A call hands the rows back in the loop's order
+(``Recorded``); grouping them by path into an ``EventLog`` happens on
+request, for every path or for the few a caller reads.
 
 SIR and contact tracing share one loop, ``_jump_loop``, and plug into it
 through a rate hook, ``_Rates``; only contact tracing, whose rates decay
@@ -107,11 +109,8 @@ class EventLog:
         tail: "EventLog | None" = None,
     ) -> "EventLog":
         """Path j of the result: rows ``start[j]:stop[j]`` of this log's path
-        ``paths[j]`` (all of its rows by default), then path j of ``tail``.
-
-        Path j stops where ``tail``'s path j does, or where path ``paths[j]``
-        does when there is no tail.
-        """
+        ``paths[j]`` (all of its rows by default), then path j of ``tail``;
+        it stops where path ``paths[j]`` does."""
         base = self.offsets[paths]
         head_start = base if start is None else base + start
         head_len = (self.offsets[paths + 1] if stop is None else base + stop) - head_start
@@ -120,13 +119,13 @@ class EventLog:
             for name in ("kind", *self.STATE) if getattr(self, name) is not None
         }
         if tail is None:
-            starts, lengths, per_path, t_stop = head_start, head_len, head_len, self.t_stop[paths]
+            starts, lengths, per_path = head_start, head_len, head_len
         else:
             # path j's head range, then its tail range, in the joined columns
             tail_len = np.diff(tail.offsets)
             starts = np.column_stack([head_start, len(self.t) + tail.offsets[:-1]]).ravel()
             lengths = np.column_stack([head_len, tail_len]).ravel()
-            per_path, t_stop = head_len + tail_len, tail.t_stop
+            per_path = head_len + tail_len
             columns = {
                 name: np.concatenate([col, getattr(tail, name)])
                 for name, col in columns.items()
@@ -139,7 +138,7 @@ class EventLog:
             self,
             path=np.repeat(np.arange(len(paths)), per_path),
             offsets=offsets,
-            t_stop=t_stop,
+            t_stop=self.t_stop[paths],
             **{name: col[rows] for name, col in columns.items()},
         )
 

@@ -36,14 +36,17 @@ Discrete-generation events instead redraw the whole ensemble from the
 weighted selection distribution every generation (the weighted-potential
 normalization requires it), so ``variant`` has no effect on them.
 
-Continuous-time ensembles keep their paths in one flat event log
-(``lockstep.EventLog``): each slot's events with the state after each.  Every
-refill is one primitive, ``_branch``: count each parent's rows up to its cut
-in one pass over the log (a level cut is the first event at which progress
-reaches the level, a time cut the last event at or before the time), start
-one lockstep batch from the parents' states there, and splice the batch's
-events in after the parents' rows.  Whole histories are kept only when the
-conditional sample is returned; otherwise a child keeps just its cut row.
+Continuous-time ensembles keep each slot's history as event-log rows
+(``lockstep.EventLog``): its events with the state after each.  Slots are
+scored by the engine's end states, and histories are grouped only on
+request (``_Slots``).  Every refill is one primitive, ``_branch``: group the
+survivors' histories, count each parent's rows up to its cut (a level cut is
+the first event at which progress reaches the level, a time cut the last
+event at or before the time), and start one lockstep batch from the
+parents' states there.  A child keeps its parent's rows up to the cut and
+its rows in the batch, which stay ungrouped until a later cut reads them.
+Whole histories are kept only when the conditional sample is returned, and
+only then is every slot grouped; otherwise a child keeps just its cut row.
 
 Stream layout per stage s: particle 0 carries batched mutation draws,
 particle 1 carries selection draws; stage 0 is the initial ensemble.
@@ -128,16 +131,15 @@ class _Slots:
     before the first refill) followed by its rows in the latest engine call,
     ``batch``, as that call's path ``member[k]`` (-1: no rows there).  A
     refill batch counts max_i and the window's removals from its start
-    states, so ``base_max_i`` and ``base_window`` hold, per slot, the state it
-    branched at.  ``end`` holds each slot's state after its last event (i, t
-    and the progress columns), from the engine's end states.
+    states, so ``base`` holds those columns of the state each slot branched
+    at.  ``end`` holds each slot's state after its last event (i, t and the
+    progress columns), from the engine's end states.
     """
 
     head: lockstep.EventLog | None
     batch: lockstep.Recorded
     member: np.ndarray
-    base_max_i: np.ndarray | None
-    base_window: np.ndarray | None
+    base: dict | None
     end: dict
 
     @classmethod
@@ -147,15 +149,16 @@ class _Slots:
             name: getattr(ens, name) for name in ("i", "t", "r", "max_i", "window_rem")
             if getattr(ens, name) is not None
         }
-        return cls(None, ens.recorded, np.arange(len(ens.t)), None, None, end)
+        return cls(None, ens.recorded, np.arange(len(ens.t)), None, end)
 
     def histories(self, slots: np.ndarray) -> lockstep.EventLog:
         """Path j of the log is slot ``slots[j]``'s history."""
         tail = self.batch.log(self.member[slots])
-        if self.base_max_i is not None:
-            tail.max_i = np.maximum(tail.max_i, self.base_max_i[slots][tail.path])
+        if self.base is not None:
+            at = slots[tail.path]
+            tail.max_i = np.maximum(tail.max_i, self.base["max_i"][at])
             if tail.window_rem is not None:
-                tail.window_rem += self.base_window[slots][tail.path]
+                tail.window_rem += self.base["window_rem"][at]
         log = tail if self.head is None else self.head.take(slots, tail=tail)
         log.t_stop = self.end["t"][slots]
         return log
@@ -226,21 +229,17 @@ def _branch(
     stop[targets] = keep
     member = np.full(n, -1, dtype=np.int64)
     member[targets] = np.arange(len(targets))
-    base = {}
     end = {name: col.copy() for name, col in slots.end.items()}
+    base = {}
     for name in end:
         end[name][targets] = getattr(ens, name)
-    for name in ("max_i", "window_rem"):
-        if name in end:
+        if name in ("max_i", "window_rem"):
             base[name] = np.zeros(n, dtype=np.int64)
             base[name][targets] = cut[name]
     end["max_i"][targets] = np.maximum(end["max_i"][targets], cut["max_i"])
     if "window_rem" in end:
         end["window_rem"][targets] += cut["window_rem"]
-    return _Slots(
-        log.take(source, start, stop), ens.recorded, member,
-        base["max_i"], base.get("window_rem"), end,
-    )
+    return _Slots(log.take(source, start, stop), ens.recorded, member, base, end)
 
 
 def _materialize(
