@@ -9,8 +9,8 @@ loop holds it.  A call hands the rows back in the loop's order
 request, for every path or for the few a caller reads.
 
 SIR and contact tracing share one loop, ``_jump_loop``, and plug into it
-through a rate hook, ``_Rates``; only contact tracing, whose rates decay
-between jumps, runs by thinning.  The loop keeps the live paths' state
+through their rate constants, ``_Rates``; only contact tracing, whose rates
+decay between jumps, runs by thinning.  The loop keeps the live paths' state
 compacted, a column per live path in path order, and drops paths as they
 finish.  Each iteration draws uniforms for exactly the live paths: waiting
 times, then (thinning only) acceptances, then event kinds, each in path
@@ -31,8 +31,8 @@ from .core import (
 )
 
 __all__ = [
-    "EventLog", "JumpEnsemble", "Recorded", "hiv_ensemble", "initial_row", "rf_advance", "rf_chains",
-    "rf_loglik", "sir_ensemble",
+    "EventLog", "JumpEnsemble", "Recorded", "hiv_ensemble", "initial_row", "rf_advance",
+    "rf_chains", "rf_loglik", "sir_ensemble",
 ]
 
 _ITERATION_CAP = 100_000_000
@@ -165,7 +165,8 @@ class Recorded:
     def log(self, paths: np.ndarray | None = None) -> EventLog:
         """The rows grouped by path: path j of the log holds the rows of this
         call's path ``paths[j]``, or none where that is -1 (its ``t_stop`` is
-        then nan).  Every path, in order, by default."""
+        then nan); no other path may appear twice.  Every path, in order, by
+        default."""
         key = self.rows[5].astype(np.intp)
         if paths is None:
             picked, t_stop = None, self.t_stop
@@ -250,10 +251,10 @@ def initial_row(model: SirParams | HivParams) -> dict:
 
 @dataclass(frozen=True)
 class _Rates:
-    """The rate hook of one model: infections at ``coef * s * i``, removals
+    """The rates of one model: infections at ``coef * s * i``, removals
     (detections) at ``gamma * i + traced * i * decayed``.  With a ``decay``
     rate of the decayed sum the loop thins; without, every proposal is a
-    jump and the loop sums the rate integrals importance sampling needs,
+    jump and the loop can sum the rate integrals importance sampling needs,
     the pair integral scaled by ``pair_scale`` where there is one.
 
     The rates are held as 0-d arrays: numpy converts a Python float beside a
@@ -270,16 +271,6 @@ class _Rates:
         for name in ("coef", "gamma", "pair_scale", "traced", "decay"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
-
-    def __call__(self, s: np.ndarray, i: np.ndarray, decayed: np.ndarray | None):
-        """Infection and total rate; under thinning, a bound until the next jump."""
-        rate_inf = self.coef * s * i
-        if self.decay is None:
-            return rate_inf, rate_inf + self.gamma * i
-        return rate_inf, rate_inf + self.gamma * i + self.traced * i * decayed
-
-    def detection(self, i: np.ndarray, decayed: np.ndarray) -> np.ndarray:
-        return self.gamma * i + self.traced * i * decayed
 
 
 def _grown(buffer: np.ndarray, filled: int, size: int) -> np.ndarray:
@@ -346,21 +337,30 @@ def _jump_loop(
         rows, flags, filled = np.empty((logged, 32 * n + 64)), np.empty(32 * n + 64, bool), 0
     finished = [out[:, :0]]
     block = out
+    # views of the block's rows, taken again only when the block is compacted
+    s, i, r, t, max_i, path, *extra = block
     for _ in range(_ITERATION_CAP + 1):
-        alive = block[1] > 0
+        alive = i > 0
         if finite:
-            alive &= block[3] < horizon
+            alive &= t < horizon
         if target is not None:
             alive &= block[target] < target_level
         (keep,) = alive.nonzero()
         if keep.size < block.shape[1]:
             finished.append(block.take((~alive).nonzero()[0], axis=1))
             block = block.take(keep, axis=1)
+            s, i, r, t, max_i, path, *extra = block
         if not keep.size:
             break
-        s, i, r, t, max_i, path, *extra = block
         decayed = extra[0] if thinning else None
-        rate_inf, rate_tot = rates(s, i, decayed)
+        rate_inf = rates.coef * s * i
+        rate_rem = rates.gamma * i
+        if thinning:
+            # the rate at the last jump bounds the rate until the next
+            traced = rates.traced * i
+            rate_tot = rate_inf + rate_rem + traced * decayed
+        else:
+            rate_tot = rate_inf + rate_rem
         u = rng.random((3 if thinning else 2, keep.size))
         t_new = t - np.log1p(-u[0]) / rate_tot
         t_next = np.minimum(t_new, horizon) if finite else t_new
@@ -368,7 +368,7 @@ def _jump_loop(
         if thinning:
             bound = rate_tot
             decayed *= np.exp(neg_decay * dt)
-            rate_tot = rate_inf + rates.detection(i, decayed)
+            rate_tot = rate_inf + (rate_rem + traced * decayed)
             if (rate_tot > bound * slack).any():
                 raise AssertionError("thinning bound fell below the instantaneous rate")
             jump = u[1] * bound < rate_tot

@@ -181,7 +181,7 @@ def test_take_rows_of_paths(name):
     start = np.array([0, 1, 0, 2, 0])
     stop = np.minimum(np.diff(log.offsets)[paths], np.array([2, 4, 0, 9, 9]))
     start = np.minimum(start, stop)
-    tail = ens.recorded.log(np.array([1, -1, 2, 4, 4]))
+    tail = ens.recorded.log(np.array([1, -1, 2, 4, 6]))
     for with_tail in (None, tail):
         taken = log.take(paths, start, stop, with_tail)
         for j, k in enumerate(paths):
@@ -192,8 +192,8 @@ def test_take_rows_of_paths(name):
                     continue
                 expected = col[a + start[j]:a + stop[j]]
                 if with_tail is not None:
-                    extra = getattr(with_tail, column)[with_tail.offsets[j]:with_tail.offsets[j + 1]]
-                    expected = np.concatenate([expected, extra])
+                    rows = slice(with_tail.offsets[j], with_tail.offsets[j + 1])
+                    expected = np.concatenate([expected, getattr(with_tail, column)[rows]])
                 got = getattr(taken, column)[taken.offsets[j]:taken.offsets[j + 1]]
                 assert np.array_equal(got, expected)
         assert np.array_equal(taken.t_stop, log.t_stop[paths])
