@@ -172,6 +172,41 @@ def test_level_branch(model_name, event_name, n, seed, level, whole, data):
             _check_history(new, model, child, spec)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    model_name=st.sampled_from(sorted(MODELS)),
+    event_name=st.sampled_from(sorted(EVENTS)),
+    n=st.integers(2, 25),
+    seed=st.integers(0, 2**32 - 1),
+    level=st.integers(1, 6),
+    whole=st.booleans(),
+    data=st.data(),
+)
+def test_branches_stack(model_name, event_name, n, seed, level, whole, data):
+    # the second cut groups survivors whose rows span a head and a refill
+    # batch counted from its start states
+    model, spec, ens = _start(model_name, event_name, n, seed)
+    slots = _Slots.start(ens)
+    column = _PROGRESS[type(spec)]
+    for stage in (1, 2):
+        progress = slots.end[column]
+        if stage == 2:
+            level = int(progress.max())
+        assume(np.any(progress >= level) and np.any(progress < level))
+        surv = np.flatnonzero(progress >= level)
+        targets = np.flatnonzero(progress < level)
+        parents = _pick_parents(data, surv, targets.size)
+        rng = SeedSpec(seed, replication=stage).generator()
+        slots = _branch(slots, surv, targets, parents, model, spec, level, rng, whole=whole)
+        log = _grouped(slots, model)
+        assert np.all(slots.end[column] >= level)
+    total = model.s0 + model.i0 + initial_row(model)["r"]
+    assert np.all(log.s + log.i + log.r == total)
+    if whole:
+        for k in range(n):
+            _check_history(log, model, k, spec)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     model_name=st.sampled_from(sorted(MODELS)),
