@@ -230,12 +230,11 @@ def _branch(
     member = np.full(n, -1, dtype=np.int64)
     member[targets] = np.arange(len(targets))
     end = {name: col.copy() for name, col in slots.end.items()}
-    base = {}
-    for name in end:
-        end[name][targets] = getattr(ens, name)
-        if name in ("max_i", "window_rem"):
-            base[name] = np.zeros(n, dtype=np.int64)
-            base[name][targets] = cut[name]
+    for name, col in end.items():
+        col[targets] = getattr(ens, name)
+    base = {name: np.zeros(n, dtype=np.int64) for name in ("max_i", "window_rem") if name in end}
+    for name, col in base.items():
+        col[targets] = cut[name]
     end["max_i"][targets] = np.maximum(end["max_i"][targets], cut["max_i"])
     if "window_rem" in end:
         end["window_rem"][targets] += cut["window_rem"]
