@@ -114,7 +114,7 @@ class JumpEvent:
     state_after: CompartmentState
 
     def __post_init__(self) -> None:
-        if self.time < 0:
+        if not self.time >= 0:  # NaN too
             raise ValueError(f"event time must be non-negative: {self.time}")
 
 

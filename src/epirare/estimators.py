@@ -81,10 +81,15 @@ class Estimate:
             raise ValueError("per-level survival fractions must lie in [0, 1]")
 
 
-def _stop_config(spec: EventSpec) -> dict:
-    """Lockstep stop arguments under which the event is decided."""
+def _stop_config(spec: EventSpec, model: ModelParams | None = None) -> dict:
+    """Lockstep stop arguments under which the event is decided.  Given the
+    SIR model, a final size is decided on the embedded jump chain alone,
+    which does not depend on time, so that call runs clock-free."""
     if isinstance(spec, FinalSize):
-        return dict(target_axis=Axis.REMOVED, target_level=spec.n_c)
+        return dict(
+            target_axis=Axis.REMOVED, target_level=spec.n_c,
+            clock_free=isinstance(model, SirParams),
+        )
     if isinstance(spec, Incidence):
         return dict(horizon=spec.T, target_axis=Axis.INFECTED, target_level=spec.n_i)
     if isinstance(spec, Duration):
@@ -132,7 +137,9 @@ def cmc(model: ModelParams, spec: EventSpec, n_paths: int, seed: SeedSpec) -> Es
         _, infectives = lockstep.rf_chains(model, spec.t - 1, n_paths, rng)
         hits = infectives.sum(axis=1) >= spec.n_c
     else:
-        batch = _ensemble_fn(model)(model, n_paths, rng, **_stop_config(spec))
+        batch = _ensemble_fn(model)(
+            model, n_paths, rng, rate_integrals=False, **_stop_config(spec, model)
+        )
         hits = _batch_indicators(batch, spec)
     value = float(np.mean(hits))
     return Estimate(value, diagnostics=Diagnostics(zero_runs=int(value == 0.0)))
@@ -143,11 +150,20 @@ def _sir_log_ratio(
 ) -> np.ndarray:
     """Per path, the log likelihood ratio d(base)/d(instrumental) of a batch
     simulated under the instrumental law, at each path's stopping time; -inf
-    where a base rate of zero meets a path that used it."""
-    log_phi = -(
-        (base.lam - instr.lam) * batch.int_pair
-        + (base.gamma - instr.gamma) * batch.int_i
-    )
+    where a base rate of zero meets a path that used it.
+
+    On a clock-free batch it is the ratio of the jump chains, the product
+    over events of the base over the instrumental chance of the event.
+    That is the conditional expectation of the ratio of the whole paths
+    given the chain, so it weights a chain-decided event without bias and
+    with no more variance (Rao-Blackwell)."""
+    if batch.log_rate_ratio is None:
+        log_phi = -(
+            (base.lam - instr.lam) * batch.int_pair
+            + (base.gamma - instr.gamma) * batch.int_i
+        )
+    else:
+        log_phi = -batch.log_rate_ratio
     if base.lam > 0:
         log_phi = log_phi + batch.n_inf * math.log(base.lam / instr.lam)
     else:
@@ -181,7 +197,10 @@ def _is_weights(
             raise ValueError("instrumental rates must be positive")
         if (model.scaling, model.population) != (instrumental.scaling, instrumental.population):
             raise ValueError("base and instrumental laws must share scaling and population")
-        paths = lockstep.sir_ensemble(instrumental, n_paths, rng, **_stop_config(spec))
+        stop = _stop_config(spec, model)
+        if stop.get("clock_free"):
+            stop["base"] = model
+        paths = lockstep.sir_ensemble(instrumental, n_paths, rng, **stop)
         hits = _batch_indicators(paths, spec)
         log_ratio = _sir_log_ratio(paths, model, instrumental)
     finite = np.isfinite(log_ratio)
@@ -248,6 +267,12 @@ def ce_estimate(
     weights ratio * indicator.  Returns the last iteration's estimate plus the
     learned parameter trace.  An iteration whose weights all vanish keeps the
     parameters and is counted in ``zero_runs``.
+
+    On an SIR final size the batches run clock-free: the weights are ratios
+    of jump chains, and the rate integrals are their conditional
+    expectations given the chain.  The weighted maximum-likelihood update
+    below is then the same cross-entropy step, in expectation, as with the
+    whole paths' integrals.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")

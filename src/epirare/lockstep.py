@@ -15,6 +15,15 @@ compacted, a column per live path in path order, and drops paths as they
 finish.  Each iteration draws uniforms for exactly the live paths: waiting
 times, then (thinning only) acceptances, then event kinds, each in path
 order.  ``tests/test_golden.py`` pins the outputs of this order.
+
+An SIR call with no horizon and no window can run clock-free
+(``clock_free=True``): it simulates only the embedded jump chain, which is
+all a final-size event depends on.  Each iteration then draws one uniform
+per live path, in path order, for the event kind and nothing else.  On SIR
+the chance that an event is an infection, c*s/(c*s + gamma), does not
+depend on i, so the loop reads it and every per-event tally from one small
+table indexed by s.  Such a call has no times: its ``t`` and its recorded
+``t`` row are NaN.
 """
 
 from __future__ import annotations
@@ -209,6 +218,14 @@ class JumpEnsemble:
 
     A recording call also hands back the rows it kept, ungrouped, as
     ``recorded``; ``log`` groups every path's rows on first use.
+
+    A clock-free call keeps no time: ``t`` is NaN.  Its ``int_pair`` and
+    ``int_i`` are the conditional expectations of the two rate integrals
+    given the jump chain, the sums over events of (pair_scale times)
+    s/(c*s + gamma) and 1/(c*s + gamma).  Given a base law, it also sums
+    ``log_rate_ratio``, over events, the log of the base over the simulated
+    total event rate per infective, log((c_b*s + gamma_b)/(c*s + gamma));
+    None otherwise.
     """
 
     s: np.ndarray
@@ -223,9 +240,13 @@ class JumpEnsemble:
     window_rem: np.ndarray | None = None
     decayed: np.ndarray | None = None
     recorded: dataclasses.InitVar[Recorded | None] = None
+    log_rate_ratio: dataclasses.InitVar[np.ndarray | None] = None
 
-    def __post_init__(self, recorded: Recorded | None) -> None:
+    def __post_init__(
+        self, recorded: Recorded | None, log_rate_ratio: np.ndarray | None
+    ) -> None:
         self.recorded = recorded
+        self.log_rate_ratio = log_rate_ratio
 
     @cached_property
     def log(self) -> EventLog | None:
@@ -273,6 +294,24 @@ class _Rates:
                 object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
 
 
+def _chain_table(rates: _Rates, base: _Rates | None, integrals: bool, n_s: int) -> np.ndarray:
+    """Per susceptible count s in 0..n_s-1, a column: the chance that an
+    event is an infection, then what a clock-free call adds up per event,
+    the rate integrals' expected increments (with ``integrals``) and the
+    log rate ratio against ``base`` (with one)."""
+    s = np.arange(n_s, dtype=float)
+    per_infective = rates.coef * s + rates.gamma
+    rows = [rates.coef * s / per_infective]
+    if integrals:
+        pair = s / per_infective
+        if rates.pair_scale is not None:
+            pair = pair * rates.pair_scale
+        rows += [pair, 1.0 / per_infective]
+    if base is not None:
+        rows.append(np.log((base.coef * s + base.gamma) / per_infective))
+    return np.array(rows)
+
+
 def _grown(buffer: np.ndarray, filled: int, size: int) -> np.ndarray:
     """``buffer`` with room for ``size`` entries on its last axis, keeping
     the first ``filled``."""
@@ -294,9 +333,14 @@ def _jump_loop(
     window: tuple[float, float] | None = None,
     record: bool = False,
     rate_integrals: bool = True,
+    clock_free: bool = False,
+    base: _Rates | None = None,
 ) -> JumpEnsemble:
     """Advance paths from ``init`` = (s, i, r, t[, decayed]), or ``n_paths``
     fresh ones, until each is extinct, at the horizon or at the target.
+    ``clock_free`` simulates the jump chain alone, ignoring ``init``'s
+    times; only then may a ``base`` law's rate constants be given, against
+    which the loop sums the log rate ratio.
 
     ``block`` holds the live paths' state, a row per quantity and a column
     per path (counts are exact in float64); finished columns go to
@@ -308,6 +352,11 @@ def _jump_loop(
     The loop runs once per event of the slowest path, mostly on a handful
     of live paths, so it keeps numpy's fixed cost per call down: constants
     are 0-d arrays, and it calls no ufunc with keywords."""
+    thinning = rates.decay is not None
+    if clock_free and (thinning or horizon < np.inf or window is not None):
+        raise ValueError("a clock-free call takes no thinning, horizon or window")
+    if base is not None and not clock_free:
+        raise ValueError("a base law's rate ratio is summed only by a clock-free call")
     if init is None:
         fresh = initial_row(model)
         init = [np.full(int(n_paths), fresh[k]) for k in ("s", "i", "r", "t", "decayed")
@@ -315,8 +364,11 @@ def _jump_loop(
     s0, i0, r0 = (np.array(x, dtype=np.int64) for x in init[:3])
     t0, *decayed0 = (np.array(x, dtype=float) for x in init[3:])
     n = len(t0)
-    thinning = rates.decay is not None
     sums = rate_integrals and not thinning
+    if clock_free:
+        t0 = np.full(n, np.nan)
+        table = _chain_table(rates, base, sums, int(s0.max(initial=0)) + 1)
+        tallies = len(table) - 1
     finite = horizon < np.inf
     target = {Axis.INFECTED: 1, Axis.REMOVED: 2}.get(target_axis)
     horizon = np.array(horizon)
@@ -328,9 +380,9 @@ def _jump_loop(
         neg_decay, slack = -rates.decay, np.array(1.0 + 1e-12)
     # rows: s, i, r, t, max_i, path, then decayed (thinning) and the window's
     # removal count, the rows an event log keeps; then the two rate
-    # integrals, when the loop sums them
+    # integrals, when the loop sums them, and the log rate ratio (base law)
     logged = 6 + thinning + (window is not None)
-    zeros = np.zeros(((window is not None) + 2 * sums, n))
+    zeros = np.zeros(((window is not None) + 2 * sums + (base is not None), n))
     out = np.array([s0, i0, r0, t0, i0, np.arange(n), *decayed0, *zeros], dtype=float)
     if record:
         # the recorded rows, and whether each event was an infection
@@ -352,42 +404,48 @@ def _jump_loop(
             s, i, r, t, max_i, path, *extra = block
         if not keep.size:
             break
-        decayed = extra[0] if thinning else None
-        rate_inf = rates.coef * s * i
-        rate_rem = rates.gamma * i
-        if thinning:
-            # the rate at the last jump bounds the rate until the next
-            traced = rates.traced * i
-            rate_tot = rate_inf + rate_rem + traced * decayed
+        if clock_free:
+            step = table.take(s.astype(np.intp), axis=1)
+            is_inf, jump = rng.random(keep.size) < step[0], None
+            if tallies:
+                block[-tallies:] += step[1:]
         else:
-            rate_tot = rate_inf + rate_rem
-        u = rng.random((3 if thinning else 2, keep.size))
-        t_new = t - np.log1p(-u[0]) / rate_tot
-        t_next = np.minimum(t_new, horizon) if finite else t_new
-        dt = t_next - t
-        if thinning:
-            bound = rate_tot
-            decayed *= np.exp(neg_decay * dt)
-            rate_tot = rate_inf + (rate_rem + traced * decayed)
-            if (rate_tot > bound * slack).any():
-                raise AssertionError("thinning bound fell below the instantaneous rate")
-            jump = u[1] * bound < rate_tot
-            if finite:
-                jump &= t_new <= horizon
-        else:
-            jump = t_new <= horizon if finite else None
-        if sums:
-            pair = s * i * dt
-            extra[-2] += pair if rates.pair_scale is None else pair * rates.pair_scale
-            extra[-1] += i * dt
-        is_inf = u[-1] * rate_tot < rate_inf
+            decayed = extra[0] if thinning else None
+            rate_inf = rates.coef * s * i
+            rate_rem = rates.gamma * i
+            if thinning:
+                # the rate at the last jump bounds the rate until the next
+                traced = rates.traced * i
+                rate_tot = rate_inf + rate_rem + traced * decayed
+            else:
+                rate_tot = rate_inf + rate_rem
+            u = rng.random((3 if thinning else 2, keep.size))
+            t_new = t - np.log1p(-u[0]) / rate_tot
+            t_next = np.minimum(t_new, horizon) if finite else t_new
+            dt = t_next - t
+            if thinning:
+                bound = rate_tot
+                decayed *= np.exp(neg_decay * dt)
+                rate_tot = rate_inf + (rate_rem + traced * decayed)
+                if (rate_tot > bound * slack).any():
+                    raise AssertionError("thinning bound fell below the instantaneous rate")
+                jump = u[1] * bound < rate_tot
+                if finite:
+                    jump &= t_new <= horizon
+            else:
+                jump = t_new <= horizon if finite else None
+            if sums:
+                pair = s * i * dt
+                extra[-2] += pair if rates.pair_scale is None else pair * rates.pair_scale
+                extra[-1] += i * dt
+            is_inf = u[-1] * rate_tot < rate_inf
+            t[...] = t_next
         inf, rem = (is_inf, ~is_inf) if jump is None else (jump & is_inf, jump > is_inf)
         s -= inf
         i += inf
         i -= rem
         r += rem
         max_i[...] = np.maximum(max_i, i)
-        t[...] = t_next
         if thinning:
             decayed += rem
         if window is not None:
@@ -406,7 +464,8 @@ def _jump_loop(
     done = np.concatenate(finished, axis=1)
     out[:, done[5].astype(np.int64)] = done
     s, i, r, max_i = (out[k].astype(np.int64) for k in (0, 1, 2, 4))
-    t, integrals = out[3], out[-2:] if sums else (np.zeros(n), np.zeros(n))
+    t = out[3]
+    integrals = out[logged:logged + 2] if sums else (np.zeros(n), np.zeros(n))
     window_rem = out[logged - 1].astype(np.int64) if window is not None else None
     recorded = Recorded(
         rows[:, :filled], flags[:filled], rates.other_kind, thinning, window is not None, t,
@@ -414,6 +473,17 @@ def _jump_loop(
     return JumpEnsemble(
         s, i, r, t, max_i, s0 - s, r - r0, *integrals, window_rem,
         out[6] if thinning else None, recorded=recorded,
+        log_rate_ratio=out[-1] if base is not None else None,
+    )
+
+
+def _sir_rates(params: SirParams) -> _Rates:
+    mass_action = params.scaling is Scaling.MASS_ACTION
+    return _Rates(
+        coef=params.lam / params.population if mass_action else params.lam,
+        gamma=params.gamma,
+        other_kind=EventKind.REMOVAL.value,
+        pair_scale=1.0 / params.population if mass_action else None,
     )
 
 
@@ -423,25 +493,22 @@ def sir_ensemble(
     rng: np.random.Generator,
     *,
     init: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
+    base: SirParams | None = None,
     **stop,
 ) -> JumpEnsemble:
     """Advance an ensemble of SIR paths to extinction, horizon, or target.
 
     ``stop`` takes the keywords ``horizon``, ``target_axis``,
-    ``target_level``, ``window``, ``record`` and ``rate_integrals`` (False
+    ``target_level``, ``window``, ``record``, ``rate_integrals`` (False
     leaves ``int_pair`` and ``int_i`` at zero, for callers that do not
-    weight paths, and saves the loop two sums).  ``init`` supplies per-path
-    (s, i, r, t) start points for continuing truncated paths; otherwise all
-    paths start fresh at (s0, i0, 0, 0).
+    weight paths, and saves the loop two sums) and ``clock_free`` (simulate
+    the jump chain alone; no horizon or window).  A clock-free call given
+    the ``base`` law also sums ``log_rate_ratio`` against it.  ``init``
+    supplies per-path (s, i, r, t) start points for continuing truncated
+    paths; otherwise all paths start fresh at (s0, i0, 0, 0).
     """
-    mass_action = params.scaling is Scaling.MASS_ACTION
-    rates = _Rates(
-        coef=params.lam / params.population if mass_action else params.lam,
-        gamma=params.gamma,
-        other_kind=EventKind.REMOVAL.value,
-        pair_scale=1.0 / params.population if mass_action else None,
-    )
-    return _jump_loop(rates, params, n_paths, rng, init=init, **stop)
+    base_rates = None if base is None else _sir_rates(base)
+    return _jump_loop(_sir_rates(params), params, n_paths, rng, init=init, base=base_rates, **stop)
 
 
 def hiv_ensemble(

@@ -48,14 +48,23 @@ its rows in the batch, which stay ungrouped until a later cut reads them.
 Whole histories are kept only when the conditional sample is returned, and
 only then is every slot grouped; otherwise a child keeps just its cut row.
 
+On an SIR final size the engine runs clock-free (``lockstep``): the level
+cuts read only removal counts, so slots carry no times.  The conditional
+sample then draws its times after the run: given the jump chain, the
+holding times are independent exponentials at the rates of the states a
+path visits.
+
 Stream layout per stage s: particle 0 carries batched mutation draws,
 particle 1 carries selection draws; stage 0 is the initial ensemble.
-Restarts shift all stage coordinates by a large fixed offset.  A stream is
-opened only when it is drawn from.
+Restarts shift all stage coordinates by a large fixed offset.  Particle 2
+at the last attempt's stage 0 carries the conditional sample's deferred
+holding times, one standard exponential per event in path order.  A
+stream is opened only when it is drawn from.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -216,7 +225,8 @@ def _branch(
         cut["t"] = np.full(len(parents), level)
     init = tuple(cut[name] for name in ("s", "i", "r", "t", "decayed") if name in cut)
     ens = _ensemble_fn(model)(
-        model, None, rng, record=True, rate_integrals=False, init=init, **_stop_config(spec)
+        model, None, rng, record=True, rate_integrals=False, init=init,
+        **_stop_config(spec, model),
     )
 
     n = len(slots.member)
@@ -241,14 +251,39 @@ def _branch(
     return _Slots(log.take(source, start, stop), ens.recorded, member, base, end)
 
 
+def _with_times(
+    log: lockstep.EventLog, model: SirParams, rng: np.random.Generator
+) -> lockstep.EventLog:
+    """A clock-free log with event times: given the jump chain, a path's
+    holding times are independent exponentials at the model's total event
+    rate in the state before each event.  One draw per row, in log order;
+    a path stops at its last event (at 0 with none)."""
+    start = lockstep.initial_row(model)
+    length = np.diff(log.offsets)
+    first = log.offsets[:-1][length > 0]
+    s_before, i_before = np.roll(log.s, 1), np.roll(log.i, 1)
+    s_before[first], i_before[first] = start["s"], start["i"]
+    rate = model.pair_rate(s_before, i_before) + model.gamma * i_before
+    hold = rng.standard_exponential(len(rate)) / rate
+    t = np.empty_like(hold)
+    for a, b in zip(log.offsets[:-1], log.offsets[1:]):
+        np.cumsum(hold[a:b], out=t[a:b])
+    t_stop = np.where(length > 0, t[log.offsets[1:] - 1], 0.0)
+    return dataclasses.replace(log, t=t, t_stop=t_stop)
+
+
 def _materialize(
     log: lockstep.EventLog,
     model: ModelParams,
     spec: EventSpec,
     stage: int,
     levels: list[float],
+    times: SeedSpec,
 ) -> ParticleEnsemble:
-    """The final paths, weighted by whether they attain the event."""
+    """The final paths, weighted by whether they attain the event; a
+    clock-free log first gets its times from the stream ``times``."""
+    if _stop_config(spec, model).get("clock_free"):
+        log = _with_times(log, model, times.generator())
     initial = lockstep.initial_row(model)
     every, length = np.arange(len(log.t_stop)), np.diff(log.offsets)
     hits = []
@@ -289,7 +324,8 @@ def _stage_loop(
     on_time = isinstance(spec, Duration)
     rng0 = seed.stream(particle=0, stage=stage_base).generator()
     slots = _Slots.start(_ensemble_fn(model)(
-        model, n_particles, rng0, record=True, rate_integrals=False, **_stop_config(spec)
+        model, n_particles, rng0, record=True, rate_integrals=False,
+        **_stop_config(spec, model),
     ))
     every = np.arange(n_particles)
     per_level: list[float] = []
@@ -519,7 +555,10 @@ def ibps_estimate(
             particles, tuple(float(w) for w in weights), len(per_level), tuple(levels)
         )
     else:
-        ensemble = _materialize(log, model, spec, len(per_level), levels)
+        # the last attempt's stage base addresses the deferred times
+        last_attempt = min(extinct_count, restart_on_extinction)
+        times = seed.stream(particle=2, stage=last_attempt * _RESTART_STAGE_OFFSET)
+        ensemble = _materialize(log, model, spec, len(per_level), levels, times)
     diag = Diagnostics(
         extinct_ensembles=extinct_count, zero_runs=int(value == 0.0)
     )

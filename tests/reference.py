@@ -6,7 +6,9 @@ likelihoods.  This module keeps the per-path forms they replaced: the
 Reed-Frost chain, the Markovian SIR jump process and the age-structured
 contact-tracing process simulated one event at a time, and the SIR
 likelihood ratio and Reed-Frost log-likelihood evaluated along one path.
-The tests replay the engine against them.  It also keeps the
+``sir_chain_ratio`` adds the SIR ratio of a jump chain and the rate
+integrals' conditional expectations given it, which clock-free engine calls
+sum.  The tests replay the engine against them.  It also keeps the
 arbitrary-precision triangular solve for the SIR final-size law, the
 independent reference for the package's embedded-chain oracle
 (``epirare.exact_final_size``).
@@ -47,6 +49,7 @@ __all__ = [
     "rf_log_likelihood",
     "rf_simulate",
     "rf_step",
+    "sir_chain_ratio",
     "sir_importance_ratio",
     "sir_rates",
     "sir_simulate",
@@ -327,6 +330,38 @@ def sir_importance_ratio(
     if n_rem:
         log_phi += n_rem * math.log(base.gamma / instr.gamma)
     return math.exp(log_phi)
+
+
+def sir_chain_ratio(
+    path, base: SirParams, instr: SirParams
+) -> tuple[float, float, float]:
+    """Along an SIR jump chain simulated under the instrumental law, given as
+    its states from the start through each event: the log likelihood ratio
+    d(base)/d(instrumental) of the chain, and the conditional expectations
+    of the pair and infective rate integrals given the chain.
+
+    Event by event, from the state before it: the log of the base over the
+    instrumental chance of that event, and the state's pair and infective
+    counts times its mean holding time under the instrumental law.  A base
+    chance of zero gives -inf.
+    """
+    divisor = base.population if base.scaling is Scaling.MASS_ACTION else 1
+    log_ratio = int_pair = int_i = 0.0
+    for before, after in zip(path, path[1:]):
+        s, i = before.s, before.i
+        infected = after.s == s - 1
+        chances = []
+        for params in (base, instr):
+            rate_inf, rate_rem = sir_rates(before, params)
+            chances.append((rate_inf if infected else rate_rem) / (rate_inf + rate_rem))
+        if chances[0] == 0.0:
+            log_ratio = -math.inf
+        else:
+            log_ratio += math.log(chances[0] / chances[1])
+        holding = 1.0 / sum(sir_rates(before, instr))
+        int_pair += s * i / divisor * holding
+        int_i += i * holding
+    return log_ratio, int_pair, int_i
 
 
 def rf_log_likelihood(path, q: float) -> float:

@@ -146,6 +146,12 @@ def test_path_validation_rejects_non_increasing_times():
         EpidemicPath(CompartmentState(9, 1, 0), events, horizon=2.0)
 
 
+def test_event_rejects_nan_time():
+    # a clock-free engine call leaves its times NaN: a path built from them fails
+    with pytest.raises(ValueError, match="non-negative"):
+        JumpEvent(math.nan, EventKind.INFECTION, CompartmentState(8, 2, 0))
+
+
 def test_seedspec_reproducibility_bit_identical():
     params = SirParams(lam=1.0, gamma=1.0, s0=20, i0=1, scaling=Scaling.UNSCALED)
     spec = SeedSpec(1234, replication=3, particle=5, stage=2)

@@ -22,11 +22,14 @@ from epirare import (
     is_estimate,
     tail_pf,
 )
-from epirare.estimators import Diagnostics, Estimate, _sir_log_ratio
+from epirare.estimators import Diagnostics, Estimate, _sir_log_ratio, _stop_config
 from epirare import lockstep
-from reference import StopRule, rf_log_likelihood, sir_importance_ratio, sir_simulate
+from reference import (
+    StopRule, rf_log_likelihood, sir_chain_ratio, sir_importance_ratio, sir_simulate,
+)
 
 TOY = SirParams(lam=0.12, gamma=1.0, s0=9, i0=1, scaling=Scaling.UNSCALED)
+ABAKALIKI = SirParams(lam=0.0008254, gamma=0.087613, s0=119, i0=1, scaling=Scaling.UNSCALED)
 
 
 def test_cmc_certain_event_is_one():
@@ -176,6 +179,96 @@ def test_importance_ratio_unbiased_against_oracle():
     # lockstep route must agree with the same target
     est = is_estimate(base, spec, instr, 1_000_000, SeedSpec(7))
     assert abs(est.value - exact) < 3 * se
+
+
+CHAIN_LAWS = {
+    # (base, instrumental)
+    "unscaled": (
+        SirParams(lam=0.035, gamma=1.0, s0=30, i0=2, scaling=Scaling.UNSCALED),
+        SirParams(lam=0.06, gamma=0.8, s0=30, i0=2, scaling=Scaling.UNSCALED),
+    ),
+    "mass_action": (
+        SirParams(lam=1.2, gamma=1.0, s0=30, i0=2, n=40),
+        SirParams(lam=2.0, gamma=0.7, s0=30, i0=2, n=40),
+    ),
+    "no_infection": (
+        SirParams(lam=0.0, gamma=1.0, s0=30, i0=2, scaling=Scaling.UNSCALED),
+        SirParams(lam=0.06, gamma=0.8, s0=30, i0=2, scaling=Scaling.UNSCALED),
+    ),
+}
+
+
+def _chain_batch(base, instr, seed, init=None, n_paths=60):
+    """A recorded clock-free final-size batch under ``instr``, weighted
+    against ``base``."""
+    return lockstep.sir_ensemble(
+        instr, n_paths, SeedSpec(seed).generator(), init=init, base=base, record=True,
+        **_stop_config(FinalSize(n_c=16), instr),
+    )
+
+
+@pytest.mark.parametrize("start", ["fresh", "init"])
+@pytest.mark.parametrize("law", sorted(CHAIN_LAWS))
+def test_chain_ratio_matches_replay(law, start):
+    base, instr = CHAIN_LAWS[law]
+    init = None
+    if start == "init":
+        # clocked paths cut at time 0.3, some made extinct and some put at
+        # the target; a clock-free call ignores their times
+        cut = lockstep.sir_ensemble(instr, 60, SeedSpec(40).generator(), horizon=0.3)
+        s, i, r = (x.copy() for x in (cut.s, cut.i, cut.r))
+        assert (cut.n_inf + cut.n_rem > 0).any()
+        i[:3], r[3:5] = 0, 16
+        s[:5] = instr.s0 + instr.i0 - i[:5] - r[:5]
+        init = (s, i, r, cut.t)
+    batch = _chain_batch(base, instr, 41, init)
+    assert np.isnan(batch.t).all() and np.isnan(batch.log.t).all()
+    log = batch.log
+    starts = init or [np.full(60, x) for x in (instr.s0, instr.i0, 0)]
+    log_ratio = _sir_log_ratio(batch, base, instr)
+    for k in range(60):
+        rows = range(log.offsets[k], log.offsets[k + 1])
+        chain = [CompartmentState(*(int(x[k]) for x in starts[:3]))] + [
+            CompartmentState(int(log.s[j]), int(log.i[j]), int(log.r[j])) for j in rows
+        ]
+        expected, int_pair, int_i = sir_chain_ratio(chain, base, instr)
+        if expected == -math.inf:
+            assert log_ratio[k] == -math.inf
+        else:
+            assert log_ratio[k] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert batch.int_pair[k] == pytest.approx(int_pair, rel=1e-12)
+        assert batch.int_i[k] == pytest.approx(int_i, rel=1e-12)
+    if law == "no_infection":
+        # a base law without infections rules out every path that infects
+        assert np.array_equal(log_ratio == -math.inf, batch.n_inf > 0)
+        assert (batch.n_inf == 0).any()
+
+
+def test_chain_ratio_identity_when_laws_match():
+    base, _ = CHAIN_LAWS["mass_action"]
+    assert np.all(_sir_log_ratio(_chain_batch(base, base, 42), base, base) == 0.0)
+
+
+def test_is_deep_tail_matches_exact():
+    # P(final size >= 100) on Abakaliki is about 5e-6.  Weighted by whole
+    # paths, an instrumental law at 1.6 lambda gives heavy-tailed weights:
+    # over 300 runs their relative variance per run came out at 6 to 25,
+    # and a run of 300 that misses the rare huge weights sits standard
+    # errors low.  The ratio of the jump chains, which the event depends on
+    # alone, gave 0.034 to 0.036.
+    spec = FinalSize(n_c=100)
+    exact = tail_pf(exact_final_size(ABAKALIKI), ABAKALIKI.i0, spec.n_c)
+    assert exact == pytest.approx(4.990e-6, rel=1e-3)
+    instr = dataclasses.replace(ABAKALIKI, lam=1.6 * ABAKALIKI.lam)
+    values = np.array([
+        is_estimate(ABAKALIKI, spec, instr, 1000, SeedSpec(44, replication=rep)).value
+        for rep in range(300)
+    ])
+    sem = values.std(ddof=1) / math.sqrt(len(values))
+    assert abs(values.mean() - exact) < 3 * sem, (
+        f"mean {values.mean():.4e} vs exact {exact:.4e}, sem {sem:.1e}"
+    )
+    assert values.var(ddof=1) / values.mean() ** 2 < 0.1
 
 
 def _rf_loglik_checked(chain, q):

@@ -10,18 +10,22 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from epirare import (
     Axis,
     CompartmentState,
     EventKind,
+    FinalSize,
     HivParams,
     Scaling,
     SeedSpec,
     SimulationError,
     SirParams,
+    exact_final_size,
     lockstep,
 )
+from epirare.estimators import _stop_config
 
 SIR = SirParams(lam=0.035, gamma=1.0, s0=30, i0=2, scaling=Scaling.UNSCALED)
 HIV = HivParams(
@@ -214,3 +218,111 @@ def test_rate_integrals_off_changes_only_the_integrals():
     for field in dataclasses.fields(summed.log):
         a, b = getattr(summed.log, field.name), getattr(bare.log, field.name)
         assert (a is None and b is None) or np.array_equal(a, b)
+
+
+# clock-free calls: the embedded jump chain alone
+
+MASS_ACTION = SirParams(lam=1.5, gamma=1.0, s0=50, i0=1, n=60)
+CHAIN_MODELS = {
+    "toy": SirParams(lam=0.12, gamma=1.0, s0=9, i0=1, scaling=Scaling.UNSCALED),
+    "abakaliki": SirParams(
+        lam=0.0008254, gamma=0.087613, s0=119, i0=1, scaling=Scaling.UNSCALED
+    ),
+    "mass_action": MASS_ACTION,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_MODELS))
+def test_clock_free_final_sizes_follow_the_exact_law(name):
+    # crude Monte-Carlo's engine call on a final size no path reaches, so
+    # every path runs to extinction
+    model = CHAIN_MODELS[name]
+    spec = FinalSize(n_c=model.s0 + model.i0 + 1)
+    n = 20_000
+    ens = lockstep.sir_ensemble(
+        model, n, SeedSpec(37).generator(), rate_integrals=False,
+        **_stop_config(spec, model),
+    )
+    assert np.all(ens.i == 0) and np.isnan(ens.t).all()
+    expected = exact_final_size(model) * n
+    observed = np.bincount(ens.n_inf, minlength=len(expected)).astype(float)
+    # pool neighbouring sizes until each cell expects at least 5 paths
+    cells = np.cumsum(expected) // 5
+    cells = np.minimum(cells, cells[-1] - 1)
+    pooled_obs = np.bincount(cells.astype(int), weights=observed)
+    pooled_exp = np.bincount(cells.astype(int), weights=expected)
+    keep = pooled_exp > 0
+    assert chisquare(pooled_obs[keep], pooled_exp[keep]).pvalue > 1e-3
+
+
+def test_clock_free_draws_one_uniform_per_live_path():
+    # replay: each iteration draws one uniform per live path, in path order,
+    # and an event is an infection when it falls below c*s/(c*s + gamma)
+    n = 12
+    init = (np.arange(20, 20 + n), np.full(n, 2), np.zeros(n, dtype=int), np.zeros(n))
+    engine_rng = SeedSpec(39).generator()
+    ens = lockstep.sir_ensemble(
+        MASS_ACTION, None, engine_rng, init=init, record=True, clock_free=True
+    )
+    rng = SeedSpec(39).generator()
+    s, i = init[0].copy(), init[1].copy()
+    coef = MASS_ACTION.lam / MASS_ACTION.population
+    kinds = [[] for _ in range(n)]
+    while (i > 0).any():
+        (live,) = (i > 0).nonzero()
+        pair = coef * s[live]
+        infected = rng.random(live.size) < pair / (pair + MASS_ACTION.gamma)
+        for k, inf in zip(live, infected):
+            kinds[k].append(EventKind.INFECTION.value if inf else EventKind.REMOVAL.value)
+        s[live] -= infected
+        i[live] += 2 * infected - 1
+    log = ens.log
+    for k in range(n):
+        assert log.kind[log.offsets[k]:log.offsets[k + 1]].tolist() == kinds[k]
+    np.testing.assert_array_equal(ens.s, s)
+    # and nothing else was drawn
+    assert engine_rng.random() == rng.random()
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_clock_free_call_has_no_times(record):
+    init = _fresh_start("sir", 50)
+    ens = lockstep.sir_ensemble(
+        SIR, 50, SeedSpec(40).generator(), record=record, clock_free=True,
+        target_axis=Axis.REMOVED, target_level=16,
+    )
+    np.testing.assert_array_equal(ens.s + ens.i + ens.r, SIR.s0 + SIR.i0)
+    np.testing.assert_array_equal(ens.n_inf, SIR.s0 - ens.s)
+    np.testing.assert_array_equal(ens.n_rem, ens.r)
+    assert np.all((ens.i == 0) | (ens.r >= 16))
+    assert len(ens.t) == 50 and np.isnan(ens.t).all()
+    assert ens.log_rate_ratio is None
+    if record:
+        _check_rows(ens, init)
+        assert np.isnan(ens.log.t).all()
+        # a path needs times: one built from a clock-free log fails
+        k = int(np.argmax(ens.n_inf + ens.n_rem))
+        with pytest.raises(ValueError, match="non-negative"):
+            ens.log.epidemic_path(k, SIR)
+
+
+def _check_rows(ens, start):
+    s0, i0, r0 = start[:3]
+    log = ens.log
+    np.testing.assert_array_equal(np.diff(log.offsets), ens.n_inf + ens.n_rem)
+    np.testing.assert_array_equal(log.s + log.i + log.r, (s0 + i0 + r0)[log.path])
+    last = log.offsets[1:][np.diff(log.offsets) > 0] - 1
+    for name in ("s", "i", "r", "max_i"):
+        column = getattr(log, name)
+        np.testing.assert_array_equal(column[last], getattr(ens, name)[log.path[last]])
+
+
+def test_clock_free_rejects_what_needs_a_clock():
+    rng = SeedSpec(41).generator()
+    for stop in (dict(horizon=1.0), dict(horizon=2.0, window=(0.5, 2.0))):
+        with pytest.raises(ValueError, match="clock-free"):
+            lockstep.sir_ensemble(SIR, 5, rng, clock_free=True, **stop)
+    with pytest.raises(ValueError, match="clock-free"):
+        lockstep.hiv_ensemble(HIV, 5, rng, clock_free=True)
+    with pytest.raises(ValueError, match="clock-free"):
+        lockstep.sir_ensemble(SIR, 5, rng, base=SIR)

@@ -493,3 +493,26 @@ def test_conditional_sample_leaves_the_estimate_unchanged(name):
     )
     assert with_sample.per_level == bare.per_level
     assert with_sample.value == bare.value
+
+
+def test_conditional_sample_times_follow_the_conditional_law():
+    # On an SIR final size the engine keeps no clock, and the conditional
+    # sample draws its holding times after the run.  Each path must be a
+    # valid EpidemicPath, and its extinction time must follow the law of
+    # the extinction times of clocked paths that hit the event (P ~ 2e-2),
+    # by rejection.  One particle per run keeps the sample independent.
+    ext_ibps = []
+    for rep in range(300):
+        _, ensemble = ibps_estimate(
+            TOY, TOY_SPEC, n_particles=50, keep_fraction=0.1,
+            seed=SeedSpec(45, replication=rep),
+        )
+        for particle in ensemble.particles:
+            times = [ev.time for ev in particle.path.events]
+            assert times == sorted(set(times)) and math.isfinite(times[-1])
+            assert particle.path.final_state.i == 0
+        ext_ibps.append(ensemble.particles[0].path.events[-1].time)
+    clocked = lockstep.sir_ensemble(TOY, 200_000, SeedSpec(46).generator())
+    hits = clocked.n_inf + TOY.i0 >= TOY_SPEC.n_c
+    assert hits.sum() > 2000
+    assert ks_2samp(ext_ibps, clocked.t[hits]).pvalue > 1e-3
