@@ -4,7 +4,8 @@ A change that keeps the order of random draws must leave every value here
 unchanged: the bytes of a small sweep covering every method x model pairing,
 the per-level survival fractions of splitting runs on every event the
 splitting estimators accept, the level-hit times of one conditional sample,
-and a digest of every field and event-log column the jump engines return.  A change that moves draws on purpose regenerates the pins with
+and a digest of every field and event-log column the jump engines return,
+clocked and clock-free.  A change that moves draws on purpose regenerates the pins with
 ``PYTHONPATH=src python tests/test_golden.py`` and says so in CHANGES.md.
 """
 
@@ -266,6 +267,12 @@ ENGINE_CASES = {
     for record in (False, True)
     for start in ("fresh", "init")
 }
+# clock-free SIR final-size calls, weighted against a base law
+CHAIN_BASE = SirParams(lam=0.02, gamma=1.2, s0=30, i0=2, scaling=Scaling.UNSCALED)
+ENGINE_CASES.update({
+    f"{name}-clock_free": case
+    for name, case in ENGINE_CASES.items() if case[:2] == ("sir", "final_size")
+})
 
 
 def _sweep_csv() -> str:
@@ -338,6 +345,8 @@ def _digest(ens: lockstep.JumpEnsemble) -> str:
     and event-log column."""
     digest = hashlib.sha256()
     items = [(f.name, getattr(ens, f.name)) for f in dataclasses.fields(ens) if f.name != "log"]
+    if ens.log_rate_ratio is not None:
+        items.append(("log_rate_ratio", ens.log_rate_ratio))
     if ens.log is not None:
         items += [(f"log.{f.name}", getattr(ens.log, f.name)) for f in dataclasses.fields(ens.log)]
     for name, value in items:
@@ -357,9 +366,10 @@ def _engine_digest(name: str) -> str:
     model = SIR if model_name == "sir" else HIV
     engine = getattr(lockstep, f"{model_name}_ensemble")
     init = _engine_init(model_name, spec) if start == "init" else None
-    ens = engine(
-        model, 200, SeedSpec(2028).generator(), record=record, init=init, **_stop_config(spec)
-    )
+    stop = _stop_config(spec)
+    if name.endswith("clock_free"):
+        stop = dict(_stop_config(spec, model), base=CHAIN_BASE)
+    ens = engine(model, 200, SeedSpec(2028).generator(), record=record, init=init, **stop)
     return _digest(ens)
 
 
@@ -499,9 +509,13 @@ ENGINE_DIGESTS = {'hiv-diagnoses-bare-fresh': 'ea4b0da4cc8b51ccacf1746a9505955e4
  'sir-duration-record-fresh': '35ceab641b63f03f80751eceb17644290becfb845f7c1ca65a67aa578671cfaf',
  'sir-duration-record-init': '91d3b959fdf012841403490bd75a6dde4f38cdafcf9d09924bc42723b257995d',
  'sir-final_size-bare-fresh': 'ed3522562948c521fc42e95764cb82ceb13148eea0c091f4e1a1d79aac29bc4f',
+ 'sir-final_size-bare-fresh-clock_free': 'e19bb8d66686932d8e84fa88fd62e09c89a78206d469565eb08226efb52b8589',
  'sir-final_size-bare-init': '1ebd4181753c28cdfec843b2ccd0c8cc6e97a6065ad13585fdef4035d0ec7c2c',
+ 'sir-final_size-bare-init-clock_free': 'f1fd0dffa639a8a6d98db9fa128b1b52c771776069b0c9b357a047a5c3021369',
  'sir-final_size-record-fresh': '5a8d0fd6e0806c9b8dc896ad8253a8f33f00e9f3e6d274ad12d11b6f9eb1b082',
+ 'sir-final_size-record-fresh-clock_free': '32941a547c5cab133b42af34ff82a92af6f73d6465283665aad888b67ee931ab',
  'sir-final_size-record-init': '5ae5bbfff88c0d4fa9ceb3497ab745ae84ece28458b738fd2e96396730dd38f3',
+ 'sir-final_size-record-init-clock_free': '82101e783344a81fdf5daa16103e5d2d928dd391d2497b49b8298733aa807d4a',
  'sir-incidence-bare-fresh': '57b476331c9c9ee848e76c131a9e6c0bf56305d72763f1c959cf5c39756e1ef2',
  'sir-incidence-bare-init': '643a7a7924f18d4540109e54b4cfc1d53757e3ef68604c8b582753cc0cf08aef',
  'sir-incidence-record-fresh': '26479c79089099245df88803ce9e3e79d607f5620342cdb022649a72bc369ef4',
