@@ -206,14 +206,14 @@ keep_count = 10
 
 GOLDEN_CSV = """\
 method,params,value,stderr,extinct_ensembles,zero_runs,wall_seconds
-cmc,N=40;reps=3;seed=7,1.417e-01,2.887e-02,0,0,
+cmc,N=40;reps=3;seed=7,2.167e-01,5.774e-02,0,0,
 cmc,N=40;reps=3;seed=7,4.583e-01,6.292e-02,0,0,
 cmc,N=40;reps=3;seed=7,3.667e-01,3.819e-02,0,0,
-is,N=40;reps=3;seed=7,6.116e-02,2.815e-02,0,0,
+is,N=40;reps=3;seed=7,8.479e-02,2.538e-02,0,0,
 is,N=40;reps=3;seed=7,2.362e-01,4.739e-02,0,0,
-ce[K=3],N=40;reps=3;seed=7,1.006e-01,9.875e-03,0,0,
+ce[K=3],N=40;reps=3;seed=7,9.449e-02,1.961e-02,0,0,
 ce[K=3],N=40;reps=3;seed=7,2.360e-01,1.059e-02,0,0,
-ibps[multinomial;keep=0.3],N=40;reps=3;seed=7,7.641e-02,2.355e-02,0,0,
+ibps[multinomial;keep=0.3],N=40;reps=3;seed=7,1.040e-01,4.995e-02,0,0,
 ibps[keepall;fixed-levels],N=40;reps=3;seed=7,5.073e-02,4.546e-02,0,0,
 ibps[multinomial;keep=0.5;potential_v(a=0.1)],N=40;reps=3;seed=7,1.900e-01,1.772e-02,0,0,
 ibps[multinomial;keep=0.3],N=40;reps=3;seed=7,5.444e-03,2.738e-03,0,0,
@@ -398,8 +398,8 @@ PER_LEVEL = {'hiv-diagnoses-keepall': (0.20833333333333334, 0.8666666666666667, 
                            0.11666666666666667,
                            0.025),
  'sir-diagnoses-multinomial': (0.23333333333333334, 0.25833333333333336, 0.38333333333333336),
- 'sir-final_size-keepall': (0.2, 0.6416666666666667),
- 'sir-final_size-multinomial': (0.2, 0.6666666666666666),
+ 'sir-final_size-keepall': (0.24166666666666667, 0.8833333333333333),
+ 'sir-final_size-multinomial': (0.24166666666666667, 0.5666666666666667),
  'sir-incidence-keepall': (0.2833333333333333,
                            0.225,
                            0.39166666666666666,
@@ -410,7 +410,7 @@ PER_LEVEL = {'hiv-diagnoses-keepall': (0.20833333333333334, 0.8666666666666667, 
                                0.35833333333333334,
                                0.24166666666666667)}
 
-FIXED_SCHEDULE_PER_LEVEL = (0.625, 0.675, 0.7, 0.6666666666666666)
+FIXED_SCHEDULE_PER_LEVEL = (0.65, 0.6666666666666666, 0.7833333333333333, 0.5833333333333334)
 
 TEMPORAL_PER_LEVEL = {'hiv-adaptive': (0.25, 0.25, 0.25, 0.8333333333333334),
  'hiv-grid': (0.5333333333333333, 0.275, 0.3, 0.36666666666666664),
@@ -472,17 +472,17 @@ HIT_TIMES = {'hiv-incidence': ((5.0, 6.0, 8.0, 9.0),
                     (1.314680368137901, 1.47593262332614, NEVER)),
                    (14, 14, 14, 14, 14, 14, 14, 13, 14, 13)),
  'sir-final_size': ((16.0,),
-                    ((5.056503777765171,),
-                     (8.185042130719344,),
-                     (8.185042130719344,),
-                     (5.056503777765171,),
-                     (5.413352362856014,),
-                     (4.395103119567834,),
-                     (4.395103119567834,),
-                     (4.395103119567834,),
-                     (8.185042130719344,),
-                     (8.185042130719344,)),
-                    (31, 31, 31, 31, 32, 34, 34, 34, 31, 31))}
+                    ((3.848280465052049,),
+                     (4.4493588674173035,),
+                     (3.595987422945486,),
+                     (3.483116609513759,),
+                     (7.826064631967534,),
+                     (7.1374666376555975,),
+                     (5.35965461206518,),
+                     (6.506401536854111,),
+                     (7.336742036416732,),
+                     (5.0767930904709,)),
+                    (31, 31, 35, 35, 31, 31, 31, 31, 31, 31))}
 
 ENGINE_DIGESTS = {'hiv-diagnoses-bare-fresh': 'ea4b0da4cc8b51ccacf1746a9505955e4d8299b0734f9000d7ad89a12f34ff1d',
  'hiv-diagnoses-bare-init': '7eb50f9f13154547559c3fe01e0f48b95fd1c1b71ed4f9774a9f78924eddd810',
