@@ -50,11 +50,11 @@ RUNS = {"ibps-abakaliki": _ibps, "temporal-contact-tracing": _temporal, "ce-abak
 
 # float.hex() of the estimate of replications 0, 1 and 2
 PINS = {
-    "ibps-abakaliki": ("0x1.51611ba3ca750p-10", "0x1.41205bc01a36ep-9", "0x1.815a07b352a84p-10"),
+    "ibps-abakaliki": ("0x1.d8e8640208180p-11", "0x1.148fd9fd36f7ep-9", "0x1.a6937d1fe64f5p-12"),
     "temporal-contact-tracing": (
         "0x1.bc98a222d5174p-11", "0x1.bda5119ce0761p-11", "0x1.bf37b8d3f1845p-11",
     ),
-    "ce-abakaliki": ("0x1.3c5007ed43e0bp-9", "0x1.687763ab41e96p-9", "0x1.6022d362355e6p-9"),
+    "ce-abakaliki": ("0x1.40584495b8a9cp-9", "0x1.1814dbe61e12fp-9", "0x1.345f4e08a3101p-9"),
 }
 
 
