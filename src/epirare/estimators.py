@@ -81,10 +81,10 @@ class Estimate:
             raise ValueError("per-level survival fractions must lie in [0, 1]")
 
 
-def _stop_config(spec: EventSpec, model: ModelParams | None = None) -> dict:
-    """Lockstep stop arguments under which the event is decided.  Given the
-    SIR model, a final size is decided on the embedded jump chain alone,
-    which does not depend on time, so that call runs clock-free."""
+def _stop_config(spec: EventSpec, model: ModelParams) -> dict:
+    """Lockstep stop arguments under which the event is decided on the
+    model.  On SIR, a final size is decided on the embedded jump chain
+    alone, which does not depend on time, so that call runs clock-free."""
     if isinstance(spec, FinalSize):
         return dict(
             target_axis=Axis.REMOVED, target_level=spec.n_c,

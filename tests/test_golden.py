@@ -328,7 +328,7 @@ def _engine_init(model_name: str, spec) -> tuple:
     ens = engine(model, 150, SeedSpec(2027).generator(), horizon=0.4)
     s, i, r, t = (x.copy() for x in (ens.s, ens.i, ens.r, ens.t))
     total = s + i + r
-    stop = _stop_config(spec)
+    stop = _stop_config(spec, model)
     if "horizon" in stop:
         t[:3] = stop["horizon"]
     if stop.get("target_axis") is Axis.REMOVED:
@@ -366,9 +366,10 @@ def _engine_digest(name: str) -> str:
     model = SIR if model_name == "sir" else HIV
     engine = getattr(lockstep, f"{model_name}_ensemble")
     init = _engine_init(model_name, spec) if start == "init" else None
-    stop = _stop_config(spec)
     if name.endswith("clock_free"):
         stop = dict(_stop_config(spec, model), base=CHAIN_BASE)
+    else:
+        stop = dict(_stop_config(spec, model), clock_free=False)
     ens = engine(model, 200, SeedSpec(2028).generator(), record=record, init=init, **stop)
     return _digest(ens)
 
