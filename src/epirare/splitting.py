@@ -265,9 +265,12 @@ def _with_times(
     s_before[first], i_before[first] = start["s"], start["i"]
     rate = model.pair_rate(s_before, i_before) + model.gamma * i_before
     hold = rng.standard_exponential(len(rate)) / rate
-    t = np.empty_like(hold)
-    for a, b in zip(log.offsets[:-1], log.offsets[1:]):
-        np.cumsum(hold[a:b], out=t[a:b])
+    # each path's holding times summed along a row of its own, padded with
+    # zeros: exactly the path's own cumulative sums
+    column = np.arange(len(hold)) - np.repeat(log.offsets[:-1], length)
+    padded = np.zeros((len(length), length.max(initial=0)))
+    padded[log.path, column] = hold
+    t = np.cumsum(padded, axis=1)[log.path, column]
     t_stop = np.where(length > 0, t[log.offsets[1:] - 1], 0.0)
     return dataclasses.replace(log, t=t, t_stop=t_stop)
 
