@@ -6,7 +6,8 @@ contact-tracing sum re-summed over the detections of the history.  A branch
 groups only the survivors' histories and scores slots by the engine's end
 states, so the checks also compare those with the whole grouped histories.
 On an SIR final size the engine runs clock-free and histories carry NaN
-times, so there the checks read no time and compare NaN as equal.
+times, so there, and only there, the checks require NaN times, read no
+time order and compare NaN as equal.
 """
 
 import math
@@ -109,22 +110,27 @@ def _start(model_name, event_name, n, seed):
     return model, spec, ens
 
 
-def _grouped(slots, model):
+def _grouped(slots, model, spec):
     """Every slot's history; checks that a slot's end state is its last row's
     and that grouping some slots gives their rows in the whole log."""
+    # clock-free histories have NaN times, which compare equal there
+    clock_free = _clock_free(model, spec)
     n = len(slots.member)
     log = slots.histories(np.arange(n))
     names = tuple(name for name in slots.end if name != "t")
     last = log.state_after(np.arange(n), np.diff(log.offsets), initial_row(model), names)
     for name in names:
         assert np.array_equal(slots.end[name], last[name])
-    # clock-free histories have NaN times, which compare equal here
-    assert np.array_equal(log.t_stop, slots.end["t"], equal_nan=True)
+    if clock_free:
+        assert np.isnan(log.t).all() and np.isnan(log.t_stop).all()
+    assert np.array_equal(log.t_stop, slots.end["t"], equal_nan=clock_free)
     some = np.arange(n)[::-3]
     part, expected = slots.histories(some), log.take(some)
     for name in ("path", "t", "kind", *log.STATE, "offsets", "t_stop"):
         got, want = getattr(part, name), getattr(expected, name)
-        assert (got is None and want is None) or np.array_equal(got, want, equal_nan=True)
+        assert (got is None and want is None) or np.array_equal(
+            got, want, equal_nan=clock_free
+        )
     return log
 
 
@@ -148,7 +154,8 @@ def _pick_parents(data, candidates, size):
 def test_level_branch(model_name, event_name, n, seed, level, whole, data):
     model, spec, ens = _start(model_name, event_name, n, seed)
     slots = _Slots.start(ens)
-    log = _grouped(slots, model)
+    log = _grouped(slots, model, spec)
+    clock_free = _clock_free(model, spec)
     column = _PROGRESS[type(spec)]
     progress = slots.end[column]
     assume(np.any(progress >= level) and np.any(progress < level))
@@ -158,26 +165,30 @@ def test_level_branch(model_name, event_name, n, seed, level, whole, data):
     keep = _level_cut(log, model, spec, level)
     rng = SeedSpec(seed, replication=1).generator()
     branched = _branch(slots, surv, targets, parents, model, spec, level, rng, whole=whole)
-    new = _grouped(branched, model)
+    new = _grouped(branched, model, spec)
 
     total = model.s0 + model.i0 + initial_row(model)["r"]
     assert np.all(new.s + new.i + new.r == total)
     for k in np.setdiff1d(np.arange(n), targets):
         before, after = _rows(log, k), _rows(new, k)
-        assert all(np.array_equal(before[name], after[name], equal_nan=True) for name in before)
+        assert all(
+            np.array_equal(before[name], after[name], equal_nan=clock_free) for name in before
+        )
     initial = initial_row(model)
     for child, parent in zip(targets, parents):
         cut = keep[parent]
         old, fresh = _rows(log, parent), _rows(new, child)
         kept = cut if whole else min(cut, 1)
         for name, col in old.items():
-            assert np.array_equal(fresh[name][:kept], col[cut - kept:cut], equal_nan=True)
+            assert np.array_equal(
+                fresh[name][:kept], col[cut - kept:cut], equal_nan=clock_free
+            )
         # the parent's state at the cut, which the child starts from
         at_cut = log.state_after(np.array([parent]), np.array([cut]), initial)
         assert at_cut[column][0] >= level
         if cut > 0:
             assert cut == 1 or old[column][cut - 2] < level
-            if not _clock_free(model, spec):
+            if not clock_free:
                 assert np.all(fresh["t"][kept:] >= old["t"][cut - 1])
         assert branched.end[column][child] >= level
         if whole:
@@ -210,7 +221,7 @@ def test_branches_stack(model_name, event_name, n, seed, level, whole, data):
         parents = _pick_parents(data, surv, targets.size)
         rng = SeedSpec(seed, replication=stage).generator()
         slots = _branch(slots, surv, targets, parents, model, spec, level, rng, whole=whole)
-        log = _grouped(slots, model)
+        log = _grouped(slots, model, spec)
         assert np.all(slots.end[column] >= level)
     total = model.s0 + model.i0 + initial_row(model)["r"]
     assert np.all(log.s + log.i + log.r == total)
@@ -233,7 +244,7 @@ def test_time_branch(model_name, n, seed, t_cut, whole, data):
     horizon = 3.0
     fn = _ensemble_fn(model)
     slots = _Slots.start(fn(model, n, SeedSpec(seed).generator(), record=True, horizon=horizon))
-    log = _grouped(slots, model)
+    log = _grouped(slots, model, Duration(horizon))
     ext = np.where(slots.end["i"] == 0, slots.end["t"], math.inf)
     assume(np.any(ext > t_cut) and np.any(ext <= t_cut))
     targets = np.flatnonzero(ext <= t_cut)
@@ -244,7 +255,7 @@ def test_time_branch(model_name, n, seed, t_cut, whole, data):
     branched = _branch(
         slots, surv, targets, parents, model, Duration(horizon), t_cut, rng, whole=whole
     )
-    new = _grouped(branched, model)
+    new = _grouped(branched, model, Duration(horizon))
 
     total = model.s0 + model.i0 + initial_row(model)["r"]
     assert np.all(new.s + new.i + new.r == total)
