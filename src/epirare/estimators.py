@@ -269,10 +269,12 @@ def ce_estimate(
     parameters and is counted in ``zero_runs``.
 
     On an SIR final size the batches run clock-free: the weights are ratios
-    of jump chains, and the rate integrals are their conditional
-    expectations given the chain.  The weighted maximum-likelihood update
-    below is then the same cross-entropy step, in expectation, as with the
-    whole paths' integrals.
+    of jump chains, the conditional expectations of the whole paths' ratios
+    given the chain, and the rate integrals are summed at the nominal rates,
+    so that weight times integral is the conditional expectation of the
+    whole path's ratio times its integral.  The weighted maximum-likelihood
+    update below is then the same cross-entropy step, in expectation, as
+    with whole paths.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")

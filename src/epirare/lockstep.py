@@ -220,12 +220,15 @@ class JumpEnsemble:
     ``recorded``; ``log`` groups every path's rows on first use.
 
     A clock-free call keeps no time: ``t`` is NaN.  Its ``int_pair`` and
-    ``int_i`` are the conditional expectations of the two rate integrals
-    given the jump chain, the sums over events of (pair_scale times)
-    s/(c*s + gamma) and 1/(c*s + gamma).  Given a base law, it also sums
-    ``log_rate_ratio``, over events, the log of the base over the simulated
-    total event rate per infective, log((c_b*s + gamma_b)/(c*s + gamma));
-    None otherwise.
+    ``int_i`` are conditional expectations given the jump chain, the sums
+    over events of (pair_scale times) s/(c*s + gamma) and 1/(c*s + gamma).
+    Given a base law, c and gamma are the base law's, and the sums are the
+    conditional expectations of the two rate integrals times the whole
+    path's likelihood ratio, divided by the chain's; without one, they are
+    the integrals' own, at the simulated rates.  Given a base law, the call
+    also sums ``log_rate_ratio``, over events, the log of the base over the
+    simulated total event rate per infective,
+    log((c_b*s + gamma_b)/(c*s + gamma)); None otherwise.
     """
 
     s: np.ndarray
@@ -297,16 +300,24 @@ class _Rates:
 def _chain_table(rates: _Rates, base: _Rates | None, integrals: bool, n_s: int) -> np.ndarray:
     """Per susceptible count s in 0..n_s-1, a column: the chance that an
     event is an infection, then what a clock-free call adds up per event,
-    the rate integrals' expected increments (with ``integrals``) and the
-    log rate ratio against ``base`` (with one)."""
+    the rate integrals' increments (with ``integrals``) and the log rate
+    ratio against ``base`` (with one).
+
+    An integral's increment is its expected growth over the holding time
+    before the event, at the rates of ``base`` where there is one: given
+    the chain, the whole path's ratio times a holding time has the mean of
+    the holding time under the base law, so these are the conditional
+    expectations of the integrals weighted by the ratio."""
     s = np.arange(n_s, dtype=float)
     per_infective = rates.coef * s + rates.gamma
     rows = [rates.coef * s / per_infective]
     if integrals:
-        pair = s / per_infective
+        law = rates if base is None else base
+        holding = 1.0 / (law.coef * s + law.gamma)
+        pair = s * holding
         if rates.pair_scale is not None:
             pair = pair * rates.pair_scale
-        rows += [pair, 1.0 / per_infective]
+        rows += [pair, holding]
     if base is not None:
         rows.append(np.log((base.coef * s + base.gamma) / per_infective))
     return np.array(rows)

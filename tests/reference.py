@@ -338,12 +338,14 @@ def sir_chain_ratio(
     """Along an SIR jump chain simulated under the instrumental law, given as
     its states from the start through each event: the log likelihood ratio
     d(base)/d(instrumental) of the chain, and the conditional expectations
-    of the pair and infective rate integrals given the chain.
+    given the chain of the pair and infective rate integrals times the
+    whole path's ratio, divided by the chain's ratio.
 
     Event by event, from the state before it: the log of the base over the
     instrumental chance of that event, and the state's pair and infective
-    counts times its mean holding time under the instrumental law.  A base
-    chance of zero gives -inf.
+    counts times its mean holding time under the base law (the whole
+    path's ratio times a holding time has that mean given the chain).  A
+    base chance of zero gives -inf.
     """
     divisor = base.population if base.scaling is Scaling.MASS_ACTION else 1
     log_ratio = int_pair = int_i = 0.0
@@ -358,7 +360,7 @@ def sir_chain_ratio(
             log_ratio = -math.inf
         else:
             log_ratio += math.log(chances[0] / chances[1])
-        holding = 1.0 / sum(sir_rates(before, instr))
+        holding = 1.0 / sum(sir_rates(before, base))
         int_pair += s * i / divisor * holding
         int_i += i * holding
     return log_ratio, int_pair, int_i
