@@ -211,7 +211,7 @@ cmc,N=40;reps=3;seed=7,4.583e-01,6.292e-02,0,0,
 cmc,N=40;reps=3;seed=7,3.667e-01,3.819e-02,0,0,
 is,N=40;reps=3;seed=7,8.479e-02,2.538e-02,0,0,
 is,N=40;reps=3;seed=7,2.362e-01,4.739e-02,0,0,
-ce[K=3],N=40;reps=3;seed=7,9.449e-02,1.961e-02,0,0,
+ce[K=3],N=40;reps=3;seed=7,1.113e-01,4.405e-03,0,0,
 ce[K=3],N=40;reps=3;seed=7,2.360e-01,1.059e-02,0,0,
 ibps[multinomial;keep=0.3],N=40;reps=3;seed=7,1.040e-01,4.995e-02,0,0,
 ibps[keepall;fixed-levels],N=40;reps=3;seed=7,5.073e-02,4.546e-02,0,0,
@@ -510,13 +510,13 @@ ENGINE_DIGESTS = {'hiv-diagnoses-bare-fresh': 'ea4b0da4cc8b51ccacf1746a9505955e4
  'sir-duration-record-fresh': '35ceab641b63f03f80751eceb17644290becfb845f7c1ca65a67aa578671cfaf',
  'sir-duration-record-init': '91d3b959fdf012841403490bd75a6dde4f38cdafcf9d09924bc42723b257995d',
  'sir-final_size-bare-fresh': 'ed3522562948c521fc42e95764cb82ceb13148eea0c091f4e1a1d79aac29bc4f',
- 'sir-final_size-bare-fresh-clock_free': 'e19bb8d66686932d8e84fa88fd62e09c89a78206d469565eb08226efb52b8589',
+ 'sir-final_size-bare-fresh-clock_free': '6b4eff55bcea4594455ba0dbebe5e626403f22ed183361ac68bee4357c62ddfe',
  'sir-final_size-bare-init': '1ebd4181753c28cdfec843b2ccd0c8cc6e97a6065ad13585fdef4035d0ec7c2c',
- 'sir-final_size-bare-init-clock_free': 'f1fd0dffa639a8a6d98db9fa128b1b52c771776069b0c9b357a047a5c3021369',
+ 'sir-final_size-bare-init-clock_free': '6d946fe413f3559a0a7ebfd2d486dd1d436f19cae5e618716f3666d81d1c35d9',
  'sir-final_size-record-fresh': '5a8d0fd6e0806c9b8dc896ad8253a8f33f00e9f3e6d274ad12d11b6f9eb1b082',
- 'sir-final_size-record-fresh-clock_free': '32941a547c5cab133b42af34ff82a92af6f73d6465283665aad888b67ee931ab',
+ 'sir-final_size-record-fresh-clock_free': '0fc963a0238708ca535568f64bc5b7107042ae733e670883651aa1297c738a1a',
  'sir-final_size-record-init': '5ae5bbfff88c0d4fa9ceb3497ab745ae84ece28458b738fd2e96396730dd38f3',
- 'sir-final_size-record-init-clock_free': '82101e783344a81fdf5daa16103e5d2d928dd391d2497b49b8298733aa807d4a',
+ 'sir-final_size-record-init-clock_free': '60ba4d4bcdb0686f282bae2e0c8c704b392c6db0207d943ac0759fd371f9f67b',
  'sir-incidence-bare-fresh': '57b476331c9c9ee848e76c131a9e6c0bf56305d72763f1c959cf5c39756e1ef2',
  'sir-incidence-bare-init': '643a7a7924f18d4540109e54b4cfc1d53757e3ef68604c8b582753cc0cf08aef',
  'sir-incidence-record-fresh': '26479c79089099245df88803ce9e3e79d607f5620342cdb022649a72bc369ef4',
