@@ -54,7 +54,7 @@ PINS = {
     "temporal-contact-tracing": (
         "0x1.bc98a222d5174p-11", "0x1.bda5119ce0761p-11", "0x1.bf37b8d3f1845p-11",
     ),
-    "ce-abakaliki": ("0x1.40584495b8a9cp-9", "0x1.1814dbe61e12fp-9", "0x1.345f4e08a3101p-9"),
+    "ce-abakaliki": ("0x1.4cd2163664233p-9", "0x1.528ffb86a9c5ap-9", "0x1.3ddf96cc48506p-9"),
 }
 
 
