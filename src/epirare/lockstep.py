@@ -260,7 +260,10 @@ class JumpEnsemble:
         return self.i == 0
 
     def extinction_times(self) -> np.ndarray:
-        """Last event time where extinct, inf elsewhere."""
+        """Last event time where extinct, inf elsewhere; a clock-free call
+        has none."""
+        if np.isnan(self.t).any():
+            raise ValueError("a clock-free call keeps no times")
         return np.where(self.extinct, self.t, np.inf)
 
 

@@ -298,6 +298,8 @@ def test_clock_free_call_has_no_times(record):
     assert np.all((ens.i == 0) | (ens.r >= 16))
     assert len(ens.t) == 50 and np.isnan(ens.t).all()
     assert ens.log_rate_ratio is None
+    with pytest.raises(ValueError, match="clock-free"):
+        ens.extinction_times()
     if record:
         _check(ens, _fresh_start("sir", 50), clock_free=True)
         # a path needs times: one built from a clock-free log fails
