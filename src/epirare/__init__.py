@@ -19,9 +19,7 @@ from .core import (
     SeedSpec,
     SimulationError,
     SirParams,
-    extinction_time,
     read_path_csv,
-    state_at,
     write_path_csv,
 )
 from .estimators import (
@@ -39,10 +37,7 @@ from .events import (
     FinalSize,
     Incidence,
     LevelSchedule,
-    hitting_time,
-    indicator,
     quantile_levels,
-    score,
 )
 from .final_size import (
     exact_final_size,
@@ -82,15 +77,10 @@ __all__ = [
     "ce_estimate",
     "cmc",
     "exact_final_size",
-    "extinction_time",
-    "hitting_time",
     "ibps_estimate",
-    "indicator",
     "is_estimate",
     "quantile_levels",
     "read_path_csv",
-    "score",
-    "state_at",
     "tail_pf",
     "temporal_split_estimate",
     "threshold_for_tail",

@@ -1,9 +1,9 @@
 """Shared domain types for jump-process epidemics: states, paths, parameters,
-seeding, and state queries.
+seeding, and the path CSV format.
 
-Paths are stored as sparse event lists rather than dense time grids; every
-quantity of interest (extinction time, running maxima, final size) is an exact
-function of the event list.
+A path is stored as a sparse event list rather than a dense time grid.  The
+package decides events on the engine's columns (``lockstep``), not on these
+paths; an ``EpidemicPath`` is what a caller reads or writes one path as.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import csv
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence, TextIO, Union
 
 import numpy as np
@@ -31,9 +30,7 @@ __all__ = [
     "Scaling",
     "SeedSpec",
     "SimulationError",
-    "extinction_time",
     "read_path_csv",
-    "state_at",
     "write_path_csv",
 ]
 
@@ -100,10 +97,6 @@ class CompartmentState:
         if self.s < 0 or self.i < 0 or self.r < 0:
             raise ValueError(f"compartment counts must be non-negative: {self}")
 
-    @property
-    def total(self) -> int:
-        return self.s + self.i + self.r
-
 
 @dataclass(frozen=True)
 class JumpEvent:
@@ -162,17 +155,9 @@ class EpidemicPath:
         if self.events and any(t > self.events[0].time for t in self.initial_detection_times):
             raise ValueError("initial detections must predate the first event")
 
-    @cached_property
-    def _times(self) -> np.ndarray:
-        return np.array([ev.time for ev in self.events], dtype=float)
-
     @property
     def final_state(self) -> CompartmentState:
         return self.events[-1].state_after if self.events else self.initial
-
-    def n_events(self, t: float) -> int:
-        """Number of jumps up to and including time t."""
-        return int(np.searchsorted(self._times, t, side="right"))
 
 
 @dataclass(frozen=True)
@@ -307,34 +292,6 @@ class SeedSpec:
             spawn_key=(self.replication, self.particle, self.stage),
         )
         return np.random.Generator(np.random.Philox(seq))
-
-
-def state_at(path: EpidemicPath, t: float) -> CompartmentState:
-    """State of the path at time t (right-continuous step function).
-
-    Raises SimulationError if t exceeds the simulated horizon.
-    """
-    if t < 0:
-        raise ValueError(f"t must be non-negative: {t}")
-    if t > path.horizon:
-        raise SimulationError(f"path not simulated this far: t={t} > horizon={path.horizon}")
-    idx = path.n_events(t)
-    if idx == 0:
-        return path.initial
-    return path.events[idx - 1].state_after
-
-
-def extinction_time(path: EpidemicPath) -> float | Never:
-    """Time of the jump that empties the infective compartment.
-
-    Returns 0.0 for a path started with no infectives, and NEVER when
-    infectives remain at the simulated horizon.
-    """
-    if path.initial.i == 0:
-        return 0.0
-    if path.final_state.i > 0:
-        return NEVER
-    return path.events[-1].time
 
 
 def write_path_csv(path: EpidemicPath, out: TextIO) -> None:

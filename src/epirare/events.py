@@ -1,10 +1,11 @@
-"""Declarative rare-event specifications and their exact evaluation on paths.
+"""Declarative rare-event specifications and adaptive splitting levels.
 
-An event pairs a target set with a horizon rule.  ``score`` reports a path's
-best progress toward the target, ``indicator`` decides occurrence, and
-``quantile_levels`` turns ensemble scores into adaptive splitting levels.
-What follows a level that does not pass the previous one, the stall rule of
-adaptive splitting, is decided in ``ibps_estimate`` alone.
+An event pairs a target set with a horizon rule.  The estimators decide it
+on the engine's columns, where a path's progress towards it is one column
+(``estimators._PROGRESS``), and ``quantile_levels`` turns ensemble scores
+into adaptive splitting levels.  What follows a level that does not pass
+the previous one, the stall rule of adaptive splitting, is decided in
+``ibps_estimate`` alone.
 Every parameter check is written as ``not value > bound`` so that a NaN
 horizon or threshold fails it instead of slipping through.
 """
@@ -17,15 +18,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import (
-    Axis,
-    EpidemicPath,
-    NEVER,
-    Never,
-    SimulationError,
-    extinction_time,
-    state_at,
-)
+from .core import Axis
 
 __all__ = [
     "CumulativeInfections",
@@ -37,13 +30,8 @@ __all__ = [
     "LevelSchedule",
     "event_axis",
     "event_threshold",
-    "hitting_time",
-    "indicator",
     "quantile_levels",
-    "score",
 ]
-
-DiscretePath = Sequence[tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -156,96 +144,6 @@ class LevelSchedule:
             raise ValueError(f"schedule axis {self.axis} does not match event {spec}")
         if self.levels[-1] != event_threshold(spec):
             raise ValueError("last level must equal the event threshold")
-
-
-def _require_resolved(path: EpidemicPath, spec: EventSpec) -> None:
-    """The path must be simulated far enough for the event to be decided."""
-    extinct = path.final_state.i == 0
-    if isinstance(spec, FinalSize):
-        if not extinct and path.final_state.r < spec.n_c:
-            raise SimulationError("path under-simulated: not extinct and below the threshold")
-    elif isinstance(spec, Incidence):
-        max_i = max((ev.state_after.i for ev in path.events), default=path.initial.i)
-        if not extinct and path.horizon < spec.T and max_i < spec.n_i:
-            raise SimulationError("path under-simulated for the incidence horizon")
-    elif isinstance(spec, Duration):
-        if not extinct and path.horizon < spec.T:
-            raise SimulationError("path under-simulated for the duration horizon")
-    elif isinstance(spec, DiagnosesIncrement):
-        if not extinct and path.horizon < spec.t + spec.u:
-            raise SimulationError("path under-simulated for the diagnoses window")
-
-
-def score(path: EpidemicPath | DiscretePath, spec: EventSpec) -> float:
-    """Best progress of the path toward the event's target set.
-
-    Incidence: running maximum of I up to T.  FinalSize: final removed count.
-    CumulativeInfections: partial sum of infectives over generations < t.
-    Duration: extinction time, with +inf capping the scale for paths that
-    outlive their horizon.  DiagnosesIncrement: removals inside (t, t+u].
-    """
-    if isinstance(spec, CumulativeInfections):
-        chain = list(path)
-        if len(chain) < spec.t and chain[-1][1] != 0:
-            raise SimulationError("chain under-simulated for the generation horizon")
-        return float(sum(i for _, i in chain[: spec.t]))
-    assert isinstance(path, EpidemicPath)
-    _require_resolved(path, spec)
-    if isinstance(spec, FinalSize):
-        return float(path.final_state.r)
-    if isinstance(spec, Incidence):
-        values = [path.initial.i] + [
-            ev.state_after.i for ev in path.events if ev.time <= spec.T
-        ]
-        return float(max(values))
-    if isinstance(spec, Duration):
-        ext = extinction_time(path)
-        return math.inf if isinstance(ext, Never) else float(ext)
-    # Diagnoses increment; resolution check guarantees both endpoints are
-    # within the horizon (extinct paths carry an infinite one).
-    lo = state_at(path, spec.t).r
-    hi = state_at(path, spec.t + spec.u).r
-    return float(hi - lo)
-
-
-def indicator(path: EpidemicPath | DiscretePath, spec: EventSpec) -> int:
-    """1 iff the event occurs on the path (Duration demands strict excess)."""
-    s = score(path, spec)
-    if isinstance(spec, Duration):
-        return int(s > spec.T)
-    return int(s >= event_threshold(spec))
-
-
-def hitting_time(
-    path: EpidemicPath | DiscretePath, axis: Axis, level: float
-) -> float | Never:
-    """First event time at which the axis quantity reaches the level.
-
-    Returns 0 when the initial state already satisfies it, NEVER when the
-    simulated path never gets there.  For discrete chains the "time" is the
-    generation index.
-    """
-    if axis is Axis.CUMULATIVE_INFECTIONS:
-        total = 0
-        for gen, (_, i) in enumerate(path):
-            total += i
-            if total >= level:
-                return float(gen)
-        return NEVER
-    assert isinstance(path, EpidemicPath)
-    if axis is Axis.TIME:
-        ext = extinction_time(path)
-        if isinstance(ext, Never) or ext > level:
-            return float(level)
-        return NEVER
-    def value(state) -> int:
-        return state.i if axis is Axis.INFECTED else state.r
-    if value(path.initial) >= level:
-        return 0.0
-    for ev in path.events:
-        if value(ev.state_after) >= level:
-            return ev.time
-    return NEVER
 
 
 def quantile_levels(scores: Sequence[float], keep_fraction: float) -> float:

@@ -67,6 +67,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -111,20 +112,59 @@ WEIGHT_RULES = ("indicator", "potential_v", "potential_dv")
 
 @dataclass(frozen=True)
 class Particle:
-    """One member of a splitting ensemble with its stopping-time caches."""
+    """One member of a splitting ensemble with its stopping-time caches.
+
+    ``level_hit_times[j]`` is the first event time at which the path's
+    progress towards the event reaches the run's level j, 0.0 when its
+    start does and NEVER when it never does.  Progress is the column the
+    level cuts read: the removed count ``r`` on a final size, the running
+    maximum of infectives ``max_i`` on an incidence and the removals inside
+    the window ``window_rem`` on a diagnoses increment.  Reed-Frost
+    particles carry none.
+    """
 
     path: object
     level_hit_times: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParticleEnsemble:
-    """Final ensemble of a splitting run: an empirical conditional law."""
+    """Final ensemble of a splitting run: an empirical conditional law, held
+    as columns.
 
-    particles: tuple[Particle, ...]
-    weights: tuple[float, ...]
+    A continuous-time run keeps its final paths as the event log ``log``
+    (from the fresh start of ``model``, with times) and the times at which
+    they reach each level as ``level_hit_times``, a row per path and a
+    column per level, inf where a path never does.  A Reed-Frost run keeps
+    its (S, I) chains, a row per path, as ``chains``.  ``particles`` builds
+    one ``Particle`` per path on its first read; a run without the
+    conditional sample has none.
+    """
+
+    weights: np.ndarray
     stage: int
     levels: tuple[float, ...] = ()
+    model: ModelParams | None = None
+    log: lockstep.EventLog | None = None
+    level_hit_times: np.ndarray | None = None
+    chains: tuple[np.ndarray, np.ndarray] | None = None
+
+    @cached_property
+    def particles(self) -> tuple[Particle, ...]:
+        if self.chains is not None:
+            return tuple(
+                Particle([(int(a), int(b)) for a, b in zip(s, i)], ())
+                for s, i in zip(*self.chains)
+            )
+        if self.log is None:
+            return ()
+        return tuple(
+            Particle(
+                self.log.epidemic_path(k, self.model),
+                tuple(NEVER if math.isinf(x) else x for x in hits.tolist()),
+            )
+            for k, hits in enumerate(self.level_hit_times)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -289,20 +329,14 @@ def _materialize(
         log = _with_times(log, model, times.generator())
     initial = lockstep.initial_row(model)
     every, length = np.arange(len(log.t_stop)), np.diff(log.offsets)
-    hits = []
-    for lvl in levels:
+    hits = np.empty((len(length), len(levels)))
+    for j, lvl in enumerate(levels):
         keep = _level_cut(log, model, spec, lvl)
-        times = log.state_after(every, np.minimum(keep, length), initial, ("t",))["t"]
-        hits.append([NEVER if k > m else float(x) for x, k, m in zip(times, keep, length)])
+        at = log.state_after(every, np.minimum(keep, length), initial, ("t",))["t"]
+        hits[:, j] = np.where(keep > length, np.inf, at)
     # a path attains the event when its history reaches the threshold
     attains = _level_cut(log, model, spec, event_threshold(spec)) <= length
-    particles = []
-    for k in every:
-        path = log.epidemic_path(k, model)
-        particles.append(Particle(path, tuple(h[k] for h in hits)))
-    return ParticleEnsemble(
-        tuple(particles), tuple(float(w) for w in attains), stage, tuple(levels),
-    )
+    return ParticleEnsemble(attains.astype(float), stage, tuple(levels), model, log, hits)
 
 
 def _stage_loop(
@@ -483,9 +517,12 @@ def ibps_estimate(
     ensemble dies records the estimate 0 (keeping across-replication averages
     unbiased) unless ``restart_on_extinction`` grants fresh attempts.
 
-    The returned ensemble holds the final paths as an empirical estimate of
-    the law conditioned on the event; pass ``conditional_sample=False`` to
-    skip materializing them (the replication hot path does).
+    ``conditional_sample`` keeps every slot's whole history.  The returned
+    ensemble then holds the final paths as columns, an empirical estimate
+    of the law conditioned on the event, and builds its ``particles`` on
+    their first read.  With ``conditional_sample=False`` slots keep only
+    what the level cuts read, and the ensemble holds no paths (the
+    replication hot path does this).
     """
     if n_particles < 2:
         raise ValueError("n_particles must be at least 2")
@@ -548,15 +585,9 @@ def ibps_estimate(
         )
         value = math.prod(per_level)
     if not conditional_sample:
-        ensemble = ParticleEnsemble((), (), len(per_level), tuple(levels))
+        ensemble = ParticleEnsemble(np.empty(0), len(per_level), tuple(levels))
     elif discrete:
-        particles = tuple(
-            Particle([(int(a), int(b)) for a, b in zip(S[k], I[k])], ())
-            for k in range(n_particles)
-        )
-        ensemble = ParticleEnsemble(
-            particles, tuple(float(w) for w in weights), len(per_level), tuple(levels)
-        )
+        ensemble = ParticleEnsemble(weights, len(per_level), tuple(levels), chains=(S, I))
     else:
         # the last attempt's stage base addresses the deferred times
         last_attempt = min(extinct_count, restart_on_extinction)

@@ -1,4 +1,4 @@
-"""Reference single-path samplers and per-path likelihoods.
+"""Reference single-path samplers, per-path likelihoods and event semantics.
 
 The package simulates every path with the lockstep engine
 (``epirare.lockstep``) and weights batches with its vectorised
@@ -13,6 +13,13 @@ arbitrary-precision triangular solve for the SIR final-size law, the
 independent reference for the package's embedded-chain oracle
 (``epirare.exact_final_size``).
 
+The package decides events on the engine's columns (``_PROGRESS``,
+``_batch_indicators``, ``_level_cut``).  The per-path forms of the same
+rules live here, on ``EpidemicPath`` values and Reed-Frost chains: the state
+at a time, the extinction time, a path's score and indicator for an event,
+and the first time progress reaches a level.  The tests check the columns
+against them.
+
 All samplers are pure functions of (params, stop rule, random stream).
 Exponential holding times are sampled by inversion (-log(1-U)/rate) so that
 common-random-number couplings can share uniforms at the clock level.
@@ -20,39 +27,60 @@ common-random-number couplings can share uniforms at the clock level.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import mpmath
 import numpy as np
 
 from epirare.core import (
+    NEVER,
     Axis,
     CompartmentState,
     EpidemicPath,
     EventKind,
     HivParams,
+    Never,
     ReedFrostParams,
     Scaling,
     SimulationError,
     SirParams,
     path_from_arrays,
 )
+from epirare.events import (
+    CumulativeInfections,
+    DiagnosesIncrement,
+    Duration,
+    EventSpec,
+    FinalSize,
+    Incidence,
+    event_axis,
+    event_threshold,
+)
 
 __all__ = [
     "EVENT_CAP",
     "StopRule",
     "UnstableSolveError",
+    "extinction_time",
     "final_size_solve",
+    "hitting_time",
     "hiv_rates",
     "hiv_simulate",
+    "indicator",
+    "n_events",
+    "progress_hitting_time",
     "rf_log_likelihood",
     "rf_simulate",
     "rf_step",
+    "score",
     "sir_chain_ratio",
     "sir_importance_ratio",
     "sir_rates",
     "sir_simulate",
+    "state_at",
 ]
 
 # Hard per-path cap guarding the almost-sure-extinction assumption.
@@ -396,6 +424,160 @@ def rf_log_likelihood(path, q: float) -> float:
             + (s - i_next) * i * math.log(q)
         )
     return total
+
+
+# ---------------------------------------------------------------------------
+# per-path event semantics
+
+DiscretePath = Sequence[tuple[int, int]]
+
+
+def n_events(path: EpidemicPath, t: float) -> int:
+    """Number of jumps up to and including time t."""
+    return bisect.bisect_right([ev.time for ev in path.events], t)
+
+
+def state_at(path: EpidemicPath, t: float) -> CompartmentState:
+    """State of the path at time t (right-continuous step function).
+
+    Raises SimulationError if t exceeds the simulated horizon.
+    """
+    if t < 0:
+        raise ValueError(f"t must be non-negative: {t}")
+    if t > path.horizon:
+        raise SimulationError(f"path not simulated this far: t={t} > horizon={path.horizon}")
+    idx = n_events(path, t)
+    if idx == 0:
+        return path.initial
+    return path.events[idx - 1].state_after
+
+
+def extinction_time(path: EpidemicPath) -> float | Never:
+    """Time of the jump that empties the infective compartment.
+
+    Returns 0.0 for a path started with no infectives, and NEVER when
+    infectives remain at the simulated horizon.
+    """
+    if path.initial.i == 0:
+        return 0.0
+    if path.final_state.i > 0:
+        return NEVER
+    return path.events[-1].time
+
+
+def _require_resolved(path: EpidemicPath, spec: EventSpec) -> None:
+    """The path must be simulated far enough for the event to be decided."""
+    extinct = path.final_state.i == 0
+    if isinstance(spec, FinalSize):
+        if not extinct and path.final_state.r < spec.n_c:
+            raise SimulationError("path under-simulated: not extinct and below the threshold")
+    elif isinstance(spec, Incidence):
+        max_i = max((ev.state_after.i for ev in path.events), default=path.initial.i)
+        if not extinct and path.horizon < spec.T and max_i < spec.n_i:
+            raise SimulationError("path under-simulated for the incidence horizon")
+    elif isinstance(spec, Duration):
+        if not extinct and path.horizon < spec.T:
+            raise SimulationError("path under-simulated for the duration horizon")
+    elif isinstance(spec, DiagnosesIncrement):
+        if not extinct and path.horizon < spec.t + spec.u:
+            raise SimulationError("path under-simulated for the diagnoses window")
+
+
+def score(path: EpidemicPath | DiscretePath, spec: EventSpec) -> float:
+    """Best progress of the path toward the event's target set.
+
+    Incidence: running maximum of I up to T.  FinalSize: final removed count.
+    CumulativeInfections: partial sum of infectives over generations < t.
+    Duration: extinction time, with +inf capping the scale for paths that
+    outlive their horizon.  DiagnosesIncrement: removals inside (t, t+u].
+    """
+    if isinstance(spec, CumulativeInfections):
+        chain = list(path)
+        if len(chain) < spec.t and chain[-1][1] != 0:
+            raise SimulationError("chain under-simulated for the generation horizon")
+        return float(sum(i for _, i in chain[: spec.t]))
+    assert isinstance(path, EpidemicPath)
+    _require_resolved(path, spec)
+    if isinstance(spec, FinalSize):
+        return float(path.final_state.r)
+    if isinstance(spec, Incidence):
+        values = [path.initial.i] + [
+            ev.state_after.i for ev in path.events if ev.time <= spec.T
+        ]
+        return float(max(values))
+    if isinstance(spec, Duration):
+        ext = extinction_time(path)
+        return math.inf if isinstance(ext, Never) else float(ext)
+    # Diagnoses increment; resolution check guarantees both endpoints are
+    # within the horizon (extinct paths carry an infinite one).
+    lo = state_at(path, spec.t).r
+    hi = state_at(path, spec.t + spec.u).r
+    return float(hi - lo)
+
+
+def indicator(path: EpidemicPath | DiscretePath, spec: EventSpec) -> int:
+    """1 iff the event occurs on the path (Duration demands strict excess)."""
+    s = score(path, spec)
+    if isinstance(spec, Duration):
+        return int(s > spec.T)
+    return int(s >= event_threshold(spec))
+
+
+def hitting_time(
+    path: EpidemicPath | DiscretePath, axis: Axis, level: float
+) -> float | Never:
+    """First event time at which the axis quantity reaches the level.
+
+    Returns 0 when the initial state already satisfies it, NEVER when the
+    simulated path never gets there.  For discrete chains the "time" is the
+    generation index.
+    """
+    if axis is Axis.CUMULATIVE_INFECTIONS:
+        total = 0
+        for gen, (_, i) in enumerate(path):
+            total += i
+            if total >= level:
+                return float(gen)
+        return NEVER
+    assert isinstance(path, EpidemicPath)
+    if axis is Axis.TIME:
+        ext = extinction_time(path)
+        if isinstance(ext, Never) or ext > level:
+            return float(level)
+        return NEVER
+    def value(state) -> int:
+        return state.i if axis is Axis.INFECTED else state.r
+    if value(path.initial) >= level:
+        return 0.0
+    for ev in path.events:
+        if value(ev.state_after) >= level:
+            return ev.time
+    return NEVER
+
+
+def progress_hitting_time(
+    path: EpidemicPath, spec: FinalSize | Incidence | DiagnosesIncrement, level: float
+) -> float | Never:
+    """First event time at which the path's progress towards the event
+    reaches the level: 0.0 when its start does, NEVER when no event does.
+
+    On a final size and an incidence that is ``hitting_time`` on the
+    event's axis.  On a diagnoses increment, progress after an event at
+    time tau is the count of removals inside the window up to tau,
+    R(min(max(tau, t), t + u)) - R(t).  ``hitting_time`` on the removed axis
+    counts the removals before the window opens as well, so it can report
+    an earlier time.
+    """
+    if not isinstance(spec, DiagnosesIncrement):
+        return hitting_time(path, event_axis(spec), level)
+    if level <= 0:
+        return 0.0
+    opened = state_at(path, spec.t).r
+    for ev in path.events:
+        inside = min(max(ev.time, spec.t), spec.t + spec.u)
+        if state_at(path, inside).r - opened >= level:
+            return ev.time
+    return NEVER
 
 
 _SUM_TOL = 1e-9

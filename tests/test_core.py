@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import io
 import math
@@ -7,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import epirare
 from epirare import (
@@ -20,12 +23,10 @@ from epirare import (
     SeedSpec,
     SimulationError,
     SirParams,
-    extinction_time,
     read_path_csv,
-    state_at,
     write_path_csv,
 )
-from reference import StopRule, sir_simulate
+from reference import StopRule, extinction_time, n_events, sir_simulate, state_at
 
 
 def _path(initial, moves, horizon=math.inf):
@@ -167,6 +168,44 @@ def test_seedspec_distinct_streams_differ():
     assert not np.allclose(draws_a, draws_b)
 
 
+COORDINATES = ("master_seed", "replication", "particle", "stage")
+_coordinate = st.integers(0, 2**32 - 1)
+_address = st.builds(SeedSpec, _coordinate, _coordinate, _coordinate, _coordinate)
+
+
+@settings(deadline=None)
+@given(address=_address)
+def test_seed_address_reproduces_its_draws(address):
+    first, second = address.generator(), address.generator()
+    assert np.array_equal(first.random(8), second.random(8))
+    assert np.array_equal(first.integers(0, 2**62, 8), second.integers(0, 2**62, 8))
+
+
+@settings(deadline=None)
+@given(
+    address=_address,
+    override=st.fixed_dictionaries(
+        {}, optional={name: _coordinate for name in COORDINATES[1:]}
+    ),
+)
+def test_stream_equals_the_address_built_directly(address, override):
+    direct = SeedSpec(
+        address.master_seed,
+        *(override.get(name, getattr(address, name)) for name in COORDINATES[1:]),
+    )
+    derived = address.stream(**override)
+    assert derived == direct
+    assert np.array_equal(derived.generator().random(8), direct.generator().random(8))
+
+
+@settings(deadline=None)
+@given(address=_address, name=st.sampled_from(COORDINATES), value=_coordinate)
+def test_addresses_one_coordinate_apart_draw_differently(address, name, value):
+    assume(getattr(address, name) != value)
+    moved = dataclasses.replace(address, **{name: value})
+    assert np.all(address.generator().random(8) != moved.generator().random(8))
+
+
 def test_path_csv_round_trip():
     params = SirParams(lam=0.8, gamma=1.0, s0=12, i0=1, scaling=Scaling.UNSCALED)
     path = sir_simulate(params, StopRule.extinction(), SeedSpec(9).generator())
@@ -193,9 +232,9 @@ def test_n_events_counts_jumps_up_to_time():
         CompartmentState(5, 1, 0),
         [(0.5, EventKind.INFECTION), (1.5, EventKind.REMOVAL)],
     )
-    assert path.n_events(0.4) == 0
-    assert path.n_events(0.5) == 1
-    assert path.n_events(2.0) == 2
+    assert n_events(path, 0.4) == 0
+    assert n_events(path, 0.5) == 1
+    assert n_events(path, 2.0) == 2
 
 
 def test_compartment_state_rejects_negative_counts():
@@ -206,12 +245,13 @@ def test_compartment_state_rejects_negative_counts():
 def test_package_root_exports():
     for name in epirare.__all__:
         getattr(epirare, name)
-    # the per-path samplers, likelihoods and the final-size solve live in
-    # tests/reference.py
+    # the per-path samplers, likelihoods, event semantics and the final-size
+    # solve live in tests/reference.py
     for name in (
         "EVENT_CAP", "StopRule", "hiv_rates", "hiv_simulate", "rf_simulate", "rf_step",
         "sir_rates", "sir_simulate", "sir_importance_ratio", "rf_log_likelihood",
         "UnstableSolveError", "brute_force_final_size", "NoProgressError",
+        "score", "indicator", "hitting_time", "state_at", "extinction_time",
     ):
         assert not hasattr(epirare, name), name
     with pytest.raises(ModuleNotFoundError):

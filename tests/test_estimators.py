@@ -18,14 +18,14 @@ from epirare import (
     ce_estimate,
     cmc,
     exact_final_size,
-    indicator,
     is_estimate,
     tail_pf,
 )
 from epirare.estimators import Diagnostics, Estimate, _sir_log_ratio, _stop_config
 from epirare import lockstep
 from reference import (
-    StopRule, rf_log_likelihood, sir_chain_ratio, sir_importance_ratio, sir_simulate,
+    StopRule, indicator, rf_log_likelihood, sir_chain_ratio, sir_importance_ratio,
+    sir_simulate,
 )
 
 TOY = SirParams(lam=0.12, gamma=1.0, s0=9, i0=1, scaling=Scaling.UNSCALED)

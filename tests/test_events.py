@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epirare import (
     NEVER,
@@ -13,6 +15,7 @@ from epirare import (
     EpidemicPath,
     EventKind,
     FinalSize,
+    HivParams,
     Incidence,
     JumpEvent,
     LevelSchedule,
@@ -20,12 +23,12 @@ from epirare import (
     SeedSpec,
     SimulationError,
     SirParams,
-    hitting_time,
-    indicator,
     quantile_levels,
-    score,
 )
-from reference import StopRule, sir_simulate
+from epirare.estimators import _PROGRESS, _batch_indicators, _ensemble_fn, _stop_config
+from reference import (
+    StopRule, hitting_time, indicator, progress_hitting_time, score, sir_simulate,
+)
 
 
 def _path(initial, moves, horizon=math.inf):
@@ -255,3 +258,57 @@ def test_event_spec_validation():
 def test_event_parameters_reject_nan(make):
     with pytest.raises(ValueError):
         make()
+
+
+def test_diagnoses_progress_counts_only_the_window():
+    # a removal before the window opens reaches r = 1 early, but the
+    # windowed count reaches 1 only at the removal inside (1, 2]
+    path = _path(
+        CompartmentState(8, 2, 0), [(0.5, REM), (0.8, INF), (1.5, REM), (2.5, REM)]
+    )
+    spec = DiagnosesIncrement(t=1.0, u=1.0, n_r=1)
+    assert hitting_time(path, Axis.REMOVED, 1) == 0.5
+    assert progress_hitting_time(path, spec, 1) == 1.5
+    assert progress_hitting_time(path, spec, 2) is NEVER
+    assert progress_hitting_time(path, spec, 0) == 0.0
+    assert progress_hitting_time(path, FinalSize(n_c=3), 2) == 1.5
+
+
+ENGINE_MODELS = {
+    "sir": SirParams(lam=0.035, gamma=1.0, s0=30, i0=2, scaling=Scaling.UNSCALED),
+    "hiv": HivParams(
+        lam=0.05, gamma1=1.0, gamma2=0.5, c=1.0, s0=25, i0=2,
+        initial_detection_ages=(0.5, 2.0),
+    ),
+}
+_horizon = st.floats(0.25, 4.0)
+EVENT_SPECS = st.one_of(
+    st.builds(FinalSize, st.integers(1, 34)),
+    st.builds(Incidence, _horizon, st.integers(1, 20)),
+    st.builds(Duration, _horizon),
+    st.builds(DiagnosesIncrement, st.floats(0.0, 2.0), _horizon, st.integers(1, 15)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    model_name=st.sampled_from(sorted(ENGINE_MODELS)),
+    spec=EVENT_SPECS,
+    n=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_engine_columns_decide_events_as_the_reference(model_name, spec, n, seed):
+    # the engine's indicator and progress column against the per-path rules;
+    # SIR final sizes run clocked here, since a clock-free path has no times
+    model = ENGINE_MODELS[model_name]
+    stop = dict(_stop_config(spec, model), clock_free=False)
+    ens = _ensemble_fn(model)(model, n, SeedSpec(seed).generator(), record=True, **stop)
+    hits = _batch_indicators(ens, spec)
+    if isinstance(spec, Duration):
+        progress = ens.extinction_times()
+    else:
+        progress = getattr(ens, _PROGRESS[type(spec)])
+    for k in range(n):
+        path = ens.log.epidemic_path(k, model)
+        assert hits[k] == indicator(path, spec)
+        assert progress[k] == score(path, spec)

@@ -15,12 +15,12 @@ from epirare import (
     SimulationError,
     SirParams,
     exact_final_size,
-    extinction_time,
 )
 from epirare import lockstep
 from epirare.estimators import _ensemble_fn
 from reference import (
     StopRule,
+    extinction_time,
     hiv_rates,
     hiv_simulate,
     rf_simulate,

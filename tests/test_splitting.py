@@ -3,9 +3,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from epirare import (
+    NEVER,
     Axis,
     CumulativeInfections,
     DiagnosesIncrement,
@@ -22,13 +25,13 @@ from epirare import (
     cmc,
     exact_final_size,
     ibps_estimate,
-    indicator,
     is_estimate,
     tail_pf,
     temporal_split_estimate,
 )
 from epirare import lockstep
-from test_golden import IBPS_CASES
+from reference import indicator, progress_hitting_time
+from test_golden import HIV, HIV_EVENTS, IBPS_CASES, SIR, SIR_EVENTS
 
 TOY = SirParams(lam=0.12, gamma=1.0, s0=9, i0=1, scaling=Scaling.UNSCALED)
 TOY_SPEC = FinalSize(n_c=10)
@@ -516,3 +519,64 @@ def test_conditional_sample_times_follow_the_conditional_law():
     hits = clocked.n_inf + TOY.i0 >= TOY_SPEC.n_c
     assert hits.sum() > 2000
     assert ks_2samp(ext_ibps, clocked.t[hits]).pvalue > 1e-3
+
+
+ABAKALIKI = SirParams(lam=0.0008254, gamma=0.087613, s0=119, i0=1, scaling=Scaling.UNSCALED)
+
+
+@pytest.mark.parametrize(
+    "model, spec, n, keep, seed",
+    [
+        (ABAKALIKI, FinalSize(81), 200, 0.05, SeedSpec(17)),
+        # the ensemble dies at the last level, so that level is never hit
+        (SIR, SIR_EVENTS["diagnoses"], 10, 0.3, SeedSpec(2026)),
+    ],
+)
+def test_conditional_sample_builds_paths_on_first_read(monkeypatch, model, spec, n, keep, seed):
+    def refuse(self, k, model):
+        raise AssertionError("an EpidemicPath was built during the run")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(lockstep.EventLog, "epidemic_path", refuse)
+        _, ensemble = ibps_estimate(model, spec, n_particles=n, keep_fraction=keep, seed=seed)
+    hits = ensemble.level_hit_times
+    assert hits.shape == (n, len(ensemble.levels))
+    if model is SIR:
+        assert np.isinf(hits[:, -1]).all() and np.isfinite(hits[:, 0]).all()
+    particles = ensemble.particles
+    assert ensemble.particles is particles
+    assert len(particles) == n
+    for k, particle in enumerate(particles):
+        assert len(particle.path.events) == ensemble.log.offsets[k + 1] - ensemble.log.offsets[k]
+        for column, cached in zip(hits[k], particle.level_hit_times):
+            if math.isinf(column):
+                assert cached is NEVER
+            else:
+                assert type(cached) is float and cached == column
+        assert ensemble.weights[k] == indicator(particle.path, spec)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=st.sampled_from(
+        [(SIR, spec) for spec in SIR_EVENTS.values()]
+        + [(HIV, spec) for spec in HIV_EVENTS.values()]
+    ),
+    n=st.integers(2, 30),
+    keep=st.sampled_from([0.1, 0.3, 0.5]),
+    variant=st.sampled_from(["multinomial", "keepall"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conditional_sample_columns_match_the_reference(case, n, keep, variant, seed):
+    # each hit-time column is the first event time at which the event's own
+    # progress reaches the level, and each weight the path's indicator
+    model, spec = case
+    _, ensemble = ibps_estimate(
+        model, spec, n_particles=n, keep_fraction=keep, variant=variant, seed=SeedSpec(seed)
+    )
+    for k, particle in enumerate(ensemble.particles):
+        assert ensemble.weights[k] == indicator(particle.path, spec)
+        for j, level in enumerate(ensemble.levels):
+            expected = progress_hitting_time(particle.path, spec, level)
+            got = ensemble.level_hit_times[k, j]
+            assert np.isinf(got) if expected is NEVER else got == expected
