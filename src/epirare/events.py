@@ -105,6 +105,11 @@ EventSpec = Union[Duration, FinalSize, Incidence, DiagnosesIncrement, Cumulative
 
 
 def event_axis(spec: EventSpec) -> Axis:
+    """The axis a level schedule for ``spec`` is declared on.
+
+    A ``DiagnosesIncrement`` sits on ``Axis.REMOVED``, but its levels count
+    the removals inside its window (the ``window_rem`` column), not R: a
+    path with removals before the window is that many short of R there."""
     if isinstance(spec, (FinalSize, DiagnosesIncrement)):
         return Axis.REMOVED
     if isinstance(spec, Incidence):
@@ -128,7 +133,11 @@ def event_threshold(spec: EventSpec) -> float:
 
 @dataclass(frozen=True)
 class LevelSchedule:
-    """Strictly increasing thresholds ending at the event's target level."""
+    """Strictly increasing thresholds ending at the event's target level,
+    on the event's axis (``event_axis``).  The levels are values of the
+    event's progress column: R for a final size, the running maximum of I
+    for an incidence, and for a diagnoses increment, declared on
+    ``Axis.REMOVED``, the removals inside its window, not R."""
 
     levels: tuple[float, ...]
     axis: Axis

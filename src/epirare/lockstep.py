@@ -18,12 +18,15 @@ order.  ``tests/test_golden.py`` pins the outputs of this order.
 
 An SIR call with no horizon and no window can run clock-free
 (``clock_free=True``): it simulates only the embedded jump chain, which is
-all a final-size event depends on.  Each iteration then draws one uniform
-per live path, in path order, for the event kind and nothing else.  On SIR
-the chance that an event is an infection, c*s/(c*s + gamma), does not
-depend on i, so the loop reads it and every per-event tally from one small
-table indexed by s.  Such a call has no times: its ``t`` and its recorded
-``t`` row are NaN.
+all a final-size event depends on, in a loop of its own, ``_chain_loop``.
+On SIR the chance that an event is an infection, c*s/(c*s + gamma), does
+not depend on i, so the removals between two infections are geometric: a
+run.  Each iteration draws one block of standard exponentials, a row per
+live path in path order and a column per run, up to 16 of them, and takes
+every live path forward run by run, an infection closing each, until the
+run it stops in.  The loop reads the runs' rates and every per-event tally
+from one small table indexed by s.  Such a call has no times: its ``t`` and
+its recorded ``t`` row are NaN.
 """
 
 from __future__ import annotations
@@ -45,6 +48,11 @@ __all__ = [
 ]
 
 _ITERATION_CAP = 100_000_000
+# the runs a clock-free iteration draws per path, at most: it takes a path
+# forward by at most this many infections
+_RUNS = np.arange(16)
+# the least subnormal double
+_LEAST = np.nextafter(0.0, 1.0)
 
 
 @dataclass
@@ -301,10 +309,13 @@ class _Rates:
 
 
 def _chain_table(rates: _Rates, base: _Rates | None, integrals: bool, n_s: int) -> np.ndarray:
-    """Per susceptible count s in 0..n_s-1, a column: the chance that an
-    event is an infection, then what a clock-free call adds up per event,
-    the rate integrals' increments (with ``integrals``) and the log rate
-    ratio against ``base`` (with one).
+    """Per run k = 0..15 of a chain iteration and susceptible count s in
+    0..n_s-1, what the chain loop reads at s - k (at 0 past it): first the
+    inverse of the rate -log(1 - p) of the removal runs there, where
+    p = c*s/(c*s + gamma) is the chance that an event is an infection (inf
+    where p is 0), then what a clock-free call adds up per event, the rate
+    integrals' increments (with ``integrals``) and the log rate ratio
+    against ``base`` (with one).
 
     An integral's increment is its expected growth over the holding time
     before the event, at the rates of ``base`` where there is one: given
@@ -313,7 +324,9 @@ def _chain_table(rates: _Rates, base: _Rates | None, integrals: bool, n_s: int) 
     expectations of the integrals weighted by the ratio."""
     s = np.arange(n_s, dtype=float)
     per_infective = rates.coef * s + rates.gamma
-    rows = [rates.coef * s / per_infective]
+    # 1 - p = gamma/(c*s + gamma), so -log(1 - p) = log1p(c*s/gamma)
+    run_rate = np.log1p(rates.coef * s / rates.gamma)
+    rows = [np.divide(1.0, run_rate, out=np.full(n_s, np.inf), where=run_rate > 0)]
     if integrals:
         law = rates if base is None else base
         holding = 1.0 / (law.coef * s + law.gamma)
@@ -323,7 +336,29 @@ def _chain_table(rates: _Rates, base: _Rates | None, integrals: bool, n_s: int) 
         rows += [pair, holding]
     if base is not None:
         rows.append(np.log((base.coef * s + base.gamma) / per_infective))
-    return np.array(rows)
+    # mode clip reads s = 0 where s - k is negative
+    return np.array(rows).take(np.arange(n_s) - _RUNS[:, None], axis=1, mode="clip")
+
+
+def _start(model: SirParams | HivParams, n_paths: int | None, init) -> list[np.ndarray]:
+    """Per path, the start state: s, i and r as int64, then t (and
+    decayed) as float; from ``init``, or ``n_paths`` fresh paths."""
+    if init is None:
+        fresh = initial_row(model)
+        init = [np.full(int(n_paths), fresh[k]) for k in ("s", "i", "r", "t", "decayed")
+                if k in fresh]
+    return [np.array(x, dtype=np.int64 if k < 3 else float) for k, x in enumerate(init)]
+
+
+def _accumulate_runs(ufunc: np.ufunc, x: np.ndarray) -> None:
+    """``ufunc`` accumulated down the rows of ``x``, in place.  numpy
+    accumulates a short axis one column at a time, so a wide block goes
+    row by row instead."""
+    if x.shape[1] < 256:
+        ufunc.accumulate(x, axis=0, out=x)
+    else:
+        for j in range(1, len(x)):
+            ufunc(x[j], x[j - 1], out=x[j])
 
 
 def _grown(buffer: np.ndarray, filled: int, size: int) -> np.ndarray:
@@ -347,14 +382,9 @@ def _jump_loop(
     window: tuple[float, float] | None = None,
     record: bool = False,
     rate_integrals: bool = True,
-    clock_free: bool = False,
-    base: _Rates | None = None,
 ) -> JumpEnsemble:
     """Advance paths from ``init`` = (s, i, r, t[, decayed]), or ``n_paths``
     fresh ones, until each is extinct, at the horizon or at the target.
-    ``clock_free`` simulates the jump chain alone, ignoring ``init``'s
-    times; only then may a ``base`` law's rate constants be given, against
-    which the loop sums the log rate ratio.
 
     ``block`` holds the live paths' state, a row per quantity and a column
     per path (counts are exact in float64); finished columns go to
@@ -367,22 +397,9 @@ def _jump_loop(
     of live paths, so it keeps numpy's fixed cost per call down: constants
     are 0-d arrays, and it calls no ufunc with keywords."""
     thinning = rates.decay is not None
-    if clock_free and (thinning or horizon < np.inf or window is not None):
-        raise ValueError("a clock-free call takes no thinning, horizon or window")
-    if base is not None and not clock_free:
-        raise ValueError("a base law's rate ratio is summed only by a clock-free call")
-    if init is None:
-        fresh = initial_row(model)
-        init = [np.full(int(n_paths), fresh[k]) for k in ("s", "i", "r", "t", "decayed")
-                if k in fresh]
-    s0, i0, r0 = (np.array(x, dtype=np.int64) for x in init[:3])
-    t0, *decayed0 = (np.array(x, dtype=float) for x in init[3:])
+    s0, i0, r0, t0, *decayed0 = _start(model, n_paths, init)
     n = len(t0)
     sums = rate_integrals and not thinning
-    if clock_free:
-        t0 = np.full(n, np.nan)
-        table = _chain_table(rates, base, sums, int(s0.max(initial=0)) + 1)
-        tallies = len(table) - 1
     finite = horizon < np.inf
     target = {Axis.INFECTED: 1, Axis.REMOVED: 2}.get(target_axis)
     horizon = np.array(horizon)
@@ -394,9 +411,9 @@ def _jump_loop(
         neg_decay, slack = -rates.decay, np.array(1.0 + 1e-12)
     # rows: s, i, r, t, max_i, path, then decayed (thinning) and the window's
     # removal count, the rows an event log keeps; then the two rate
-    # integrals, when the loop sums them, and the log rate ratio (base law)
+    # integrals, when the loop sums them
     logged = 6 + thinning + (window is not None)
-    zeros = np.zeros(((window is not None) + 2 * sums + (base is not None), n))
+    zeros = np.zeros(((window is not None) + 2 * sums, n))
     out = np.array([s0, i0, r0, t0, i0, np.arange(n), *decayed0, *zeros], dtype=float)
     if record:
         # the recorded rows, and whether each event was an infection
@@ -418,42 +435,36 @@ def _jump_loop(
             s, i, r, t, max_i, path, *extra = block
         if not keep.size:
             break
-        if clock_free:
-            step = table.take(s.astype(np.intp), axis=1)
-            is_inf, jump = rng.random(keep.size) < step[0], None
-            if tallies:
-                block[-tallies:] += step[1:]
+        decayed = extra[0] if thinning else None
+        rate_inf = rates.coef * s * i
+        rate_rem = rates.gamma * i
+        if thinning:
+            # the rate at the last jump bounds the rate until the next
+            traced = rates.traced * i
+            rate_tot = rate_inf + rate_rem + traced * decayed
         else:
-            decayed = extra[0] if thinning else None
-            rate_inf = rates.coef * s * i
-            rate_rem = rates.gamma * i
-            if thinning:
-                # the rate at the last jump bounds the rate until the next
-                traced = rates.traced * i
-                rate_tot = rate_inf + rate_rem + traced * decayed
-            else:
-                rate_tot = rate_inf + rate_rem
-            u = rng.random((3 if thinning else 2, keep.size))
-            t_new = t - np.log1p(-u[0]) / rate_tot
-            t_next = np.minimum(t_new, horizon) if finite else t_new
-            dt = t_next - t
-            if thinning:
-                bound = rate_tot
-                decayed *= np.exp(neg_decay * dt)
-                rate_tot = rate_inf + (rate_rem + traced * decayed)
-                if (rate_tot > bound * slack).any():
-                    raise AssertionError("thinning bound fell below the instantaneous rate")
-                jump = u[1] * bound < rate_tot
-                if finite:
-                    jump &= t_new <= horizon
-            else:
-                jump = t_new <= horizon if finite else None
-            if sums:
-                pair = s * i * dt
-                extra[-2] += pair if rates.pair_scale is None else pair * rates.pair_scale
-                extra[-1] += i * dt
-            is_inf = u[-1] * rate_tot < rate_inf
-            t[...] = t_next
+            rate_tot = rate_inf + rate_rem
+        u = rng.random((3 if thinning else 2, keep.size))
+        t_new = t - np.log1p(-u[0]) / rate_tot
+        t_next = np.minimum(t_new, horizon) if finite else t_new
+        dt = t_next - t
+        if thinning:
+            bound = rate_tot
+            decayed *= np.exp(neg_decay * dt)
+            rate_tot = rate_inf + (rate_rem + traced * decayed)
+            if (rate_tot > bound * slack).any():
+                raise AssertionError("thinning bound fell below the instantaneous rate")
+            jump = u[1] * bound < rate_tot
+            if finite:
+                jump &= t_new <= horizon
+        else:
+            jump = t_new <= horizon if finite else None
+        if sums:
+            pair = s * i * dt
+            extra[-2] += pair if rates.pair_scale is None else pair * rates.pair_scale
+            extra[-1] += i * dt
+        is_inf = u[-1] * rate_tot < rate_inf
+        t[...] = t_next
         inf, rem = (is_inf, ~is_inf) if jump is None else (jump & is_inf, jump > is_inf)
         s -= inf
         i += inf
@@ -487,8 +498,182 @@ def _jump_loop(
     return JumpEnsemble(
         s, i, r, t, max_i, s0 - s, r - r0, *integrals, window_rem,
         out[6] if thinning else None, recorded=recorded,
+    )
+
+
+def _chain_loop(
+    rates: _Rates,
+    model: SirParams,
+    n_paths: int | None,
+    rng: np.random.Generator,
+    *,
+    init: tuple[np.ndarray, ...] | None = None,
+    horizon: float = np.inf,
+    target_axis: Axis | None = None,
+    target_level: float | None = None,
+    window: tuple[float, float] | None = None,
+    record: bool = False,
+    rate_integrals: bool = True,
+    base: _Rates | None = None,
+) -> JumpEnsemble:
+    """Advance the embedded jump chains of SIR paths from ``init`` =
+    (s, i, r[, t]), ignoring its times, or of ``n_paths`` fresh ones, until
+    each is extinct or at the removal target.  Given a ``base`` law's rate
+    constants, the loop also sums the log rate ratio against it.
+
+    At s susceptibles an event is an infection with a chance p(s) that
+    does not depend on i, so the removals before the next infection are
+    Geometric(p(s)): a run.  Each iteration draws one block of standard
+    exponentials in path order, a row per live path and ``width`` =
+    min(16, s + 1) columns for the largest live s; column k is the run at
+    s - k, of length floor(E / -log(1 - p(s - k))), which never ends where p
+    is 0 (past s = 0 too, so no column beyond is ever read).  A path takes
+    the runs in turn, each closed by an infection, until the first run that
+    holds all the removals it has room for, min(i, target - r), and stops
+    inside it.  So every iteration ends a path or takes 16 infection steps
+    from it, and the loop needs no iteration cap.  The tallies add, per
+    run, its events times the table's per-event terms at its s.
+
+    ``block`` holds the live paths' state as in ``_jump_loop``; the
+    iteration's own arrays hold a row per run and a column per live path.
+    With ``record``, each iteration appends one row per event, path by
+    path, each run's removals then its infection."""
+    if horizon < np.inf or window is not None:
+        raise ValueError("a clock-free call takes no horizon or window")
+    if target_axis not in (None, Axis.REMOVED):
+        raise ValueError("a clock-free call stops only at a removal target")
+    s0, i0, r0 = _start(model, n_paths, init)[:3]
+    n, s_max = len(s0), int(s0.max(initial=0))
+    run_scale, *terms = _chain_table(rates, base, rate_integrals, s_max + 1)
+    terms = np.array(terms)
+    target = np.array(np.inf if target_axis is None else target_level, dtype=float)
+    # rows: s, i, r, t (NaN), max_i, path, the rows an event log keeps; then
+    # the two rate integrals, when the loop sums them, and the log rate
+    # ratio (base law)
+    out = np.zeros((6 + len(terms), n))
+    out[:3], out[3], out[4], out[5] = (s0, i0, r0), np.nan, i0, np.arange(n)
+    if record:
+        rows, flags, filled = np.empty((6, 32 * n + 64)), np.empty(32 * n + 64, bool), 0
+    finished = [out[:, :0]]
+    block = out
+    s, i, r, _, max_i, path, *tallies = block
+    # a path with s susceptibles ends within s // 16 + 1 iterations
+    for _ in range(s_max // len(_RUNS) + 2):
+        alive = (i > 0) & (r < target)
+        (keep,) = alive.nonzero()
+        if keep.size < block.shape[1]:
+            finished.append(block.take((~alive).nonzero()[0], axis=1))
+            block = block.take(keep, axis=1)
+            s, i, r, _, max_i, path, *tallies = block
+        if not keep.size:
+            break
+        m, at = keep.size, s.astype(np.intp)
+        width = min(len(_RUNS), int(at.max()) + 1)
+        k = _RUNS[:width, None]
+        draws = rng.standard_exponential((m, width))
+        # a zero draw would meet an inf scale where p is 0; the least
+        # subnormal keeps that run endless and changes no other
+        draws += _LEAST
+        done = run_scale[:width].take(at, axis=1)
+        done *= draws.T
+        np.floor(done, out=done)
+        # removals through each run, inf from the first that never ends
+        _accumulate_runs(np.add, done)
+        # the removals a path has room for up to the infection closing run
+        # k; it takes each run whole until one does not fit
+        room = np.minimum(i + k, target - r)
+        fits = np.zeros((width + 1, m), bool)
+        np.less(done, room, out=fits[:-1])
+        steps = fits.argmin(axis=0)
+        whole = k < steps
+        # removals through each run, capped at the room of the run the path
+        # stops in (or at its last run, where it takes them all)
+        capped = np.minimum(done, room, out=room)
+        removals = capped.ravel()[np.minimum(steps, width - 1) * m + np.arange(m)]
+        # i less its start right after each infection the path takes
+        peaks = np.where(whole, (k + 1) - done, -np.inf)
+        if tallies:
+            through = np.zeros((width + 1, m))
+            np.minimum(capped, removals, out=through[1:])
+            events = through[1:] - through[:-1]
+            events += whole
+            per_event = terms[:, :width].take(at, axis=2)
+            block[6:] += np.einsum("tkm,km->tm", per_event, events)
+        if record:
+            rows, flags, filled = _record_runs(
+                rows, flags, filled, block, steps, removals, whole, done, peaks,
+            )
+        np.maximum(max_i, i + peaks.max(axis=0), out=max_i)
+        s -= steps
+        i += steps - removals
+        r += removals
+    else:
+        raise AssertionError("a chain iteration neither ended a path nor took 16 infections")
+
+    done = np.concatenate(finished, axis=1)
+    out[:, done[5].astype(np.int64)] = done
+    s, i, r, max_i = (out[k].astype(np.int64) for k in (0, 1, 2, 4))
+    t = out[3]
+    sums = out[6:8] if rate_integrals else (np.zeros(n), np.zeros(n))
+    recorded = Recorded(
+        rows[:, :filled], flags[:filled], rates.other_kind, False, False, t
+    ) if record else None
+    return JumpEnsemble(
+        s, i, r, t, max_i, s0 - s, r - r0, *sums, recorded=recorded,
         log_rate_ratio=out[-1] if base is not None else None,
     )
+
+
+def _record_runs(rows, flags, filled, block, steps, removals, whole, done, peaks):
+    """Append to the ``rows`` and ``flags`` buffers one row per event of a
+    chain iteration, path by path: each run's removals, then the infection
+    that closes it where the path takes it ``whole``.  Per path, ``steps``
+    and ``removals`` count its infections and removals; per run and path,
+    ``done`` counts the removals through the run and ``peaks`` is i less
+    its start after the infection.  Returns the buffers, grown if needed,
+    and their fill."""
+    m = len(steps)
+    per_path = (steps + removals).astype(np.intp)
+    last = np.cumsum(per_path)
+    end = filled + int(last[-1])
+    if end > len(flags):
+        rows, flags = _grown(rows, filled, 2 * end), _grown(flags, filled, 2 * end)
+    first, before = last - per_path, np.cumsum(steps) - steps
+    # the path's k infections and the removals through run k come before
+    # the infection closing it
+    p = np.repeat(np.arange(m), steps)
+    k = np.arange(len(p)) - np.repeat(before, steps)
+    is_inf = flags[filled:end]
+    is_inf[:] = False
+    is_inf[np.repeat(first, steps) + k + done.ravel()[k * m + p].astype(np.intp)] = True
+    # per event, the iteration's infections so far, over all paths, and the
+    # events that were not; a path's own are these less their values
+    # before its first event
+    infections = np.cumsum(is_inf, dtype=float)
+    others = np.arange(1.0, end - filled + 1) - infections
+    # per path, its start state lifted by what it had before, for the
+    # subtraction below; then the column of the running maxima of i
+    lifted = np.empty((6, m))
+    lifted[0] = block[0] + before
+    lifted[1] = block[1] + (first - before) - before
+    lifted[2] = block[2] - (first - before)
+    lifted[3] = np.nan
+    lifted[4] = np.arange(m) - before * m
+    lifted[5] = block[5]
+    state = rows[:, filled:end]
+    state[...] = np.repeat(lifted, per_path, axis=1)
+    state[0] -= infections
+    state[1] += infections
+    state[1] -= others
+    state[2] += others
+    # after a path's j-th infection here, the most of i it has held
+    running = np.empty((len(peaks) + 1, m))
+    running[0] = block[4]
+    np.add(peaks, block[1], out=running[1:])
+    _accumulate_runs(np.maximum, running)
+    state[4] += infections * m
+    state[4] = running.ravel().take(state[4].astype(np.intp))
+    return rows, flags, end
 
 
 def _sir_rates(params: SirParams) -> _Rates:
@@ -516,13 +701,20 @@ def sir_ensemble(
     ``target_level``, ``window``, ``record``, ``rate_integrals`` (False
     leaves ``int_pair`` and ``int_i`` at zero, for callers that do not
     weight paths, and saves the loop two sums) and ``clock_free`` (simulate
-    the jump chain alone; no horizon or window).  A clock-free call given
+    the jump chain alone, one run of removals and its closing infection at
+    a time, up to 16 per path per iteration, in ``_chain_loop``; no horizon
+    or window, and no target but a removal count).  A clock-free call given
     the ``base`` law also sums ``log_rate_ratio`` against it.  ``init``
     supplies per-path (s, i, r, t) start points for continuing truncated
     paths; otherwise all paths start fresh at (s0, i0, 0, 0).
     """
-    base_rates = None if base is None else _sir_rates(base)
-    return _jump_loop(_sir_rates(params), params, n_paths, rng, init=init, base=base_rates, **stop)
+    rates = _sir_rates(params)
+    if stop.pop("clock_free", False):
+        base_rates = None if base is None else _sir_rates(base)
+        return _chain_loop(rates, params, n_paths, rng, init=init, base=base_rates, **stop)
+    if base is not None:
+        raise ValueError("a base law's rate ratio is summed only by a clock-free call")
+    return _jump_loop(rates, params, n_paths, rng, init=init, **stop)
 
 
 def hiv_ensemble(
@@ -541,6 +733,8 @@ def hiv_ensemble(
     re-tighten the bound.  ``stop`` takes the keywords of ``sir_ensemble``;
     ``init`` supplies (s, i, r, t, decayed).
     """
+    if stop.pop("clock_free", False):
+        raise ValueError("contact tracing has no clock-free mode: its removals need a clock")
     rates = _Rates(
         coef=params.lam, gamma=params.gamma1, other_kind=EventKind.DETECTION.value,
         traced=params.gamma2, decay=params.c,

@@ -5,8 +5,11 @@ unchanged: the bytes of a small sweep covering every method x model pairing,
 the per-level survival fractions of splitting runs on every event the
 splitting estimators accept, the level-hit times of one conditional sample,
 and a digest of every field and event-log column the jump engines return,
-clocked and clock-free.  A change that moves draws on purpose regenerates the pins with
-``PYTHONPATH=src python tests/test_golden.py`` and says so in CHANGES.md.
+clocked and clock-free.  Clock-free calls run the chain loop: each iteration
+draws one block of standard exponentials, a row per live path and a column
+per run of removals.  A change that moves draws on purpose regenerates the
+pins with ``PYTHONPATH=src python tests/test_golden.py`` and says so in
+CHANGES.md.
 """
 
 import dataclasses

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare
+from scipy.stats import chi2_contingency, chisquare, ks_2samp
 
 from epirare import (
     Axis,
@@ -22,10 +22,13 @@ from epirare import (
     SeedSpec,
     SimulationError,
     SirParams,
+    cmc,
     exact_final_size,
     lockstep,
+    tail_pf,
 )
-from epirare.estimators import _stop_config
+from epirare.estimators import _sir_log_ratio, _stop_config
+from reference import StopRule, sir_chain_ratio, sir_simulate
 
 SIR = SirParams(lam=0.035, gamma=1.0, s0=30, i0=2, scaling=Scaling.UNSCALED)
 HIV = HivParams(
@@ -260,31 +263,146 @@ def test_clock_free_final_sizes_follow_the_exact_law(name):
     assert chisquare(pooled_obs[keep], pooled_exp[keep]).pvalue > 1e-3
 
 
-def test_clock_free_draws_one_uniform_per_live_path():
-    # replay: each iteration draws one uniform per live path, in path order,
-    # and an event is an infection when it falls below c*s/(c*s + gamma)
-    n = 12
-    init = (np.arange(20, 20 + n), np.full(n, 2), np.zeros(n, dtype=int), np.zeros(n))
+# removal targets that stop most paths that reach them inside a run
+STOP_INSIDE_A_RUN = {"toy": 4, "abakaliki": 30, "mass_action": 20}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_MODELS))
+def test_cmc_final_size_stopping_inside_a_run(name):
+    model, n = CHAIN_MODELS[name], 20_000
+    spec = FinalSize(n_c=STOP_INSIDE_A_RUN[name])
+    exact = tail_pf(exact_final_size(model), model.i0, spec.n_c)
+    assert 0.01 < exact < 0.99
+    value = cmc(model, spec, n, SeedSpec(42)).value
+    assert abs(value - exact) < 4 * math.sqrt(exact * (1 - exact) / n), (value, exact)
+
+
+def test_chain_loop_matches_the_per_event_chain():
+    # Two samples from the same start states, under an instrumental law and
+    # weighted against a base law: the chain loop's, and the reference's
+    # event-by-event simulation with its chain ratio and rate integrals.
+    # Their end states and the three tallies must share one law.
+    base = SirParams(lam=0.035, gamma=1.0, s0=30, i0=2, scaling=Scaling.UNSCALED)
+    instr = SirParams(lam=0.06, gamma=0.8, s0=30, i0=2, scaling=Scaling.UNSCALED)
+    starts = [(30, 2, 0), (20, 5, 7), (10, 3, 19), (25, 1, 6), (3, 4, 25)]
+    target, per_start = 24, 600
+    init = tuple(np.repeat(column, per_start) for column in zip(*starts))
+    ens = lockstep.sir_ensemble(
+        instr, None, SeedSpec(43).generator(), init=(*init, np.zeros(len(init[0]))),
+        base=base, clock_free=True, target_axis=Axis.REMOVED, target_level=target,
+    )
+    engine = np.column_stack([
+        ens.s, ens.i, ens.r, _sir_log_ratio(ens, base, instr), ens.int_pair, ens.int_i,
+    ])
+    rng, rule = SeedSpec(44).generator(), StopRule.first_passage(Axis.REMOVED, target)
+    reference = []
+    for start in zip(*init):
+        initial = CompartmentState(*(int(x) for x in start))
+        path = sir_simulate(instr, rule, rng, initial=initial)
+        chain = [initial] + [event.state_after for event in path.events]
+        end = chain[-1]
+        reference.append((end.s, end.i, end.r, *sir_chain_ratio(chain, base, instr)))
+    reference = np.array(reference)
+    # end states: a two-sample chi-square over the states both reach often
+    states, cells = np.unique(np.vstack([engine[:, :3], reference[:, :3]]), axis=0,
+                              return_inverse=True)
+    counts = np.array([np.bincount(half, minlength=len(states))
+                       for half in np.split(cells.ravel(), 2)])
+    common = counts.sum(axis=0) >= 10
+    table = np.column_stack([counts[:, common], counts[:, ~common].sum(axis=1)])
+    table = table[:, table.sum(axis=0) > 0]
+    assert table.shape[1] > 10
+    assert chi2_contingency(table).pvalue > 1e-3
+    for column in range(3, 6):
+        assert ks_2samp(engine[:, column], reference[:, column]).pvalue > 1e-3
+
+
+class _ZeroDraws:
+    """A generator whose standard exponentials are all exactly zero."""
+
+    def standard_exponential(self, shape):
+        return np.zeros(shape)
+
+
+def test_clock_free_degenerate_rates():
+    # Each call must end every path where the chain says, with finite
+    # tallies; a run that never ends may not meet inf - inf, 0 * inf or
+    # any other invalid operation, nor a division by zero, on the way.
+    base = CHAIN_MODELS["toy"]
+    s0, i0 = base.s0, base.i0
+    huge = 1e20
+    assert huge * s0 / (huge * s0 + base.gamma) == 1.0
+    cases = {
+        # p = 0 everywhere: no path infects anyone
+        "no infection": (dataclasses.replace(base, lam=0.0), SeedSpec(45).generator(), 0),
+        # paths infect everyone, then p = 0 at s = 0 ends their runs
+        "to s = 0": (dataclasses.replace(base, lam=1e6), SeedSpec(46).generator(), s0),
+        # p rounds to 1, and a run of removals would need a draw above
+        # log(c*s/gamma), 46 or 690
+        "p is 1": (dataclasses.replace(base, lam=huge), SeedSpec(47).generator(), s0),
+        "p is 1, far": (dataclasses.replace(base, lam=1e300), SeedSpec(48).generator(), s0),
+        # a zero draw: runs of 0 where p > 0, endless where p is 0
+        "zero draws": (base, _ZeroDraws(), s0),
+    }
+    for name, (model, rng, final_size) in cases.items():
+        with np.errstate(invalid="raise", divide="raise"):
+            ens = lockstep.sir_ensemble(
+                model, 200, rng, base=base, record=True, clock_free=True,
+                target_axis=Axis.REMOVED, target_level=s0 + i0 + 1,
+            )
+        assert np.all(ens.i == 0) and np.all(ens.n_inf == final_size), name
+        np.testing.assert_array_equal(ens.r, final_size + i0)
+        for tally in (ens.int_pair, ens.int_i, ens.log_rate_ratio):
+            assert np.isfinite(tally).all(), name
+        _check(ens, tuple(np.full(200, x) for x in (s0, i0, 0, 0.0)), clock_free=True)
+
+
+def test_clock_free_draws_one_exponential_block_per_iteration():
+    # replay: each iteration draws one block of standard exponentials, a
+    # row per live path in path order and min(16, s + 1) columns for the
+    # largest live s; column k is the run of removals at s - k, of length
+    # floor(E / -log(1 - p)) by inverse CDF with p = c*s/(c*s + gamma), and
+    # endless where p is 0; a path takes each run and the infection closing
+    # it until a run holds all the removals it has room for, and stops there
+    model = SirParams(lam=6.0, gamma=1.0, s0=50, i0=1, n=60)
+    coef, target = model.lam / model.population, 30
+    s0 = np.array([0, 1, 2, 3, 5, 8, 13, 17, 20, 24, 28, 31])
+    n = len(s0)
+    init = (s0, np.full(n, 2), np.arange(n), np.zeros(n))
     engine_rng = SeedSpec(39).generator()
     ens = lockstep.sir_ensemble(
-        MASS_ACTION, None, engine_rng, init=init, record=True, clock_free=True
+        model, None, engine_rng, init=init, record=True, clock_free=True,
+        target_axis=Axis.REMOVED, target_level=target,
     )
     rng = SeedSpec(39).generator()
-    s, i = init[0].copy(), init[1].copy()
-    coef = MASS_ACTION.lam / MASS_ACTION.population
+    s, i, r = ([int(x) for x in column] for column in init[:3])
     kinds = [[] for _ in range(n)]
-    while (i > 0).any():
-        (live,) = (i > 0).nonzero()
-        pair = coef * s[live]
-        infected = rng.random(live.size) < pair / (pair + MASS_ACTION.gamma)
-        for k, inf in zip(live, infected):
-            kinds[k].append(EventKind.INFECTION.value if inf else EventKind.REMOVAL.value)
-        s[live] -= infected
-        i[live] += 2 * infected - 1
+    iterations = 0
+    while live := [k for k in range(n) if i[k] > 0 and r[k] < target]:
+        iterations += 1
+        width = min(16, max(s[k] for k in live) + 1)
+        for k, row in zip(live, rng.standard_exponential((len(live), width))):
+            for e in row:
+                p = coef * s[k] / (coef * s[k] + model.gamma)
+                run = math.floor(e / -math.log1p(-p)) if p > 0 else math.inf
+                room = min(i[k], target - r[k])
+                removed = min(run, room)
+                kinds[k] += [EventKind.REMOVAL.value] * removed
+                i[k], r[k] = i[k] - removed, r[k] + removed
+                if run >= room:
+                    break
+                kinds[k].append(EventKind.INFECTION.value)
+                s[k], i[k] = s[k] - 1, i[k] + 1
     log = ens.log
     for k in range(n):
         assert log.kind[log.offsets[k]:log.offsets[k + 1]].tolist() == kinds[k]
-    np.testing.assert_array_equal(ens.s, s)
+    for got, want in zip((ens.s, ens.i, ens.r), (s, i, r)):
+        np.testing.assert_array_equal(got, want)
+    _check(ens, init, clock_free=True)
+    # the replay covered extinction at s = 0, the removal target and a path
+    # that took a whole block of 16 infections
+    assert iterations > 1 and ((ens.s == 0) & (ens.i == 0)).any()
+    assert (ens.r == target).any() and (ens.n_inf > 16).any()
     # and nothing else was drawn
     assert engine_rng.random() == rng.random()
 
