@@ -209,14 +209,14 @@ keep_count = 10
 
 GOLDEN_CSV = """\
 method,params,value,stderr,extinct_ensembles,zero_runs,wall_seconds
-cmc,N=40;reps=3;seed=7,2.167e-01,5.774e-02,0,0,
+cmc,N=40;reps=3;seed=7,2.167e-01,1.443e-02,0,0,
 cmc,N=40;reps=3;seed=7,4.583e-01,6.292e-02,0,0,
 cmc,N=40;reps=3;seed=7,3.667e-01,3.819e-02,0,0,
-is,N=40;reps=3;seed=7,8.479e-02,2.538e-02,0,0,
+is,N=40;reps=3;seed=7,1.099e-01,4.852e-02,0,0,
 is,N=40;reps=3;seed=7,2.362e-01,4.739e-02,0,0,
-ce[K=3],N=40;reps=3;seed=7,1.113e-01,4.405e-03,0,0,
+ce[K=3],N=40;reps=3;seed=7,1.235e-01,2.778e-02,0,0,
 ce[K=3],N=40;reps=3;seed=7,2.360e-01,1.059e-02,0,0,
-ibps[multinomial;keep=0.3],N=40;reps=3;seed=7,1.040e-01,4.995e-02,0,0,
+ibps[multinomial;keep=0.3],N=40;reps=3;seed=7,8.854e-02,2.197e-02,0,0,
 ibps[keepall;fixed-levels],N=40;reps=3;seed=7,5.073e-02,4.546e-02,0,0,
 ibps[multinomial;keep=0.5;potential_v(a=0.1)],N=40;reps=3;seed=7,1.900e-01,1.772e-02,0,0,
 ibps[multinomial;keep=0.3],N=40;reps=3;seed=7,5.444e-03,2.738e-03,0,0,
@@ -402,8 +402,8 @@ PER_LEVEL = {'hiv-diagnoses-keepall': (0.20833333333333334, 0.8666666666666667, 
                            0.11666666666666667,
                            0.025),
  'sir-diagnoses-multinomial': (0.23333333333333334, 0.25833333333333336, 0.38333333333333336),
- 'sir-final_size-keepall': (0.24166666666666667, 0.8833333333333333),
- 'sir-final_size-multinomial': (0.24166666666666667, 0.5666666666666667),
+ 'sir-final_size-keepall': (0.2, 0.9666666666666667),
+ 'sir-final_size-multinomial': (0.2, 0.825),
  'sir-incidence-keepall': (0.2833333333333333,
                            0.225,
                            0.39166666666666666,
@@ -414,7 +414,7 @@ PER_LEVEL = {'hiv-diagnoses-keepall': (0.20833333333333334, 0.8666666666666667, 
                                0.35833333333333334,
                                0.24166666666666667)}
 
-FIXED_SCHEDULE_PER_LEVEL = (0.65, 0.6666666666666666, 0.7833333333333333, 0.5833333333333334)
+FIXED_SCHEDULE_PER_LEVEL = (0.6, 0.6833333333333333, 0.7416666666666667, 0.6916666666666667)
 
 TEMPORAL_PER_LEVEL = {'hiv-adaptive': (0.25, 0.25, 0.25, 0.8333333333333334),
  'hiv-grid': (0.5333333333333333, 0.275, 0.3, 0.36666666666666664),
@@ -476,17 +476,17 @@ HIT_TIMES = {'hiv-incidence': ((5.0, 6.0, 8.0, 9.0),
                     (1.314680368137901, 1.47593262332614, NEVER)),
                    (14, 14, 14, 14, 14, 14, 14, 13, 14, 13)),
  'sir-final_size': ((16.0,),
-                    ((3.848280465052049,),
-                     (4.4493588674173035,),
-                     (3.595987422945486,),
-                     (3.483116609513759,),
-                     (7.826064631967534,),
-                     (7.1374666376555975,),
-                     (5.35965461206518,),
-                     (6.506401536854111,),
-                     (7.336742036416732,),
-                     (5.0767930904709,)),
-                    (31, 31, 35, 35, 31, 31, 31, 31, 31, 31))}
+                    ((3.021585981523172,),
+                     (3.5662162909616426,),
+                     (4.488630003465088,),
+                     (5.242353263428807,),
+                     (5.273619640556228,),
+                     (4.175719723059818,),
+                     (5.908785546664082,),
+                     (5.717243404209984,),
+                     (5.377521963879842,),
+                     (4.732138398641572,)),
+                    (31, 31, 30, 30, 33, 30, 33, 37, 31, 37))}
 
 ENGINE_DIGESTS = {'hiv-diagnoses-bare-fresh': 'ea4b0da4cc8b51ccacf1746a9505955e4d8299b0734f9000d7ad89a12f34ff1d',
  'hiv-diagnoses-bare-init': '7eb50f9f13154547559c3fe01e0f48b95fd1c1b71ed4f9774a9f78924eddd810',
@@ -513,13 +513,13 @@ ENGINE_DIGESTS = {'hiv-diagnoses-bare-fresh': 'ea4b0da4cc8b51ccacf1746a9505955e4
  'sir-duration-record-fresh': '35ceab641b63f03f80751eceb17644290becfb845f7c1ca65a67aa578671cfaf',
  'sir-duration-record-init': '91d3b959fdf012841403490bd75a6dde4f38cdafcf9d09924bc42723b257995d',
  'sir-final_size-bare-fresh': 'ed3522562948c521fc42e95764cb82ceb13148eea0c091f4e1a1d79aac29bc4f',
- 'sir-final_size-bare-fresh-clock_free': '6b4eff55bcea4594455ba0dbebe5e626403f22ed183361ac68bee4357c62ddfe',
+ 'sir-final_size-bare-fresh-clock_free': 'ac10315f4e02141c60c147927e8d1275f2cf17d40900a2c6c40ffaebdd85f0fb',
  'sir-final_size-bare-init': '1ebd4181753c28cdfec843b2ccd0c8cc6e97a6065ad13585fdef4035d0ec7c2c',
- 'sir-final_size-bare-init-clock_free': '6d946fe413f3559a0a7ebfd2d486dd1d436f19cae5e618716f3666d81d1c35d9',
+ 'sir-final_size-bare-init-clock_free': '7bac62cf84618063d0b90cb8e9abccfe6ce4b23b2797a71fffbfd74685f097b6',
  'sir-final_size-record-fresh': '5a8d0fd6e0806c9b8dc896ad8253a8f33f00e9f3e6d274ad12d11b6f9eb1b082',
- 'sir-final_size-record-fresh-clock_free': '0fc963a0238708ca535568f64bc5b7107042ae733e670883651aa1297c738a1a',
+ 'sir-final_size-record-fresh-clock_free': '2293351ad214060483775515e1b84bb3845abb8c7d75e174c5758fc79149cf50',
  'sir-final_size-record-init': '5ae5bbfff88c0d4fa9ceb3497ab745ae84ece28458b738fd2e96396730dd38f3',
- 'sir-final_size-record-init-clock_free': '60ba4d4bcdb0686f282bae2e0c8c704b392c6db0207d943ac0759fd371f9f67b',
+ 'sir-final_size-record-init-clock_free': 'ab0a65fef60863029d9f70f352cfac343fe49c77b553d49b8696779f151a3750',
  'sir-incidence-bare-fresh': '57b476331c9c9ee848e76c131a9e6c0bf56305d72763f1c959cf5c39756e1ef2',
  'sir-incidence-bare-init': '643a7a7924f18d4540109e54b4cfc1d53757e3ef68604c8b582753cc0cf08aef',
  'sir-incidence-record-fresh': '26479c79089099245df88803ce9e3e79d607f5620342cdb022649a72bc369ef4',
