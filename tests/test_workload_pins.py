@@ -50,11 +50,11 @@ RUNS = {"ibps-abakaliki": _ibps, "temporal-contact-tracing": _temporal, "ce-abak
 
 # float.hex() of the estimate of replications 0, 1 and 2
 PINS = {
-    "ibps-abakaliki": ("0x1.d8e8640208180p-11", "0x1.148fd9fd36f7ep-9", "0x1.a6937d1fe64f5p-12"),
+    "ibps-abakaliki": ("0x1.4b9cb6848beb6p-9", "0x1.c8216c61522a7p-10", "0x1.5fcc1871e6cd2p-10"),
     "temporal-contact-tracing": (
         "0x1.bc98a222d5174p-11", "0x1.bda5119ce0761p-11", "0x1.bf37b8d3f1845p-11",
     ),
-    "ce-abakaliki": ("0x1.4cd2163664233p-9", "0x1.528ffb86a9c5ap-9", "0x1.3ddf96cc48506p-9"),
+    "ce-abakaliki": ("0x1.250ad4b68c9b8p-9", "0x1.3eaa377604ed2p-9", "0x1.6b2200415f077p-9"),
 }
 
 
