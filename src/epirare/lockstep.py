@@ -53,6 +53,8 @@ _ITERATION_CAP = 100_000_000
 _RUNS = np.arange(16)
 # the least subnormal double
 _LEAST = np.nextafter(0.0, 1.0)
+# live paths a clock-free iteration works on at a time
+_CHUNK = 2048
 
 
 @dataclass
@@ -544,8 +546,8 @@ def _chain_loop(
         raise ValueError("a clock-free call stops only at a removal target")
     s0, i0, r0 = _start(model, n_paths, init)[:3]
     n, s_max = len(s0), int(s0.max(initial=0))
-    run_scale, *terms = _chain_table(rates, base, rate_integrals, s_max + 1)
-    terms = np.array(terms)
+    table = _chain_table(rates, base, rate_integrals, s_max + 1)
+    run_scale, terms = table[0], table[1:]
     target = np.array(np.inf if target_axis is None else target_level, dtype=float)
     # rows: s, i, r, t (NaN), max_i, path, the rows an event log keeps; then
     # the two rate integrals, when the loop sums them, and the log rate
@@ -556,7 +558,7 @@ def _chain_loop(
         rows, flags, filled = np.empty((6, 32 * n + 64)), np.empty(32 * n + 64, bool), 0
     finished = [out[:, :0]]
     block = out
-    s, i, r, _, max_i, path, *tallies = block
+    s, i, r = block[:3]
     # a path with s susceptibles ends within s // 16 + 1 iterations
     for _ in range(s_max // len(_RUNS) + 2):
         alive = (i > 0) & (r < target)
@@ -564,49 +566,27 @@ def _chain_loop(
         if keep.size < block.shape[1]:
             finished.append(block.take((~alive).nonzero()[0], axis=1))
             block = block.take(keep, axis=1)
-            s, i, r, _, max_i, path, *tallies = block
+            s, i, r = block[:3]
         if not keep.size:
             break
-        m, at = keep.size, s.astype(np.intp)
-        width = min(len(_RUNS), int(at.max()) + 1)
-        k = _RUNS[:width, None]
-        draws = rng.standard_exponential((m, width))
-        # a zero draw would meet an inf scale where p is 0; the least
-        # subnormal keeps that run endless and changes no other
-        draws += _LEAST
-        done = run_scale[:width].take(at, axis=1)
-        done *= draws.T
-        np.floor(done, out=done)
-        # removals through each run, inf from the first that never ends
-        _accumulate_runs(np.add, done)
-        # the removals a path has room for up to the infection closing run
-        # k; it takes each run whole until one does not fit
-        room = np.minimum(i + k, target - r)
-        fits = np.zeros((width + 1, m), bool)
-        np.less(done, room, out=fits[:-1])
-        steps = fits.argmin(axis=0)
-        whole = k < steps
-        # removals through each run, capped at the room of the run the path
-        # stops in (or at its last run, where it takes them all)
-        capped = np.minimum(done, room, out=room)
-        removals = capped.ravel()[np.minimum(steps, width - 1) * m + np.arange(m)]
-        # i less its start right after each infection the path takes
-        peaks = np.where(whole, (k + 1) - done, -np.inf)
-        if tallies:
-            through = np.zeros((width + 1, m))
-            np.minimum(capped, removals, out=through[1:])
-            events = through[1:] - through[:-1]
-            events += whole
-            per_event = terms[:, :width].take(at, axis=2)
-            block[6:] += np.einsum("tkm,km->tm", per_event, events)
-        if record:
-            rows, flags, filled = _record_runs(
-                rows, flags, filled, block, steps, removals, whole, done, peaks,
+        width = min(len(_RUNS), int(s.max()) + 1)
+        # a chunk of paths at a time, in path order, so that the
+        # iteration's arrays stay in cache; it draws what one block would
+        for lo in range(0, keep.size, _CHUNK):
+            part = block[:, lo:lo + _CHUNK]
+            steps, removals, whole, done, peaks = _take_runs(
+                part, rng.standard_exponential((part.shape[1], width)), run_scale, terms,
+                target,
             )
-        np.maximum(max_i, i + peaks.max(axis=0), out=max_i)
-        s -= steps
-        i += steps - removals
-        r += removals
+            if record:
+                rows, flags, filled = _record_runs(
+                    rows, flags, filled, part, steps, removals, whole, done, peaks,
+                )
+            s_part, i_part, r_part, _, max_i_part = part[:5]
+            np.maximum(max_i_part, i_part + peaks.max(axis=0), out=max_i_part)
+            s_part -= steps
+            i_part += steps - removals
+            r_part += removals
     else:
         raise AssertionError("a chain iteration neither ended a path nor took 16 infections")
 
@@ -624,9 +604,50 @@ def _chain_loop(
     )
 
 
+def _take_runs(part, draws, run_scale, terms, target):
+    """The runs of the paths in ``part``, block columns of live paths, from
+    their ``draws``, a row per path and a column per run; adds their
+    tallies to ``part``.  Returns, per path, its infections (``steps``)
+    and removals, and per run and path, whether the path takes the run
+    ``whole``, the removals ``done`` through the run and ``peaks``, i less
+    its start right after the infection closing the run (-inf where the
+    path does not take it)."""
+    m, width = draws.shape
+    s, i, r = part[:3]
+    at = s.astype(np.intp)
+    k = _RUNS[:width, None]
+    # a zero draw would meet an inf scale where p is 0; the least
+    # subnormal keeps that run endless and changes no other
+    draws += _LEAST
+    done = run_scale[:width].take(at, axis=1)
+    done *= draws.T
+    np.floor(done, out=done)
+    # removals through each run, inf from the first that never ends
+    _accumulate_runs(np.add, done)
+    # the removals a path has room for up to the infection closing run k;
+    # it takes each run whole until one does not fit
+    room = np.minimum(i + k, target - r)
+    fits = np.zeros((width + 1, m), bool)
+    np.less(done, room, out=fits[:-1])
+    steps = fits.argmin(axis=0)
+    whole = k < steps
+    # removals through each run, capped at the room of the run the path
+    # stops in (or at its last run, where it takes them all)
+    capped = np.minimum(done, room, out=room)
+    removals = capped.ravel()[np.minimum(steps, width - 1) * m + np.arange(m)]
+    peaks = np.where(whole, (k + 1) - done, -np.inf)
+    if len(terms):
+        through = np.zeros((width + 1, m))
+        np.minimum(capped, removals, out=through[1:])
+        events = through[1:] - through[:-1]
+        events += whole
+        part[6:] += np.einsum("tkm,km->tm", terms[:, :width].take(at, axis=2), events)
+    return steps, removals, whole, done, peaks
+
+
 def _record_runs(rows, flags, filled, block, steps, removals, whole, done, peaks):
-    """Append to the ``rows`` and ``flags`` buffers one row per event of a
-    chain iteration, path by path: each run's removals, then the infection
+    """Append to the ``rows`` and ``flags`` buffers one row per event of the
+    paths in ``block`` in a chain iteration, path by path: each run's removals, then the infection
     that closes it where the path takes it ``whole``.  Per path, ``steps``
     and ``removals`` count its infections and removals; per run and path,
     ``done`` counts the removals through the run and ``peaks`` is i less
@@ -646,33 +667,26 @@ def _record_runs(rows, flags, filled, block, steps, removals, whole, done, peaks
     is_inf = flags[filled:end]
     is_inf[:] = False
     is_inf[np.repeat(first, steps) + k + done.ravel()[k * m + p].astype(np.intp)] = True
-    # per event, the iteration's infections so far, over all paths, and the
+    # per event, the chunk's infections so far, over all paths, and the
     # events that were not; a path's own are these less their values
     # before its first event
-    infections = np.cumsum(is_inf, dtype=float)
+    infections = is_inf.astype(float)
+    np.cumsum(infections, out=infections)
     others = np.arange(1.0, end - filled + 1) - infections
-    # per path, its start state lifted by what it had before, for the
-    # subtraction below; then the column of the running maxima of i
-    lifted = np.empty((6, m))
-    lifted[0] = block[0] + before
-    lifted[1] = block[1] + (first - before) - before
-    lifted[2] = block[2] - (first - before)
-    lifted[3] = np.nan
-    lifted[4] = np.arange(m) - before * m
-    lifted[5] = block[5]
+    s, i, r, _, max_i, path = block[:6]
     state = rows[:, filled:end]
-    state[...] = np.repeat(lifted, per_path, axis=1)
-    state[0] -= infections
-    state[1] += infections
-    state[1] -= others
-    state[2] += others
+    np.subtract(np.repeat(s + before, per_path), infections, out=state[0])
+    np.add(np.repeat(i + first - 2 * before, per_path), infections - others, out=state[1])
+    np.add(np.repeat(r - first + before, per_path), others, out=state[2])
+    state[3] = np.nan
     # after a path's j-th infection here, the most of i it has held
     running = np.empty((len(peaks) + 1, m))
-    running[0] = block[4]
-    np.add(peaks, block[1], out=running[1:])
+    running[0] = max_i
+    np.add(peaks, i, out=running[1:])
     _accumulate_runs(np.maximum, running)
-    state[4] += infections * m
-    state[4] = running.ravel().take(state[4].astype(np.intp))
+    at = np.repeat(np.arange(m) - before * m, per_path) + infections * m
+    np.take(running.ravel(), at.astype(np.intp), out=state[4])
+    state[5] = np.repeat(path, per_path)
     return rows, flags, end
 
 
