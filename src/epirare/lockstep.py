@@ -574,13 +574,13 @@ def _chain_loop(
         # iteration's arrays stay in cache; it draws what one block would
         for lo in range(0, keep.size, _CHUNK):
             part = block[:, lo:lo + _CHUNK]
-            steps, removals, whole, done, peaks = _take_runs(
+            steps, removals, done, peaks = _take_runs(
                 part, rng.standard_exponential((part.shape[1], width)), run_scale, terms,
                 target,
             )
             if record:
                 rows, flags, filled = _record_runs(
-                    rows, flags, filled, part, steps, removals, whole, done, peaks,
+                    rows, flags, filled, part, steps, removals, done, peaks,
                 )
             s_part, i_part, r_part, _, max_i_part = part[:5]
             np.maximum(max_i_part, i_part + peaks.max(axis=0), out=max_i_part)
@@ -608,10 +608,9 @@ def _take_runs(part, draws, run_scale, terms, target):
     """The runs of the paths in ``part``, block columns of live paths, from
     their ``draws``, a row per path and a column per run; adds their
     tallies to ``part``.  Returns, per path, its infections (``steps``)
-    and removals, and per run and path, whether the path takes the run
-    ``whole``, the removals ``done`` through the run and ``peaks``, i less
-    its start right after the infection closing the run (-inf where the
-    path does not take it)."""
+    and removals, and per run and path, the removals ``done`` through the
+    run and ``peaks``, i less its start right after the infection closing
+    the run (-inf where the path does not take the run whole)."""
     m, width = draws.shape
     s, i, r = part[:3]
     at = s.astype(np.intp)
@@ -642,17 +641,17 @@ def _take_runs(part, draws, run_scale, terms, target):
         events = through[1:] - through[:-1]
         events += whole
         part[6:] += np.einsum("tkm,km->tm", terms[:, :width].take(at, axis=2), events)
-    return steps, removals, whole, done, peaks
+    return steps, removals, done, peaks
 
 
-def _record_runs(rows, flags, filled, block, steps, removals, whole, done, peaks):
+def _record_runs(rows, flags, filled, part, steps, removals, done, peaks):
     """Append to the ``rows`` and ``flags`` buffers one row per event of the
-    paths in ``block`` in a chain iteration, path by path: each run's removals, then the infection
-    that closes it where the path takes it ``whole``.  Per path, ``steps``
-    and ``removals`` count its infections and removals; per run and path,
-    ``done`` counts the removals through the run and ``peaks`` is i less
-    its start after the infection.  Returns the buffers, grown if needed,
-    and their fill."""
+    paths in ``part`` in a chain iteration, path by path: each run's
+    removals, then the infection closing it, for the ``steps`` runs a path
+    takes whole.  Per path, ``steps`` and ``removals`` count its infections
+    and removals; per run and path, ``done`` counts the removals through
+    the run and ``peaks`` is i less its start after the infection.  Returns
+    the buffers, grown if needed, and their fill."""
     m = len(steps)
     per_path = (steps + removals).astype(np.intp)
     last = np.cumsum(per_path)
@@ -673,7 +672,7 @@ def _record_runs(rows, flags, filled, block, steps, removals, whole, done, peaks
     infections = is_inf.astype(float)
     np.cumsum(infections, out=infections)
     others = np.arange(1.0, end - filled + 1) - infections
-    s, i, r, _, max_i, path = block[:6]
+    s, i, r, _, max_i, path = part[:6]
     state = rows[:, filled:end]
     np.subtract(np.repeat(s + before, per_path), infections, out=state[0])
     np.add(np.repeat(i + first - 2 * before, per_path), infections - others, out=state[1])

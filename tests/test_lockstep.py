@@ -282,8 +282,7 @@ def test_chain_loop_matches_the_per_event_chain():
     # weighted against a base law: the chain loop's, and the reference's
     # event-by-event simulation with its chain ratio and rate integrals.
     # Their end states and the three tallies must share one law.
-    base = SirParams(lam=0.035, gamma=1.0, s0=30, i0=2, scaling=Scaling.UNSCALED)
-    instr = SirParams(lam=0.06, gamma=0.8, s0=30, i0=2, scaling=Scaling.UNSCALED)
+    base, instr = SIR, dataclasses.replace(SIR, lam=0.06, gamma=0.8)
     starts = [(30, 2, 0), (20, 5, 7), (10, 3, 19), (25, 1, 6), (3, 4, 25)]
     target, per_start = 24, 600
     init = tuple(np.repeat(column, per_start) for column in zip(*starts))
