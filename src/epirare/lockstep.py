@@ -53,8 +53,11 @@ _ITERATION_CAP = 100_000_000
 _RUNS = np.arange(16)
 # the least subnormal double
 _LEAST = np.nextafter(0.0, 1.0)
-# live paths a clock-free iteration works on at a time
-_CHUNK = 2048
+# the runs a clock-free iteration first takes for every live path, before
+# it takes the rest for the paths still going, when at least _STAGED paths
+# are live
+_FIRST = 4
+_STAGED = 2048
 
 
 @dataclass
@@ -353,14 +356,10 @@ def _start(model: SirParams | HivParams, n_paths: int | None, init) -> list[np.n
 
 
 def _accumulate_runs(ufunc: np.ufunc, x: np.ndarray) -> None:
-    """``ufunc`` accumulated down the rows of ``x``, in place.  numpy
-    accumulates a short axis one column at a time, so a wide block goes
-    row by row instead."""
-    if x.shape[1] < 256:
-        ufunc.accumulate(x, axis=0, out=x)
-    else:
-        for j in range(1, len(x)):
-            ufunc(x[j], x[j - 1], out=x[j])
+    """``ufunc`` accumulated down the rows of ``x``, in place, a row at a
+    time: numpy accumulates a short axis one column at a time."""
+    for j in range(1, len(x)):
+        ufunc(x[j], x[j - 1], out=x[j])
 
 
 def _grown(buffer: np.ndarray, filled: int, size: int) -> np.ndarray:
@@ -532,14 +531,18 @@ def _chain_loop(
     is 0 (past s = 0 too, so no column beyond is ever read).  A path takes
     the runs in turn, each closed by an infection, until the first run that
     holds all the removals it has room for, min(i, target - r), and stops
-    inside it.  So every iteration ends a path or takes 16 infection steps
-    from it, and the loop needs no iteration cap.  The tallies add, per
-    run, its events times the table's per-event terms at its s.
+    inside it.  So every iteration ends a path or takes ``width`` infection
+    steps from it, and the loop needs no iteration cap.  The tallies add,
+    per run, its events times the table's per-event terms at its s.
 
     ``block`` holds the live paths' state as in ``_jump_loop``; the
     iteration's own arrays hold a row per run and a column per live path.
-    With ``record``, each iteration appends one row per event, path by
-    path, each run's removals then its infection."""
+    With at least ``_STAGED`` live paths and no log, an iteration takes
+    the block's first ``_FIRST`` runs for every path and the rest only for
+    the paths that took them all.  It draws the same block and takes the
+    same runs either way; only the last bits of the tallies, summed in two
+    parts, can differ.  With ``record``, each iteration appends one row
+    per event, path by path, each run's removals then its infection."""
     if horizon < np.inf or window is not None:
         raise ValueError("a clock-free call takes no horizon or window")
     if target_axis not in (None, Axis.REMOVED):
@@ -554,8 +557,8 @@ def _chain_loop(
     # ratio (base law)
     out = np.zeros((6 + len(terms), n))
     out[:3], out[3], out[4], out[5] = (s0, i0, r0), np.nan, i0, np.arange(n)
-    if record:
-        rows, flags, filled = np.empty((6, 32 * n + 64)), np.empty(32 * n + 64, bool), 0
+    # the recorded rows, and whether each event was an infection
+    log = _Log(np.empty((6, 32 * n + 64)), np.empty(32 * n + 64, bool)) if record else None
     finished = [out[:, :0]]
     block = out
     s, i, r = block[:3]
@@ -570,23 +573,21 @@ def _chain_loop(
         if not keep.size:
             break
         width = min(len(_RUNS), int(s.max()) + 1)
-        # a chunk of paths at a time, in path order, so that the
-        # iteration's arrays stay in cache; it draws what one block would
-        for lo in range(0, keep.size, _CHUNK):
-            part = block[:, lo:lo + _CHUNK]
-            steps, removals, done, peaks = _take_runs(
-                part, rng.standard_exponential((part.shape[1], width)), run_scale, terms,
-                target,
-            )
-            if record:
-                rows, flags, filled = _record_runs(
-                    rows, flags, filled, part, steps, removals, done, peaks,
-                )
-            s_part, i_part, r_part, _, max_i_part = part[:5]
-            np.maximum(max_i_part, i_part + peaks.max(axis=0), out=max_i_part)
-            s_part -= steps
-            i_part += steps - removals
-            r_part += removals
+        draws = rng.standard_exponential((keep.size, width))
+        # a zero draw would meet an inf scale where p is 0; the least
+        # subnormal keeps that run endless and changes no other
+        draws += _LEAST
+        # with many live paths, the block's first runs for every path and
+        # the rest only for the paths that took them all, as most paths of
+        # a fresh batch end early; not for a log, which would then hold two
+        # runs of rows per path and block for grouping to merge
+        first = min(_FIRST, width) if keep.size >= _STAGED and not record else width
+        steps = _advance(block, draws[:, :first], run_scale, terms, target, log)
+        going = (steps == first).nonzero()[0] if first < width else []
+        if len(going):
+            part = block.take(going, axis=1)
+            _advance(part, draws[going, first:], run_scale, terms, target, log)
+            block[:, going] = part
     else:
         raise AssertionError("a chain iteration neither ended a path nor took 16 infections")
 
@@ -596,7 +597,7 @@ def _chain_loop(
     t = out[3]
     sums = out[6:8] if rate_integrals else (np.zeros(n), np.zeros(n))
     recorded = Recorded(
-        rows[:, :filled], flags[:filled], rates.other_kind, False, False, t
+        log.rows[:, :log.filled], log.flags[:log.filled], rates.other_kind, False, False, t
     ) if record else None
     return JumpEnsemble(
         s, i, r, t, max_i, s0 - s, r - r0, *sums, recorded=recorded,
@@ -604,20 +605,35 @@ def _chain_loop(
     )
 
 
+def _advance(part, draws, run_scale, terms, target, log):
+    """Take the paths in ``part``, block columns of live paths, through the
+    runs of their ``draws`` (see ``_take_runs``), recording their events in
+    ``log`` if there is one and updating their state in place.  Returns,
+    per path, its infections."""
+    steps, removals, done, rise = _take_runs(part, draws, run_scale, terms, target)
+    if log is not None:
+        _record_runs(log, part, steps, removals, done, rise)
+    s, i, r, _, max_i = part[:5]
+    # a path that takes no run whole reads run 0, where i + rise is at most i
+    top = rise.ravel()[np.maximum(steps - 1, 0) * len(steps) + np.arange(len(steps))]
+    np.maximum(max_i, i + top, out=max_i)
+    s -= steps
+    i += steps - removals
+    r += removals
+    return steps
+
+
 def _take_runs(part, draws, run_scale, terms, target):
-    """The runs of the paths in ``part``, block columns of live paths, from
-    their ``draws``, a row per path and a column per run; adds their
-    tallies to ``part``.  Returns, per path, its infections (``steps``)
-    and removals, and per run and path, the removals ``done`` through the
-    run and ``peaks``, i less its start right after the infection closing
-    the run (-inf where the path does not take the run whole)."""
+    """The runs of the paths in ``part`` from their ``draws``, a row per path
+    and a column per run; adds their tallies to ``part``.  Returns, per
+    path, its infections (``steps``) and removals, and per run and path,
+    the removals ``done`` through the run and ``rise``, the most that i has
+    risen over its start right after the infections closing this run and
+    those before it, read only for the runs the path takes whole."""
     m, width = draws.shape
     s, i, r = part[:3]
     at = s.astype(np.intp)
     k = _RUNS[:width, None]
-    # a zero draw would meet an inf scale where p is 0; the least
-    # subnormal keeps that run endless and changes no other
-    draws += _LEAST
     done = run_scale[:width].take(at, axis=1)
     done *= draws.T
     np.floor(done, out=done)
@@ -626,67 +642,79 @@ def _take_runs(part, draws, run_scale, terms, target):
     # the removals a path has room for up to the infection closing run k;
     # it takes each run whole until one does not fit
     room = np.minimum(i + k, target - r)
-    fits = np.zeros((width + 1, m), bool)
-    np.less(done, room, out=fits[:-1])
-    steps = fits.argmin(axis=0)
-    whole = k < steps
+    whole = done < room
+    _accumulate_runs(np.logical_and, whole)
+    steps = whole.sum(axis=0)
     # removals through each run, capped at the room of the run the path
     # stops in (or at its last run, where it takes them all)
     capped = np.minimum(done, room, out=room)
     removals = capped.ravel()[np.minimum(steps, width - 1) * m + np.arange(m)]
-    peaks = np.where(whole, (k + 1) - done, -np.inf)
+    rise = (k + 1) - done
+    _accumulate_runs(np.maximum, rise)
     if len(terms):
         through = np.zeros((width + 1, m))
         np.minimum(capped, removals, out=through[1:])
         events = through[1:] - through[:-1]
         events += whole
         part[6:] += np.einsum("tkm,km->tm", terms[:, :width].take(at, axis=2), events)
-    return steps, removals, done, peaks
+    return steps, removals, done, rise
 
 
-def _record_runs(rows, flags, filled, part, steps, removals, done, peaks):
-    """Append to the ``rows`` and ``flags`` buffers one row per event of the
-    paths in ``part`` in a chain iteration, path by path: each run's
-    removals, then the infection closing it, for the ``steps`` runs a path
-    takes whole.  Per path, ``steps`` and ``removals`` count its infections
-    and removals; per run and path, ``done`` counts the removals through
-    the run and ``peaks`` is i less its start after the infection.  Returns
-    the buffers, grown if needed, and their fill."""
+@dataclass
+class _Log:
+    """The rows a recording chain loop keeps and whether each row's event
+    was an infection, in buffers that double when full."""
+
+    rows: np.ndarray
+    flags: np.ndarray
+    filled: int = 0
+
+    def extend(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next ``size`` entries of both buffers, now filled."""
+        start, end = self.filled, self.filled + size
+        if end > len(self.flags):
+            self.rows, self.flags = _grown(self.rows, start, 2 * end), _grown(self.flags, start, 2 * end)
+        self.filled = end
+        return self.rows[:, start:end], self.flags[start:end]
+
+
+def _record_runs(log, part, steps, removals, done, rise):
+    """Append to ``log`` one row per event of the paths in ``part`` through
+    their runs, path by path: each run's removals, then the infection
+    closing it, for the ``steps`` runs a path takes whole.  Per path,
+    ``steps`` and ``removals`` count its infections and removals; per run
+    and path, ``done`` counts the removals through the run and ``rise`` is
+    the most that i has risen over its start after the infection."""
     m = len(steps)
     per_path = (steps + removals).astype(np.intp)
     last = np.cumsum(per_path)
-    end = filled + int(last[-1])
-    if end > len(flags):
-        rows, flags = _grown(rows, filled, 2 * end), _grown(flags, filled, 2 * end)
+    state, is_inf = log.extend(int(last[-1]))
     first, before = last - per_path, np.cumsum(steps) - steps
     # the path's k infections and the removals through run k come before
     # the infection closing it
     p = np.repeat(np.arange(m), steps)
     k = np.arange(len(p)) - np.repeat(before, steps)
-    is_inf = flags[filled:end]
     is_inf[:] = False
     is_inf[np.repeat(first, steps) + k + done.ravel()[k * m + p].astype(np.intp)] = True
-    # per event, the chunk's infections so far, over all paths, and the
-    # events that were not; a path's own are these less their values
-    # before its first event
+    # per event, the infections so far, over all paths, and the events that
+    # were not; a path's own are these less their values before its first
+    # event
     infections = is_inf.astype(float)
     np.cumsum(infections, out=infections)
-    others = np.arange(1.0, end - filled + 1) - infections
+    others = np.arange(1.0, len(is_inf) + 1) - infections
     s, i, r, _, max_i, path = part[:6]
-    state = rows[:, filled:end]
     np.subtract(np.repeat(s + before, per_path), infections, out=state[0])
     np.add(np.repeat(i + first - 2 * before, per_path), infections - others, out=state[1])
     np.add(np.repeat(r - first + before, per_path), others, out=state[2])
     state[3] = np.nan
     # after a path's j-th infection here, the most of i it has held
-    running = np.empty((len(peaks) + 1, m))
+    running = np.empty((len(rise) + 1, m))
     running[0] = max_i
-    np.add(peaks, i, out=running[1:])
-    _accumulate_runs(np.maximum, running)
+    np.add(rise, i, out=running[1:])
+    np.maximum(running[1:], max_i, out=running[1:])
     at = np.repeat(np.arange(m) - before * m, per_path) + infections * m
     np.take(running.ravel(), at.astype(np.intp), out=state[4])
     state[5] = np.repeat(path, per_path)
-    return rows, flags, end
 
 
 def _sir_rates(params: SirParams) -> _Rates:

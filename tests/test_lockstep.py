@@ -406,6 +406,40 @@ def test_clock_free_draws_one_exponential_block_per_iteration():
     assert engine_rng.random() == rng.random()
 
 
+def test_staged_iterations_take_the_same_runs(monkeypatch):
+    # An iteration with many live paths takes its block's first runs for
+    # every path, then the rest for the paths that took them all.  Forced
+    # on every iteration, down to paths alone in a stage, it must end every
+    # path where one pass over each block does, with the same tallies but
+    # for rounding.
+    model = CHAIN_MODELS["abakaliki"]
+    instr = dataclasses.replace(model, lam=1.048e-3, gamma=0.0720)
+    stages = []
+    advance = lockstep._advance
+
+    def counted(part, draws, *args):
+        stages.append(draws.shape[1])
+        return advance(part, draws, *args)
+
+    monkeypatch.setattr(lockstep, "_advance", counted)
+    calls = {}
+    for staged_from in (10**9, 1):
+        monkeypatch.setattr(lockstep, "_STAGED", staged_from)
+        stages.clear()
+        calls[staged_from] = lockstep.sir_ensemble(
+            instr, 500, SeedSpec(49).generator(), base=model,
+            **_stop_config(FinalSize(81), instr),
+        )
+        widths = list(stages)
+    # the forced call took blocks in stages of 4 runs and then the rest
+    assert widths.count(lockstep._FIRST) > 1 and max(widths) == 16 - lockstep._FIRST
+    whole, staged = calls[10**9], calls[1]
+    for name in ("s", "i", "r", "max_i", "n_inf", "n_rem"):
+        np.testing.assert_array_equal(getattr(staged, name), getattr(whole, name), name)
+    for name in ("int_pair", "int_i", "log_rate_ratio"):
+        np.testing.assert_allclose(getattr(staged, name), getattr(whole, name), rtol=1e-13)
+
+
 @pytest.mark.parametrize("record", [False, True])
 def test_clock_free_call_has_no_times(record):
     ens = lockstep.sir_ensemble(
