@@ -356,10 +356,15 @@ def _start(model: SirParams | HivParams, n_paths: int | None, init) -> list[np.n
 
 
 def _accumulate_runs(ufunc: np.ufunc, x: np.ndarray) -> None:
-    """``ufunc`` accumulated down the rows of ``x``, in place, a row at a
-    time: numpy accumulates a short axis one column at a time."""
-    for j in range(1, len(x)):
-        ufunc(x[j], x[j - 1], out=x[j])
+    """``ufunc`` accumulated down the rows of ``x``, in place.  numpy
+    accumulates a short axis one column at a time, so a wide block goes
+    row by row instead; a narrow one, in the tail of a batch, pays less for
+    one call than for a call per row."""
+    if x.shape[1] < 256:
+        ufunc.accumulate(x, axis=0, out=x)
+    else:
+        for j in range(1, len(x)):
+            ufunc(x[j], x[j - 1], out=x[j])
 
 
 def _grown(buffer: np.ndarray, filled: int, size: int) -> np.ndarray:
