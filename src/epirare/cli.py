@@ -156,6 +156,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_fig2(args: argparse.Namespace) -> int:
     """Exact tail curve vs crude Monte-Carlo for the (40, 1) benchmark."""
+    if args.replicates < 1:
+        raise ValueError("replicates must be positive")
     model = SirParams(lam=1.0, gamma=1.0, s0=40, i0=1, scaling=Scaling.MASS_ACTION, n=41)
     dist = exact_final_size(model)
     # One simulation batch serves every threshold: tail frequencies are all

@@ -91,6 +91,8 @@ class ExperimentConfig:
             raise ValueError("replications must be positive")
         if self.workers < 1:
             raise ValueError("workers must be positive")
+        if self.restart_on_extinction < 0:
+            raise ValueError("restart_on_extinction must be non-negative")
         if self.keep_fraction is not None and not 0.0 < self.keep_fraction < 1.0:
             raise ValueError("keep_fraction must lie in (0, 1)")
         if self.method == "is" and self.instrumental is None:

@@ -53,11 +53,6 @@ _ITERATION_CAP = 100_000_000
 _RUNS = np.arange(16)
 # the least subnormal double
 _LEAST = np.nextafter(0.0, 1.0)
-# the runs a clock-free iteration first takes for every live path, before
-# it takes the rest for the paths still going, when at least _STAGED paths
-# are live
-_FIRST = 4
-_STAGED = 2048
 
 
 @dataclass
@@ -375,6 +370,33 @@ def _grown(buffer: np.ndarray, filled: int, size: int) -> np.ndarray:
     return grown
 
 
+class _Log:
+    """The rows a recording call keeps, ``n_rows`` per event, and whether
+    each row's event was an infection, in buffers that double when full.
+    Both engine loops, ``_jump_loop`` and ``_chain_loop``, record through
+    it."""
+
+    def __init__(self, n_rows: int, n_paths: int) -> None:
+        self.rows = np.empty((n_rows, 32 * n_paths + 64))
+        self.flags = np.empty(32 * n_paths + 64, bool)
+        self.filled = 0
+
+    def extend(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next ``size`` entries of both buffers, now filled."""
+        start, end = self.filled, self.filled + size
+        if end > len(self.flags):
+            self.rows, self.flags = _grown(self.rows, start, 2 * end), _grown(self.flags, start, 2 * end)
+        self.filled = end
+        return self.rows[:, start:end], self.flags[start:end]
+
+    def recorded(self, rates: _Rates, windowed: bool, t_stop: np.ndarray) -> Recorded:
+        """The filled rows, handed back as the call's ``Recorded``."""
+        return Recorded(
+            self.rows[:, :self.filled], self.flags[:self.filled], rates.other_kind,
+            rates.decay is not None, windowed, t_stop,
+        )
+
+
 def _jump_loop(
     rates: _Rates,
     model: SirParams | HivParams,
@@ -396,8 +418,8 @@ def _jump_loop(
     per path (counts are exact in float64); finished columns go to
     ``finished`` and are written back to ``out`` at the end.  With
     ``record``, each iteration appends the logged rows of the columns that
-    jumped, after the jump, and whether each jump was an infection, to
-    buffers that double when full.
+    jumped, after the jump, and whether each jump was an infection, to a
+    ``_Log``.
 
     The loop runs once per event of the slowest path, mostly on a handful
     of live paths, so it keeps numpy's fixed cost per call down: constants
@@ -421,9 +443,7 @@ def _jump_loop(
     logged = 6 + thinning + (window is not None)
     zeros = np.zeros(((window is not None) + 2 * sums, n))
     out = np.array([s0, i0, r0, t0, i0, np.arange(n), *decayed0, *zeros], dtype=float)
-    if record:
-        # the recorded rows, and whether each event was an infection
-        rows, flags, filled = np.empty((logged, 32 * n + 64)), np.empty(32 * n + 64, bool), 0
+    log = _Log(logged, n) if record else None
     finished = [out[:, :0]]
     block = out
     # views of the block's rows, taken again only when the block is compacted
@@ -483,12 +503,9 @@ def _jump_loop(
             extra[thinning] += rem & (t > opens) & (t <= closes)
         if record:
             new = block[:logged] if jump is None else block[:logged].compress(jump, axis=1)
-            end = filled + new.shape[1]
-            if end > len(flags):
-                rows, flags = _grown(rows, filled, 2 * end), _grown(flags, filled, 2 * end)
-            rows[:, filled:end] = new
-            flags[filled:end] = is_inf if jump is None else is_inf[jump]
-            filled = end
+            rows, flags = log.extend(new.shape[1])
+            rows[...] = new
+            flags[...] = is_inf if jump is None else is_inf[jump]
     else:
         raise SimulationError("iteration cap exceeded in ensemble simulation")
 
@@ -498,12 +515,10 @@ def _jump_loop(
     t = out[3]
     integrals = out[logged:logged + 2] if sums else (np.zeros(n), np.zeros(n))
     window_rem = out[logged - 1].astype(np.int64) if window is not None else None
-    recorded = Recorded(
-        rows[:, :filled], flags[:filled], rates.other_kind, thinning, window is not None, t,
-    ) if record else None
     return JumpEnsemble(
         s, i, r, t, max_i, s0 - s, r - r0, *integrals, window_rem,
-        out[6] if thinning else None, recorded=recorded,
+        out[6] if thinning else None,
+        recorded=log.recorded(rates, window is not None, t) if record else None,
     )
 
 
@@ -542,12 +557,8 @@ def _chain_loop(
 
     ``block`` holds the live paths' state as in ``_jump_loop``; the
     iteration's own arrays hold a row per run and a column per live path.
-    With at least ``_STAGED`` live paths and no log, an iteration takes
-    the block's first ``_FIRST`` runs for every path and the rest only for
-    the paths that took them all.  It draws the same block and takes the
-    same runs either way; only the last bits of the tallies, summed in two
-    parts, can differ.  With ``record``, each iteration appends one row
-    per event, path by path, each run's removals then its infection."""
+    With ``record``, each iteration appends one row per event, path by
+    path, each run's removals then its infection."""
     if horizon < np.inf or window is not None:
         raise ValueError("a clock-free call takes no horizon or window")
     if target_axis not in (None, Axis.REMOVED):
@@ -562,11 +573,10 @@ def _chain_loop(
     # ratio (base law)
     out = np.zeros((6 + len(terms), n))
     out[:3], out[3], out[4], out[5] = (s0, i0, r0), np.nan, i0, np.arange(n)
-    # the recorded rows, and whether each event was an infection
-    log = _Log(np.empty((6, 32 * n + 64)), np.empty(32 * n + 64, bool)) if record else None
+    log = _Log(6, n) if record else None
     finished = [out[:, :0]]
     block = out
-    s, i, r = block[:3]
+    s, i, r, _, max_i = block[:5]
     # a path with s susceptibles ends within s // 16 + 1 iterations
     for _ in range(s_max // len(_RUNS) + 2):
         alive = (i > 0) & (r < target)
@@ -574,7 +584,7 @@ def _chain_loop(
         if keep.size < block.shape[1]:
             finished.append(block.take((~alive).nonzero()[0], axis=1))
             block = block.take(keep, axis=1)
-            s, i, r = block[:3]
+            s, i, r, _, max_i = block[:5]
         if not keep.size:
             break
         width = min(len(_RUNS), int(s.max()) + 1)
@@ -582,17 +592,15 @@ def _chain_loop(
         # a zero draw would meet an inf scale where p is 0; the least
         # subnormal keeps that run endless and changes no other
         draws += _LEAST
-        # with many live paths, the block's first runs for every path and
-        # the rest only for the paths that took them all, as most paths of
-        # a fresh batch end early; not for a log, which would then hold two
-        # runs of rows per path and block for grouping to merge
-        first = min(_FIRST, width) if keep.size >= _STAGED and not record else width
-        steps = _advance(block, draws[:, :first], run_scale, terms, target, log)
-        going = (steps == first).nonzero()[0] if first < width else []
-        if len(going):
-            part = block.take(going, axis=1)
-            _advance(part, draws[going, first:], run_scale, terms, target, log)
-            block[:, going] = part
+        steps, removals, done, rise = _take_runs(block, draws, run_scale, terms, target)
+        if record:
+            _record_runs(log, block, steps, removals, done, rise)
+        # a path that takes no run whole reads run 0, where i + rise is at most i
+        top = rise.ravel()[np.maximum(steps - 1, 0) * keep.size + np.arange(keep.size)]
+        np.maximum(max_i, i + top, out=max_i)
+        s -= steps
+        i += steps - removals
+        r += removals
     else:
         raise AssertionError("a chain iteration neither ended a path nor took 16 infections")
 
@@ -601,42 +609,22 @@ def _chain_loop(
     s, i, r, max_i = (out[k].astype(np.int64) for k in (0, 1, 2, 4))
     t = out[3]
     sums = out[6:8] if rate_integrals else (np.zeros(n), np.zeros(n))
-    recorded = Recorded(
-        log.rows[:, :log.filled], log.flags[:log.filled], rates.other_kind, False, False, t
-    ) if record else None
     return JumpEnsemble(
-        s, i, r, t, max_i, s0 - s, r - r0, *sums, recorded=recorded,
+        s, i, r, t, max_i, s0 - s, r - r0, *sums,
+        recorded=log.recorded(rates, False, t) if record else None,
         log_rate_ratio=out[-1] if base is not None else None,
     )
 
 
-def _advance(part, draws, run_scale, terms, target, log):
-    """Take the paths in ``part``, block columns of live paths, through the
-    runs of their ``draws`` (see ``_take_runs``), recording their events in
-    ``log`` if there is one and updating their state in place.  Returns,
-    per path, its infections."""
-    steps, removals, done, rise = _take_runs(part, draws, run_scale, terms, target)
-    if log is not None:
-        _record_runs(log, part, steps, removals, done, rise)
-    s, i, r, _, max_i = part[:5]
-    # a path that takes no run whole reads run 0, where i + rise is at most i
-    top = rise.ravel()[np.maximum(steps - 1, 0) * len(steps) + np.arange(len(steps))]
-    np.maximum(max_i, i + top, out=max_i)
-    s -= steps
-    i += steps - removals
-    r += removals
-    return steps
-
-
-def _take_runs(part, draws, run_scale, terms, target):
-    """The runs of the paths in ``part`` from their ``draws``, a row per path
-    and a column per run; adds their tallies to ``part``.  Returns, per
+def _take_runs(block, draws, run_scale, terms, target):
+    """The runs of the paths in ``block`` from their ``draws``, a row per path
+    and a column per run; adds their tallies to ``block``.  Returns, per
     path, its infections (``steps``) and removals, and per run and path,
     the removals ``done`` through the run and ``rise``, the most that i has
     risen over its start right after the infections closing this run and
     those before it, read only for the runs the path takes whole."""
     m, width = draws.shape
-    s, i, r = part[:3]
+    s, i, r = block[:3]
     at = s.astype(np.intp)
     k = _RUNS[:width, None]
     done = run_scale[:width].take(at, axis=1)
@@ -661,30 +649,12 @@ def _take_runs(part, draws, run_scale, terms, target):
         np.minimum(capped, removals, out=through[1:])
         events = through[1:] - through[:-1]
         events += whole
-        part[6:] += np.einsum("tkm,km->tm", terms[:, :width].take(at, axis=2), events)
+        block[6:] += np.einsum("tkm,km->tm", terms[:, :width].take(at, axis=2), events)
     return steps, removals, done, rise
 
 
-@dataclass
-class _Log:
-    """The rows a recording chain loop keeps and whether each row's event
-    was an infection, in buffers that double when full."""
-
-    rows: np.ndarray
-    flags: np.ndarray
-    filled: int = 0
-
-    def extend(self, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """The next ``size`` entries of both buffers, now filled."""
-        start, end = self.filled, self.filled + size
-        if end > len(self.flags):
-            self.rows, self.flags = _grown(self.rows, start, 2 * end), _grown(self.flags, start, 2 * end)
-        self.filled = end
-        return self.rows[:, start:end], self.flags[start:end]
-
-
-def _record_runs(log, part, steps, removals, done, rise):
-    """Append to ``log`` one row per event of the paths in ``part`` through
+def _record_runs(log, block, steps, removals, done, rise):
+    """Append to ``log`` one row per event of the paths in ``block`` through
     their runs, path by path: each run's removals, then the infection
     closing it, for the ``steps`` runs a path takes whole.  Per path,
     ``steps`` and ``removals`` count its infections and removals; per run
@@ -707,7 +677,7 @@ def _record_runs(log, part, steps, removals, done, rise):
     infections = is_inf.astype(float)
     np.cumsum(infections, out=infections)
     others = np.arange(1.0, len(is_inf) + 1) - infections
-    s, i, r, _, max_i, path = part[:6]
+    s, i, r, _, max_i, path = block[:6]
     np.subtract(np.repeat(s + before, per_path), infections, out=state[0])
     np.add(np.repeat(i + first - 2 * before, per_path), infections - others, out=state[1])
     np.add(np.repeat(r - first + before, per_path), others, out=state[2])

@@ -536,6 +536,8 @@ def ibps_estimate(
         raise ValueError(f"weight_rule must be one of {WEIGHT_RULES}")
     if not -math.inf < alpha < math.inf:  # NaN too
         raise ValueError(f"alpha must be finite: {alpha}")
+    if restart_on_extinction < 0:
+        raise ValueError("restart_on_extinction must be non-negative")
     if isinstance(spec, Duration):
         raise ValueError("duration events split along the time axis; use temporal_split_estimate")
     discrete = isinstance(spec, CumulativeInfections)
@@ -633,6 +635,8 @@ def temporal_split_estimate(
             raise ValueError("time grid must end at the horizon")
     if keep_count is not None and not 1 <= keep_count < n_particles:
         raise ValueError("keep_count must lie in [1, n_particles)")
+    if restart_on_extinction < 0:
+        raise ValueError("restart_on_extinction must be non-negative")
     if not isinstance(model, (SirParams, HivParams)):
         raise TypeError("temporal splitting applies to the jump-process models")
 

@@ -117,6 +117,14 @@ def test_simulate_rejects_negative_generations(capsys):
     assert "must be non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("replicates", ["0", "-3"])
+def test_fig2_rejects_replicates_below_one(capsys, replicates):
+    assert main(["fig2", "--replicates", replicates]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "epirare: error: replicates must be positive\n"
+
+
 def test_exact_subcommand(capsys):
     code = main([
         "exact", "--lam", "0.12", "--gamma", "1", "--scaling", "unscaled",

@@ -169,6 +169,13 @@ def test_parse_rejects_workers_below_one(workers):
         parse_config_text(text)
 
 
+@pytest.mark.parametrize("restarts", [-1, -2])
+def test_parse_rejects_negative_restart_count(restarts):
+    text = TOY_TEXT.split("[toy-ibps]")[0] + f"restart_on_extinction = {restarts}\n"
+    with pytest.raises(ValueError, match="restart_on_extinction must be non-negative"):
+        parse_config_text(text)
+
+
 def test_import_leaves_the_process_pool_unloaded():
     # only a run with workers > 1 needs it
     code = "import sys, epirare.harness; print('concurrent.futures.process' in sys.modules)"

@@ -382,6 +382,24 @@ def test_ibps_argument_validation():
         )
 
 
+@pytest.mark.parametrize("restarts", [-1, -2])
+@pytest.mark.parametrize("method", ["ibps", "temporal"])
+def test_negative_restart_count_is_rejected(method, restarts):
+    # used to fail after the set-up with an UnboundLocalError, as no
+    # attempt ran
+    with pytest.raises(ValueError, match="restart_on_extinction must be non-negative"):
+        if method == "ibps":
+            ibps_estimate(
+                TOY, TOY_SPEC, n_particles=10, keep_fraction=0.1, seed=SeedSpec(0),
+                restart_on_extinction=restarts,
+            )
+        else:
+            temporal_split_estimate(
+                TOY, 1.0, n_particles=10, keep_count=2, seed=SeedSpec(0),
+                restart_on_extinction=restarts,
+            )
+
+
 def test_temporal_pure_death_matches_closed_form():
     # P{extinction time > 3} = exp(-3) for a unit-rate single lifetime
     values = []
