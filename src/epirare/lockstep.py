@@ -6,7 +6,8 @@ integrals, and with ``record=True`` the rows of an event log).  A row is the
 engine's own state of a path right after one of its events, recorded as the
 loop holds it.  A call hands the rows back in the loop's order
 (``Recorded``); grouping them by path into an ``EventLog`` happens on
-request, for every path or for the few a caller reads.
+request, for every path or for the few a caller reads.  Each path starts
+from such a row (``Row``): ``initial_row``'s, or one a caller cut it at.
 
 SIR and contact tracing share one loop, ``_jump_loop``, and plug into it
 through their rate constants, ``_Rates``; only contact tracing, whose rates
@@ -34,6 +35,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +45,7 @@ from .core import (
 )
 
 __all__ = [
-    "EventLog", "JumpEnsemble", "Recorded", "hiv_ensemble", "initial_row", "rf_advance",
+    "EventLog", "JumpEnsemble", "Recorded", "Row", "hiv_ensemble", "initial_row", "rf_advance",
     "rf_chains", "rf_loglik", "sir_ensemble",
 ]
 
@@ -53,6 +55,20 @@ _ITERATION_CAP = 100_000_000
 _RUNS = np.arange(16)
 # the least subnormal double
 _LEAST = np.nextafter(0.0, 1.0)
+
+
+class Row(NamedTuple):
+    """Paths' state right after one of their events, or at their start, by
+    event-log column, each one value for every path or one per path; None
+    where there is no such column.  The engines start from a ``Row``."""
+
+    s: np.ndarray | int
+    i: np.ndarray | int
+    r: np.ndarray | int
+    t: np.ndarray | float
+    max_i: np.ndarray | int
+    decayed: np.ndarray | float | None = None
+    window_rem: np.ndarray | int | None = None
 
 
 @dataclass
@@ -80,39 +96,37 @@ class EventLog:
     offsets: np.ndarray
     t_stop: np.ndarray
 
-    STATE = ("s", "i", "r", "t", "decayed", "max_i", "window_rem")
+    STATE = Row._fields
 
     def count(self, mask: np.ndarray) -> np.ndarray:
         """Per path, the number of its rows where ``mask`` holds."""
         return np.bincount(self.path[mask], minlength=len(self.offsets) - 1)
 
-    def state_after(
-        self, paths: np.ndarray, n_rows: np.ndarray, start: dict, columns=STATE
-    ) -> dict:
-        """State of path ``paths[j]`` after its first ``n_rows[j]`` rows, by
-        column; ``start[column]`` where ``n_rows[j]`` is 0."""
+    def state_after(self, paths: np.ndarray, n_rows: np.ndarray, start: Row) -> Row:
+        """State of path ``paths[j]`` after its first ``n_rows[j]`` rows;
+        ``start``'s where ``n_rows[j]`` is 0."""
         has_rows = n_rows > 0
         rows = (self.offsets[paths] + n_rows - 1)[has_rows]
         state = {}
-        for name in columns:
+        for name in self.STATE:
             col = getattr(self, name)
             if col is not None:
-                state[name] = np.full(len(paths), start[name], dtype=col.dtype)
+                state[name] = np.full(len(paths), getattr(start, name), dtype=col.dtype)
                 state[name][has_rows] = col[rows]
-        return state
+        return Row(**state)
 
     def epidemic_path(self, k: int, model: SirParams | HivParams) -> EpidemicPath:
         """Path k as an ``EpidemicPath`` from the model's fresh start, with
         horizon inf if it is extinct and its stop time otherwise."""
         start = initial_row(model)
         a, b = self.offsets[k], self.offsets[k + 1]
-        extinct = (self.i[b - 1] if b > a else start["i"]) == 0
+        extinct = (self.i[b - 1] if b > a else start.i) == 0
         detections = (
             tuple(-age for age in model.initial_detection_ages)
             if isinstance(model, HivParams) else ()
         )
         return path_from_arrays(
-            CompartmentState(start["s"], start["i"], start["r"]),
+            CompartmentState(start.s, start.i, start.r),
             self.t[a:b], self.kind[a:b],
             np.inf if extinct else float(self.t_stop[k]),
             detections,
@@ -164,59 +178,49 @@ class EventLog:
 class Recorded:
     """The rows one recording engine call kept, in the loop's order.
 
-    Column k of ``rows`` is a path's state right after one of its events, as
-    the loop held it: s, i, r, t, max_i and path, then decayed (contact
-    tracing) and the window's removal count (when the call had a window).
-    ``is_inf`` says whether the event was an infection; other events are of
+    Row k of ``rows`` is the logged quantity ``names[k]`` of a path right
+    after one of its events, as the loop held it: an event-log column
+    (``Row``), or ``path``, the path's index in the call.  ``is_inf`` says
+    whether the event was an infection; other events are of
     ``other_kind``.  A path's rows come in time order, interleaved with the
     other paths' rows; ``log`` groups them.
     """
 
     rows: np.ndarray
+    names: tuple[str, ...]
     is_inf: np.ndarray
     other_kind: int
-    thinning: bool
-    windowed: bool
     t_stop: np.ndarray
 
-    def log(self, paths: np.ndarray | None = None) -> EventLog:
+    def log(self, paths: np.ndarray) -> EventLog:
         """The rows grouped by path: path j of the log holds the rows of this
         call's path ``paths[j]``, or none where that is -1 (its ``t_stop`` is
-        then nan); no other path may appear twice.  Every path, in order, by
-        default."""
-        key = self.rows[5].astype(np.intp)
-        if paths is None:
-            picked, t_stop = None, self.t_stop
-        else:
-            # each call path's position in ``paths``; the extra last entry is
-            # where -1 points, and stays -1
-            at = np.full(len(self.t_stop) + 1, -1, dtype=np.intp)
-            at[paths] = np.arange(len(paths))
-            at[-1] = -1
-            key = at[key]
-            (picked,) = (key >= 0).nonzero()
-            key, t_stop = key[picked], np.append(self.t_stop, np.nan)[paths]
-        n = len(t_stop)
+        then nan); no path may appear twice."""
+        row = dict(zip(self.names, self.rows))
+        # each call path's position in ``paths``; the extra last entry is
+        # where -1 points, and stays -1
+        at = np.full(len(self.t_stop) + 1, -1, dtype=np.intp)
+        at[paths] = np.arange(len(paths))
+        at[-1] = -1
+        key = at[row["path"].astype(np.intp)]
+        (picked,) = (key >= 0).nonzero()
+        key = key[picked]
+        n = len(paths)
         per_path = np.bincount(key, minlength=n)
-        order = np.argsort(key, kind="stable")
-        if picked is not None:
-            order = picked[order]
+        order = picked[np.argsort(key, kind="stable")]
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(per_path, out=offsets[1:])
-
-        def column(k, dtype=float):
-            # one row at a time: a sorted copy of the whole block would double
-            # the log's peak memory
-            return self.rows[k][order].astype(dtype, copy=False)
-
-        s, i, r, max_i = (column(k, np.int64) for k in (0, 1, 2, 4))
+        # one row at a time: a sorted copy of the whole block would double
+        # the log's peak memory; counts come back as integers
+        columns = {name: row[name][order].astype(
+            float if name in ("t", "decayed") else np.int64, copy=False
+        ) if name in row else None for name in EventLog.STATE}
         kind = np.where(
             self.is_inf[order], np.int8(EventKind.INFECTION.value), np.int8(self.other_kind)
         )
         return EventLog(
-            np.repeat(np.arange(n), per_path), column(3), kind, s, i, r, max_i,
-            column(-1, np.int64) if self.windowed else None,
-            column(6) if self.thinning else None, offsets, t_stop,
+            path=np.repeat(np.arange(n), per_path), kind=kind, offsets=offsets,
+            t_stop=np.append(self.t_stop, np.nan)[paths], **columns,
         )
 
 
@@ -261,7 +265,7 @@ class JumpEnsemble:
 
     @cached_property
     def log(self) -> EventLog | None:
-        return None if self.recorded is None else self.recorded.log()
+        return None if self.recorded is None else self.recorded.log(np.arange(len(self.t)))
 
     @property
     def extinct(self) -> np.ndarray:
@@ -275,13 +279,12 @@ class JumpEnsemble:
         return np.where(self.extinct, self.t, np.inf)
 
 
-def initial_row(model: SirParams | HivParams) -> dict:
-    """The state every fresh path starts from, by event-log column."""
-    r0 = model.r0_count if isinstance(model, HivParams) else 0
-    row = dict(s=model.s0, i=model.i0, r=r0, t=0.0, max_i=model.i0, window_rem=0)
-    if isinstance(model, HivParams):
-        row["decayed"] = float(sum(np.exp(-model.c * a) for a in model.initial_detection_ages))
-    return row
+def initial_row(model: SirParams | HivParams) -> Row:
+    """The state every fresh path starts from."""
+    if isinstance(model, SirParams):
+        return Row(model.s0, model.i0, 0, 0.0, model.i0, window_rem=0)
+    decayed = float(sum(np.exp(-model.c * a) for a in model.initial_detection_ages))
+    return Row(model.s0, model.i0, model.r0_count, 0.0, model.i0, decayed, 0)
 
 
 @dataclass(frozen=True)
@@ -340,14 +343,37 @@ def _chain_table(rates: _Rates, base: _Rates | None, integrals: bool, n_s: int) 
     return np.array(rows).take(np.arange(n_s) - _RUNS[:, None], axis=1, mode="clip")
 
 
-def _start(model: SirParams | HivParams, n_paths: int | None, init) -> list[np.ndarray]:
-    """Per path, the start state: s, i and r as int64, then t (and
-    decayed) as float; from ``init``, or ``n_paths`` fresh paths."""
-    if init is None:
-        fresh = initial_row(model)
-        init = [np.full(int(n_paths), fresh[k]) for k in ("s", "i", "r", "t", "decayed")
-                if k in fresh]
-    return [np.array(x, dtype=np.int64 if k < 3 else float) for k, x in enumerate(init)]
+def _block(start: Row, names: tuple[str, ...], n_paths: int | None) -> np.ndarray:
+    """The paths' state, a row per quantity in ``names`` and a column per
+    path of ``start`` (``n_paths`` if it holds scalars): its event-log
+    columns, each path's index as ``path``, and 0 for the tallies."""
+    n = len(start.s) if np.ndim(start.s) else int(n_paths)
+    block = np.zeros((len(names), n))
+    for row, name in zip(block, names):
+        if name == "path":
+            row[...] = np.arange(n)
+        elif name in Row._fields:
+            row[...] = getattr(start, name)
+    return block
+
+
+def _ensemble(out, finished, names, start: Row, log, other_kind: int) -> JumpEnsemble:
+    """The call's ensemble: the ``finished`` columns, written back to
+    ``out`` in path order, read by their ``names``; n_inf and n_rem count
+    from ``start``."""
+    done = np.concatenate(finished, axis=1)
+    out[:, done[names.index("path")].astype(np.intp)] = done
+    row = dict(zip(names, out))
+    s, i, r, max_i = (row[name].astype(np.int64) for name in ("s", "i", "r", "max_i"))
+    return JumpEnsemble(
+        s, i, r, row["t"], max_i,
+        np.asarray(start.s, dtype=np.int64) - s, r - np.asarray(start.r, dtype=np.int64),
+        row.get("int_pair", np.zeros(len(s))), row.get("int_i", np.zeros(len(s))),
+        row["window_rem"].astype(np.int64) if "window_rem" in row else None,
+        row.get("decayed"),
+        recorded=None if log is None else log.recorded(other_kind, row["t"]),
+        log_rate_ratio=row.get("log_rate_ratio"),
+    )
 
 
 def _accumulate_runs(ufunc: np.ufunc, x: np.ndarray) -> None:
@@ -371,13 +397,14 @@ def _grown(buffer: np.ndarray, filled: int, size: int) -> np.ndarray:
 
 
 class _Log:
-    """The rows a recording call keeps, ``n_rows`` per event, and whether
-    each row's event was an infection, in buffers that double when full.
-    Both engine loops, ``_jump_loop`` and ``_chain_loop``, record through
-    it."""
+    """The rows a recording call keeps, one per logged quantity in
+    ``names`` and event, and whether each row's event was an infection, in
+    buffers that double when full.  Both engine loops, ``_jump_loop`` and
+    ``_chain_loop``, record through it."""
 
-    def __init__(self, n_rows: int, n_paths: int) -> None:
-        self.rows = np.empty((n_rows, 32 * n_paths + 64))
+    def __init__(self, names: tuple[str, ...], n_paths: int) -> None:
+        self.names = names
+        self.rows = np.empty((len(names), 32 * n_paths + 64))
         self.flags = np.empty(32 * n_paths + 64, bool)
         self.filled = 0
 
@@ -389,11 +416,10 @@ class _Log:
         self.filled = end
         return self.rows[:, start:end], self.flags[start:end]
 
-    def recorded(self, rates: _Rates, windowed: bool, t_stop: np.ndarray) -> Recorded:
+    def recorded(self, other_kind: int, t_stop: np.ndarray) -> Recorded:
         """The filled rows, handed back as the call's ``Recorded``."""
         return Recorded(
-            self.rows[:, :self.filled], self.flags[:self.filled], rates.other_kind,
-            rates.decay is not None, windowed, t_stop,
+            self.rows[:, :self.filled], self.names, self.flags[:self.filled], other_kind, t_stop
         )
 
 
@@ -403,7 +429,7 @@ def _jump_loop(
     n_paths: int | None,
     rng: np.random.Generator,
     *,
-    init: tuple[np.ndarray, ...] | None = None,
+    init: Row | None = None,
     horizon: float = np.inf,
     target_axis: Axis | None = None,
     target_level: float | None = None,
@@ -411,24 +437,24 @@ def _jump_loop(
     record: bool = False,
     rate_integrals: bool = True,
 ) -> JumpEnsemble:
-    """Advance paths from ``init`` = (s, i, r, t[, decayed]), or ``n_paths``
-    fresh ones, until each is extinct, at the horizon or at the target.
+    """Advance paths from the rows ``init``, every column (max_i and the
+    window's removals go on from there), or ``n_paths`` fresh ones, until
+    each is extinct, at the horizon or at the target.
 
     ``block`` holds the live paths' state, a row per quantity and a column
     per path (counts are exact in float64); finished columns go to
     ``finished`` and are written back to ``out`` at the end.  With
     ``record``, each iteration appends the logged rows of the columns that
     jumped, after the jump, and whether each jump was an infection, to a
-    ``_Log``.
+    ``_Log``.  A path with infectives and no event rate waits forever: it
+    ends at the horizon, and without one fails the call.
 
     The loop runs once per event of the slowest path, mostly on a handful
     of live paths, so it keeps numpy's fixed cost per call down: constants
     are 0-d arrays, and it calls no ufunc with keywords."""
     thinning = rates.decay is not None
-    s0, i0, r0, t0, *decayed0 = _start(model, n_paths, init)
-    n = len(t0)
+    start = initial_row(model) if init is None else init
     sums = rate_integrals and not thinning
-    finite = horizon < np.inf
     target = {Axis.INFECTED: 1, Axis.REMOVED: 2}.get(target_axis)
     horizon = np.array(horizon)
     if target is not None:
@@ -437,21 +463,21 @@ def _jump_loop(
         opens, closes = np.array(window[0]), np.array(window[1])
     if thinning:
         neg_decay, slack = -rates.decay, np.array(1.0 + 1e-12)
-    # rows: s, i, r, t, max_i, path, then decayed (thinning) and the window's
-    # removal count, the rows an event log keeps; then the two rate
-    # integrals, when the loop sums them
-    logged = 6 + thinning + (window is not None)
-    zeros = np.zeros(((window is not None) + 2 * sums, n))
-    out = np.array([s0, i0, r0, t0, i0, np.arange(n), *decayed0, *zeros], dtype=float)
-    log = _Log(logged, n) if record else None
+    # the rows an event log keeps, decayed with thinning and the window's
+    # removal count with a window; then the two rate integrals, when the
+    # loop sums them
+    logged = ("s", "i", "r", "t", "max_i", "path") + ("decayed",) * thinning + (
+        "window_rem",) * (window is not None)
+    names = logged + ("int_pair", "int_i") * sums
+    out = _block(start, names, n_paths)
+    log = _Log(logged, out.shape[1]) if record else None
     finished = [out[:, :0]]
     block = out
     # views of the block's rows, taken again only when the block is compacted
     s, i, r, t, max_i, path, *extra = block
     for _ in range(_ITERATION_CAP + 1):
         alive = i > 0
-        if finite:
-            alive &= t < horizon
+        alive &= t < horizon
         if target is not None:
             alive &= block[target] < target_level
         (keep,) = alive.nonzero()
@@ -472,26 +498,23 @@ def _jump_loop(
             rate_tot = rate_inf + rate_rem
         u = rng.random((3 if thinning else 2, keep.size))
         t_new = t - np.log1p(-u[0]) / rate_tot
-        t_next = np.minimum(t_new, horizon) if finite else t_new
+        t_next = np.minimum(t_new, horizon)
         dt = t_next - t
+        jump = t_new <= horizon
         if thinning:
             bound = rate_tot
             decayed *= np.exp(neg_decay * dt)
             rate_tot = rate_inf + (rate_rem + traced * decayed)
             if (rate_tot > bound * slack).any():
                 raise AssertionError("thinning bound fell below the instantaneous rate")
-            jump = u[1] * bound < rate_tot
-            if finite:
-                jump &= t_new <= horizon
-        else:
-            jump = t_new <= horizon if finite else None
+            jump &= u[1] * bound < rate_tot
         if sums:
             pair = s * i * dt
             extra[-2] += pair if rates.pair_scale is None else pair * rates.pair_scale
             extra[-1] += i * dt
         is_inf = u[-1] * rate_tot < rate_inf
         t[...] = t_next
-        inf, rem = (is_inf, ~is_inf) if jump is None else (jump & is_inf, jump > is_inf)
+        inf, rem = jump & is_inf, jump > is_inf
         s -= inf
         i += inf
         i -= rem
@@ -502,24 +525,17 @@ def _jump_loop(
         if window is not None:
             extra[thinning] += rem & (t > opens) & (t <= closes)
         if record:
-            new = block[:logged] if jump is None else block[:logged].compress(jump, axis=1)
+            new = block[:len(logged)].compress(jump, axis=1)
             rows, flags = log.extend(new.shape[1])
             rows[...] = new
-            flags[...] = is_inf if jump is None else is_inf[jump]
+            flags[...] = is_inf[jump]
     else:
         raise SimulationError("iteration cap exceeded in ensemble simulation")
 
-    done = np.concatenate(finished, axis=1)
-    out[:, done[5].astype(np.int64)] = done
-    s, i, r, max_i = (out[k].astype(np.int64) for k in (0, 1, 2, 4))
-    t = out[3]
-    integrals = out[logged:logged + 2] if sums else (np.zeros(n), np.zeros(n))
-    window_rem = out[logged - 1].astype(np.int64) if window is not None else None
-    return JumpEnsemble(
-        s, i, r, t, max_i, s0 - s, r - r0, *integrals, window_rem,
-        out[6] if thinning else None,
-        recorded=log.recorded(rates, window is not None, t) if record else None,
-    )
+    ens = _ensemble(out, finished, names, start, log, rates.other_kind)
+    if np.isinf(ens.t).any():
+        raise SimulationError("a path can never end: it has infectives but no event rate")
+    return ens
 
 
 def _chain_loop(
@@ -528,7 +544,7 @@ def _chain_loop(
     n_paths: int | None,
     rng: np.random.Generator,
     *,
-    init: tuple[np.ndarray, ...] | None = None,
+    init: Row | None = None,
     horizon: float = np.inf,
     target_axis: Axis | None = None,
     target_level: float | None = None,
@@ -537,10 +553,10 @@ def _chain_loop(
     rate_integrals: bool = True,
     base: _Rates | None = None,
 ) -> JumpEnsemble:
-    """Advance the embedded jump chains of SIR paths from ``init`` =
-    (s, i, r[, t]), ignoring its times, or of ``n_paths`` fresh ones, until
-    each is extinct or at the removal target.  Given a ``base`` law's rate
-    constants, the loop also sums the log rate ratio against it.
+    """Advance the embedded jump chains of SIR paths from the rows
+    ``init``, ignoring their times, or of ``n_paths`` fresh ones, until
+    each is extinct or at the removal target, ceil(``target_level``).
+    Given a ``base`` law's rates, the loop also sums the log rate ratio.
 
     At s susceptibles an event is an infection with a chance p(s) that
     does not depend on i, so the removals before the next infection are
@@ -563,17 +579,18 @@ def _chain_loop(
         raise ValueError("a clock-free call takes no horizon or window")
     if target_axis not in (None, Axis.REMOVED):
         raise ValueError("a clock-free call stops only at a removal target")
-    s0, i0, r0 = _start(model, n_paths, init)[:3]
-    n, s_max = len(s0), int(s0.max(initial=0))
+    start = initial_row(model) if init is None else init
+    # the rows an event log keeps; then the two rate integrals, when the
+    # loop sums them, and the log rate ratio (base law)
+    names = ("s", "i", "r", "t", "max_i", "path") + ("int_pair", "int_i") * rate_integrals + (
+        "log_rate_ratio",) * (base is not None)
+    out = _block(start, names, n_paths)
+    out[3] = np.nan
+    s_max = int(out[0].max(initial=0))
     table = _chain_table(rates, base, rate_integrals, s_max + 1)
     run_scale, terms = table[0], table[1:]
-    target = np.array(np.inf if target_axis is None else target_level, dtype=float)
-    # rows: s, i, r, t (NaN), max_i, path, the rows an event log keeps; then
-    # the two rate integrals, when the loop sums them, and the log rate
-    # ratio (base law)
-    out = np.zeros((6 + len(terms), n))
-    out[:3], out[3], out[4], out[5] = (s0, i0, r0), np.nan, i0, np.arange(n)
-    log = _Log(6, n) if record else None
+    target = np.array(np.inf if target_axis is None else np.ceil(target_level), dtype=float)
+    log = _Log(names[:6], out.shape[1]) if record else None
     finished = [out[:, :0]]
     block = out
     s, i, r, _, max_i = block[:5]
@@ -607,16 +624,7 @@ def _chain_loop(
     else:
         raise AssertionError("a chain iteration neither ended a path nor took 16 infections")
 
-    done = np.concatenate(finished, axis=1)
-    out[:, done[5].astype(np.int64)] = done
-    s, i, r, max_i = (out[k].astype(np.int64) for k in (0, 1, 2, 4))
-    t = out[3]
-    sums = out[6:8] if rate_integrals else (np.zeros(n), np.zeros(n))
-    return JumpEnsemble(
-        s, i, r, t, max_i, s0 - s, r - r0, *sums,
-        recorded=log.recorded(rates, False, t) if record else None,
-        log_rate_ratio=out[-1] if base is not None else None,
-    )
+    return _ensemble(out, finished, names, start, log, rates.other_kind)
 
 
 def _take_runs(block, draws, run_scale, terms, target):
@@ -710,7 +718,7 @@ def sir_ensemble(
     n_paths: int | None,
     rng: np.random.Generator,
     *,
-    init: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
+    init: Row | None = None,
     base: SirParams | None = None,
     **stop,
 ) -> JumpEnsemble:
@@ -724,8 +732,8 @@ def sir_ensemble(
     a time, up to 16 per path per iteration, in ``_chain_loop``; no horizon
     or window, and no target but a removal count).  A clock-free call given
     the ``base`` law also sums ``log_rate_ratio`` against it.  ``init``
-    supplies per-path (s, i, r, t) start points for continuing truncated
-    paths; otherwise all paths start fresh at (s0, i0, 0, 0).
+    holds event-log rows, one per path, to continue cut paths from (a
+    clock-free call ignores their times); otherwise paths start fresh.
     """
     rates = _sir_rates(params)
     if stop.pop("clock_free", False):
@@ -741,7 +749,7 @@ def hiv_ensemble(
     n_paths: int | None,
     rng: np.random.Generator,
     *,
-    init: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
+    init: Row | None = None,
     **stop,
 ) -> JumpEnsemble:
     """Advance contact-tracing paths by thinning, in lockstep.
@@ -749,8 +757,8 @@ def hiv_ensemble(
     State carries, per path, the decayed contact-tracing sum
     sum(exp(-c * age)); between jumps it only decays, so the rate at the
     last jump bounds the rate until the next and rejected proposals simply
-    re-tighten the bound.  ``stop`` takes the keywords of ``sir_ensemble``;
-    ``init`` supplies (s, i, r, t, decayed).
+    re-tighten the bound.  ``stop`` and ``init`` are read as by
+    ``sir_ensemble``, ``init``'s ``decayed`` too.
     """
     if stop.pop("clock_free", False):
         raise ValueError("contact tracing has no clock-free mode: its removals need a clock")
@@ -758,7 +766,11 @@ def hiv_ensemble(
         coef=params.lam, gamma=params.gamma1, other_kind=EventKind.DETECTION.value,
         traced=params.gamma2, decay=params.c,
     )
-    return _jump_loop(rates, params, n_paths, rng, init=init, **stop)
+    # with no spontaneous detection a path can be left with infectives and no
+    # event rate, and draws an infinite wait (with c = 0, a NaN decay factor)
+    quiet = np.errstate(divide="ignore", invalid="ignore")
+    loop = _jump_loop if params.gamma1 > 0 else quiet(_jump_loop)
+    return loop(rates, params, n_paths, rng, init=init, **stop)
 
 
 def rf_advance(

@@ -179,16 +179,15 @@ class _Slots:
     Slot k's history is its ``head`` rows (an event log over the slots; none
     before the first refill) followed by its rows in the latest engine call,
     ``batch``, as that call's path ``member[k]`` (-1: no rows there).  A
-    refill batch counts max_i and the window's removals from its start
-    states, so ``base`` holds those columns of the state each slot branched
-    at.  ``end`` holds each slot's state after its last event (i, t and the
-    progress columns), from the engine's end states.
+    refill batch starts from the rows its slots branched at, so its rows go
+    on from their histories as they are.  ``end`` holds each slot's state
+    after its last event (i, t and the progress columns), from the engine's
+    end states.
     """
 
     head: lockstep.EventLog | None
     batch: lockstep.Recorded
     member: np.ndarray
-    base: dict | None
     end: dict
 
     @classmethod
@@ -198,16 +197,11 @@ class _Slots:
             name: getattr(ens, name) for name in ("i", "t", "r", "max_i", "window_rem")
             if getattr(ens, name) is not None
         }
-        return cls(None, ens.recorded, np.arange(len(ens.t)), None, end)
+        return cls(None, ens.recorded, np.arange(len(ens.t)), end)
 
     def histories(self, slots: np.ndarray) -> lockstep.EventLog:
         """Path j of the log is slot ``slots[j]``'s history."""
         tail = self.batch.log(self.member[slots])
-        if self.base is not None:
-            at = slots[tail.path]
-            tail.max_i = np.maximum(tail.max_i, self.base["max_i"][at])
-            if tail.window_rem is not None:
-                tail.window_rem += self.base["window_rem"][at]
         log = tail if self.head is None else self.head.take(slots, tail=tail)
         log.t_stop = self.end["t"][slots]
         return log
@@ -225,7 +219,8 @@ def _level_cut(
     """
     lvl = math.ceil(level)
     column = _PROGRESS[type(spec)]
-    return log.count(getattr(log, column) < lvl) + (lockstep.initial_row(model)[column] < lvl)
+    start = getattr(lockstep.initial_row(model), column)
+    return log.count(getattr(log, column) < lvl) + (start < lvl)
 
 
 def _branch(
@@ -247,11 +242,11 @@ def _branch(
     A parent's cut is the first event at which its progress reaches
     ``level`` (``_level_cut``) or, on the time axis (``Duration``), its last
     event at or before the time ``level``.  A child starts from its parent's
-    state after the cut, at that time on the time axis and at the cut
-    event's time otherwise.  One lockstep batch simulates all children; each
-    child's history is its parent's rows up to the cut (only the last of
-    them unless ``whole``) followed by its rows in the batch.  Survivors
-    keep their histories.
+    row after the cut, at that time on the time axis and at the cut event's
+    time otherwise.  One lockstep batch simulates all children from these
+    rows; each child's history is its parent's rows up to the cut (only the
+    last of them unless ``whole``) followed by its rows in the batch.
+    Survivors keep their histories.
     """
     log = slots.histories(surv)
     on_time = isinstance(spec, Duration)
@@ -260,12 +255,11 @@ def _branch(
     keep = keep[at]
     cut = log.state_after(at, keep, lockstep.initial_row(model))
     if on_time:
-        if "decayed" in cut:
-            cut["decayed"] *= np.exp(-model.c * (level - cut["t"]))
-        cut["t"] = np.full(len(parents), level)
-    init = tuple(cut[name] for name in ("s", "i", "r", "t", "decayed") if name in cut)
+        if cut.decayed is not None:
+            cut = cut._replace(decayed=cut.decayed * np.exp(-model.c * (level - cut.t)))
+        cut = cut._replace(t=np.full(len(parents), level))
     ens = _ensemble_fn(model)(
-        model, None, rng, record=True, rate_integrals=False, init=init,
+        model, None, rng, record=True, rate_integrals=False, init=cut,
         **_stop_config(spec, model),
     )
 
@@ -282,13 +276,7 @@ def _branch(
     end = {name: col.copy() for name, col in slots.end.items()}
     for name, col in end.items():
         col[targets] = getattr(ens, name)
-    base = {name: np.zeros(n, dtype=np.int64) for name in ("max_i", "window_rem") if name in end}
-    for name, col in base.items():
-        col[targets] = cut[name]
-    end["max_i"][targets] = np.maximum(end["max_i"][targets], cut["max_i"])
-    if "window_rem" in end:
-        end["window_rem"][targets] += cut["window_rem"]
-    return _Slots(log.take(source, start, stop), ens.recorded, member, base, end)
+    return _Slots(log.take(source, start, stop), ens.recorded, member, end)
 
 
 def _with_times(
@@ -302,17 +290,16 @@ def _with_times(
     length = np.diff(log.offsets)
     first = log.offsets[:-1][length > 0]
     s_before, i_before = np.roll(log.s, 1), np.roll(log.i, 1)
-    s_before[first], i_before[first] = start["s"], start["i"]
+    s_before[first], i_before[first] = start.s, start.i
     rate = model.pair_rate(s_before, i_before) + model.gamma * i_before
     hold = rng.standard_exponential(len(rate)) / rate
-    # each path's holding times summed along a row of its own, padded with
-    # zeros: exactly the path's own cumulative sums
-    column = np.arange(len(hold)) - np.repeat(log.offsets[:-1], length)
-    padded = np.zeros((len(length), length.max(initial=0)))
+    # each path's holding times summed along a row of its own after a 0, padded
+    # with zeros: exactly the path's own cumulative sums, its stop time last
+    column = np.arange(len(hold)) - np.repeat(log.offsets[:-1], length) + 1
+    padded = np.zeros((len(length), length.max(initial=0) + 1))
     padded[log.path, column] = hold
-    t = np.cumsum(padded, axis=1)[log.path, column]
-    t_stop = np.where(length > 0, t[log.offsets[1:] - 1], 0.0)
-    return dataclasses.replace(log, t=t, t_stop=t_stop)
+    times = np.cumsum(padded, axis=1)
+    return dataclasses.replace(log, t=times[log.path, column], t_stop=times[:, -1])
 
 
 def _materialize(
@@ -332,7 +319,7 @@ def _materialize(
     hits = np.empty((len(length), len(levels)))
     for j, lvl in enumerate(levels):
         keep = _level_cut(log, model, spec, lvl)
-        at = log.state_after(every, np.minimum(keep, length), initial, ("t",))["t"]
+        at = log.state_after(every, np.minimum(keep, length), initial).t
         hits[:, j] = np.where(keep > length, np.inf, at)
     # a path attains the event when its history reaches the threshold
     attains = _level_cut(log, model, spec, event_threshold(spec)) <= length

@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from epirare import read_path_csv
+from epirare import lockstep, read_path_csv
 from epirare.cli import main
 
 
@@ -68,6 +68,18 @@ def test_simulate_hiv_path(capsys):
     assert code == 0
     header = capsys.readouterr().out.splitlines()[0]
     assert header == "time,kind,s,i,r"
+
+
+def test_simulate_hiv_path_that_can_never_end_fails(monkeypatch, capsys):
+    # nobody detected spontaneously and nobody left to infect or trace: a
+    # path without a horizon would wait forever
+    monkeypatch.setattr(lockstep, "_ITERATION_CAP", 1000)
+    code = main([
+        "simulate", "--model", "hiv", "--lam", "0.5", "--gamma1", "0",
+        "--gamma2", "1", "--c", "1", "--s0", "5", "--i0", "1",
+    ])
+    assert code == 2
+    assert "can never end" in capsys.readouterr().err
 
 
 MODEL_ARGS = {

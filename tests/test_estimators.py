@@ -220,7 +220,7 @@ def test_chain_ratio_matches_replay(law, start):
         assert (cut.n_inf + cut.n_rem > 0).any()
         i[:3], r[3:5] = 0, 16
         s[:5] = instr.s0 + instr.i0 - i[:5] - r[:5]
-        init = (s, i, r, cut.t)
+        init = lockstep.Row(s, i, r, cut.t, max_i=i, window_rem=0)
     batch = _chain_batch(base, instr, 41, init)
     assert np.isnan(batch.t).all() and np.isnan(batch.log.t).all()
     log = batch.log

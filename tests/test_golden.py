@@ -323,7 +323,7 @@ def _conditional_hit_times(name: str) -> tuple:
     )
 
 
-def _engine_init(model_name: str, spec) -> tuple:
+def _engine_init(model_name: str, spec) -> lockstep.Row:
     """Start points cut at time 0.4, with some paths finished at the start:
     extinct ones, and ones already at the horizon or the target."""
     model = SIR if model_name == "sir" else HIV
@@ -340,7 +340,7 @@ def _engine_init(model_name: str, spec) -> tuple:
         i[3:5] = stop["target_level"]
     i[5:7] = 0
     s[3:7] = total[3:7] - i[3:7] - r[3:7]
-    return (s, i, r, t, ens.decayed) if model_name == "hiv" else (s, i, r, t)
+    return lockstep.Row(s, i, r, t, max_i=i, decayed=ens.decayed, window_rem=0)
 
 
 def _digest(ens: lockstep.JumpEnsemble) -> str:

@@ -89,9 +89,8 @@ def test_every_path_finished_at_init(name):
     r = np.array([2, 3, 1, 2, 10, 15])
     t = np.array([0.0, 0.5, 3.0, 3.0, 0.2, 0.1])
     s0, i0, r0, _ = (x[0] for x in _fresh_start(name, 1))
-    init = (s0 + i0 + r0 - i - r, i, r, t)
-    if name == "hiv":
-        init += (np.full(len(t), 0.7),)
+    decayed = np.full(len(t), 0.7) if name == "hiv" else None
+    init = lockstep.Row(s0 + i0 + r0 - i - r, i, r, t, i, decayed, window_rem=0)
     rng = SeedSpec(31).generator()
     engine = getattr(lockstep, f"{name}_ensemble")
     ens = engine(
@@ -142,6 +141,51 @@ def test_iteration_cap_raises(monkeypatch, name):
     monkeypatch.setattr(lockstep, "_ITERATION_CAP", 3)
     with pytest.raises(SimulationError, match="iteration cap"):
         _simulate(name, 50, 34)
+
+
+def test_path_that_can_never_end_fails_without_a_horizon(monkeypatch):
+    # no spontaneous detection and, once everyone is infected, nothing to
+    # trace: the event rate is 0 with infectives left
+    monkeypatch.setattr(lockstep, "_ITERATION_CAP", 1000)
+    model = HivParams(lam=0.5, gamma1=0.0, gamma2=1.0, c=1.0, s0=5, i0=1)
+    with pytest.raises(SimulationError, match="can never end"):
+        lockstep.hiv_ensemble(model, 3, SeedSpec(49).generator(), record=True)
+    # with a horizon every path waits out to it
+    ens = lockstep.hiv_ensemble(model, 3, SeedSpec(49).generator(), record=True, horizon=5.0)
+    np.testing.assert_array_equal(ens.t, 5.0)
+    np.testing.assert_array_equal(ens.i, 6)
+    np.testing.assert_array_equal(ens.n_rem, 0)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_start_rows_carry_max_i_and_window_removals(name):
+    # paths continued from rows whose max_i is above i and whose window has
+    # already counted removals: both columns go on from the row's values,
+    # in every recorded row and in the end states
+    n, window = 200, (0.2, 1.5)
+    cut = _simulate(name, n, 50, horizon=0.6, window=window)
+    start = lockstep.Row(
+        cut.s, cut.i, cut.r, cut.t, cut.max_i + 3, cut.decayed, cut.window_rem + 2
+    )
+    assert np.all(start.max_i > start.i) and np.all(start.window_rem > 0)
+    engine = getattr(lockstep, f"{name}_ensemble")
+    ens = engine(
+        MODELS[name], None, SeedSpec(51).generator(), record=True, init=start,
+        horizon=window[1], window=window,
+    )
+    _check(ens, start, window[1])
+    log = ens.log
+    inside = (log.kind != EventKind.INFECTION.value) & (log.t > window[0]) & (log.t <= window[1])
+    assert inside.any() and (np.diff(log.offsets) == 0).any()
+    for k in range(n):
+        rows = slice(log.offsets[k], log.offsets[k + 1])
+        running = np.maximum.accumulate(np.append(start.max_i[k], log.i[rows]))
+        np.testing.assert_array_equal(log.max_i[rows], running[1:])
+        np.testing.assert_array_equal(
+            log.window_rem[rows], start.window_rem[k] + np.cumsum(inside[rows])
+        )
+        assert ens.max_i[k] == running[-1]
+    np.testing.assert_array_equal(ens.window_rem, start.window_rem + log.count(inside))
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -263,6 +307,23 @@ def test_clock_free_final_sizes_follow_the_exact_law(name):
     assert chisquare(pooled_obs[keep], pooled_exp[keep]).pvalue > 1e-3
 
 
+def test_fractional_removal_target_stops_at_its_ceiling():
+    # the first integer at or above 5.5 is 6: the same event, the same draws
+    model, n = SirParams(lam=1.5, gamma=1.0, s0=20, i0=1), 2000
+    values = [cmc(model, FinalSize(n_c), 20_000, SeedSpec(3)).value for n_c in (5.5, 6)]
+    assert values[0] == values[1] > 0
+    at = {
+        level: lockstep.sir_ensemble(
+            model, n, SeedSpec(3).generator(), record=True, clock_free=True,
+            target_axis=Axis.REMOVED, target_level=level,
+        )
+        for level in (5.5, 6)
+    }
+    _check(at[5.5], tuple(np.full(n, x) for x in (20, 1, 0, 0.0)), clock_free=True)
+    for field in ("s", "i", "r", "max_i"):
+        np.testing.assert_array_equal(getattr(at[5.5], field), getattr(at[6], field))
+
+
 # removal targets that stop most paths that reach them inside a run
 STOP_INSIDE_A_RUN = {"toy": 4, "abakaliki": 30, "mass_action": 20}
 
@@ -287,7 +348,8 @@ def test_chain_loop_matches_the_per_event_chain():
     target, per_start = 24, 600
     init = tuple(np.repeat(column, per_start) for column in zip(*starts))
     ens = lockstep.sir_ensemble(
-        instr, None, SeedSpec(43).generator(), init=(*init, np.zeros(len(init[0]))),
+        instr, None, SeedSpec(43).generator(),
+        init=lockstep.Row(*init, t=np.zeros(len(init[0])), max_i=init[1], window_rem=0),
         base=base, clock_free=True, target_axis=Axis.REMOVED, target_level=target,
     )
     engine = np.column_stack([
@@ -367,7 +429,7 @@ def test_clock_free_draws_one_exponential_block_per_iteration():
     coef, target = model.lam / model.population, 30
     s0 = np.array([0, 1, 2, 3, 5, 8, 13, 17, 20, 24, 28, 31])
     n = len(s0)
-    init = (s0, np.full(n, 2), np.arange(n), np.zeros(n))
+    init = lockstep.Row(s0, np.full(n, 2), np.arange(n), np.zeros(n), np.full(n, 2), window_rem=0)
     engine_rng = SeedSpec(39).generator()
     ens = lockstep.sir_ensemble(
         model, None, engine_rng, init=init, record=True, clock_free=True,

@@ -274,6 +274,21 @@ def test_ibps_final_stage_without_survivors_is_extinction():
     assert est.diagnostics.extinct_ensembles == 1
 
 
+@pytest.mark.parametrize(
+    "spec", [FinalSize(n_c=3), Incidence(T=2.0, n_i=3), DiagnosesIncrement(t=0.5, u=1.0, n_r=3)]
+)
+def test_conditional_sample_without_any_event(spec):
+    # no infective at the start: no path has an event, and the conditional
+    # sample holds 50 empty paths that never attain it
+    model = SirParams(lam=1.5, gamma=1.0, s0=20, i0=0)
+    est, ensemble = ibps_estimate(
+        model, spec, n_particles=50, keep_fraction=0.3, seed=SeedSpec(1)
+    )
+    assert est.value == 0.0
+    assert len(ensemble.log.t) == 0 and not ensemble.weights.any()
+    assert [len(p.path.events) for p in ensemble.particles] == [0] * 50
+
+
 def test_incidence_event_agreement_with_cmc():
     model = SirParams(lam=0.035, gamma=1.0, s0=30, i0=2, scaling=Scaling.UNSCALED)
     spec = Incidence(T=2.0, n_i=12)
