@@ -6,21 +6,14 @@ against an exact final-size distribution.
 
 from .core import (
     Axis,
-    CompartmentState,
-    EpidemicPath,
     EventKind,
     HivParams,
-    JumpEvent,
     ModelParams,
-    NEVER,
-    Never,
     ReedFrostParams,
     Scaling,
     SeedSpec,
     SimulationError,
     SirParams,
-    read_path_csv,
-    write_path_csv,
 )
 from .estimators import (
     Diagnostics,
@@ -44,30 +37,24 @@ from .final_size import (
     tail_pf,
     threshold_for_tail,
 )
-from .splitting import Particle, ParticleEnsemble, ibps_estimate, temporal_split_estimate
+from .splitting import ParticleEnsemble, ibps_estimate, temporal_split_estimate
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Axis",
-    "CompartmentState",
     "CumulativeInfections",
     "DiagnosesIncrement",
     "Diagnostics",
     "Duration",
-    "EpidemicPath",
     "Estimate",
     "EventKind",
     "EventSpec",
     "FinalSize",
     "HivParams",
     "Incidence",
-    "JumpEvent",
     "LevelSchedule",
     "ModelParams",
-    "NEVER",
-    "Never",
-    "Particle",
     "ParticleEnsemble",
     "ReedFrostParams",
     "Scaling",
@@ -80,9 +67,7 @@ __all__ = [
     "ibps_estimate",
     "is_estimate",
     "quantile_levels",
-    "read_path_csv",
     "tail_pf",
     "temporal_split_estimate",
     "threshold_for_tail",
-    "write_path_csv",
 ]

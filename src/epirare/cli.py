@@ -19,12 +19,12 @@ import numpy as np
 
 from . import lockstep
 from .core import (
+    EventKind,
     HivParams,
     ReedFrostParams,
     Scaling,
     SeedSpec,
     SirParams,
-    write_path_csv,
 )
 from .estimators import _ensemble_fn
 from .final_size import exact_final_size, tail_pf
@@ -96,7 +96,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         else:
             stop = {} if args.horizon is None else {"horizon": args.horizon}
             log = _ensemble_fn(model)(model, 1, rng, record=True, **stop).log
-            write_path_csv(log.epidemic_path(0, model), out)
+            start = lockstep.initial_row(model)
+            out.write("time,kind,s,i,r\n")
+            out.write(f"{0.0!r},INIT,{start.s},{start.i},{start.r}\n")
+            rows = zip(log.t.tolist(), log.kind.tolist(), log.s.tolist(), log.i.tolist(),
+                       log.r.tolist())
+            for t, kind, s, i, r in rows:
+                out.write(f"{t!r},{EventKind(kind).name},{s},{i},{r}\n")
     return 0
 
 
@@ -174,7 +180,7 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="epirare",
         description="Rare-event probability estimation for stochastic epidemic models",
@@ -229,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         code = args.func(args)

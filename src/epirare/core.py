@@ -1,64 +1,35 @@
-"""Shared domain types for jump-process epidemics: states, paths, parameters,
-seeding, and the path CSV format.
+"""Shared domain types for jump-process epidemics: event kinds, progress
+axes, model parameters and seeding.
 
-A path is stored as a sparse event list rather than a dense time grid.  The
-package decides events on the engine's columns (``lockstep``), not on these
-paths; an ``EpidemicPath`` is what a caller reads or writes one path as.
+The package keeps paths only as the engine's event-log columns
+(``lockstep.EventLog``): a row per event, with its time, its kind and the
+state after it.
 """
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO, Union
+from typing import Union
 
 import numpy as np
 
 __all__ = [
     "Axis",
-    "CompartmentState",
     "EventKind",
-    "EpidemicPath",
     "HivParams",
-    "JumpEvent",
     "ModelParams",
-    "NEVER",
-    "Never",
     "ReedFrostParams",
     "Scaling",
     "SeedSpec",
     "SimulationError",
-    "read_path_csv",
-    "write_path_csv",
+    "SirParams",
 ]
 
 
 class SimulationError(RuntimeError):
     """A path could not be simulated or queried as requested."""
-
-
-class Never:
-    """Tagged marker for stopping times undetermined within the horizon.
-
-    Used wherever the convention inf(empty set) = +infinity applies, so that
-    "has not happened" is testable (`x is NEVER`) instead of hiding behind a
-    sentinel float.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "NEVER"
-
-
-NEVER = Never()
 
 
 class EventKind(enum.IntEnum):
@@ -83,81 +54,6 @@ class Scaling(enum.Enum):
 
     MASS_ACTION = "mass_action"
     UNSCALED = "unscaled"
-
-
-@dataclass(frozen=True)
-class CompartmentState:
-    """Counts of susceptible, infective, and removed individuals."""
-
-    s: int
-    i: int
-    r: int
-
-    def __post_init__(self) -> None:
-        if self.s < 0 or self.i < 0 or self.r < 0:
-            raise ValueError(f"compartment counts must be non-negative: {self}")
-
-
-@dataclass(frozen=True)
-class JumpEvent:
-    """One jump of the process: its time, kind, and the state it leads to."""
-
-    time: float
-    kind: EventKind
-    state_after: CompartmentState
-
-    def __post_init__(self) -> None:
-        if not self.time >= 0:  # NaN too
-            raise ValueError(f"event time must be non-negative: {self.time}")
-
-
-def _apply_kind(state: CompartmentState, kind: EventKind) -> CompartmentState:
-    if kind == EventKind.INFECTION:
-        return CompartmentState(state.s - 1, state.i + 1, state.r)
-    return CompartmentState(state.s, state.i - 1, state.r + 1)
-
-
-@dataclass(frozen=True)
-class EpidemicPath:
-    """Time-ordered record of jumps with compartment counts.
-
-    ``horizon`` is the largest time up to which the path is fully simulated;
-    once the infective count hits zero nothing further can happen, so extinct
-    paths carry ``horizon = inf``.  ``initial_detection_times`` holds absolute
-    times of detections already on record when the path starts, used only by
-    the contact-tracing model (ages at the origin map to non-positive times).
-    """
-
-    initial: CompartmentState
-    events: tuple[JumpEvent, ...]
-    horizon: float
-    initial_detection_times: tuple[float, ...] = ()
-
-    def __post_init__(self) -> None:
-        state = self.initial
-        prev_time = 0.0
-        seen_extinct = state.i == 0
-        for ev in self.events:
-            if seen_extinct:
-                raise ValueError("events recorded after the infective count hit zero")
-            if ev.time <= prev_time:
-                raise ValueError("event times must be strictly increasing")
-            expected = _apply_kind(state, ev.kind)
-            if expected != ev.state_after:
-                raise ValueError(
-                    f"bookkeeping mismatch at t={ev.time}: expected {expected}, got {ev.state_after}"
-                )
-            state = ev.state_after
-            prev_time = ev.time
-            seen_extinct = state.i == 0
-        if self.events and self.horizon < self.events[-1].time:
-            raise ValueError("horizon precedes the last recorded event")
-        if self.events and any(t > self.events[0].time for t in self.initial_detection_times):
-            raise ValueError("initial detections must predate the first event")
-
-    @property
-    def final_state(self) -> CompartmentState:
-        return self.events[-1].state_after if self.events else self.initial
 
 
 @dataclass(frozen=True)
@@ -292,54 +188,3 @@ class SeedSpec:
             spawn_key=(self.replication, self.particle, self.stage),
         )
         return np.random.Generator(np.random.Philox(seq))
-
-
-def write_path_csv(path: EpidemicPath, out: TextIO) -> None:
-    """Serialize a path: header, an INIT row, then one row per event."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["time", "kind", "s", "i", "r"])
-    writer.writerow([repr(0.0), "INIT", path.initial.s, path.initial.i, path.initial.r])
-    for ev in path.events:
-        st = ev.state_after
-        writer.writerow([repr(ev.time), ev.kind.name, st.s, st.i, st.r])
-
-
-def read_path_csv(source: TextIO, horizon: float | None = None) -> EpidemicPath:
-    """Rebuild a path from its CSV form.
-
-    The horizon is not serialized; when omitted it defaults to +inf for an
-    extinct path and to the last event time otherwise.
-    """
-    rows = list(csv.reader(source))
-    if not rows or rows[0] != ["time", "kind", "s", "i", "r"]:
-        raise ValueError("path CSV must start with its header row")
-    if len(rows) < 2 or rows[1][1] != "INIT":
-        raise ValueError("path CSV must carry an INIT row after the header")
-    initial = CompartmentState(int(rows[1][2]), int(rows[1][3]), int(rows[1][4]))
-    events = []
-    for row in rows[2:]:
-        t, label = float(row[0]), row[1]
-        if label not in EventKind.__members__:
-            raise ValueError(f"unknown event kind: {label}")
-        state = CompartmentState(int(row[2]), int(row[3]), int(row[4]))
-        events.append(JumpEvent(t, EventKind[label], state))
-    if horizon is None:
-        final = events[-1].state_after if events else initial
-        horizon = math.inf if final.i == 0 else (events[-1].time if events else 0.0)
-    return EpidemicPath(initial, tuple(events), horizon)
-
-
-def path_from_arrays(
-    initial: CompartmentState,
-    times: Sequence[float] | np.ndarray,
-    kinds: Sequence[int] | np.ndarray,
-    horizon: float,
-    initial_detection_times: Iterable[float] = (),
-) -> EpidemicPath:
-    """Assemble a path from parallel time/kind arrays (simulator output)."""
-    state = initial
-    events = []
-    for t, k in zip(times, kinds):
-        state = _apply_kind(state, EventKind(int(k)))
-        events.append(JumpEvent(float(t), EventKind(int(k)), state))
-    return EpidemicPath(initial, tuple(events), horizon, tuple(initial_detection_times))

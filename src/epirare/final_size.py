@@ -69,19 +69,20 @@ def exact_final_size(params: SirParams) -> np.ndarray:
     return dist
 
 
-def tail_pf(dist: np.ndarray, i0: int, n_c: int) -> float:
+def tail_pf(dist: np.ndarray, i0: int, n_c: float) -> float:
     """P{final epidemic size >= n_c} for a final-size distribution over k.
 
-    The final size counts every individual ever infected, i0 + k in total.
+    The final size counts every individual ever infected, i0 + k in total,
+    so a fractional threshold reads as the next integer, as in ``FinalSize``.
     """
-    if n_c < 1:
+    if not n_c >= 1:  # NaN too
         raise ValueError(f"threshold must be at least 1: {n_c}")
     s0 = len(dist) - 1
     if n_c <= i0:
         return 1.0
     if n_c > i0 + s0:
         return 0.0
-    return float(np.sum(dist[n_c - i0 :]))
+    return float(np.sum(dist[math.ceil(n_c) - i0 :]))
 
 
 def threshold_for_tail(dist: np.ndarray, i0: int, target: float) -> int:

@@ -40,8 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    Axis, CompartmentState, EpidemicPath, EventKind, HivParams, ReedFrostParams, Scaling,
-    SimulationError, SirParams, path_from_arrays,
+    Axis, EventKind, HivParams, ReedFrostParams, Scaling, SimulationError, SirParams,
 )
 
 __all__ = [
@@ -114,23 +113,6 @@ class EventLog:
                 state[name] = np.full(len(paths), getattr(start, name), dtype=col.dtype)
                 state[name][has_rows] = col[rows]
         return Row(**state)
-
-    def epidemic_path(self, k: int, model: SirParams | HivParams) -> EpidemicPath:
-        """Path k as an ``EpidemicPath`` from the model's fresh start, with
-        horizon inf if it is extinct and its stop time otherwise."""
-        start = initial_row(model)
-        a, b = self.offsets[k], self.offsets[k + 1]
-        extinct = (self.i[b - 1] if b > a else start.i) == 0
-        detections = (
-            tuple(-age for age in model.initial_detection_ages)
-            if isinstance(model, HivParams) else ()
-        )
-        return path_from_arrays(
-            CompartmentState(start.s, start.i, start.r),
-            self.t[a:b], self.kind[a:b],
-            np.inf if extinct else float(self.t_stop[k]),
-            detections,
-        )
 
     def take(
         self,

@@ -67,13 +67,11 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import lockstep
 from .core import (
-    NEVER,
     HivParams,
     ModelParams,
     ReedFrostParams,
@@ -97,7 +95,7 @@ from .events import (
     quantile_levels,
 )
 
-__all__ = ["Particle", "ParticleEnsemble", "ibps_estimate", "temporal_split_estimate"]
+__all__ = ["ParticleEnsemble", "ibps_estimate", "temporal_split_estimate"]
 
 _RESTART_STAGE_OFFSET = 1_000_000
 _STAGE_CAP = 100_000
@@ -110,61 +108,28 @@ WEIGHT_RULES = ("indicator", "potential_v", "potential_dv")
 # final ensembles
 
 
-@dataclass(frozen=True)
-class Particle:
-    """One member of a splitting ensemble with its stopping-time caches.
-
-    ``level_hit_times[j]`` is the first event time at which the path's
-    progress towards the event reaches the run's level j, 0.0 when its
-    start does and NEVER when it never does.  Progress is the column the
-    level cuts read: the removed count ``r`` on a final size, the running
-    maximum of infectives ``max_i`` on an incidence and the removals inside
-    the window ``window_rem`` on a diagnoses increment.  Reed-Frost
-    particles carry none.
-    """
-
-    path: object
-    level_hit_times: tuple
-
-
 @dataclass(frozen=True, eq=False)
 class ParticleEnsemble:
     """Final ensemble of a splitting run: an empirical conditional law, held
     as columns.
 
     A continuous-time run keeps its final paths as the event log ``log``
-    (from the fresh start of ``model``, with times) and the times at which
-    they reach each level as ``level_hit_times``, a row per path and a
-    column per level, inf where a path never does.  A Reed-Frost run keeps
-    its (S, I) chains, a row per path, as ``chains``.  ``particles`` builds
-    one ``Particle`` per path on its first read; a run without the
-    conditional sample has none.
+    (from the model's fresh start, with times) and, as ``level_hit_times``,
+    a row per path and a column per level: the first event time at which
+    the path's progress (the column the level cuts read: ``r``, ``max_i`` or
+    ``window_rem``) reaches the level, 0.0 when its start does and inf when
+    it never does.  A Reed-Frost run keeps its (S, I)
+    chains, a row per path and a column per generation it simulated, as
+    ``chains``: all ``spec.t`` of them, or up to the generation that killed
+    every slot when the ensemble died.  A run without the conditional sample
+    keeps no paths and no weights.
     """
 
     weights: np.ndarray
-    stage: int
     levels: tuple[float, ...] = ()
-    model: ModelParams | None = None
     log: lockstep.EventLog | None = None
     level_hit_times: np.ndarray | None = None
     chains: tuple[np.ndarray, np.ndarray] | None = None
-
-    @cached_property
-    def particles(self) -> tuple[Particle, ...]:
-        if self.chains is not None:
-            return tuple(
-                Particle([(int(a), int(b)) for a, b in zip(s, i)], ())
-                for s, i in zip(*self.chains)
-            )
-        if self.log is None:
-            return ()
-        return tuple(
-            Particle(
-                self.log.epidemic_path(k, self.model),
-                tuple(NEVER if math.isinf(x) else x for x in hits.tolist()),
-            )
-            for k, hits in enumerate(self.level_hit_times)
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +271,6 @@ def _materialize(
     log: lockstep.EventLog,
     model: ModelParams,
     spec: EventSpec,
-    stage: int,
     levels: list[float],
     times: SeedSpec,
 ) -> ParticleEnsemble:
@@ -323,7 +287,7 @@ def _materialize(
         hits[:, j] = np.where(keep > length, np.inf, at)
     # a path attains the event when its history reaches the threshold
     attains = _level_cut(log, model, spec, event_threshold(spec)) <= length
-    return ParticleEnsemble(attains.astype(float), stage, tuple(levels), model, log, hits)
+    return ParticleEnsemble(attains.astype(float), tuple(levels), log, hits)
 
 
 def _stage_loop(
@@ -426,7 +390,7 @@ def _ibps_discrete(
     cumulative infection counts, as in ``_stage_loop``.
 
     Returns (value, per_level, levels, S history, I history, final weights,
-    extinct flag)."""
+    extinct flag); the histories end at the last generation simulated."""
     t_end = spec.t
     n = n_particles
     S = np.zeros((n, t_end), dtype=np.int64)
@@ -454,7 +418,7 @@ def _ibps_discrete(
         per_level.append(float(np.mean(surv)))
         mean_w = float(np.mean(omega))
         if mean_w == 0.0:
-            return 0.0, per_level, levels, S, I, omega, True
+            return 0.0, per_level, levels, S[:, : g + 1], I[:, : g + 1], omega, True
         log_mean_total += math.log(mean_w)
         # Full weighted redraw of every slot: the genealogical normalization
         # requires expected offspring counts proportional to the weights,
@@ -505,11 +469,10 @@ def ibps_estimate(
     unbiased) unless ``restart_on_extinction`` grants fresh attempts.
 
     ``conditional_sample`` keeps every slot's whole history.  The returned
-    ensemble then holds the final paths as columns, an empirical estimate
-    of the law conditioned on the event, and builds its ``particles`` on
-    their first read.  With ``conditional_sample=False`` slots keep only
-    what the level cuts read, and the ensemble holds no paths (the
-    replication hot path does this).
+    ensemble then holds the final paths as columns (``ParticleEnsemble``),
+    an empirical estimate of the law conditioned on the event.  With
+    ``conditional_sample=False`` slots keep only what the level cuts read,
+    and the ensemble holds no paths (the replication hot path does this).
     """
     if n_particles < 2:
         raise ValueError("n_particles must be at least 2")
@@ -574,14 +537,14 @@ def ibps_estimate(
         )
         value = math.prod(per_level)
     if not conditional_sample:
-        ensemble = ParticleEnsemble(np.empty(0), len(per_level), tuple(levels))
+        ensemble = ParticleEnsemble(np.empty(0), tuple(levels))
     elif discrete:
-        ensemble = ParticleEnsemble(weights, len(per_level), tuple(levels), chains=(S, I))
+        ensemble = ParticleEnsemble(weights, tuple(levels), chains=(S, I))
     else:
         # the last attempt's stage base addresses the deferred times
         last_attempt = min(extinct_count, restart_on_extinction)
         times = seed.stream(particle=2, stage=last_attempt * _RESTART_STAGE_OFFSET)
-        ensemble = _materialize(log, model, spec, len(per_level), levels, times)
+        ensemble = _materialize(log, model, spec, levels, times)
     diag = Diagnostics(
         extinct_ensembles=extinct_count, zero_runs=int(value == 0.0)
     )

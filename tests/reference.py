@@ -13,12 +13,16 @@ arbitrary-precision triangular solve for the SIR final-size law, the
 independent reference for the package's embedded-chain oracle
 (``epirare.exact_final_size``).
 
-The package decides events on the engine's columns (``_PROGRESS``,
-``_batch_indicators``, ``_level_cut``).  The per-path forms of the same
-rules live here, on ``EpidemicPath`` values and Reed-Frost chains: the state
-at a time, the extinction time, a path's score and indicator for an event,
-and the first time progress reaches a level.  The tests check the columns
-against them.
+The package keeps paths only as event-log columns (``lockstep.EventLog``)
+and decides events on them (``_PROGRESS``, ``_batch_indicators``,
+``_level_cut``).  The per-path form of a path lives here: ``EpidemicPath``,
+a validated tuple of ``JumpEvent`` values with the ``CompartmentState``
+after each, built from a log by ``epidemic_path`` or from time/kind arrays
+by ``path_from_arrays``, and ``NEVER`` for a time that never comes.  So do
+the per-path forms of the event rules, on these paths and on Reed-Frost
+chains: the state at a time, the extinction time, a path's score and
+indicator for an event, and the first time progress reaches a level.  The
+tests check the columns against them.
 
 All samplers are pure functions of (params, stop rule, random stream).
 Exponential holding times are sampled by inversion (-log(1-U)/rate) so that
@@ -30,24 +34,20 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import mpmath
 import numpy as np
 
+from epirare import lockstep
 from epirare.core import (
-    NEVER,
     Axis,
-    CompartmentState,
-    EpidemicPath,
     EventKind,
     HivParams,
-    Never,
     ReedFrostParams,
     Scaling,
     SimulationError,
     SirParams,
-    path_from_arrays,
 )
 from epirare.events import (
     CumulativeInfections,
@@ -61,9 +61,15 @@ from epirare.events import (
 )
 
 __all__ = [
+    "CompartmentState",
     "EVENT_CAP",
+    "EpidemicPath",
+    "JumpEvent",
+    "NEVER",
+    "Never",
     "StopRule",
     "UnstableSolveError",
+    "epidemic_path",
     "extinction_time",
     "final_size_solve",
     "hitting_time",
@@ -71,6 +77,7 @@ __all__ = [
     "hiv_simulate",
     "indicator",
     "n_events",
+    "path_from_arrays",
     "progress_hitting_time",
     "rf_log_likelihood",
     "rf_simulate",
@@ -85,6 +92,143 @@ __all__ = [
 
 # Hard per-path cap guarding the almost-sure-extinction assumption.
 EVENT_CAP = 100_000_000
+
+
+# ---------------------------------------------------------------------------
+# per-path form of a path
+
+
+class Never:
+    """Tagged marker for stopping times undetermined within the horizon.
+
+    Used wherever the convention inf(empty set) = +infinity applies, so that
+    "has not happened" is testable (`x is NEVER`) instead of hiding behind a
+    sentinel float.
+    """
+
+    _instance = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self) -> str:
+        return "NEVER"
+
+
+NEVER = Never()
+
+
+@dataclass(frozen=True)
+class CompartmentState:
+    """Counts of susceptible, infective, and removed individuals."""
+
+    s: int
+    i: int
+    r: int
+
+    def __post_init__(self) -> None:
+        if self.s < 0 or self.i < 0 or self.r < 0:
+            raise ValueError(f"compartment counts must be non-negative: {self}")
+
+
+@dataclass(frozen=True)
+class JumpEvent:
+    """One jump of the process: its time, kind, and the state it leads to."""
+
+    time: float
+    kind: EventKind
+    state_after: CompartmentState
+
+    def __post_init__(self) -> None:
+        if not self.time >= 0:  # NaN too
+            raise ValueError(f"event time must be non-negative: {self.time}")
+
+
+def _apply_kind(state: CompartmentState, kind: EventKind) -> CompartmentState:
+    if kind == EventKind.INFECTION:
+        return CompartmentState(state.s - 1, state.i + 1, state.r)
+    return CompartmentState(state.s, state.i - 1, state.r + 1)
+
+
+@dataclass(frozen=True)
+class EpidemicPath:
+    """Time-ordered record of jumps with compartment counts.
+
+    ``horizon`` is the largest time up to which the path is fully simulated;
+    once the infective count hits zero nothing further can happen, so extinct
+    paths carry ``horizon = inf``.  ``initial_detection_times`` holds absolute
+    times of detections already on record when the path starts, used only by
+    the contact-tracing model (ages at the origin map to non-positive times).
+    """
+
+    initial: CompartmentState
+    events: tuple[JumpEvent, ...]
+    horizon: float
+    initial_detection_times: tuple[float, ...] = ()
+
+    def __post_init__(self) -> None:
+        state = self.initial
+        prev_time = 0.0
+        seen_extinct = state.i == 0
+        for ev in self.events:
+            if seen_extinct:
+                raise ValueError("events recorded after the infective count hit zero")
+            if ev.time <= prev_time:
+                raise ValueError("event times must be strictly increasing")
+            expected = _apply_kind(state, ev.kind)
+            if expected != ev.state_after:
+                raise ValueError(
+                    f"bookkeeping mismatch at t={ev.time}: expected {expected}, got {ev.state_after}"
+                )
+            state = ev.state_after
+            prev_time = ev.time
+            seen_extinct = state.i == 0
+        if self.events and self.horizon < self.events[-1].time:
+            raise ValueError("horizon precedes the last recorded event")
+        if self.events and any(t > self.events[0].time for t in self.initial_detection_times):
+            raise ValueError("initial detections must predate the first event")
+
+    @property
+    def final_state(self) -> CompartmentState:
+        return self.events[-1].state_after if self.events else self.initial
+
+
+def path_from_arrays(
+    initial: CompartmentState,
+    times: Sequence[float] | np.ndarray,
+    kinds: Sequence[int] | np.ndarray,
+    horizon: float,
+    initial_detection_times: Iterable[float] = (),
+) -> EpidemicPath:
+    """Assemble a path from parallel time/kind arrays (simulator output)."""
+    state = initial
+    events = []
+    for t, k in zip(times, kinds):
+        state = _apply_kind(state, EventKind(int(k)))
+        events.append(JumpEvent(float(t), EventKind(int(k)), state))
+    return EpidemicPath(initial, tuple(events), horizon, tuple(initial_detection_times))
+
+
+def epidemic_path(
+    log: lockstep.EventLog, k: int, model: SirParams | HivParams
+) -> EpidemicPath:
+    """Path k of an event log as an ``EpidemicPath`` from the model's fresh
+    start, with horizon inf if it is extinct and its stop time otherwise."""
+    start = lockstep.initial_row(model)
+    a, b = log.offsets[k], log.offsets[k + 1]
+    extinct = (log.i[b - 1] if b > a else start.i) == 0
+    detections = (
+        tuple(-age for age in model.initial_detection_ages)
+        if isinstance(model, HivParams) else ()
+    )
+    return path_from_arrays(
+        CompartmentState(start.s, start.i, start.r),
+        log.t[a:b], log.kind[a:b],
+        np.inf if extinct else float(log.t_stop[k]),
+        detections,
+    )
 
 
 @dataclass(frozen=True)

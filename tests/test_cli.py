@@ -1,5 +1,7 @@
+import csv
 import gc
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -7,8 +9,9 @@ import warnings
 
 import pytest
 
-from epirare import lockstep, read_path_csv
+from epirare import EventKind, lockstep
 from epirare.cli import main
+from reference import CompartmentState, path_from_arrays
 
 
 # the child interpreter imports epirare from wherever this one does
@@ -33,9 +36,18 @@ def test_simulate_emits_readable_path(tmp_path):
         "--out", str(out),
     ])
     assert code == 0
-    with open(out) as handle:
-        path = read_path_csv(handle)
-    assert path.initial.s == 9
+    with open(out, newline="") as handle:
+        header, init, *rows = csv.reader(handle)
+    assert header == ["time", "kind", "s", "i", "r"]
+    assert init == ["0.0", "INIT", "9", "1", "0"]
+    # the rows replay as a valid path: increasing times, and each state the
+    # one its event kind leads to
+    path = path_from_arrays(
+        CompartmentState(9, 1, 0), [float(row[0]) for row in rows],
+        [EventKind[row[1]] for row in rows], math.inf,
+    )
+    assert [[str(x) for x in (ev.state_after.s, ev.state_after.i, ev.state_after.r)]
+            for ev in path.events] == [row[2:] for row in rows]
     assert path.final_state.i == 0
 
 

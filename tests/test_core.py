@@ -1,8 +1,9 @@
 import dataclasses
 import importlib
-import io
+import inspect
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -13,20 +14,25 @@ from hypothesis import strategies as st
 
 import epirare
 from epirare import (
-    NEVER,
-    CompartmentState,
-    EpidemicPath,
     EventKind,
     HivParams,
-    JumpEvent,
+    ParticleEnsemble,
     Scaling,
     SeedSpec,
     SimulationError,
     SirParams,
-    read_path_csv,
-    write_path_csv,
 )
-from reference import StopRule, extinction_time, n_events, sir_simulate, state_at
+from reference import (
+    NEVER,
+    CompartmentState,
+    EpidemicPath,
+    JumpEvent,
+    StopRule,
+    extinction_time,
+    n_events,
+    sir_simulate,
+    state_at,
+)
 
 
 def _path(initial, moves, horizon=math.inf):
@@ -206,27 +212,6 @@ def test_addresses_one_coordinate_apart_draw_differently(address, name, value):
     assert np.all(address.generator().random(8) != moved.generator().random(8))
 
 
-def test_path_csv_round_trip():
-    params = SirParams(lam=0.8, gamma=1.0, s0=12, i0=1, scaling=Scaling.UNSCALED)
-    path = sir_simulate(params, StopRule.extinction(), SeedSpec(9).generator())
-    buffer = io.StringIO()
-    write_path_csv(path, buffer)
-    text = buffer.getvalue()
-    assert text.splitlines()[0] == "time,kind,s,i,r"
-    assert text.splitlines()[1].split(",")[1] == "INIT"
-    back = read_path_csv(io.StringIO(text))
-    assert back == path
-
-
-def test_path_csv_round_trip_alive_path_keeps_horizon():
-    params = SirParams(lam=2.0, gamma=0.1, s0=30, i0=1, scaling=Scaling.UNSCALED)
-    path = sir_simulate(params, StopRule.at_time(1.0), SeedSpec(10).generator())
-    buffer = io.StringIO()
-    write_path_csv(path, buffer)
-    back = read_path_csv(io.StringIO(buffer.getvalue()), horizon=path.horizon)
-    assert back == path
-
-
 def test_n_events_counts_jumps_up_to_time():
     path = _path(
         CompartmentState(5, 1, 0),
@@ -252,10 +237,36 @@ def test_package_root_exports():
         "sir_rates", "sir_simulate", "sir_importance_ratio", "rf_log_likelihood",
         "UnstableSolveError", "brute_force_final_size", "NoProgressError",
         "score", "indicator", "hitting_time", "state_at", "extinction_time",
+        # the per-path form of a path, and its CSV reader and writer
+        "EpidemicPath", "JumpEvent", "CompartmentState", "Never", "NEVER",
+        "path_from_arrays", "read_path_csv", "write_path_csv", "Particle",
     ):
         assert not hasattr(epirare, name), name
+        assert not hasattr(epirare.core, name), name
+    assert not hasattr(epirare.lockstep.EventLog, "epidemic_path")
+    fields = {f.name for f in dataclasses.fields(ParticleEnsemble)}
+    for name in ("particles", "model", "stage"):
+        assert name not in fields and not hasattr(ParticleEnsemble, name), name
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("epirare.models")
+
+
+@pytest.mark.parametrize(
+    "module", ["epirare"] + [f"epirare.{m.name}" for m in pkgutil.iter_modules(epirare.__path__)]
+)
+def test_module_all_is_complete(module):
+    # every listed name exists, and every public class or function the
+    # module defines itself is listed
+    mod = importlib.import_module(module)
+    for name in mod.__all__:
+        assert hasattr(mod, name), name
+    for name, value in vars(mod).items():
+        if (
+            not name.startswith("_")
+            and (inspect.isclass(value) or inspect.isfunction(value))
+            and value.__module__ == module
+        ):
+            assert name in mod.__all__, name
 
 
 def test_import_loads_no_scipy_submodule_or_mpmath():

@@ -5,12 +5,9 @@ import numpy as np
 import pytest
 
 from epirare import (
-    CompartmentState,
     CumulativeInfections,
-    EpidemicPath,
     EventKind,
     FinalSize,
-    JumpEvent,
     ReedFrostParams,
     Scaling,
     SeedSpec,
@@ -24,8 +21,8 @@ from epirare import (
 from epirare.estimators import Diagnostics, Estimate, _sir_log_ratio, _stop_config
 from epirare import lockstep
 from reference import (
-    StopRule, indicator, rf_log_likelihood, sir_chain_ratio, sir_importance_ratio,
-    sir_simulate,
+    CompartmentState, EpidemicPath, JumpEvent, StopRule, epidemic_path, indicator,
+    rf_log_likelihood, sir_chain_ratio, sir_importance_ratio, sir_simulate,
 )
 
 TOY = SirParams(lam=0.12, gamma=1.0, s0=9, i0=1, scaling=Scaling.UNSCALED)
@@ -83,7 +80,7 @@ def _check_engine_ratio(base, instr, seed, n_paths=40, **stop):
     batch = lockstep.sir_ensemble(instr, n_paths, SeedSpec(seed).generator(), record=True, **stop)
     ratio = np.exp(_sir_log_ratio(batch, base, instr))
     for k in range(n_paths):
-        expected = sir_importance_ratio(batch.log.epidemic_path(k, instr), base, instr)
+        expected = sir_importance_ratio(epidemic_path(batch.log, k, instr), base, instr)
         assert ratio[k] == pytest.approx(expected, rel=1e-12)
     return batch
 

@@ -6,18 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epirare import (
-    NEVER,
     Axis,
-    CompartmentState,
     CumulativeInfections,
     DiagnosesIncrement,
     Duration,
-    EpidemicPath,
     EventKind,
     FinalSize,
     HivParams,
     Incidence,
-    JumpEvent,
     LevelSchedule,
     Scaling,
     SeedSpec,
@@ -27,7 +23,8 @@ from epirare import (
 )
 from epirare.estimators import _PROGRESS, _batch_indicators, _ensemble_fn, _stop_config
 from reference import (
-    StopRule, hitting_time, indicator, progress_hitting_time, score, sir_simulate,
+    NEVER, CompartmentState, EpidemicPath, JumpEvent, StopRule, epidemic_path, hitting_time,
+    indicator, progress_hitting_time, score, sir_simulate,
 )
 
 
@@ -309,6 +306,6 @@ def test_engine_columns_decide_events_as_the_reference(model_name, spec, n, seed
     else:
         progress = getattr(ens, _PROGRESS[type(spec)])
     for k in range(n):
-        path = ens.log.epidemic_path(k, model)
+        path = epidemic_path(ens.log, k, model)
         assert hits[k] == indicator(path, spec)
         assert progress[k] == score(path, spec)

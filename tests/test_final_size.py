@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -120,9 +121,18 @@ def test_tail_pf_partial_sum():
     assert tail_pf(dist, i0=1, n_c=3) == pytest.approx(0.2)
 
 
+def test_tail_pf_fractional_threshold_reads_as_the_next_integer():
+    # as FinalSize does: FinalSize(5.5) is the event FinalSize(6)
+    dist = exact_final_size(_toy(s0=9))
+    assert tail_pf(dist, 1, 5.5) == tail_pf(dist, 1, 6)
+    for n_c in np.arange(1.25, 11.5, 0.5):
+        assert tail_pf(dist, 1, n_c) == tail_pf(dist, 1, math.ceil(n_c))
+
+
 def test_tail_pf_rejects_threshold_below_one():
-    with pytest.raises(ValueError):
-        tail_pf(np.array([1.0]), i0=1, n_c=0)
+    for n_c in (0, 0.5, math.nan):
+        with pytest.raises(ValueError, match="at least 1"):
+            tail_pf(np.array([1.0]), i0=1, n_c=n_c)
 
 
 def test_tail_curve_monotone_fig2_model():

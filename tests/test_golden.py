@@ -28,7 +28,6 @@ from epirare import (
     HivParams,
     Incidence,
     LevelSchedule,
-    NEVER,
     Scaling,
     SeedSpec,
     SirParams,
@@ -38,6 +37,7 @@ from epirare import (
 from epirare import lockstep
 from epirare.estimators import _stop_config
 from epirare.harness import parse_config_text, sweep, write_sweep_csv
+from reference import NEVER
 
 SWEEP_INI = """\
 [DEFAULT]
@@ -318,8 +318,11 @@ def _conditional_hit_times(name: str) -> tuple:
     )
     return (
         ensemble.levels,
-        tuple(p.level_hit_times for p in ensemble.particles),
-        tuple(len(p.path.events) for p in ensemble.particles),
+        tuple(
+            tuple(NEVER if t == np.inf else t for t in hits)
+            for hits in ensemble.level_hit_times.tolist()
+        ),
+        tuple(np.diff(ensemble.log.offsets).tolist()),
     )
 
 

@@ -14,7 +14,6 @@ from scipy.stats import chi2_contingency, chisquare, ks_2samp
 
 from epirare import (
     Axis,
-    CompartmentState,
     EventKind,
     FinalSize,
     HivParams,
@@ -28,7 +27,7 @@ from epirare import (
     tail_pf,
 )
 from epirare.estimators import _sir_log_ratio, _stop_config
-from reference import StopRule, sir_chain_ratio, sir_simulate
+from reference import CompartmentState, StopRule, epidemic_path, sir_chain_ratio, sir_simulate
 
 SIR = SirParams(lam=0.035, gamma=1.0, s0=30, i0=2, scaling=Scaling.UNSCALED)
 HIV = HivParams(
@@ -195,7 +194,7 @@ def test_epidemic_path_replays_the_log(name):
     assert np.any(ens.i == 0) and np.any(ens.i > 0)
     log = ens.log
     for k in range(n):
-        path = log.epidemic_path(k, MODELS[name])
+        path = epidemic_path(log, k, MODELS[name])
         rows = slice(log.offsets[k], log.offsets[k + 1])
         assert [e.time for e in path.events] == log.t[rows].tolist()
         assert [e.state_after for e in path.events] == [
@@ -484,7 +483,7 @@ def test_clock_free_call_has_no_times(record):
         # a path needs times: one built from a clock-free log fails
         k = int(np.argmax(ens.n_inf + ens.n_rem))
         with pytest.raises(ValueError, match="non-negative"):
-            ens.log.epidemic_path(k, SIR)
+            epidemic_path(ens.log, k, SIR)
 
 
 def test_clock_free_rejects_what_needs_a_clock():

@@ -6,8 +6,6 @@ from scipy.stats import ks_2samp
 
 import reference
 from epirare import (
-    NEVER,
-    CompartmentState,
     HivParams,
     ReedFrostParams,
     Scaling,
@@ -19,7 +17,10 @@ from epirare import (
 from epirare import lockstep
 from epirare.estimators import _ensemble_fn
 from reference import (
+    NEVER,
+    CompartmentState,
     StopRule,
+    epidemic_path,
     extinction_time,
     hiv_rates,
     hiv_simulate,
@@ -337,7 +338,7 @@ def test_sir_engine_matches_reference_event_for_event(params, horizon):
     for seed in range(50):
         ref = sir_simulate(params, rule, SeedSpec(seed).generator())
         log = lockstep.sir_ensemble(params, 1, SeedSpec(seed).generator(), record=True, **stop).log
-        path = log.epidemic_path(0, params)
+        path = epidemic_path(log, 0, params)
         assert path.initial == ref.initial
         assert [(e.kind, e.state_after) for e in path.events] == [
             (e.kind, e.state_after) for e in ref.events

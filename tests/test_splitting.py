@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from epirare import (
-    NEVER,
     Axis,
     CumulativeInfections,
     DiagnosesIncrement,
@@ -30,7 +29,7 @@ from epirare import (
     temporal_split_estimate,
 )
 from epirare import lockstep
-from reference import indicator, progress_hitting_time
+from reference import NEVER, epidemic_path, indicator, progress_hitting_time
 from test_golden import HIV, HIV_EVENTS, IBPS_CASES, SIR, SIR_EVENTS
 
 TOY = SirParams(lam=0.12, gamma=1.0, s0=9, i0=1, scaling=Scaling.UNSCALED)
@@ -86,9 +85,9 @@ def test_conditional_sample_satisfies_event():
         TOY, TOY_SPEC, n_particles=300, keep_fraction=0.1, seed=SeedSpec(34)
     )
     assert est.value > 0
-    assert len(ensemble.particles) == 300
-    for particle in ensemble.particles:
-        assert indicator(particle.path, TOY_SPEC) == 1
+    assert len(ensemble.log.offsets) == 301
+    for k in range(300):
+        assert indicator(epidemic_path(ensemble.log, k, TOY), TOY_SPEC) == 1
     assert set(ensemble.weights) == {1.0}
     assert ensemble.levels[-1] == TOY_SPEC.n_c
 
@@ -97,10 +96,11 @@ def test_level_hit_times_cached_on_particles():
     _, ensemble = ibps_estimate(
         TOY, TOY_SPEC, n_particles=200, keep_fraction=0.2, seed=SeedSpec(35)
     )
-    for particle in ensemble.particles:
-        assert len(particle.level_hit_times) == len(ensemble.levels)
-        hits = [t for t in particle.level_hit_times if isinstance(t, float)]
-        assert hits == sorted(hits)
+    hits = ensemble.level_hit_times
+    assert hits.shape == (200, len(ensemble.levels))
+    # later levels are reached no earlier, and once one is never reached no
+    # later one is
+    assert (hits[:, 1:] >= hits[:, :-1]).all()
 
 
 def test_desk_scale_unbiasedness_all_estimators():
@@ -162,7 +162,8 @@ def test_keepall_final_refill_draws_a_parent_per_slot():
         TOY, TOY_SPEC, n_particles=50, keep_fraction=0.3, variant="keepall", seed=SeedSpec(0)
     )
     dead = 50 - round(est.per_level[-1] * 50)
-    copies = Counter(tuple(ev.time for ev in p.path.events) for p in ens.particles)
+    offsets = ens.log.offsets.tolist()
+    copies = Counter(tuple(ens.log.t[a:b].tolist()) for a, b in zip(offsets, offsets[1:]))
     assert dead > 1 and max(copies.values()) < 1 + dead
 
 
@@ -230,16 +231,24 @@ def test_discrete_unbiasedness_with_potentials():
 
 
 def test_discrete_conditional_sample_chains():
-    params = ReedFrostParams(q=0.9, s0=12, i0=1)
-    spec = CumulativeInfections(t=5, n_c=6)
-    est, ensemble = ibps_estimate(
-        params, spec, n_particles=200, keep_fraction=0.5, seed=SeedSpec(52)
+    alive = ibps_estimate(
+        ReedFrostParams(q=0.9, s0=12, i0=1), CumulativeInfections(t=5, n_c=6),
+        n_particles=200, keep_fraction=0.5, seed=SeedSpec(52),
     )
-    assert est.value > 0
-    assert len(ensemble.particles) == 200
-    chain = ensemble.particles[0].path
-    assert len(chain) == spec.t
-    assert all(isinstance(s, int) and isinstance(i, int) for s, i in chain)
+    # every slot dies at the second generation: its chains stop there
+    extinct = ibps_estimate(
+        ReedFrostParams(q=0.99, s0=12, i0=1), CumulativeInfections(t=5, n_c=12),
+        n_particles=20, schedule=LevelSchedule((8, 9, 10, 12), Axis.CUMULATIVE_INFECTIONS),
+        seed=SeedSpec(1),
+    )
+    assert alive[0].value > 0 and extinct[0].value == 0
+    for (_, ensemble), n, generations, n_c in ((alive, 200, 5, 6), (extinct, 20, 2, 12)):
+        S, I = ensemble.chains
+        assert S.shape == I.shape == (n, generations)
+        # each generation's infections are the susceptibles it lost
+        np.testing.assert_array_equal(S[:, :-1] - S[:, 1:], I[:, 1:])
+        assert (S[:, 0] == 12).all() and (I[:, 0] == 1).all()
+        np.testing.assert_array_equal(ensemble.weights, I.sum(axis=1) >= n_c)
 
 
 def test_ensemble_extinction_policy_and_restart():
@@ -286,7 +295,7 @@ def test_conditional_sample_without_any_event(spec):
     )
     assert est.value == 0.0
     assert len(ensemble.log.t) == 0 and not ensemble.weights.any()
-    assert [len(p.path.events) for p in ensemble.particles] == [0] * 50
+    assert np.diff(ensemble.log.offsets).tolist() == [0] * 50
 
 
 def test_incidence_event_agreement_with_cmc():
@@ -536,18 +545,17 @@ def test_conditional_sample_times_follow_the_conditional_law():
     # sample draws its holding times after the run.  Each path must be a
     # valid EpidemicPath, and its extinction time must follow the law of
     # the extinction times of clocked paths that hit the event (P ~ 2e-2),
-    # by rejection.  One particle per run keeps the sample independent.
+    # by rejection.  One path per run keeps the sample independent.
     ext_ibps = []
     for rep in range(300):
         _, ensemble = ibps_estimate(
             TOY, TOY_SPEC, n_particles=50, keep_fraction=0.1,
             seed=SeedSpec(45, replication=rep),
         )
-        for particle in ensemble.particles:
-            times = [ev.time for ev in particle.path.events]
-            assert times == sorted(set(times)) and math.isfinite(times[-1])
-            assert particle.path.final_state.i == 0
-        ext_ibps.append(ensemble.particles[0].path.events[-1].time)
+        for k in range(50):
+            path = epidemic_path(ensemble.log, k, TOY)
+            assert math.isfinite(path.events[-1].time) and path.final_state.i == 0
+        ext_ibps.append(ensemble.log.t[ensemble.log.offsets[1] - 1])
     clocked = lockstep.sir_ensemble(TOY, 200_000, SeedSpec(46).generator())
     hits = clocked.n_inf + TOY.i0 >= TOY_SPEC.n_c
     assert hits.sum() > 2000
@@ -565,28 +573,18 @@ ABAKALIKI = SirParams(lam=0.0008254, gamma=0.087613, s0=119, i0=1, scaling=Scali
         (SIR, SIR_EVENTS["diagnoses"], 10, 0.3, SeedSpec(2026)),
     ],
 )
-def test_conditional_sample_builds_paths_on_first_read(monkeypatch, model, spec, n, keep, seed):
-    def refuse(self, k, model):
-        raise AssertionError("an EpidemicPath was built during the run")
-
-    with monkeypatch.context() as patched:
-        patched.setattr(lockstep.EventLog, "epidemic_path", refuse)
-        _, ensemble = ibps_estimate(model, spec, n_particles=n, keep_fraction=keep, seed=seed)
+def test_conditional_sample_columns_deep_and_dying(model, spec, n, keep, seed):
+    _, ensemble = ibps_estimate(model, spec, n_particles=n, keep_fraction=keep, seed=seed)
     hits = ensemble.level_hit_times
-    assert hits.shape == (n, len(ensemble.levels))
+    assert hits.shape == (n, len(ensemble.levels)) and len(ensemble.log.offsets) == n + 1
     if model is SIR:
         assert np.isinf(hits[:, -1]).all() and np.isfinite(hits[:, 0]).all()
-    particles = ensemble.particles
-    assert ensemble.particles is particles
-    assert len(particles) == n
-    for k, particle in enumerate(particles):
-        assert len(particle.path.events) == ensemble.log.offsets[k + 1] - ensemble.log.offsets[k]
-        for column, cached in zip(hits[k], particle.level_hit_times):
-            if math.isinf(column):
-                assert cached is NEVER
-            else:
-                assert type(cached) is float and cached == column
-        assert ensemble.weights[k] == indicator(particle.path, spec)
+    for k in range(n):
+        path = epidemic_path(ensemble.log, k, model)
+        for level, got in zip(ensemble.levels, hits[k]):
+            expected = progress_hitting_time(path, spec, level)
+            assert np.isinf(got) if expected is NEVER else got == expected
+        assert ensemble.weights[k] == indicator(path, spec)
 
 
 @settings(max_examples=30, deadline=None)
@@ -607,9 +605,10 @@ def test_conditional_sample_columns_match_the_reference(case, n, keep, variant, 
     _, ensemble = ibps_estimate(
         model, spec, n_particles=n, keep_fraction=keep, variant=variant, seed=SeedSpec(seed)
     )
-    for k, particle in enumerate(ensemble.particles):
-        assert ensemble.weights[k] == indicator(particle.path, spec)
+    for k in range(n):
+        path = epidemic_path(ensemble.log, k, model)
+        assert ensemble.weights[k] == indicator(path, spec)
         for j, level in enumerate(ensemble.levels):
-            expected = progress_hitting_time(particle.path, spec, level)
+            expected = progress_hitting_time(path, spec, level)
             got = ensemble.level_hit_times[k, j]
             assert np.isinf(got) if expected is NEVER else got == expected
