@@ -27,6 +27,7 @@ from .core import (
     SirParams,
 )
 from .estimators import _ensemble_fn
+from .events import Duration
 from .final_size import exact_final_size, tail_pf
 from .harness import METHODS, parse_config_file, run, sweep, write_sweep_csv
 from .splitting import VARIANTS
@@ -94,13 +95,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             for gen, (s, i) in enumerate(zip(S[0], I[0])):
                 out.write(f"{gen},{s},{i}\n")
         else:
-            stop = {} if args.horizon is None else {"horizon": args.horizon}
-            log = _ensemble_fn(model)(model, 1, rng, record=True, **stop).log
+            rows = []
+            # Duration(0) is no event: a zero horizon stops the path at its start
+            if args.horizon != 0:
+                event = None if args.horizon is None else Duration(args.horizon)
+                log = _ensemble_fn(model)(model, 1, rng, event, record=True).log
+                rows = zip(log.t.tolist(), log.kind.tolist(), log.s.tolist(), log.i.tolist(),
+                           log.r.tolist())
             start = lockstep.initial_row(model)
             out.write("time,kind,s,i,r\n")
             out.write(f"{0.0!r},INIT,{start.s},{start.i},{start.r}\n")
-            rows = zip(log.t.tolist(), log.kind.tolist(), log.s.tolist(), log.i.tolist(),
-                       log.r.tolist())
             for t, kind, s, i, r in rows:
                 out.write(f"{t!r},{EventKind(kind).name},{s},{i},{r}\n")
     return 0

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import lockstep
 from .core import (
-    Axis,
     HivParams,
     ModelParams,
     ReedFrostParams,
@@ -81,24 +80,6 @@ class Estimate:
             raise ValueError("per-level survival fractions must lie in [0, 1]")
 
 
-def _stop_config(spec: EventSpec, model: ModelParams) -> dict:
-    """Lockstep stop arguments under which the event is decided on the
-    model.  On SIR, a final size is decided on the embedded jump chain
-    alone, which does not depend on time, so that call runs clock-free."""
-    if isinstance(spec, FinalSize):
-        return dict(
-            target_axis=Axis.REMOVED, target_level=spec.n_c,
-            clock_free=isinstance(model, SirParams),
-        )
-    if isinstance(spec, Incidence):
-        return dict(horizon=spec.T, target_axis=Axis.INFECTED, target_level=spec.n_i)
-    if isinstance(spec, Duration):
-        return dict(horizon=spec.T)
-    if isinstance(spec, DiagnosesIncrement):
-        return dict(horizon=spec.t + spec.u, window=(spec.t, spec.t + spec.u))
-    raise TypeError(f"no jump-process stop rule for {spec}")
-
-
 # the column that measures a path's progress towards each event, named alike
 # in ``lockstep.JumpEnsemble`` and ``lockstep.EventLog``
 _PROGRESS = {FinalSize: "r", Incidence: "max_i", DiagnosesIncrement: "window_rem"}
@@ -137,9 +118,7 @@ def cmc(model: ModelParams, spec: EventSpec, n_paths: int, seed: SeedSpec) -> Es
         _, infectives = lockstep.rf_chains(model, spec.t - 1, n_paths, rng)
         hits = infectives.sum(axis=1) >= spec.n_c
     else:
-        batch = _ensemble_fn(model)(
-            model, n_paths, rng, rate_integrals=False, **_stop_config(spec, model)
-        )
+        batch = _ensemble_fn(model)(model, n_paths, rng, spec)
         hits = _batch_indicators(batch, spec)
     value = float(np.mean(hits))
     return Estimate(value, diagnostics=Diagnostics(zero_runs=int(value == 0.0)))
@@ -197,10 +176,7 @@ def _is_weights(
             raise ValueError("instrumental rates must be positive")
         if (model.scaling, model.population) != (instrumental.scaling, instrumental.population):
             raise ValueError("base and instrumental laws must share scaling and population")
-        stop = _stop_config(spec, model)
-        if stop.get("clock_free"):
-            stop["base"] = model
-        paths = lockstep.sir_ensemble(instrumental, n_paths, rng, **stop)
+        paths = lockstep.sir_ensemble(instrumental, n_paths, rng, spec, base=model)
         hits = _batch_indicators(paths, spec)
         log_ratio = _sir_log_ratio(paths, model, instrumental)
     finite = np.isfinite(log_ratio)

@@ -87,6 +87,8 @@ def tail_pf(dist: np.ndarray, i0: int, n_c: float) -> float:
 
 def threshold_for_tail(dist: np.ndarray, i0: int, target: float) -> int:
     """Smallest threshold whose exact tail probability best matches target."""
+    if not 0.0 <= target <= 1.0:  # NaN too
+        raise ValueError(f"target must be a probability in [0, 1]: {target}")
     s0 = len(dist) - 1
     best_nc, best_gap = 1, math.inf
     for n_c in range(1, i0 + s0 + 1):

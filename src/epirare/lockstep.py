@@ -8,6 +8,9 @@ loop holds it.  A call hands the rows back in the loop's order
 (``Recorded``); grouping them by path into an ``EventLog`` happens on
 request, for every path or for the few a caller reads.  Each path starts
 from such a row (``Row``): ``initial_row``'s, or one a caller cut it at.
+A call stops each path where the event it is given is decided, at
+extinction without one, and tallies what the likelihood ratio against its
+``base`` law needs, given one.
 
 SIR and contact tracing share one loop, ``_jump_loop``, and plug into it
 through their rate constants, ``_Rates``; only contact tracing, whose rates
@@ -17,17 +20,16 @@ finish.  Each iteration draws uniforms for exactly the live paths: waiting
 times, then (thinning only) acceptances, then event kinds, each in path
 order.  ``tests/test_golden.py`` pins the outputs of this order.
 
-An SIR call with no horizon and no window can run clock-free
-(``clock_free=True``): it simulates only the embedded jump chain, which is
-all a final-size event depends on, in a loop of its own, ``_chain_loop``.
-On SIR the chance that an event is an infection, c*s/(c*s + gamma), does
-not depend on i, so the removals between two infections are geometric: a
-run.  Each iteration draws one block of standard exponentials, a row per
-live path in path order and a column per run, up to 16 of them, and takes
-every live path forward run by run, an infection closing each, until the
-run it stops in.  The loop reads the runs' rates and every per-event tally
-from one small table indexed by s.  Such a call has no times: its ``t`` and
-its recorded ``t`` row are NaN.
+An SIR final size depends on the embedded jump chain alone, so that call
+runs clock-free, in a loop of its own, ``_chain_loop``.  On SIR the chance
+that an event is an infection, c*s/(c*s + gamma), does not depend on i, so
+the removals between two infections are geometric: a run.  Each iteration
+draws one block of standard exponentials, a row per live path in path
+order and a column per run, up to 16 of them, and takes every live path
+forward run by run, an infection closing each, until the run it stops in.
+The loop reads the runs' rates and every per-event tally from one small
+table indexed by s.  Such a call has no times: its ``t`` is NaN and its
+log has no ``t`` column.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import numpy as np
 from .core import (
     Axis, EventKind, HivParams, ReedFrostParams, Scaling, SimulationError, SirParams,
 )
+from .events import DiagnosesIncrement, Duration, EventSpec, FinalSize, Incidence
 
 __all__ = [
     "EventLog", "JumpEnsemble", "Recorded", "Row", "hiv_ensemble", "initial_row", "rf_advance",
@@ -59,12 +62,13 @@ _LEAST = np.nextafter(0.0, 1.0)
 class Row(NamedTuple):
     """Paths' state right after one of their events, or at their start, by
     event-log column, each one value for every path or one per path; None
-    where there is no such column.  The engines start from a ``Row``."""
+    where there is no such column (``t`` on a clock-free log).  The engines
+    start from a ``Row``; a clock-free call reads no ``t``."""
 
     s: np.ndarray | int
     i: np.ndarray | int
     r: np.ndarray | int
-    t: np.ndarray | float
+    t: np.ndarray | float | None
     max_i: np.ndarray | int
     decayed: np.ndarray | float | None = None
     window_rem: np.ndarray | int | None = None
@@ -80,11 +84,12 @@ class EventLog:
     event: compartment counts, the running maximum of infectives, the count
     of removals inside the stop window (``window_rem``, when the batch had
     one) and the decayed contact-tracing sum (``decayed``, contact tracing
-    only).
+    only).  A clock-free batch has no times: ``t`` is None and ``t_stop``
+    NaN.
     """
 
     path: np.ndarray
-    t: np.ndarray
+    t: np.ndarray | None
     kind: np.ndarray
     s: np.ndarray
     i: np.ndarray
@@ -103,10 +108,11 @@ class EventLog:
 
     def state_after(self, paths: np.ndarray, n_rows: np.ndarray, start: Row) -> Row:
         """State of path ``paths[j]`` after its first ``n_rows[j]`` rows;
-        ``start``'s where ``n_rows[j]`` is 0."""
+        ``start``'s where ``n_rows[j]`` is 0; None where the log has no such
+        column."""
         has_rows = n_rows > 0
         rows = (self.offsets[paths] + n_rows - 1)[has_rows]
-        state = {}
+        state = dict.fromkeys(self.STATE)
         for name in self.STATE:
             col = getattr(self, name)
             if col is not None:
@@ -136,7 +142,7 @@ class EventLog:
         else:
             # path j's head range, then its tail range, in the joined columns
             tail_len = np.diff(tail.offsets)
-            starts = np.column_stack([head_start, len(self.t) + tail.offsets[:-1]]).ravel()
+            starts = np.column_stack([head_start, len(self.path) + tail.offsets[:-1]]).ravel()
             lengths = np.column_stack([head_len, tail_len]).ravel()
             per_path = head_len + tail_len
             columns = {
@@ -213,16 +219,16 @@ class JumpEnsemble:
     A recording call also hands back the rows it kept, ungrouped, as
     ``recorded``; ``log`` groups every path's rows on first use.
 
-    A clock-free call keeps no time: ``t`` is NaN.  Its ``int_pair`` and
-    ``int_i`` are conditional expectations given the jump chain, the sums
-    over events of (pair_scale times) s/(c*s + gamma) and 1/(c*s + gamma).
-    Given a base law, c and gamma are the base law's, and the sums are the
-    conditional expectations of the two rate integrals times the whole
-    path's likelihood ratio, divided by the chain's; without one, they are
-    the integrals' own, at the simulated rates.  Given a base law, the call
-    also sums ``log_rate_ratio``, over events, the log of the base over the
-    simulated total event rate per infective,
-    log((c_b*s + gamma_b)/(c*s + gamma)); None otherwise.
+    ``int_pair`` and ``int_i`` are summed only by a call given a base law,
+    and are 0 otherwise.  A clocked call sums the rate integrals of its own
+    paths.  A clock-free call keeps no time: ``t`` is NaN.  Its ``int_pair``
+    and ``int_i`` are the sums over events of (pair_scale times)
+    s/(c_b*s + gamma_b) and 1/(c_b*s + gamma_b), at the base law's rates:
+    the conditional expectations, given the jump chain, of the two rate
+    integrals times the whole path's likelihood ratio, divided by the
+    chain's.  It also sums ``log_rate_ratio``, over events, the log of the
+    base over the simulated total event rate per infective,
+    log((c_b*s + gamma_b)/(c*s + gamma)); None on every other call.
     """
 
     s: np.ndarray
@@ -293,34 +299,30 @@ class _Rates:
                 object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
 
 
-def _chain_table(rates: _Rates, base: _Rates | None, integrals: bool, n_s: int) -> np.ndarray:
+def _chain_table(rates: _Rates, base: _Rates | None, n_s: int) -> np.ndarray:
     """Per run k = 0..15 of a chain iteration and susceptible count s in
     0..n_s-1, what the chain loop reads at s - k (at 0 past it): first the
     inverse of the rate -log(1 - p) of the removal runs there, where
     p = c*s/(c*s + gamma) is the chance that an event is an infection (inf
-    where p is 0), then what a clock-free call adds up per event, the rate
-    integrals' increments (with ``integrals``) and the log rate ratio
-    against ``base`` (with one).
+    where p is 0), then, given a ``base`` law, what the call adds up per
+    event: the rate integrals' increments and the log rate ratio against it.
 
     An integral's increment is its expected growth over the holding time
-    before the event, at the rates of ``base`` where there is one: given
-    the chain, the whole path's ratio times a holding time has the mean of
-    the holding time under the base law, so these are the conditional
-    expectations of the integrals weighted by the ratio."""
+    before the event, at the base law's rates: given the chain, the whole
+    path's ratio times a holding time has the mean of the holding time
+    under the base law, so these are the conditional expectations of the
+    integrals weighted by the ratio."""
     s = np.arange(n_s, dtype=float)
-    per_infective = rates.coef * s + rates.gamma
     # 1 - p = gamma/(c*s + gamma), so -log(1 - p) = log1p(c*s/gamma)
     run_rate = np.log1p(rates.coef * s / rates.gamma)
     rows = [np.divide(1.0, run_rate, out=np.full(n_s, np.inf), where=run_rate > 0)]
-    if integrals:
-        law = rates if base is None else base
-        holding = 1.0 / (law.coef * s + law.gamma)
+    if base is not None:
+        per_infective = base.coef * s + base.gamma
+        holding = 1.0 / per_infective
         pair = s * holding
         if rates.pair_scale is not None:
             pair = pair * rates.pair_scale
-        rows += [pair, holding]
-    if base is not None:
-        rows.append(np.log((base.coef * s + base.gamma) / per_infective))
+        rows += [pair, holding, np.log(per_infective / (rates.coef * s + rates.gamma))]
     # mode clip reads s = 0 where s - k is negative
     return np.array(rows).take(np.arange(n_s) - _RUNS[:, None], axis=1, mode="clip")
 
@@ -328,13 +330,14 @@ def _chain_table(rates: _Rates, base: _Rates | None, integrals: bool, n_s: int) 
 def _block(start: Row, names: tuple[str, ...], n_paths: int | None) -> np.ndarray:
     """The paths' state, a row per quantity in ``names`` and a column per
     path of ``start`` (``n_paths`` if it holds scalars): its event-log
-    columns, each path's index as ``path``, and 0 for the tallies."""
+    columns, each path's index as ``path``, and 0 for the tallies and the
+    columns ``start`` does not have."""
     n = len(start.s) if np.ndim(start.s) else int(n_paths)
     block = np.zeros((len(names), n))
     for row, name in zip(block, names):
         if name == "path":
             row[...] = np.arange(n)
-        elif name in Row._fields:
+        elif getattr(start, name, None) is not None:
             row[...] = getattr(start, name)
     return block
 
@@ -342,18 +345,19 @@ def _block(start: Row, names: tuple[str, ...], n_paths: int | None) -> np.ndarra
 def _ensemble(out, finished, names, start: Row, log, other_kind: int) -> JumpEnsemble:
     """The call's ensemble: the ``finished`` columns, written back to
     ``out`` in path order, read by their ``names``; n_inf and n_rem count
-    from ``start``."""
+    from ``start``; ``t`` is NaN where ``names`` has no times."""
     done = np.concatenate(finished, axis=1)
     out[:, done[names.index("path")].astype(np.intp)] = done
     row = dict(zip(names, out))
     s, i, r, max_i = (row[name].astype(np.int64) for name in ("s", "i", "r", "max_i"))
+    t = row.get("t", np.full(len(s), np.nan))
     return JumpEnsemble(
-        s, i, r, row["t"], max_i,
+        s, i, r, t, max_i,
         np.asarray(start.s, dtype=np.int64) - s, r - np.asarray(start.r, dtype=np.int64),
         row.get("int_pair", np.zeros(len(s))), row.get("int_i", np.zeros(len(s))),
         row["window_rem"].astype(np.int64) if "window_rem" in row else None,
         row.get("decayed"),
-        recorded=None if log is None else log.recorded(other_kind, row["t"]),
+        recorded=None if log is None else log.recorded(other_kind, t),
         log_rate_ratio=row.get("log_rate_ratio"),
     )
 
@@ -411,11 +415,12 @@ def _jump_loop(
     target_level: float | None = None,
     window: tuple[float, float] | None = None,
     record: bool = False,
-    rate_integrals: bool = True,
+    base: _Rates | None = None,
 ) -> JumpEnsemble:
     """Advance paths from the rows ``init``, every column (max_i and the
     window's removals go on from there), or ``n_paths`` fresh ones, until
-    each is extinct, at the horizon or at the target.
+    each is extinct, at the horizon or at the target.  Given a ``base``
+    law, the loop sums each path's two rate integrals (without thinning).
 
     ``block`` holds the live paths' state, a row per quantity and a column
     per path (counts are exact in float64); finished columns go to
@@ -430,7 +435,7 @@ def _jump_loop(
     are 0-d arrays, and it calls no ufunc with keywords."""
     thinning = rates.decay is not None
     start = initial_row(model) if init is None else init
-    sums = rate_integrals and not thinning
+    sums = base is not None and not thinning
     target = {Axis.INFECTED: 1, Axis.REMOVED: 2}.get(target_axis)
     horizon = np.array(horizon)
     if target is not None:
@@ -517,19 +522,15 @@ def _chain_loop(
     n_paths: int | None,
     rng: np.random.Generator,
     *,
+    target_level: float,
     init: Row | None = None,
-    horizon: float = np.inf,
-    target_axis: Axis | None = None,
-    target_level: float | None = None,
-    window: tuple[float, float] | None = None,
     record: bool = False,
-    rate_integrals: bool = True,
     base: _Rates | None = None,
 ) -> JumpEnsemble:
     """Advance the embedded jump chains of SIR paths from the rows
-    ``init``, ignoring their times, or of ``n_paths`` fresh ones, until
-    each is extinct or at the removal target, ceil(``target_level``).
-    Given a ``base`` law's rates, the loop also sums the log rate ratio.
+    ``init``, which need no times, or of ``n_paths`` fresh ones, until each
+    is extinct or at the removal target, ceil(``target_level``).  Given a
+    ``base`` law's rates, the loop sums the tallies of ``_chain_table``.
 
     At s susceptibles an event is an infection with a chance p(s) that
     does not depend on i, so the removals before the next infection are
@@ -544,29 +545,24 @@ def _chain_loop(
     steps from it, and the loop needs no iteration cap.  The tallies add,
     per run, its events times the table's per-event terms at its s.
 
-    ``block`` holds the live paths' state as in ``_jump_loop``; the
-    iteration's own arrays hold a row per run and a column per live path.
-    With ``record``, each iteration appends one row per event, path by
-    path, each run's removals then its infection."""
-    if horizon < np.inf or window is not None:
-        raise ValueError("a clock-free call takes no horizon or window")
-    if target_axis not in (None, Axis.REMOVED):
-        raise ValueError("a clock-free call stops only at a removal target")
+    ``block`` holds the live paths' state as in ``_jump_loop``, but no
+    times; the iteration's own arrays hold a row per run and a column per
+    live path.  With ``record``, each iteration appends one row per event,
+    path by path, each run's removals then its infection."""
     start = initial_row(model) if init is None else init
-    # the rows an event log keeps; then the two rate integrals, when the
-    # loop sums them, and the log rate ratio (base law)
-    names = ("s", "i", "r", "t", "max_i", "path") + ("int_pair", "int_i") * rate_integrals + (
-        "log_rate_ratio",) * (base is not None)
+    # the rows an event log keeps; then, given a base law, the two rate
+    # integrals and the log rate ratio
+    names = ("s", "i", "r", "max_i", "path") + (
+        "int_pair", "int_i", "log_rate_ratio") * (base is not None)
     out = _block(start, names, n_paths)
-    out[3] = np.nan
     s_max = int(out[0].max(initial=0))
-    table = _chain_table(rates, base, rate_integrals, s_max + 1)
+    table = _chain_table(rates, base, s_max + 1)
     run_scale, terms = table[0], table[1:]
-    target = np.array(np.inf if target_axis is None else np.ceil(target_level), dtype=float)
-    log = _Log(names[:6]) if record else None
+    target = np.array(np.ceil(target_level), dtype=float)
+    log = _Log(names[:5]) if record else None
     finished = [out[:, :0]]
     block = out
-    s, i, r, _, max_i = block[:5]
+    s, i, r, max_i = block[:4]
     # a path with s susceptibles ends within s // 16 + 1 iterations
     for _ in range(s_max // len(_RUNS) + 2):
         alive = (i > 0) & (r < target)
@@ -574,7 +570,7 @@ def _chain_loop(
         if keep.size < block.shape[1]:
             finished.append(block.take((~alive).nonzero()[0], axis=1))
             block = block.take(keep, axis=1)
-            s, i, r, _, max_i = block[:5]
+            s, i, r, max_i = block[:4]
         if not keep.size:
             break
         width = min(len(_RUNS), int(s.max()) + 1)
@@ -633,7 +629,7 @@ def _take_runs(block, draws, run_scale, terms, target):
         np.minimum(capped, removals, out=through[1:])
         events = through[1:] - through[:-1]
         events += whole
-        block[6:] += np.einsum("tkm,km->tm", terms[:, :width].take(at, axis=2), events)
+        block[5:] += np.einsum("tkm,km->tm", terms[:, :width].take(at, axis=2), events)
     return steps, removals, done, rise
 
 
@@ -662,19 +658,18 @@ def _record_runs(log, block, steps, removals, done, rise):
     infections = is_inf.astype(float)
     np.cumsum(infections, out=infections)
     others = np.arange(1.0, len(is_inf) + 1) - infections
-    s, i, r, _, max_i, path = block[:6]
+    s, i, r, max_i, path = block[:5]
     np.subtract(np.repeat(s + before, per_path), infections, out=state[0])
     np.add(np.repeat(i + first - 2 * before, per_path), infections - others, out=state[1])
     np.add(np.repeat(r - first + before, per_path), others, out=state[2])
-    state[3] = np.nan
     # after a path's j-th infection here, the most of i it has held
     running = np.empty((len(rise) + 1, m))
     running[0] = max_i
     np.add(rise, i, out=running[1:])
     np.maximum(running[1:], max_i, out=running[1:])
     at = np.repeat(np.arange(m) - before * m, per_path) + infections * m
-    np.take(running.ravel(), at.astype(np.intp), out=state[4])
-    state[5] = np.repeat(path, per_path)
+    np.take(running.ravel(), at.astype(np.intp), out=state[3])
+    state[4] = np.repeat(path, per_path)
 
 
 def _sir_rates(params: SirParams) -> _Rates:
@@ -687,64 +682,84 @@ def _sir_rates(params: SirParams) -> _Rates:
     )
 
 
+def _hiv_rates(params: HivParams) -> _Rates:
+    return _Rates(
+        coef=params.lam, gamma=params.gamma1, other_kind=EventKind.DETECTION.value,
+        traced=params.gamma2, decay=params.c,
+    )
+
+
+def _stop(event: EventSpec | None) -> dict:
+    """The jump loop's stop keywords under which ``event`` is decided: none
+    without an event, so every path runs to extinction."""
+    if event is None:
+        return {}
+    if isinstance(event, FinalSize):
+        return dict(target_axis=Axis.REMOVED, target_level=event.n_c)
+    if isinstance(event, Incidence):
+        return dict(horizon=event.T, target_axis=Axis.INFECTED, target_level=event.n_i)
+    if isinstance(event, Duration):
+        return dict(horizon=event.T)
+    if isinstance(event, DiagnosesIncrement):
+        return dict(horizon=event.t + event.u, window=(event.t, event.t + event.u))
+    raise TypeError(f"no jump-process stop rule for {event}")
+
+
 def sir_ensemble(
     params: SirParams,
     n_paths: int | None,
     rng: np.random.Generator,
+    event: EventSpec | None = None,
     *,
     init: Row | None = None,
     base: SirParams | None = None,
-    **stop,
+    record: bool = False,
 ) -> JumpEnsemble:
-    """Advance an ensemble of SIR paths to extinction, horizon, or target.
+    """Advance an ensemble of SIR paths until ``event`` is decided on each,
+    or to extinction without one.
 
-    ``stop`` takes the keywords ``horizon``, ``target_axis``,
-    ``target_level``, ``window``, ``record``, ``rate_integrals`` (False
-    leaves ``int_pair`` and ``int_i`` at zero, for callers that do not
-    weight paths, and saves the loop two sums) and ``clock_free`` (simulate
-    the jump chain alone, one run of removals and its closing infection at
-    a time, up to 16 per path per iteration, in ``_chain_loop``; no horizon
-    or window, and no target but a removal count).  A clock-free call given
-    the ``base`` law also sums ``log_rate_ratio`` against it.  ``init``
-    holds event-log rows, one per path, to continue cut paths from (a
-    clock-free call ignores their times); otherwise paths start fresh.
+    A final size depends on the embedded jump chain alone: that call runs
+    clock-free, one run of removals and its closing infection at a time, up
+    to 16 per path per iteration, in ``_chain_loop``; every other call runs
+    ``_jump_loop``.  Given the ``base`` law, the call sums what the
+    likelihood ratio against it needs (``JumpEnsemble``).  ``init`` holds
+    event-log rows, one per path, to continue cut paths from; otherwise
+    paths start fresh.  ``record`` keeps every event's row.
     """
     rates = _sir_rates(params)
-    if stop.pop("clock_free", False):
-        base_rates = None if base is None else _sir_rates(base)
-        return _chain_loop(rates, params, n_paths, rng, init=init, base=base_rates, **stop)
-    if base is not None:
-        raise ValueError("a base law's rate ratio is summed only by a clock-free call")
-    return _jump_loop(rates, params, n_paths, rng, init=init, **stop)
+    base_rates = None if base is None else _sir_rates(base)
+    if isinstance(event, FinalSize):
+        return _chain_loop(
+            rates, params, n_paths, rng, target_level=event.n_c, init=init, record=record,
+            base=base_rates,
+        )
+    return _jump_loop(
+        rates, params, n_paths, rng, init=init, record=record, base=base_rates, **_stop(event)
+    )
 
 
 def hiv_ensemble(
     params: HivParams,
     n_paths: int | None,
     rng: np.random.Generator,
+    event: EventSpec | None = None,
     *,
     init: Row | None = None,
-    **stop,
+    record: bool = False,
 ) -> JumpEnsemble:
     """Advance contact-tracing paths by thinning, in lockstep.
 
     State carries, per path, the decayed contact-tracing sum
     sum(exp(-c * age)); between jumps it only decays, so the rate at the
     last jump bounds the rate until the next and rejected proposals simply
-    re-tighten the bound.  ``stop`` and ``init`` are read as by
-    ``sir_ensemble``, ``init``'s ``decayed`` too.
+    re-tighten the bound.  ``event``, ``init`` and ``record`` are read as by
+    ``sir_ensemble``, ``init``'s ``decayed`` too; every call is clocked.
     """
-    if stop.pop("clock_free", False):
-        raise ValueError("contact tracing has no clock-free mode: its removals need a clock")
-    rates = _Rates(
-        coef=params.lam, gamma=params.gamma1, other_kind=EventKind.DETECTION.value,
-        traced=params.gamma2, decay=params.c,
-    )
     # with no spontaneous detection a path can be left with infectives and no
     # event rate, and draws an infinite wait (with c = 0, a NaN decay factor)
     quiet = np.errstate(divide="ignore", invalid="ignore")
     loop = _jump_loop if params.gamma1 > 0 else quiet(_jump_loop)
-    return loop(rates, params, n_paths, rng, init=init, **stop)
+    return loop(_hiv_rates(params), params, n_paths, rng, init=init, record=record, **_stop(event))
 
 
 def rf_advance(

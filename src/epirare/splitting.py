@@ -49,10 +49,10 @@ Whole histories are kept only when the conditional sample is returned, and
 only then is every slot grouped; otherwise a child keeps just its cut row.
 
 On an SIR final size the engine runs clock-free (``lockstep``): the level
-cuts read only removal counts, so slots carry no times.  The conditional
-sample then draws its times after the run: given the jump chain, the
-holding times are independent exponentials at the rates of the states a
-path visits.
+cuts read only removal counts, and slots carry no times (their logs have no
+``t`` column).  The conditional sample then draws its times after the run:
+given the jump chain, the holding times are independent exponentials at
+the rates of the states a path visits.
 
 Stream layout per stage s: particle 0 carries batched mutation draws,
 particle 1 carries selection draws; stage 0 is the initial ensemble.
@@ -83,7 +83,6 @@ from .estimators import (
     Diagnostics,
     Estimate,
     _ensemble_fn,
-    _stop_config,
     _validate_event_model,
 )
 from .events import (
@@ -223,10 +222,7 @@ def _branch(
         if cut.decayed is not None:
             cut = cut._replace(decayed=cut.decayed * np.exp(-model.c * (level - cut.t)))
         cut = cut._replace(t=np.full(len(parents), level))
-    ens = _ensemble_fn(model)(
-        model, None, rng, record=True, rate_integrals=False, init=cut,
-        **_stop_config(spec, model),
-    )
+    ens = _ensemble_fn(model)(model, None, rng, spec, init=cut, record=True)
 
     n = len(slots.member)
     source = np.zeros(n, dtype=np.int64)
@@ -276,7 +272,7 @@ def _materialize(
 ) -> ParticleEnsemble:
     """The final paths, weighted by whether they attain the event; a
     clock-free log first gets its times from the stream ``times``."""
-    if _stop_config(spec, model).get("clock_free"):
+    if log.t is None:
         log = _with_times(log, model, times.generator())
     initial = lockstep.initial_row(model)
     every, length = np.arange(len(log.t_stop)), np.diff(log.offsets)
@@ -311,10 +307,7 @@ def _stage_loop(
     """
     on_time = isinstance(spec, Duration)
     rng0 = seed.stream(particle=0, stage=stage_base).generator()
-    slots = _Slots.start(_ensemble_fn(model)(
-        model, n_particles, rng0, record=True, rate_integrals=False,
-        **_stop_config(spec, model),
-    ))
+    slots = _Slots.start(_ensemble_fn(model)(model, n_particles, rng0, spec, record=True))
     every = np.arange(n_particles)
     per_level: list[float] = []
     levels: list[float] = []
@@ -409,36 +402,43 @@ def _ibps_discrete(
         level, _ = next_level(cum, levels)
         levels.append(level)
         surv = cum >= level
-        if weight_rule == "indicator":
-            omega = surv.astype(float)
-        elif weight_rule == "potential_v":
-            omega = np.exp(alpha * I[:, g]) * surv
-        else:
-            omega = np.exp(alpha * (I[:, g] - I[:, g - 1])) * surv
         per_level.append(float(np.mean(surv)))
-        mean_w = float(np.mean(omega))
-        if mean_w == 0.0:
-            return 0.0, per_level, levels, S[:, : g + 1], I[:, : g + 1], omega, True
-        log_mean_total += math.log(mean_w)
+        if not surv.any():
+            return 0.0, per_level, levels, S[:, : g + 1], I[:, : g + 1], np.zeros(n), True
+        # log weights, the survivors' largest taken out before exp: a killed
+        # slot weighs exp(-inf) = 0, and no weight overflows or underflows
+        if weight_rule == "indicator":
+            log_omega = np.zeros(n)
+        elif weight_rule == "potential_v":
+            log_omega = alpha * I[:, g]
+        else:
+            log_omega = alpha * (I[:, g] - I[:, g - 1])
+        top = float(log_omega[surv].max())
+        omega = np.exp(np.where(surv, log_omega - top, -np.inf))
+        log_mean_total += top + math.log(float(np.mean(omega)))
         # Full weighted redraw of every slot: the genealogical normalization
         # requires expected offspring counts proportional to the weights,
         # which keeping survivors in place would break for non-flat weights.
         sel_rng = seed.stream(particle=1, stage=stage_base + g).generator()
         probs = omega / omega.sum()
-        gained = np.where(surv, np.log(np.where(omega > 0, omega, 1.0)), 0.0)
         parents = sel_rng.choice(n, size=n, p=probs)
         S[:, : g + 1] = S[parents, : g + 1]
         I[:, : g + 1] = I[parents, : g + 1]
         cum = cum[parents]
-        log_w = log_w[parents] + gained[parents]
+        # parents are survivors only
+        log_w = log_w[parents] + log_omega[parents]
     ind = cum >= spec.n_c
     per_level.append(float(np.mean(ind)))
     if weight_rule == "indicator":
         value = math.prod(per_level)
+    elif ind.any():
+        # exp(log_mean_total) * mean(ind * exp(-log_w)), with the hits'
+        # smallest log weight taken out of both factors
+        low = float(log_w[ind].min())
+        correction = float(np.mean(np.exp(np.where(ind, low - log_w, -np.inf))))
+        value = math.exp(log_mean_total - low) * correction
     else:
-        with np.errstate(over="ignore"):
-            correction = float(np.mean(np.where(ind, np.exp(-log_w), 0.0)))
-        value = math.exp(log_mean_total) * correction
+        value = 0.0
     final_weights = ind.astype(float)
     return value, per_level, levels, S, I, final_weights, False
 

@@ -5,9 +5,9 @@ at a time: the state after each event, the cut a refill starts from, and the
 contact-tracing sum re-summed over the detections of the history.  A branch
 groups only the survivors' histories and scores slots by the engine's end
 states, so the checks also compare those with the whole grouped histories.
-On an SIR final size the engine runs clock-free and histories carry NaN
-times, so there, and only there, the checks require NaN times, read no
-time order and compare NaN as equal.
+On an SIR final size the engine runs clock-free and histories carry no
+times, so there, and only there, the checks require a log without a ``t``
+column and NaN stop times, read no time order and compare NaN as equal.
 """
 
 import math
@@ -28,7 +28,7 @@ from epirare import (
     SeedSpec,
     SirParams,
 )
-from epirare.estimators import _PROGRESS, _ensemble_fn, _stop_config
+from epirare.estimators import _PROGRESS, _ensemble_fn
 from epirare.lockstep import initial_row
 from epirare.splitting import _branch, _level_cut, _Slots
 
@@ -80,7 +80,7 @@ def _decayed_at(model, times, kinds, t_cut):
 
 
 def _clock_free(model, spec):
-    return _stop_config(spec, model).get("clock_free", False)
+    return isinstance(model, SirParams) and isinstance(spec, FinalSize)
 
 
 def _check_history(log, model, k, spec=None):
@@ -88,12 +88,13 @@ def _check_history(log, model, k, spec=None):
     a clock-free one has no times."""
     rows = _rows(log, k)
     if spec is not None and _clock_free(model, spec):
-        assert np.isnan(rows["t"]).all()
+        assert log.t is None
     else:
         assert np.all(np.diff(rows["t"]) >= 0)
     assert np.all(log.path[log.offsets[k]:log.offsets[k + 1]] == k)
     window = (spec.t, spec.t + spec.u) if isinstance(spec, DiagnosesIncrement) else None
-    for n, state in enumerate(_replay(model, window, rows["t"], rows["kind"])):
+    times = rows.get("t", [None] * len(rows["kind"]))
+    for n, state in enumerate(_replay(model, window, times, rows["kind"])):
         for name in ("s", "i", "r", "max_i"):
             assert rows[name][n] == state[name]
         if log.window_rem is not None:
@@ -106,14 +107,15 @@ def _check_history(log, model, k, spec=None):
 def _start(model_name, event_name, n, seed):
     model, spec = MODELS[model_name], EVENTS[event_name]
     fn = _ensemble_fn(model)
-    ens = fn(model, n, SeedSpec(seed).generator(), record=True, **_stop_config(spec, model))
+    ens = fn(model, n, SeedSpec(seed).generator(), spec, record=True)
     return model, spec, ens
 
 
 def _grouped(slots, model, spec):
     """Every slot's history; checks that a slot's end state is its last row's
     and that grouping some slots gives their rows in the whole log."""
-    # clock-free histories have NaN times, which compare equal there
+    # clock-free histories have no times and NaN stop times, which compare
+    # equal there
     clock_free = _clock_free(model, spec)
     n = len(slots.member)
     log = slots.histories(np.arange(n))
@@ -122,7 +124,7 @@ def _grouped(slots, model, spec):
     for name in names:
         assert np.array_equal(slots.end[name], getattr(last, name))
     if clock_free:
-        assert np.isnan(log.t).all() and np.isnan(log.t_stop).all()
+        assert log.t is None and np.isnan(log.t_stop).all()
     assert np.array_equal(log.t_stop, slots.end["t"], equal_nan=clock_free)
     some = np.arange(n)[::-3]
     part, expected = slots.histories(some), log.take(some)
@@ -171,18 +173,14 @@ def test_level_branch(model_name, event_name, n, seed, level, whole, data):
     assert np.all(new.s + new.i + new.r == total)
     for k in np.setdiff1d(np.arange(n), targets):
         before, after = _rows(log, k), _rows(new, k)
-        assert all(
-            np.array_equal(before[name], after[name], equal_nan=clock_free) for name in before
-        )
+        assert all(np.array_equal(before[name], after[name]) for name in before)
     initial = initial_row(model)
     for child, parent in zip(targets, parents):
         cut = keep[parent]
         old, fresh = _rows(log, parent), _rows(new, child)
         kept = cut if whole else min(cut, 1)
         for name, col in old.items():
-            assert np.array_equal(
-                fresh[name][:kept], col[cut - kept:cut], equal_nan=clock_free
-            )
+            assert np.array_equal(fresh[name][:kept], col[cut - kept:cut])
         # the parent's state at the cut, which the child starts from
         at_cut = log.state_after(np.array([parent]), np.array([cut]), initial)
         assert getattr(at_cut, column)[0] >= level
@@ -243,7 +241,7 @@ def test_time_branch(model_name, n, seed, t_cut, whole, data):
     model = MODELS[model_name]
     horizon = 3.0
     fn = _ensemble_fn(model)
-    slots = _Slots.start(fn(model, n, SeedSpec(seed).generator(), record=True, horizon=horizon))
+    slots = _Slots.start(fn(model, n, SeedSpec(seed).generator(), Duration(horizon), record=True))
     log = _grouped(slots, model, Duration(horizon))
     ext = np.where(slots.end["i"] == 0, slots.end["t"], math.inf)
     assume(np.any(ext > t_cut) and np.any(ext <= t_cut))
@@ -277,7 +275,7 @@ def test_time_branch(model_name, n, seed, t_cut, whole, data):
 def test_engine_log_replays(model_name, event_name):
     model, spec, ens = _start(model_name, event_name, 30, 7)
     log = ens.log
-    assert log.offsets[-1] == len(log.t)
+    assert log.offsets[-1] == len(log.path)
     for k in range(30):
         _check_history(log, model, k, spec)
 

@@ -6,6 +6,7 @@ import pytest
 
 from epirare import (
     CumulativeInfections,
+    Duration,
     EventKind,
     FinalSize,
     ReedFrostParams,
@@ -18,7 +19,7 @@ from epirare import (
     is_estimate,
     tail_pf,
 )
-from epirare.estimators import Diagnostics, Estimate, _sir_log_ratio, _stop_config
+from epirare.estimators import Diagnostics, Estimate, _sir_log_ratio
 from epirare import lockstep
 from reference import (
     CompartmentState, EpidemicPath, JumpEvent, StopRule, epidemic_path, indicator,
@@ -74,10 +75,12 @@ def test_every_monte_carlo_estimator_rejects_zero_paths(model, spec):
             call()
 
 
-def _check_engine_ratio(base, instr, seed, n_paths=40, **stop):
+def _check_engine_ratio(base, instr, seed, event=None, n_paths=40):
     """``_sir_log_ratio`` on an engine batch simulated under ``instr`` against
     the reference ratio of each recorded path; returns the batch."""
-    batch = lockstep.sir_ensemble(instr, n_paths, SeedSpec(seed).generator(), record=True, **stop)
+    batch = lockstep.sir_ensemble(
+        instr, n_paths, SeedSpec(seed).generator(), event, base=base, record=True
+    )
     ratio = np.exp(_sir_log_ratio(batch, base, instr))
     for k in range(n_paths):
         expected = sir_importance_ratio(epidemic_path(batch.log, k, instr), base, instr)
@@ -99,7 +102,7 @@ def test_importance_ratio_zero_event_closed_form():
     path = EpidemicPath(CompartmentState(1, 1, 0), (), horizon=t)
     expected = math.exp(-((0.4 - 0.9) * 1 * 1 + (1.5 - 0.5) * 1) * t)
     assert sir_importance_ratio(path, base, instr) == pytest.approx(expected, rel=1e-12)
-    batch = _check_engine_ratio(base, instr, 8, horizon=t)
+    batch = _check_engine_ratio(base, instr, 8, Duration(t))
     quiet = batch.n_inf + batch.n_rem == 0
     assert quiet.any()
     ratio = np.exp(_sir_log_ratio(batch, base, instr))[quiet]
@@ -128,7 +131,7 @@ def test_importance_ratio_counts_event_kinds():
         * (1.0 / 0.5) ** 1
     )
     assert sir_importance_ratio(path, base, instr) == pytest.approx(expected, rel=1e-12)
-    batch = _check_engine_ratio(base, instr, 9, horizon=1.0)
+    batch = _check_engine_ratio(base, instr, 9, Duration(1.0))
     assert np.any((batch.n_inf > 0) & (batch.n_rem > 0) & (batch.i > 0))
 
 
@@ -199,8 +202,8 @@ def _chain_batch(base, instr, seed, init=None, n_paths=60):
     """A recorded clock-free final-size batch under ``instr``, weighted
     against ``base``."""
     return lockstep.sir_ensemble(
-        instr, n_paths, SeedSpec(seed).generator(), init=init, base=base, record=True,
-        **_stop_config(FinalSize(n_c=16), instr),
+        instr, n_paths, SeedSpec(seed).generator(), FinalSize(n_c=16), init=init, base=base,
+        record=True,
     )
 
 
@@ -212,14 +215,14 @@ def test_chain_ratio_matches_replay(law, start):
     if start == "init":
         # clocked paths cut at time 0.3, some made extinct and some put at
         # the target; a clock-free call ignores their times
-        cut = lockstep.sir_ensemble(instr, 60, SeedSpec(40).generator(), horizon=0.3)
+        cut = lockstep.sir_ensemble(instr, 60, SeedSpec(40).generator(), Duration(0.3))
         s, i, r = (x.copy() for x in (cut.s, cut.i, cut.r))
         assert (cut.n_inf + cut.n_rem > 0).any()
         i[:3], r[3:5] = 0, 16
         s[:5] = instr.s0 + instr.i0 - i[:5] - r[:5]
         init = lockstep.Row(s, i, r, cut.t, max_i=i, window_rem=0)
     batch = _chain_batch(base, instr, 41, init)
-    assert np.isnan(batch.t).all() and np.isnan(batch.log.t).all()
+    assert np.isnan(batch.t).all() and batch.log.t is None
     log = batch.log
     starts = init or [np.full(60, x) for x in (instr.s0, instr.i0, 0)]
     log_ratio = _sir_log_ratio(batch, base, instr)
@@ -258,12 +261,12 @@ def test_chain_weighted_sums_have_the_base_laws_means(law):
         # a total rate per infective far enough from the base law's
         instr = dataclasses.replace(instr, lam=2.4, gamma=1.0)
     spec, n = FinalSize(n_c=16), 40_000
-    chains = lockstep.sir_ensemble(
-        instr, n, SeedSpec(47).generator(), base=base, **_stop_config(spec, base)
-    )
+    chains = lockstep.sir_ensemble(instr, n, SeedSpec(47).generator(), spec, base=base)
     weights = np.exp(_sir_log_ratio(chains, base, instr)) * (chains.r >= spec.n_c)
-    clocked = lockstep.sir_ensemble(
-        base, n, SeedSpec(48).generator(), **dict(_stop_config(spec, base), clock_free=False)
+    # the engine decides a final size clock-free; its jump loop, clocked
+    rates = lockstep._sir_rates(base)
+    clocked = lockstep._jump_loop(
+        rates, base, n, SeedSpec(48).generator(), base=rates, **lockstep._stop(spec)
     )
     hits = clocked.r >= spec.n_c
     assert 0.05 < hits.mean() < 0.95

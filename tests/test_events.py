@@ -19,9 +19,10 @@ from epirare import (
     SeedSpec,
     SimulationError,
     SirParams,
+    lockstep,
     quantile_levels,
 )
-from epirare.estimators import _PROGRESS, _batch_indicators, _ensemble_fn, _stop_config
+from epirare.estimators import _PROGRESS, _batch_indicators, _ensemble_fn
 from reference import (
     NEVER, CompartmentState, EpidemicPath, JumpEvent, StopRule, epidemic_path, hitting_time,
     indicator, progress_hitting_time, score, sir_simulate,
@@ -298,8 +299,13 @@ def test_engine_columns_decide_events_as_the_reference(model_name, spec, n, seed
     # the engine's indicator and progress column against the per-path rules;
     # SIR final sizes run clocked here, since a clock-free path has no times
     model = ENGINE_MODELS[model_name]
-    stop = dict(_stop_config(spec, model), clock_free=False)
-    ens = _ensemble_fn(model)(model, n, SeedSpec(seed).generator(), record=True, **stop)
+    rng = SeedSpec(seed).generator()
+    if isinstance(model, SirParams) and isinstance(spec, FinalSize):
+        ens = lockstep._jump_loop(
+            lockstep._sir_rates(model), model, n, rng, record=True, **lockstep._stop(spec)
+        )
+    else:
+        ens = _ensemble_fn(model)(model, n, rng, spec, record=True)
     hits = _batch_indicators(ens, spec)
     if isinstance(spec, Duration):
         progress = ens.extinction_times()

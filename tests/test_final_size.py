@@ -155,6 +155,14 @@ def test_threshold_for_tail_picks_closest():
     assert n_c == 10  # whole population; exact tail 2.0195e-2
 
 
+def test_threshold_for_tail_rejects_a_target_that_is_no_probability():
+    dist = exact_final_size(SirParams(lam=1, gamma=1, s0=40, i0=1, n=41))
+    for target in (math.nan, 5.0, -1.0):
+        with pytest.raises(ValueError, match="target"):
+            threshold_for_tail(dist, 1, target)
+    assert threshold_for_tail(dist, 1, tail_pf(dist, 1, 20)) == 20
+
+
 def test_exact_handles_integer_rate_ratios():
     # gamma == pairwise rate: phi = 1/2 exactly at l = 0
     params = _toy(s0=1, lam=1.0, gamma=1.0)

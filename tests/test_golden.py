@@ -35,7 +35,6 @@ from epirare import (
     temporal_split_estimate,
 )
 from epirare import lockstep
-from epirare.estimators import _stop_config
 from epirare.harness import parse_config_text, sweep, write_sweep_csv
 from reference import NEVER
 
@@ -331,10 +330,10 @@ def _engine_init(model_name: str, spec) -> lockstep.Row:
     extinct ones, and ones already at the horizon or the target."""
     model = SIR if model_name == "sir" else HIV
     engine = getattr(lockstep, f"{model_name}_ensemble")
-    ens = engine(model, 150, SeedSpec(2027).generator(), horizon=0.4)
+    ens = engine(model, 150, SeedSpec(2027).generator(), Duration(0.4))
     s, i, r, t = (x.copy() for x in (ens.s, ens.i, ens.r, ens.t))
     total = s + i + r
-    stop = _stop_config(spec, model)
+    stop = lockstep._stop(spec)
     if "horizon" in stop:
         t[:3] = stop["horizon"]
     if stop.get("target_axis") is Axis.REMOVED:
@@ -372,11 +371,18 @@ def _engine_digest(name: str) -> str:
     model = SIR if model_name == "sir" else HIV
     engine = getattr(lockstep, f"{model_name}_ensemble")
     init = _engine_init(model_name, spec) if start == "init" else None
+    rng = SeedSpec(2028).generator()
     if name.endswith("clock_free"):
-        stop = dict(_stop_config(spec, model), base=CHAIN_BASE)
+        ens = engine(model, 200, rng, spec, init=init, base=CHAIN_BASE, record=record)
+    elif (model_name, event_name) == ("sir", "final_size"):
+        # the engine decides an SIR final size clock-free; its jump loop, clocked
+        rates = lockstep._sir_rates(SIR)
+        ens = lockstep._jump_loop(
+            rates, SIR, 200, rng, init=init, record=record, base=rates, **lockstep._stop(spec)
+        )
     else:
-        stop = dict(_stop_config(spec, model), clock_free=False)
-    ens = engine(model, 200, SeedSpec(2028).generator(), record=record, init=init, **stop)
+        base = dict(base=SIR) if model_name == "sir" else {}
+        ens = engine(model, 200, rng, spec, init=init, record=record, **base)
     return _digest(ens)
 
 

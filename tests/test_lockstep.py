@@ -14,6 +14,9 @@ from scipy.stats import chi2_contingency, chisquare, ks_2samp
 
 from epirare import (
     Axis,
+    CumulativeInfections,
+    DiagnosesIncrement,
+    Duration,
     EventKind,
     FinalSize,
     HivParams,
@@ -26,7 +29,7 @@ from epirare import (
     lockstep,
     tail_pf,
 )
-from epirare.estimators import _sir_log_ratio, _stop_config
+from epirare.estimators import _sir_log_ratio
 from reference import CompartmentState, StopRule, epidemic_path, sir_chain_ratio, sir_simulate
 
 SIR = SirParams(lam=0.035, gamma=1.0, s0=30, i0=2, scaling=Scaling.UNSCALED)
@@ -37,10 +40,17 @@ HIV = HivParams(
 MODELS = {"sir": SIR, "hiv": HIV}
 
 
-def _simulate(name, n_paths, seed, init=None, **stop):
+def _simulate(name, n_paths, seed, event=None, init=None):
     engine = getattr(lockstep, f"{name}_ensemble")
     rng = SeedSpec(seed).generator()
-    return engine(MODELS[name], n_paths, rng, record=True, init=init, **stop)
+    return engine(MODELS[name], n_paths, rng, event, init=init, record=True)
+
+
+def _jump_loop(name, n_paths, rng, init=None, **stop):
+    """The clocked loop, recorded, at stop keywords no event sets."""
+    model = MODELS[name]
+    rates = lockstep._sir_rates(model) if name == "sir" else lockstep._hiv_rates(model)
+    return lockstep._jump_loop(rates, model, n_paths, rng, init=init, record=True, **stop)
 
 
 def _fresh_start(name, n):
@@ -57,7 +67,7 @@ def _check(ens, start, horizon=np.inf, clock_free=False):
     log = ens.log
     if clock_free:
         # a clock-free call has no times
-        assert np.isnan(ens.t).all() and np.isnan(log.t).all()
+        assert np.isnan(ens.t).all() and log.t is None
     else:
         assert np.all(ens.t <= horizon)
         assert np.all(ens.t >= t0)
@@ -91,11 +101,7 @@ def test_every_path_finished_at_init(name):
     decayed = np.full(len(t), 0.7) if name == "hiv" else None
     init = lockstep.Row(s0 + i0 + r0 - i - r, i, r, t, i, decayed, window_rem=0)
     rng = SeedSpec(31).generator()
-    engine = getattr(lockstep, f"{name}_ensemble")
-    ens = engine(
-        MODELS[name], None, rng, record=True, init=init,
-        horizon=3.0, target_axis=Axis.REMOVED, target_level=10,
-    )
+    ens = _jump_loop(name, None, rng, init, horizon=3.0, target_axis=Axis.REMOVED, target_level=10)
     _check(ens, init, horizon=3.0)
     np.testing.assert_array_equal(ens.s, init[0])
     np.testing.assert_array_equal(ens.t, t)
@@ -115,7 +121,7 @@ def test_single_path(name):
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_finite_horizon_cuts_paths_mid_flight(name):
     n, horizon = 400, 0.7
-    ens = _simulate(name, n, 32, horizon=horizon)
+    ens = _simulate(name, n, 32, Duration(horizon))
     _check(ens, _fresh_start(name, n), horizon)
     cut = ens.i > 0
     assert cut.any() and (~cut).any()
@@ -126,7 +132,7 @@ def test_finite_horizon_cuts_paths_mid_flight(name):
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_window_without_removals(name):
     n, window = 400, (0.0, 0.1)
-    ens = _simulate(name, n, 33, horizon=window[1], window=window)
+    ens = _simulate(name, n, 33, DiagnosesIncrement(*window, n_r=1))
     _check(ens, _fresh_start(name, n), window[1])
     log = ens.log
     removals = log.count(log.kind != EventKind.INFECTION.value)
@@ -150,7 +156,7 @@ def test_path_that_can_never_end_fails_without_a_horizon(monkeypatch):
     with pytest.raises(SimulationError, match="can never end"):
         lockstep.hiv_ensemble(model, 3, SeedSpec(49).generator(), record=True)
     # with a horizon every path waits out to it
-    ens = lockstep.hiv_ensemble(model, 3, SeedSpec(49).generator(), record=True, horizon=5.0)
+    ens = lockstep.hiv_ensemble(model, 3, SeedSpec(49).generator(), Duration(5.0), record=True)
     np.testing.assert_array_equal(ens.t, 5.0)
     np.testing.assert_array_equal(ens.i, 6)
     np.testing.assert_array_equal(ens.n_rem, 0)
@@ -162,16 +168,14 @@ def test_start_rows_carry_max_i_and_window_removals(name):
     # already counted removals: both columns go on from the row's values,
     # in every recorded row and in the end states
     n, window = 200, (0.2, 1.5)
-    cut = _simulate(name, n, 50, horizon=0.6, window=window)
+    cut = _jump_loop(name, n, SeedSpec(50).generator(), horizon=0.6, window=window)
     start = lockstep.Row(
         cut.s, cut.i, cut.r, cut.t, cut.max_i + 3, cut.decayed, cut.window_rem + 2
     )
     assert np.all(start.max_i > start.i) and np.all(start.window_rem > 0)
     engine = getattr(lockstep, f"{name}_ensemble")
-    ens = engine(
-        MODELS[name], None, SeedSpec(51).generator(), record=True, init=start,
-        horizon=window[1], window=window,
-    )
+    event = DiagnosesIncrement(window[0], window[1] - window[0], n_r=1)
+    ens = engine(MODELS[name], None, SeedSpec(51).generator(), event, init=start, record=True)
     _check(ens, start, window[1])
     log = ens.log
     inside = (log.kind != EventKind.INFECTION.value) & (log.t > window[0]) & (log.t <= window[1])
@@ -190,7 +194,7 @@ def test_start_rows_carry_max_i_and_window_removals(name):
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_epidemic_path_replays_the_log(name):
     n, horizon = 40, 1.5
-    ens = _simulate(name, n, 35, horizon=horizon)
+    ens = _simulate(name, n, 35, Duration(horizon))
     assert np.any(ens.i == 0) and np.any(ens.i > 0)
     log = ens.log
     for k in range(n):
@@ -209,7 +213,7 @@ def test_epidemic_path_replays_the_log(name):
 def test_recorded_rows_grouped_for_some_paths(name):
     # a path's rows, grouped on their own, are its rows in the whole log
     n, horizon = 60, 1.5
-    ens = _simulate(name, n, 36, horizon=horizon, window=(0.5, 1.5))
+    ens = _simulate(name, n, 36, DiagnosesIncrement(0.5, horizon - 0.5, n_r=1))
     paths = np.array([41, -1, 7, 0, 59, -1, 12])
     some, whole = ens.recorded.log(paths), ens.log
     assert np.array_equal(some.path, np.repeat(np.arange(len(paths)), np.diff(some.offsets)))
@@ -230,7 +234,7 @@ def test_recorded_rows_grouped_for_some_paths(name):
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_take_rows_of_paths(name):
-    ens = _simulate(name, 12, 37, horizon=1.5)
+    ens = _simulate(name, 12, 37, Duration(1.5))
     log = ens.log
     paths = np.array([3, 3, 0, 11, 5])
     start = np.array([0, 1, 0, 2, 0])
@@ -254,21 +258,29 @@ def test_take_rows_of_paths(name):
         assert np.array_equal(taken.t_stop, log.t_stop[paths])
 
 
-def test_rate_integrals_off_changes_only_the_integrals():
-    # callers that do not weight paths skip the two sums; no draw moves
-    summed = _simulate("sir", 80, 38, horizon=1.5)
-    bare = lockstep.sir_ensemble(
-        SIR, 80, SeedSpec(38).generator(), record=True, horizon=1.5, rate_integrals=False
-    )
-    assert summed.int_pair.any() and summed.int_i.any()
-    assert not bare.int_pair.any() and not bare.int_i.any()
-    for field in dataclasses.fields(summed):
-        if field.name not in ("int_pair", "int_i"):
-            a, b = getattr(summed, field.name), getattr(bare, field.name)
-            assert (a is None and b is None) or np.array_equal(a, b)
-    for field in dataclasses.fields(summed.log):
-        a, b = getattr(summed.log, field.name), getattr(bare.log, field.name)
-        assert (a is None and b is None) or np.array_equal(a, b)
+def test_base_changes_only_the_tallies():
+    # a call given a base law sums what the likelihood ratio against it
+    # needs, on either loop; no draw moves
+    base = dataclasses.replace(SIR, lam=0.06, gamma=0.8)
+    for event in (Duration(1.5), FinalSize(16)):
+        bare = lockstep.sir_ensemble(SIR, 80, SeedSpec(38).generator(), event, record=True)
+        weighted = lockstep.sir_ensemble(
+            SIR, 80, SeedSpec(38).generator(), event, base=base, record=True
+        )
+        assert weighted.int_pair.any() and weighted.int_i.any()
+        assert not bare.int_pair.any() and not bare.int_i.any()
+        assert bare.log_rate_ratio is None
+        if isinstance(event, FinalSize):
+            assert weighted.log_rate_ratio.any()
+        else:
+            assert weighted.log_rate_ratio is None
+        for field in dataclasses.fields(bare):
+            if field.name not in ("int_pair", "int_i"):
+                a, b = getattr(bare, field.name), getattr(weighted, field.name)
+                assert (a is None and b is None) or np.array_equal(a, b, equal_nan=True)
+        for field in dataclasses.fields(bare.log):
+            a, b = getattr(bare.log, field.name), getattr(weighted.log, field.name)
+            assert (a is None and b is None) or np.array_equal(a, b, equal_nan=True)
 
 
 # clock-free calls: the embedded jump chain alone
@@ -290,10 +302,7 @@ def test_clock_free_final_sizes_follow_the_exact_law(name):
     model = CHAIN_MODELS[name]
     spec = FinalSize(n_c=model.s0 + model.i0 + 1)
     n = 20_000
-    ens = lockstep.sir_ensemble(
-        model, n, SeedSpec(37).generator(), rate_integrals=False,
-        **_stop_config(spec, model),
-    )
+    ens = lockstep.sir_ensemble(model, n, SeedSpec(37).generator(), spec)
     assert np.all(ens.i == 0) and np.isnan(ens.t).all()
     expected = exact_final_size(model) * n
     observed = np.bincount(ens.n_inf, minlength=len(expected)).astype(float)
@@ -313,8 +322,7 @@ def test_fractional_removal_target_stops_at_its_ceiling():
     assert values[0] == values[1] > 0
     at = {
         level: lockstep.sir_ensemble(
-            model, n, SeedSpec(3).generator(), record=True, clock_free=True,
-            target_axis=Axis.REMOVED, target_level=level,
+            model, n, SeedSpec(3).generator(), FinalSize(level), record=True
         )
         for level in (5.5, 6)
     }
@@ -347,9 +355,8 @@ def test_chain_loop_matches_the_per_event_chain():
     target, per_start = 24, 600
     init = tuple(np.repeat(column, per_start) for column in zip(*starts))
     ens = lockstep.sir_ensemble(
-        instr, None, SeedSpec(43).generator(),
-        init=lockstep.Row(*init, t=np.zeros(len(init[0])), max_i=init[1], window_rem=0),
-        base=base, clock_free=True, target_axis=Axis.REMOVED, target_level=target,
+        instr, None, SeedSpec(43).generator(), FinalSize(target),
+        init=lockstep.Row(*init, t=None, max_i=init[1]), base=base,
     )
     engine = np.column_stack([
         ens.s, ens.i, ens.r, _sir_log_ratio(ens, base, instr), ens.int_pair, ens.int_i,
@@ -407,8 +414,7 @@ def test_clock_free_degenerate_rates():
     for name, (model, rng, final_size) in cases.items():
         with np.errstate(invalid="raise", divide="raise"):
             ens = lockstep.sir_ensemble(
-                model, 200, rng, base=base, record=True, clock_free=True,
-                target_axis=Axis.REMOVED, target_level=s0 + i0 + 1,
+                model, 200, rng, FinalSize(s0 + i0 + 1), base=base, record=True
             )
         assert np.all(ens.i == 0) and np.all(ens.n_inf == final_size), name
         np.testing.assert_array_equal(ens.r, final_size + i0)
@@ -428,12 +434,9 @@ def test_clock_free_draws_one_exponential_block_per_iteration():
     coef, target = model.lam / model.population, 30
     s0 = np.array([0, 1, 2, 3, 5, 8, 13, 17, 20, 24, 28, 31])
     n = len(s0)
-    init = lockstep.Row(s0, np.full(n, 2), np.arange(n), np.zeros(n), np.full(n, 2), window_rem=0)
+    init = lockstep.Row(s0, np.full(n, 2), np.arange(n), None, np.full(n, 2))
     engine_rng = SeedSpec(39).generator()
-    ens = lockstep.sir_ensemble(
-        model, None, engine_rng, init=init, record=True, clock_free=True,
-        target_axis=Axis.REMOVED, target_level=target,
-    )
+    ens = lockstep.sir_ensemble(model, None, engine_rng, FinalSize(target), init=init, record=True)
     rng = SeedSpec(39).generator()
     s, i, r = ([int(x) for x in column] for column in init[:3])
     kinds = [[] for _ in range(n)]
@@ -469,10 +472,7 @@ def test_clock_free_draws_one_exponential_block_per_iteration():
 
 @pytest.mark.parametrize("record", [False, True])
 def test_clock_free_call_has_no_times(record):
-    ens = lockstep.sir_ensemble(
-        SIR, 50, SeedSpec(40).generator(), record=record, clock_free=True,
-        target_axis=Axis.REMOVED, target_level=16,
-    )
+    ens = lockstep.sir_ensemble(SIR, 50, SeedSpec(40).generator(), FinalSize(16), record=record)
     assert np.all((ens.i == 0) | (ens.r >= 16))
     assert len(ens.t) == 50 and np.isnan(ens.t).all()
     assert ens.log_rate_ratio is None
@@ -480,18 +480,10 @@ def test_clock_free_call_has_no_times(record):
         ens.extinction_times()
     if record:
         _check(ens, _fresh_start("sir", 50), clock_free=True)
-        # a path needs times: one built from a clock-free log fails
-        k = int(np.argmax(ens.n_inf + ens.n_rem))
-        with pytest.raises(ValueError, match="non-negative"):
-            epidemic_path(ens.log, k, SIR)
 
 
-def test_clock_free_rejects_what_needs_a_clock():
+def test_engines_reject_an_event_they_cannot_decide():
     rng = SeedSpec(41).generator()
-    for stop in (dict(horizon=1.0), dict(horizon=2.0, window=(0.5, 2.0))):
-        with pytest.raises(ValueError, match="clock-free"):
-            lockstep.sir_ensemble(SIR, 5, rng, clock_free=True, **stop)
-    with pytest.raises(ValueError, match="clock-free"):
-        lockstep.hiv_ensemble(HIV, 5, rng, clock_free=True)
-    with pytest.raises(ValueError, match="clock-free"):
-        lockstep.sir_ensemble(SIR, 5, rng, base=SIR)
+    for engine, model in ((lockstep.sir_ensemble, SIR), (lockstep.hiv_ensemble, HIV)):
+        with pytest.raises(TypeError, match="no jump-process stop rule"):
+            engine(model, 5, rng, CumulativeInfections(t=3, n_c=2))

@@ -6,6 +6,7 @@ from scipy.stats import ks_2samp
 
 import reference
 from epirare import (
+    Duration,
     HivParams,
     ReedFrostParams,
     Scaling,
@@ -286,7 +287,7 @@ def _reference_extinctions(params, seed, n, horizon=math.inf):
 
 
 def _engine_extinctions(params, seed, n, horizon=math.inf):
-    ens = _ensemble_fn(params)(params, n, SeedSpec(seed).generator(), horizon=horizon)
+    ens = _ensemble_fn(params)(params, n, SeedSpec(seed).generator(), Duration(horizon))
     return ens.extinction_times()
 
 
@@ -333,11 +334,11 @@ ABAKALIKI = SirParams(lam=0.0008254, gamma=0.087613, s0=119, i0=1, scaling=Scali
 def test_sir_engine_matches_reference_event_for_event(params, horizon):
     # Both draw a waiting time and then a kind per event from one stream, so
     # one-path engine runs replay the reference up to the rounding of log1p.
-    stop = {} if horizon is None else {"horizon": horizon}
+    event = None if horizon is None else Duration(horizon)
     rule = StopRule.extinction() if horizon is None else StopRule.at_time(horizon)
     for seed in range(50):
         ref = sir_simulate(params, rule, SeedSpec(seed).generator())
-        log = lockstep.sir_ensemble(params, 1, SeedSpec(seed).generator(), record=True, **stop).log
+        log = lockstep.sir_ensemble(params, 1, SeedSpec(seed).generator(), event, record=True).log
         path = epidemic_path(log, 0, params)
         assert path.initial == ref.initial
         assert [(e.kind, e.state_after) for e in path.events] == [

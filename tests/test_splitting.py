@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -374,6 +375,24 @@ def test_ibps_rejects_non_finite_alpha(alpha):
             schedule=LevelSchedule(tuple(range(10, 100, 10)), Axis.CUMULATIVE_INFECTIONS),
             weight_rule="potential_v", alpha=alpha, seed=SeedSpec(0),
         )
+
+
+@pytest.mark.parametrize("alpha", [10.0, 30.0, -800.0])
+def test_potential_weights_at_large_alpha(alpha):
+    # weights held as logs: alpha = 10 used to overflow math.exp, alpha = 30
+    # np.exp (then "Probabilities contain NaN"), and alpha = -800 underflowed
+    # the weights of all 23 survivors of generation 1 to 0, an extinct run
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est, _ = ibps_estimate(
+            ReedFrostParams(q=0.9805, s0=99, i0=1), CumulativeInfections(10, 90),
+            n_particles=200,
+            schedule=LevelSchedule((5, 10, 20, 30, 40, 50, 60, 70, 90),
+                                   Axis.CUMULATIVE_INFECTIONS),
+            weight_rule="potential_v", alpha=alpha, seed=SeedSpec(1),
+        )
+    assert math.isfinite(est.value)
+    assert est.per_level[0] == 23 / 200 and len(est.per_level) > 1
 
 
 def test_ibps_argument_validation():
