@@ -526,9 +526,9 @@ ENGINE_DIGESTS = {'hiv-diagnoses-bare-fresh': 'ea4b0da4cc8b51ccacf1746a9505955e4
  'sir-final_size-bare-init': '1ebd4181753c28cdfec843b2ccd0c8cc6e97a6065ad13585fdef4035d0ec7c2c',
  'sir-final_size-bare-init-clock_free': '7bac62cf84618063d0b90cb8e9abccfe6ce4b23b2797a71fffbfd74685f097b6',
  'sir-final_size-record-fresh': '5a8d0fd6e0806c9b8dc896ad8253a8f33f00e9f3e6d274ad12d11b6f9eb1b082',
- 'sir-final_size-record-fresh-clock_free': '2293351ad214060483775515e1b84bb3845abb8c7d75e174c5758fc79149cf50',
+ 'sir-final_size-record-fresh-clock_free': 'a6f060a8eac6d83570dcf2ba382d31ee7864ac1f1fb4418a7a9a9e6de29e4195',
  'sir-final_size-record-init': '5ae5bbfff88c0d4fa9ceb3497ab745ae84ece28458b738fd2e96396730dd38f3',
- 'sir-final_size-record-init-clock_free': 'ab0a65fef60863029d9f70f352cfac343fe49c77b553d49b8696779f151a3750',
+ 'sir-final_size-record-init-clock_free': '42d8ae72142ca5144701f0d196e21b11e756bc88a31f838cb9916394acdc1177',
  'sir-incidence-bare-fresh': '57b476331c9c9ee848e76c131a9e6c0bf56305d72763f1c959cf5c39756e1ef2',
  'sir-incidence-bare-init': '643a7a7924f18d4540109e54b4cfc1d53757e3ef68604c8b582753cc0cf08aef',
  'sir-incidence-record-fresh': '26479c79089099245df88803ce9e3e79d607f5620342cdb022649a72bc369ef4',
