@@ -5,7 +5,6 @@ against an exact final-size distribution.
 """
 
 from .core import (
-    Axis,
     EventKind,
     HivParams,
     ModelParams,
@@ -29,7 +28,6 @@ from .events import (
     EventSpec,
     FinalSize,
     Incidence,
-    LevelSchedule,
     quantile_levels,
 )
 from .final_size import (
@@ -42,7 +40,6 @@ from .splitting import ParticleEnsemble, ibps_estimate, temporal_split_estimate
 __version__ = "0.1.0"
 
 __all__ = [
-    "Axis",
     "CumulativeInfections",
     "DiagnosesIncrement",
     "Diagnostics",
@@ -53,7 +50,6 @@ __all__ = [
     "FinalSize",
     "HivParams",
     "Incidence",
-    "LevelSchedule",
     "ModelParams",
     "ParticleEnsemble",
     "ReedFrostParams",

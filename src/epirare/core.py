@@ -1,5 +1,5 @@
-"""Shared domain types for jump-process epidemics: event kinds, progress
-axes, model parameters and seeding.
+"""Shared domain types for jump-process epidemics: event kinds, model
+parameters and seeding.
 
 The package keeps paths only as the engine's event-log columns
 (``lockstep.EventLog``): a row per event, with its time, its kind and the
@@ -16,7 +16,6 @@ from typing import Union
 import numpy as np
 
 __all__ = [
-    "Axis",
     "EventKind",
     "HivParams",
     "ModelParams",
@@ -38,15 +37,6 @@ class EventKind(enum.IntEnum):
     INFECTION = 1
     REMOVAL = 2
     DETECTION = 3
-
-
-class Axis(enum.Enum):
-    """Quantity along which progress toward a rare event is measured."""
-
-    INFECTED = "infected"
-    REMOVED = "removed"
-    CUMULATIVE_INFECTIONS = "cumulative_infections"
-    TIME = "time"
 
 
 class Scaling(enum.Enum):

@@ -24,11 +24,8 @@ from .core import (
 )
 from .events import (
     CumulativeInfections,
-    DiagnosesIncrement,
     Duration,
     EventSpec,
-    FinalSize,
-    Incidence,
     event_threshold,
 )
 
@@ -80,15 +77,10 @@ class Estimate:
             raise ValueError("per-level survival fractions must lie in [0, 1]")
 
 
-# the column that measures a path's progress towards each event, named alike
-# in ``lockstep.JumpEnsemble`` and ``lockstep.EventLog``
-_PROGRESS = {FinalSize: "r", Incidence: "max_i", DiagnosesIncrement: "window_rem"}
-
-
 def _batch_indicators(batch: lockstep.JumpEnsemble, spec: EventSpec) -> np.ndarray:
     if isinstance(spec, Duration):
         return batch.i > 0
-    return getattr(batch, _PROGRESS[type(spec)]) >= event_threshold(spec)
+    return getattr(batch, spec.progress) >= event_threshold(spec)
 
 
 def _ensemble_fn(model: ModelParams):

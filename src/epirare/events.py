@@ -1,11 +1,13 @@
 """Declarative rare-event specifications and adaptive splitting levels.
 
-An event pairs a target set with a horizon rule.  The estimators decide it
-on the engine's columns, where a path's progress towards it is one column
-(``estimators._PROGRESS``), and ``quantile_levels`` turns ensemble scores
-into adaptive splitting levels.  What follows a level that does not pass
-the previous one, the stall rule of adaptive splitting, is decided in
-``ibps_estimate`` alone.
+An event pairs a target set with a horizon rule.  A jump-process threshold
+event names, as its ``progress``, the engine column (``lockstep.EventLog``)
+that measures a path's progress towards it: the event is that column
+reaching the threshold, and its splitting levels are values of it.  The
+engine stops on it, and the estimators decide the event and cut levels on
+it.  ``quantile_levels`` turns ensemble scores into adaptive splitting
+levels.  What follows a level that does not pass the previous one, the
+stall rule of adaptive splitting, is decided in ``ibps_estimate`` alone.
 Every parameter check is written as ``not value > bound`` so that a NaN
 horizon or threshold fails it instead of slipping through.
 """
@@ -14,11 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import ClassVar, Sequence, Union
 
 import numpy as np
-
-from .core import Axis
 
 __all__ = [
     "CumulativeInfections",
@@ -27,8 +27,6 @@ __all__ = [
     "EventSpec",
     "FinalSize",
     "Incidence",
-    "LevelSchedule",
-    "event_axis",
     "event_threshold",
     "quantile_levels",
 ]
@@ -47,8 +45,9 @@ class Duration:
 
 @dataclass(frozen=True)
 class FinalSize:
-    """Event {total ever infected >= n_c} by extinction."""
+    """Event {total ever infected >= n_c} by extinction: R reaches n_c."""
 
+    progress: ClassVar[str] = "r"
     n_c: int
 
     def __post_init__(self) -> None:
@@ -58,8 +57,10 @@ class FinalSize:
 
 @dataclass(frozen=True)
 class Incidence:
-    """Event {infective count reaches n_i at some time in [0, T]}."""
+    """Event {infective count reaches n_i at some time in [0, T]}: the
+    running maximum of I reaches n_i."""
 
+    progress: ClassVar[str] = "max_i"
     T: float
     n_i: int
 
@@ -72,8 +73,10 @@ class Incidence:
 
 @dataclass(frozen=True)
 class DiagnosesIncrement:
-    """Event {R(t + u) - R(t) >= n_r}: a surge of diagnoses inside a window."""
+    """Event {R(t + u) - R(t) >= n_r}: a surge of diagnoses inside a window.
+    Its progress counts the removals inside the window, not R."""
 
+    progress: ClassVar[str] = "window_rem"
     t: float
     u: float
     n_r: int
@@ -104,21 +107,6 @@ class CumulativeInfections:
 EventSpec = Union[Duration, FinalSize, Incidence, DiagnosesIncrement, CumulativeInfections]
 
 
-def event_axis(spec: EventSpec) -> Axis:
-    """The axis a level schedule for ``spec`` is declared on.
-
-    A ``DiagnosesIncrement`` sits on ``Axis.REMOVED``, but its levels count
-    the removals inside its window (the ``window_rem`` column), not R: a
-    path with removals before the window is that many short of R there."""
-    if isinstance(spec, (FinalSize, DiagnosesIncrement)):
-        return Axis.REMOVED
-    if isinstance(spec, Incidence):
-        return Axis.INFECTED
-    if isinstance(spec, CumulativeInfections):
-        return Axis.CUMULATIVE_INFECTIONS
-    return Axis.TIME
-
-
 def event_threshold(spec: EventSpec) -> float:
     if isinstance(spec, FinalSize):
         return spec.n_c
@@ -129,30 +117,6 @@ def event_threshold(spec: EventSpec) -> float:
     if isinstance(spec, CumulativeInfections):
         return spec.n_c
     return spec.T
-
-
-@dataclass(frozen=True)
-class LevelSchedule:
-    """Strictly increasing thresholds ending at the event's target level,
-    on the event's axis (``event_axis``).  The levels are values of the
-    event's progress column: R for a final size, the running maximum of I
-    for an incidence, and for a diagnoses increment, declared on
-    ``Axis.REMOVED``, the removals inside its window, not R."""
-
-    levels: tuple[float, ...]
-    axis: Axis
-
-    def __post_init__(self) -> None:
-        if not self.levels:
-            raise ValueError("a level schedule needs at least the target level")
-        if not all(b > a for a, b in zip(self.levels, self.levels[1:])):
-            raise ValueError("levels must be strictly increasing")
-
-    def validate_against(self, spec: EventSpec) -> None:
-        if self.axis is not event_axis(spec):
-            raise ValueError(f"schedule axis {self.axis} does not match event {spec}")
-        if self.levels[-1] != event_threshold(spec):
-            raise ValueError("last level must equal the event threshold")
 
 
 def quantile_levels(scores: Sequence[float], keep_fraction: float) -> float:

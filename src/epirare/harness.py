@@ -33,8 +33,6 @@ from .events import (
     EventSpec,
     FinalSize,
     Incidence,
-    LevelSchedule,
-    event_axis,
 )
 from .splitting import ibps_estimate, temporal_split_estimate
 
@@ -97,10 +95,10 @@ class ExperimentConfig:
             raise ValueError("keep_fraction must lie in (0, 1)")
         if self.method == "is" and self.instrumental is None:
             raise ValueError("importance sampling needs instrumental parameters")
-        if self.method == "ibps" and self.keep_fraction is None and self.levels is None:
-            raise ValueError("ibps needs keep_fraction or levels")
-        if self.method == "temporal" and self.time_grid is None and self.keep_count is None:
-            raise ValueError("temporal needs time_grid or keep_count")
+        if self.method == "ibps" and (self.keep_fraction is None) == (self.levels is None):
+            raise ValueError("ibps needs exactly one of keep_fraction or levels")
+        if self.method == "temporal" and (self.time_grid is None) == (self.keep_count is None):
+            raise ValueError("temporal needs exactly one of time_grid or keep_count")
 
     @property
     def method_label(self) -> str:
@@ -150,14 +148,11 @@ def _replicate(config: ExperimentConfig, rep: int) -> tuple[float, Diagnostics]:
         elif config.method == "ce":
             est, _ = ce_estimate(model, event, config.particles, config.iterations, seed)
         elif config.method == "ibps":
-            schedule = None
-            if config.levels is not None:
-                schedule = LevelSchedule(config.levels, event_axis(event))
             est, _ = ibps_estimate(
                 model,
                 event,
                 n_particles=config.particles,
-                schedule=schedule,
+                schedule=config.levels,
                 keep_fraction=config.keep_fraction,
                 variant=config.variant,
                 weight_rule=config.weight_rule,

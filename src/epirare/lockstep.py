@@ -41,9 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (
-    Axis, EventKind, HivParams, ReedFrostParams, Scaling, SimulationError, SirParams,
-)
+from .core import EventKind, HivParams, ReedFrostParams, Scaling, SimulationError, SirParams
 from .events import DiagnosesIncrement, Duration, EventSpec, FinalSize, Incidence
 
 __all__ = [
@@ -411,16 +409,18 @@ def _jump_loop(
     *,
     init: Row | None = None,
     horizon: float = np.inf,
-    target_axis: Axis | None = None,
+    target: str | None = None,
     target_level: float | None = None,
     window: tuple[float, float] | None = None,
     record: bool = False,
     base: _Rates | None = None,
 ) -> JumpEnsemble:
-    """Advance paths from the rows ``init``, every column (max_i and the
-    window's removals go on from there), or ``n_paths`` fresh ones, until
-    each is extinct, at the horizon or at the target.  Given a ``base``
-    law, the loop sums each path's two rate integrals (without thinning).
+    """Advance paths from the rows ``init``, which need times, every column
+    (max_i and the window's removals go on from there), or ``n_paths`` fresh
+    ones, until each is extinct, at the horizon or at the target: its
+    ``target`` column (an event's ``progress``) at ``target_level``.  Given
+    a ``base`` law, the loop sums each path's two rate integrals (without
+    thinning).
 
     ``block`` holds the live paths' state, a row per quantity and a column
     per path (counts are exact in float64); finished columns go to
@@ -433,10 +433,11 @@ def _jump_loop(
     The loop runs once per event of the slowest path, mostly on a handful
     of live paths, so it keeps numpy's fixed cost per call down: constants
     are 0-d arrays, and it calls no ufunc with keywords."""
+    if init is not None and init.t is None:
+        raise ValueError("a clocked call starts from rows with times")
     thinning = rates.decay is not None
     start = initial_row(model) if init is None else init
     sums = base is not None and not thinning
-    target = {Axis.INFECTED: 1, Axis.REMOVED: 2}.get(target_axis)
     horizon = np.array(horizon)
     if target is not None:
         target_level = np.array(target_level)
@@ -450,6 +451,7 @@ def _jump_loop(
     logged = ("s", "i", "r", "t", "max_i", "path") + ("decayed",) * thinning + (
         "window_rem",) * (window is not None)
     names = logged + ("int_pair", "int_i") * sums
+    stop_row = None if target is None else names.index(target)
     out = _block(start, names, n_paths)
     log = _Log(logged) if record else None
     finished = [out[:, :0]]
@@ -459,8 +461,8 @@ def _jump_loop(
     for _ in range(_ITERATION_CAP + 1):
         alive = i > 0
         alive &= t < horizon
-        if target is not None:
-            alive &= block[target] < target_level
+        if stop_row is not None:
+            alive &= block[stop_row] < target_level
         (keep,) = alive.nonzero()
         if keep.size < block.shape[1]:
             finished.append(block.take((~alive).nonzero()[0], axis=1))
@@ -691,13 +693,15 @@ def _hiv_rates(params: HivParams) -> _Rates:
 
 def _stop(event: EventSpec | None) -> dict:
     """The jump loop's stop keywords under which ``event`` is decided: none
-    without an event, so every path runs to extinction."""
+    without an event, so every path runs to extinction.  A final size and
+    an incidence stop on their ``progress`` column; a diagnoses increment
+    runs to the end of its window."""
     if event is None:
         return {}
     if isinstance(event, FinalSize):
-        return dict(target_axis=Axis.REMOVED, target_level=event.n_c)
+        return dict(target=event.progress, target_level=event.n_c)
     if isinstance(event, Incidence):
-        return dict(horizon=event.T, target_axis=Axis.INFECTED, target_level=event.n_i)
+        return dict(horizon=event.T, target=event.progress, target_level=event.n_i)
     if isinstance(event, Duration):
         return dict(horizon=event.T)
     if isinstance(event, DiagnosesIncrement):

@@ -1,4 +1,4 @@
-"""Interacting-branching-particle splitting along state axes and the time axis.
+"""Interacting-branching-particle splitting on an event's progress and on time.
 
 A particle ensemble is pushed through nested intermediate events.  At each
 stage, particles that reached the stage's level survive; the rest are
@@ -13,10 +13,10 @@ which reduces exactly to the survival-fraction product for 0/1 weights.
 
 Level splitting (``ibps_estimate``) and temporal splitting
 (``temporal_split_estimate``) of continuous-time events share one stage loop
-and differ only in the axis the levels sit on.  A slot's score is its
-progress towards the event on a state axis and its extinction time (inf
-while alive) on the time axis; it survives a level it reaches, or on the
-time axis a level it outlives.
+and differ only in what the levels measure.  A slot's score is its
+progress towards the event, the event's ``progress`` column, or on the time
+axis its extinction time (inf while alive); it survives a level it reaches,
+or on the time axis a level it outlives.
 
 A stage with no survivors ends the run as an extinct ensemble: it estimates
 0, is counted in ``extinct_ensembles`` and is restarted while
@@ -79,7 +79,6 @@ from .core import (
     SirParams,
 )
 from .estimators import (
-    _PROGRESS,
     Diagnostics,
     Estimate,
     _ensemble_fn,
@@ -89,7 +88,6 @@ from .events import (
     CumulativeInfections,
     Duration,
     EventSpec,
-    LevelSchedule,
     event_threshold,
     quantile_levels,
 )
@@ -182,9 +180,8 @@ def _level_cut(
     the rows below the level are the leading ones.
     """
     lvl = math.ceil(level)
-    column = _PROGRESS[type(spec)]
-    start = getattr(lockstep.initial_row(model), column)
-    return log.count(getattr(log, column) < lvl) + (start < lvl)
+    start = getattr(lockstep.initial_row(model), spec.progress)
+    return log.count(getattr(log, spec.progress) < lvl) + (start < lvl)
 
 
 def _branch(
@@ -315,7 +312,7 @@ def _stage_loop(
         if on_time:
             scores = np.where(slots.end["i"] == 0, slots.end["t"], math.inf)
         else:
-            scores = slots.end[_PROGRESS[type(spec)]].astype(float)
+            scores = slots.end[spec.progress].astype(float)
         level, final_stage = next_level(scores, levels)
         levels.append(level)
         surv = scores > level if on_time else scores >= level
@@ -452,7 +449,7 @@ def ibps_estimate(
     spec: EventSpec,
     *,
     n_particles: int,
-    schedule: LevelSchedule | None = None,
+    schedule: tuple[float, ...] | None = None,
     keep_fraction: float | None = None,
     variant: str = "multinomial",
     weight_rule: str = "indicator",
@@ -463,7 +460,10 @@ def ibps_estimate(
 ) -> tuple[Estimate, ParticleEnsemble]:
     """Interacting-branching-particle splitting estimate of a rare event.
 
-    Levels come either from a fixed schedule ending at the event threshold or
+    Levels are values of the event's progress column (``spec.progress``; the
+    cumulative infections on a Reed-Frost event).  They come either from a
+    fixed ``schedule``, a strictly increasing tuple ending at the event
+    threshold (on Reed-Frost, one level per selection generation), or
     adaptively as the keep_fraction quantile of ensemble scores.  A run whose
     ensemble dies records the estimate 0 (keeping across-replication averages
     unbiased) unless ``restart_on_extinction`` grants fresh attempts.
@@ -491,21 +491,25 @@ def ibps_estimate(
     if isinstance(spec, Duration):
         raise ValueError("duration events split along the time axis; use temporal_split_estimate")
     discrete = isinstance(spec, CumulativeInfections)
+    threshold = float(event_threshold(spec))
     if schedule is not None:
-        schedule.validate_against(spec)
-        if discrete and len(schedule.levels) != spec.t - 1:
+        if len(schedule) == 0:
+            raise ValueError("a level schedule needs at least the target level")
+        if not all(b > a for a, b in zip(schedule, schedule[1:])):
+            raise ValueError("levels must be strictly increasing")
+        if schedule[-1] != threshold:
+            raise ValueError("last level must equal the event threshold")
+        if discrete and len(schedule) != spec.t - 1:
             raise ValueError(
                 "discrete schedules need exactly one level per selection generation"
             )
     if weight_rule != "indicator" and not discrete:
         raise ValueError("potential weight rules apply to discrete-generation events only")
     _validate_event_model(model, spec)
-    levels_fixed = schedule.levels if schedule is not None else None
-    threshold = float(event_threshold(spec))
 
     def next_level(scores: np.ndarray, levels: list[float]) -> tuple[float, bool]:
-        if levels_fixed is not None:
-            level = float(levels_fixed[len(levels)])
+        if schedule is not None:
+            level = float(schedule[len(levels)])
             return level, level >= threshold
         level = float(quantile_levels(scores, keep_fraction))
         if levels and level <= levels[-1]:

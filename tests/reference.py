@@ -14,11 +14,12 @@ independent reference for the package's embedded-chain oracle
 (``epirare.exact_final_size``).
 
 The package keeps paths only as event-log columns (``lockstep.EventLog``)
-and decides events on them (``_PROGRESS``, ``_batch_indicators``,
-``_level_cut``).  The per-path form of a path lives here: ``EpidemicPath``,
-a validated tuple of ``JumpEvent`` values with the ``CompartmentState``
-after each, built from a log by ``epidemic_path`` or from time/kind arrays
-by ``path_from_arrays``, and ``NEVER`` for a time that never comes.  So do
+and decides events on them, on the column each event names as its
+``progress`` (``_batch_indicators``, ``_level_cut``).  The per-path form of
+a path lives here: ``EpidemicPath``, a validated tuple of ``JumpEvent``
+values with the ``CompartmentState`` after each, built from a log by
+``epidemic_path`` or from time/kind arrays by ``path_from_arrays``, and
+``NEVER`` for a time that never comes.  So do
 the per-path forms of the event rules, on these paths and on Reed-Frost
 chains: the state at a time, the extinction time, a path's score and
 indicator for an event, and the first time progress reaches a level.  The
@@ -41,7 +42,6 @@ import numpy as np
 
 from epirare import lockstep
 from epirare.core import (
-    Axis,
     EventKind,
     HivParams,
     ReedFrostParams,
@@ -56,7 +56,6 @@ from epirare.events import (
     EventSpec,
     FinalSize,
     Incidence,
-    event_axis,
     event_threshold,
 )
 
@@ -236,24 +235,21 @@ class StopRule:
     """When to halt a jump-process simulation.
 
     Extinction always halts (no further events are possible).  A finite
-    ``horizon`` halts at that clock time; a target halts on first passage of
-    the axis quantity at or above ``target_level``.
+    ``horizon`` halts at that clock time; a ``target``, ``"i"`` or ``"r"``,
+    halts on first passage of that count at or above ``target_level``.
     """
 
     horizon: float = math.inf
-    target_axis: Axis | None = None
+    target: str | None = None
     target_level: int | None = None
 
     def __post_init__(self) -> None:
         if self.horizon < 0:
             raise ValueError("horizon must be non-negative")
-        if (self.target_axis is None) != (self.target_level is None):
-            raise ValueError("target axis and level must be given together")
-        if self.target_axis is not None and self.target_axis not in (
-            Axis.INFECTED,
-            Axis.REMOVED,
-        ):
-            raise ValueError("first-passage targets apply to the I or R axis only")
+        if (self.target is None) != (self.target_level is None):
+            raise ValueError("target and level must be given together")
+        if self.target not in (None, "i", "r"):
+            raise ValueError("first-passage targets apply to I or R only")
 
     @staticmethod
     def extinction() -> "StopRule":
@@ -264,14 +260,13 @@ class StopRule:
         return StopRule(horizon=horizon)
 
     @staticmethod
-    def first_passage(axis: Axis, level: int, horizon: float = math.inf) -> "StopRule":
-        return StopRule(horizon=horizon, target_axis=axis, target_level=level)
+    def first_passage(target: str, level: int, horizon: float = math.inf) -> "StopRule":
+        return StopRule(horizon=horizon, target=target, target_level=level)
 
     def reached(self, state: CompartmentState) -> bool:
-        if self.target_axis is None:
+        if self.target is None:
             return False
-        value = state.i if self.target_axis is Axis.INFECTED else state.r
-        return value >= self.target_level
+        return getattr(state, self.target) >= self.target_level
 
 
 def rf_step(
@@ -668,15 +663,18 @@ def indicator(path: EpidemicPath | DiscretePath, spec: EventSpec) -> int:
 
 
 def hitting_time(
-    path: EpidemicPath | DiscretePath, axis: Axis, level: float
+    path: EpidemicPath | DiscretePath, quantity: str, level: float
 ) -> float | Never:
-    """First event time at which the axis quantity reaches the level.
+    """First event time at which ``quantity`` reaches the level: ``"i"``,
+    ``"r"`` or ``"max_i"`` (whose first passage is that of I) on a path,
+    ``"t"`` (the path outlives the time ``level``) or, on a discrete chain,
+    ``"cumulative_infections"``.
 
     Returns 0 when the initial state already satisfies it, NEVER when the
     simulated path never gets there.  For discrete chains the "time" is the
     generation index.
     """
-    if axis is Axis.CUMULATIVE_INFECTIONS:
+    if quantity == "cumulative_infections":
         total = 0
         for gen, (_, i) in enumerate(path):
             total += i
@@ -684,13 +682,13 @@ def hitting_time(
                 return float(gen)
         return NEVER
     assert isinstance(path, EpidemicPath)
-    if axis is Axis.TIME:
+    if quantity == "t":
         ext = extinction_time(path)
         if isinstance(ext, Never) or ext > level:
             return float(level)
         return NEVER
     def value(state) -> int:
-        return state.i if axis is Axis.INFECTED else state.r
+        return getattr(state, "i" if quantity == "max_i" else quantity)
     if value(path.initial) >= level:
         return 0.0
     for ev in path.events:
@@ -705,15 +703,15 @@ def progress_hitting_time(
     """First event time at which the path's progress towards the event
     reaches the level: 0.0 when its start does, NEVER when no event does.
 
-    On a final size and an incidence that is ``hitting_time`` on the
-    event's axis.  On a diagnoses increment, progress after an event at
-    time tau is the count of removals inside the window up to tau,
-    R(min(max(tau, t), t + u)) - R(t).  ``hitting_time`` on the removed axis
-    counts the removals before the window opens as well, so it can report
-    an earlier time.
+    On a final size and an incidence that is ``hitting_time`` of the
+    event's progress column.  On a diagnoses increment, progress after an
+    event at time tau is the count of removals inside the window up to tau,
+    R(min(max(tau, t), t + u)) - R(t).  ``hitting_time`` of R counts the
+    removals before the window opens as well, so it can report an earlier
+    time.
     """
     if not isinstance(spec, DiagnosesIncrement):
-        return hitting_time(path, event_axis(spec), level)
+        return hitting_time(path, spec.progress, level)
     if level <= 0:
         return 0.0
     opened = state_at(path, spec.t).r

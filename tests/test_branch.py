@@ -28,7 +28,7 @@ from epirare import (
     SeedSpec,
     SirParams,
 )
-from epirare.estimators import _PROGRESS, _ensemble_fn
+from epirare.estimators import _ensemble_fn
 from epirare.lockstep import initial_row
 from epirare.splitting import _branch, _level_cut, _Slots
 
@@ -158,7 +158,7 @@ def test_level_branch(model_name, event_name, n, seed, level, whole, data):
     slots = _Slots.start(ens)
     log = _grouped(slots, model, spec)
     clock_free = _clock_free(model, spec)
-    column = _PROGRESS[type(spec)]
+    column = spec.progress
     progress = slots.end[column]
     assume(np.any(progress >= level) and np.any(progress < level))
     targets = np.flatnonzero(progress < level)
@@ -208,7 +208,7 @@ def test_branches_stack(model_name, event_name, n, seed, level, whole, data):
     # batch counted from its start states
     model, spec, ens = _start(model_name, event_name, n, seed)
     slots = _Slots.start(ens)
-    column = _PROGRESS[type(spec)]
+    column = spec.progress
     for stage in (1, 2):
         progress = slots.end[column]
         if stage == 2:

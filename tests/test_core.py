@@ -244,6 +244,11 @@ def test_package_root_exports():
         assert not hasattr(epirare, name), name
         assert not hasattr(epirare.core, name), name
     assert not hasattr(epirare.lockstep.EventLog, "epidemic_path")
+    # an event names its own progress column: no axis, no schedule type
+    for name in ("Axis", "LevelSchedule", "event_axis"):
+        for module in (epirare, epirare.core, epirare.events):
+            assert not hasattr(module, name), (module.__name__, name)
+    assert not hasattr(epirare.estimators, "_PROGRESS")
     fields = {f.name for f in dataclasses.fields(ParticleEnsemble)}
     for name in ("particles", "model", "stage"):
         assert name not in fields and not hasattr(ParticleEnsemble, name), name

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epirare import (
-    Axis,
     CumulativeInfections,
     DiagnosesIncrement,
     Duration,
@@ -14,7 +13,6 @@ from epirare import (
     FinalSize,
     HivParams,
     Incidence,
-    LevelSchedule,
     Scaling,
     SeedSpec,
     SimulationError,
@@ -22,7 +20,7 @@ from epirare import (
     lockstep,
     quantile_levels,
 )
-from epirare.estimators import _PROGRESS, _batch_indicators, _ensemble_fn
+from epirare.estimators import _batch_indicators, _ensemble_fn
 from reference import (
     NEVER, CompartmentState, EpidemicPath, JumpEvent, StopRule, epidemic_path, hitting_time,
     indicator, progress_hitting_time, score, sir_simulate,
@@ -105,21 +103,21 @@ def test_indicator_duration_strict():
 
 def test_hitting_time_initial_state_counts():
     path = _path(CompartmentState(9, 1, 0), [(0.4, INF)])
-    assert hitting_time(path, Axis.INFECTED, 1) == 0.0
-    assert hitting_time(path, Axis.INFECTED, 2) == 0.4
+    assert hitting_time(path, "i", 1) == 0.0
+    assert hitting_time(path, "i", 2) == 0.4
 
 
 def test_hitting_time_never_reached():
     path = _path(CompartmentState(9, 1, 0), [(0.7, REM)])
-    assert hitting_time(path, Axis.INFECTED, 2) is NEVER
-    assert hitting_time(path, Axis.REMOVED, 2) is NEVER
+    assert hitting_time(path, "i", 2) is NEVER
+    assert hitting_time(path, "r", 2) is NEVER
 
 
 def test_hitting_time_cumulative_axis():
     chain = [(9, 1), (7, 2), (5, 2)]
-    assert hitting_time(chain, Axis.CUMULATIVE_INFECTIONS, 1) == 0.0
-    assert hitting_time(chain, Axis.CUMULATIVE_INFECTIONS, 3) == 1.0
-    assert hitting_time(chain, Axis.CUMULATIVE_INFECTIONS, 9) is NEVER
+    assert hitting_time(chain, "cumulative_infections", 1) == 0.0
+    assert hitting_time(chain, "cumulative_infections", 3) == 1.0
+    assert hitting_time(chain, "cumulative_infections", 9) is NEVER
 
 
 def test_indicator_equals_hitting_within_horizon():
@@ -130,10 +128,10 @@ def test_indicator_equals_hitting_within_horizon():
     for seed in range(60):
         rng = SeedSpec(23, replication=seed).generator()
         path = sir_simulate(params, StopRule.extinction(), rng)
-        hit_i = hitting_time(path, Axis.INFECTED, inc.n_i)
+        hit_i = hitting_time(path, "i", inc.n_i)
         expected_inc = hit_i is not NEVER and hit_i <= inc.T
         assert indicator(path, inc) == int(expected_inc)
-        hit_r = hitting_time(path, Axis.REMOVED, fs.n_c)
+        hit_r = hitting_time(path, "r", fs.n_c)
         assert indicator(path, fs) == int(hit_r is not NEVER)
 
 
@@ -210,17 +208,6 @@ def test_quantile_levels_validates_inputs():
         quantile_levels([1.0], 1.0)
 
 
-def test_level_schedule_validation():
-    schedule = LevelSchedule((2, 4, 6), Axis.REMOVED)
-    schedule.validate_against(FinalSize(n_c=6))
-    with pytest.raises(ValueError, match="strictly increasing"):
-        LevelSchedule((2, 2, 6), Axis.REMOVED)
-    with pytest.raises(ValueError, match="axis"):
-        schedule.validate_against(Incidence(T=1.0, n_i=6))
-    with pytest.raises(ValueError, match="last level"):
-        schedule.validate_against(FinalSize(n_c=7))
-
-
 def test_event_spec_validation():
     with pytest.raises(ValueError):
         FinalSize(n_c=0)
@@ -246,11 +233,10 @@ def test_event_spec_validation():
         lambda: FinalSize(n_c=math.nan),
         lambda: CumulativeInfections(t=math.nan, n_c=2),
         lambda: CumulativeInfections(t=2, n_c=math.nan),
-        lambda: LevelSchedule((1.0, math.nan, 3.0), Axis.REMOVED),
     ],
     ids=[
         "duration-T", "incidence-T", "incidence-n_i", "diagnoses-t", "diagnoses-u",
-        "diagnoses-n_r", "final-size-n_c", "cumulative-t", "cumulative-n_c", "schedule-level",
+        "diagnoses-n_r", "final-size-n_c", "cumulative-t", "cumulative-n_c",
     ],
 )
 def test_event_parameters_reject_nan(make):
@@ -265,7 +251,7 @@ def test_diagnoses_progress_counts_only_the_window():
         CompartmentState(8, 2, 0), [(0.5, REM), (0.8, INF), (1.5, REM), (2.5, REM)]
     )
     spec = DiagnosesIncrement(t=1.0, u=1.0, n_r=1)
-    assert hitting_time(path, Axis.REMOVED, 1) == 0.5
+    assert hitting_time(path, "r", 1) == 0.5
     assert progress_hitting_time(path, spec, 1) == 1.5
     assert progress_hitting_time(path, spec, 2) is NEVER
     assert progress_hitting_time(path, spec, 0) == 0.0
@@ -310,7 +296,7 @@ def test_engine_columns_decide_events_as_the_reference(model_name, spec, n, seed
     if isinstance(spec, Duration):
         progress = ens.extinction_times()
     else:
-        progress = getattr(ens, _PROGRESS[type(spec)])
+        progress = getattr(ens, spec.progress)
     for k in range(n):
         path = epidemic_path(ens.log, k, model)
         assert hits[k] == indicator(path, spec)

@@ -21,13 +21,11 @@ import numpy as np
 import pytest
 
 from epirare import (
-    Axis,
     DiagnosesIncrement,
     Duration,
     FinalSize,
     HivParams,
     Incidence,
-    LevelSchedule,
     Scaling,
     SeedSpec,
     SirParams,
@@ -295,7 +293,7 @@ def _ibps_per_level(name: str) -> tuple:
 def _fixed_schedule_per_level() -> tuple:
     est, _ = ibps_estimate(
         SIR, SIR_EVENTS["final_size"], n_particles=120,
-        schedule=LevelSchedule((4, 8, 12, 16), Axis.REMOVED),
+        schedule=(4, 8, 12, 16),
         seed=SeedSpec(2024, replication=4), conditional_sample=False,
     )
     return est.per_level
@@ -336,9 +334,9 @@ def _engine_init(model_name: str, spec) -> lockstep.Row:
     stop = lockstep._stop(spec)
     if "horizon" in stop:
         t[:3] = stop["horizon"]
-    if stop.get("target_axis") is Axis.REMOVED:
+    if stop.get("target") == "r":
         r[3:5] = stop["target_level"]
-    elif stop.get("target_axis") is Axis.INFECTED:
+    elif stop.get("target") == "max_i":
         i[3:5] = stop["target_level"]
     i[5:7] = 0
     s[3:7] = total[3:7] - i[3:7] - r[3:7]

@@ -176,6 +176,27 @@ def test_parse_rejects_negative_restart_count(restarts):
         parse_config_text(text)
 
 
+@pytest.mark.parametrize(
+    "method, event, options",
+    [
+        ("ibps", "final_size\nn_c = 10", "keep_fraction = 0.5\nlevels = 5, 10\n"),
+        ("ibps", "final_size\nn_c = 10", ""),
+        ("temporal", "duration\nT = 2.0", "time_grid = 1.0, 2.0\nkeep_count = 5\n"),
+        ("temporal", "duration\nT = 2.0", ""),
+    ],
+    ids=["ibps-both", "ibps-neither", "temporal-both", "temporal-neither"],
+)
+def test_parse_rejects_all_but_one_option_of_a_pair(method, event, options):
+    # both options used to parse, so a sweep ran every earlier section
+    # before this one failed
+    section = (
+        f"\n[b]\nlambda = 1\ngamma = 1\ns0 = 9\ni0 = 1\nmethod = {method}\n"
+        f"event = {event}\n{options}"
+    )
+    with pytest.raises(ValueError, match="exactly one of"):
+        parse_config_text(TOY_TEXT + section)
+
+
 def test_import_leaves_the_process_pool_unloaded():
     # only a run with workers > 1 needs it
     code = "import sys, epirare.harness; print('concurrent.futures.process' in sys.modules)"

@@ -13,13 +13,13 @@ import pytest
 from scipy.stats import chi2_contingency, chisquare, ks_2samp
 
 from epirare import (
-    Axis,
     CumulativeInfections,
     DiagnosesIncrement,
     Duration,
     EventKind,
     FinalSize,
     HivParams,
+    Incidence,
     Scaling,
     SeedSpec,
     SimulationError,
@@ -101,13 +101,42 @@ def test_every_path_finished_at_init(name):
     decayed = np.full(len(t), 0.7) if name == "hiv" else None
     init = lockstep.Row(s0 + i0 + r0 - i - r, i, r, t, i, decayed, window_rem=0)
     rng = SeedSpec(31).generator()
-    ens = _jump_loop(name, None, rng, init, horizon=3.0, target_axis=Axis.REMOVED, target_level=10)
+    ens = _jump_loop(name, None, rng, init, horizon=3.0, target="r", target_level=10)
     _check(ens, init, horizon=3.0)
     np.testing.assert_array_equal(ens.s, init[0])
     np.testing.assert_array_equal(ens.t, t)
     assert len(ens.log.t) == 0
     # no path was live, so no uniform was drawn
     assert rng.random() == SeedSpec(31).generator().random()
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_incidence_start_past_its_threshold_finishes_at_init(name):
+    # an incidence stops on its progress, max_i: a start whose running
+    # maximum reached n_i has had the event, whatever i is now
+    i, max_i = np.array([1, 2, 3]), np.array([4, 6, 4])
+    s0, i0, r0, _ = (x[0] for x in _fresh_start(name, 1))
+    r = np.full(3, r0 + 2)
+    decayed = np.full(3, 0.7) if name == "hiv" else None
+    init = lockstep.Row(s0 + i0 + r0 - i - r, i, r, np.full(3, 0.5), max_i, decayed)
+    engine, rng = getattr(lockstep, f"{name}_ensemble"), SeedSpec(33).generator()
+    ens = engine(MODELS[name], None, rng, Incidence(T=3.0, n_i=4), init=init, record=True)
+    np.testing.assert_array_equal(ens.i, i)
+    np.testing.assert_array_equal(ens.t, init.t)
+    assert len(ens.log.t) == 0
+    # no path was live, so no uniform was drawn
+    assert rng.random() == SeedSpec(33).generator().random()
+
+
+def test_clocked_call_rejects_start_rows_without_times():
+    # a clock-free final-size log has no times; a clocked call used to start
+    # its rows at t = 0
+    toy = SirParams(lam=0.12, gamma=1.0, s0=9, i0=1, scaling=Scaling.UNSCALED)
+    log = lockstep.sir_ensemble(toy, 5, SeedSpec(34).generator(), FinalSize(10), record=True).log
+    row = log.state_after(np.arange(5), np.diff(log.offsets), lockstep.initial_row(toy))
+    assert row.t is None
+    with pytest.raises(ValueError, match="times"):
+        lockstep.sir_ensemble(toy, None, SeedSpec(35).generator(), Duration(0.5), init=row)
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -361,7 +390,7 @@ def test_chain_loop_matches_the_per_event_chain():
     engine = np.column_stack([
         ens.s, ens.i, ens.r, _sir_log_ratio(ens, base, instr), ens.int_pair, ens.int_i,
     ])
-    rng, rule = SeedSpec(44).generator(), StopRule.first_passage(Axis.REMOVED, target)
+    rng, rule = SeedSpec(44).generator(), StopRule.first_passage("r", target)
     reference = []
     for start in zip(*init):
         initial = CompartmentState(*(int(x) for x in start))

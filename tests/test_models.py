@@ -154,13 +154,11 @@ def test_sir_simulate_first_event_split():
 
 
 def test_sir_simulate_stops_at_first_passage():
-    from epirare import Axis
-
     params = SirParams(lam=5.0, gamma=0.1, s0=30, i0=1, scaling=Scaling.UNSCALED)
     for seed in range(5):
         path = sir_simulate(
             params,
-            StopRule.first_passage(Axis.INFECTED, 5),
+            StopRule.first_passage("i", 5),
             SeedSpec(10, replication=seed).generator(),
         )
         final = path.final_state

@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from epirare import (
-    Axis,
     CumulativeInfections,
     DiagnosesIncrement,
     Duration,
     FinalSize,
     HivParams,
     Incidence,
-    LevelSchedule,
     ReedFrostParams,
     Scaling,
     SeedSpec,
@@ -41,7 +39,7 @@ PURE_DEATH = SirParams(lam=0.0, gamma=1.0, s0=0, i0=1, scaling=Scaling.UNSCALED)
 
 def test_single_level_matches_cmc_distributionally():
     # K = 0: one level at the target makes splitting plain Monte-Carlo
-    schedule = LevelSchedule((10,), Axis.REMOVED)
+    schedule = (10,)
     split_vals, cmc_vals = [], []
     for seed in range(200):
         est, _ = ibps_estimate(
@@ -55,8 +53,8 @@ def test_single_level_matches_cmc_distributionally():
 
 def test_reduction_identity_trivial_first_level():
     # a first level every path satisfies leaves the ensemble untouched
-    lo = LevelSchedule((1, 10), Axis.REMOVED)
-    hi = LevelSchedule((10,), Axis.REMOVED)
+    lo = (1, 10)
+    hi = (10,)
     for seed in range(20):
         est_two, _ = ibps_estimate(
             TOY, TOY_SPEC, n_particles=500, schedule=lo,
@@ -239,7 +237,7 @@ def test_discrete_conditional_sample_chains():
     # every slot dies at the second generation: its chains stop there
     extinct = ibps_estimate(
         ReedFrostParams(q=0.99, s0=12, i0=1), CumulativeInfections(t=5, n_c=12),
-        n_particles=20, schedule=LevelSchedule((8, 9, 10, 12), Axis.CUMULATIVE_INFECTIONS),
+        n_particles=20, schedule=(8, 9, 10, 12),
         seed=SeedSpec(1),
     )
     assert alive[0].value > 0 and extinct[0].value == 0
@@ -254,7 +252,7 @@ def test_discrete_conditional_sample_chains():
 
 def test_ensemble_extinction_policy_and_restart():
     # an effectively unreachable intermediate level kills every particle
-    schedule = LevelSchedule((50, 60), Axis.REMOVED)
+    schedule = (50, 60)
     spec = FinalSize(n_c=60)
     big = SirParams(lam=0.005, gamma=1.0, s0=70, i0=1, scaling=Scaling.UNSCALED)
     est, _ = ibps_estimate(
@@ -276,7 +274,7 @@ def test_ibps_final_stage_without_survivors_is_extinction():
     big = SirParams(lam=0.005, gamma=1.0, s0=70, i0=1, scaling=Scaling.UNSCALED)
     est, _ = ibps_estimate(
         big, FinalSize(n_c=60), n_particles=50,
-        schedule=LevelSchedule((2, 60), Axis.REMOVED), seed=SeedSpec(53),
+        schedule=(2, 60), seed=SeedSpec(53),
         conditional_sample=False,
     )
     assert est.per_level[0] > 0.0 and est.per_level[-1] == 0.0
@@ -372,7 +370,7 @@ def test_ibps_rejects_non_finite_alpha(alpha):
         ibps_estimate(
             ReedFrostParams(q=0.9805, s0=99, i0=1), CumulativeInfections(t=10, n_c=90),
             n_particles=20,
-            schedule=LevelSchedule(tuple(range(10, 100, 10)), Axis.CUMULATIVE_INFECTIONS),
+            schedule=tuple(range(10, 100, 10)),
             weight_rule="potential_v", alpha=alpha, seed=SeedSpec(0),
         )
 
@@ -387,8 +385,7 @@ def test_potential_weights_at_large_alpha(alpha):
         est, _ = ibps_estimate(
             ReedFrostParams(q=0.9805, s0=99, i0=1), CumulativeInfections(10, 90),
             n_particles=200,
-            schedule=LevelSchedule((5, 10, 20, 30, 40, 50, 60, 70, 90),
-                                   Axis.CUMULATIVE_INFECTIONS),
+            schedule=(5, 10, 20, 30, 40, 50, 60, 70, 90),
             weight_rule="potential_v", alpha=alpha, seed=SeedSpec(1),
         )
     assert math.isfinite(est.value)
@@ -401,7 +398,7 @@ def test_ibps_argument_validation():
     with pytest.raises(ValueError, match="exactly one"):
         ibps_estimate(
             TOY, TOY_SPEC, n_particles=10, keep_fraction=0.1,
-            schedule=LevelSchedule((10,), Axis.REMOVED), seed=SeedSpec(0),
+            schedule=(10,), seed=SeedSpec(0),
         )
     with pytest.raises(ValueError, match="variant"):
         ibps_estimate(
@@ -420,9 +417,24 @@ def test_ibps_argument_validation():
             ReedFrostParams(q=0.9, s0=5, i0=1),
             CumulativeInfections(t=4, n_c=5),
             n_particles=10,
-            schedule=LevelSchedule((5,), Axis.CUMULATIVE_INFECTIONS),
+            schedule=(5,),
             seed=SeedSpec(0),
         )
+
+
+@pytest.mark.parametrize(
+    "schedule, message",
+    [
+        ((2, 2, 10), "strictly increasing"),
+        ((2, math.nan, 10), "strictly increasing"),
+        ((), "at least the target level"),
+        ((2, 4, 9), "last level"),
+    ],
+    ids=["repeated", "nan", "empty", "wrong-last"],
+)
+def test_ibps_rejects_bad_schedule(schedule, message):
+    with pytest.raises(ValueError, match=message):
+        ibps_estimate(TOY, TOY_SPEC, n_particles=10, schedule=schedule, seed=SeedSpec(0))
 
 
 @pytest.mark.parametrize("restarts", [-1, -2])
