@@ -45,12 +45,21 @@ def _out_stream(path: str | None):
         yield out
 
 
+# each model's parameters, the flags it needs, and the other flags it reads
+_MODELS = {
+    "sir": (SirParams, ("lam", "gamma"), ("scaling", "n", "horizon")),
+    "rf": (ReedFrostParams, ("q",), ("generations",)),
+    "hiv": (HivParams, ("lam", "gamma1", "gamma2", "c"), ("horizon",)),
+}
+
+
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", choices=["sir", "rf", "hiv"], default="sir")
+    parser.add_argument("--model", choices=list(_MODELS), default="sir")
     parser.add_argument("--lam", type=float, help="infection coefficient")
     parser.add_argument("--gamma", type=float, help="removal rate (sir)")
-    parser.add_argument("--scaling", choices=["mass_action", "unscaled"], default="mass_action")
-    parser.add_argument("--n", type=int, default=None, help="population size (mass-action)")
+    parser.add_argument("--scaling", choices=["mass_action", "unscaled"],
+                        help="infection-rate convention (sir; default mass_action)")
+    parser.add_argument("--n", type=int, help="population size (sir, mass-action)")
     parser.add_argument("--q", type=float, help="escape probability (rf)")
     parser.add_argument("--gamma1", type=float, help="spontaneous detection rate (hiv)")
     parser.add_argument("--gamma2", type=float, help="contact-tracing coefficient (hiv)")
@@ -60,23 +69,18 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _model_from_args(args: argparse.Namespace):
-    if args.model == "sir":
-        if args.lam is None or args.gamma is None:
-            raise ValueError("sir model needs --lam and --gamma")
-        return SirParams(
-            lam=args.lam, gamma=args.gamma, s0=args.s0, i0=args.i0,
-            scaling=Scaling(args.scaling), n=args.n,
-        )
-    if args.model == "rf":
-        if args.q is None:
-            raise ValueError("rf model needs --q")
-        return ReedFrostParams(q=args.q, s0=args.s0, i0=args.i0)
-    if args.lam is None or args.gamma1 is None or args.gamma2 is None or args.c is None:
-        raise ValueError("hiv model needs --lam, --gamma1, --gamma2 and --c")
-    return HivParams(
-        lam=args.lam, gamma1=args.gamma1, gamma2=args.gamma2, c=args.c,
-        s0=args.s0, i0=args.i0,
-    )
+    """The model the flags describe; a flag of another model is an error."""
+    cls, needed, read = _MODELS[args.model]
+    if any(getattr(args, name) is None for name in needed):
+        raise ValueError(f"{args.model} model needs {' and '.join('--' + n for n in needed)}")
+    given = {name for _, *groups in _MODELS.values() for group in groups for name in group
+             if getattr(args, name, None) is not None}
+    if foreign := sorted(given - {*needed, *read}):
+        raise ValueError(f"{args.model} model takes no {', '.join('--' + n for n in foreign)}")
+    fields = {name: getattr(args, name) for name in needed}
+    if cls is SirParams:
+        fields.update(scaling=Scaling(args.scaling or "mass_action"), n=args.n)
+    return cls(s0=args.s0, i0=args.i0, **fields)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -85,12 +89,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     model = _model_from_args(args)
     if args.horizon is not None and not args.horizon >= 0:  # NaN too
         raise ValueError("horizon must be non-negative")
-    if args.generations < 0:
+    generations = 10 if args.generations is None else args.generations
+    if generations < 0:
         raise ValueError("generations must be non-negative")
     rng = SeedSpec(args.seed).generator()
     with _out_stream(args.out) as out:
         if isinstance(model, ReedFrostParams):
-            S, I = lockstep.rf_chains(model, args.generations, 1, rng)
+            S, I = lockstep.rf_chains(model, generations, 1, rng)
             out.write("generation,s,i\n")
             for gen, (s, i) in enumerate(zip(S[0], I[0])):
                 out.write(f"{gen},{s},{i}\n")
@@ -130,30 +135,18 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         config = configs[0]
     else:
         raise ValueError("config has several sections; pick one with --section")
-    config = _apply_overrides(config, args)
-    row = run(config)
+    # the flags given, each setting the field its dest names; a flag that sets
+    # an option the final method does not read is an error
+    updates = {name: value for name, value in vars(args).items()
+               if name in vars(config) and value is not None}
+    method = updates.get("method", config.method)
+    options = set().union(*METHODS.values())
+    if unread := sorted(options.intersection(updates) - set(METHODS[method])):
+        raise ValueError(f"method {method} reads no {', '.join(unread)}")
+    row = run(dataclasses.replace(config, **updates))
     with _out_stream(args.out) as out:
         write_sweep_csv([row], out, timing=args.timing)
     return 0
-
-
-def _apply_overrides(config, args: argparse.Namespace):
-    updates = {}
-    if args.seed is not None:
-        updates["master_seed"] = args.seed
-    if args.replications is not None:
-        updates["replications"] = args.replications
-    if args.method is not None:
-        updates["method"] = args.method
-    if args.keep_frac is not None:
-        updates["keep_fraction"] = args.keep_frac
-    if args.alpha is not None:
-        updates["alpha"] = args.alpha
-    if args.variant is not None:
-        updates["variant"] = args.variant
-    if args.restart_on_extinction is not None:
-        updates["restart_on_extinction"] = args.restart_on_extinction
-    return dataclasses.replace(config, **updates) if updates else config
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -195,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p_sim)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--horizon", type=float, default=None)
-    p_sim.add_argument("--generations", type=int, default=10, help="rf chain length")
+    p_sim.add_argument("--generations", type=int, help="rf chain length (default 10)")
     p_sim.add_argument("--out", default=None)
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -212,13 +205,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", help="run one experiment from a config file")
     p_est.add_argument("--config", required=True)
     p_est.add_argument("--section", default=None)
-    p_est.add_argument("--seed", type=int, default=None)
-    p_est.add_argument("--replications", type=int, default=None)
-    p_est.add_argument("--method", choices=METHODS, default=None)
-    p_est.add_argument("--keep-frac", type=float, default=None)
-    p_est.add_argument("--alpha", type=float, default=None)
-    p_est.add_argument("--variant", choices=VARIANTS, default=None)
-    p_est.add_argument("--restart-on-extinction", type=int, default=None, metavar="MAX_TRIES")
+    # overrides: each flag's dest is the ExperimentConfig field it sets
+    p_est.add_argument("--seed", type=int, dest="master_seed")
+    p_est.add_argument("--replications", type=int)
+    p_est.add_argument("--method", choices=list(METHODS))
+    p_est.add_argument("--keep-frac", type=float, dest="keep_fraction")
+    p_est.add_argument("--alpha", type=float)
+    p_est.add_argument("--variant", choices=VARIANTS)
+    p_est.add_argument("--restart-on-extinction", type=int, metavar="MAX_TRIES")
     p_est.add_argument("--timing", action="store_true", help="fill the wall_seconds column")
     p_est.add_argument("--out", default=None)
     p_est.set_defaults(func=_cmd_estimate)

@@ -49,7 +49,16 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-METHODS = ("cmc", "is", "ce", "ibps", "temporal")
+# the ExperimentConfig option fields each method reads; a config section or
+# an `estimate` override may set only those of its own method
+METHODS = {
+    "cmc": (),
+    "is": ("instrumental",),
+    "ce": ("iterations",),
+    "ibps": ("keep_fraction", "levels", "variant", "weight_rule", "alpha",
+             "restart_on_extinction"),
+    "temporal": ("time_grid", "keep_count", "restart_on_extinction"),
+}
 CSV_COLUMNS = "method,params,value,stderr,extinct_ensembles,zero_runs,wall_seconds"
 
 
@@ -82,13 +91,10 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}: {self.method}")
-        if self.particles < 1:
-            raise ValueError("particles must be positive")
-        if self.replications < 1:
-            raise ValueError("replications must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
+            raise ValueError(f"method must be one of {tuple(METHODS)}: {self.method}")
+        for name in ("particles", "replications", "workers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
         if self.restart_on_extinction < 0:
             raise ValueError("restart_on_extinction must be non-negative")
         if self.keep_fraction is not None and not 0.0 < self.keep_fraction < 1.0:
@@ -99,6 +105,8 @@ class ExperimentConfig:
             raise ValueError("ibps needs exactly one of keep_fraction or levels")
         if self.method == "temporal" and (self.time_grid is None) == (self.keep_count is None):
             raise ValueError("temporal needs exactly one of time_grid or keep_count")
+        if self.method == "temporal" and not isinstance(self.event, Duration):
+            raise ValueError("temporal splitting estimates duration events")
 
     @property
     def method_label(self) -> str:
@@ -162,8 +170,6 @@ def _replicate(config: ExperimentConfig, rep: int) -> tuple[float, Diagnostics]:
                 conditional_sample=False,
             )
         else:
-            if not isinstance(event, Duration):
-                raise ValueError("temporal splitting estimates duration events")
             est = temporal_split_estimate(
                 model,
                 event.T,
@@ -243,6 +249,10 @@ def write_sweep_csv(rows: Sequence[ResultRow], out: TextIO, timing: bool = False
 # config-file parsing
 
 
+def _parse_floats(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.split(",") if x.strip())
+
+
 def _parse_model(section: configparser.SectionProxy, label: str) -> ModelParams:
     kind = section.get("model", "").strip().lower()
     if kind in ("sir", ""):
@@ -262,8 +272,6 @@ def _parse_model(section: configparser.SectionProxy, label: str) -> ModelParams:
             q=section.getfloat("q"), s0=section.getint("s0"), i0=section.getint("i0")
         )
     if kind == "hiv":
-        ages_text = section.get("initial_detection_ages", "").strip()
-        ages = tuple(float(a) for a in ages_text.split(",") if a.strip()) if ages_text else ()
         return HivParams(
             lam=section.getfloat("lambda"),
             gamma1=section.getfloat("gamma1"),
@@ -271,7 +279,7 @@ def _parse_model(section: configparser.SectionProxy, label: str) -> ModelParams:
             c=section.getfloat("c"),
             s0=section.getint("s0"),
             i0=section.getint("i0"),
-            initial_detection_ages=ages,
+            initial_detection_ages=_parse_floats(section.get("initial_detection_ages", "")),
         )
     raise ValueError(f"[{label}] unknown model: {kind}")
 
@@ -295,29 +303,28 @@ def _parse_event(section: configparser.SectionProxy, label: str) -> EventSpec:
     raise ValueError(f"[{label}] unknown event: {kind}")
 
 
+# the INI keys of each model's instrumental law, by the model field they set
+_INSTRUMENTAL_KEYS = {
+    SirParams: {"lambda_new": "lam", "gamma_new": "gamma"},
+    ReedFrostParams: {"q_new": "q"},
+}
+
+
 def _parse_instrumental(
     section: configparser.SectionProxy, model: ModelParams
 ) -> ModelParams | None:
-    if isinstance(model, SirParams):
-        lam_new = section.getfloat("lambda_new", fallback=None)
-        gamma_new = section.getfloat("gamma_new", fallback=None)
-        if lam_new is None and gamma_new is None:
-            return None
-        return dataclasses.replace(
-            model,
-            lam=lam_new if lam_new is not None else model.lam,
-            gamma=gamma_new if gamma_new is not None else model.gamma,
-        )
-    if isinstance(model, ReedFrostParams):
-        q_new = section.getfloat("q_new", fallback=None)
-        if q_new is None:
-            return None
-        return dataclasses.replace(model, q=q_new)
-    return None
+    keys = _INSTRUMENTAL_KEYS.get(type(model), {})
+    law = {field: float(text) for key, field in keys.items()
+           if (text := section.get(key, "").strip())}
+    return dataclasses.replace(model, **law) if law else None
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x.strip())
+# how an INI value becomes an option field; an empty value leaves it unset
+_OPTION_READERS = {
+    "keep_fraction": float, "alpha": float, "iterations": int, "keep_count": int,
+    "restart_on_extinction": int, "variant": str.lower, "weight_rule": str.lower,
+    "levels": _parse_floats, "time_grid": _parse_floats,
+}
 
 
 class _ReadTracker(configparser.ConfigParser):
@@ -333,36 +340,33 @@ class _ReadTracker(configparser.ConfigParser):
 
 
 def parse_config_text(text: str) -> list[ExperimentConfig]:
-    """Parse experiments from INI text; one section per experiment.  A key no
-    parser reads for its section, ``[DEFAULT]`` ones included, is an error."""
+    """Parse experiments from INI text; one section per experiment.  A section
+    reads its model's, event's and run keys and only its own method's option
+    keys (``METHODS``); any other key, one from ``[DEFAULT]`` included, is an
+    error, so a misplaced option fails the parse before any section runs."""
     parser = _ReadTracker()
     parser.read_string(text)
     configs = []
     for label in parser.sections():
         section = parser[label]
         model = _parse_model(section, label)
-        event = _parse_event(section, label)
-        levels_text = section.get("levels", "").strip()
-        grid_text = section.get("time_grid", "").strip()
+        method = section.get("method", "cmc").strip().lower()
+        options = {}
+        for name in METHODS.get(method, ()):
+            if name == "instrumental":
+                options[name] = _parse_instrumental(section, model)
+            elif value := section.get(name, "").strip():
+                options[name] = _OPTION_READERS[name](value)
         config = ExperimentConfig(
             label=label,
             model=model,
-            event=event,
-            method=section.get("method", "cmc").strip().lower(),
+            event=_parse_event(section, label),
+            method=method,
             particles=section.getint("particles", fallback=1000),
             replications=section.getint("replications", fallback=1000),
             master_seed=section.getint("master_seed", fallback=0),
-            keep_fraction=section.getfloat("keep_fraction", fallback=None),
-            levels=_parse_floats(levels_text) if levels_text else None,
-            variant=section.get("variant", "multinomial").strip().lower(),
-            weight_rule=section.get("weight_rule", "indicator").strip().lower(),
-            alpha=section.getfloat("alpha", fallback=0.0),
-            iterations=section.getint("iterations", fallback=5),
-            instrumental=_parse_instrumental(section, model),
-            time_grid=_parse_floats(grid_text) if grid_text else None,
-            keep_count=section.getint("keep_count", fallback=None),
-            restart_on_extinction=section.getint("restart_on_extinction", fallback=0),
             workers=section.getint("workers", fallback=1),
+            **options,
         )
         unread = sorted(key for key in section if (label, key) not in parser.read_keys)
         if unread:

@@ -129,6 +129,41 @@ def test_simulate_output_pinned(tmp_path, model, seed):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SIMULATE_PINS[model, seed]
 
 
+@pytest.mark.parametrize(
+    "argv, foreign",
+    [
+        (["--model", "rf", "--q", "0.9", "--lam", "5", "--gamma", "3", "--gamma2", "7"],
+         "--gamma, --gamma2, --lam"),
+        (["--model", "sir", "--lam", "0.5", "--gamma", "1", "--q", "0.3", "--gamma1", "4",
+          "--c", "2"], "--c, --gamma1, --q"),
+        ([*MODEL_ARGS["rf"], "--horizon", "5"], "--horizon"),
+        ([*MODEL_ARGS["hiv"], "--scaling", "unscaled", "--n", "20000"], "--n, --scaling"),
+        ([*MODEL_ARGS["sir"], "--generations", "3"], "--generations"),
+    ],
+    ids=["rf-sir-hiv", "sir-rf-hiv", "rf-horizon", "hiv-scaling-n", "sir-generations"],
+)
+def test_simulate_rejects_another_models_flags(capsys, argv, foreign):
+    # each used to be ignored with exit 0
+    assert main(["simulate", *argv, "--s0", "10", "--i0", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"epirare: error: {argv[1]} model takes no {foreign}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, needs",
+    [
+        (["--model", "sir", "--lam", "1"], "--lam and --gamma"),
+        (["--model", "rf"], "--q"),
+        (["--model", "hiv", "--lam", "1", "--c", "1"], "--lam and --gamma1 and --gamma2 and --c"),
+    ],
+    ids=["sir", "rf", "hiv"],
+)
+def test_simulate_names_the_flags_a_model_needs(capsys, argv, needs):
+    assert main(["simulate", *argv, "--s0", "10", "--i0", "1"]) == 2
+    assert capsys.readouterr().err == f"epirare: error: {argv[1]} model needs {needs}\n"
+
+
 @pytest.mark.parametrize("model", ["sir", "hiv"])
 def test_simulate_rejects_negative_horizon(capsys, model):
     for horizon in ("-1", "nan"):
@@ -203,6 +238,39 @@ def test_estimate_with_overrides(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("method,params")
     assert lines[1].startswith("ibps[keepall;keep=0.2]")
+
+
+TOY_CMC = (
+    "[toy]\nmodel = sir\nlambda = 0.12\ngamma = 1.0\nscaling = unscaled\n"
+    "s0 = 9\ni0 = 1\nevent = final_size\nn_c = 10\nmethod = cmc\n"
+    "particles = 100\nreplications = 4\nmaster_seed = 5\n"
+)
+
+
+@pytest.mark.parametrize(
+    "flags, unread",
+    [
+        (["--keep-frac", "0.2"], "keep_fraction"),
+        (["--alpha", "0.1", "--variant", "keepall"], "alpha, variant"),
+        (["--method", "temporal", "--keep-frac", "0.2"], "keep_fraction"),
+    ],
+    ids=["keep-frac", "alpha-variant", "temporal-keep-frac"],
+)
+def test_estimate_rejects_an_override_its_method_does_not_read(tmp_path, capsys, flags, unread):
+    # used to run plain crude Monte-Carlo and ignore the flag
+    config = tmp_path / "exp.ini"
+    config.write_text(TOY_CMC)
+    assert main(["estimate", "--config", str(config), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"reads no {unread}" in captured.err
+
+
+def test_estimate_method_override_keeps_unread_section_options(tmp_path, capsys):
+    config = tmp_path / "exp.ini"
+    config.write_text(TOY_CMC.replace("method = cmc", "method = ibps\nkeep_fraction = 0.2"))
+    assert main(["estimate", "--config", str(config), "--method", "cmc"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("cmc,N=100;reps=4;seed=5,")
 
 
 def test_estimate_closes_out_file(tmp_path):

@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,8 @@ import pytest
 
 from epirare import FinalSize, ReedFrostParams, Scaling, SirParams
 from epirare.harness import (
+    _INSTRUMENTAL_KEYS,
+    METHODS,
     ExperimentConfig,
     RunError,
     parse_config_text,
@@ -106,7 +109,7 @@ def test_parse_rejects_unknown_fields():
         ("mu = 0.1\n", "mu"),
         ("rho = 0.0\n", "rho"),
         ("partcles = 50\n", "partcles"),
-        ("lambda_new = 0.5\nq_new = 0.5\n", "q_new"),
+        ("method = is\nlambda_new = 0.5\nq_new = 0.5\n", "q_new"),
     ],
     ids=["mu", "rho", "partcles", "other-model"],
 )
@@ -119,6 +122,97 @@ def test_parse_rejects_unread_keys(extra, key):
 def test_parse_rejects_unread_default_keys():
     with pytest.raises(ValueError, match=r"\[toy-cmc\] unknown key\(s\): replicatons"):
         parse_config_text("[DEFAULT]\nreplicatons = 5\n" + TOY_TEXT)
+
+
+# a valid section body per method, with every option key that method reads;
+# ibps and temporal take one of their two schedules each
+SIR_SECTION = "[x]\nlambda = 1\ngamma = 1\ns0 = 9\ni0 = 1\n"
+METHOD_SECTIONS = {
+    "cmc": ("final_size\nn_c = 5", "", {}),
+    "is": (
+        "final_size\nn_c = 5", "lambda_new = 2\ngamma_new = 0.5\n",
+        {"instrumental": SirParams(lam=2.0, gamma=0.5, s0=9, i0=1)},
+    ),
+    "ce": ("final_size\nn_c = 5", "iterations = 3\n", {"iterations": 3}),
+    "ibps": (
+        "final_size\nn_c = 5",
+        "keep_fraction = 0.2\nvariant = KeepAll\nweight_rule = potential_v\nalpha = 0.1\n"
+        "restart_on_extinction = 2\n",
+        {"keep_fraction": 0.2, "variant": "keepall", "weight_rule": "potential_v",
+         "alpha": 0.1, "restart_on_extinction": 2},
+    ),
+    "ibps-levels": ("final_size\nn_c = 5", "levels = 2, 5\n", {"levels": (2.0, 5.0)}),
+    "temporal": (
+        "duration\nT = 2.0", "time_grid = 1.0, 2.0\nrestart_on_extinction = 3\n",
+        {"time_grid": (1.0, 2.0), "restart_on_extinction": 3},
+    ),
+    "temporal-adaptive": ("duration\nT = 2.0", "keep_count = 5\n", {"keep_count": 5}),
+}
+# the option keys of a SIR section, by the method that reads them
+READS = {
+    "cmc": set(),
+    "is": {"lambda_new", "gamma_new"},
+    "ce": {"iterations"},
+    "ibps": {"keep_fraction", "levels", "variant", "weight_rule", "alpha",
+             "restart_on_extinction"},
+    "temporal": {"time_grid", "keep_count", "restart_on_extinction"},
+}
+
+
+def _method_section(case: str, extra: str = "") -> str:
+    event, options, _ = METHOD_SECTIONS[case]
+    method = case.split("-")[0]
+    return f"{SIR_SECTION}method = {method}\nevent = {event}\n{options}{extra}"
+
+
+@pytest.mark.parametrize("case", sorted(METHOD_SECTIONS))
+def test_parse_reads_every_option_of_its_method(case):
+    (config,) = parse_config_text(_method_section(case))
+    assert config.method == case.split("-")[0]
+    for name, value in METHOD_SECTIONS[case][2].items():
+        assert getattr(config, name) == value, name
+
+
+@pytest.mark.parametrize(
+    "case, key",
+    [(case, key) for case in READS for key in sorted(set().union(*READS.values()) - READS[case])],
+)
+def test_parse_rejects_an_option_its_method_does_not_read(case, key):
+    # each used to parse and be ignored, so a cmc section with levels ran plain
+    # crude Monte-Carlo
+    with pytest.raises(ValueError, match=rf"^\[x\] unknown key\(s\): {key}$"):
+        parse_config_text(_method_section(case, f"{key} = 1\n"))
+
+
+def test_parse_rejects_another_methods_option_from_default():
+    with pytest.raises(ValueError, match=r"^\[toy-cmc\] unknown key\(s\): iterations$"):
+        parse_config_text("[DEFAULT]\niterations = 9\n" + TOY_TEXT)
+
+
+def test_parse_rejects_temporal_splitting_of_a_threshold_event():
+    # used to pass the parse, so a sweep ran every earlier section first
+    section = (
+        "\n[b]\nlambda = 1\ngamma = 1\ns0 = 9\ni0 = 1\nmethod = temporal\n"
+        "event = final_size\nn_c = 10\nkeep_count = 5\n"
+    )
+    with pytest.raises(ValueError, match="temporal splitting estimates duration events"):
+        parse_config_text(TOY_TEXT + section)
+
+
+def test_readme_method_table_matches_methods():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| Method | Option keys it reads |\n")[1].split("\n\n")[0]
+    documented = {}
+    for line in table.splitlines()[1:]:
+        method, *keys = re.findall(r"`([^`]+)`", line)
+        documented[method] = set(keys)
+    # the instrumental law is set by its model's *_new keys
+    new_keys = {key for keys in _INSTRUMENTAL_KEYS.values() for key in keys}
+    assert documented == {
+        method: {key for name in names
+                 for key in (new_keys if name == "instrumental" else {name})}
+        for method, names in METHODS.items()
+    }
 
 
 def test_readme_config_example_parses():
@@ -171,7 +265,7 @@ def test_parse_rejects_workers_below_one(workers):
 
 @pytest.mark.parametrize("restarts", [-1, -2])
 def test_parse_rejects_negative_restart_count(restarts):
-    text = TOY_TEXT.split("[toy-ibps]")[0] + f"restart_on_extinction = {restarts}\n"
+    text = TOY_TEXT + f"restart_on_extinction = {restarts}\n"
     with pytest.raises(ValueError, match="restart_on_extinction must be non-negative"):
         parse_config_text(text)
 
