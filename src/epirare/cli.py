@@ -30,7 +30,7 @@ from .estimators import _ensemble_fn
 from .events import Duration
 from .final_size import exact_final_size, tail_pf
 from .harness import METHODS, parse_config_file, run, sweep, write_sweep_csv
-from .splitting import VARIANTS
+from .splitting import VARIANTS, ibps_unread_options
 
 __all__ = ["main"]
 
@@ -53,8 +53,8 @@ _MODELS = {
 }
 
 
-def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", choices=list(_MODELS), default="sir")
+def _add_model_flags(parser: argparse.ArgumentParser, models=tuple(_MODELS)) -> None:
+    parser.add_argument("--model", choices=models, default="sir")
     parser.add_argument("--lam", type=float, help="infection coefficient")
     parser.add_argument("--gamma", type=float, help="removal rate (sir)")
     parser.add_argument("--scaling", choices=["mass_action", "unscaled"],
@@ -133,16 +133,20 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         config = by_label[args.section]
     elif len(configs) == 1:
         config = configs[0]
+    elif not configs:
+        raise ValueError(f"config {args.config} has no sections")
     else:
         raise ValueError("config has several sections; pick one with --section")
     # the flags given, each setting the field its dest names; a flag that sets
-    # an option the final method does not read is an error
+    # an option the final method does not read on the event is an error
     updates = {name: value for name, value in vars(args).items()
                if name in vars(config) and value is not None}
     method = updates.get("method", config.method)
-    options = set().union(*METHODS.values())
-    if unread := sorted(options.intersection(updates) - set(METHODS[method])):
-        raise ValueError(f"method {method} reads no {', '.join(unread)}")
+    options, read = set().union(*METHODS.values()), set(METHODS[method])
+    if method == "ibps":
+        read -= set(ibps_unread_options(config.event, config.weight_rule))
+    if unread := sorted(options.intersection(updates) - read):
+        raise ValueError(f"method {method} reads no {', '.join(unread)} on {config.event}")
     row = run(dataclasses.replace(config, **updates))
     with _out_stream(args.out) as out:
         write_sweep_csv([row], out, timing=args.timing)
@@ -193,14 +197,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_exact = sub.add_parser("exact", help="exact final-size distribution as CSV")
-    p_exact.add_argument("--lam", type=float, required=True)
-    p_exact.add_argument("--gamma", type=float, required=True)
-    p_exact.add_argument("--s0", type=int, required=True)
-    p_exact.add_argument("--i0", type=int, required=True)
-    p_exact.add_argument("--scaling", choices=["mass_action", "unscaled"], default="mass_action")
-    p_exact.add_argument("--n", type=int, default=None)
+    _add_model_flags(p_exact, ("sir",))
     p_exact.add_argument("--out", default=None)
-    p_exact.set_defaults(func=_cmd_exact, model="sir")
+    p_exact.set_defaults(func=_cmd_exact)
 
     p_est = sub.add_parser("estimate", help="run one experiment from a config file")
     p_est.add_argument("--config", required=True)

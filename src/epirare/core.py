@@ -66,8 +66,8 @@ class SirParams:
     """Markovian SIR jump process.
 
     ``scaling`` selects the infection rate lambda*S*I/n (MASS_ACTION) or
-    lambda*S*I (UNSCALED).  ``n`` defaults to the initial population and
-    may not be smaller than it.
+    lambda*S*I (UNSCALED).  ``n``, read under MASS_ACTION only, defaults
+    to the initial population and may not be smaller than it.
     """
 
     lam: float
@@ -85,6 +85,8 @@ class SirParams:
             raise ValueError(f"gamma must be finite and positive: {self.gamma}")
         if self.s0 < 0 or self.i0 < 0:
             raise ValueError("initial counts must be non-negative")
+        if self.n is not None and self.scaling is not Scaling.MASS_ACTION:
+            raise ValueError("population size n is read under mass-action scaling only")
         if self.n is not None and self.n <= 0:
             raise ValueError("population size n must be positive")
         if self.n is not None and self.n < self.s0 + self.i0:

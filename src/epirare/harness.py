@@ -34,7 +34,7 @@ from .events import (
     FinalSize,
     Incidence,
 )
-from .splitting import ibps_estimate, temporal_split_estimate
+from .splitting import ibps_estimate, ibps_unread_options, temporal_split_estimate
 
 __all__ = [
     "ExperimentConfig",
@@ -49,8 +49,8 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# the ExperimentConfig option fields each method reads; a config section or
-# an `estimate` override may set only those of its own method
+# the ExperimentConfig option fields each method reads; a config section or an `estimate`
+# override may set only those of its own method, and of ibps's only those its event reads
 METHODS = {
     "cmc": (),
     "is": ("instrumental",),
@@ -342,7 +342,8 @@ class _ReadTracker(configparser.ConfigParser):
 def parse_config_text(text: str) -> list[ExperimentConfig]:
     """Parse experiments from INI text; one section per experiment.  A section
     reads its model's, event's and run keys and only its own method's option
-    keys (``METHODS``); any other key, one from ``[DEFAULT]`` included, is an
+    keys (``METHODS``), of ibps's only those its event reads, ``alpha`` after
+    ``weight_rule``; any other key, one from ``[DEFAULT]`` included, is an
     error, so a misplaced option fails the parse before any section runs."""
     parser = _ReadTracker()
     parser.read_string(text)
@@ -350,9 +351,13 @@ def parse_config_text(text: str) -> list[ExperimentConfig]:
     for label in parser.sections():
         section = parser[label]
         model = _parse_model(section, label)
+        event = _parse_event(section, label)
         method = section.get("method", "cmc").strip().lower()
         options = {}
         for name in METHODS.get(method, ()):
+            weight_rule = options.get("weight_rule", ExperimentConfig.weight_rule)
+            if method == "ibps" and name in ibps_unread_options(event, weight_rule):
+                continue
             if name == "instrumental":
                 options[name] = _parse_instrumental(section, model)
             elif value := section.get(name, "").strip():
@@ -360,7 +365,7 @@ def parse_config_text(text: str) -> list[ExperimentConfig]:
         config = ExperimentConfig(
             label=label,
             model=model,
-            event=_parse_event(section, label),
+            event=event,
             method=method,
             particles=section.getint("particles", fallback=1000),
             replications=section.getint("replications", fallback=1000),

@@ -34,7 +34,7 @@ slots and futures):
 
 Discrete-generation events instead redraw the whole ensemble from the
 weighted selection distribution every generation (the weighted-potential
-normalization requires it), so ``variant`` has no effect on them.
+normalization requires it), so a ``variant`` is rejected on them.
 
 Continuous-time ensembles keep each slot's history as event-log rows
 (``lockstep.EventLog``): its events with the state after each.  Slots are
@@ -92,13 +92,22 @@ from .events import (
     quantile_levels,
 )
 
-__all__ = ["ParticleEnsemble", "ibps_estimate", "temporal_split_estimate"]
+__all__ = ["ParticleEnsemble", "ibps_estimate", "ibps_unread_options", "temporal_split_estimate"]
 
 _RESTART_STAGE_OFFSET = 1_000_000
 _STAGE_CAP = 100_000
 
 VARIANTS = ("multinomial", "keepall")
 WEIGHT_RULES = ("indicator", "potential_v", "potential_dv")
+
+
+def ibps_unread_options(spec: EventSpec, weight_rule: str) -> tuple[str, ...]:
+    """The selection options ``ibps_estimate`` does not read on ``spec``: a jump-process
+    event reads ``variant`` and no weight rule, a Reed-Frost event reads ``weight_rule``
+    and no ``variant``, and ``alpha`` only under a potential rule."""
+    if not isinstance(spec, CumulativeInfections):
+        return ("weight_rule", "alpha")
+    return ("variant", "alpha") if weight_rule == "indicator" else ("variant",)
 
 
 # ---------------------------------------------------------------------------
@@ -404,12 +413,9 @@ def _ibps_discrete(
             return 0.0, per_level, levels, S[:, : g + 1], I[:, : g + 1], np.zeros(n), True
         # log weights, the survivors' largest taken out before exp: a killed
         # slot weighs exp(-inf) = 0, and no weight overflows or underflows
-        if weight_rule == "indicator":
-            log_omega = np.zeros(n)
-        elif weight_rule == "potential_v":
-            log_omega = alpha * I[:, g]
-        else:
-            log_omega = alpha * (I[:, g] - I[:, g - 1])
+        # (the indicator rule reads no alpha: at alpha = 0 every log weight is 0)
+        prior = I[:, g - 1] if weight_rule == "potential_dv" else 0
+        log_omega = alpha * (I[:, g] - prior)
         top = float(log_omega[surv].max())
         omega = np.exp(np.where(surv, log_omega - top, -np.inf))
         log_mean_total += top + math.log(float(np.mean(omega)))
@@ -503,8 +509,11 @@ def ibps_estimate(
             raise ValueError(
                 "discrete schedules need exactly one level per selection generation"
             )
-    if weight_rule != "indicator" and not discrete:
-        raise ValueError("potential weight rules apply to discrete-generation events only")
+    off_default = {"variant": variant != "multinomial", "weight_rule": weight_rule != "indicator",
+                   "alpha": alpha != 0.0}
+    if unread := [name for name in ibps_unread_options(spec, weight_rule) if off_default[name]]:
+        raise ValueError(f"ibps reads no {', '.join(unread)} on {spec}: a variant applies to "
+                         "jump-process events, a weight rule to discrete-generation ones")
     _validate_event_model(model, spec)
 
     def next_level(scores: np.ndarray, levels: list[float]) -> tuple[float, bool]:

@@ -266,6 +266,62 @@ def test_estimate_rejects_an_override_its_method_does_not_read(tmp_path, capsys,
     assert f"reads no {unread}" in captured.err
 
 
+RF_IBPS = (
+    "[rf]\nmodel = rf\nq = 0.9\ns0 = 12\ni0 = 1\nevent = cumulative_infections\n"
+    "generations = 5\nn_c = 8\nmethod = ibps\nkeep_fraction = 0.5\n"
+    "particles = 40\nreplications = 3\nmaster_seed = 7\n"
+)
+SIR_IBPS = TOY_CMC.replace("method = cmc", "method = ibps\nkeep_fraction = 0.2")
+
+
+@pytest.mark.parametrize(
+    "text, flags, unread",
+    [
+        (RF_IBPS, ["--alpha", "5"], "alpha"),
+        (RF_IBPS, ["--variant", "keepall"], "variant"),
+        (RF_IBPS.replace("keep_fraction = 0.5", "keep_fraction = 0.5\nweight_rule = potential_v"),
+         ["--variant", "multinomial", "--alpha", "0.2"], "variant"),
+        (SIR_IBPS, ["--alpha", "0.1"], "alpha"),
+        (TOY_CMC, ["--method", "ibps", "--keep-frac", "0.2", "--alpha", "0.1"], "alpha"),
+    ],
+    ids=["rf-indicator-alpha", "rf-variant", "rf-potential-variant", "sir-alpha",
+         "sir-method-alpha"],
+)
+def test_estimate_rejects_an_ibps_override_its_event_does_not_read(
+    tmp_path, capsys, text, flags, unread
+):
+    # alpha under the indicator rule and a variant on Reed-Frost used to print
+    # the row printed without them; alpha on SIR failed only in the run
+    config = tmp_path / "exp.ini"
+    config.write_text(text)
+    assert main(["estimate", "--config", str(config), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"method ibps reads no {unread} on " in captured.err
+
+
+def test_estimate_takes_an_ibps_override_its_event_reads(tmp_path, capsys):
+    config = tmp_path / "exp.ini"
+    config.write_text(RF_IBPS.replace("keep_fraction = 0.5", "keep_fraction = 0.5\n"
+                                      "weight_rule = potential_v"))
+    assert main(["estimate", "--config", str(config), "--alpha", "0.1"]) == 0
+    # the golden sweep's ibps-rf row
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "ibps[multinomial;keep=0.5;potential_v(a=0.1)],N=40;reps=3;seed=7,"
+        "1.900e-01,1.772e-02,0,0,"
+    )
+
+
+def test_estimate_names_a_config_without_sections(tmp_path, capsys):
+    # used to report that the config has several sections
+    config = tmp_path / "exp.ini"
+    config.write_text("; nothing here yet\n")
+    assert main(["estimate", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"epirare: error: config {config} has no sections\n"
+
+
 def test_estimate_method_override_keeps_unread_section_options(tmp_path, capsys):
     config = tmp_path / "exp.ini"
     config.write_text(TOY_CMC.replace("method = cmc", "method = ibps\nkeep_fraction = 0.2"))
@@ -321,6 +377,25 @@ def test_cli_error_exit_code():
     proc = _run_cli("estimate", "--config", "/nonexistent.ini")
     assert proc.returncode == 2
     assert "error" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["simulate", "exact"])
+def test_population_without_mass_action_is_rejected(capsys, command):
+    # used to be ignored: `exact` printed the unscaled law whatever n was
+    assert main([command, *MODEL_ARGS["sir"][2:], "--n", "20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "population size n is read under mass-action scaling only" in captured.err
+
+
+def test_exact_takes_only_the_sir_model(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["exact", *MODEL_ARGS["rf"]])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'rf' (choose from 'sir')" in capsys.readouterr().err
+    # the other models' flags come from the same table, and the sir model takes none
+    assert main(["exact", *MODEL_ARGS["sir"][2:], "--q", "0.9"]) == 2
+    assert capsys.readouterr().err == "epirare: error: sir model takes no --q\n"
 
 
 def test_exact_rejects_population_below_initial_counts(capsys):

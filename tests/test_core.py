@@ -306,6 +306,13 @@ def test_sir_params_reject_population_below_initial_counts():
     assert SirParams(lam=1.0, gamma=1.0, s0=40, i0=1, n=41).population == 41
 
 
+def test_sir_params_reject_population_without_mass_action():
+    # n used to be accepted and ignored under the unscaled rate lambda*S*I
+    with pytest.raises(ValueError, match="mass-action"):
+        SirParams(lam=1.0, gamma=1.0, s0=40, i0=1, scaling=Scaling.UNSCALED, n=41)
+    assert SirParams(lam=1.0, gamma=1.0, s0=40, i0=1, scaling=Scaling.UNSCALED).n is None
+
+
 def test_hiv_params_reject_nan_detection_age():
     # an infinite age would make the decayed sum exp(-0 * inf) = nan at c = 0
     for age in (math.nan, math.inf):

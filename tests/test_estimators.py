@@ -6,9 +6,11 @@ import pytest
 
 from epirare import (
     CumulativeInfections,
+    DiagnosesIncrement,
     Duration,
     EventKind,
     FinalSize,
+    Incidence,
     ReedFrostParams,
     Scaling,
     SeedSpec,
@@ -19,7 +21,7 @@ from epirare import (
     is_estimate,
     tail_pf,
 )
-from epirare.estimators import Diagnostics, Estimate, _sir_log_ratio
+from epirare.estimators import Diagnostics, Estimate, _batch_indicators, _sir_log_ratio
 from epirare import lockstep
 from reference import (
     CompartmentState, EpidemicPath, JumpEvent, StopRule, epidemic_path, indicator,
@@ -304,6 +306,44 @@ def _rf_loglik_checked(chain, q):
     S, I = (np.array([column]) for column in zip(*chain))
     assert lockstep.rf_loglik(S, I, q)[0] == pytest.approx(value, rel=1e-12)
     return value
+
+
+@pytest.mark.parametrize(
+    "spec", [Duration(4.0), Incidence(3.0, 5), DiagnosesIncrement(0.5, 1.0, 4)],
+    ids=["duration", "incidence", "diagnoses"],
+)
+def test_is_and_ce_on_clocked_events_match_crude_monte_carlo(spec):
+    # Every other IS and CE test decides a final size or a Reed-Frost event,
+    # so these are the only runs whose weights and cross-entropy step read
+    # the clocked rate integrals int_pair and int_i.  Under the base law, the
+    # step's optimum is the hits' infections per unit of int_pair and their
+    # removals per unit of int_i; the learned law must land on it.
+    n = 200_000
+    ref = lockstep.sir_ensemble(TOY, n, SeedSpec(60).generator(), spec, base=TOY)
+    hits = _batch_indicators(ref, spec)
+    p_ref = hits.mean()
+    assert 0.02 < p_ref < 0.2
+
+    def check(name, values, expected, expected_se):
+        se = math.sqrt(np.var(values, ddof=1) / len(values) + expected_se**2)
+        z = (np.mean(values) - expected) / se
+        assert abs(z) < 4, f"{name}: {np.mean(values):.4f} vs {expected:.4f}, z {z:.1f}"
+
+    instr = dataclasses.replace(TOY, lam=0.18, gamma=0.8)
+    is_values = [is_estimate(TOY, spec, instr, 2000, SeedSpec(61, replication=r)).value
+                 for r in range(40)]
+    check("is", is_values, p_ref, math.sqrt(p_ref * (1 - p_ref) / n))
+    runs = [ce_estimate(TOY, spec, 2000, 3, SeedSpec(62, replication=r)) for r in range(20)]
+    check("ce", [est.value for est, _ in runs], p_ref, math.sqrt(p_ref * (1 - p_ref) / n))
+    for field, events, integral in (
+        ("lam", ref.n_inf, ref.int_pair), ("gamma", ref.n_rem, ref.int_i)
+    ):
+        a, b = events * hits, integral * hits
+        optimum = a.sum() / b.sum()
+        # the ratio's delta-method standard error
+        optimum_se = math.sqrt(np.var(a - optimum * b) / n) / b.mean()
+        learned = [getattr(trace[-1], field) for _, trace in runs]
+        check(f"ce {field}", learned, optimum, optimum_se)
 
 
 def test_rf_log_likelihood_absorbed_chain_is_zero():

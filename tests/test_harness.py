@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from epirare import FinalSize, ReedFrostParams, Scaling, SirParams
+from epirare import CumulativeInfections, FinalSize, ReedFrostParams, Scaling, SirParams
 from epirare.harness import (
     _INSTRUMENTAL_KEYS,
     METHODS,
@@ -19,6 +19,7 @@ from epirare.harness import (
     sweep,
     write_sweep_csv,
 )
+from epirare.splitting import ibps_unread_options
 
 TOY_TEXT = """
 [toy-cmc]
@@ -124,52 +125,70 @@ def test_parse_rejects_unread_default_keys():
         parse_config_text("[DEFAULT]\nreplicatons = 5\n" + TOY_TEXT)
 
 
-# a valid section body per method, with every option key that method reads;
-# ibps and temporal take one of their two schedules each
+# a valid section body per method, with every option key that method reads
+# on its model and event; ibps and temporal take one of their two schedules
+# each, and ibps on Reed-Frost reads alpha only under a potential rule
 SIR_SECTION = "[x]\nlambda = 1\ngamma = 1\ns0 = 9\ni0 = 1\n"
+RF_SECTION = "[x]\nmodel = rf\nq = 0.9\ns0 = 9\ni0 = 1\n"
+RF_EVENT = "cumulative_infections\ngenerations = 4\nn_c = 5"
 METHOD_SECTIONS = {
-    "cmc": ("final_size\nn_c = 5", "", {}),
+    "cmc": (SIR_SECTION, "final_size\nn_c = 5", "", {}),
     "is": (
-        "final_size\nn_c = 5", "lambda_new = 2\ngamma_new = 0.5\n",
+        SIR_SECTION, "final_size\nn_c = 5", "lambda_new = 2\ngamma_new = 0.5\n",
         {"instrumental": SirParams(lam=2.0, gamma=0.5, s0=9, i0=1)},
     ),
-    "ce": ("final_size\nn_c = 5", "iterations = 3\n", {"iterations": 3}),
+    "ce": (SIR_SECTION, "final_size\nn_c = 5", "iterations = 3\n", {"iterations": 3}),
     "ibps": (
-        "final_size\nn_c = 5",
-        "keep_fraction = 0.2\nvariant = KeepAll\nweight_rule = potential_v\nalpha = 0.1\n"
-        "restart_on_extinction = 2\n",
-        {"keep_fraction": 0.2, "variant": "keepall", "weight_rule": "potential_v",
-         "alpha": 0.1, "restart_on_extinction": 2},
+        SIR_SECTION, "final_size\nn_c = 5",
+        "keep_fraction = 0.2\nvariant = KeepAll\nrestart_on_extinction = 2\n",
+        {"keep_fraction": 0.2, "variant": "keepall", "restart_on_extinction": 2},
     ),
-    "ibps-levels": ("final_size\nn_c = 5", "levels = 2, 5\n", {"levels": (2.0, 5.0)}),
+    "ibps-levels": (
+        SIR_SECTION, "final_size\nn_c = 5", "levels = 2, 5\n", {"levels": (2.0, 5.0)}
+    ),
+    "ibps-rf": (
+        RF_SECTION, RF_EVENT,
+        "keep_fraction = 0.2\nweight_rule = Potential_V\nalpha = 0.1\n"
+        "restart_on_extinction = 2\n",
+        {"keep_fraction": 0.2, "weight_rule": "potential_v", "alpha": 0.1,
+         "restart_on_extinction": 2},
+    ),
+    "ibps-rf-indicator": (
+        RF_SECTION, RF_EVENT, "keep_fraction = 0.2\nweight_rule = indicator\n",
+        {"keep_fraction": 0.2, "weight_rule": "indicator", "alpha": 0.0},
+    ),
     "temporal": (
-        "duration\nT = 2.0", "time_grid = 1.0, 2.0\nrestart_on_extinction = 3\n",
+        SIR_SECTION, "duration\nT = 2.0", "time_grid = 1.0, 2.0\nrestart_on_extinction = 3\n",
         {"time_grid": (1.0, 2.0), "restart_on_extinction": 3},
     ),
-    "temporal-adaptive": ("duration\nT = 2.0", "keep_count = 5\n", {"keep_count": 5}),
+    "temporal-adaptive": (
+        SIR_SECTION, "duration\nT = 2.0", "keep_count = 5\n", {"keep_count": 5}
+    ),
 }
-# the option keys of a SIR section, by the method that reads them
+# the option keys each case's section reads: its method's, and of ibps's only
+# those its event reads (splitting.ibps_unread_options)
 READS = {
     "cmc": set(),
     "is": {"lambda_new", "gamma_new"},
     "ce": {"iterations"},
-    "ibps": {"keep_fraction", "levels", "variant", "weight_rule", "alpha",
-             "restart_on_extinction"},
+    "ibps": {"keep_fraction", "levels", "variant", "restart_on_extinction"},
+    "ibps-rf": {"keep_fraction", "levels", "weight_rule", "alpha", "restart_on_extinction"},
+    "ibps-rf-indicator": {"keep_fraction", "levels", "weight_rule", "restart_on_extinction"},
     "temporal": {"time_grid", "keep_count", "restart_on_extinction"},
 }
 
 
 def _method_section(case: str, extra: str = "") -> str:
-    event, options, _ = METHOD_SECTIONS[case]
+    model, event, options, _ = METHOD_SECTIONS[case]
     method = case.split("-")[0]
-    return f"{SIR_SECTION}method = {method}\nevent = {event}\n{options}{extra}"
+    return f"{model}method = {method}\nevent = {event}\n{options}{extra}"
 
 
 @pytest.mark.parametrize("case", sorted(METHOD_SECTIONS))
 def test_parse_reads_every_option_of_its_method(case):
     (config,) = parse_config_text(_method_section(case))
     assert config.method == case.split("-")[0]
-    for name, value in METHOD_SECTIONS[case][2].items():
+    for name, value in METHOD_SECTIONS[case][3].items():
         assert getattr(config, name) == value, name
 
 
@@ -179,7 +198,8 @@ def test_parse_reads_every_option_of_its_method(case):
 )
 def test_parse_rejects_an_option_its_method_does_not_read(case, key):
     # each used to parse and be ignored, so a cmc section with levels ran plain
-    # crude Monte-Carlo
+    # crude Monte-Carlo, and a Reed-Frost ibps section with a variant or with
+    # alpha under the indicator rule printed the row it prints without them
     with pytest.raises(ValueError, match=rf"^\[x\] unknown key\(s\): {key}$"):
         parse_config_text(_method_section(case, f"{key} = 1\n"))
 
@@ -187,6 +207,36 @@ def test_parse_rejects_an_option_its_method_does_not_read(case, key):
 def test_parse_rejects_another_methods_option_from_default():
     with pytest.raises(ValueError, match=r"^\[toy-cmc\] unknown key\(s\): iterations$"):
         parse_config_text("[DEFAULT]\niterations = 9\n" + TOY_TEXT)
+
+
+@pytest.mark.parametrize(
+    "reader, case, setting",
+    [
+        ("ibps-rf", "ibps-rf-indicator", "alpha = 5"),
+        ("ibps", "ibps-rf", "variant = keepall"),
+        ("ibps-rf", "ibps", "weight_rule = potential_v"),
+        ("ibps-rf", "ibps", "alpha = 0.1"),
+    ],
+    ids=["rf-indicator-alpha", "rf-variant", "sir-weight-rule", "sir-alpha"],
+)
+def test_parse_rejects_an_ibps_option_its_event_does_not_read_from_default(
+    reader, case, setting
+):
+    # the first section reads the key and the second does not: the parse fails
+    # before either runs, where a sweep used to run the first section and
+    # then ignore the key in the second, or fail there at replication 0
+    first = _method_section(reader).replace("[x]", "[first]")
+    with pytest.raises(ValueError, match=rf"^\[x\] unknown key\(s\): {setting.split()[0]}$"):
+        parse_config_text(f"[DEFAULT]\n{setting}\n{first}{_method_section(case)}")
+
+
+def test_parse_rejects_population_without_mass_action():
+    # n used to be read and ignored under the unscaled rate lambda*S*I
+    text = TOY_TEXT.replace("scaling = unscaled\n", "scaling = unscaled\nn = 20\n", 1)
+    with pytest.raises(ValueError, match="mass-action"):
+        parse_config_text(text)
+    (config,) = parse_config_text(SIR_SECTION + "event = final_size\nn_c = 5\nn = 20\n")
+    assert config.model.population == 20
 
 
 def test_parse_rejects_temporal_splitting_of_a_threshold_event():
@@ -213,6 +263,21 @@ def test_readme_method_table_matches_methods():
                  for key in (new_keys if name == "instrumental" else {name})}
         for method, names in METHODS.items()
     }
+    # the ibps row states, part by part, what every event reads, what a
+    # jump-process event and a Reed-Frost event read besides, and what a
+    # potential rule adds on Reed-Frost
+    ibps_row = next(line for line in table.splitlines() if line.startswith("| `ibps` |"))
+    common, jump, chain, potential = (
+        set(re.findall(r"`([^`]+)`", part)) for part in ibps_row.split(";")
+    )
+    common.discard("ibps")
+    reads = {(event, rule): set(METHODS["ibps"]) - set(ibps_unread_options(event, rule))
+             for event in (FinalSize(n_c=5), CumulativeInfections(t=4, n_c=5))
+             for rule in ("indicator", "potential_v")}
+    assert reads[FinalSize(n_c=5), "indicator"] == reads[FinalSize(n_c=5), "potential_v"]
+    assert reads[FinalSize(n_c=5), "indicator"] == common | jump
+    assert reads[CumulativeInfections(t=4, n_c=5), "indicator"] == common | chain
+    assert reads[CumulativeInfections(t=4, n_c=5), "potential_v"] == common | chain | potential
 
 
 def test_readme_config_example_parses():

@@ -392,6 +392,44 @@ def test_potential_weights_at_large_alpha(alpha):
     assert est.per_level[0] == 23 / 200 and len(est.per_level) > 1
 
 
+RF = ReedFrostParams(q=0.9, s0=12, i0=1)
+RF_SPEC = CumulativeInfections(t=5, n_c=8)
+
+
+@pytest.mark.parametrize(
+    "model, spec, options, unread",
+    [
+        (RF, RF_SPEC, {"alpha": 5.0}, "alpha"),
+        (RF, RF_SPEC, {"weight_rule": "indicator", "alpha": -0.5}, "alpha"),
+        (RF, RF_SPEC, {"variant": "keepall", "weight_rule": "potential_v", "alpha": 0.1},
+         "variant"),
+        (TOY, TOY_SPEC, {"weight_rule": "potential_dv"}, "weight_rule"),
+        (TOY, TOY_SPEC, {"variant": "keepall", "alpha": 0.1}, "alpha"),
+    ],
+    ids=["rf-indicator-alpha", "rf-indicator-negative-alpha", "rf-variant", "sir-weight-rule",
+         "sir-alpha"],
+)
+def test_ibps_rejects_an_option_its_event_does_not_read(model, spec, options, unread):
+    # each used to run as if it were not set: alpha under the indicator rule,
+    # a variant on a discrete-generation event and alpha on a jump process
+    with pytest.raises(ValueError, match=rf"^ibps reads no {unread} on "):
+        ibps_estimate(model, spec, n_particles=10, keep_fraction=0.5, seed=SeedSpec(0),
+                      **options)
+
+
+def test_ibps_accepts_an_unread_option_at_its_default():
+    # the default of an option an event does not read is no setting
+    for model, spec, options in (
+        (RF, RF_SPEC, {"variant": "multinomial", "alpha": 0.0}),
+        (TOY, TOY_SPEC, {"weight_rule": "indicator", "alpha": 0.0}),
+    ):
+        plain, _ = ibps_estimate(model, spec, n_particles=20, keep_fraction=0.5,
+                                 seed=SeedSpec(3), conditional_sample=False)
+        given_default, _ = ibps_estimate(model, spec, n_particles=20, keep_fraction=0.5,
+                                         seed=SeedSpec(3), conditional_sample=False, **options)
+        assert given_default == plain
+
+
 def test_ibps_argument_validation():
     with pytest.raises(ValueError, match="exactly one"):
         ibps_estimate(TOY, TOY_SPEC, n_particles=10, seed=SeedSpec(0))
