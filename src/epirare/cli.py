@@ -30,7 +30,7 @@ from .estimators import _ensemble_fn
 from .events import Duration
 from .final_size import exact_final_size, tail_pf
 from .harness import METHODS, parse_config_file, run, sweep, write_sweep_csv
-from .splitting import VARIANTS, ibps_unread_options
+from .splitting import VARIANTS
 
 __all__ = ["main"]
 
@@ -53,8 +53,7 @@ _MODELS = {
 }
 
 
-def _add_model_flags(parser: argparse.ArgumentParser, models=tuple(_MODELS)) -> None:
-    parser.add_argument("--model", choices=models, default="sir")
+def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lam", type=float, help="infection coefficient")
     parser.add_argument("--gamma", type=float, help="removal rate (sir)")
     parser.add_argument("--scaling", choices=["mass_action", "unscaled"],
@@ -138,15 +137,13 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     else:
         raise ValueError("config has several sections; pick one with --section")
     # the flags given, each setting the field its dest names; a flag that sets
-    # an option the final method does not read on the event is an error
+    # an option the final method does not read is an error
     updates = {name: value for name, value in vars(args).items()
                if name in vars(config) and value is not None}
     method = updates.get("method", config.method)
-    options, read = set().union(*METHODS.values()), set(METHODS[method])
-    if method == "ibps":
-        read -= set(ibps_unread_options(config.event, config.weight_rule))
-    if unread := sorted(options.intersection(updates) - read):
-        raise ValueError(f"method {method} reads no {', '.join(unread)} on {config.event}")
+    options = set().union(*METHODS.values())
+    if unread := sorted(options.intersection(updates) - set(METHODS[method])):
+        raise ValueError(f"method {method} reads no {', '.join(unread)}")
     row = run(dataclasses.replace(config, **updates))
     with _out_stream(args.out) as out:
         write_sweep_csv([row], out, timing=args.timing)
@@ -189,6 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="simulate one path and emit it as CSV")
+    p_sim.add_argument("--model", choices=list(_MODELS), default="sir")
     _add_model_flags(p_sim)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--horizon", type=float, default=None)
@@ -197,9 +195,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_exact = sub.add_parser("exact", help="exact final-size distribution as CSV")
-    _add_model_flags(p_exact, ("sir",))
+    _add_model_flags(p_exact)
     p_exact.add_argument("--out", default=None)
-    p_exact.set_defaults(func=_cmd_exact)
+    p_exact.set_defaults(func=_cmd_exact, model="sir")
 
     p_est = sub.add_parser("estimate", help="run one experiment from a config file")
     p_est.add_argument("--config", required=True)

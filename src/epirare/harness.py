@@ -265,7 +265,7 @@ def _parse_model(section: configparser.SectionProxy, label: str) -> ModelParams:
             s0=section.getint("s0"),
             i0=section.getint("i0"),
             scaling=Scaling(scaling),
-            n=section.getint("n", fallback=None),
+            n=section.getint("n", fallback=None) if scaling == "mass_action" else None,
         )
     if kind in ("rf", "reed_frost", "reed-frost"):
         return ReedFrostParams(

@@ -414,8 +414,7 @@ def _ibps_discrete(
         # log weights, the survivors' largest taken out before exp: a killed
         # slot weighs exp(-inf) = 0, and no weight overflows or underflows
         # (the indicator rule reads no alpha: at alpha = 0 every log weight is 0)
-        prior = I[:, g - 1] if weight_rule == "potential_dv" else 0
-        log_omega = alpha * (I[:, g] - prior)
+        log_omega = alpha * (I[:, g] - (I[:, g - 1] if weight_rule == "potential_dv" else 0))
         top = float(log_omega[surv].max())
         omega = np.exp(np.where(surv, log_omega - top, -np.inf))
         log_mean_total += top + math.log(float(np.mean(omega)))
@@ -509,11 +508,14 @@ def ibps_estimate(
             raise ValueError(
                 "discrete schedules need exactly one level per selection generation"
             )
-    off_default = {"variant": variant != "multinomial", "weight_rule": weight_rule != "indicator",
-                   "alpha": alpha != 0.0}
-    if unread := [name for name in ibps_unread_options(spec, weight_rule) if off_default[name]]:
-        raise ValueError(f"ibps reads no {', '.join(unread)} on {spec}: a variant applies to "
-                         "jump-process events, a weight rule to discrete-generation ones")
+    # each option set off its default, with the reason an event may not read it
+    why = {"variant": variant != "multinomial" and "variants apply to jump-process events",
+           "weight_rule": weight_rule != "indicator"
+           and "weight rules apply to discrete-generation events",
+           "alpha": alpha != 0.0 and "alpha applies only under a potential_v or potential_dv rule"}
+    if unread := [name for name in ibps_unread_options(spec, weight_rule) if why[name]]:
+        raise ValueError(f"ibps reads no {', '.join(unread)} on {spec}: "
+                         + "; ".join(why[name] for name in unread))
     _validate_event_model(model, spec)
 
     def next_level(scores: np.ndarray, levels: list[float]) -> tuple[float, bool]:

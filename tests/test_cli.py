@@ -280,7 +280,7 @@ SIR_IBPS = TOY_CMC.replace("method = cmc", "method = ibps\nkeep_fraction = 0.2")
         (RF_IBPS, ["--alpha", "5"], "alpha"),
         (RF_IBPS, ["--variant", "keepall"], "variant"),
         (RF_IBPS.replace("keep_fraction = 0.5", "keep_fraction = 0.5\nweight_rule = potential_v"),
-         ["--variant", "multinomial", "--alpha", "0.2"], "variant"),
+         ["--variant", "keepall", "--alpha", "0.2"], "variant"),
         (SIR_IBPS, ["--alpha", "0.1"], "alpha"),
         (TOY_CMC, ["--method", "ibps", "--keep-frac", "0.2", "--alpha", "0.1"], "alpha"),
     ],
@@ -297,7 +297,8 @@ def test_estimate_rejects_an_ibps_override_its_event_does_not_read(
     assert main(["estimate", "--config", str(config), *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"method ibps reads no {unread} on " in captured.err
+    # ibps_estimate's own check, made before any replication draws
+    assert f"ibps reads no {unread} on " in captured.err
 
 
 def test_estimate_takes_an_ibps_override_its_event_reads(tmp_path, capsys):
@@ -389,10 +390,11 @@ def test_population_without_mass_action_is_rejected(capsys, command):
 
 
 def test_exact_takes_only_the_sir_model(capsys):
+    # exact has no --model flag: its model is sir
     with pytest.raises(SystemExit) as exit_:
         main(["exact", *MODEL_ARGS["rf"]])
     assert exit_.value.code == 2
-    assert "invalid choice: 'rf' (choose from 'sir')" in capsys.readouterr().err
+    assert "unrecognized arguments: --model rf" in capsys.readouterr().err
     # the other models' flags come from the same table, and the sir model takes none
     assert main(["exact", *MODEL_ARGS["sir"][2:], "--q", "0.9"]) == 2
     assert capsys.readouterr().err == "epirare: error: sir model takes no --q\n"

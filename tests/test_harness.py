@@ -233,8 +233,10 @@ def test_parse_rejects_an_ibps_option_its_event_does_not_read_from_default(
 def test_parse_rejects_population_without_mass_action():
     # n used to be read and ignored under the unscaled rate lambda*S*I
     text = TOY_TEXT.replace("scaling = unscaled\n", "scaling = unscaled\nn = 20\n", 1)
-    with pytest.raises(ValueError, match="mass-action"):
+    with pytest.raises(ValueError, match=r"^\[toy-cmc\] unknown key\(s\): n$"):
         parse_config_text(text)
+    with pytest.raises(ValueError, match=r"^\[toy-cmc\] unknown key\(s\): n$"):
+        parse_config_text("[DEFAULT]\nn = 20\n" + TOY_TEXT)
     (config,) = parse_config_text(SIR_SECTION + "event = final_size\nn_c = 5\nn = 20\n")
     assert config.model.population == 20
 

@@ -396,23 +396,28 @@ RF = ReedFrostParams(q=0.9, s0=12, i0=1)
 RF_SPEC = CumulativeInfections(t=5, n_c=8)
 
 
+POTENTIAL_ONLY = "alpha applies only under a potential_v or potential_dv rule"
+
+
 @pytest.mark.parametrize(
-    "model, spec, options, unread",
+    "model, spec, options, unread, reason",
     [
-        (RF, RF_SPEC, {"alpha": 5.0}, "alpha"),
-        (RF, RF_SPEC, {"weight_rule": "indicator", "alpha": -0.5}, "alpha"),
+        (RF, RF_SPEC, {"alpha": 5.0}, "alpha", POTENTIAL_ONLY),
+        (RF, RF_SPEC, {"weight_rule": "indicator", "alpha": -0.5}, "alpha", POTENTIAL_ONLY),
         (RF, RF_SPEC, {"variant": "keepall", "weight_rule": "potential_v", "alpha": 0.1},
-         "variant"),
-        (TOY, TOY_SPEC, {"weight_rule": "potential_dv"}, "weight_rule"),
-        (TOY, TOY_SPEC, {"variant": "keepall", "alpha": 0.1}, "alpha"),
+         "variant", "variants apply to jump-process events"),
+        (TOY, TOY_SPEC, {"weight_rule": "potential_dv"}, "weight_rule",
+         "weight rules apply to discrete-generation events"),
+        (TOY, TOY_SPEC, {"variant": "keepall", "alpha": 0.1}, "alpha", POTENTIAL_ONLY),
     ],
     ids=["rf-indicator-alpha", "rf-indicator-negative-alpha", "rf-variant", "sir-weight-rule",
          "sir-alpha"],
 )
-def test_ibps_rejects_an_option_its_event_does_not_read(model, spec, options, unread):
+def test_ibps_rejects_an_option_its_event_does_not_read(model, spec, options, unread, reason):
     # each used to run as if it were not set: alpha under the indicator rule,
-    # a variant on a discrete-generation event and alpha on a jump process
-    with pytest.raises(ValueError, match=rf"^ibps reads no {unread} on "):
+    # a variant on a discrete-generation event and alpha on a jump process;
+    # the message gives the reason of each unread option
+    with pytest.raises(ValueError, match=rf"^ibps reads no {unread} on .*: {reason}$"):
         ibps_estimate(model, spec, n_particles=10, keep_fraction=0.5, seed=SeedSpec(0),
                       **options)
 
