@@ -29,7 +29,7 @@ from .core import (
 from .estimators import _ensemble_fn
 from .events import Duration
 from .final_size import exact_final_size, tail_pf
-from .harness import METHODS, parse_config_file, run, sweep, write_sweep_csv
+from .harness import METHOD_RECORDS, parse_config_file, run, sweep, write_sweep_csv
 from .splitting import VARIANTS
 
 __all__ = ["main"]
@@ -53,16 +53,26 @@ _MODELS = {
 }
 
 
-def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--lam", type=float, help="infection coefficient")
-    parser.add_argument("--gamma", type=float, help="removal rate (sir)")
-    parser.add_argument("--scaling", choices=["mass_action", "unscaled"],
-                        help="infection-rate convention (sir; default mass_action)")
-    parser.add_argument("--n", type=int, help="population size (sir, mass-action)")
-    parser.add_argument("--q", type=float, help="escape probability (rf)")
-    parser.add_argument("--gamma1", type=float, help="spontaneous detection rate (hiv)")
-    parser.add_argument("--gamma2", type=float, help="contact-tracing coefficient (hiv)")
-    parser.add_argument("--c", type=float, help="contact-tracing decay rate (hiv)")
+# the parameter flags of every model, as argparse declares them
+_MODEL_FLAGS = {
+    "lam": dict(type=float, help="infection coefficient"),
+    "gamma": dict(type=float, help="removal rate (sir)"),
+    "scaling": dict(choices=["mass_action", "unscaled"],
+                    help="infection-rate convention (sir; default mass_action)"),
+    "n": dict(type=int, help="population size (sir, mass-action)"),
+    "q": dict(type=float, help="escape probability (rf)"),
+    "gamma1": dict(type=float, help="spontaneous detection rate (hiv)"),
+    "gamma2": dict(type=float, help="contact-tracing coefficient (hiv)"),
+    "c": dict(type=float, help="contact-tracing decay rate (hiv)"),
+}
+
+
+def _add_model_flags(parser: argparse.ArgumentParser, models) -> None:
+    """Declare the parameter flags of ``models`` and the initial counts."""
+    names = {name for model in models for group in _MODELS[model][1:] for name in group}
+    for name, flag in _MODEL_FLAGS.items():
+        if name in names:
+            parser.add_argument(f"--{name}", **flag)
     parser.add_argument("--s0", type=int, required=True)
     parser.add_argument("--i0", type=int, required=True)
 
@@ -132,8 +142,6 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         config = by_label[args.section]
     elif len(configs) == 1:
         config = configs[0]
-    elif not configs:
-        raise ValueError(f"config {args.config} has no sections")
     else:
         raise ValueError("config has several sections; pick one with --section")
     # the flags given, each setting the field its dest names; a flag that sets
@@ -141,8 +149,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     updates = {name: value for name, value in vars(args).items()
                if name in vars(config) and value is not None}
     method = updates.get("method", config.method)
-    options = set().union(*METHODS.values())
-    if unread := sorted(options.intersection(updates) - set(METHODS[method])):
+    options = {name for record in METHOD_RECORDS.values() for name in record.options}
+    if unread := sorted(options.intersection(updates) - set(METHOD_RECORDS[method].options)):
         raise ValueError(f"method {method} reads no {', '.join(unread)}")
     row = run(dataclasses.replace(config, **updates))
     with _out_stream(args.out) as out:
@@ -187,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="simulate one path and emit it as CSV")
     p_sim.add_argument("--model", choices=list(_MODELS), default="sir")
-    _add_model_flags(p_sim)
+    _add_model_flags(p_sim, _MODELS)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--horizon", type=float, default=None)
     p_sim.add_argument("--generations", type=int, help="rf chain length (default 10)")
@@ -195,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_exact = sub.add_parser("exact", help="exact final-size distribution as CSV")
-    _add_model_flags(p_exact)
+    _add_model_flags(p_exact, ["sir"])
     p_exact.add_argument("--out", default=None)
     p_exact.set_defaults(func=_cmd_exact, model="sir")
 
@@ -205,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # overrides: each flag's dest is the ExperimentConfig field it sets
     p_est.add_argument("--seed", type=int, dest="master_seed")
     p_est.add_argument("--replications", type=int)
-    p_est.add_argument("--method", choices=list(METHODS))
+    p_est.add_argument("--method", choices=list(METHOD_RECORDS))
     p_est.add_argument("--keep-frac", type=float, dest="keep_fraction")
     p_est.add_argument("--alpha", type=float)
     p_est.add_argument("--variant", choices=VARIANTS)

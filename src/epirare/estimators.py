@@ -32,8 +32,11 @@ from .events import (
 __all__ = [
     "Diagnostics",
     "Estimate",
+    "ce_check",
     "ce_estimate",
     "cmc",
+    "cmc_check",
+    "is_check",
     "is_estimate",
 ]
 
@@ -100,11 +103,16 @@ def _validate_event_model(model: ModelParams, spec: EventSpec) -> None:
         )
 
 
-def cmc(model: ModelParams, spec: EventSpec, n_paths: int, seed: SeedSpec) -> Estimate:
-    """Crude Monte-Carlo: empirical frequency of the event over i.i.d. paths."""
+def cmc_check(model: ModelParams, spec: EventSpec, n_paths: int) -> None:
+    """Raise on the arguments ``cmc`` rejects; importance sampling runs it too."""
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
     _validate_event_model(model, spec)
+
+
+def cmc(model: ModelParams, spec: EventSpec, n_paths: int, seed: SeedSpec) -> Estimate:
+    """Crude Monte-Carlo: empirical frequency of the event over i.i.d. paths."""
+    cmc_check(model, spec, n_paths)
     rng = seed.generator()
     if isinstance(model, ReedFrostParams):
         _, infectives = lockstep.rf_chains(model, spec.t - 1, n_paths, rng)
@@ -154,8 +162,6 @@ def _is_weights(
     instrumental law and return the per-path weights (likelihood ratio x
     event indicator), whether a hit's finite log-ratio overflows, and the
     paths: the (S, I) chains for Reed-Frost, the engine batch for SIR."""
-    if n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
     if isinstance(model, ReedFrostParams):
         S, I = lockstep.rf_chains(instrumental, spec.t - 1, n_paths, rng)
         hits = I.sum(axis=1) >= spec.n_c
@@ -164,10 +170,6 @@ def _is_weights(
         )
         paths = (S, I)
     else:
-        if instrumental.lam <= 0:
-            raise ValueError("instrumental rates must be positive")
-        if (model.scaling, model.population) != (instrumental.scaling, instrumental.population):
-            raise ValueError("base and instrumental laws must share scaling and population")
         paths = lockstep.sir_ensemble(instrumental, n_paths, rng, spec, base=model)
         hits = _batch_indicators(paths, spec)
         log_ratio = _sir_log_ratio(paths, model, instrumental)
@@ -176,6 +178,27 @@ def _is_weights(
     with np.errstate(over="ignore"):
         weights = np.where(hits, np.exp(log_ratio), 0.0)
     return weights, overflow, paths
+
+
+def is_check(
+    model: ModelParams, spec: EventSpec, instrumental: ModelParams | None, n_paths: int
+) -> None:
+    """Raise on the arguments ``is_estimate`` rejects; the cross-entropy method
+    runs it on its nominal law, which its first iteration samples under."""
+    cmc_check(model, spec, n_paths)
+    if not isinstance(model, (ReedFrostParams, SirParams)):
+        raise TypeError("importance sampling supports the Reed-Frost and SIR models")
+    if instrumental is None:
+        raise ValueError("importance sampling needs instrumental parameters")
+    if not isinstance(instrumental, type(model)):
+        raise TypeError("instrumental law must match the model family")
+    if (instrumental.s0, instrumental.i0) != (model.s0, model.i0):
+        raise ValueError("instrumental law must share the initial condition")
+    if isinstance(model, SirParams):
+        if instrumental.lam <= 0:
+            raise ValueError("instrumental rates must be positive")
+        if (model.scaling, model.population) != (instrumental.scaling, instrumental.population):
+            raise ValueError("base and instrumental laws must share scaling and population")
 
 
 def is_estimate(
@@ -187,13 +210,7 @@ def is_estimate(
 ) -> Estimate:
     """Fixed importance sampling: simulate under the instrumental law and
     reweight by the exact likelihood ratio."""
-    _validate_event_model(model, spec)
-    if not isinstance(model, (ReedFrostParams, SirParams)):
-        raise TypeError("importance sampling supports the Reed-Frost and SIR models")
-    if not isinstance(instrumental, type(model)):
-        raise TypeError("instrumental law must match the model family")
-    if (instrumental.s0, instrumental.i0) != (model.s0, model.i0):
-        raise ValueError("instrumental law must share the initial condition")
+    is_check(model, spec, instrumental, n_paths)
     weights, overflow, _ = _is_weights(model, spec, instrumental, n_paths, seed.generator())
     value = float(np.mean(weights))
     diag = Diagnostics(zero_runs=int(value == 0.0), likelihood_overflows=int(overflow))
@@ -220,6 +237,15 @@ def _rf_ce_update(
     return float(res.x) if res.success else q_prev
 
 
+def ce_check(model: ModelParams, spec: EventSpec, n_paths: int, iterations: int) -> None:
+    """Raise on the arguments ``ce_estimate`` rejects."""
+    if iterations < 1:
+        raise ValueError("iterations must be at least 1")
+    if not isinstance(model, (ReedFrostParams, SirParams)):
+        raise TypeError("the cross-entropy method supports Reed-Frost and SIR models")
+    is_check(model, spec, model, n_paths)
+
+
 def ce_estimate(
     model: ModelParams,
     spec: EventSpec,
@@ -244,11 +270,7 @@ def ce_estimate(
     update below is then the same cross-entropy step, in expectation, as
     with whole paths.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be at least 1")
-    _validate_event_model(model, spec)
-    if not isinstance(model, (ReedFrostParams, SirParams)):
-        raise TypeError("the cross-entropy method supports Reed-Frost and SIR models")
+    ce_check(model, spec, n_paths, iterations)
     trace: list[ModelParams] = [model]
     current = model
     zero_runs = 0

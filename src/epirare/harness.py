@@ -13,7 +13,7 @@ import dataclasses
 import logging
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -25,7 +25,16 @@ from .core import (
     SeedSpec,
     SirParams,
 )
-from .estimators import Diagnostics, ce_estimate, cmc, is_estimate
+from .estimators import (
+    Diagnostics,
+    Estimate,
+    ce_check,
+    ce_estimate,
+    cmc,
+    cmc_check,
+    is_check,
+    is_estimate,
+)
 from .events import (
     CumulativeInfections,
     DiagnosesIncrement,
@@ -34,10 +43,18 @@ from .events import (
     FinalSize,
     Incidence,
 )
-from .splitting import ibps_estimate, ibps_unread_options, temporal_split_estimate
+from .splitting import (
+    ibps_check,
+    ibps_estimate,
+    ibps_unread,
+    temporal_check,
+    temporal_split_estimate,
+)
 
 __all__ = [
+    "METHOD_RECORDS",
     "ExperimentConfig",
+    "MethodRecord",
     "ResultRow",
     "RunError",
     "parse_config_file",
@@ -49,16 +66,6 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# the ExperimentConfig option fields each method reads; a config section or an `estimate`
-# override may set only those of its own method, and of ibps's only those its event reads
-METHODS = {
-    "cmc": (),
-    "is": ("instrumental",),
-    "ce": ("iterations",),
-    "ibps": ("keep_fraction", "levels", "variant", "weight_rule", "alpha",
-             "restart_on_extinction"),
-    "temporal": ("time_grid", "keep_count", "restart_on_extinction"),
-}
 CSV_COLUMNS = "method,params,value,stderr,extinct_ensembles,zero_runs,wall_seconds"
 
 
@@ -66,9 +73,102 @@ class RunError(RuntimeError):
     """A replication failed; carries the replication index for context."""
 
 
+def _parse_floats(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.split(",") if x.strip())
+
+
+@dataclass(frozen=True)
+class MethodRecord:
+    """One estimation method as an experiment runs it: ``options`` maps each
+    option field it reads to the reader of its INI value, or for an
+    instrumental law to the INI keys that set the model's fields (read when
+    the model has that field); ``unread(event, options)`` names the options it
+    does not read on ``event``, given those read before.  ``args(config)``
+    gives its estimator's arguments but the seed; ``check(**args)`` is the
+    check the estimator runs first, and ``estimate(seed, **args)`` calls the
+    estimator by its module-level name, so a name rebound at run time runs.
+    ``label(config)`` names the method in a result row.
+    """
+
+    options: dict
+    args: Callable[["ExperimentConfig"], dict]
+    check: Callable[..., None]
+    estimate: Callable[..., Estimate]
+    unread: Callable[[EventSpec, dict], dict] = lambda event, options: {}
+    label: Callable[["ExperimentConfig"], str] = lambda config: config.method
+
+
+def _horizon(event: EventSpec) -> float:
+    if not isinstance(event, Duration):
+        raise ValueError("temporal splitting estimates duration events")
+    return event.T
+
+
+METHOD_RECORDS = {
+    "cmc": MethodRecord(
+        options={},
+        args=lambda c: dict(model=c.model, spec=c.event, n_paths=c.particles),
+        check=cmc_check,
+        estimate=lambda seed, **args: cmc(**args, seed=seed),
+    ),
+    "is": MethodRecord(
+        options={"instrumental": {"lambda_new": "lam", "gamma_new": "gamma", "q_new": "q"}},
+        args=lambda c: dict(model=c.model, spec=c.event, instrumental=c.instrumental,
+                            n_paths=c.particles),
+        check=is_check,
+        estimate=lambda seed, **args: is_estimate(**args, seed=seed),
+    ),
+    "ce": MethodRecord(
+        options={"iterations": int},
+        args=lambda c: dict(model=c.model, spec=c.event, n_paths=c.particles,
+                            iterations=c.iterations),
+        check=ce_check,
+        estimate=lambda seed, **args: ce_estimate(**args, seed=seed)[0],
+        label=lambda c: f"ce[K={c.iterations}]",
+    ),
+    "ibps": MethodRecord(
+        options={"keep_fraction": float, "levels": _parse_floats, "variant": str.lower,
+                 "weight_rule": str.lower, "alpha": float, "restart_on_extinction": int},
+        args=lambda c: dict(
+            model=c.model, spec=c.event, n_particles=c.particles, schedule=c.levels,
+            keep_fraction=c.keep_fraction, variant=c.variant, weight_rule=c.weight_rule,
+            alpha=c.alpha, restart_on_extinction=c.restart_on_extinction,
+        ),
+        check=ibps_check,
+        estimate=lambda seed, **args: ibps_estimate(
+            **args, seed=seed, conditional_sample=False
+        )[0],
+        unread=lambda event, options: ibps_unread(
+            event, options.get("weight_rule", ExperimentConfig.weight_rule)
+        ),
+        label=lambda c: "ibps[{};{}{}]".format(
+            c.variant, "fixed-levels" if c.keep_fraction is None else f"keep={c.keep_fraction:g}",
+            "" if c.weight_rule == "indicator" else f";{c.weight_rule}(a={c.alpha:g})",
+        ),
+    ),
+    "temporal": MethodRecord(
+        options={"time_grid": _parse_floats, "keep_count": int, "restart_on_extinction": int},
+        args=lambda c: dict(
+            model=c.model, horizon=_horizon(c.event), n_particles=c.particles,
+            time_grid=c.time_grid, keep_count=c.keep_count,
+            restart_on_extinction=c.restart_on_extinction,
+        ),
+        check=temporal_check,
+        estimate=lambda seed, **args: temporal_split_estimate(**args, seed=seed),
+        label=lambda c: "temporal[{}]".format(
+            "adaptive" if c.keep_count is not None else f"K={len(c.time_grid) - 1}"
+        ),
+    ),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: model, event, method, method options, replications."""
+    """One experiment: model, event, method, method options, replications.
+
+    A config is checked when it is made, by its method's estimator check
+    (``METHOD_RECORDS``); the option fields of other methods are not read.
+    """
 
     label: str
     model: ModelParams
@@ -90,39 +190,18 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {tuple(METHODS)}: {self.method}")
+        if self.method not in METHOD_RECORDS:
+            raise ValueError(f"method must be one of {tuple(METHOD_RECORDS)}: {self.method}")
         for name in ("particles", "replications", "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.restart_on_extinction < 0:
-            raise ValueError("restart_on_extinction must be non-negative")
-        if self.keep_fraction is not None and not 0.0 < self.keep_fraction < 1.0:
-            raise ValueError("keep_fraction must lie in (0, 1)")
-        if self.method == "is" and self.instrumental is None:
-            raise ValueError("importance sampling needs instrumental parameters")
-        if self.method == "ibps" and (self.keep_fraction is None) == (self.levels is None):
-            raise ValueError("ibps needs exactly one of keep_fraction or levels")
-        if self.method == "temporal" and (self.time_grid is None) == (self.keep_count is None):
-            raise ValueError("temporal needs exactly one of time_grid or keep_count")
-        if self.method == "temporal" and not isinstance(self.event, Duration):
-            raise ValueError("temporal splitting estimates duration events")
+        SeedSpec(self.master_seed)  # the seed stream's own check
+        record = METHOD_RECORDS[self.method]
+        record.check(**record.args(self))
 
     @property
     def method_label(self) -> str:
-        if self.method == "ibps":
-            sel = (
-                f"keep={self.keep_fraction:g}" if self.keep_fraction is not None
-                else "fixed-levels"
-            )
-            extra = "" if self.weight_rule == "indicator" else f";{self.weight_rule}(a={self.alpha:g})"
-            return f"ibps[{self.variant};{sel}{extra}]"
-        if self.method == "temporal":
-            sel = "adaptive" if self.keep_count is not None else f"K={len(self.time_grid) - 1}"
-            return f"temporal[{sel}]"
-        if self.method == "ce":
-            return f"ce[K={self.iterations}]"
-        return self.method
+        return METHOD_RECORDS[self.method].label(self)
 
     @property
     def params_text(self) -> str:
@@ -146,39 +225,9 @@ class ResultRow:
 
 
 def _replicate(config: ExperimentConfig, rep: int) -> tuple[float, Diagnostics]:
-    seed = SeedSpec(config.master_seed, replication=rep)
-    model, event = config.model, config.event
+    record = METHOD_RECORDS[config.method]
     try:
-        if config.method == "cmc":
-            est = cmc(model, event, config.particles, seed)
-        elif config.method == "is":
-            est = is_estimate(model, event, config.instrumental, config.particles, seed)
-        elif config.method == "ce":
-            est, _ = ce_estimate(model, event, config.particles, config.iterations, seed)
-        elif config.method == "ibps":
-            est, _ = ibps_estimate(
-                model,
-                event,
-                n_particles=config.particles,
-                schedule=config.levels,
-                keep_fraction=config.keep_fraction,
-                variant=config.variant,
-                weight_rule=config.weight_rule,
-                alpha=config.alpha,
-                seed=seed,
-                restart_on_extinction=config.restart_on_extinction,
-                conditional_sample=False,
-            )
-        else:
-            est = temporal_split_estimate(
-                model,
-                event.T,
-                n_particles=config.particles,
-                time_grid=config.time_grid,
-                keep_count=config.keep_count,
-                seed=seed,
-                restart_on_extinction=config.restart_on_extinction,
-            )
+        est = record.estimate(SeedSpec(config.master_seed, replication=rep), **record.args(config))
     except Exception as exc:
         raise RunError(f"replication {rep} of '{config.label}': {exc}") from exc
     return est.value, est.diagnostics
@@ -249,82 +298,62 @@ def write_sweep_csv(rows: Sequence[ResultRow], out: TextIO, timing: bool = False
 # config-file parsing
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x.strip())
+def _required(section: configparser.SectionProxy, key: str, convert=float):
+    if (text := section.get(key)) is None:
+        raise ValueError(f"missing key: {key}")
+    return convert(text)
 
 
-def _parse_model(section: configparser.SectionProxy, label: str) -> ModelParams:
+def _parse_model(section: configparser.SectionProxy) -> ModelParams:
     kind = section.get("model", "").strip().lower()
     if kind in ("sir", ""):
         scaling = section.get("scaling", "mass_action").strip().lower()
         if scaling not in ("mass_action", "unscaled"):
-            raise ValueError(f"[{label}] unknown scaling: {scaling}")
+            raise ValueError(f"unknown scaling: {scaling}")
         return SirParams(
-            lam=section.getfloat("lambda"),
-            gamma=section.getfloat("gamma"),
-            s0=section.getint("s0"),
-            i0=section.getint("i0"),
+            lam=_required(section, "lambda"),
+            gamma=_required(section, "gamma"),
+            s0=_required(section, "s0", int),
+            i0=_required(section, "i0", int),
             scaling=Scaling(scaling),
             n=section.getint("n", fallback=None) if scaling == "mass_action" else None,
         )
     if kind in ("rf", "reed_frost", "reed-frost"):
         return ReedFrostParams(
-            q=section.getfloat("q"), s0=section.getint("s0"), i0=section.getint("i0")
+            q=_required(section, "q"), s0=_required(section, "s0", int),
+            i0=_required(section, "i0", int),
         )
     if kind == "hiv":
         return HivParams(
-            lam=section.getfloat("lambda"),
-            gamma1=section.getfloat("gamma1"),
-            gamma2=section.getfloat("gamma2"),
-            c=section.getfloat("c"),
-            s0=section.getint("s0"),
-            i0=section.getint("i0"),
+            lam=_required(section, "lambda"),
+            gamma1=_required(section, "gamma1"),
+            gamma2=_required(section, "gamma2"),
+            c=_required(section, "c"),
+            s0=_required(section, "s0", int),
+            i0=_required(section, "i0", int),
             initial_detection_ages=_parse_floats(section.get("initial_detection_ages", "")),
         )
-    raise ValueError(f"[{label}] unknown model: {kind}")
+    raise ValueError(f"unknown model: {kind}")
 
 
-def _parse_event(section: configparser.SectionProxy, label: str) -> EventSpec:
+def _parse_event(section: configparser.SectionProxy) -> EventSpec:
     kind = section.get("event", "").strip().lower()
     if kind == "final_size":
-        return FinalSize(n_c=section.getint("n_c"))
+        return FinalSize(n_c=_required(section, "n_c", int))
     if kind == "duration":
-        return Duration(T=section.getfloat("T"))
+        return Duration(T=_required(section, "T"))
     if kind == "incidence":
-        return Incidence(T=section.getfloat("T"), n_i=section.getint("n_i"))
+        return Incidence(T=_required(section, "T"), n_i=_required(section, "n_i", int))
     if kind == "diagnoses_increment":
         return DiagnosesIncrement(
-            t=section.getfloat("t"), u=section.getfloat("u"), n_r=section.getint("n_r")
+            t=_required(section, "t"), u=_required(section, "u"),
+            n_r=_required(section, "n_r", int),
         )
     if kind == "cumulative_infections":
         return CumulativeInfections(
-            t=section.getint("generations"), n_c=section.getint("n_c")
+            t=_required(section, "generations", int), n_c=_required(section, "n_c", int)
         )
-    raise ValueError(f"[{label}] unknown event: {kind}")
-
-
-# the INI keys of each model's instrumental law, by the model field they set
-_INSTRUMENTAL_KEYS = {
-    SirParams: {"lambda_new": "lam", "gamma_new": "gamma"},
-    ReedFrostParams: {"q_new": "q"},
-}
-
-
-def _parse_instrumental(
-    section: configparser.SectionProxy, model: ModelParams
-) -> ModelParams | None:
-    keys = _INSTRUMENTAL_KEYS.get(type(model), {})
-    law = {field: float(text) for key, field in keys.items()
-           if (text := section.get(key, "").strip())}
-    return dataclasses.replace(model, **law) if law else None
-
-
-# how an INI value becomes an option field; an empty value leaves it unset
-_OPTION_READERS = {
-    "keep_fraction": float, "alpha": float, "iterations": int, "keep_count": int,
-    "restart_on_extinction": int, "variant": str.lower, "weight_rule": str.lower,
-    "levels": _parse_floats, "time_grid": _parse_floats,
-}
+    raise ValueError(f"unknown event: {kind}")
 
 
 class _ReadTracker(configparser.ConfigParser):
@@ -339,47 +368,67 @@ class _ReadTracker(configparser.ConfigParser):
         return super().get(section, option, **kwargs)
 
 
+def _parse_section(parser: _ReadTracker, label: str) -> ExperimentConfig:
+    section = parser[label]
+    model = _parse_model(section)
+    event = _parse_event(section)
+    method = section.get("method", "cmc").strip().lower()
+    # the option fields the method reads, as its record says (an unknown
+    # method reads none, and the config rejects it); an empty value leaves a
+    # field unset
+    record = METHOD_RECORDS.get(method, METHOD_RECORDS["cmc"])
+    options = {}
+    for name, read in record.options.items():
+        if name in record.unread(event, options):
+            continue
+        if isinstance(read, dict):
+            law = {field: float(text) for key, field in read.items()
+                   if hasattr(model, field) and (text := section.get(key, "").strip())}
+            if law:
+                options[name] = dataclasses.replace(model, **law)
+        elif text := section.get(name, "").strip():
+            options[name] = read(text)
+    config = ExperimentConfig(
+        label=label,
+        model=model,
+        event=event,
+        method=method,
+        particles=section.getint("particles", fallback=1000),
+        replications=section.getint("replications", fallback=1000),
+        master_seed=section.getint("master_seed", fallback=0),
+        workers=section.getint("workers", fallback=1),
+        **options,
+    )
+    unread = sorted(key for key in section if (label, key) not in parser.read_keys)
+    if unread:
+        raise ValueError(f"unknown key(s): {', '.join(unread)}")
+    return config
+
+
 def parse_config_text(text: str) -> list[ExperimentConfig]:
-    """Parse experiments from INI text; one section per experiment.  A section
-    reads its model's, event's and run keys and only its own method's option
-    keys (``METHODS``), of ibps's only those its event reads, ``alpha`` after
-    ``weight_rule``; any other key, one from ``[DEFAULT]`` included, is an
-    error, so a misplaced option fails the parse before any section runs."""
+    """Parse experiments from INI text; one section per experiment.
+
+    A section reads its model's, event's and run keys and the option keys its
+    method reads on its model and event (``METHOD_RECORDS``); any other key,
+    one from ``[DEFAULT]`` included, is an error.  So is a value the model,
+    the event or the method's estimator check rejects.  Every error names its
+    section, ``[label] ...``, and the parse fails before any section runs.
+    """
     parser = _ReadTracker()
     parser.read_string(text)
     configs = []
     for label in parser.sections():
-        section = parser[label]
-        model = _parse_model(section, label)
-        event = _parse_event(section, label)
-        method = section.get("method", "cmc").strip().lower()
-        options = {}
-        for name in METHODS.get(method, ()):
-            weight_rule = options.get("weight_rule", ExperimentConfig.weight_rule)
-            if method == "ibps" and name in ibps_unread_options(event, weight_rule):
-                continue
-            if name == "instrumental":
-                options[name] = _parse_instrumental(section, model)
-            elif value := section.get(name, "").strip():
-                options[name] = _OPTION_READERS[name](value)
-        config = ExperimentConfig(
-            label=label,
-            model=model,
-            event=event,
-            method=method,
-            particles=section.getint("particles", fallback=1000),
-            replications=section.getint("replications", fallback=1000),
-            master_seed=section.getint("master_seed", fallback=0),
-            workers=section.getint("workers", fallback=1),
-            **options,
-        )
-        unread = sorted(key for key in section if (label, key) not in parser.read_keys)
-        if unread:
-            raise ValueError(f"[{label}] unknown key(s): {', '.join(unread)}")
-        configs.append(config)
+        try:
+            configs.append(_parse_section(parser, label))
+        except (TypeError, ValueError, configparser.Error) as exc:
+            raise ValueError(f"[{label}] {exc}") from exc
     return configs
 
 
 def parse_config_file(path: str) -> list[ExperimentConfig]:
+    """The experiments of a config file, which must hold at least one."""
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_config_text(handle.read())
+        configs = parse_config_text(handle.read())
+    if not configs:
+        raise ValueError(f"config {path} has no sections")
+    return configs

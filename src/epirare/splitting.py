@@ -92,7 +92,8 @@ from .events import (
     quantile_levels,
 )
 
-__all__ = ["ParticleEnsemble", "ibps_estimate", "ibps_unread_options", "temporal_split_estimate"]
+__all__ = ["ParticleEnsemble", "ibps_check", "ibps_estimate", "ibps_unread", "temporal_check",
+           "temporal_split_estimate"]
 
 _RESTART_STAGE_OFFSET = 1_000_000
 _STAGE_CAP = 100_000
@@ -101,13 +102,18 @@ VARIANTS = ("multinomial", "keepall")
 WEIGHT_RULES = ("indicator", "potential_v", "potential_dv")
 
 
-def ibps_unread_options(spec: EventSpec, weight_rule: str) -> tuple[str, ...]:
-    """The selection options ``ibps_estimate`` does not read on ``spec``: a jump-process
-    event reads ``variant`` and no weight rule, a Reed-Frost event reads ``weight_rule``
-    and no ``variant``, and ``alpha`` only under a potential rule."""
-    if not isinstance(spec, CumulativeInfections):
-        return ("weight_rule", "alpha")
-    return ("variant", "alpha") if weight_rule == "indicator" else ("variant",)
+def ibps_unread(spec: EventSpec, weight_rule: str) -> dict[str, str]:
+    """The selection options ``ibps_estimate`` does not read on ``spec``, each
+    with the reason: a jump-process event reads ``variant`` and no weight
+    rule, a Reed-Frost event reads ``weight_rule`` and no ``variant``, and
+    ``alpha`` only under a potential rule."""
+    if isinstance(spec, CumulativeInfections):
+        unread = {"variant": "variants apply to jump-process events"}
+    else:
+        unread = {"weight_rule": "weight rules apply to discrete-generation events"}
+    if "weight_rule" in unread or weight_rule == "indicator":
+        unread["alpha"] = "alpha applies only under a potential_v or potential_dv rule"
+    return unread
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +455,55 @@ def _ibps_discrete(
 # public estimators
 
 
+def _check_splitting_run(n_particles: int, restart_on_extinction: int) -> None:
+    if n_particles < 2:
+        raise ValueError("n_particles must be at least 2")
+    if restart_on_extinction < 0:
+        raise ValueError("restart_on_extinction must be non-negative")
+
+
+def ibps_check(
+    model: ModelParams, spec: EventSpec, n_particles: int, schedule: tuple[float, ...] | None,
+    keep_fraction: float | None, variant: str, weight_rule: str, alpha: float,
+    restart_on_extinction: int,
+) -> None:
+    """Raise on the arguments ``ibps_estimate`` rejects, among them a selection
+    option set off its default on an event that does not read it
+    (``ibps_unread``)."""
+    _check_splitting_run(n_particles, restart_on_extinction)
+    if (schedule is None) == (keep_fraction is None):
+        raise ValueError("provide exactly one of schedule or keep_fraction")
+    if keep_fraction is not None and not 0.0 < keep_fraction < 1.0:
+        raise ValueError("keep_fraction must lie in (0, 1)")
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}")
+    if weight_rule not in WEIGHT_RULES:
+        raise ValueError(f"weight_rule must be one of {WEIGHT_RULES}")
+    if not -math.inf < alpha < math.inf:  # NaN too
+        raise ValueError(f"alpha must be finite: {alpha}")
+    if isinstance(spec, Duration):
+        raise ValueError("duration events split along the time axis; use temporal_split_estimate")
+    if schedule is not None:
+        if len(schedule) == 0:
+            raise ValueError("a level schedule needs at least the target level")
+        if not all(b > a for a, b in zip(schedule, schedule[1:])):
+            raise ValueError("levels must be strictly increasing")
+        if schedule[-1] != event_threshold(spec):
+            raise ValueError("last level must equal the event threshold")
+        if isinstance(spec, CumulativeInfections) and len(schedule) != spec.t - 1:
+            raise ValueError(
+                "discrete schedules need exactly one level per selection generation"
+            )
+    set_off_default = {"variant": variant != "multinomial",
+                       "weight_rule": weight_rule != "indicator", "alpha": alpha != 0.0}
+    unread = {name: why for name, why in ibps_unread(spec, weight_rule).items()
+              if set_off_default[name]}
+    if unread:
+        raise ValueError(f"ibps reads no {', '.join(unread)} on {spec}: "
+                         + "; ".join(unread.values()))
+    _validate_event_model(model, spec)
+
+
 def ibps_estimate(
     model: ModelParams,
     spec: EventSpec,
@@ -479,44 +534,10 @@ def ibps_estimate(
     ``conditional_sample=False`` slots keep only what the level cuts read,
     and the ensemble holds no paths (the replication hot path does this).
     """
-    if n_particles < 2:
-        raise ValueError("n_particles must be at least 2")
-    if (schedule is None) == (keep_fraction is None):
-        raise ValueError("provide exactly one of schedule or keep_fraction")
-    if keep_fraction is not None and not 0.0 < keep_fraction < 1.0:
-        raise ValueError("keep_fraction must lie in (0, 1)")
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
-    if weight_rule not in WEIGHT_RULES:
-        raise ValueError(f"weight_rule must be one of {WEIGHT_RULES}")
-    if not -math.inf < alpha < math.inf:  # NaN too
-        raise ValueError(f"alpha must be finite: {alpha}")
-    if restart_on_extinction < 0:
-        raise ValueError("restart_on_extinction must be non-negative")
-    if isinstance(spec, Duration):
-        raise ValueError("duration events split along the time axis; use temporal_split_estimate")
+    ibps_check(model, spec, n_particles, schedule, keep_fraction, variant, weight_rule, alpha,
+               restart_on_extinction)
     discrete = isinstance(spec, CumulativeInfections)
     threshold = float(event_threshold(spec))
-    if schedule is not None:
-        if len(schedule) == 0:
-            raise ValueError("a level schedule needs at least the target level")
-        if not all(b > a for a, b in zip(schedule, schedule[1:])):
-            raise ValueError("levels must be strictly increasing")
-        if schedule[-1] != threshold:
-            raise ValueError("last level must equal the event threshold")
-        if discrete and len(schedule) != spec.t - 1:
-            raise ValueError(
-                "discrete schedules need exactly one level per selection generation"
-            )
-    # each option set off its default, with the reason an event may not read it
-    why = {"variant": variant != "multinomial" and "variants apply to jump-process events",
-           "weight_rule": weight_rule != "indicator"
-           and "weight rules apply to discrete-generation events",
-           "alpha": alpha != 0.0 and "alpha applies only under a potential_v or potential_dv rule"}
-    if unread := [name for name in ibps_unread_options(spec, weight_rule) if why[name]]:
-        raise ValueError(f"ibps reads no {', '.join(unread)} on {spec}: "
-                         + "; ".join(why[name] for name in unread))
-    _validate_event_model(model, spec)
 
     def next_level(scores: np.ndarray, levels: list[float]) -> tuple[float, bool]:
         if schedule is not None:
@@ -567,6 +588,29 @@ def ibps_estimate(
     return estimate, ensemble
 
 
+def temporal_check(
+    model: ModelParams, horizon: float, n_particles: int, time_grid: tuple[float, ...] | None,
+    keep_count: int | None, restart_on_extinction: int,
+) -> None:
+    """Raise on the arguments ``temporal_split_estimate`` rejects."""
+    _check_splitting_run(n_particles, restart_on_extinction)
+    if (time_grid is None) == (keep_count is None):
+        raise ValueError("provide exactly one of time_grid or keep_count")
+    if time_grid is not None:
+        if len(time_grid) == 0:
+            raise ValueError("time grid must not be empty")
+        if not time_grid[0] > 0:
+            raise ValueError("time grid entries must be positive")
+        if not all(b > a for a, b in zip(time_grid, time_grid[1:])):
+            raise ValueError("time grid must be strictly increasing")
+        if not math.isclose(time_grid[-1], horizon):
+            raise ValueError("time grid must end at the horizon")
+    if keep_count is not None and not 1 <= keep_count < n_particles:
+        raise ValueError("keep_count must lie in [1, n_particles)")
+    if not isinstance(model, (SirParams, HivParams)):
+        raise TypeError("temporal splitting applies to the jump-process models")
+
+
 def temporal_split_estimate(
     model: ModelParams,
     horizon: float,
@@ -585,26 +629,7 @@ def temporal_split_estimate(
     current paths survive it.  Extinction before the horizon is handled as in
     ``ibps_estimate``; no path outliving the horizon itself just estimates 0.
     """
-    if n_particles < 2:
-        raise ValueError("n_particles must be at least 2")
-    if (time_grid is None) == (keep_count is None):
-        raise ValueError("provide exactly one of time_grid or keep_count")
-    if time_grid is not None:
-        if len(time_grid) == 0:
-            raise ValueError("time grid must not be empty")
-        if not time_grid[0] > 0:
-            raise ValueError("time grid entries must be positive")
-        if not all(b > a for a, b in zip(time_grid, time_grid[1:])):
-            raise ValueError("time grid must be strictly increasing")
-        if not math.isclose(time_grid[-1], horizon):
-            raise ValueError("time grid must end at the horizon")
-    if keep_count is not None and not 1 <= keep_count < n_particles:
-        raise ValueError("keep_count must lie in [1, n_particles)")
-    if restart_on_extinction < 0:
-        raise ValueError("restart_on_extinction must be non-negative")
-    if not isinstance(model, (SirParams, HivParams)):
-        raise TypeError("temporal splitting applies to the jump-process models")
-
+    temporal_check(model, horizon, n_particles, time_grid, keep_count, restart_on_extinction)
     spec = Duration(horizon)
 
     def next_level(scores: np.ndarray, levels: list[float]) -> tuple[float, bool]:

@@ -323,6 +323,29 @@ def test_estimate_names_a_config_without_sections(tmp_path, capsys):
     assert captured.err == f"epirare: error: config {config} has no sections\n"
 
 
+def test_sweep_names_a_config_without_sections(tmp_path, capsys):
+    # used to print only the header and exit 0
+    config = tmp_path / "exp.ini"
+    config.write_text("; nothing here yet\n")
+    assert main(["sweep", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"epirare: error: config {config} has no sections\n"
+
+
+def test_sweep_fails_on_a_bad_section_before_any_runs(tmp_path, capsys):
+    # used to run the first section and then fail at replication 0 of the second
+    config = tmp_path / "exp.ini"
+    config.write_text(TOY_CMC + TOY_CMC.replace("[toy]", "[bad]").replace(
+        "method = cmc", "method = ibps\nkeep_fraction = 0.2\nvariant = bogus"))
+    assert main(["sweep", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "epirare: error: [bad] variant must be one of ('multinomial', 'keepall')\n"
+    )
+
+
 def test_estimate_method_override_keeps_unread_section_options(tmp_path, capsys):
     config = tmp_path / "exp.ini"
     config.write_text(TOY_CMC.replace("method = cmc", "method = ibps\nkeep_fraction = 0.2"))
@@ -395,9 +418,11 @@ def test_exact_takes_only_the_sir_model(capsys):
         main(["exact", *MODEL_ARGS["rf"]])
     assert exit_.value.code == 2
     assert "unrecognized arguments: --model rf" in capsys.readouterr().err
-    # the other models' flags come from the same table, and the sir model takes none
-    assert main(["exact", *MODEL_ARGS["sir"][2:], "--q", "0.9"]) == 2
-    assert capsys.readouterr().err == "epirare: error: sir model takes no --q\n"
+    # it declares only the sir model's flags from the flag table
+    with pytest.raises(SystemExit) as exit_:
+        main(["exact", *MODEL_ARGS["sir"][2:], "--q", "0.9"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --q 0.9" in capsys.readouterr().err
 
 
 def test_exact_rejects_population_below_initial_counts(capsys):

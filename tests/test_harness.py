@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import os
@@ -8,10 +9,24 @@ from pathlib import Path
 
 import pytest
 
-from epirare import CumulativeInfections, FinalSize, ReedFrostParams, Scaling, SirParams
+from epirare import (
+    CumulativeInfections,
+    Duration,
+    FinalSize,
+    HivParams,
+    ReedFrostParams,
+    Scaling,
+    SeedSpec,
+    SirParams,
+    ce_estimate,
+    cmc,
+    harness,
+    ibps_estimate,
+    is_estimate,
+    temporal_split_estimate,
+)
 from epirare.harness import (
-    _INSTRUMENTAL_KEYS,
-    METHODS,
+    METHOD_RECORDS,
     ExperimentConfig,
     RunError,
     parse_config_text,
@@ -19,7 +34,6 @@ from epirare.harness import (
     sweep,
     write_sweep_csv,
 )
-from epirare.splitting import ibps_unread_options
 
 TOY_TEXT = """
 [toy-cmc]
@@ -166,7 +180,7 @@ METHOD_SECTIONS = {
     ),
 }
 # the option keys each case's section reads: its method's, and of ibps's only
-# those its event reads (splitting.ibps_unread_options)
+# those its event reads (splitting.ibps_unread)
 READS = {
     "cmc": set(),
     "is": {"lambda_new", "gamma_new"},
@@ -258,12 +272,11 @@ def test_readme_method_table_matches_methods():
     for line in table.splitlines()[1:]:
         method, *keys = re.findall(r"`([^`]+)`", line)
         documented[method] = set(keys)
-    # the instrumental law is set by its model's *_new keys
-    new_keys = {key for keys in _INSTRUMENTAL_KEYS.values() for key in keys}
+    # an option is set by its own key, an instrumental law by its *_new keys
     assert documented == {
-        method: {key for name in names
-                 for key in (new_keys if name == "instrumental" else {name})}
-        for method, names in METHODS.items()
+        method: {key for name, read in record.options.items()
+                 for key in (read if isinstance(read, dict) else {name})}
+        for method, record in METHOD_RECORDS.items()
     }
     # the ibps row states, part by part, what every event reads, what a
     # jump-process event and a Reed-Frost event read besides, and what a
@@ -273,7 +286,8 @@ def test_readme_method_table_matches_methods():
         set(re.findall(r"`([^`]+)`", part)) for part in ibps_row.split(";")
     )
     common.discard("ibps")
-    reads = {(event, rule): set(METHODS["ibps"]) - set(ibps_unread_options(event, rule))
+    ibps = METHOD_RECORDS["ibps"]
+    reads = {(event, rule): set(ibps.options) - set(ibps.unread(event, {"weight_rule": rule}))
              for event in (FinalSize(n_c=5), CumulativeInfections(t=4, n_c=5))
              for rule in ("indicator", "potential_v")}
     assert reads[FinalSize(n_c=5), "indicator"] == reads[FinalSize(n_c=5), "potential_v"]
@@ -368,19 +382,119 @@ def test_import_leaves_the_process_pool_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-def test_run_wraps_errors_with_replication_index():
-    bad = ExperimentConfig(
-        label="broken",
-        model=SirParams(lam=0.1, gamma=1.0, s0=3, i0=1, scaling=Scaling.UNSCALED),
-        event=FinalSize(n_c=2),
-        method="ibps",
-        particles=10,
-        replications=3,
-        master_seed=0,
-        levels=(1.0, 3.0),  # does not end at the threshold
-    )
-    with pytest.raises(RunError, match="replication 0 of 'broken'"):
-        run(bad)
+def test_run_wraps_errors_with_replication_index(monkeypatch):
+    # a failure only a run can raise: the record calls the estimator by its
+    # module-level name, so the name rebound here is the one that runs
+    def failing(*args, **kwargs):
+        raise ValueError("engine failure")
+
+    monkeypatch.setattr(harness, "cmc", failing)
+    config = dataclasses.replace(parse_config_text(TOY_TEXT)[0], label="broken")
+    with pytest.raises(RunError, match="^replication 0 of 'broken': engine failure$"):
+        run(config)
+
+
+TOY_SIR = SirParams(lam=0.12, gamma=1.0, s0=9, i0=1, scaling=Scaling.UNSCALED)
+TOY_RF = ReedFrostParams(q=0.9, s0=9, i0=1)
+TOY_HIV = HivParams(lam=0.1, gamma1=0.5, gamma2=0.2, c=1.0, s0=9, i0=1)
+SIR_BODY = "lambda = 0.12\ngamma = 1\nscaling = unscaled\ns0 = 9\ni0 = 1\n"
+RF_BODY = "model = rf\nq = 0.9\ns0 = 9\ni0 = 1\n"
+HIV_BODY = "model = hiv\nlambda = 0.1\ngamma1 = 0.5\ngamma2 = 0.2\nc = 1\ns0 = 9\ni0 = 1\n"
+# settings that used to parse and then fail only at replication 0 of a run, after
+# every earlier section of a sweep had run (and `is` on hiv, which failed the parse
+# for want of an instrumental law): each section body, and its estimator's call
+PARSE_TIME_CASES = {
+    "weight-rule": (
+        RF_BODY + "event = cumulative_infections\ngenerations = 4\nn_c = 5\nmethod = ibps\n"
+        "keep_fraction = 0.2\nweight_rule = bogus\nparticles = 10\n",
+        lambda seed: ibps_estimate(TOY_RF, CumulativeInfections(t=4, n_c=5), n_particles=10,
+                                   keep_fraction=0.2, weight_rule="bogus", seed=seed),
+    ),
+    "variant": (
+        SIR_BODY + "event = final_size\nn_c = 10\nmethod = ibps\nkeep_fraction = 0.2\n"
+        "variant = bogus\nparticles = 10\n",
+        lambda seed: ibps_estimate(TOY_SIR, FinalSize(n_c=10), n_particles=10,
+                                   keep_fraction=0.2, variant="bogus", seed=seed),
+    ),
+    "iterations": (
+        SIR_BODY + "event = final_size\nn_c = 10\nmethod = ce\niterations = 0\nparticles = 10\n",
+        lambda seed: ce_estimate(TOY_SIR, FinalSize(n_c=10), 10, 0, seed),
+    ),
+    "ce-on-hiv": (
+        HIV_BODY + "event = duration\nT = 1\nmethod = ce\nparticles = 10\n",
+        lambda seed: ce_estimate(TOY_HIV, Duration(T=1.0), 10, 5, seed),
+    ),
+    "is-on-hiv": (
+        HIV_BODY + "event = duration\nT = 1\nmethod = is\nparticles = 10\n",
+        lambda seed: is_estimate(TOY_HIV, Duration(T=1.0), None, 10, seed),
+    ),
+    "levels-short-of-threshold": (
+        SIR_BODY + "event = final_size\nn_c = 4\nmethod = ibps\nlevels = 2, 3\nparticles = 10\n",
+        lambda seed: ibps_estimate(TOY_SIR, FinalSize(n_c=4), n_particles=10,
+                                   schedule=(2.0, 3.0), seed=seed),
+    ),
+    "levels-past-threshold": (
+        SIR_BODY + "event = final_size\nn_c = 2\nmethod = ibps\nlevels = 1, 3\nparticles = 10\n",
+        lambda seed: ibps_estimate(TOY_SIR, FinalSize(n_c=2), n_particles=10,
+                                   schedule=(1.0, 3.0), seed=seed),
+    ),
+    "keep-count": (
+        SIR_BODY + "event = duration\nT = 2\nmethod = temporal\nkeep_count = 50\n"
+        "particles = 10\n",
+        lambda seed: temporal_split_estimate(TOY_SIR, 2.0, n_particles=10, keep_count=50,
+                                             seed=seed),
+    ),
+    "one-particle": (
+        SIR_BODY + "event = final_size\nn_c = 10\nmethod = ibps\nkeep_fraction = 0.2\n"
+        "particles = 1\n",
+        lambda seed: ibps_estimate(TOY_SIR, FinalSize(n_c=10), n_particles=1,
+                                   keep_fraction=0.2, seed=seed),
+    ),
+    "cmc-rf-final-size": (
+        RF_BODY + "event = final_size\nn_c = 5\nmethod = cmc\nparticles = 10\n",
+        lambda seed: cmc(TOY_RF, FinalSize(n_c=5), 10, seed),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PARSE_TIME_CASES)
+def test_parse_fails_with_the_estimators_own_check(case):
+    # one check per method: the estimator runs it first, and a config runs it
+    # when it is made, so the parse fails with the estimator's message
+    section, call = PARSE_TIME_CASES[case]
+    with pytest.raises((TypeError, ValueError)) as direct:
+        call(SeedSpec(0))
+    with pytest.raises(ValueError) as parsed:
+        parse_config_text("[a]\n" + section)
+    assert str(parsed.value) == f"[a] {direct.value}"
+
+
+def test_parse_rejects_a_negative_master_seed():
+    # used to parse, so a sweep ran every earlier section and then failed at
+    # replication 0 of this one
+    first, second = TOY_TEXT.split("[toy-ibps]")
+    text = first + "[toy-ibps]" + second.replace("master_seed = 7", "master_seed = -1")
+    with pytest.raises(ValueError, match=r"^\[toy-ibps\] master_seed must be non-negative$"):
+        parse_config_text(text)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("lambda = 0.12", "lambda = nan", "lambda must be finite and non-negative: nan"),
+        ("lambda = 0.12\n", "", "missing key: lambda"),
+        ("n_c = 10\n", "", "missing key: n_c"),
+        ("n_c = 10\n", "n_c = 10%\n", "'%' must be followed by '%' or '(', found: '%'"),
+    ],
+    ids=["nan-lambda", "no-lambda", "no-n_c", "stray-percent"],
+)
+def test_parse_names_the_section_of_a_model_or_event_error(old, new, message):
+    # the model's own errors and the INI reader's named no section, and a
+    # missing key failed with "'<=' not supported between instances of 'int'
+    # and 'NoneType'"
+    first, second = TOY_TEXT.split("[toy-ibps]")
+    with pytest.raises(ValueError, match=rf"^\[toy-ibps\] {re.escape(message)}$"):
+        parse_config_text(first + "[toy-ibps]" + second.replace(old, new))
 
 
 def test_sweep_empty_is_header_only():
