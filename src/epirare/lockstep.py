@@ -2,10 +2,10 @@
 
 These engines simulate every path the package produces, tracking exactly the
 per-path summaries the estimators need (running maxima, event counts, rate
-integrals, and with ``record=True`` the rows of an event log).  A row is the
-engine's own state of a path right after one of its events, recorded as the
-loop holds it.  A call hands the rows back in the loop's order
-(``Recorded``); grouping them by path into an ``EventLog`` happens on
+integrals, and with ``record=True`` what an event log needs).  A row is the
+engine's own state of a path right after one of its events, as the loop
+holds it.  A call hands back what it recorded in the loop's order
+(``Recorded``); grouping it by path into an ``EventLog`` happens on
 request, for every path or for the few a caller reads.  Each path starts
 from such a row (``Row``): ``initial_row``'s, or one a caller cut it at.
 A call stops each path where the event it is given is decided, at
@@ -28,8 +28,9 @@ draws one block of standard exponentials, a row per live path in path
 order and a column per run, up to 16 of them, and takes every live path
 forward run by run, an infection closing each, until the run it stops in.
 The loop reads the runs' rates and every per-event tally from one small
-table indexed by s.  Such a call has no times: its ``t`` is NaN and its
-log has no ``t`` column.
+table indexed by s.  Recording, it keeps its runs rather than rows, and a
+log expands into rows only the runs of the paths it is asked for.  Such a
+call has no times: its ``t`` is NaN and its log has no ``t`` column.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ _ITERATION_CAP = 100_000_000
 _RUNS = np.arange(16)
 # the least subnormal double
 _LEAST = np.nextafter(0.0, 1.0)
+# the clock-free columns a log expands at once
+_PIECE = 4096
 
 
 class Row(NamedTuple):
@@ -162,59 +165,74 @@ class EventLog:
 
 @dataclass
 class Recorded:
-    """The rows one recording engine call kept, in the loop's order.
+    """What one recording engine call kept of its paths' events, in the
+    loop's order; ``log`` groups it by path.
 
-    Row k of ``rows`` is the logged quantity ``names[k]`` of a path right
-    after one of its events, as the loop held it: an event-log column
-    (``Row``), or ``path``, the path's index in the call.  ``is_inf`` says
-    whether the event was an infection; other events are of
-    ``other_kind``.  A path's rows come in time order, interleaved with the
-    other paths' rows; ``log`` groups them.
+    A clocked call keeps rows: row k of ``rows`` is the logged quantity
+    ``names[k]`` of a path right after one of its events, as the loop held
+    it, an event-log column (``Row``) or ``path``, the path's index in the
+    call; ``is_inf`` says whether the event was an infection.  A path's rows
+    come in time order, interleaved with the other paths' rows.
+
+    A clock-free call keeps its runs instead, ``runs``: per iteration, the
+    live paths' rows ``names`` at its start and, per path and run, what
+    ``_take_runs`` returned of them.  ``log`` expands into rows only the
+    runs of the paths it is asked for, so rows nobody reads are never made.
+
+    Events other than infections are of ``other_kind``.
     """
 
-    rows: np.ndarray
     names: tuple[str, ...]
-    is_inf: np.ndarray
     other_kind: int
     t_stop: np.ndarray
+    rows: np.ndarray | None = None
+    is_inf: np.ndarray | None = None
+    runs: list[tuple[np.ndarray, ...]] | None = None
 
     def log(self, paths: np.ndarray) -> EventLog:
         """The rows grouped by path: path j of the log holds the rows of this
         call's path ``paths[j]``, or none where that is -1 (its ``t_stop`` is
         then nan); no path may appear twice."""
-        row = dict(zip(self.names, self.rows))
         # each call path's position in ``paths``; the extra last entry is
         # where -1 points, and stays -1
         at = np.full(len(self.t_stop) + 1, -1, dtype=np.intp)
         at[paths] = np.arange(len(paths))
         at[-1] = -1
+        n = len(paths)
+        if self.runs is None:
+            per_path, columns, is_inf = self._group(at, n)
+        else:
+            per_path, columns, is_inf = _expand_runs(self.runs, at, n)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(per_path, out=offsets[1:])
+        kind = np.where(is_inf, np.int8(EventKind.INFECTION.value), np.int8(self.other_kind))
+        return EventLog(
+            path=np.repeat(np.arange(n), per_path), kind=kind, offsets=offsets,
+            t_stop=np.append(self.t_stop, np.nan)[paths],
+            **{name: columns.get(name) for name in EventLog.STATE},
+        )
+
+    def _group(self, at: np.ndarray, n: int) -> tuple[np.ndarray, dict, np.ndarray]:
+        """The kept rows of the paths at ``at`` >= 0, sorted by that place:
+        their count per place, their columns and their infection flags."""
+        row = dict(zip(self.names, self.rows))
         key = at[row["path"].astype(np.intp)]
         (picked,) = (key >= 0).nonzero()
         key = key[picked]
-        n = len(paths)
-        per_path = np.bincount(key, minlength=n)
         order = picked[np.argsort(key, kind="stable")]
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(per_path, out=offsets[1:])
         # one row at a time: a sorted copy of the whole block would double
         # the log's peak memory; counts come back as integers
         columns = {name: row[name][order].astype(
             float if name in ("t", "decayed") else np.int64, copy=False
-        ) if name in row else None for name in EventLog.STATE}
-        kind = np.where(
-            self.is_inf[order], np.int8(EventKind.INFECTION.value), np.int8(self.other_kind)
-        )
-        return EventLog(
-            path=np.repeat(np.arange(n), per_path), kind=kind, offsets=offsets,
-            t_stop=np.append(self.t_stop, np.nan)[paths], **columns,
-        )
+        ) for name in EventLog.STATE if name in row}
+        return np.bincount(key, minlength=n), columns, self.is_inf[order]
 
 
 @dataclass
 class JumpEnsemble:
     """Per-path summaries of a batch of jump-process simulations.
 
-    A recording call also hands back the rows it kept, ungrouped, as
+    A recording call also hands back what it kept, ungrouped, as
     ``recorded``; ``log`` groups every path's rows on first use.
 
     ``int_pair`` and ``int_i`` are summed only by a call given a base law,
@@ -373,32 +391,40 @@ def _accumulate_runs(ufunc: np.ufunc, x: np.ndarray) -> None:
 
 
 class _Log:
-    """The rows a recording call keeps, one per logged quantity in
-    ``names`` and event, and whether each row's event was an infection:
-    one block per engine iteration, joined once when the call ends.  Both
-    engine loops, ``_jump_loop`` and ``_chain_loop``, record through it.
+    """What a recording call keeps, the arrays of one engine iteration at a
+    time.  ``_jump_loop`` keeps its rows, one per logged quantity in
+    ``names`` and event, and whether each event was an infection; they are
+    joined once when the call ends.  ``_chain_loop`` keeps its runs
+    (``runs``): the rows ``names`` of the live paths at the iteration's
+    start and, per path and run, what ``_take_runs`` returned, left as they
+    are for ``Recorded.log`` to expand.
 
-    Blocks of the size each iteration fills, not one buffer sized ahead for
+    Arrays of the size each iteration fills, not one buffer sized ahead for
     the call and doubled when full: with such a buffer a recorded call's
     speed followed where the heap placed it, so on a 2-core Xeon VM one
     ibps-abakaliki process took 5.0 ms a replication and the next 6.5 ms at
-    the same seed; with blocks, 5.1 to 5.6 ms."""
+    the same seed, when the chain loop still kept rows; with one block per
+    iteration, 5.1 to 5.6 ms."""
 
-    def __init__(self, names: tuple[str, ...]) -> None:
+    def __init__(self, names: tuple[str, ...], runs: bool = False) -> None:
         self.names = names
-        self.rows: list[np.ndarray] = []
-        self.flags: list[np.ndarray] = []
+        self.runs = runs
+        self.kept: list[tuple[np.ndarray, ...]] = []
 
-    def append(self, rows: np.ndarray, flags: np.ndarray) -> None:
-        """Keep one iteration's ``rows``, a column per event, and ``flags``."""
-        self.rows.append(rows)
-        self.flags.append(flags)
+    def append(self, *arrays: np.ndarray) -> None:
+        """Keep one iteration's arrays: its ``rows``, a column per event,
+        and their flags; or its start rows and runs."""
+        self.kept.append(arrays)
 
     def recorded(self, other_kind: int, t_stop: np.ndarray) -> Recorded:
-        """The kept rows in order, handed back as the call's ``Recorded``."""
-        rows = np.concatenate([np.empty((len(self.names), 0)), *self.rows], axis=1)
-        flags = np.concatenate([np.empty(0, bool), *self.flags])
-        return Recorded(rows, self.names, flags, other_kind, t_stop)
+        """What was kept, in order, handed back as the call's ``Recorded``."""
+        if self.runs:
+            return Recorded(self.names, other_kind, t_stop, runs=self.kept)
+        rows = np.concatenate(
+            [np.empty((len(self.names), 0)), *(rows for rows, _ in self.kept)], axis=1
+        )
+        flags = np.concatenate([np.empty(0, bool), *(flags for _, flags in self.kept)])
+        return Recorded(self.names, other_kind, t_stop, rows, flags)
 
 
 def _jump_loop(
@@ -549,8 +575,10 @@ def _chain_loop(
 
     ``block`` holds the live paths' state as in ``_jump_loop``, but no
     times; the iteration's own arrays hold a row per run and a column per
-    live path.  With ``record``, each iteration appends one row per event,
-    path by path, each run's removals then its infection."""
+    live path.  With ``record``, each iteration keeps its runs: a copy of
+    the live paths' rows before it takes them, and per path and run the
+    removals through the run; ``Recorded.log`` expands the runs of the
+    paths it is asked for into one row per event."""
     start = initial_row(model) if init is None else init
     # the rows an event log keeps; then, given a base law, the two rate
     # integrals and the log rate ratio
@@ -561,7 +589,7 @@ def _chain_loop(
     table = _chain_table(rates, base, s_max + 1)
     run_scale, terms = table[0], table[1:]
     target = np.array(np.ceil(target_level), dtype=float)
-    log = _Log(names[:5]) if record else None
+    log = _Log(names[:5], runs=True) if record else None
     finished = [out[:, :0]]
     block = out
     s, i, r, max_i = block[:4]
@@ -582,7 +610,7 @@ def _chain_loop(
         draws += _LEAST
         steps, removals, done, rise = _take_runs(block, draws, run_scale, terms, target)
         if record:
-            _record_runs(log, block, steps, removals, done, rise)
+            log.append(block[:5].copy(), steps, removals, done)
         # a path that takes no run whole reads run 0, where i + rise is at most i
         top = rise.ravel()[np.maximum(steps - 1, 0) * keep.size + np.arange(keep.size)]
         np.maximum(max_i, i + top, out=max_i)
@@ -635,24 +663,71 @@ def _take_runs(block, draws, run_scale, terms, target):
     return steps, removals, done, rise
 
 
-def _record_runs(log, block, steps, removals, done, rise):
-    """Append to ``log`` one row per event of the paths in ``block`` through
-    their runs, path by path: each run's removals, then the infection
-    closing it, for the ``steps`` runs a path takes whole.  Per path,
-    ``steps`` and ``removals`` count its infections and removals; per run
-    and path, ``done`` counts the removals through the run and ``rise`` is
-    the most that i has risen over its start after the infection."""
+def _expand_runs(runs, at: np.ndarray, n: int) -> tuple[np.ndarray, dict, np.ndarray]:
+    """The rows of the paths at ``at`` >= 0 in a clock-free call's ``runs``,
+    sorted by that place: their count per place, their columns and their
+    infection flags.
+
+    Only those paths' columns are taken from each iteration, into one block
+    ordered by place and, for a place, by iteration, so their runs expand
+    straight into each path's rows in event order; no row is sorted.  The
+    block expands ``_PIECE`` columns at a time, which bounds what the
+    expansion holds besides the rows it returns."""
+    keys, picks = [], []
+    for start, *_ in runs:
+        key = at[start[4].astype(np.intp)]
+        (picked,) = (key >= 0).nonzero()
+        keys.append(key[picked])
+        picks.append(picked)
+    key = np.concatenate([np.empty(0, np.intp), *keys])
+    m = len(key)
+    # each picked column's place in the block
+    place = np.empty(m, np.intp)
+    place[np.argsort(key, kind="stable")] = np.arange(m)
+    start_rows, steps, removals = np.empty((4, m)), np.empty(m, np.intp), np.empty(m)
+    # rows past an iteration's runs are never read
+    done = np.zeros((len(_RUNS), m))
+    j = 0
+    for (start, it_steps, it_removals, it_done), picked in zip(runs, picks):
+        to = place[j:j + len(picked)]
+        j += len(picked)
+        start_rows[:, to] = start[:4, picked]
+        steps[to] = it_steps[picked]
+        removals[to] = it_removals[picked]
+        done[:len(it_done), to] = it_done[:, picked]
+    events = steps + removals
+    ends = np.cumsum(events).astype(np.intp)
+    n_rows = int(ends[-1]) if m else 0
+    columns = {name: np.empty(n_rows, np.int64) for name in ("s", "i", "r", "max_i")}
+    is_inf = np.empty(n_rows, bool)
+    for a in range(0, m, _PIECE):
+        b = min(a + _PIECE, m)
+        rows = slice(ends[a] - int(events[a]), ends[b - 1])
+        state, flags = _record_runs(start_rows[:, a:b], steps[a:b], removals[a:b], done[:, a:b])
+        is_inf[rows] = flags
+        for column, values in zip(columns.values(), state):
+            column[rows] = values
+    per_path = np.bincount(np.sort(key), weights=events, minlength=n).astype(np.int64)
+    return per_path, columns, is_inf
+
+
+def _record_runs(start, steps, removals, done):
+    """One row per event of the columns' paths through their runs, column
+    by column: each run's removals, then the infection closing it, for the
+    ``steps`` runs a path takes whole.  Per column, ``start`` holds the
+    path's s, i, r and max_i before the runs, ``steps`` and ``removals``
+    count its infections and removals, and ``done`` the removals through
+    each run.  Returns the rows' s, i, r and max_i, a row each, and whether
+    each event was an infection."""
     m = len(steps)
     per_path = (steps + removals).astype(np.intp)
     last = np.cumsum(per_path)
-    state, is_inf = np.empty((len(log.names), int(last[-1]))), np.empty(int(last[-1]), bool)
-    log.append(state, is_inf)
+    state, is_inf = np.empty((4, int(last[-1]))), np.zeros(int(last[-1]), bool)
     first, before = last - per_path, np.cumsum(steps) - steps
     # the path's k infections and the removals through run k come before
     # the infection closing it
     p = np.repeat(np.arange(m), steps)
     k = np.arange(len(p)) - np.repeat(before, steps)
-    is_inf[:] = False
     is_inf[np.repeat(first, steps) + k + done.ravel()[k * m + p].astype(np.intp)] = True
     # per event, the infections so far, over all paths, and the events that
     # were not; a path's own are these less their values before its first
@@ -660,18 +735,22 @@ def _record_runs(log, block, steps, removals, done, rise):
     infections = is_inf.astype(float)
     np.cumsum(infections, out=infections)
     others = np.arange(1.0, len(is_inf) + 1) - infections
-    s, i, r, max_i, path = block[:5]
+    s, i, r, max_i = start
     np.subtract(np.repeat(s + before, per_path), infections, out=state[0])
     np.add(np.repeat(i + first - 2 * before, per_path), infections - others, out=state[1])
     np.add(np.repeat(r - first + before, per_path), others, out=state[2])
-    # after a path's j-th infection here, the most of i it has held
+    # the most that i has risen over its start right after the infection
+    # closing each run and those before it; then, after a path's j-th
+    # infection here, the most of i it has held
+    rise = (_RUNS[:len(done), None] + 1) - done
+    _accumulate_runs(np.maximum, rise)
     running = np.empty((len(rise) + 1, m))
     running[0] = max_i
     np.add(rise, i, out=running[1:])
     np.maximum(running[1:], max_i, out=running[1:])
     at = np.repeat(np.arange(m) - before * m, per_path) + infections * m
     np.take(running.ravel(), at.astype(np.intp), out=state[3])
-    state[4] = np.repeat(path, per_path)
+    return state, is_inf
 
 
 def _sir_rates(params: SirParams) -> _Rates:
@@ -728,7 +807,7 @@ def sir_ensemble(
     ``_jump_loop``.  Given the ``base`` law, the call sums what the
     likelihood ratio against it needs (``JumpEnsemble``).  ``init`` holds
     event-log rows, one per path, to continue cut paths from; otherwise
-    paths start fresh.  ``record`` keeps every event's row.
+    paths start fresh.  ``record`` keeps what every event's row needs.
     """
     rates = _sir_rates(params)
     base_rates = None if base is None else _sir_rates(base)

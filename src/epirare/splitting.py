@@ -44,7 +44,9 @@ survivors' histories, count each parent's rows up to its cut (a level cut is
 the first event at which progress reaches the level, a time cut the last
 event at or before the time), and start one lockstep batch from the
 parents' states there.  A child keeps its parent's rows up to the cut and
-its rows in the batch, which stay ungrouped until a later cut reads them.
+its rows in the batch, which stay ungrouped until a later cut reads them;
+a clock-free batch keeps its runs, and makes rows of only the runs of the
+slots a cut or the conditional sample reads.
 Whole histories are kept only when the conditional sample is returned, and
 only then is every slot grouped; otherwise a child keeps just its cut row.
 

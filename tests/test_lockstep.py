@@ -238,27 +238,88 @@ def test_epidemic_path_replays_the_log(name):
         assert path.initial_detection_times == ((-0.5, -2.0) if name == "hiv" else ())
 
 
-@pytest.mark.parametrize("name", sorted(MODELS))
-def test_recorded_rows_grouped_for_some_paths(name):
+def _final_size_from_rows():
+    # rows that go on, rows extinct and rows already at the target
+    target = 20
+    cut = _simulate("sir", 30, 45, FinalSize(3))
+    done = _simulate("sir", 30, 43, FinalSize(target))
+    init = lockstep.Row(
+        *(np.concatenate([getattr(cut, name), getattr(done, name)]) for name in "sir"),
+        None, np.concatenate([cut.max_i, done.max_i]),
+    )
+    live = init.i > 0
+    assert (~live).any() and (live & (init.r >= target)).any() and (live & (init.r < target)).any()
+    return _simulate("sir", None, 44, FinalSize(target), init=init)
+
+
+# recorded calls of 60 paths each: clocked on both models, and clock-free
+# from fresh paths and from rows
+GROUPED = {
+    "hiv": lambda: _simulate("hiv", 60, 36, DiagnosesIncrement(0.5, 1.0, n_r=1)),
+    "sir": lambda: _simulate("sir", 60, 36, DiagnosesIncrement(0.5, 1.0, n_r=1)),
+    "sir-final-size": lambda: _simulate("sir", 60, 37, FinalSize(20)),
+    "sir-final-size-init": _final_size_from_rows,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUPED))
+def test_recorded_rows_grouped_for_some_paths(name, monkeypatch):
     # a path's rows, grouped on their own, are its rows in the whole log
-    n, horizon = 60, 1.5
-    ens = _simulate(name, n, 36, DiagnosesIncrement(0.5, horizon - 0.5, n_r=1))
-    paths = np.array([41, -1, 7, 0, 59, -1, 12])
-    some, whole = ens.recorded.log(paths), ens.log
-    assert np.array_equal(some.path, np.repeat(np.arange(len(paths)), np.diff(some.offsets)))
-    for j, k in enumerate(paths):
-        rows = slice(some.offsets[j], some.offsets[j + 1])
-        if k < 0:
-            assert rows.start == rows.stop and math.isnan(some.t_stop[j])
-            continue
-        assert some.t_stop[j] == whole.t_stop[k]
-        for column in ("t", "kind", *whole.STATE):
-            if getattr(whole, column) is None:
-                assert getattr(some, column) is None
-                continue
-            expected = getattr(whole, column)[whole.offsets[k]:whole.offsets[k + 1]]
-            got = getattr(some, column)[rows]
-            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    ens = GROUPED[name]()
+    whole = ens.log
+    if name.startswith("sir-final-size"):
+        # a clock-free path's runs span iterations
+        assert len(ens.recorded.runs) > 1 and (ens.n_inf > len(lockstep._RUNS)).any()
+    requests = [
+        np.array([41, -1, 7, 0, 59, -1, 12]), np.array([5]), np.arange(60),
+        np.arange(60)[::-1], np.array([], dtype=np.intp),
+    ]
+    for pieces in (None, 3):
+        if pieces is not None:
+            # clock-free columns expanded a few at a time give the same rows
+            monkeypatch.setattr(lockstep, "_PIECE", pieces)
+        for paths in requests:
+            some = ens.recorded.log(paths)
+            per_path = np.diff(some.offsets)
+            assert np.array_equal(some.path, np.repeat(np.arange(len(paths)), per_path))
+            assert np.array_equal(
+                some.t_stop, np.append(whole.t_stop, np.nan)[paths], equal_nan=True
+            )
+            for column in ("t", "kind", *whole.STATE):
+                expected = getattr(whole, column)
+                if expected is None:
+                    assert getattr(some, column) is None
+                    continue
+                expected = np.concatenate([expected[:0]] + [
+                    expected[whole.offsets[k]:whole.offsets[k + 1]] for k in paths if k >= 0
+                ])
+                got = getattr(some, column)
+                assert got.dtype == expected.dtype and np.array_equal(got, expected)
+            assert (per_path[paths < 0] == 0).all()
+
+
+def test_clock_free_logs_expand_only_the_paths_asked_for(monkeypatch):
+    # a clock-free call keeps its runs; only a log asked of it expands
+    # them, and only the asked paths' columns
+    expanded = []
+
+    def counted(start, steps, removals, done):
+        expanded.append(len(steps))
+        return record_runs(start, steps, removals, done)
+
+    record_runs = lockstep._record_runs
+    monkeypatch.setattr(lockstep, "_record_runs", counted)
+    ens = _simulate("sir", 60, 37, FinalSize(20))
+    assert expanded == []
+    # the longest path spans two iterations
+    most = np.argsort(ens.n_inf)
+    paths = np.array([most[-1], -1, most[0], most[-2]])
+    ens.recorded.log(paths)
+    live = sum(np.isin(start[4], paths).sum() for start, *_ in ens.recorded.runs)
+    assert sum(expanded) == live > 3
+    expanded.clear()
+    ens.log
+    assert sum(expanded) == sum(len(steps) for _, steps, *_ in ens.recorded.runs)
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
