@@ -175,9 +175,10 @@ class Recorded:
     come in time order, interleaved with the other paths' rows.
 
     A clock-free call keeps its runs instead, ``runs``: per iteration, the
-    live paths' rows ``names`` at its start and, per path and run, what
-    ``_take_runs`` returned of them.  ``log`` expands into rows only the
-    runs of the paths it is asked for, so rows nobody reads are never made.
+    live paths' rows ``names`` at its start and, of ``_take_runs``' outputs,
+    each path's infections and removals and the removals through each of
+    its runs.  ``log`` expands into rows only the runs of the paths it is
+    asked for, so rows nobody reads are never made.
 
     Events other than infections are of ``other_kind``.
     """
@@ -396,8 +397,8 @@ class _Log:
     ``names`` and event, and whether each event was an infection; they are
     joined once when the call ends.  ``_chain_loop`` keeps its runs
     (``runs``): the rows ``names`` of the live paths at the iteration's
-    start and, per path and run, what ``_take_runs`` returned, left as they
-    are for ``Recorded.log`` to expand.
+    start, each path's infections and removals, and the removals through
+    each of its runs, left as they are for ``Recorded.log`` to expand.
 
     Arrays of the size each iteration fills, not one buffer sized ahead for
     the call and doubled when full: with such a buffer a recorded call's

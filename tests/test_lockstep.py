@@ -301,13 +301,12 @@ def test_recorded_rows_grouped_for_some_paths(name, monkeypatch):
 def test_clock_free_logs_expand_only_the_paths_asked_for(monkeypatch):
     # a clock-free call keeps its runs; only a log asked of it expands
     # them, and only the asked paths' columns
-    expanded = []
+    expanded, record_runs = [], lockstep._record_runs
 
     def counted(start, steps, removals, done):
         expanded.append(len(steps))
         return record_runs(start, steps, removals, done)
 
-    record_runs = lockstep._record_runs
     monkeypatch.setattr(lockstep, "_record_runs", counted)
     ens = _simulate("sir", 60, 37, FinalSize(20))
     assert expanded == []
