@@ -1,6 +1,11 @@
 """Probability estimators: crude Monte-Carlo, fixed importance sampling with
 exact likelihood ratios, and cross-entropy adaptive importance sampling.
 
+Importance sampling reports a per-run standard error from the spread of its
+weights; the cross-entropy method returns the mean of its last half of
+iterations, each an importance-sampling estimate under a law fitted before
+its own paths were drawn, with the standard error of that mean.
+
 Each estimator consumes a SeedSpec whose replication coordinate is set by the
 caller; internal phases derive sibling streams through the stage coordinate,
 so a run is reproducible bit for bit from (master seed, replication).
@@ -180,6 +185,16 @@ def _is_weights(
     return weights, overflow, paths
 
 
+def _weight_sd(weights: np.ndarray) -> float:
+    """Sample standard deviation (ddof=1) of the weights, 0.0 for a single
+    path.  The weights are scaled by the largest before squaring, so weights
+    near the overflow flag give a finite spread whenever their mean is finite."""
+    top = float(np.max(weights))
+    if weights.size < 2 or top == 0.0:
+        return 0.0
+    return top * float(np.std(weights / top, ddof=1))
+
+
 def is_check(
     model: ModelParams, spec: EventSpec, instrumental: ModelParams | None, n_paths: int
 ) -> None:
@@ -213,8 +228,9 @@ def is_estimate(
     is_check(model, spec, instrumental, n_paths)
     weights, overflow, _ = _is_weights(model, spec, instrumental, n_paths, seed.generator())
     value = float(np.mean(weights))
+    std_error = _weight_sd(weights) / math.sqrt(n_paths)
     diag = Diagnostics(zero_runs=int(value == 0.0), likelihood_overflows=int(overflow))
-    return Estimate(value, diagnostics=diag)
+    return Estimate(value, std_error, diagnostics=diag)
 
 
 def _rf_ce_update(
@@ -258,9 +274,18 @@ def ce_estimate(
     Starting from the nominal parameters, each iteration simulates under the
     current instrumental law, forms the importance-sampling estimate, and
     refits the instrumental parameters by weighted maximum likelihood with
-    weights ratio * indicator.  Returns the last iteration's estimate plus the
-    learned parameter trace.  An iteration whose weights all vanish keeps the
-    parameters and is counted in ``zero_runs``.
+    weights ratio * indicator.  An iteration whose weights all vanish keeps
+    the parameters and is counted in ``zero_runs``.
+
+    Returns the equal-weight mean of the estimates of the last ceil(K/2)
+    iterations (K//2 + 1 ... K), plus the learned parameter trace.  Iteration
+    k's law is fitted from earlier iterations only, before its own stream is
+    drawn, so its estimate is unbiased given the past, and so is a mean with
+    weights fixed in advance; the early iterations, under laws still far from
+    the event, would only add variance.  The standard error is that of the
+    mean, sqrt(sum of s_k^2 / N) / (number kept), where s_k^2 is iteration
+    k's weight variance: the kept estimates are martingale increments, so
+    its square is unbiased for the variance of their mean.
 
     On an SIR final size the batches run clock-free: the weights are ratios
     of jump chains, the conditional expectations of the whole paths' ratios
@@ -275,12 +300,14 @@ def ce_estimate(
     current = model
     zero_runs = 0
     overflow = 0
-    theta = 0.0
+    thetas: list[float] = []
+    sds: list[float] = []
     for k in range(1, iterations + 1):
         rng = seed.stream(stage=k).generator()
         weights, overflowed, paths = _is_weights(model, spec, current, n_paths, rng)
         overflow += overflowed
-        theta = float(np.mean(weights))
+        thetas.append(float(np.mean(weights)))
+        sds.append(_weight_sd(weights))
         if not np.any(weights > 0):
             zero_runs += 1
             trace.append(current)
@@ -297,7 +324,11 @@ def ce_estimate(
                 current, lam=max(lam_new, 1e-12), gamma=max(gam_new, 1e-12)
             )
         trace.append(current)
+    kept = slice(iterations // 2, None)
+    n_kept = iterations - iterations // 2
+    value = math.fsum(thetas[kept]) / n_kept
+    std_error = math.hypot(*sds[kept]) / math.sqrt(n_paths) / n_kept
     diag = Diagnostics(
-        zero_runs=zero_runs + int(theta == 0.0), likelihood_overflows=overflow
+        zero_runs=zero_runs + int(value == 0.0), likelihood_overflows=overflow
     )
-    return Estimate(theta, diagnostics=diag), trace
+    return Estimate(value, std_error, diagnostics=diag), trace
