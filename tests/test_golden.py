@@ -211,8 +211,8 @@ cmc,N=40;reps=3;seed=7,4.583e-01,6.292e-02,0,0,
 cmc,N=40;reps=3;seed=7,3.667e-01,3.819e-02,0,0,
 is,N=40;reps=3;seed=7,1.099e-01,4.852e-02,0,0,
 is,N=40;reps=3;seed=7,2.362e-01,4.739e-02,0,0,
-ce[K=3],N=40;reps=3;seed=7,1.235e-01,2.778e-02,0,0,
-ce[K=3],N=40;reps=3;seed=7,2.360e-01,1.059e-02,0,0,
+ce[K=3],N=40;reps=3;seed=7,1.094e-01,3.364e-03,0,0,
+ce[K=3],N=40;reps=3;seed=7,2.445e-01,4.839e-03,0,0,
 ibps[multinomial;keep=0.3],N=40;reps=3;seed=7,8.854e-02,2.197e-02,0,0,
 ibps[keepall;fixed-levels],N=40;reps=3;seed=7,5.073e-02,4.546e-02,0,0,
 ibps[multinomial;keep=0.5;potential_v(a=0.1)],N=40;reps=3;seed=7,1.900e-01,1.772e-02,0,0,
