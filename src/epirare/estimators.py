@@ -192,7 +192,9 @@ def _weight_sd(weights: np.ndarray) -> float:
     top = float(np.max(weights))
     if weights.size < 2 or top == 0.0:
         return 0.0
-    return top * float(np.std(weights / top, ddof=1))
+    scaled = weights / top
+    scaled -= scaled.mean()
+    return top * math.sqrt(float(scaled @ scaled) / (weights.size - 1))
 
 
 def is_check(

@@ -21,7 +21,9 @@ from epirare import (
     is_estimate,
     tail_pf,
 )
-from epirare.estimators import Diagnostics, Estimate, _batch_indicators, _sir_log_ratio
+from epirare.estimators import (
+    Diagnostics, Estimate, _batch_indicators, _sir_log_ratio, _weight_sd,
+)
 from epirare import lockstep
 from reference import (
     CompartmentState, EpidemicPath, JumpEvent, StopRule, epidemic_path, indicator,
@@ -436,6 +438,100 @@ def test_ce_reed_frost_adapts_and_stays_unbiased():
     assert abs(values.mean() - p_ref) < 3 * sem + 3 * math.sqrt(p_ref / 2e6)
     # adaptation tilts toward infection (smaller escape probability)
     assert np.median(traces) < params.q
+
+
+CE_CASES = {
+    "sir-final-size": (TOY, FinalSize(n_c=6), 200),
+    "sir-duration": (TOY, Duration(4.0), 200),
+    "reed-frost": (ReedFrostParams(q=0.9, s0=10, i0=1), CumulativeInfections(t=5, n_c=8), 200),
+}
+
+
+@pytest.mark.parametrize("iterations", [1, 2, 3, 5])
+@pytest.mark.parametrize("case", sorted(CE_CASES))
+def test_ce_returns_the_mean_of_its_last_half_of_iterations(case, iterations):
+    # Iteration k samples stream `stage=k` under trace[k-1], so it is
+    # importance sampling under that law; the estimate is the plain mean of
+    # iterations K//2+1 ... K, bit for bit.
+    model, spec, n = CE_CASES[case]
+    seed = SeedSpec(17, replication=3)
+    est, trace = ce_estimate(model, spec, n, iterations, seed)
+    assert len(trace) == iterations + 1
+    kept = [is_estimate(model, spec, trace[k - 1], n, seed.stream(stage=k))
+            for k in range(iterations // 2 + 1, iterations + 1)]
+    assert len(kept) == math.ceil(iterations / 2)
+    assert est.value == math.fsum(e.value for e in kept) / len(kept)
+    assert est.std_error == pytest.approx(
+        math.hypot(*(e.std_error for e in kept)) / len(kept), rel=1e-12
+    )
+
+
+def test_ce_kept_iteration_without_hits_counts_as_zero():
+    # At this seed iteration 2 of 3 has no hit: it keeps its law, counts in
+    # zero_runs, and enters the mean as 0.
+    spec, n, seed = FinalSize(n_c=6), 10, SeedSpec(12)
+    est, trace = ce_estimate(TOY, spec, n, 3, seed)
+    second, third = (is_estimate(TOY, spec, trace[k - 1], n, seed.stream(stage=k))
+                     for k in (2, 3))
+    assert second.value == 0.0 and second.std_error == 0.0
+    assert trace[2] == trace[1]
+    assert third.value > 0.0
+    assert est.value == math.fsum([0.0, third.value]) / 2
+    assert est.diagnostics.zero_runs == 1
+
+
+def test_ce_kept_half_beats_the_last_iteration_in_the_deep_tail():
+    # P(final size >= 81) on Abakaliki, the benchmark's ce-abakaliki
+    # workload.  The last iteration alone is rebuilt from the trace on the
+    # same stream, so both estimators read the same paths.
+    spec, n, reps = FinalSize(81), 1000, 300
+    exact = tail_pf(exact_final_size(ABAKALIKI), ABAKALIKI.i0, spec.n_c)
+    kept, last = [], []
+    for rep in range(reps):
+        seed = SeedSpec(2323, replication=rep)
+        est, trace = ce_estimate(ABAKALIKI, spec, n, 5, seed)
+        kept.append(est.value)
+        last.append(is_estimate(ABAKALIKI, spec, trace[4], n, seed.stream(stage=5)).value)
+    kept, last = np.array(kept), np.array(last)
+    sem = kept.std(ddof=1) / math.sqrt(reps)
+    assert abs(kept.mean() - exact) < 4 * sem, (
+        f"mean {kept.mean():.4e} vs exact {exact:.4e}, sem {sem:.1e}"
+    )
+    ratio = kept.var(ddof=1) / kept.mean() ** 2 / (last.var(ddof=1) / last.mean() ** 2)
+    assert ratio < 0.6, f"relative variance ratio {ratio:.2f}"
+
+
+@pytest.mark.parametrize("method", ["is", "ce"])
+def test_per_run_std_error_matches_the_spread_across_runs(method):
+    # Over 500 replications the mean squared per-run error bar estimates the
+    # variance of one run's estimate.
+    spec, n, reps = FinalSize(n_c=8), 200, 500
+    instr = dataclasses.replace(TOY, lam=0.3)
+    runs = [
+        is_estimate(TOY, spec, instr, n, SeedSpec(5, replication=r)) if method == "is"
+        else ce_estimate(TOY, spec, n, 5, SeedSpec(6, replication=r))[0]
+        for r in range(reps)
+    ]
+    values = np.array([e.value for e in runs])
+    mean_sq_error = np.mean([e.std_error**2 for e in runs])
+    ratio = mean_sq_error / values.var(ddof=1)
+    assert 0.75 < ratio < 1.25, f"mean std_error^2 / variance across runs = {ratio:.2f}"
+
+
+def test_std_error_of_a_single_path_is_zero():
+    instr = dataclasses.replace(TOY, lam=0.3)
+    assert is_estimate(TOY, FinalSize(n_c=2), instr, 1, SeedSpec(3)).std_error == 0.0
+    assert ce_estimate(TOY, FinalSize(n_c=2), 1, 3, SeedSpec(3))[0].std_error == 0.0
+
+
+def test_weight_spread_near_the_overflow_flag_is_finite():
+    # Squaring weights of 1e300 would overflow; the spread is taken of the
+    # weights scaled by the largest.
+    weights = np.array([1e300, 0.0, 5e299, 0.0])
+    assert _weight_sd(weights) == pytest.approx(
+        1e300 * np.std(weights / 1e300, ddof=1), rel=1e-12
+    )
+    assert math.isfinite(_weight_sd(weights))
 
 
 def test_ce_zero_weight_iteration_keeps_parameters():
