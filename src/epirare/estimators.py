@@ -71,7 +71,11 @@ class Diagnostics:
 
 @dataclass(frozen=True)
 class Estimate:
-    """A probability estimate with its replication spread and diagnostics."""
+    """A probability estimate with its per-run standard error and diagnostics.
+
+    ``std_error`` is set by importance sampling and the cross-entropy method
+    from the spread of their weights; the other estimators leave it at 0.0.
+    """
 
     value: float
     std_error: float = 0.0
