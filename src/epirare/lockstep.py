@@ -166,29 +166,38 @@ class EventLog:
 @dataclass
 class Recorded:
     """What one recording engine call kept of its paths' events, in the
-    loop's order; ``log`` groups it by path.
+    loop's order, one entry of ``kept`` per iteration; ``log`` groups it by
+    path.
 
-    A clocked call keeps rows: row k of ``rows`` is the logged quantity
-    ``names[k]`` of a path right after one of its events, as the loop held
-    it, an event-log column (``Row``) or ``path``, the path's index in the
-    call; ``is_inf`` says whether the event was an infection.  A path's rows
-    come in time order, interleaved with the other paths' rows.
+    A clocked call keeps rows: per iteration, a block whose row k is the
+    logged quantity ``names[k]`` of the paths that jumped, right after the
+    jump, an event-log column (``Row``) or ``path``, the path's index in the
+    call, and whether each jump was an infection.  A path's rows come in
+    time order, interleaved with the other paths' rows.  The blocks are
+    joined when a log is read, so a call no log reads never joins them.
 
-    A clock-free call keeps its runs instead, ``runs``: per iteration, the
-    live paths' rows ``names`` at its start and, of ``_take_runs``' outputs,
-    each path's infections and removals and the removals through each of
-    its runs.  ``log`` expands into rows only the runs of the paths it is
-    asked for, so rows nobody reads are never made.
+    A clock-free call, one without ``t`` in ``names``, keeps its runs
+    instead: per iteration, the live paths' rows ``names`` at its start
+    and, of ``_take_runs``' outputs, each path's infections and removals
+    and the removals through each of its runs.  ``log`` expands into rows
+    only the runs of the paths it is asked for, so rows nobody reads are
+    never made.
 
-    Events other than infections are of ``other_kind``.
+    Arrays of the size each iteration fills, not one buffer sized ahead for
+    the call and doubled when full: with such a buffer a recorded call's
+    speed followed where the heap placed it, so on a 2-core Xeon VM one
+    ibps-abakaliki process took 5.0 ms a replication and the next 6.5 ms at
+    the same seed, when the chain loop still kept rows; with one block per
+    iteration, 5.1 to 5.6 ms.
+
+    Events other than infections are of ``other_kind``; ``t_stop`` holds
+    the time each path stopped at, NaN on a clock-free call.
     """
 
     names: tuple[str, ...]
     other_kind: int
-    t_stop: np.ndarray
-    rows: np.ndarray | None = None
-    is_inf: np.ndarray | None = None
-    runs: list[tuple[np.ndarray, ...]] | None = None
+    kept: list[tuple[np.ndarray, ...]] = dataclasses.field(default_factory=list)
+    t_stop: np.ndarray | None = None
 
     def log(self, paths: np.ndarray) -> EventLog:
         """The rows grouped by path: path j of the log holds the rows of this
@@ -200,10 +209,10 @@ class Recorded:
         at[paths] = np.arange(len(paths))
         at[-1] = -1
         n = len(paths)
-        if self.runs is None:
+        if "t" in self.names:
             per_path, columns, is_inf = self._group(at, n)
         else:
-            per_path, columns, is_inf = _expand_runs(self.runs, at, n)
+            per_path, columns, is_inf = _expand_runs(self.kept, at, n)
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(per_path, out=offsets[1:])
         kind = np.where(is_inf, np.int8(EventKind.INFECTION.value), np.int8(self.other_kind))
@@ -216,7 +225,11 @@ class Recorded:
     def _group(self, at: np.ndarray, n: int) -> tuple[np.ndarray, dict, np.ndarray]:
         """The kept rows of the paths at ``at`` >= 0, sorted by that place:
         their count per place, their columns and their infection flags."""
-        row = dict(zip(self.names, self.rows))
+        rows = np.concatenate(
+            [np.empty((len(self.names), 0)), *(rows for rows, _ in self.kept)], axis=1
+        )
+        is_inf = np.concatenate([np.empty(0, bool), *(flags for _, flags in self.kept)])
+        row = dict(zip(self.names, rows))
         key = at[row["path"].astype(np.intp)]
         (picked,) = (key >= 0).nonzero()
         key = key[picked]
@@ -226,7 +239,7 @@ class Recorded:
         columns = {name: row[name][order].astype(
             float if name in ("t", "decayed") else np.int64, copy=False
         ) for name in EventLog.STATE if name in row}
-        return np.bincount(key, minlength=n), columns, self.is_inf[order]
+        return np.bincount(key, minlength=n), columns, is_inf[order]
 
 
 @dataclass
@@ -359,23 +372,25 @@ def _block(start: Row, names: tuple[str, ...], n_paths: int | None) -> np.ndarra
     return block
 
 
-def _ensemble(out, finished, names, start: Row, log, other_kind: int) -> JumpEnsemble:
+def _ensemble(out, finished, names, start: Row, recorded: Recorded | None) -> JumpEnsemble:
     """The call's ensemble: the ``finished`` columns, written back to
     ``out`` in path order, read by their ``names``; n_inf and n_rem count
-    from ``start``; ``t`` is NaN where ``names`` has no times."""
+    from ``start``; ``t`` is NaN where ``names`` has no times, and is the
+    ``recorded`` paths' ``t_stop``."""
     done = np.concatenate(finished, axis=1)
     out[:, done[names.index("path")].astype(np.intp)] = done
     row = dict(zip(names, out))
     s, i, r, max_i = (row[name].astype(np.int64) for name in ("s", "i", "r", "max_i"))
     t = row.get("t", np.full(len(s), np.nan))
+    if recorded is not None:
+        recorded.t_stop = t
     return JumpEnsemble(
         s, i, r, t, max_i,
         np.asarray(start.s, dtype=np.int64) - s, r - np.asarray(start.r, dtype=np.int64),
         row.get("int_pair", np.zeros(len(s))), row.get("int_i", np.zeros(len(s))),
         row["window_rem"].astype(np.int64) if "window_rem" in row else None,
         row.get("decayed"),
-        recorded=None if log is None else log.recorded(other_kind, t),
-        log_rate_ratio=row.get("log_rate_ratio"),
+        recorded=recorded, log_rate_ratio=row.get("log_rate_ratio"),
     )
 
 
@@ -389,43 +404,6 @@ def _accumulate_runs(ufunc: np.ufunc, x: np.ndarray) -> None:
     else:
         for j in range(1, len(x)):
             ufunc(x[j], x[j - 1], out=x[j])
-
-
-class _Log:
-    """What a recording call keeps, the arrays of one engine iteration at a
-    time.  ``_jump_loop`` keeps its rows, one per logged quantity in
-    ``names`` and event, and whether each event was an infection; they are
-    joined once when the call ends.  ``_chain_loop`` keeps its runs
-    (``runs``): the rows ``names`` of the live paths at the iteration's
-    start, each path's infections and removals, and the removals through
-    each of its runs, left as they are for ``Recorded.log`` to expand.
-
-    Arrays of the size each iteration fills, not one buffer sized ahead for
-    the call and doubled when full: with such a buffer a recorded call's
-    speed followed where the heap placed it, so on a 2-core Xeon VM one
-    ibps-abakaliki process took 5.0 ms a replication and the next 6.5 ms at
-    the same seed, when the chain loop still kept rows; with one block per
-    iteration, 5.1 to 5.6 ms."""
-
-    def __init__(self, names: tuple[str, ...], runs: bool = False) -> None:
-        self.names = names
-        self.runs = runs
-        self.kept: list[tuple[np.ndarray, ...]] = []
-
-    def append(self, *arrays: np.ndarray) -> None:
-        """Keep one iteration's arrays: its ``rows``, a column per event,
-        and their flags; or its start rows and runs."""
-        self.kept.append(arrays)
-
-    def recorded(self, other_kind: int, t_stop: np.ndarray) -> Recorded:
-        """What was kept, in order, handed back as the call's ``Recorded``."""
-        if self.runs:
-            return Recorded(self.names, other_kind, t_stop, runs=self.kept)
-        rows = np.concatenate(
-            [np.empty((len(self.names), 0)), *(rows for rows, _ in self.kept)], axis=1
-        )
-        flags = np.concatenate([np.empty(0, bool), *(flags for _, flags in self.kept)])
-        return Recorded(self.names, other_kind, t_stop, rows, flags)
 
 
 def _jump_loop(
@@ -452,9 +430,9 @@ def _jump_loop(
     ``block`` holds the live paths' state, a row per quantity and a column
     per path (counts are exact in float64); finished columns go to
     ``finished`` and are written back to ``out`` at the end.  With
-    ``record``, each iteration appends the logged rows of the columns that
-    jumped, after the jump, and whether each jump was an infection, to a
-    ``_Log``.  A path with infectives and no event rate waits forever: it
+    ``record``, each iteration keeps the logged rows of the columns that
+    jumped, after the jump, and whether each jump was an infection, in the
+    call's ``Recorded``.  A path with infectives and no event rate waits forever: it
     ends at the horizon, and without one fails the call.
 
     The loop runs once per event of the slowest path, mostly on a handful
@@ -480,7 +458,7 @@ def _jump_loop(
     names = logged + ("int_pair", "int_i") * sums
     stop_row = None if target is None else names.index(target)
     out = _block(start, names, n_paths)
-    log = _Log(logged) if record else None
+    recorded = Recorded(logged, rates.other_kind) if record else None
     finished = [out[:, :0]]
     block = out
     # views of the block's rows, taken again only when the block is compacted
@@ -535,11 +513,11 @@ def _jump_loop(
         if window is not None:
             extra[thinning] += rem & (t > opens) & (t <= closes)
         if record:
-            log.append(block[:len(logged)].compress(jump, axis=1), is_inf[jump])
+            recorded.kept.append((block[:len(logged)].compress(jump, axis=1), is_inf[jump]))
     else:
         raise SimulationError("iteration cap exceeded in ensemble simulation")
 
-    ens = _ensemble(out, finished, names, start, log, rates.other_kind)
+    ens = _ensemble(out, finished, names, start, recorded)
     if np.isinf(ens.t).any():
         raise SimulationError("a path can never end: it has infectives but no event rate")
     return ens
@@ -590,7 +568,7 @@ def _chain_loop(
     table = _chain_table(rates, base, s_max + 1)
     run_scale, terms = table[0], table[1:]
     target = np.array(np.ceil(target_level), dtype=float)
-    log = _Log(names[:5], runs=True) if record else None
+    recorded = Recorded(names[:5], rates.other_kind) if record else None
     finished = [out[:, :0]]
     block = out
     s, i, r, max_i = block[:4]
@@ -611,7 +589,7 @@ def _chain_loop(
         draws += _LEAST
         steps, removals, done, rise = _take_runs(block, draws, run_scale, terms, target)
         if record:
-            log.append(block[:5].copy(), steps, removals, done)
+            recorded.kept.append((block[:5].copy(), steps, removals, done))
         # a path that takes no run whole reads run 0, where i + rise is at most i
         top = rise.ravel()[np.maximum(steps - 1, 0) * keep.size + np.arange(keep.size)]
         np.maximum(max_i, i + top, out=max_i)
@@ -624,7 +602,7 @@ def _chain_loop(
     else:
         raise AssertionError("a chain iteration neither ended a path nor took 16 infections")
 
-    return _ensemble(out, finished, names, start, log, rates.other_kind)
+    return _ensemble(out, finished, names, start, recorded)
 
 
 def _take_runs(block, draws, run_scale, terms, target):

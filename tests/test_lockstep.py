@@ -264,12 +264,14 @@ GROUPED = {
 
 @pytest.mark.parametrize("name", sorted(GROUPED))
 def test_recorded_rows_grouped_for_some_paths(name, monkeypatch):
-    # a path's rows, grouped on their own, are its rows in the whole log
+    # a path's rows, grouped on their own, are its rows in the whole log,
+    # read before it or after
     ens = GROUPED[name]()
+    first = ens.recorded.log(np.array([41, -1, 7]))
     whole = ens.log
     if name.startswith("sir-final-size"):
         # a clock-free path's runs span iterations
-        assert len(ens.recorded.runs) > 1 and (ens.n_inf > len(lockstep._RUNS)).any()
+        assert len(ens.recorded.kept) > 1 and (ens.n_inf > len(lockstep._RUNS)).any()
     requests = [
         np.array([41, -1, 7, 0, 59, -1, 12]), np.array([5]), np.arange(60),
         np.arange(60)[::-1], np.array([], dtype=np.intp),
@@ -296,6 +298,11 @@ def test_recorded_rows_grouped_for_some_paths(name, monkeypatch):
                 got = getattr(some, column)
                 assert got.dtype == expected.dtype and np.array_equal(got, expected)
             assert (per_path[paths < 0] == 0).all()
+    # a second read of the same paths gives the same log
+    again = ens.recorded.log(np.array([41, -1, 7]))
+    for column in ("path", "offsets", "t_stop", "t", "kind", *whole.STATE):
+        expected, got = getattr(first, column), getattr(again, column)
+        assert got is expected is None or np.array_equal(got, expected, equal_nan=True)
 
 
 def test_clock_free_logs_expand_only_the_paths_asked_for(monkeypatch):
@@ -314,11 +321,11 @@ def test_clock_free_logs_expand_only_the_paths_asked_for(monkeypatch):
     most = np.argsort(ens.n_inf)
     paths = np.array([most[-1], -1, most[0], most[-2]])
     ens.recorded.log(paths)
-    live = sum(np.isin(start[4], paths).sum() for start, *_ in ens.recorded.runs)
+    live = sum(np.isin(start[4], paths).sum() for start, *_ in ens.recorded.kept)
     assert sum(expanded) == live > 3
     expanded.clear()
     ens.log
-    assert sum(expanded) == sum(len(steps) for _, steps, *_ in ens.recorded.runs)
+    assert sum(expanded) == sum(len(steps) for _, steps, *_ in ens.recorded.kept)
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
