@@ -53,8 +53,7 @@ LOG_RATIO_OVERFLOW = 700.0
 class Diagnostics:
     """Counters surfaced alongside an estimate.
 
-    ``zero_runs`` counts runs whose final value was exactly zero and, for the
-    cross-entropy method, iterations whose weights all vanished.
+    ``zero_runs`` counts runs whose final value was exactly zero.
     """
 
     extinct_ensembles: int = 0
@@ -73,8 +72,9 @@ class Diagnostics:
 class Estimate:
     """A probability estimate with its per-run standard error and diagnostics.
 
-    ``std_error`` is set by importance sampling and the cross-entropy method
-    from the spread of their weights; the other estimators leave it at 0.0.
+    ``std_error`` is set by crude Monte-Carlo, importance sampling and the
+    cross-entropy method from the spread of their hits or weights; the
+    splitting estimators leave it at 0.0.
     """
 
     value: float
@@ -130,7 +130,8 @@ def cmc(model: ModelParams, spec: EventSpec, n_paths: int, seed: SeedSpec) -> Es
         batch = _ensemble_fn(model)(model, n_paths, rng, spec)
         hits = _batch_indicators(batch, spec)
     value = float(np.mean(hits))
-    return Estimate(value, diagnostics=Diagnostics(zero_runs=int(value == 0.0)))
+    std_error = _weight_sd(hits) / math.sqrt(n_paths)
+    return Estimate(value, std_error, diagnostics=Diagnostics(zero_runs=int(value == 0.0)))
 
 
 def _sir_log_ratio(
@@ -281,7 +282,7 @@ def ce_estimate(
     current instrumental law, forms the importance-sampling estimate, and
     refits the instrumental parameters by weighted maximum likelihood with
     weights ratio * indicator.  An iteration whose weights all vanish keeps
-    the parameters and is counted in ``zero_runs``.
+    the parameters.
 
     Returns the equal-weight mean of the estimates of the last ceil(K/2)
     iterations (K//2 + 1 ... K), plus the learned parameter trace.  Iteration
@@ -304,7 +305,6 @@ def ce_estimate(
     ce_check(model, spec, n_paths, iterations)
     trace: list[ModelParams] = [model]
     current = model
-    zero_runs = 0
     overflow = 0
     thetas: list[float] = []
     sds: list[float] = []
@@ -315,7 +315,6 @@ def ce_estimate(
         thetas.append(float(np.mean(weights)))
         sds.append(_weight_sd(weights))
         if not np.any(weights > 0):
-            zero_runs += 1
             trace.append(current)
             continue
         if isinstance(model, ReedFrostParams):
@@ -334,7 +333,5 @@ def ce_estimate(
     n_kept = iterations - iterations // 2
     value = math.fsum(thetas[kept]) / n_kept
     std_error = math.hypot(*sds[kept]) / math.sqrt(n_paths) / n_kept
-    diag = Diagnostics(
-        zero_runs=zero_runs + int(value == 0.0), likelihood_overflows=overflow
-    )
+    diag = Diagnostics(zero_runs=int(value == 0.0), likelihood_overflows=overflow)
     return Estimate(value, std_error, diagnostics=diag), trace

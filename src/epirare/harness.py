@@ -224,20 +224,21 @@ class ResultRow:
     estimates: tuple[float, ...] = ()
 
 
-def _replicate(config: ExperimentConfig, rep: int) -> tuple[float, Diagnostics]:
+def _replicate(config: ExperimentConfig, rep: int) -> Estimate:
     record = METHOD_RECORDS[config.method]
     try:
         est = record.estimate(SeedSpec(config.master_seed, replication=rep), **record.args(config))
     except Exception as exc:
         raise RunError(f"replication {rep} of '{config.label}': {exc}") from exc
-    return est.value, est.diagnostics
+    return est
 
 
 def run(config: ExperimentConfig) -> ResultRow:
     """Execute all replications of one experiment and aggregate the results.
 
     The value is the mean of per-replication estimates and the stderr their
-    sample standard deviation; with a single replication the spread is
+    sample standard deviation; with a single replication it is that
+    replication's own ``std_error``, and where that is 0 the spread is
     reported as zero with a warning.
     """
     t0 = time.perf_counter()
@@ -251,15 +252,18 @@ def run(config: ExperimentConfig) -> ResultRow:
                                     chunksize=max(1, config.replications // (4 * config.workers))))
     else:
         results = [_replicate(config, rep) for rep in reps]
-    values = np.array([v for v, _ in results])
+    values = np.array([est.value for est in results])
     diag = Diagnostics()
-    for _, d in results:
-        diag = diag.merged(d)
-    if config.replications == 1:
-        log.warning("experiment '%s' ran a single replication; no spread estimate", config.label)
-        stderr = 0.0
-    else:
+    for est in results:
+        diag = diag.merged(est.diagnostics)
+    if config.replications > 1:
         stderr = float(values.std(ddof=1))
+    else:
+        stderr = results[0].std_error
+        if stderr == 0.0:
+            log.warning(
+                "experiment '%s' ran a single replication; no spread estimate", config.label
+            )
     return ResultRow(
         label=config.label,
         method=config.method_label,

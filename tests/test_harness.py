@@ -321,9 +321,25 @@ def test_run_is_deterministic():
     assert row_a.value == row_b.value
 
 
-def test_run_single_replication_warns_and_zeroes_spread(caplog):
+@pytest.mark.parametrize("method", ["cmc", "is", "ce"])
+def test_run_single_replication_reports_its_own_error_bar(caplog, method):
     config = parse_config_text(TOY_TEXT)[0]
-    config = type(config)(**{**config.__dict__, "replications": 1})
+    config = dataclasses.replace(
+        config, method=method, replications=1, iterations=3,
+        instrumental=dataclasses.replace(config.model, lam=0.3) if method == "is" else None,
+    )
+    with caplog.at_level("WARNING"):
+        row = run(config)
+    entry = METHOD_RECORDS[method]
+    est = entry.estimate(SeedSpec(config.master_seed, replication=0), **entry.args(config))
+    assert row.stderr == est.std_error > 0.0
+    assert not any("single replication" in record.message for record in caplog.records)
+
+
+def test_run_single_replication_warns_and_zeroes_spread(caplog):
+    # a splitting run sets no per-run error bar
+    config = parse_config_text(TOY_TEXT)[1]
+    config = dataclasses.replace(config, replications=1)
     with caplog.at_level("WARNING"):
         row = run(config)
     assert row.stderr == 0.0
