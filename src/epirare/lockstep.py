@@ -226,7 +226,7 @@ class Recorded:
         """The kept rows of the paths at ``at`` >= 0, sorted by that place:
         their count per place, their columns and their infection flags."""
         rows = np.concatenate(
-            [np.empty((len(self.names), 0)), *(rows for rows, _ in self.kept)], axis=1
+            [np.empty((len(self.names), 0)), *(block for block, _ in self.kept)], axis=1
         )
         is_inf = np.concatenate([np.empty(0, bool), *(flags for _, flags in self.kept)])
         row = dict(zip(self.names, rows))
@@ -432,8 +432,8 @@ def _jump_loop(
     ``finished`` and are written back to ``out`` at the end.  With
     ``record``, each iteration keeps the logged rows of the columns that
     jumped, after the jump, and whether each jump was an infection, in the
-    call's ``Recorded``.  A path with infectives and no event rate waits forever: it
-    ends at the horizon, and without one fails the call.
+    call's ``Recorded``.  A path with infectives and no event rate waits
+    forever: it ends at the horizon, and without one fails the call.
 
     The loop runs once per event of the slowest path, mostly on a handful
     of live paths, so it keeps numpy's fixed cost per call down: constants
