@@ -166,7 +166,7 @@ class EventLog:
 @dataclass
 class Recorded:
     """What one recording engine call kept of its paths' events, in the
-    loop's order, one entry of ``kept`` per iteration; ``log`` groups it by
+    loop's order, an entry of ``kept`` per iteration; ``log`` groups it by
     path.
 
     A clocked call keeps rows: per iteration, a block whose row k is the
@@ -174,7 +174,8 @@ class Recorded:
     jump, an event-log column (``Row``) or ``path``, the path's index in the
     call, and whether each jump was an infection.  A path's rows come in
     time order, interleaved with the other paths' rows.  The blocks are
-    joined when a log is read, so a call no log reads never joins them.
+    joined when a log is first read, and kept joined, so a call no log
+    reads never joins them.
 
     A clock-free call, one without ``t`` in ``names``, keeps its runs
     instead: per iteration, the live paths' rows ``names`` at its start
@@ -229,6 +230,9 @@ class Recorded:
             [np.empty((len(self.names), 0)), *(block for block, _ in self.kept)], axis=1
         )
         is_inf = np.concatenate([np.empty(0, bool), *(flags for _, flags in self.kept)])
+        # kept joined: the blocks are freed before the columns are taken, so
+        # a read does not hold both copies, and a second read joins nothing
+        self.kept = [(rows, is_inf)]
         row = dict(zip(self.names, rows))
         key = at[row["path"].astype(np.intp)]
         (picked,) = (key >= 0).nonzero()
