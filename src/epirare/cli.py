@@ -217,7 +217,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--keep-frac", type=float, dest="keep_fraction")
     p_est.add_argument("--alpha", type=float)
     p_est.add_argument("--variant", choices=VARIANTS)
-    p_est.add_argument("--restart-on-extinction", type=int, metavar="MAX_TRIES")
     p_est.add_argument("--timing", action="store_true", help="fill the wall_seconds column")
     p_est.add_argument("--out", default=None)
     p_est.set_defaults(func=_cmd_estimate)

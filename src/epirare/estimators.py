@@ -51,19 +51,14 @@ LOG_RATIO_OVERFLOW = 700.0
 
 @dataclass(frozen=True)
 class Diagnostics:
-    """Counters surfaced alongside an estimate.
-
-    ``zero_runs`` counts runs whose final value was exactly zero.
-    """
+    """Counters surfaced alongside an estimate."""
 
     extinct_ensembles: int = 0
-    zero_runs: int = 0
     likelihood_overflows: int = 0
 
     def merged(self, other: "Diagnostics") -> "Diagnostics":
         return Diagnostics(
             self.extinct_ensembles + other.extinct_ensembles,
-            self.zero_runs + other.zero_runs,
             self.likelihood_overflows + other.likelihood_overflows,
         )
 
@@ -131,7 +126,7 @@ def cmc(model: ModelParams, spec: EventSpec, n_paths: int, seed: SeedSpec) -> Es
         hits = _batch_indicators(batch, spec)
     value = float(np.mean(hits))
     std_error = _weight_sd(hits) / math.sqrt(n_paths)
-    return Estimate(value, std_error, diagnostics=Diagnostics(zero_runs=int(value == 0.0)))
+    return Estimate(value, std_error)
 
 
 def _sir_log_ratio(
@@ -236,7 +231,7 @@ def is_estimate(
     weights, overflow, _ = _is_weights(model, spec, instrumental, n_paths, seed.generator())
     value = float(np.mean(weights))
     std_error = _weight_sd(weights) / math.sqrt(n_paths)
-    diag = Diagnostics(zero_runs=int(value == 0.0), likelihood_overflows=int(overflow))
+    diag = Diagnostics(likelihood_overflows=int(overflow))
     return Estimate(value, std_error, diagnostics=diag)
 
 
@@ -333,5 +328,5 @@ def ce_estimate(
     n_kept = iterations - iterations // 2
     value = math.fsum(thetas[kept]) / n_kept
     std_error = math.hypot(*sds[kept]) / math.sqrt(n_paths) / n_kept
-    diag = Diagnostics(zero_runs=int(value == 0.0), likelihood_overflows=overflow)
+    diag = Diagnostics(likelihood_overflows=overflow)
     return Estimate(value, std_error, diagnostics=diag), trace

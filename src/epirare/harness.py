@@ -128,11 +128,11 @@ METHOD_RECORDS = {
     ),
     "ibps": MethodRecord(
         options={"keep_fraction": float, "levels": _parse_floats, "variant": str.lower,
-                 "weight_rule": str.lower, "alpha": float, "restart_on_extinction": int},
+                 "weight_rule": str.lower, "alpha": float},
         args=lambda c: dict(
             model=c.model, spec=c.event, n_particles=c.particles, schedule=c.levels,
             keep_fraction=c.keep_fraction, variant=c.variant, weight_rule=c.weight_rule,
-            alpha=c.alpha, restart_on_extinction=c.restart_on_extinction,
+            alpha=c.alpha,
         ),
         check=ibps_check,
         estimate=lambda seed, **args: ibps_estimate(
@@ -147,11 +147,10 @@ METHOD_RECORDS = {
         ),
     ),
     "temporal": MethodRecord(
-        options={"time_grid": _parse_floats, "keep_count": int, "restart_on_extinction": int},
+        options={"time_grid": _parse_floats, "keep_count": int},
         args=lambda c: dict(
             model=c.model, horizon=_horizon(c.event), n_particles=c.particles,
             time_grid=c.time_grid, keep_count=c.keep_count,
-            restart_on_extinction=c.restart_on_extinction,
         ),
         check=temporal_check,
         estimate=lambda seed, **args: temporal_split_estimate(**args, seed=seed),
@@ -186,7 +185,6 @@ class ExperimentConfig:
     instrumental: ModelParams | None = None
     time_grid: tuple[float, ...] | None = None
     keep_count: int | None = None
-    restart_on_extinction: int = 0
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -294,7 +292,7 @@ def write_sweep_csv(rows: Sequence[ResultRow], out: TextIO, timing: bool = False
         wall = f"{row.wall_seconds:.3f}" if timing else ""
         out.write(
             f"{row.method},{row.params},{row.value:.3e},{row.stderr:.3e},"
-            f"{row.diagnostics.extinct_ensembles},{row.diagnostics.zero_runs},{wall}\n"
+            f"{row.diagnostics.extinct_ensembles},{row.estimates.count(0.0)},{wall}\n"
         )
 
 

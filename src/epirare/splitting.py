@@ -19,9 +19,11 @@ axis its extinction time (inf while alive); it survives a level it reaches,
 or on the time axis a level it outlives.
 
 A stage with no survivors ends the run as an extinct ensemble: it estimates
-0, is counted in ``extinct_ensembles`` and is restarted while
-``restart_on_extinction`` allows.  The exception is temporal splitting's
-final stage, where no path outliving the horizon is just an estimate of 0.
+0 and is counted in ``extinct_ensembles``.  It is not retried, because
+returning the first attempt that survives would bias the estimate upwards;
+an independent replication is the retry that keeps it unbiased.  The
+exception is temporal splitting's final stage, where no path outliving the
+horizon is just an estimate of 0.
 
 Selection variants for continuous-time events (survivors always keep their
 slots and futures):
@@ -58,10 +60,9 @@ the rates of the states a path visits.
 
 Stream layout per stage s: particle 0 carries batched mutation draws,
 particle 1 carries selection draws; stage 0 is the initial ensemble.
-Restarts shift all stage coordinates by a large fixed offset.  Particle 2
-at the last attempt's stage 0 carries the conditional sample's deferred
-holding times, one standard exponential per event in path order.  A
-stream is opened only when it is drawn from.
+Particle 2 at stage 0 carries the conditional sample's deferred holding
+times, one standard exponential per event in path order.  A stream is
+opened only when it is drawn from.
 """
 
 from __future__ import annotations
@@ -97,7 +98,6 @@ from .events import (
 __all__ = ["ParticleEnsemble", "ibps_check", "ibps_estimate", "ibps_unread", "temporal_check",
            "temporal_split_estimate"]
 
-_RESTART_STAGE_OFFSET = 1_000_000
 _STAGE_CAP = 100_000
 
 VARIANTS = ("multinomial", "keepall")
@@ -295,8 +295,8 @@ def _materialize(
         keep = _level_cut(log, model, spec, lvl)
         at = log.state_after(every, np.minimum(keep, length), initial).t
         hits[:, j] = np.where(keep > length, np.inf, at)
-    # a path attains the event when its history reaches the threshold
-    attains = _level_cut(log, model, spec, event_threshold(spec)) <= length
+    # the last level is the threshold, or the run died and no path reached it
+    attains = np.isfinite(hits[:, -1])
     return ParticleEnsemble(attains.astype(float), tuple(levels), log, hits)
 
 
@@ -307,7 +307,6 @@ def _stage_loop(
     next_level,
     variant: str,
     seed: SeedSpec,
-    stage_base: int,
     whole: bool,
 ) -> tuple[list[float], list[float], lockstep.EventLog | None, bool]:
     """One splitting run on a continuous-time event; returns (per_level,
@@ -320,7 +319,7 @@ def _stage_loop(
     keep only what later cuts read, and there are no final paths.
     """
     on_time = isinstance(spec, Duration)
-    rng0 = seed.stream(particle=0, stage=stage_base).generator()
+    rng0 = seed.stream(particle=0, stage=0).generator()
     slots = _Slots.start(_ensemble_fn(model)(model, n_particles, rng0, spec, record=True))
     every = np.arange(n_particles)
     per_level: list[float] = []
@@ -341,7 +340,7 @@ def _stage_loop(
             return per_level, levels, final, not (final_stage and on_time)
         (dead,) = (~surv).nonzero()
         if dead.size and (whole or not final_stage):
-            sel_rng = seed.stream(particle=1, stage=stage_base + stage).generator()
+            sel_rng = seed.stream(particle=1, stage=stage).generator()
             (surv_idx,) = surv.nonzero()
             if variant == "keepall" and not final_stage:
                 parents = np.full(dead.size, surv_idx[int(sel_rng.integers(0, surv_idx.size))])
@@ -352,7 +351,7 @@ def _stage_loop(
                 source = every.copy()
                 source[dead] = parents
                 return per_level, levels, slots.histories(every).take(source), False
-            mut_rng = seed.stream(particle=0, stage=stage_base + stage).generator()
+            mut_rng = seed.stream(particle=0, stage=stage).generator()
             slots = _branch(
                 slots, surv_idx, dead, parents, model, spec, level, mut_rng, whole=whole
             )
@@ -361,17 +360,6 @@ def _stage_loop(
     raise RuntimeError(
         "stage cap exceeded in " + ("temporal splitting" if on_time else "splitting run")
     )
-
-
-def _with_restarts(run_once, restart_on_extinction: int) -> tuple[tuple, int]:
-    """Run ``run_once(stage_base)`` until an attempt does not end extinct, at
-    most ``restart_on_extinction`` more times; returns the last attempt's
-    result, whose last entry is its extinct flag, and the extinct count."""
-    for attempt in range(restart_on_extinction + 1):
-        result = run_once(attempt * _RESTART_STAGE_OFFSET)
-        if not result[-1]:
-            return result, attempt
-    return result, restart_on_extinction + 1
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +374,6 @@ def _ibps_discrete(
     weight_rule: str,
     alpha: float,
     seed: SeedSpec,
-    stage_base: int,
 ) -> tuple[float, list[float], list[float], np.ndarray, np.ndarray, np.ndarray, bool]:
     """Generation-synchronized splitting for cumulative-infection events.
 
@@ -410,7 +397,7 @@ def _ibps_discrete(
     per_level: list[float] = []
     levels: list[float] = []
     for g in range(1, t_end):
-        adv_rng = seed.stream(particle=0, stage=stage_base + g).generator()
+        adv_rng = seed.stream(particle=0, stage=g).generator()
         S[:, g], I[:, g] = lockstep.rf_advance(S[:, g - 1], I[:, g - 1], model.q, adv_rng)
         cum += I[:, g]
         level, _ = next_level(cum, levels)
@@ -429,7 +416,7 @@ def _ibps_discrete(
         # Full weighted redraw of every slot: the genealogical normalization
         # requires expected offspring counts proportional to the weights,
         # which keeping survivors in place would break for non-flat weights.
-        sel_rng = seed.stream(particle=1, stage=stage_base + g).generator()
+        sel_rng = seed.stream(particle=1, stage=g).generator()
         probs = omega / omega.sum()
         parents = sel_rng.choice(n, size=n, p=probs)
         S[:, : g + 1] = S[parents, : g + 1]
@@ -457,22 +444,19 @@ def _ibps_discrete(
 # public estimators
 
 
-def _check_splitting_run(n_particles: int, restart_on_extinction: int) -> None:
+def _check_splitting_run(n_particles: int) -> None:
     if n_particles < 2:
         raise ValueError("n_particles must be at least 2")
-    if restart_on_extinction < 0:
-        raise ValueError("restart_on_extinction must be non-negative")
 
 
 def ibps_check(
     model: ModelParams, spec: EventSpec, n_particles: int, schedule: tuple[float, ...] | None,
     keep_fraction: float | None, variant: str, weight_rule: str, alpha: float,
-    restart_on_extinction: int,
 ) -> None:
     """Raise on the arguments ``ibps_estimate`` rejects, among them a selection
     option set off its default on an event that does not read it
     (``ibps_unread``)."""
-    _check_splitting_run(n_particles, restart_on_extinction)
+    _check_splitting_run(n_particles)
     if (schedule is None) == (keep_fraction is None):
         raise ValueError("provide exactly one of schedule or keep_fraction")
     if keep_fraction is not None and not 0.0 < keep_fraction < 1.0:
@@ -517,7 +501,6 @@ def ibps_estimate(
     weight_rule: str = "indicator",
     alpha: float = 0.0,
     seed: SeedSpec,
-    restart_on_extinction: int = 0,
     conditional_sample: bool = True,
 ) -> tuple[Estimate, ParticleEnsemble]:
     """Interacting-branching-particle splitting estimate of a rare event.
@@ -527,8 +510,8 @@ def ibps_estimate(
     fixed ``schedule``, a strictly increasing tuple ending at the event
     threshold (on Reed-Frost, one level per selection generation), or
     adaptively as the keep_fraction quantile of ensemble scores.  A run whose
-    ensemble dies records the estimate 0 (keeping across-replication averages
-    unbiased) unless ``restart_on_extinction`` grants fresh attempts.
+    ensemble dies records the estimate 0 and one extinct ensemble; the 0 keeps
+    across-replication averages unbiased.
 
     ``conditional_sample`` keeps every slot's whole history.  The returned
     ensemble then holds the final paths as columns (``ParticleEnsemble``),
@@ -536,8 +519,7 @@ def ibps_estimate(
     ``conditional_sample=False`` slots keep only what the level cuts read,
     and the ensemble holds no paths (the replication hot path does this).
     """
-    ibps_check(model, spec, n_particles, schedule, keep_fraction, variant, weight_rule, alpha,
-               restart_on_extinction)
+    ibps_check(model, spec, n_particles, schedule, keep_fraction, variant, weight_rule, alpha)
     discrete = isinstance(spec, CumulativeInfections)
     threshold = float(event_threshold(spec))
 
@@ -559,19 +541,12 @@ def ibps_estimate(
         return level, level >= threshold
 
     if discrete:
-        (value, per_level, levels, S, I, weights, _), extinct_count = _with_restarts(
-            lambda stage_base: _ibps_discrete(
-                model, spec, n_particles, next_level, weight_rule, alpha, seed, stage_base,
-            ),
-            restart_on_extinction,
+        value, per_level, levels, S, I, weights, extinct = _ibps_discrete(
+            model, spec, n_particles, next_level, weight_rule, alpha, seed
         )
     else:
-        (per_level, levels, log, _), extinct_count = _with_restarts(
-            lambda stage_base: _stage_loop(
-                model, spec, n_particles, next_level, variant, seed, stage_base,
-                conditional_sample,
-            ),
-            restart_on_extinction,
+        per_level, levels, log, extinct = _stage_loop(
+            model, spec, n_particles, next_level, variant, seed, conditional_sample
         )
         value = math.prod(per_level)
     if not conditional_sample:
@@ -579,23 +554,18 @@ def ibps_estimate(
     elif discrete:
         ensemble = ParticleEnsemble(weights, tuple(levels), chains=(S, I))
     else:
-        # the last attempt's stage base addresses the deferred times
-        last_attempt = min(extinct_count, restart_on_extinction)
-        times = seed.stream(particle=2, stage=last_attempt * _RESTART_STAGE_OFFSET)
-        ensemble = _materialize(log, model, spec, levels, times)
-    diag = Diagnostics(
-        extinct_ensembles=extinct_count, zero_runs=int(value == 0.0)
-    )
+        ensemble = _materialize(log, model, spec, levels, seed.stream(particle=2, stage=0))
+    diag = Diagnostics(extinct_ensembles=int(extinct))
     estimate = Estimate(value, per_level=tuple(per_level), diagnostics=diag)
     return estimate, ensemble
 
 
 def temporal_check(
     model: ModelParams, horizon: float, n_particles: int, time_grid: tuple[float, ...] | None,
-    keep_count: int | None, restart_on_extinction: int,
+    keep_count: int | None,
 ) -> None:
     """Raise on the arguments ``temporal_split_estimate`` rejects."""
-    _check_splitting_run(n_particles, restart_on_extinction)
+    _check_splitting_run(n_particles)
     if (time_grid is None) == (keep_count is None):
         raise ValueError("provide exactly one of time_grid or keep_count")
     if time_grid is not None:
@@ -621,7 +591,6 @@ def temporal_split_estimate(
     time_grid: tuple[float, ...] | None = None,
     keep_count: int | None = None,
     seed: SeedSpec,
-    restart_on_extinction: int = 0,
 ) -> Estimate:
     """Probability the epidemic outlives ``horizon``, by splitting the time axis.
 
@@ -631,7 +600,7 @@ def temporal_split_estimate(
     current paths survive it.  Extinction before the horizon is handled as in
     ``ibps_estimate``; no path outliving the horizon itself just estimates 0.
     """
-    temporal_check(model, horizon, n_particles, time_grid, keep_count, restart_on_extinction)
+    temporal_check(model, horizon, n_particles, time_grid, keep_count)
     spec = Duration(horizon)
 
     def next_level(scores: np.ndarray, levels: list[float]) -> tuple[float, bool]:
@@ -644,13 +613,9 @@ def temporal_split_estimate(
             return horizon, True
         return t_k, False
 
-    (per_level, _, _, _), extinct_count = _with_restarts(
-        lambda stage_base: _stage_loop(
-            model, spec, n_particles, next_level, "multinomial", seed, stage_base, False
-        ),
-        restart_on_extinction,
+    per_level, _, _, extinct = _stage_loop(
+        model, spec, n_particles, next_level, "multinomial", seed, False
     )
-    value = math.prod(per_level)
-    diag = Diagnostics(extinct_ensembles=extinct_count, zero_runs=int(value == 0.0))
-    return Estimate(value, per_level=tuple(per_level), diagnostics=diag)
+    diag = Diagnostics(extinct_ensembles=int(extinct))
+    return Estimate(math.prod(per_level), per_level=tuple(per_level), diagnostics=diag)
 

@@ -1,16 +1,19 @@
+import argparse
 import csv
 import gc
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 from epirare import EventKind, lockstep
-from epirare.cli import main
+from epirare.cli import _build_parser, main
 from reference import CompartmentState, path_from_arrays
 
 
@@ -311,6 +314,28 @@ def test_estimate_takes_an_ibps_override_its_event_reads(tmp_path, capsys):
         "ibps[multinomial;keep=0.5;potential_v(a=0.1)],N=40;reps=3;seed=7,"
         "1.900e-01,1.772e-02,0,0,"
     )
+
+
+def test_estimate_has_no_restart_flag(tmp_path, capsys):
+    # retrying an extinct ensemble biased the estimate upwards; the flag is gone
+    config = tmp_path / "exp.ini"
+    config.write_text(SIR_IBPS)
+    with pytest.raises(SystemExit) as exit_:
+        main(["estimate", "--config", str(config), "--restart-on-extinction", "1"])
+    assert exit_.value.code == 2
+    assert "--restart-on-extinction" in capsys.readouterr().err
+
+
+def test_readme_estimate_flags_match_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sentence = readme.split("\nFlags: ")[1].split(". ")[0]
+    (commands,) = (action for action in _build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+    flags = {flag for action in commands.choices["estimate"]._actions
+             for flag in action.option_strings}
+    assert set(re.findall(r"`(--[a-z-]+)`", sentence)) == flags - {
+        "--config", "--section", "-h", "--help"
+    }
 
 
 def test_estimate_names_a_config_without_sections(tmp_path, capsys):

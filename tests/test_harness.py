@@ -11,6 +11,7 @@ import pytest
 
 from epirare import (
     CumulativeInfections,
+    Diagnostics,
     Duration,
     FinalSize,
     HivParams,
@@ -28,6 +29,7 @@ from epirare import (
 from epirare.harness import (
     METHOD_RECORDS,
     ExperimentConfig,
+    ResultRow,
     RunError,
     parse_config_text,
     run,
@@ -154,26 +156,23 @@ METHOD_SECTIONS = {
     "ce": (SIR_SECTION, "final_size\nn_c = 5", "iterations = 3\n", {"iterations": 3}),
     "ibps": (
         SIR_SECTION, "final_size\nn_c = 5",
-        "keep_fraction = 0.2\nvariant = KeepAll\nrestart_on_extinction = 2\n",
-        {"keep_fraction": 0.2, "variant": "keepall", "restart_on_extinction": 2},
+        "keep_fraction = 0.2\nvariant = KeepAll\n",
+        {"keep_fraction": 0.2, "variant": "keepall"},
     ),
     "ibps-levels": (
         SIR_SECTION, "final_size\nn_c = 5", "levels = 2, 5\n", {"levels": (2.0, 5.0)}
     ),
     "ibps-rf": (
         RF_SECTION, RF_EVENT,
-        "keep_fraction = 0.2\nweight_rule = Potential_V\nalpha = 0.1\n"
-        "restart_on_extinction = 2\n",
-        {"keep_fraction": 0.2, "weight_rule": "potential_v", "alpha": 0.1,
-         "restart_on_extinction": 2},
+        "keep_fraction = 0.2\nweight_rule = Potential_V\nalpha = 0.1\n",
+        {"keep_fraction": 0.2, "weight_rule": "potential_v", "alpha": 0.1},
     ),
     "ibps-rf-indicator": (
         RF_SECTION, RF_EVENT, "keep_fraction = 0.2\nweight_rule = indicator\n",
         {"keep_fraction": 0.2, "weight_rule": "indicator", "alpha": 0.0},
     ),
     "temporal": (
-        SIR_SECTION, "duration\nT = 2.0", "time_grid = 1.0, 2.0\nrestart_on_extinction = 3\n",
-        {"time_grid": (1.0, 2.0), "restart_on_extinction": 3},
+        SIR_SECTION, "duration\nT = 2.0", "time_grid = 1.0, 2.0\n", {"time_grid": (1.0, 2.0)},
     ),
     "temporal-adaptive": (
         SIR_SECTION, "duration\nT = 2.0", "keep_count = 5\n", {"keep_count": 5}
@@ -185,11 +184,14 @@ READS = {
     "cmc": set(),
     "is": {"lambda_new", "gamma_new"},
     "ce": {"iterations"},
-    "ibps": {"keep_fraction", "levels", "variant", "restart_on_extinction"},
-    "ibps-rf": {"keep_fraction", "levels", "weight_rule", "alpha", "restart_on_extinction"},
-    "ibps-rf-indicator": {"keep_fraction", "levels", "weight_rule", "restart_on_extinction"},
-    "temporal": {"time_grid", "keep_count", "restart_on_extinction"},
+    "ibps": {"keep_fraction", "levels", "variant"},
+    "ibps-rf": {"keep_fraction", "levels", "weight_rule", "alpha"},
+    "ibps-rf-indicator": {"keep_fraction", "levels", "weight_rule"},
+    "temporal": {"time_grid", "keep_count"},
 }
+# option keys no method reads any more: restart_on_extinction retried an
+# extinct ensemble, which biased the estimate upwards
+REMOVED_KEYS = {"restart_on_extinction"}
 
 
 def _method_section(case: str, extra: str = "") -> str:
@@ -208,7 +210,8 @@ def test_parse_reads_every_option_of_its_method(case):
 
 @pytest.mark.parametrize(
     "case, key",
-    [(case, key) for case in READS for key in sorted(set().union(*READS.values()) - READS[case])],
+    [(case, key) for case in READS
+     for key in sorted(set().union(*READS.values(), REMOVED_KEYS) - READS[case])],
 )
 def test_parse_rejects_an_option_its_method_does_not_read(case, key):
     # each used to parse and be ignored, so a cmc section with levels ran plain
@@ -357,13 +360,6 @@ def test_run_parallel_workers_match_serial():
 def test_parse_rejects_workers_below_one(workers):
     text = TOY_TEXT.split("[toy-ibps]")[0] + f"workers = {workers}\n"
     with pytest.raises(ValueError, match="workers must be positive"):
-        parse_config_text(text)
-
-
-@pytest.mark.parametrize("restarts", [-1, -2])
-def test_parse_rejects_negative_restart_count(restarts):
-    text = TOY_TEXT + f"restart_on_extinction = {restarts}\n"
-    with pytest.raises(ValueError, match="restart_on_extinction must be non-negative"):
         parse_config_text(text)
 
 
@@ -534,6 +530,16 @@ def test_sweep_csv_format():
     # scientific notation with 4 significant digits
     assert "e" in first[2] and len(first[2].split("e")[0].replace("-", "").replace(".", "")) == 4
     assert first[6] == ""  # wall column present but empty by default
+
+
+def test_sweep_csv_counts_the_replications_that_estimate_zero():
+    # the zero_runs column is read off the replications' estimates; the
+    # golden sweep has no row with a zero run to show it
+    row = ResultRow("x", "ibps", "N=2", 0.25, 0.5, 4, Diagnostics(extinct_ensembles=2), 0.0,
+                    estimates=(0.0, 1.0, 0.0, 0.0))
+    buffer = io.StringIO()
+    write_sweep_csv([row], buffer)
+    assert buffer.getvalue().splitlines()[1].split(",")[4:6] == ["2", "3"]
 
 
 def test_sweep_csv_timing_flag_populates_wall_column():

@@ -257,7 +257,8 @@ def test_discrete_conditional_sample_chains():
 
 
 def test_ensemble_extinction_policy_and_restart():
-    # an effectively unreachable intermediate level kills every particle
+    # an effectively unreachable intermediate level kills every particle: the
+    # run estimates 0 and counts one extinct ensemble, with no retry
     schedule = (50, 60)
     spec = FinalSize(n_c=60)
     big = SirParams(lam=0.005, gamma=1.0, s0=70, i0=1, scaling=Scaling.UNSCALED)
@@ -267,12 +268,6 @@ def test_ensemble_extinction_policy_and_restart():
     )
     assert est.value == 0.0
     assert est.diagnostics.extinct_ensembles == 1
-    assert est.diagnostics.zero_runs == 1
-    est_retry, _ = ibps_estimate(
-        big, spec, n_particles=50, schedule=schedule, seed=SeedSpec(53),
-        restart_on_extinction=3, conditional_sample=False,
-    )
-    assert est_retry.diagnostics.extinct_ensembles >= 1
 
 
 def test_ibps_final_stage_without_survivors_is_extinction():
@@ -486,21 +481,21 @@ def test_ibps_rejects_bad_schedule(schedule, message):
         ibps_estimate(TOY, TOY_SPEC, n_particles=10, schedule=schedule, seed=SeedSpec(0))
 
 
-@pytest.mark.parametrize("restarts", [-1, -2])
 @pytest.mark.parametrize("method", ["ibps", "temporal"])
-def test_negative_restart_count_is_rejected(method, restarts):
-    # used to fail after the set-up with an UnboundLocalError, as no
-    # attempt ran
-    with pytest.raises(ValueError, match="restart_on_extinction must be non-negative"):
+def test_restart_on_extinction_is_no_option(method):
+    # returning the first attempt whose ensemble survived biased the estimate
+    # upwards (1.49x the exact value at one retry on a toy final size); an
+    # extinct run estimates 0, and another replication is the retry
+    with pytest.raises(TypeError, match="restart_on_extinction"):
         if method == "ibps":
             ibps_estimate(
                 TOY, TOY_SPEC, n_particles=10, keep_fraction=0.1, seed=SeedSpec(0),
-                restart_on_extinction=restarts,
+                restart_on_extinction=1,
             )
         else:
             temporal_split_estimate(
                 TOY, 1.0, n_particles=10, keep_count=2, seed=SeedSpec(0),
-                restart_on_extinction=restarts,
+                restart_on_extinction=1,
             )
 
 
@@ -559,24 +554,17 @@ def test_temporal_extinct_ensemble_policy():
     )
     assert est.value == 0.0
     assert est.diagnostics.extinct_ensembles == 1
-    est_retry = temporal_split_estimate(
-        PURE_DEATH, 10.0, n_particles=3, time_grid=(9.0, 10.0), seed=SeedSpec(65),
-        restart_on_extinction=4,
-    )
-    assert est_retry.diagnostics.extinct_ensembles >= 1
 
 
 def test_temporal_final_stage_without_survivors_is_not_extinction():
     # some paths outlive t=1 but none the horizon: the value is 0, and the
-    # ensemble is neither counted as extinct nor restarted
-    for restarts in (0, 3):
-        est = temporal_split_estimate(
-            PURE_DEATH, 10.0, n_particles=3, time_grid=(1.0, 10.0), seed=SeedSpec(0),
-            restart_on_extinction=restarts,
-        )
-        assert est.per_level[0] > 0.0 and est.per_level[-1] == 0.0
-        assert est.value == 0.0
-        assert est.diagnostics.extinct_ensembles == 0
+    # ensemble is not counted as extinct
+    est = temporal_split_estimate(
+        PURE_DEATH, 10.0, n_particles=3, time_grid=(1.0, 10.0), seed=SeedSpec(0),
+    )
+    assert est.per_level[0] > 0.0 and est.per_level[-1] == 0.0
+    assert est.value == 0.0
+    assert est.diagnostics.extinct_ensembles == 0
 
 
 def test_temporal_argument_validation():
