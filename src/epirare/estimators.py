@@ -261,6 +261,8 @@ def ce_check(model: ModelParams, spec: EventSpec, n_paths: int, iterations: int)
         raise ValueError("iterations must be at least 1")
     if not isinstance(model, (ReedFrostParams, SirParams)):
         raise TypeError("the cross-entropy method supports Reed-Frost and SIR models")
+    if isinstance(model, SirParams) and model.lam <= 0:
+        raise ValueError(f"cross-entropy needs a positive nominal infection rate: {model.lam}")
     is_check(model, spec, model, n_paths)
 
 

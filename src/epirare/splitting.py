@@ -16,7 +16,11 @@ Level splitting (``ibps_estimate``) and temporal splitting
 and differ only in what the levels measure.  A slot's score is its
 progress towards the event, the event's ``progress`` column, or on the time
 axis its extinction time (inf while alive); it survives a level it reaches,
-or on the time axis a level it outlives.
+or on the time axis a level it outlives.  An estimator hands the loop a
+fixed schedule of levels or an adaptive rule that picks each level from the
+scores, and the loop decides the final stage itself: the schedule's last,
+or the first adaptive level to reach the event threshold (on the time axis,
+the horizon, which must be finite).
 
 A stage with no survivors ends the run as an extinct ensemble: it estimates
 0 and is counted in ``extinct_ensembles``.  It is not retried, because
@@ -300,28 +304,34 @@ def _materialize(
     return ParticleEnsemble(attains.astype(float), tuple(levels), log, hits)
 
 
-def _stage_loop(
-    model: ModelParams,
-    spec: EventSpec,
-    n_particles: int,
-    next_level,
-    variant: str,
-    seed: SeedSpec,
-    whole: bool,
-) -> tuple[list[float], list[float], lockstep.EventLog | None, bool]:
-    """One splitting run on a continuous-time event; returns (per_level,
-    levels, final paths, extinct flag).
+def _stage_level(schedule, adaptive, scores, levels, spec: EventSpec) -> float:
+    """The next stage's level: the schedule's next, or the adaptive rule's
+    capped at the event threshold."""
+    if schedule is not None:
+        return float(schedule[len(levels)])
+    return min(adaptive(scores, levels), float(event_threshold(spec)))
 
-    ``next_level(scores, levels)`` gives the next stage's level, from the
-    scores and the levels so far, and whether that stage is the final one.
-    ``whole`` keeps every slot's whole history and ends the run with the
-    conditional-law refill and the final paths grouped; without it slots
-    keep only what later cuts read, and there are no final paths.
+
+def _stage_loop(
+    model: ModelParams, spec: EventSpec, n_particles: int, schedule: tuple[float, ...] | None,
+    adaptive, variant: str, seed: SeedSpec, whole: bool,
+) -> tuple[Estimate, ParticleEnsemble]:
+    """One splitting run on a continuous-time event.
+
+    Stage k's level is the ``schedule``'s k-th entry or, without a schedule,
+    ``adaptive(scores, levels)`` from the slots' scores and the levels so
+    far, capped at the event threshold (on the time axis, the horizon).  The
+    loop decides the final stage itself: the schedule's last, or the first
+    whose adaptive level reaches the threshold.  ``whole`` keeps every
+    slot's whole history and ends the run with the conditional-law refill
+    and the final paths (``_materialize``); without it slots keep only what
+    later cuts read, and the ensemble holds only the levels.
     """
-    on_time = isinstance(spec, Duration)
+    on_time, threshold = isinstance(spec, Duration), event_threshold(spec)
     rng0 = seed.stream(particle=0, stage=0).generator()
     slots = _Slots.start(_ensemble_fn(model)(model, n_particles, rng0, spec, record=True))
     every = np.arange(n_particles)
+    source, extinct = None, False
     per_level: list[float] = []
     levels: list[float] = []
     for stage in range(1, _STAGE_CAP + 1):
@@ -329,15 +339,16 @@ def _stage_loop(
             scores = np.where(slots.end["i"] == 0, slots.end["t"], math.inf)
         else:
             scores = slots.end[spec.progress].astype(float)
-        level, final_stage = next_level(scores, levels)
+        level = _stage_level(schedule, adaptive, scores, levels, spec)
         levels.append(level)
+        final_stage = level >= threshold if schedule is None else len(levels) == len(schedule)
         surv = scores > level if on_time else scores >= level
         n_surv = int(np.count_nonzero(surv))
         per_level.append(n_surv / n_particles)
         if n_surv == 0:
             # a time-axis run that dies only at the horizon has estimated 0
-            final = slots.histories(every) if whole else None
-            return per_level, levels, final, not (final_stage and on_time)
+            extinct = not (final_stage and on_time)
+            break
         (dead,) = (~surv).nonzero()
         if dead.size and (whole or not final_stage):
             sel_rng = seed.stream(particle=1, stage=stage).generator()
@@ -350,16 +361,23 @@ def _stage_loop(
                 # conditional-law refill: dead slots copy a surviving path wholesale
                 source = every.copy()
                 source[dead] = parents
-                return per_level, levels, slots.histories(every).take(source), False
+                break
             mut_rng = seed.stream(particle=0, stage=stage).generator()
             slots = _branch(
                 slots, surv_idx, dead, parents, model, spec, level, mut_rng, whole=whole
             )
         if final_stage:
-            return per_level, levels, slots.histories(every) if whole else None, False
-    raise RuntimeError(
-        "stage cap exceeded in " + ("temporal splitting" if on_time else "splitting run")
-    )
+            break
+    else:
+        raise RuntimeError(
+            "stage cap exceeded in " + ("temporal splitting" if on_time else "splitting run")
+        )
+    diag = Diagnostics(extinct_ensembles=int(extinct))
+    estimate = Estimate(math.prod(per_level), per_level=tuple(per_level), diagnostics=diag)
+    if not whole:
+        return estimate, ParticleEnsemble(np.empty(0), tuple(levels))
+    log = slots.histories(every) if source is None else slots.histories(every).take(source)
+    return estimate, _materialize(log, model, spec, levels, seed.stream(particle=2, stage=0))
 
 
 # ---------------------------------------------------------------------------
@@ -367,24 +385,19 @@ def _stage_loop(
 
 
 def _ibps_discrete(
-    model: ReedFrostParams,
-    spec: CumulativeInfections,
-    n_particles: int,
-    next_level,
-    weight_rule: str,
-    alpha: float,
-    seed: SeedSpec,
-) -> tuple[float, list[float], list[float], np.ndarray, np.ndarray, np.ndarray, bool]:
+    model: ReedFrostParams, spec: CumulativeInfections, n_particles: int,
+    schedule: tuple[float, ...] | None, adaptive, weight_rule: str, alpha: float, seed: SeedSpec,
+    whole: bool,
+) -> tuple[Estimate, ParticleEnsemble]:
     """Generation-synchronized splitting for cumulative-infection events.
 
     Every generation selects all N slots anew from the weighted ensemble and
     advances them by one fresh transition (the whole future is re-simulated
     generation by generation anyway, so this is the only mutation needed).
-    ``next_level(scores, levels)`` gives each generation's level from the
-    cumulative infection counts, as in ``_stage_loop``.
-
-    Returns (value, per_level, levels, S history, I history, final weights,
-    extinct flag); the histories end at the last generation simulated."""
+    Each generation's level comes from ``schedule`` or from ``adaptive`` on
+    the cumulative infection counts, as in ``_stage_loop``; the last
+    generation is the event's.  ``whole`` returns the chains, which end at
+    the last generation simulated, and the final weights."""
     t_end = spec.t
     n = n_particles
     S = np.zeros((n, t_end), dtype=np.int64)
@@ -400,12 +413,13 @@ def _ibps_discrete(
         adv_rng = seed.stream(particle=0, stage=g).generator()
         S[:, g], I[:, g] = lockstep.rf_advance(S[:, g - 1], I[:, g - 1], model.q, adv_rng)
         cum += I[:, g]
-        level, _ = next_level(cum, levels)
-        levels.append(level)
-        surv = cum >= level
+        levels.append(_stage_level(schedule, adaptive, cum, levels, spec))
+        surv = cum >= levels[-1]
         per_level.append(float(np.mean(surv)))
         if not surv.any():
-            return 0.0, per_level, levels, S[:, : g + 1], I[:, : g + 1], np.zeros(n), True
+            value, weights, extinct = 0.0, np.zeros(n), True
+            S, I = S[:, : g + 1], I[:, : g + 1]
+            break
         # log weights, the survivors' largest taken out before exp: a killed
         # slot weighs exp(-inf) = 0, and no weight overflows or underflows
         # (the indicator rule reads no alpha: at alpha = 0 every log weight is 0)
@@ -424,29 +438,41 @@ def _ibps_discrete(
         cum = cum[parents]
         # parents are survivors only
         log_w = log_w[parents] + log_omega[parents]
-    ind = cum >= spec.n_c
-    per_level.append(float(np.mean(ind)))
-    if weight_rule == "indicator":
-        value = math.prod(per_level)
-    elif ind.any():
-        # exp(log_mean_total) * mean(ind * exp(-log_w)), with the hits'
-        # smallest log weight taken out of both factors
-        low = float(log_w[ind].min())
-        correction = float(np.mean(np.exp(np.where(ind, low - log_w, -np.inf))))
-        value = math.exp(log_mean_total - low) * correction
     else:
-        value = 0.0
-    final_weights = ind.astype(float)
-    return value, per_level, levels, S, I, final_weights, False
+        ind = cum >= spec.n_c
+        per_level.append(float(np.mean(ind)))
+        if weight_rule == "indicator":
+            value = math.prod(per_level)
+        elif ind.any():
+            # exp(log_mean_total) * mean(ind * exp(-log_w)), with the hits'
+            # smallest log weight taken out of both factors
+            low = float(log_w[ind].min())
+            correction = float(np.mean(np.exp(np.where(ind, low - log_w, -np.inf))))
+            value = math.exp(log_mean_total - low) * correction
+        else:
+            value = 0.0
+        weights, extinct = ind.astype(float), False
+    diag = Diagnostics(extinct_ensembles=int(extinct))
+    estimate = Estimate(value, per_level=tuple(per_level), diagnostics=diag)
+    if not whole:
+        return estimate, ParticleEnsemble(np.empty(0), tuple(levels))
+    return estimate, ParticleEnsemble(weights, tuple(levels), chains=(S, I))
 
 
 # ---------------------------------------------------------------------------
 # public estimators
 
 
-def _check_splitting_run(n_particles: int) -> None:
+def _check_splitting_run(n_particles: int, schedule, rule, names: tuple[str, str]) -> None:
+    """Raise on what both splitting estimators reject: fewer than 2 particles,
+    not exactly one of a schedule and an adaptive rule (their keywords
+    ``names``), or a schedule that is not strictly increasing."""
     if n_particles < 2:
         raise ValueError("n_particles must be at least 2")
+    if (schedule is None) == (rule is None):
+        raise ValueError(f"provide exactly one of {names[0]} or {names[1]}")
+    if schedule is not None and not all(b > a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError(f"{names[0]} must be strictly increasing")
 
 
 def ibps_check(
@@ -456,9 +482,7 @@ def ibps_check(
     """Raise on the arguments ``ibps_estimate`` rejects, among them a selection
     option set off its default on an event that does not read it
     (``ibps_unread``)."""
-    _check_splitting_run(n_particles)
-    if (schedule is None) == (keep_fraction is None):
-        raise ValueError("provide exactly one of schedule or keep_fraction")
+    _check_splitting_run(n_particles, schedule, keep_fraction, ("schedule", "keep_fraction"))
     if keep_fraction is not None and not 0.0 < keep_fraction < 1.0:
         raise ValueError("keep_fraction must lie in (0, 1)")
     if variant not in VARIANTS:
@@ -472,8 +496,6 @@ def ibps_check(
     if schedule is not None:
         if len(schedule) == 0:
             raise ValueError("a level schedule needs at least the target level")
-        if not all(b > a for a, b in zip(schedule, schedule[1:])):
-            raise ValueError("levels must be strictly increasing")
         if schedule[-1] != event_threshold(spec):
             raise ValueError("last level must equal the event threshold")
         if isinstance(spec, CumulativeInfections) and len(schedule) != spec.t - 1:
@@ -521,43 +543,24 @@ def ibps_estimate(
     """
     ibps_check(model, spec, n_particles, schedule, keep_fraction, variant, weight_rule, alpha)
     discrete = isinstance(spec, CumulativeInfections)
-    threshold = float(event_threshold(spec))
 
-    def next_level(scores: np.ndarray, levels: list[float]) -> tuple[float, bool]:
-        if schedule is not None:
-            level = float(schedule[len(levels)])
-            return level, level >= threshold
+    def adaptive(scores: np.ndarray, levels: list[float]) -> float:
         level = float(quantile_levels(scores, keep_fraction))
         if levels and level <= levels[-1]:
             if discrete:
                 # no progress at the quantile: a generation keeps the previous level
-                level = levels[-1]
-            else:
-                # no progress at the quantile: the lowest score above the
-                # previous level, or the target when no particle passes it
-                above = scores[scores > levels[-1]]
-                level = float(above.min()) if above.size else threshold
-        level = min(level, threshold)
-        return level, level >= threshold
+                return levels[-1]
+            # no progress at the quantile: the lowest score above the previous
+            # level, or the target (the loop's cap) when no particle passes it
+            above = scores[scores > levels[-1]]
+            return float(above.min()) if above.size else math.inf
+        return level
 
     if discrete:
-        value, per_level, levels, S, I, weights, extinct = _ibps_discrete(
-            model, spec, n_particles, next_level, weight_rule, alpha, seed
-        )
-    else:
-        per_level, levels, log, extinct = _stage_loop(
-            model, spec, n_particles, next_level, variant, seed, conditional_sample
-        )
-        value = math.prod(per_level)
-    if not conditional_sample:
-        ensemble = ParticleEnsemble(np.empty(0), tuple(levels))
-    elif discrete:
-        ensemble = ParticleEnsemble(weights, tuple(levels), chains=(S, I))
-    else:
-        ensemble = _materialize(log, model, spec, levels, seed.stream(particle=2, stage=0))
-    diag = Diagnostics(extinct_ensembles=int(extinct))
-    estimate = Estimate(value, per_level=tuple(per_level), diagnostics=diag)
-    return estimate, ensemble
+        return _ibps_discrete(model, spec, n_particles, schedule, adaptive, weight_rule, alpha,
+                              seed, conditional_sample)
+    return _stage_loop(model, spec, n_particles, schedule, adaptive, variant, seed,
+                       conditional_sample)
 
 
 def temporal_check(
@@ -565,18 +568,16 @@ def temporal_check(
     keep_count: int | None,
 ) -> None:
     """Raise on the arguments ``temporal_split_estimate`` rejects."""
-    _check_splitting_run(n_particles)
-    if (time_grid is None) == (keep_count is None):
-        raise ValueError("provide exactly one of time_grid or keep_count")
+    _check_splitting_run(n_particles, time_grid, keep_count, ("time_grid", "keep_count"))
+    if horizon == math.inf:
+        raise ValueError("temporal splitting needs a finite horizon")
     if time_grid is not None:
         if len(time_grid) == 0:
-            raise ValueError("time grid must not be empty")
+            raise ValueError("time_grid must not be empty")
         if not time_grid[0] > 0:
-            raise ValueError("time grid entries must be positive")
-        if not all(b > a for a, b in zip(time_grid, time_grid[1:])):
-            raise ValueError("time grid must be strictly increasing")
+            raise ValueError("time_grid entries must be positive")
         if not math.isclose(time_grid[-1], horizon):
-            raise ValueError("time grid must end at the horizon")
+            raise ValueError("time_grid must end at the horizon")
     if keep_count is not None and not 1 <= keep_count < n_particles:
         raise ValueError("keep_count must lie in [1, n_particles)")
     if not isinstance(model, (SirParams, HivParams)):
@@ -592,30 +593,25 @@ def temporal_split_estimate(
     keep_count: int | None = None,
     seed: SeedSpec,
 ) -> Estimate:
-    """Probability the epidemic outlives ``horizon``, by splitting the time axis.
+    """Probability the epidemic outlives a finite ``horizon``, by splitting
+    the time axis.
 
     Stage k keeps paths not extinct by t_k and refills the rest from uniform
-    draws among the keepers, concatenated at t_k and re-simulated onward.  The
+    draws among the keepers, concatenated at t_k and re-simulated onward.  A
+    ``time_grid`` is run with its last time set to the horizon.  The
     adaptive variant picks the next time point so that ``keep_count`` of the
     current paths survive it.  Extinction before the horizon is handled as in
     ``ibps_estimate``; no path outliving the horizon itself just estimates 0.
     """
     temporal_check(model, horizon, n_particles, time_grid, keep_count)
-    spec = Duration(horizon)
+    schedule = None if time_grid is None else (*time_grid[:-1], horizon)
 
-    def next_level(scores: np.ndarray, levels: list[float]) -> tuple[float, bool]:
-        if time_grid is not None:
-            if len(levels) < len(time_grid) - 1:
-                return time_grid[len(levels)], False
-            return horizon, True
-        t_k = float(np.sort(scores)[::-1][keep_count])
-        if t_k >= horizon or t_k <= (levels[-1] if levels else 0.0):
-            return horizon, True
-        return t_k, False
+    def adaptive(scores: np.ndarray, levels: list[float]) -> float:
+        # the keep_count-th largest extinction time; none past the previous
+        # time ends the run at the horizon (the loop's cap)
+        t_k = float(np.sort(scores)[-1 - keep_count])
+        return t_k if t_k > (levels[-1] if levels else 0.0) else math.inf
 
-    per_level, _, _, extinct = _stage_loop(
-        model, spec, n_particles, next_level, "multinomial", seed, False
-    )
-    diag = Diagnostics(extinct_ensembles=int(extinct))
-    return Estimate(math.prod(per_level), per_level=tuple(per_level), diagnostics=diag)
-
+    return _stage_loop(
+        model, Duration(horizon), n_particles, schedule, adaptive, "multinomial", seed, False
+    )[0]

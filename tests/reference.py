@@ -311,6 +311,28 @@ def rf_simulate(
     return chain
 
 
+def rf_cumulative_tail(params: ReedFrostParams, spec: CumulativeInfections) -> float:
+    """P(spec) for a Reed-Frost chain, exactly: a DP over the law of (s, i),
+    generation by generation, each a Binomial(s, 1 - q**i) transition (the
+    step of ``rf_step``).  The infectives over generations 0..t-1 number
+    s0 + i0 - s after generation t - 1."""
+    from scipy.stats import binom
+
+    law = np.zeros((params.s0 + 1, max(params.s0, params.i0) + 1))
+    law[params.s0, params.i0] = 1.0
+    i = np.arange(law.shape[1])
+    for _ in range(spec.t - 1):
+        step = np.zeros_like(law)
+        for s in range(params.s0 + 1):
+            k = np.arange(s + 1)
+            # pmf[k, i]: k of the s susceptibles infected by i infectives
+            pmf = binom.pmf(k[:, None], s, -np.expm1(i * math.log(params.q))[None, :])
+            step[s - k, k] += pmf @ law[s]
+        law = step
+    total = params.s0 + params.i0 - np.arange(params.s0 + 1)
+    return float(law[total >= spec.n_c].sum())
+
+
 def sir_rates(state: CompartmentState, params: SirParams) -> tuple[float, float]:
     """Instantaneous (infection, removal) rates of the SIR process."""
     return params.pair_rate(state.s, state.i), params.gamma * state.i

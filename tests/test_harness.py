@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -466,6 +467,26 @@ PARSE_TIME_CASES = {
         RF_BODY + "event = final_size\nn_c = 5\nmethod = cmc\nparticles = 10\n",
         lambda seed: cmc(TOY_RF, FinalSize(n_c=5), 10, seed),
     ),
+    # failed as "instrumental rates must be positive", a law it was never given
+    "ce-zero-lambda": (
+        "lambda = 0\ngamma = 1\ns0 = 10\ni0 = 2\nevent = final_size\nn_c = 5\nmethod = ce\n"
+        "iterations = 3\nparticles = 100\n",
+        lambda seed: ce_estimate(SirParams(lam=0.0, gamma=1.0, s0=10, i0=2), FinalSize(n_c=5),
+                                 100, 3, seed),
+    ),
+    # parsed, and a run went through all 100,000 stages of the stage cap
+    "temporal-infinite-horizon": (
+        SIR_BODY + "event = duration\nT = inf\nmethod = temporal\nkeep_count = 5\n"
+        "particles = 20\n",
+        lambda seed: temporal_split_estimate(TOY_SIR, math.inf, n_particles=20, keep_count=5,
+                                             seed=seed),
+    ),
+    "temporal-infinite-grid": (
+        SIR_BODY + "event = duration\nT = inf\nmethod = temporal\ntime_grid = 10, inf\n"
+        "particles = 20\n",
+        lambda seed: temporal_split_estimate(TOY_SIR, math.inf, n_particles=20,
+                                             time_grid=(10.0, math.inf), seed=seed),
+    ),
 }
 
 
@@ -479,6 +500,28 @@ def test_parse_fails_with_the_estimators_own_check(case):
     with pytest.raises(ValueError) as parsed:
         parse_config_text("[a]\n" + section)
     assert str(parsed.value) == f"[a] {direct.value}"
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("ce-zero-lambda", "cross-entropy needs a positive nominal infection rate: 0.0"),
+        ("temporal-infinite-horizon", "temporal splitting needs a finite horizon"),
+        ("temporal-infinite-grid", "temporal splitting needs a finite horizon"),
+    ],
+)
+def test_parse_fails_fast_naming_the_fault(case, message):
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"^\[a\] {re.escape(message)}$"):
+        parse_config_text("[a]\n" + PARSE_TIME_CASES[case][0])
+    assert time.perf_counter() - started < 1.0
+
+
+def test_parse_keeps_an_infinite_horizon_for_cmc():
+    (config,) = parse_config_text(
+        "[a]\n" + SIR_BODY + "event = duration\nT = inf\nmethod = cmc\nparticles = 20\n"
+    )
+    assert config.event == Duration(T=math.inf)
 
 
 def test_parse_rejects_a_negative_master_seed():

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 from collections import Counter
 
@@ -27,8 +28,14 @@ from epirare import (
     tail_pf,
     temporal_split_estimate,
 )
-from epirare import lockstep
-from reference import NEVER, epidemic_path, indicator, progress_hitting_time
+from epirare import lockstep, splitting
+from reference import (
+    NEVER,
+    epidemic_path,
+    indicator,
+    progress_hitting_time,
+    rf_cumulative_tail,
+)
 from test_golden import HIV, HIV_EVENTS, IBPS_CASES, SIR, SIR_EVENTS
 
 TOY = SirParams(lam=0.12, gamma=1.0, s0=9, i0=1, scaling=Scaling.UNSCALED)
@@ -575,7 +582,7 @@ def test_temporal_argument_validation():
             PURE_DEATH, 2.0, n_particles=10, time_grid=(1.0, 1.5), seed=SeedSpec(0)
         )
     for grid in ((), (math.nan, 2.0), (1.0, math.nan, 2.0)):
-        with pytest.raises(ValueError, match="time grid"):
+        with pytest.raises(ValueError, match="time_grid"):
             temporal_split_estimate(
                 PURE_DEATH, 2.0, n_particles=10, time_grid=grid, seed=SeedSpec(0)
             )
@@ -589,6 +596,103 @@ def test_temporal_argument_validation():
             temporal_split_estimate(
                 PURE_DEATH, horizon, n_particles=10, keep_count=5, seed=SeedSpec(0)
             )
+
+
+def test_temporal_rejects_an_infinite_horizon():
+    # ran all 100,000 stages of the stage cap (about 60 s), then raised
+    model = SirParams(lam=1.2, gamma=1.0, s0=30, i0=1)
+    for time_grid, keep_count in ((None, 5), ((10.0, math.inf), None)):
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="^temporal splitting needs a finite horizon$"):
+            temporal_split_estimate(
+                model, math.inf, n_particles=20, time_grid=time_grid, keep_count=keep_count,
+                seed=SeedSpec(1),
+            )
+        assert time.perf_counter() - started < 1.0
+    # every path dies out, so crude Monte-Carlo still estimates the infinite horizon
+    assert cmc(model, Duration(T=math.inf), 20, SeedSpec(1)).value == 0.0
+
+
+@pytest.mark.parametrize("name", sorted(IBPS_CASES))
+def test_fixed_schedule_reproduces_an_adaptive_run(name):
+    # one selection-and-refill step per level, whether the level is fixed or
+    # picked from the scores: an adaptive run's own levels, fed back as a
+    # schedule at the same seed, replay it bit for bit
+    model, spec, variant = IBPS_CASES[name]
+    replayed = 0
+    for rep in range(8):
+        seed = SeedSpec(2027, replication=rep)
+        adaptive, ensemble = ibps_estimate(
+            model, spec, n_particles=40, keep_fraction=0.3, variant=variant, seed=seed
+        )
+        if adaptive.diagnostics.extinct_ensembles:
+            continue  # its levels stop short of the threshold: no schedule
+        fixed, replay = ibps_estimate(
+            model, spec, n_particles=40, schedule=ensemble.levels, variant=variant, seed=seed
+        )
+        assert fixed.value == adaptive.value and fixed.per_level == adaptive.per_level
+        assert replay.levels == ensemble.levels
+        assert np.array_equal(replay.level_hit_times, ensemble.level_hit_times)
+        replayed += 1
+    assert replayed >= 3
+
+
+@pytest.mark.parametrize("model, horizon", [(SIR, 6.0), (HIV, 4.0)], ids=["sir", "hiv"])
+def test_fixed_time_grid_reproduces_an_adaptive_temporal_run(model, horizon, monkeypatch):
+    # the levels come from the stage loop, as the estimator returns only the estimate
+    ensembles = []
+    stage_loop = splitting._stage_loop
+
+    def recording_stage_loop(*args):
+        estimate, ensemble = stage_loop(*args)
+        ensembles.append(ensemble)
+        return estimate, ensemble
+
+    monkeypatch.setattr(splitting, "_stage_loop", recording_stage_loop)
+    replayed = 0
+    for rep in range(8):
+        seed = SeedSpec(2028, replication=rep)
+        adaptive = temporal_split_estimate(
+            model, horizon, n_particles=60, keep_count=20, seed=seed
+        )
+        if adaptive.diagnostics.extinct_ensembles:
+            continue
+        grid = ensembles[-1].levels
+        assert grid[-1] == horizon
+        fixed = temporal_split_estimate(model, horizon, n_particles=60, time_grid=grid, seed=seed)
+        assert fixed.value == adaptive.value and fixed.per_level == adaptive.per_level
+        assert ensembles[-1].levels == grid
+        replayed += 1
+    assert replayed >= 3
+
+
+RF_TAIL = ReedFrostParams(q=0.97, s0=40, i0=1)
+RF_TAIL_SPEC = CumulativeInfections(t=8, n_c=30)
+
+
+@pytest.mark.parametrize("arm", ["indicator", "potential_v", "potential_dv", "ce"])
+def test_reed_frost_matches_the_exact_tail(arm):
+    # at keep 0.95 (small keep fractions are biased on Reed-Frost by design:
+    # acceptance criterion 7) and for cross-entropy, against the exact DP
+    exact = rf_cumulative_tail(RF_TAIL, RF_TAIL_SPEC)
+    assert exact == pytest.approx(0.0101595, rel=1e-5)
+    if arm == "ce":
+        values = [
+            ce_estimate(RF_TAIL, RF_TAIL_SPEC, 300, 4, SeedSpec(71, replication=rep))[0].value
+            for rep in range(100)
+        ]
+    else:
+        values = [
+            ibps_estimate(
+                RF_TAIL, RF_TAIL_SPEC, n_particles=400, keep_fraction=0.95, weight_rule=arm,
+                alpha=0.0 if arm == "indicator" else 0.01, seed=SeedSpec(70, replication=rep),
+                conditional_sample=False,
+            )[0].value
+            for rep in range(300)
+        ]
+    values = np.array(values)
+    sem = values.std(ddof=1) / math.sqrt(len(values))
+    assert abs(values.mean() - exact) < 4 * sem
 
 
 
