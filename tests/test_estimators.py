@@ -553,12 +553,3 @@ def test_estimate_validation():
 def test_estimate_rejects_non_finite(value, std_error):
     with pytest.raises(ValueError, match="finite"):
         Estimate(value, std_error)
-
-
-def test_ce_names_the_nominal_infection_rate():
-    # ran the importance-sampling check on the nominal law, and so blamed an
-    # instrumental law: "instrumental rates must be positive"
-    with pytest.raises(
-        ValueError, match=r"^cross-entropy needs a positive nominal infection rate: 0\.0$"
-    ):
-        ce_estimate(SirParams(lam=0.0, gamma=1.0, s0=10, i0=2), FinalSize(5), 100, 3, SeedSpec(1))
