@@ -31,6 +31,7 @@ from .events import (
     CumulativeInfections,
     Duration,
     EventSpec,
+    FinalSize,
     event_threshold,
 )
 
@@ -85,8 +86,13 @@ class Estimate:
 
 
 def _batch_indicators(batch: lockstep.JumpEnsemble, spec: EventSpec) -> np.ndarray:
+    """Per path, whether the event happened: a final size on r + i, the count
+    ever infected, which reaches n_c whether the engine stopped the path at
+    the decision or ran it until r did."""
     if isinstance(spec, Duration):
         return batch.i > 0
+    if isinstance(spec, FinalSize):
+        return batch.r + batch.i >= spec.n_c
     return getattr(batch, spec.progress) >= event_threshold(spec)
 
 

@@ -10,7 +10,11 @@ request, for every path or for the few a caller reads.  Each path starts
 from such a row (``Row``): ``initial_row``'s, or one a caller cut it at.
 A call stops each path where the event it is given is decided, at
 extinction without one, and tallies what the likelihood ratio against its
-``base`` law needs, given one.
+``base`` law needs, given one.  A final size is decided once r + i, the count
+ever infected, reaches its threshold, and a diagnoses increment once the
+window's removals reach theirs; the splitting stage loops, which cut levels
+and score slots on r and run a window to its end, ask for that stop
+instead (``_stop``).
 
 SIR and contact tracing share one loop, ``_jump_loop``, and plug into it
 through their rate constants, ``_Rates``; only contact tracing, whose rates
@@ -418,7 +422,7 @@ def _jump_loop(
     *,
     init: Row | None = None,
     horizon: float = np.inf,
-    target: str | None = None,
+    target: tuple[str, ...] | None = None,
     target_level: float | None = None,
     window: tuple[float, float] | None = None,
     record: bool = False,
@@ -426,8 +430,8 @@ def _jump_loop(
 ) -> JumpEnsemble:
     """Advance paths from the rows ``init``, which need times, every column
     (max_i and the window's removals go on from there), or ``n_paths`` fresh
-    ones, until each is extinct, at the horizon or at the target: its
-    ``target`` column (an event's ``progress``) at ``target_level``.  Given
+    ones, until each is extinct, at the horizon or at the target: the sum of
+    its ``target`` columns at ``target_level``.  Given
     a ``base`` law, the loop sums each path's two rate integrals (without
     thinning).
 
@@ -460,7 +464,7 @@ def _jump_loop(
     logged = ("s", "i", "r", "t", "max_i", "path") + ("decayed",) * thinning + (
         "window_rem",) * (window is not None)
     names = logged + ("int_pair", "int_i") * sums
-    stop_row = None if target is None else names.index(target)
+    stop_rows = None if target is None else [names.index(name) for name in target]
     out = _block(start, names, n_paths)
     recorded = Recorded(logged, rates.other_kind) if record else None
     finished = [out[:, :0]]
@@ -470,8 +474,8 @@ def _jump_loop(
     for _ in range(_ITERATION_CAP + 1):
         alive = i > 0
         alive &= t < horizon
-        if stop_row is not None:
-            alive &= block[stop_row] < target_level
+        if stop_rows is not None:
+            alive &= block[stop_rows].sum(axis=0) < target_level
         (keep,) = alive.nonzero()
         if keep.size < block.shape[1]:
             finished.append(block.take((~alive).nonzero()[0], axis=1))
@@ -533,6 +537,7 @@ def _chain_loop(
     n_paths: int | None,
     rng: np.random.Generator,
     *,
+    target: tuple[str, ...],
     target_level: float,
     init: Row | None = None,
     record: bool = False,
@@ -540,8 +545,9 @@ def _chain_loop(
 ) -> JumpEnsemble:
     """Advance the embedded jump chains of SIR paths from the rows
     ``init``, which need no times, or of ``n_paths`` fresh ones, until each
-    is extinct or at the removal target, ceil(``target_level``).  Given a
-    ``base`` law's rates, the loop sums the tallies of ``_chain_table``.
+    is extinct or the sum of its ``target`` columns, r or r + i, is at
+    ceil(``target_level``).  Given a ``base`` law's rates, the loop sums
+    the tallies of ``_chain_table``.
 
     At s susceptibles an event is an infection with a chance p(s) that
     does not depend on i, so the removals before the next infection are
@@ -551,9 +557,13 @@ def _chain_loop(
     s - k, of length floor(E / -log(1 - p(s - k))), which never ends where p
     is 0 (past s = 0 too, so no column beyond is ever read).  A path takes
     the runs in turn, each closed by an infection, until the first run that
-    holds all the removals it has room for, min(i, target - r), and stops
-    inside it.  So every iteration ends a path or takes ``width`` infection
-    steps from it, and the loop needs no iteration cap.  The tallies add,
+    holds all the removals it has room for, min(i, target - r) on r, and
+    stops inside it.  On r + i, which only infections raise, a path has room
+    for i removals and D = target - r - i infections: it stops inside a run
+    that holds i, or right after the infection closing run D - 1, the
+    decision, without a removal of run D.  So every iteration ends a path
+    or takes ``width`` infection steps from it, and the loop needs no
+    iteration cap.  The tallies add,
     per run, its events times the table's per-event terms at its s.
 
     ``block`` holds the live paths' state as in ``_jump_loop``, but no
@@ -571,6 +581,7 @@ def _chain_loop(
     s_max = int(out[0].max(initial=0))
     table = _chain_table(rates, base, s_max + 1)
     run_scale, terms = table[0], table[1:]
+    ever = target == ("r", "i")
     target = np.array(np.ceil(target_level), dtype=float)
     recorded = Recorded(names[:5], rates.other_kind) if record else None
     finished = [out[:, :0]]
@@ -578,7 +589,7 @@ def _chain_loop(
     s, i, r, max_i = block[:4]
     # a path with s susceptibles ends within s // 16 + 1 iterations
     for _ in range(s_max // len(_RUNS) + 2):
-        alive = (i > 0) & (r < target)
+        alive = (i > 0) & ((r + i if ever else r) < target)
         (keep,) = alive.nonzero()
         if keep.size < block.shape[1]:
             finished.append(block.take((~alive).nonzero()[0], axis=1))
@@ -591,7 +602,7 @@ def _chain_loop(
         # a zero draw would meet an inf scale where p is 0; the least
         # subnormal keeps that run endless and changes no other
         draws += _LEAST
-        steps, removals, done, rise = _take_runs(block, draws, run_scale, terms, target)
+        steps, removals, done, rise = _take_runs(block, draws, run_scale, terms, target, ever)
         if record:
             recorded.kept.append((block[:5].copy(), steps, removals, done))
         # a path that takes no run whole reads run 0, where i + rise is at most i
@@ -609,9 +620,10 @@ def _chain_loop(
     return _ensemble(out, finished, names, start, recorded)
 
 
-def _take_runs(block, draws, run_scale, terms, target):
+def _take_runs(block, draws, run_scale, terms, target, ever):
     """The runs of the paths in ``block`` from their ``draws``, a row per path
-    and a column per run; adds their tallies to ``block``.  Returns, per
+    and a column per run, up to the target on r, or with ``ever`` on r + i;
+    adds their tallies to ``block``.  Returns, per
     path, its infections (``steps``) and removals, and per run and path,
     the removals ``done`` through the run and ``rise``, the most that i has
     risen over its start right after the infections closing this run and
@@ -627,14 +639,23 @@ def _take_runs(block, draws, run_scale, terms, target):
     _accumulate_runs(np.add, done)
     # the removals a path has room for up to the infection closing run k;
     # it takes each run whole until one does not fit
-    room = np.minimum(i + k, target - r)
-    whole = done < room
+    if ever:
+        # the infection closing run D - 1 decides the path: it takes no more
+        decisive = target - r - i
+        room = i + k
+        whole = (done < room) & (k < decisive)
+        last = (np.minimum(decisive, width) - 1).astype(np.intp)
+    else:
+        room = np.minimum(i + k, target - r)
+        whole = done < room
+        last = width - 1
     _accumulate_runs(np.logical_and, whole)
     steps = whole.sum(axis=0)
     # removals through each run, capped at the room of the run the path
-    # stops in (or at its last run, where it takes them all)
+    # stops in (or at its last run, where it takes them all; or at run D - 1,
+    # the decision)
     capped = np.minimum(done, room, out=room)
-    removals = capped.ravel()[np.minimum(steps, width - 1) * m + np.arange(m)]
+    removals = capped.ravel()[np.minimum(steps, last) * m + np.arange(m)]
     rise = (k + 1) - done
     _accumulate_runs(np.maximum, rise)
     if len(terms):
@@ -753,21 +774,40 @@ def _hiv_rates(params: HivParams) -> _Rates:
     )
 
 
-def _stop(event: EventSpec | None) -> dict:
-    """The jump loop's stop keywords under which ``event`` is decided: none
-    without an event, so every path runs to extinction.  A final size and
-    an incidence stop on their ``progress`` column; a diagnoses increment
-    runs to the end of its window."""
+def _stop(event: EventSpec | None, progress_stop: bool = False) -> dict:
+    """The loops' stop keywords under which ``event`` is decided: none
+    without an event, so every path runs to extinction.
+
+    A final size is decided once r + i, the count ever infected, reaches
+    n_c: it only rises, and it is r at extinction.  A diagnoses increment is
+    decided once the window's removals reach n_r, and otherwise at the end
+    of the window.  An incidence stops on its ``progress``, max_i, either way.
+    Stopping where the event is decided keeps the likelihood ratio's value
+    at that stopping time, the conditional expectation of its later one, and
+    saves the events after it.
+
+    ``progress_stop`` runs a final size until r reaches n_c, and a window
+    to its end: the splitting stage loops ask for it, since they cut levels
+    on r and score a slot by its r, which a path stopped at its decision
+    leaves short of n_c.  IBPS stays on r because it gains nothing from the
+    decision: levels on r + i cut its relative variance from 0.256 to 0.187
+    for 1.38 times the path-events, and a score of r that jumps to n_c at
+    the decision raised it from 0.258 to 0.274 (Abakaliki, keep 1%); and so
+    its draws stay as they were."""
     if event is None:
         return {}
     if isinstance(event, FinalSize):
-        return dict(target=event.progress, target_level=event.n_c)
+        target = (event.progress,) if progress_stop else ("r", "i")
+        return dict(target=target, target_level=event.n_c)
     if isinstance(event, Incidence):
-        return dict(horizon=event.T, target=event.progress, target_level=event.n_i)
+        return dict(horizon=event.T, target=(event.progress,), target_level=event.n_i)
     if isinstance(event, Duration):
         return dict(horizon=event.T)
     if isinstance(event, DiagnosesIncrement):
-        return dict(horizon=event.t + event.u, window=(event.t, event.t + event.u))
+        stop = dict(horizon=event.t + event.u, window=(event.t, event.t + event.u))
+        if not progress_stop:
+            stop.update(target=(event.progress,), target_level=event.n_r)
+        return stop
     raise TypeError(f"no jump-process stop rule for {event}")
 
 
@@ -780,9 +820,13 @@ def sir_ensemble(
     init: Row | None = None,
     base: SirParams | None = None,
     record: bool = False,
+    _progress_stop: bool = False,
 ) -> JumpEnsemble:
     """Advance an ensemble of SIR paths until ``event`` is decided on each,
-    or to extinction without one.
+    or to extinction without one: a final size once r + i reaches n_c, a
+    diagnoses increment once its window's removals reach n_r (``_stop``).
+    ``_progress_stop``, for the splitting stage loops, runs a final size on
+    until r reaches n_c and a window to its end.
 
     A final size depends on the embedded jump chain alone: that call runs
     clock-free, one run of removals and its closing infection at a time, up
@@ -794,13 +838,10 @@ def sir_ensemble(
     """
     rates = _sir_rates(params)
     base_rates = None if base is None else _sir_rates(base)
-    if isinstance(event, FinalSize):
-        return _chain_loop(
-            rates, params, n_paths, rng, target_level=event.n_c, init=init, record=record,
-            base=base_rates,
-        )
-    return _jump_loop(
-        rates, params, n_paths, rng, init=init, record=record, base=base_rates, **_stop(event)
+    loop = _chain_loop if isinstance(event, FinalSize) else _jump_loop
+    return loop(
+        rates, params, n_paths, rng, init=init, record=record, base=base_rates,
+        **_stop(event, _progress_stop),
     )
 
 
@@ -812,20 +853,25 @@ def hiv_ensemble(
     *,
     init: Row | None = None,
     record: bool = False,
+    _progress_stop: bool = False,
 ) -> JumpEnsemble:
     """Advance contact-tracing paths by thinning, in lockstep.
 
     State carries, per path, the decayed contact-tracing sum
     sum(exp(-c * age)); between jumps it only decays, so the rate at the
     last jump bounds the rate until the next and rejected proposals simply
-    re-tighten the bound.  ``event``, ``init`` and ``record`` are read as by
-    ``sir_ensemble``, ``init``'s ``decayed`` too; every call is clocked.
+    re-tighten the bound.  ``event``, ``init``, ``record`` and
+    ``_progress_stop`` are read as by ``sir_ensemble``, ``init``'s
+    ``decayed`` too; every call is clocked.
     """
     # with no spontaneous detection a path can be left with infectives and no
     # event rate, and draws an infinite wait (with c = 0, a NaN decay factor)
     quiet = np.errstate(divide="ignore", invalid="ignore")
     loop = _jump_loop if params.gamma1 > 0 else quiet(_jump_loop)
-    return loop(_hiv_rates(params), params, n_paths, rng, init=init, record=record, **_stop(event))
+    return loop(
+        _hiv_rates(params), params, n_paths, rng, init=init, record=record,
+        **_stop(event, _progress_stop),
+    )
 
 
 def rf_advance(

@@ -240,7 +240,7 @@ def _branch(
         if cut.decayed is not None:
             cut = cut._replace(decayed=cut.decayed * np.exp(-model.c * (level - cut.t)))
         cut = cut._replace(t=np.full(len(parents), level))
-    ens = _ensemble_fn(model)(model, None, rng, spec, init=cut, record=True)
+    ens = _ensemble_fn(model)(model, None, rng, spec, init=cut, record=True, _progress_stop=True)
 
     n = len(slots.member)
     source = np.zeros(n, dtype=np.int64)
@@ -329,7 +329,9 @@ def _stage_loop(
     """
     on_time, threshold = isinstance(spec, Duration), event_threshold(spec)
     rng0 = seed.stream(particle=0, stage=0).generator()
-    slots = _Slots.start(_ensemble_fn(model)(model, n_particles, rng0, spec, record=True))
+    slots = _Slots.start(
+        _ensemble_fn(model)(model, n_particles, rng0, spec, record=True, _progress_stop=True)
+    )
     every = np.arange(n_particles)
     source, extinct = None, False
     per_level: list[float] = []

@@ -14,8 +14,9 @@ independent reference for the package's embedded-chain oracle
 (``epirare.exact_final_size``).
 
 The package keeps paths only as event-log columns (``lockstep.EventLog``)
-and decides events on them, on the column each event names as its
-``progress`` (``_batch_indicators``, ``_level_cut``).  The per-path form of
+and decides events on them (``_batch_indicators``): a final size on r + i,
+the count ever infected, every other event on the column it names as its
+``progress``, which the level cuts read too (``_level_cut``).  The per-path form of
 a path lives here: ``EpidemicPath``, a validated tuple of ``JumpEvent``
 values with the ``CompartmentState`` after each, built from a log by
 ``epidemic_path`` or from time/kind arrays by ``path_from_arrays``, and
@@ -131,6 +132,11 @@ class CompartmentState:
         if self.s < 0 or self.i < 0 or self.r < 0:
             raise ValueError(f"compartment counts must be non-negative: {self}")
 
+    @property
+    def ever(self) -> int:
+        """The count ever infected, r + i: it only rises, and is r once i is 0."""
+        return self.r + self.i
+
 
 @dataclass(frozen=True)
 class JumpEvent:
@@ -235,8 +241,9 @@ class StopRule:
     """When to halt a jump-process simulation.
 
     Extinction always halts (no further events are possible).  A finite
-    ``horizon`` halts at that clock time; a ``target``, ``"i"`` or ``"r"``,
-    halts on first passage of that count at or above ``target_level``.
+    ``horizon`` halts at that clock time; a ``target``, ``"i"``, ``"r"`` or
+    ``"ever"`` (r + i), halts on first passage of that count at or above
+    ``target_level``.
     """
 
     horizon: float = math.inf
@@ -248,8 +255,8 @@ class StopRule:
             raise ValueError("horizon must be non-negative")
         if (self.target is None) != (self.target_level is None):
             raise ValueError("target and level must be given together")
-        if self.target not in (None, "i", "r"):
-            raise ValueError("first-passage targets apply to I or R only")
+        if self.target not in (None, "i", "r", "ever"):
+            raise ValueError("first-passage targets apply to I, R or R + I only")
 
     @staticmethod
     def extinction() -> "StopRule":
@@ -262,6 +269,12 @@ class StopRule:
     @staticmethod
     def first_passage(target: str, level: int, horizon: float = math.inf) -> "StopRule":
         return StopRule(horizon=horizon, target=target, target_level=level)
+
+    @staticmethod
+    def decision(n_c: int) -> "StopRule":
+        """Where {final size >= n_c} is decided: the infection that brings
+        r + i, the count ever infected, to n_c."""
+        return StopRule.first_passage("ever", n_c)
 
     def reached(self, state: CompartmentState) -> bool:
         if self.target is None:
@@ -630,7 +643,7 @@ def _require_resolved(path: EpidemicPath, spec: EventSpec) -> None:
     """The path must be simulated far enough for the event to be decided."""
     extinct = path.final_state.i == 0
     if isinstance(spec, FinalSize):
-        if not extinct and path.final_state.r < spec.n_c:
+        if not extinct and path.final_state.ever < spec.n_c:
             raise SimulationError("path under-simulated: not extinct and below the threshold")
     elif isinstance(spec, Incidence):
         max_i = max((ev.state_after.i for ev in path.events), default=path.initial.i)
@@ -640,8 +653,15 @@ def _require_resolved(path: EpidemicPath, spec: EventSpec) -> None:
         if not extinct and path.horizon < spec.T:
             raise SimulationError("path under-simulated for the duration horizon")
     elif isinstance(spec, DiagnosesIncrement):
-        if not extinct and path.horizon < spec.t + spec.u:
+        if not extinct and path.horizon < spec.t + spec.u and (
+            path.horizon < spec.t or _window_removals(path, spec) < spec.n_r
+        ):
             raise SimulationError("path under-simulated for the diagnoses window")
+
+
+def _window_removals(path: EpidemicPath, spec: DiagnosesIncrement) -> int:
+    """Removals inside (t, t + u], up to where the path was simulated."""
+    return state_at(path, min(spec.t + spec.u, path.horizon)).r - state_at(path, spec.t).r
 
 
 def score(path: EpidemicPath | DiscretePath, spec: EventSpec) -> float:
@@ -650,7 +670,8 @@ def score(path: EpidemicPath | DiscretePath, spec: EventSpec) -> float:
     Incidence: running maximum of I up to T.  FinalSize: final removed count.
     CumulativeInfections: partial sum of infectives over generations < t.
     Duration: extinction time, with +inf capping the scale for paths that
-    outlive their horizon.  DiagnosesIncrement: removals inside (t, t+u].
+    outlive their horizon.  DiagnosesIncrement: removals inside (t, t+u],
+    up to where the path stopped.
     """
     if isinstance(spec, CumulativeInfections):
         chain = list(path)
@@ -669,15 +690,18 @@ def score(path: EpidemicPath | DiscretePath, spec: EventSpec) -> float:
     if isinstance(spec, Duration):
         ext = extinction_time(path)
         return math.inf if isinstance(ext, Never) else float(ext)
-    # Diagnoses increment; resolution check guarantees both endpoints are
-    # within the horizon (extinct paths carry an infinite one).
-    lo = state_at(path, spec.t).r
-    hi = state_at(path, spec.t + spec.u).r
-    return float(hi - lo)
+    # Diagnoses increment; the resolution check guarantees that the path
+    # reaches into the window (extinct paths carry an infinite horizon).
+    return float(_window_removals(path, spec))
 
 
 def indicator(path: EpidemicPath | DiscretePath, spec: EventSpec) -> int:
-    """1 iff the event occurs on the path (Duration demands strict excess)."""
+    """1 iff the event occurs on the path (Duration demands strict excess).
+    A final size is decided on r + i, the count ever infected, so a path
+    stopped at the decision and one run until r reaches n_c both count."""
+    if isinstance(spec, FinalSize):
+        _require_resolved(path, spec)
+        return int(path.final_state.ever >= spec.n_c)
     s = score(path, spec)
     if isinstance(spec, Duration):
         return int(s > spec.T)

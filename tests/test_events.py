@@ -280,18 +280,21 @@ EVENT_SPECS = st.one_of(
     spec=EVENT_SPECS,
     n=st.integers(1, 30),
     seed=st.integers(0, 2**32 - 1),
+    progress_stop=st.booleans(),
 )
-def test_engine_columns_decide_events_as_the_reference(model_name, spec, n, seed):
-    # the engine's indicator and progress column against the per-path rules;
+def test_engine_columns_decide_events_as_the_reference(model_name, spec, n, seed, progress_stop):
+    # the engine's indicator and progress column against the per-path rules,
+    # with paths stopped where the event is decided or on its progress;
     # SIR final sizes run clocked here, since a clock-free path has no times
     model = ENGINE_MODELS[model_name]
     rng = SeedSpec(seed).generator()
     if isinstance(model, SirParams) and isinstance(spec, FinalSize):
         ens = lockstep._jump_loop(
-            lockstep._sir_rates(model), model, n, rng, record=True, **lockstep._stop(spec)
+            lockstep._sir_rates(model), model, n, rng, record=True,
+            **lockstep._stop(spec, progress_stop),
         )
     else:
-        ens = _ensemble_fn(model)(model, n, rng, spec, record=True)
+        ens = _ensemble_fn(model)(model, n, rng, spec, record=True, _progress_stop=progress_stop)
     hits = _batch_indicators(ens, spec)
     if isinstance(spec, Duration):
         progress = ens.extinction_times()

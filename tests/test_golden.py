@@ -334,9 +334,9 @@ def _engine_init(model_name: str, spec) -> lockstep.Row:
     stop = lockstep._stop(spec)
     if "horizon" in stop:
         t[:3] = stop["horizon"]
-    if stop.get("target") == "r":
+    if "r" in stop.get("target", ()):
         r[3:5] = stop["target_level"]
-    elif stop.get("target") == "max_i":
+    elif "max_i" in stop.get("target", ()):
         i[3:5] = stop["target_level"]
     i[5:7] = 0
     s[3:7] = total[3:7] - i[3:7] - r[3:7]

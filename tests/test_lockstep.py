@@ -203,7 +203,8 @@ def test_start_rows_carry_max_i_and_window_removals(name):
     )
     assert np.all(start.max_i > start.i) and np.all(start.window_rem > 0)
     engine = getattr(lockstep, f"{name}_ensemble")
-    event = DiagnosesIncrement(window[0], window[1] - window[0], n_r=1)
+    # a threshold no path reaches, so every path runs to the window's end
+    event = DiagnosesIncrement(window[0], window[1] - window[0], n_r=10**6)
     ens = engine(MODELS[name], None, SeedSpec(51).generator(), event, init=start, record=True)
     _check(ens, start, window[1])
     log = ens.log
@@ -247,8 +248,8 @@ def _final_size_from_rows():
         *(np.concatenate([getattr(cut, name), getattr(done, name)]) for name in "sir"),
         None, np.concatenate([cut.max_i, done.max_i]),
     )
-    live = init.i > 0
-    assert (~live).any() and (live & (init.r >= target)).any() and (live & (init.r < target)).any()
+    live, ever = init.i > 0, init.r + init.i
+    assert (~live).any() and (live & (ever >= target)).any() and (live & (ever < target)).any()
     return _simulate("sir", None, 44, FinalSize(target), init=init)
 
 
@@ -449,39 +450,53 @@ def test_chain_loop_matches_the_per_event_chain():
     # Two samples from the same start states, under an instrumental law and
     # weighted against a base law: the chain loop's, and the reference's
     # event-by-event simulation with its chain ratio and rate integrals.
-    # Their end states and the three tallies must share one law.
+    # Their end states, event counts and the three tallies must share one
+    # law, under either stop: until r reaches the target, and at the
+    # decision, the infection that brings r + i to it.
     base, instr = SIR, dataclasses.replace(SIR, lam=0.06, gamma=0.8)
     starts = [(30, 2, 0), (20, 5, 7), (10, 3, 19), (25, 1, 6), (3, 4, 25)]
     target, per_start = 24, 600
     init = tuple(np.repeat(column, per_start) for column in zip(*starts))
-    ens = lockstep.sir_ensemble(
-        instr, None, SeedSpec(43).generator(), FinalSize(target),
-        init=lockstep.Row(*init, t=None, max_i=init[1]), base=base,
-    )
-    engine = np.column_stack([
-        ens.s, ens.i, ens.r, _sir_log_ratio(ens, base, instr), ens.int_pair, ens.int_i,
-    ])
-    rng, rule = SeedSpec(44).generator(), StopRule.first_passage("r", target)
-    reference = []
-    for start in zip(*init):
-        initial = CompartmentState(*(int(x) for x in start))
-        path = sir_simulate(instr, rule, rng, initial=initial)
-        chain = [initial] + [event.state_after for event in path.events]
-        end = chain[-1]
-        reference.append((end.s, end.i, end.r, *sir_chain_ratio(chain, base, instr)))
-    reference = np.array(reference)
-    # end states: a two-sample chi-square over the states both reach often
-    states, cells = np.unique(np.vstack([engine[:, :3], reference[:, :3]]), axis=0,
-                              return_inverse=True)
-    counts = np.array([np.bincount(half, minlength=len(states))
-                       for half in np.split(cells.ravel(), 2)])
-    common = counts.sum(axis=0) >= 10
-    table = np.column_stack([counts[:, common], counts[:, ~common].sum(axis=1)])
-    table = table[:, table.sum(axis=0) > 0]
-    assert table.shape[1] > 10
-    assert chi2_contingency(table).pvalue > 1e-3
-    for column in range(3, 6):
-        assert ks_2samp(engine[:, column], reference[:, column]).pvalue > 1e-3
+    stops = {True: StopRule.first_passage("r", target), False: StopRule.decision(target)}
+    for seed, (progress_stop, rule) in enumerate(stops.items()):
+        ens = lockstep.sir_ensemble(
+            instr, None, SeedSpec(43, replication=seed).generator(), FinalSize(target),
+            init=lockstep.Row(*init, t=None, max_i=init[1]), base=base,
+            _progress_stop=progress_stop,
+        )
+        engine = np.column_stack([
+            ens.s, ens.i, ens.r, ens.n_inf + ens.n_rem, _sir_log_ratio(ens, base, instr),
+            ens.int_pair, ens.int_i,
+        ])
+        if not progress_stop:
+            # the infection that brings r + i to the target stops a path,
+            # short of r's target
+            live, moved = ens.i > 0, ens.n_inf + ens.n_rem > 0
+            assert (live & (ens.r < target)).any()
+            assert np.all((ens.r + ens.i)[live & moved] == target)
+        rng = SeedSpec(44, replication=seed).generator()
+        reference = []
+        for start in zip(*init):
+            initial = CompartmentState(*(int(x) for x in start))
+            path = sir_simulate(instr, rule, rng, initial=initial)
+            chain = [initial] + [event.state_after for event in path.events]
+            end = chain[-1]
+            reference.append(
+                (end.s, end.i, end.r, len(path.events), *sir_chain_ratio(chain, base, instr))
+            )
+        reference = np.array(reference)
+        # end states: a two-sample chi-square over the states both reach often
+        states, cells = np.unique(np.vstack([engine[:, :3], reference[:, :3]]), axis=0,
+                                  return_inverse=True)
+        counts = np.array([np.bincount(half, minlength=len(states))
+                           for half in np.split(cells.ravel(), 2)])
+        common = counts.sum(axis=0) >= 10
+        table = np.column_stack([counts[:, common], counts[:, ~common].sum(axis=1)])
+        table = table[:, table.sum(axis=0) > 0]
+        assert table.shape[1] > 10
+        assert chi2_contingency(table).pvalue > 1e-3
+        for column in range(3, 7):
+            assert ks_2samp(engine[:, column], reference[:, column]).pvalue > 1e-3
 
 
 class _ZeroDraws:
@@ -529,51 +544,68 @@ def test_clock_free_draws_one_exponential_block_per_iteration():
     # largest live s; column k is the run of removals at s - k, of length
     # floor(E / -log(1 - p)) by inverse CDF with p = c*s/(c*s + gamma), and
     # endless where p is 0; a path takes each run and the infection closing
-    # it until a run holds all the removals it has room for, and stops there
+    # it until a run holds all the removals it has room for, and stops
+    # there, or, stopping at the decision, until the infection that brings
+    # r + i to the target
     model = SirParams(lam=6.0, gamma=1.0, s0=50, i0=1, n=60)
     coef, target = model.lam / model.population, 30
     s0 = np.array([0, 1, 2, 3, 5, 8, 13, 17, 20, 24, 28, 31])
     n = len(s0)
     init = lockstep.Row(s0, np.full(n, 2), np.arange(n), None, np.full(n, 2))
-    engine_rng = SeedSpec(39).generator()
-    ens = lockstep.sir_ensemble(model, None, engine_rng, FinalSize(target), init=init, record=True)
-    rng = SeedSpec(39).generator()
-    s, i, r = ([int(x) for x in column] for column in init[:3])
-    kinds = [[] for _ in range(n)]
-    iterations = 0
-    while live := [k for k in range(n) if i[k] > 0 and r[k] < target]:
-        iterations += 1
-        width = min(16, max(s[k] for k in live) + 1)
-        for k, row in zip(live, rng.standard_exponential((len(live), width))):
-            for e in row:
-                p = coef * s[k] / (coef * s[k] + model.gamma)
-                run = math.floor(e / -math.log1p(-p)) if p > 0 else math.inf
-                room = min(i[k], target - r[k])
-                removed = min(run, room)
-                kinds[k] += [EventKind.REMOVAL.value] * removed
-                i[k], r[k] = i[k] - removed, r[k] + removed
-                if run >= room:
-                    break
-                kinds[k].append(EventKind.INFECTION.value)
-                s[k], i[k] = s[k] - 1, i[k] + 1
-    log = ens.log
-    for k in range(n):
-        assert log.kind[log.offsets[k]:log.offsets[k + 1]].tolist() == kinds[k]
-    for got, want in zip((ens.s, ens.i, ens.r), (s, i, r)):
-        np.testing.assert_array_equal(got, want)
-    _check(ens, init, clock_free=True)
-    # the replay covered extinction at s = 0, the removal target and a path
-    # that took a whole block of 16 infections
-    assert iterations > 1 and ((ens.s == 0) & (ens.i == 0)).any()
-    assert (ens.r == target).any() and (ens.n_inf > 16).any()
-    # and nothing else was drawn
-    assert engine_rng.random() == rng.random()
+    for progress_stop in (True, False):
+        engine_rng = SeedSpec(39).generator()
+        ens = lockstep.sir_ensemble(
+            model, None, engine_rng, FinalSize(target), init=init, record=True,
+            _progress_stop=progress_stop,
+        )
+        rng = SeedSpec(39).generator()
+        s, i, r = ([int(x) for x in column] for column in init[:3])
+
+        def progress(k):
+            return r[k] if progress_stop else r[k] + i[k]
+
+        kinds = [[] for _ in range(n)]
+        iterations = 0
+        while live := [k for k in range(n) if i[k] > 0 and progress(k) < target]:
+            iterations += 1
+            width = min(16, max(s[k] for k in live) + 1)
+            for k, row in zip(live, rng.standard_exponential((len(live), width))):
+                for e in row:
+                    p = coef * s[k] / (coef * s[k] + model.gamma)
+                    run = math.floor(e / -math.log1p(-p)) if p > 0 else math.inf
+                    # removals do not raise r + i: on it they have room for i
+                    room = min(i[k], target - r[k]) if progress_stop else i[k]
+                    removed = min(run, room)
+                    kinds[k] += [EventKind.REMOVAL.value] * removed
+                    i[k], r[k] = i[k] - removed, r[k] + removed
+                    if run >= room:
+                        break
+                    kinds[k].append(EventKind.INFECTION.value)
+                    s[k], i[k] = s[k] - 1, i[k] + 1
+                    if progress(k) >= target:
+                        break
+        log = ens.log
+        for k in range(n):
+            assert log.kind[log.offsets[k]:log.offsets[k + 1]].tolist() == kinds[k]
+        for got, want in zip((ens.s, ens.i, ens.r), (s, i, r)):
+            np.testing.assert_array_equal(got, want)
+        _check(ens, init, clock_free=True)
+        # the replay covered extinction at s = 0, the target and a path that
+        # took a whole block of 16 infections
+        assert iterations > 1 and ((ens.s == 0) & (ens.i == 0)).any()
+        assert (np.array([progress(k) for k in range(n)]) == target).any()
+        assert (ens.n_inf > 16).any()
+        if not progress_stop:
+            # a path the decision stopped, short of r's target
+            assert ((ens.i > 0) & (ens.r < target)).any()
+        # and nothing else was drawn
+        assert engine_rng.random() == rng.random()
 
 
 @pytest.mark.parametrize("record", [False, True])
 def test_clock_free_call_has_no_times(record):
     ens = lockstep.sir_ensemble(SIR, 50, SeedSpec(40).generator(), FinalSize(16), record=record)
-    assert np.all((ens.i == 0) | (ens.r >= 16))
+    assert np.all((ens.i == 0) | (ens.r + ens.i >= 16))
     assert len(ens.t) == 50 and np.isnan(ens.t).all()
     assert ens.log_rate_ratio is None
     with pytest.raises(ValueError, match="clock-free"):
