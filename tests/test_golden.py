@@ -209,9 +209,9 @@ method,params,value,stderr,extinct_ensembles,zero_runs,wall_seconds
 cmc,N=40;reps=3;seed=7,2.167e-01,1.443e-02,0,0,
 cmc,N=40;reps=3;seed=7,4.583e-01,6.292e-02,0,0,
 cmc,N=40;reps=3;seed=7,3.667e-01,3.819e-02,0,0,
-is,N=40;reps=3;seed=7,1.099e-01,4.852e-02,0,0,
+is,N=40;reps=3;seed=7,9.529e-02,2.172e-02,0,0,
 is,N=40;reps=3;seed=7,2.362e-01,4.739e-02,0,0,
-ce[K=3],N=40;reps=3;seed=7,1.094e-01,3.364e-03,0,0,
+ce[K=3],N=40;reps=3;seed=7,9.711e-02,1.573e-03,0,0,
 ce[K=3],N=40;reps=3;seed=7,2.445e-01,4.839e-03,0,0,
 ibps[multinomial;keep=0.3],N=40;reps=3;seed=7,8.854e-02,2.197e-02,0,0,
 ibps[keepall;fixed-levels],N=40;reps=3;seed=7,5.073e-02,4.546e-02,0,0,
@@ -495,38 +495,38 @@ HIT_TIMES = {'hiv-incidence': ((5.0, 6.0, 8.0, 9.0),
                      (4.732138398641572,)),
                     (31, 31, 30, 30, 33, 30, 33, 37, 31, 37))}
 
-ENGINE_DIGESTS = {'hiv-diagnoses-bare-fresh': 'ea4b0da4cc8b51ccacf1746a9505955e4d8299b0734f9000d7ad89a12f34ff1d',
- 'hiv-diagnoses-bare-init': '7eb50f9f13154547559c3fe01e0f48b95fd1c1b71ed4f9774a9f78924eddd810',
- 'hiv-diagnoses-record-fresh': '7da268699b47b814efb292d9a22a63ec930690fdb5e91b50f4971d51ebda36f7',
- 'hiv-diagnoses-record-init': 'b30ca10896b5c8d6c2c5d36372e35c89200c33cae7c7d55872a8318bd34288a0',
+ENGINE_DIGESTS = {'hiv-diagnoses-bare-fresh': '0fcc34bb2a7d27a09670626b762bf7ffa4031bd955ed48d4d779425377ca2ea7',
+ 'hiv-diagnoses-bare-init': '4ef888b7f54c7110561d321903afac1c5379d1f31632d2c49352854fbc854a29',
+ 'hiv-diagnoses-record-fresh': '3c935124e4161c16e4b17500692b8b19630a4fe08dcab16124f4698b618b76b2',
+ 'hiv-diagnoses-record-init': 'a7b69b97c17ed05f27d1b1bc8a114051c5879fad537ef8ed12537f923a544ae2',
  'hiv-duration-bare-fresh': '141164b0db43b74ef49199bd61fdf2f4c34275fd109c4cfbf01231a9d559d8db',
  'hiv-duration-bare-init': 'a536ee44c2278992c09fefb28ca9224cff47ec3a57e2bfac8cb9c474d1d37eb2',
  'hiv-duration-record-fresh': '01af785faba769a41731f094c871cb97ac2afc31113e5ec14f5f9b38af0eb4a2',
  'hiv-duration-record-init': '310c1235c8d5d93b24a525f90977b1a61e8d2ab68cb3f1cafb281b733e92fc31',
- 'hiv-final_size-bare-fresh': '57eaca29d1491eb4b746c1df2a80bd6bfbe70b45a6849e57813eed2405a42a9d',
- 'hiv-final_size-bare-init': '03724109f3ba06e24afeb5699722e0bc6d7a11a73eb5331213406a0aeb5258e5',
- 'hiv-final_size-record-fresh': '2acb29b680e2957ee49cb4b167fe5e4ee58fc30080e05fee68fe76b3c602ace1',
- 'hiv-final_size-record-init': '83a159e0b151ab092ce7341ee75e06bfa4b1ab95801dae00486bf794c716efc4',
+ 'hiv-final_size-bare-fresh': '828e58cc6bbb393386babb407cf0ef07bb3e730c8e0677a269420289053e89f6',
+ 'hiv-final_size-bare-init': '2a3f078e2715a9ca24369ded4fe9c230b2878fb7ac777b6081e111517f748214',
+ 'hiv-final_size-record-fresh': 'ebd85bd7b279b5f99a684b736c141e2e38729986e91c39dbaac756958217ad82',
+ 'hiv-final_size-record-init': 'bc5588e1a7855c0d13fd2378eb5153febcc03aaf2a64465cfd8870ccab636b56',
  'hiv-incidence-bare-fresh': 'a480a61f0cfc889252380f7d13907d7bba87626a0f6937f42d8f962c2badb305',
  'hiv-incidence-bare-init': 'afa4a39248332347e20b633984fa4eec8ad8db328326830b22229088f3248759',
  'hiv-incidence-record-fresh': 'ced682f3bd2da3e006d31b58c45ad14a7585e6dea85a3251789f3a528afa0d0a',
  'hiv-incidence-record-init': '259008cfafb3008cc1c784e4804cd844bfed25e31cd5454c04cb2a9cc1bfd162',
- 'sir-diagnoses-bare-fresh': 'bb799361820b7857fdea39af9de9cf7c7ccb175be110d5cd57092d0a67a4ccf1',
- 'sir-diagnoses-bare-init': '0220c9cb43082342cda53b7101d200f81cdc37343b6bc33076b9a18919c7a49f',
- 'sir-diagnoses-record-fresh': '60754ba2b44f98c157230eab7f9259ca893314682a824e73ddcd793e3c2aa966',
- 'sir-diagnoses-record-init': '08595ef31718089c1a02fc97aa28bfb2cd30d677176e3f690354d46ac8ed625f',
+ 'sir-diagnoses-bare-fresh': '142884848bfd86de264f335605a441171923c5749d0f2ec13497d2e60d237959',
+ 'sir-diagnoses-bare-init': '6dafbfbc5635d4e75198d245b26e31eeab9661c441663f8394361752f1d5c09b',
+ 'sir-diagnoses-record-fresh': 'e72803f1e5a86490c7b4d0978630ddea03eb44e8cb7aa9e06dbe1b98d5fae888',
+ 'sir-diagnoses-record-init': '5f1f747faa1ad7cb4f5fdc52cc064063b8e7574014fbc123f51374faab82d3b7',
  'sir-duration-bare-fresh': 'b8a51ea9a8dfe9e09f7d42d330e3cd1c079c79da70117bca153a9410b76d723e',
  'sir-duration-bare-init': '538ca2809a4d5e863d82334fd44adeba6c5f4005a22b303e2f54edc8b491da2a',
  'sir-duration-record-fresh': '35ceab641b63f03f80751eceb17644290becfb845f7c1ca65a67aa578671cfaf',
  'sir-duration-record-init': '91d3b959fdf012841403490bd75a6dde4f38cdafcf9d09924bc42723b257995d',
- 'sir-final_size-bare-fresh': 'ed3522562948c521fc42e95764cb82ceb13148eea0c091f4e1a1d79aac29bc4f',
- 'sir-final_size-bare-fresh-clock_free': 'ac10315f4e02141c60c147927e8d1275f2cf17d40900a2c6c40ffaebdd85f0fb',
- 'sir-final_size-bare-init': '1ebd4181753c28cdfec843b2ccd0c8cc6e97a6065ad13585fdef4035d0ec7c2c',
- 'sir-final_size-bare-init-clock_free': '7bac62cf84618063d0b90cb8e9abccfe6ce4b23b2797a71fffbfd74685f097b6',
- 'sir-final_size-record-fresh': '5a8d0fd6e0806c9b8dc896ad8253a8f33f00e9f3e6d274ad12d11b6f9eb1b082',
- 'sir-final_size-record-fresh-clock_free': 'a6f060a8eac6d83570dcf2ba382d31ee7864ac1f1fb4418a7a9a9e6de29e4195',
- 'sir-final_size-record-init': '5ae5bbfff88c0d4fa9ceb3497ab745ae84ece28458b738fd2e96396730dd38f3',
- 'sir-final_size-record-init-clock_free': '42d8ae72142ca5144701f0d196e21b11e756bc88a31f838cb9916394acdc1177',
+ 'sir-final_size-bare-fresh': '2dc8ee009af810c5b9a054e0a8407afdffb1e421073a391eeb524ab8aa86262b',
+ 'sir-final_size-bare-fresh-clock_free': 'f96412d324fa493e18b38a522826765a6d4e590c179b1efdbc3ab1155945e3be',
+ 'sir-final_size-bare-init': '08def2f9a640048aaad5a9f3756bb53baa7a93d541b9954a58c10ffec1343b2d',
+ 'sir-final_size-bare-init-clock_free': '361cdf74e3219516c95d49094fa14d9582169b56845101b87f60fbe8fa217c10',
+ 'sir-final_size-record-fresh': '0010f0635d5465437bdb320b713d6cb5add3f3890200d2fca07fc7efd5bf9073',
+ 'sir-final_size-record-fresh-clock_free': '1a1afa3140bdffec168bfa5bd558d8aef3fed13eb467ce6dc3a5e95f7ecad0f9',
+ 'sir-final_size-record-init': '819d26551013bb95e0a20bcaacd62d78b077f6f5576ce774e44e004fc7991994',
+ 'sir-final_size-record-init-clock_free': 'eed8962daf35085e63cb30b37dfd1632b0851c088a23141e26db895d40c13c0e',
  'sir-incidence-bare-fresh': '57b476331c9c9ee848e76c131a9e6c0bf56305d72763f1c959cf5c39756e1ef2',
  'sir-incidence-bare-init': '643a7a7924f18d4540109e54b4cfc1d53757e3ef68604c8b582753cc0cf08aef',
  'sir-incidence-record-fresh': '26479c79089099245df88803ce9e3e79d607f5620342cdb022649a72bc369ef4',

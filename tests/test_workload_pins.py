@@ -54,7 +54,7 @@ PINS = {
     "temporal-contact-tracing": (
         "0x1.bc98a222d5174p-11", "0x1.bda5119ce0761p-11", "0x1.bf37b8d3f1845p-11",
     ),
-    "ce-abakaliki": ("0x1.2980372c6f63fp-9", "0x1.432f978ddc305p-9", "0x1.3b18772091eb0p-9"),
+    "ce-abakaliki": ("0x1.551195b7347fcp-9", "0x1.4749575f0812fp-9", "0x1.34e0ec91e2aadp-9"),
 }
 
 
