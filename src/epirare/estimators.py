@@ -232,7 +232,8 @@ def is_estimate(
     seed: SeedSpec,
 ) -> Estimate:
     """Fixed importance sampling: simulate under the instrumental law and
-    reweight by the exact likelihood ratio."""
+    reweight by the exact likelihood ratio, taken where the engine stops
+    each path, at the event's decision."""
     is_check(model, spec, instrumental, n_paths)
     weights, overflow, _ = _is_weights(model, spec, instrumental, n_paths, seed.generator())
     value = float(np.mean(weights))

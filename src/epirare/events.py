@@ -3,11 +3,14 @@
 An event pairs a target set with a horizon rule.  A jump-process threshold
 event names, as its ``progress``, the engine column (``lockstep.EventLog``)
 that measures a path's progress towards it: the event is that column
-reaching the threshold, and its splitting levels are values of it.  The
-engine stops on it, and the estimators decide the event and cut levels on
-it.  ``quantile_levels`` turns ensemble scores into adaptive splitting
-levels.  What follows a level that does not pass the previous one, the
-stall rule of adaptive splitting, is decided in ``ibps_estimate`` alone.
+reaching the threshold, and its splitting levels are values of it, which
+the level cuts and the stage scores read.  A final size is decided sooner,
+once r + i, the count ever infected, reaches its threshold: the engine
+stops there (``lockstep._stop``), and the indicator reads r + i, which
+holds whichever stop ran.  ``quantile_levels`` turns ensemble scores into
+adaptive splitting levels.  What follows a level that does not pass the
+previous one, the stall rule of adaptive splitting, is decided in
+``ibps_estimate`` alone.
 Every parameter check is written as ``not value > bound`` so that a NaN
 horizon or threshold fails it instead of slipping through.
 """
@@ -45,7 +48,11 @@ class Duration:
 
 @dataclass(frozen=True)
 class FinalSize:
-    """Event {total ever infected >= n_c} by extinction: R reaches n_c."""
+    """Event {total ever infected >= n_c} by extinction: R reaches n_c.
+
+    It is decided at the infection that brings r + i, the count ever
+    infected, to n_c: r + i only rises, and is R at extinction.  Its
+    ``progress``, which splitting levels and scores read, is r."""
 
     progress: ClassVar[str] = "r"
     n_c: int

@@ -10,11 +10,12 @@ request, for every path or for the few a caller reads.  Each path starts
 from such a row (``Row``): ``initial_row``'s, or one a caller cut it at.
 A call stops each path where the event it is given is decided, at
 extinction without one, and tallies what the likelihood ratio against its
-``base`` law needs, given one.  A final size is decided once r + i, the count
-ever infected, reaches its threshold, and a diagnoses increment once the
-window's removals reach theirs; the splitting stage loops, which cut levels
-and score slots on r and run a window to its end, ask for that stop
-instead (``_stop``).
+``base`` law needs, given one.  A final size is decided once r + i, the
+count ever infected, reaches its threshold, and a diagnoses increment once
+the window's removals reach theirs.  The splitting stage loops cut levels
+and score slots on r, so they ask for the progress stop instead
+(``_stop``): a final size runs until r reaches its threshold, and a window
+to its end.
 
 SIR and contact tracing share one loop, ``_jump_loop``, and plug into it
 through their rate constants, ``_Rates``; only contact tracing, whose rates
@@ -431,9 +432,8 @@ def _jump_loop(
     """Advance paths from the rows ``init``, which need times, every column
     (max_i and the window's removals go on from there), or ``n_paths`` fresh
     ones, until each is extinct, at the horizon or at the target: the sum of
-    its ``target`` columns at ``target_level``.  Given
-    a ``base`` law, the loop sums each path's two rate integrals (without
-    thinning).
+    its ``target`` columns at ``target_level``.  Given a ``base`` law, the
+    loop sums each path's two rate integrals (without thinning).
 
     ``block`` holds the live paths' state, a row per quantity and a column
     per path (counts are exact in float64); finished columns go to
@@ -475,7 +475,9 @@ def _jump_loop(
         alive = i > 0
         alive &= t < horizon
         if stop_rows is not None:
-            alive &= block[stop_rows].sum(axis=0) < target_level
+            # one target column is read in place; only r + i adds rows
+            first, *more = stop_rows
+            alive &= sum((block[k] for k in more), block[first]) < target_level
         (keep,) = alive.nonzero()
         if keep.size < block.shape[1]:
             finished.append(block.take((~alive).nonzero()[0], axis=1))
@@ -563,8 +565,8 @@ def _chain_loop(
     that holds i, or right after the infection closing run D - 1, the
     decision, without a removal of run D.  So every iteration ends a path
     or takes ``width`` infection steps from it, and the loop needs no
-    iteration cap.  The tallies add,
-    per run, its events times the table's per-event terms at its s.
+    iteration cap.  The tallies add, per run, its events times the table's
+    per-event terms at its s.
 
     ``block`` holds the live paths' state as in ``_jump_loop``, but no
     times; the iteration's own arrays hold a row per run and a column per
@@ -623,11 +625,11 @@ def _chain_loop(
 def _take_runs(block, draws, run_scale, terms, target, ever):
     """The runs of the paths in ``block`` from their ``draws``, a row per path
     and a column per run, up to the target on r, or with ``ever`` on r + i;
-    adds their tallies to ``block``.  Returns, per
-    path, its infections (``steps``) and removals, and per run and path,
-    the removals ``done`` through the run and ``rise``, the most that i has
-    risen over its start right after the infections closing this run and
-    those before it, read only for the runs the path takes whole."""
+    adds their tallies to ``block``.  Returns, per path, its infections
+    (``steps``) and removals, and per run and path, the removals ``done``
+    through the run and ``rise``, the most that i has risen over its start
+    right after the infections closing this run and those before it, read
+    only for the runs the path takes whole."""
     m, width = draws.shape
     s, i, r = block[:3]
     at = s.astype(np.intp)
@@ -789,11 +791,11 @@ def _stop(event: EventSpec | None, progress_stop: bool = False) -> dict:
     ``progress_stop`` runs a final size until r reaches n_c, and a window
     to its end: the splitting stage loops ask for it, since they cut levels
     on r and score a slot by its r, which a path stopped at its decision
-    leaves short of n_c.  IBPS stays on r because it gains nothing from the
-    decision: levels on r + i cut its relative variance from 0.256 to 0.187
-    for 1.38 times the path-events, and a score of r that jumps to n_c at
-    the decision raised it from 0.258 to 0.274 (Abakaliki, keep 1%); and so
-    its draws stay as they were."""
+    leaves short of n_c.  IBPS stays on r because it gains nothing
+    measurable from the decision (Abakaliki, keep 1%, N = 1000): levels on
+    r + i cut its relative variance from 0.256 to 0.187 for 1.38 times the
+    path-events, and a score of r that jumps to n_c at the decision raised
+    it from 0.258 to 0.274.  On r, its draws stay as they were."""
     if event is None:
         return {}
     if isinstance(event, FinalSize):

@@ -45,7 +45,9 @@ normalization requires it), so a ``variant`` is rejected on them.
 Continuous-time ensembles keep each slot's history as event-log rows
 (``lockstep.EventLog``): its events with the state after each.  Slots are
 scored by the engine's end states, and histories are grouped only on
-request (``_Slots``).  Every refill is one primitive, ``_branch``: group the
+request (``_Slots``).  Every engine call asks for the progress stop
+(``lockstep._stop``): a final-size path runs until r reaches the
+threshold, not only to its decision, since the cuts and scores read r.  Every refill is one primitive, ``_branch``: group the
 survivors' histories, count each parent's rows up to its cut (a level cut is
 the first event at which progress reaches the level, a time cut the last
 event at or before the time), and start one lockstep batch from the

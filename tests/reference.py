@@ -16,8 +16,8 @@ independent reference for the package's embedded-chain oracle
 The package keeps paths only as event-log columns (``lockstep.EventLog``)
 and decides events on them (``_batch_indicators``): a final size on r + i,
 the count ever infected, every other event on the column it names as its
-``progress``, which the level cuts read too (``_level_cut``).  The per-path form of
-a path lives here: ``EpidemicPath``, a validated tuple of ``JumpEvent``
+``progress``, which the level cuts read too (``_level_cut``).  The per-path
+form of a path lives here: ``EpidemicPath``, a validated tuple of ``JumpEvent``
 values with the ``CompartmentState`` after each, built from a log by
 ``epidemic_path`` or from time/kind arrays by ``path_from_arrays``, and
 ``NEVER`` for a time that never comes.  So do

@@ -20,6 +20,7 @@ from epirare import (
     lockstep,
     quantile_levels,
 )
+from epirare.events import event_threshold
 from epirare.estimators import _batch_indicators, _ensemble_fn
 from reference import (
     NEVER, CompartmentState, EpidemicPath, JumpEvent, StopRule, epidemic_path, hitting_time,
@@ -304,3 +305,10 @@ def test_engine_columns_decide_events_as_the_reference(model_name, spec, n, seed
         path = epidemic_path(ens.log, k, model)
         assert hits[k] == indicator(path, spec)
         assert progress[k] == score(path, spec)
+    if not progress_stop and isinstance(spec, (FinalSize, DiagnosesIncrement)):
+        # a path that moved and stopped alive before any horizon stopped at
+        # the event that decided it, not later
+        stopped = (ens.i > 0) & (ens.t < lockstep._stop(spec).get("horizon", np.inf))
+        stopped &= np.diff(ens.log.offsets) > 0
+        decision = ens.r + ens.i if isinstance(spec, FinalSize) else ens.window_rem
+        assert np.all(decision[stopped] == event_threshold(spec))
