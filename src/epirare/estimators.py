@@ -304,7 +304,9 @@ def ce_estimate(
     so that weight times integral is the conditional expectation of the
     whole path's ratio times its integral.  The weighted maximum-likelihood
     update below is then the same cross-entropy step, in expectation, as
-    with whole paths.
+    with whole paths.  Each path stops where the event is decided, and the
+    event is settled by then, so fitting the law of the stopped paths is
+    the whole cross-entropy step: only that part of a law is ever sampled.
     """
     ce_check(model, spec, n_paths, iterations)
     trace: list[ModelParams] = [model]

@@ -47,11 +47,12 @@ Continuous-time ensembles keep each slot's history as event-log rows
 scored by the engine's end states, and histories are grouped only on
 request (``_Slots``).  Every engine call asks for the progress stop
 (``lockstep._stop``): a final-size path runs until r reaches the
-threshold, not only to its decision, since the cuts and scores read r.  Every refill is one primitive, ``_branch``: group the
-survivors' histories, count each parent's rows up to its cut (a level cut is
-the first event at which progress reaches the level, a time cut the last
-event at or before the time), and start one lockstep batch from the
-parents' states there.  A child keeps its parent's rows up to the cut and
+threshold, not only to its decision, since the cuts and scores read r.
+Every refill is one primitive, ``_branch``: group the survivors'
+histories, count each parent's rows up to its cut (a level cut is the
+first event at which progress reaches the level, a time cut the last event
+at or before the time), and start one lockstep batch from the parents'
+states there.  A child keeps its parent's rows up to the cut and
 its rows in the batch, which stay ungrouped until a later cut reads them;
 a clock-free batch keeps its runs, and makes rows of only the runs of the
 slots a cut or the conditional sample reads.
