@@ -31,7 +31,7 @@ from .events import (
     CumulativeInfections,
     Duration,
     EventSpec,
-    FinalSize,
+    event_progress,
     event_threshold,
 )
 
@@ -86,14 +86,11 @@ class Estimate:
 
 
 def _batch_indicators(batch: lockstep.JumpEnsemble, spec: EventSpec) -> np.ndarray:
-    """Per path, whether the event happened: a final size on r + i, the count
-    ever infected, which reaches n_c whether the engine stopped the path at
-    the decision or ran it until r did."""
+    """Per path, whether the event happened: its progress
+    (``event_progress``) reaches the threshold."""
     if isinstance(spec, Duration):
         return batch.i > 0
-    if isinstance(spec, FinalSize):
-        return batch.r + batch.i >= spec.n_c
-    return getattr(batch, spec.progress) >= event_threshold(spec)
+    return event_progress(spec, batch) >= event_threshold(spec)
 
 
 def _ensemble_fn(model: ModelParams):

@@ -2,15 +2,15 @@
 
 An event pairs a target set with a horizon rule.  A jump-process threshold
 event names, as its ``progress``, the engine column (``lockstep.EventLog``)
-that measures a path's progress towards it: the event is that column
-reaching the threshold, and its splitting levels are values of it, which
-the level cuts and the stage scores read.  A final size is decided sooner,
-once r + i, the count ever infected, reaches its threshold: the engine
-stops there (``lockstep._stop``), and the indicator reads r + i, which
-holds whichever stop ran.  ``quantile_levels`` turns ensemble scores into
-adaptive splitting levels.  What follows a level that does not pass the
-previous one, the stall rule of adaptive splitting, is decided in
-``ibps_estimate`` alone.
+that measures a path's progress towards it, and ``event_progress`` reads
+that progress on any state: the column itself, save on a final size, which
+is decided where r + i reaches the threshold.  The event is progress
+reaching the threshold, and splitting levels are values of it; the
+indicator, the level cuts and the stage scores all read ``event_progress``.
+The engines stop each path where its event is decided (``lockstep._stop``).
+``quantile_levels`` turns ensemble scores into adaptive splitting levels.
+What follows a level that does not pass the previous one, the stall rule
+of adaptive splitting, is decided in ``ibps_estimate`` alone.
 Every parameter check is written as ``not value > bound`` so that a NaN
 horizon or threshold fails it instead of slipping through.
 """
@@ -30,6 +30,7 @@ __all__ = [
     "EventSpec",
     "FinalSize",
     "Incidence",
+    "event_progress",
     "event_threshold",
     "quantile_levels",
 ]
@@ -52,7 +53,7 @@ class FinalSize:
 
     It is decided at the infection that brings r + i, the count ever
     infected, to n_c: r + i only rises, and is R at extinction.  Its
-    ``progress``, which splitting levels and scores read, is r."""
+    progress (``event_progress``) is r until then, and n_c from there."""
 
     progress: ClassVar[str] = "r"
     n_c: int
@@ -124,6 +125,18 @@ def event_threshold(spec: EventSpec) -> float:
     if isinstance(spec, CumulativeInfections):
         return spec.n_c
     return spec.T
+
+
+def event_progress(spec: FinalSize | Incidence | DiagnosesIncrement, state) -> np.ndarray:
+    """Progress towards ``spec`` of each path in ``state``, an event log, an
+    ensemble or a ``Row``: its ``progress`` column, save on a final size,
+    where it is r until the event is decided, once r + i reaches n_c, and
+    n_c from there.  It is an integer that never falls along a path, and
+    reaches the threshold exactly where the event happens."""
+    value = getattr(state, spec.progress)
+    if isinstance(spec, FinalSize):
+        return np.where(state.r + state.i >= spec.n_c, spec.n_c, value)
+    return value
 
 
 def quantile_levels(scores: Sequence[float], keep_fraction: float) -> float:

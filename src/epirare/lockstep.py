@@ -12,10 +12,7 @@ A call stops each path where the event it is given is decided, at
 extinction without one, and tallies what the likelihood ratio against its
 ``base`` law needs, given one.  A final size is decided once r + i, the
 count ever infected, reaches its threshold, and a diagnoses increment once
-the window's removals reach theirs.  The splitting stage loops cut levels
-and score slots on r, so they ask for the progress stop instead
-(``_stop``): a final size runs until r reaches its threshold, and a window
-to its end.
+the window's removals reach theirs (``_stop``).
 
 SIR and contact tracing share one loop, ``_jump_loop``, and plug into it
 through their rate constants, ``_Rates``; only contact tracing, whose rates
@@ -547,7 +544,7 @@ def _chain_loop(
 ) -> JumpEnsemble:
     """Advance the embedded jump chains of SIR paths from the rows
     ``init``, which need no times, or of ``n_paths`` fresh ones, until each
-    is extinct or the sum of its ``target`` columns, r or r + i, is at
+    is extinct or r + i, the sum of its ``target`` columns, is at
     ceil(``target_level``).  Given a ``base`` law's rates, the loop sums
     the tallies of ``_chain_table``.
 
@@ -558,15 +555,13 @@ def _chain_loop(
     min(16, s + 1) columns for the largest live s; column k is the run at
     s - k, of length floor(E / -log(1 - p(s - k))), which never ends where p
     is 0 (past s = 0 too, so no column beyond is ever read).  A path takes
-    the runs in turn, each closed by an infection, until the first run that
-    holds all the removals it has room for, min(i, target - r) on r, and
-    stops inside it.  On r + i, which only infections raise, a path has room
-    for i removals and D = target - r - i infections: it stops inside a run
-    that holds i, or right after the infection closing run D - 1, the
-    decision, without a removal of run D.  So every iteration ends a path
-    or takes ``width`` infection steps from it, and the loop needs no
-    iteration cap.  The tallies add, per run, its events times the table's
-    per-event terms at its s.
+    the runs in turn, each closed by an infection.  Only infections raise
+    r + i, so a path has room for i removals and D = target - r - i
+    infections: it stops inside the first run that holds its i, or right
+    after the infection closing run D - 1, the decision, without a removal
+    of run D.  So every iteration ends a path or takes ``width`` infection
+    steps from it, and the loop needs no iteration cap.  The tallies add,
+    per run, its events times the table's per-event terms at its s.
 
     ``block`` holds the live paths' state as in ``_jump_loop``, but no
     times; the iteration's own arrays hold a row per run and a column per
@@ -583,7 +578,6 @@ def _chain_loop(
     s_max = int(out[0].max(initial=0))
     table = _chain_table(rates, base, s_max + 1)
     run_scale, terms = table[0], table[1:]
-    ever = target == ("r", "i")
     target = np.array(np.ceil(target_level), dtype=float)
     recorded = Recorded(names[:5], rates.other_kind) if record else None
     finished = [out[:, :0]]
@@ -591,7 +585,7 @@ def _chain_loop(
     s, i, r, max_i = block[:4]
     # a path with s susceptibles ends within s // 16 + 1 iterations
     for _ in range(s_max // len(_RUNS) + 2):
-        alive = (i > 0) & ((r + i if ever else r) < target)
+        alive = (i > 0) & (r + i < target)
         (keep,) = alive.nonzero()
         if keep.size < block.shape[1]:
             finished.append(block.take((~alive).nonzero()[0], axis=1))
@@ -604,7 +598,7 @@ def _chain_loop(
         # a zero draw would meet an inf scale where p is 0; the least
         # subnormal keeps that run endless and changes no other
         draws += _LEAST
-        steps, removals, done, rise = _take_runs(block, draws, run_scale, terms, target, ever)
+        steps, removals, done, rise = _take_runs(block, draws, run_scale, terms, target)
         if record:
             recorded.kept.append((block[:5].copy(), steps, removals, done))
         # a path that takes no run whole reads run 0, where i + rise is at most i
@@ -622,14 +616,14 @@ def _chain_loop(
     return _ensemble(out, finished, names, start, recorded)
 
 
-def _take_runs(block, draws, run_scale, terms, target, ever):
+def _take_runs(block, draws, run_scale, terms, target):
     """The runs of the paths in ``block`` from their ``draws``, a row per path
-    and a column per run, up to the target on r, or with ``ever`` on r + i;
-    adds their tallies to ``block``.  Returns, per path, its infections
-    (``steps``) and removals, and per run and path, the removals ``done``
-    through the run and ``rise``, the most that i has risen over its start
-    right after the infections closing this run and those before it, read
-    only for the runs the path takes whole."""
+    and a column per run, up to the target on r + i; adds their tallies to
+    ``block``.  Returns, per path, its infections (``steps``) and removals,
+    and per run and path, the removals ``done`` through the run and
+    ``rise``, the most that i has risen over its start right after the
+    infections closing this run and those before it, read only for the
+    runs the path takes whole."""
     m, width = draws.shape
     s, i, r = block[:3]
     at = s.astype(np.intp)
@@ -640,22 +634,17 @@ def _take_runs(block, draws, run_scale, terms, target, ever):
     # removals through each run, inf from the first that never ends
     _accumulate_runs(np.add, done)
     # the removals a path has room for up to the infection closing run k;
-    # it takes each run whole until one does not fit
-    if ever:
-        # the infection closing run D - 1 decides the path: it takes no more
-        decisive = target - r - i
-        room = i + k
-        whole = (done < room) & (k < decisive)
-        last = (np.minimum(decisive, width) - 1).astype(np.intp)
-    else:
-        room = np.minimum(i + k, target - r)
-        whole = done < room
-        last = width - 1
+    # it takes each run whole until one does not fit, or until the infection
+    # closing run D - 1, which decides the path
+    decisive = target - r - i
+    room = i + k
+    whole = (done < room) & (k < decisive)
+    last = (np.minimum(decisive, width) - 1).astype(np.intp)
     _accumulate_runs(np.logical_and, whole)
     steps = whole.sum(axis=0)
     # removals through each run, capped at the room of the run the path
-    # stops in (or at its last run, where it takes them all; or at run D - 1,
-    # the decision)
+    # stops in (or at run D - 1, the decision, or its last run, where it
+    # takes them all)
     capped = np.minimum(done, room, out=room)
     removals = capped.ravel()[np.minimum(steps, last) * m + np.arange(m)]
     rise = (k + 1) - done
@@ -776,40 +765,31 @@ def _hiv_rates(params: HivParams) -> _Rates:
     )
 
 
-def _stop(event: EventSpec | None, progress_stop: bool = False) -> dict:
+def _stop(event: EventSpec | None) -> dict:
     """The loops' stop keywords under which ``event`` is decided: none
     without an event, so every path runs to extinction.
 
     A final size is decided once r + i, the count ever infected, reaches
     n_c: it only rises, and it is r at extinction.  A diagnoses increment is
     decided once the window's removals reach n_r, and otherwise at the end
-    of the window.  An incidence stops on its ``progress``, max_i, either way.
+    of the window.  An incidence stops on its ``progress``, max_i.
     Stopping where the event is decided keeps the likelihood ratio's value
-    at that stopping time, the conditional expectation of its later one, and
-    saves the events after it.
-
-    ``progress_stop`` runs a final size until r reaches n_c, and a window
-    to its end: the splitting stage loops ask for it, since they cut levels
-    on r and score a slot by its r, which a path stopped at its decision
-    leaves short of n_c.  IBPS stays on r because it gains nothing
-    measurable from the decision (Abakaliki, keep 1%, N = 1000): levels on
-    r + i cut its relative variance from 0.256 to 0.187 for 1.38 times the
-    path-events, and a score of r that jumps to n_c at the decision raised
-    it from 0.258 to 0.274.  On r, its draws stay as they were."""
+    at that stopping time, the conditional expectation of its later one,
+    and saves the events after it; splitting's score of a stopped path,
+    ``events.event_progress``, is then the threshold or its final value."""
     if event is None:
         return {}
     if isinstance(event, FinalSize):
-        target = (event.progress,) if progress_stop else ("r", "i")
-        return dict(target=target, target_level=event.n_c)
+        return dict(target=("r", "i"), target_level=event.n_c)
     if isinstance(event, Incidence):
         return dict(horizon=event.T, target=(event.progress,), target_level=event.n_i)
     if isinstance(event, Duration):
         return dict(horizon=event.T)
     if isinstance(event, DiagnosesIncrement):
-        stop = dict(horizon=event.t + event.u, window=(event.t, event.t + event.u))
-        if not progress_stop:
-            stop.update(target=(event.progress,), target_level=event.n_r)
-        return stop
+        return dict(
+            horizon=event.t + event.u, window=(event.t, event.t + event.u),
+            target=(event.progress,), target_level=event.n_r,
+        )
     raise TypeError(f"no jump-process stop rule for {event}")
 
 
@@ -822,13 +802,10 @@ def sir_ensemble(
     init: Row | None = None,
     base: SirParams | None = None,
     record: bool = False,
-    _progress_stop: bool = False,
 ) -> JumpEnsemble:
     """Advance an ensemble of SIR paths until ``event`` is decided on each,
     or to extinction without one: a final size once r + i reaches n_c, a
     diagnoses increment once its window's removals reach n_r (``_stop``).
-    ``_progress_stop``, for the splitting stage loops, runs a final size on
-    until r reaches n_c and a window to its end.
 
     A final size depends on the embedded jump chain alone: that call runs
     clock-free, one run of removals and its closing infection at a time, up
@@ -843,7 +820,7 @@ def sir_ensemble(
     loop = _chain_loop if isinstance(event, FinalSize) else _jump_loop
     return loop(
         rates, params, n_paths, rng, init=init, record=record, base=base_rates,
-        **_stop(event, _progress_stop),
+        **_stop(event),
     )
 
 
@@ -855,16 +832,14 @@ def hiv_ensemble(
     *,
     init: Row | None = None,
     record: bool = False,
-    _progress_stop: bool = False,
 ) -> JumpEnsemble:
     """Advance contact-tracing paths by thinning, in lockstep.
 
     State carries, per path, the decayed contact-tracing sum
     sum(exp(-c * age)); between jumps it only decays, so the rate at the
     last jump bounds the rate until the next and rejected proposals simply
-    re-tighten the bound.  ``event``, ``init``, ``record`` and
-    ``_progress_stop`` are read as by ``sir_ensemble``, ``init``'s
-    ``decayed`` too; every call is clocked.
+    re-tighten the bound.  ``event``, ``init`` and ``record`` are read as
+    by ``sir_ensemble``, ``init``'s ``decayed`` too; every call is clocked.
     """
     # with no spontaneous detection a path can be left with infectives and no
     # event rate, and draws an infinite wait (with c = 0, a NaN decay factor)
@@ -872,7 +847,7 @@ def hiv_ensemble(
     loop = _jump_loop if params.gamma1 > 0 else quiet(_jump_loop)
     return loop(
         _hiv_rates(params), params, n_paths, rng, init=init, record=record,
-        **_stop(event, _progress_stop),
+        **_stop(event),
     )
 
 

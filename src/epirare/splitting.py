@@ -14,9 +14,10 @@ which reduces exactly to the survival-fraction product for 0/1 weights.
 Level splitting (``ibps_estimate``) and temporal splitting
 (``temporal_split_estimate``) of continuous-time events share one stage loop
 and differ only in what the levels measure.  A slot's score is its
-progress towards the event, the event's ``progress`` column, or on the time
-axis its extinction time (inf while alive); it survives a level it reaches,
-or on the time axis a level it outlives.  An estimator hands the loop a
+progress towards the event (``events.event_progress``: on a final size r,
+or the threshold once the event is decided), or on the time axis its
+extinction time (inf while alive); it survives a level it reaches, or on
+the time axis a level it outlives.  An estimator hands the loop a
 fixed schedule of levels or an adaptive rule that picks each level from the
 scores, and the loop decides the final stage itself: the schedule's last,
 or the first adaptive level to reach the event threshold (on the time axis,
@@ -45,9 +46,11 @@ normalization requires it), so a ``variant`` is rejected on them.
 Continuous-time ensembles keep each slot's history as event-log rows
 (``lockstep.EventLog``): its events with the state after each.  Slots are
 scored by the engine's end states, and histories are grouped only on
-request (``_Slots``).  Every engine call asks for the progress stop
-(``lockstep._stop``): a final-size path runs until r reaches the
-threshold, not only to its decision, since the cuts and scores read r.
+request (``_Slots``).  The engine stops a path where its event is decided
+(``lockstep._stop``), so a slot branched from a decided path starts
+decided, stops at once and scores the threshold.  The event is known when
+it is decided, and the path after that follows the model's law from its
+state there, so stopping loses nothing of the conditional law.
 Every refill is one primitive, ``_branch``: group the survivors'
 histories, count each parent's rows up to its cut (a level cut is the
 first event at which progress reaches the level, a time cut the last event
@@ -98,6 +101,7 @@ from .events import (
     CumulativeInfections,
     Duration,
     EventSpec,
+    event_progress,
     event_threshold,
     quantile_levels,
 )
@@ -135,11 +139,13 @@ class ParticleEnsemble:
     as columns.
 
     A continuous-time run keeps its final paths as the event log ``log``
-    (from the model's fresh start, with times) and, as ``level_hit_times``,
-    a row per path and a column per level: the first event time at which
-    the path's progress (the column the level cuts read: ``r``, ``max_i`` or
-    ``window_rem``) reaches the level, 0.0 when its start does and inf when
-    it never does.  A Reed-Frost run keeps its (S, I)
+    (from the model's fresh start, with times, each path stopped where its
+    event is decided) and, as ``level_hit_times``, a row per path and a
+    column per level: the first event time at which the path's progress
+    (``events.event_progress``, which the level cuts read: on a final size
+    r, or the threshold from the decision on, and ``max_i`` or
+    ``window_rem`` otherwise) reaches the level, 0.0 when its start does
+    and inf when it never does.  A Reed-Frost run keeps its (S, I)
     chains, a row per path and a column per generation it simulated, as
     ``chains``: all ``spec.t`` of them, or up to the generation that killed
     every slot when the ensemble died.  A run without the conditional sample
@@ -167,29 +173,26 @@ class _Slots:
     ``batch``, as that call's path ``member[k]`` (-1: no rows there).  A
     refill batch starts from the rows its slots branched at, so its rows go
     on from their histories as they are.  ``end`` holds each slot's state
-    after its last event (i, t and the progress columns), from the engine's
-    end states.
+    where it stopped, from the engine's end states: after its last event,
+    at its stop time ``t``.
     """
 
     head: lockstep.EventLog | None
     batch: lockstep.Recorded
     member: np.ndarray
-    end: dict
+    end: lockstep.Row
 
     @classmethod
     def start(cls, ens: lockstep.JumpEnsemble) -> "_Slots":
         """Slot k holds path k of a recorded engine call."""
-        end = {
-            name: getattr(ens, name) for name in ("i", "t", "r", "max_i", "window_rem")
-            if getattr(ens, name) is not None
-        }
+        end = lockstep.Row(*(getattr(ens, name) for name in lockstep.Row._fields))
         return cls(None, ens.recorded, np.arange(len(ens.t)), end)
 
     def histories(self, slots: np.ndarray) -> lockstep.EventLog:
         """Path j of the log is slot ``slots[j]``'s history."""
         tail = self.batch.log(self.member[slots])
         log = tail if self.head is None else self.head.take(slots, tail=tail)
-        log.t_stop = self.end["t"][slots]
+        log.t_stop = self.end.t[slots]
         return log
 
 
@@ -197,15 +200,16 @@ def _level_cut(
     log: lockstep.EventLog, model: ModelParams, spec: EventSpec, level: float
 ) -> np.ndarray:
     """Per slot, how many history rows lead up to the event at which its
-    progress first reaches ``ceil(level)``, that event included.
+    progress (``event_progress``) first reaches ``ceil(level)``, that event
+    included: on a final size, the decision where r does not reach it first.
 
     0 when the initial state already reaches it; one more than the slot's
-    row count when it never does.  Progress only grows along a history, so
+    row count when it never does.  Progress never falls along a history, so
     the rows below the level are the leading ones.
     """
     lvl = math.ceil(level)
-    start = getattr(lockstep.initial_row(model), spec.progress)
-    return log.count(getattr(log, spec.progress) < lvl) + (start < lvl)
+    start = event_progress(spec, lockstep.initial_row(model))
+    return log.count(event_progress(spec, log) < lvl) + (start < lvl)
 
 
 def _branch(
@@ -243,7 +247,7 @@ def _branch(
         if cut.decayed is not None:
             cut = cut._replace(decayed=cut.decayed * np.exp(-model.c * (level - cut.t)))
         cut = cut._replace(t=np.full(len(parents), level))
-    ens = _ensemble_fn(model)(model, None, rng, spec, init=cut, record=True, _progress_stop=True)
+    ens = _ensemble_fn(model)(model, None, rng, spec, init=cut, record=True)
 
     n = len(slots.member)
     source = np.zeros(n, dtype=np.int64)
@@ -255,10 +259,13 @@ def _branch(
     stop[targets] = keep
     member = np.full(n, -1, dtype=np.int64)
     member[targets] = np.arange(len(targets))
-    end = {name: col.copy() for name, col in slots.end.items()}
-    for name, col in end.items():
-        col[targets] = getattr(ens, name)
-    return _Slots(log.take(source, start, stop), ens.recorded, member, end)
+    end = {}
+    for name, col in slots.end._asdict().items():
+        if col is not None:
+            col = col.copy()
+            col[targets] = getattr(ens, name)
+        end[name] = col
+    return _Slots(log.take(source, start, stop), ens.recorded, member, lockstep.Row(**end))
 
 
 def _with_times(
@@ -332,18 +339,16 @@ def _stage_loop(
     """
     on_time, threshold = isinstance(spec, Duration), event_threshold(spec)
     rng0 = seed.stream(particle=0, stage=0).generator()
-    slots = _Slots.start(
-        _ensemble_fn(model)(model, n_particles, rng0, spec, record=True, _progress_stop=True)
-    )
+    slots = _Slots.start(_ensemble_fn(model)(model, n_particles, rng0, spec, record=True))
     every = np.arange(n_particles)
     source, extinct = None, False
     per_level: list[float] = []
     levels: list[float] = []
     for stage in range(1, _STAGE_CAP + 1):
         if on_time:
-            scores = np.where(slots.end["i"] == 0, slots.end["t"], math.inf)
+            scores = np.where(slots.end.i == 0, slots.end.t, math.inf)
         else:
-            scores = slots.end[spec.progress].astype(float)
+            scores = event_progress(spec, slots.end).astype(float)
         level = _stage_level(schedule, adaptive, scores, levels, spec)
         levels.append(level)
         final_stage = level >= threshold if schedule is None else len(levels) == len(schedule)
@@ -532,9 +537,9 @@ def ibps_estimate(
 ) -> tuple[Estimate, ParticleEnsemble]:
     """Interacting-branching-particle splitting estimate of a rare event.
 
-    Levels are values of the event's progress column (``spec.progress``; the
-    cumulative infections on a Reed-Frost event).  They come either from a
-    fixed ``schedule``, a strictly increasing tuple ending at the event
+    Levels are values of the event's progress (``events.event_progress``;
+    the cumulative infections on a Reed-Frost event).  They come either from
+    a fixed ``schedule``, a strictly increasing tuple ending at the event
     threshold (on Reed-Frost, one level per selection generation), or
     adaptively as the keep_fraction quantile of ensemble scores.  A run whose
     ensemble dies records the estimate 0 and one extinct ensemble; the 0 keeps

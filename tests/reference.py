@@ -14,9 +14,11 @@ independent reference for the package's embedded-chain oracle
 (``epirare.exact_final_size``).
 
 The package keeps paths only as event-log columns (``lockstep.EventLog``)
-and decides events on them (``_batch_indicators``): a final size on r + i,
-the count ever infected, every other event on the column it names as its
-``progress``, which the level cuts read too (``_level_cut``).  The per-path
+and decides events on them (``_batch_indicators``) by their progress
+(``events.event_progress``), which the level cuts read too
+(``_level_cut``): the column an event names as its ``progress``, save on a
+final size, where it is r until r + i, the count ever infected, reaches
+n_c, and n_c from there.  The per-path
 form of a path lives here: ``EpidemicPath``, a validated tuple of ``JumpEvent``
 values with the ``CompartmentState`` after each, built from a log by
 ``epidemic_path`` or from time/kind arrays by ``path_from_arrays``, and
@@ -667,7 +669,8 @@ def _window_removals(path: EpidemicPath, spec: DiagnosesIncrement) -> int:
 def score(path: EpidemicPath | DiscretePath, spec: EventSpec) -> float:
     """Best progress of the path toward the event's target set.
 
-    Incidence: running maximum of I up to T.  FinalSize: final removed count.
+    Incidence: running maximum of I up to T.  FinalSize: final removed
+    count, or n_c where the path reaches the decision (``_decided``).
     CumulativeInfections: partial sum of infectives over generations < t.
     Duration: extinction time, with +inf capping the scale for paths that
     outlive their horizon.  DiagnosesIncrement: removals inside (t, t+u],
@@ -681,7 +684,7 @@ def score(path: EpidemicPath | DiscretePath, spec: EventSpec) -> float:
     assert isinstance(path, EpidemicPath)
     _require_resolved(path, spec)
     if isinstance(spec, FinalSize):
-        return float(path.final_state.r)
+        return float(_decided(path.final_state, spec))
     if isinstance(spec, Incidence):
         values = [path.initial.i] + [
             ev.state_after.i for ev in path.events if ev.time <= spec.T
@@ -693,6 +696,12 @@ def score(path: EpidemicPath | DiscretePath, spec: EventSpec) -> float:
     # Diagnoses increment; the resolution check guarantees that the path
     # reaches into the window (extinct paths carry an infinite horizon).
     return float(_window_removals(path, spec))
+
+
+def _decided(state: CompartmentState, spec: FinalSize) -> int:
+    """Progress towards a final size: r until r + i, the count ever
+    infected, reaches n_c, where the event is decided, and n_c from there."""
+    return spec.n_c if state.ever >= spec.n_c else state.r
 
 
 def indicator(path: EpidemicPath | DiscretePath, spec: EventSpec) -> int:
@@ -749,14 +758,18 @@ def progress_hitting_time(
     """First event time at which the path's progress towards the event
     reaches the level: 0.0 when its start does, NEVER when no event does.
 
-    On a final size and an incidence that is ``hitting_time`` of the
-    event's progress column.  On a diagnoses increment, progress after an
-    event at time tau is the count of removals inside the window up to tau,
-    R(min(max(tau, t), t + u)) - R(t).  ``hitting_time`` of R counts the
-    removals before the window opens as well, so it can report an earlier
-    time.
+    On an incidence that is ``hitting_time`` of the event's progress
+    column; on a final size, the first event where r reaches the level or
+    the event is decided (``_decided``).  On a diagnoses increment, progress
+    after an event at time tau is the count of removals inside the window
+    up to tau, R(min(max(tau, t), t + u)) - R(t).  ``hitting_time`` of R
+    counts the removals before the window opens as well, so it can report
+    an earlier time.
     """
-    if not isinstance(spec, DiagnosesIncrement):
+    if isinstance(spec, FinalSize):
+        states = [(0.0, path.initial)] + [(ev.time, ev.state_after) for ev in path.events]
+        return next((t for t, state in states if _decided(state, spec) >= level), NEVER)
+    if isinstance(spec, Incidence):
         return hitting_time(path, spec.progress, level)
     if level <= 0:
         return 0.0

@@ -29,7 +29,8 @@ from epirare import (
     SirParams,
 )
 from epirare.estimators import _ensemble_fn
-from epirare.lockstep import initial_row
+from epirare.events import event_progress
+from epirare.lockstep import Row, initial_row
 from epirare.splitting import _branch, _level_cut, _Slots
 
 MODELS = {
@@ -112,20 +113,21 @@ def _start(model_name, event_name, n, seed):
 
 
 def _grouped(slots, model, spec):
-    """Every slot's history; checks that a slot's end state is its last row's
-    and that grouping some slots gives their rows in the whole log."""
+    """Every slot's history; checks that a slot's end state is its last row's,
+    save its stop time and the decayed sum there, and that grouping some
+    slots gives their rows in the whole log."""
     # clock-free histories have no times and NaN stop times, which compare
     # equal there
     clock_free = _clock_free(model, spec)
     n = len(slots.member)
     log = slots.histories(np.arange(n))
-    names = tuple(name for name in slots.end if name != "t")
     last = log.state_after(np.arange(n), np.diff(log.offsets), initial_row(model))
-    for name in names:
-        assert np.array_equal(slots.end[name], getattr(last, name))
+    for name in Row._fields:
+        if name not in ("t", "decayed") and getattr(slots.end, name) is not None:
+            assert np.array_equal(getattr(slots.end, name), getattr(last, name))
     if clock_free:
         assert log.t is None and np.isnan(log.t_stop).all()
-    assert np.array_equal(log.t_stop, slots.end["t"], equal_nan=clock_free)
+    assert np.array_equal(log.t_stop, slots.end.t, equal_nan=clock_free)
     some = np.arange(n)[::-3]
     part, expected = slots.histories(some), log.take(some)
     for name in ("path", "t", "kind", *log.STATE, "offsets", "t_stop"):
@@ -158,8 +160,7 @@ def test_level_branch(model_name, event_name, n, seed, level, whole, data):
     slots = _Slots.start(ens)
     log = _grouped(slots, model, spec)
     clock_free = _clock_free(model, spec)
-    column = spec.progress
-    progress = slots.end[column]
+    progress = event_progress(spec, slots.end)
     assume(np.any(progress >= level) and np.any(progress < level))
     targets = np.flatnonzero(progress < level)
     surv = np.flatnonzero(progress >= level)
@@ -175,6 +176,7 @@ def test_level_branch(model_name, event_name, n, seed, level, whole, data):
         before, after = _rows(log, k), _rows(new, k)
         assert all(np.array_equal(before[name], after[name]) for name in before)
     initial = initial_row(model)
+    row_progress = event_progress(spec, log)
     for child, parent in zip(targets, parents):
         cut = keep[parent]
         old, fresh = _rows(log, parent), _rows(new, child)
@@ -183,12 +185,12 @@ def test_level_branch(model_name, event_name, n, seed, level, whole, data):
             assert np.array_equal(fresh[name][:kept], col[cut - kept:cut])
         # the parent's state at the cut, which the child starts from
         at_cut = log.state_after(np.array([parent]), np.array([cut]), initial)
-        assert getattr(at_cut, column)[0] >= level
+        assert event_progress(spec, at_cut)[0] >= level
         if cut > 0:
-            assert cut == 1 or old[column][cut - 2] < level
+            assert cut == 1 or row_progress[log.offsets[parent] + cut - 2] < level
             if not clock_free:
                 assert np.all(fresh["t"][kept:] >= old["t"][cut - 1])
-        assert branched.end[column][child] >= level
+        assert event_progress(spec, branched.end)[child] >= level
         if whole:
             _check_history(new, model, child, spec)
 
@@ -208,9 +210,8 @@ def test_branches_stack(model_name, event_name, n, seed, level, whole, data):
     # batch counted from its start states
     model, spec, ens = _start(model_name, event_name, n, seed)
     slots = _Slots.start(ens)
-    column = spec.progress
     for stage in (1, 2):
-        progress = slots.end[column]
+        progress = event_progress(spec, slots.end)
         if stage == 2:
             level = int(progress.max())
         assume(np.any(progress >= level) and np.any(progress < level))
@@ -220,7 +221,7 @@ def test_branches_stack(model_name, event_name, n, seed, level, whole, data):
         rng = SeedSpec(seed, replication=stage).generator()
         slots = _branch(slots, surv, targets, parents, model, spec, level, rng, whole=whole)
         log = _grouped(slots, model, spec)
-        assert np.all(slots.end[column] >= level)
+        assert np.all(event_progress(spec, slots.end) >= level)
     total = model.s0 + model.i0 + initial_row(model).r
     assert np.all(log.s + log.i + log.r == total)
     if whole:
@@ -243,7 +244,7 @@ def test_time_branch(model_name, n, seed, t_cut, whole, data):
     fn = _ensemble_fn(model)
     slots = _Slots.start(fn(model, n, SeedSpec(seed).generator(), Duration(horizon), record=True))
     log = _grouped(slots, model, Duration(horizon))
-    ext = np.where(slots.end["i"] == 0, slots.end["t"], math.inf)
+    ext = np.where(slots.end.i == 0, slots.end.t, math.inf)
     assume(np.any(ext > t_cut) and np.any(ext <= t_cut))
     targets = np.flatnonzero(ext <= t_cut)
     surv = np.flatnonzero(ext > t_cut)
@@ -288,3 +289,34 @@ def test_level_cut_counts_from_the_initial_state():
     first_removal = log.count(log.r < 3) + 1
     assert np.array_equal(_level_cut(log, model, spec, 2.5), first_removal)
     assert np.array_equal(_level_cut(log, model, spec, 3), first_removal)
+
+
+@pytest.mark.parametrize("model_name", sorted(MODELS))
+def test_a_decided_slot_branches_at_its_decision(model_name):
+    # a final size stops a path at its decision, the infection that brings
+    # r + i to n_c, with r short of n_c: it scores n_c, a level above its r
+    # cuts it at that last row, and a child branched there starts decided,
+    # stops at once and ends at its cut row, with the parent's rows
+    model, spec, n = MODELS[model_name], FinalSize(n_c=8), 40
+    ens = _ensemble_fn(model)(model, n, SeedSpec(11).generator(), spec, record=True)
+    slots = _Slots.start(ens)
+    log = _grouped(slots, model, spec)
+    progress = event_progress(spec, slots.end)
+    decided = (ens.r + ens.i >= spec.n_c) & (ens.r < spec.n_c)
+    assert decided.any()
+    assert np.all(progress[decided] == spec.n_c) and np.all(progress[~decided] < spec.n_c)
+    level = spec.n_c - 1
+    parent = int(np.flatnonzero(decided & (ens.r < level))[0])
+    rows = np.diff(log.offsets)
+    assert _level_cut(log, model, spec, level)[parent] == rows[parent]
+    surv, targets = np.flatnonzero(progress >= level), np.flatnonzero(progress < level)
+    assert targets.size
+    parents = np.full(targets.size, parent)
+    rng = SeedSpec(12).generator()
+    branched = _branch(slots, surv, targets, parents, model, spec, level, rng, whole=True)
+    new = _grouped(branched, model, spec)
+    assert np.all(np.diff(new.offsets)[targets] == rows[parent])
+    for child in targets:
+        fresh, old = _rows(new, child), _rows(log, parent)
+        assert all(np.array_equal(fresh[name], old[name]) for name in old)
+    assert np.all(event_progress(spec, branched.end)[targets] == spec.n_c)

@@ -20,7 +20,7 @@ from epirare import (
     lockstep,
     quantile_levels,
 )
-from epirare.events import event_threshold
+from epirare.events import event_progress, event_threshold
 from epirare.estimators import _batch_indicators, _ensemble_fn
 from reference import (
     NEVER, CompartmentState, EpidemicPath, JumpEvent, StopRule, epidemic_path, hitting_time,
@@ -256,7 +256,10 @@ def test_diagnoses_progress_counts_only_the_window():
     assert progress_hitting_time(path, spec, 1) == 1.5
     assert progress_hitting_time(path, spec, 2) is NEVER
     assert progress_hitting_time(path, spec, 0) == 0.0
-    assert progress_hitting_time(path, FinalSize(n_c=3), 2) == 1.5
+    # a final size's progress reaches 2 with r, at 1.5, unless the event is
+    # decided first: r + i reaches 3 at the infection at 0.8
+    assert progress_hitting_time(path, FinalSize(n_c=4), 2) == 1.5
+    assert progress_hitting_time(path, FinalSize(n_c=3), 2) == 0.8
 
 
 ENGINE_MODELS = {
@@ -281,31 +284,29 @@ EVENT_SPECS = st.one_of(
     spec=EVENT_SPECS,
     n=st.integers(1, 30),
     seed=st.integers(0, 2**32 - 1),
-    progress_stop=st.booleans(),
 )
-def test_engine_columns_decide_events_as_the_reference(model_name, spec, n, seed, progress_stop):
-    # the engine's indicator and progress column against the per-path rules,
-    # with paths stopped where the event is decided or on its progress;
-    # SIR final sizes run clocked here, since a clock-free path has no times
+def test_engine_columns_decide_events_as_the_reference(model_name, spec, n, seed):
+    # the engine's indicator and progress against the per-path rules, with
+    # paths stopped where the event is decided; SIR final sizes run clocked
+    # here, since a clock-free path has no times
     model = ENGINE_MODELS[model_name]
     rng = SeedSpec(seed).generator()
     if isinstance(model, SirParams) and isinstance(spec, FinalSize):
         ens = lockstep._jump_loop(
-            lockstep._sir_rates(model), model, n, rng, record=True,
-            **lockstep._stop(spec, progress_stop),
+            lockstep._sir_rates(model), model, n, rng, record=True, **lockstep._stop(spec)
         )
     else:
-        ens = _ensemble_fn(model)(model, n, rng, spec, record=True, _progress_stop=progress_stop)
+        ens = _ensemble_fn(model)(model, n, rng, spec, record=True)
     hits = _batch_indicators(ens, spec)
     if isinstance(spec, Duration):
         progress = ens.extinction_times()
     else:
-        progress = getattr(ens, spec.progress)
+        progress = event_progress(spec, ens)
     for k in range(n):
         path = epidemic_path(ens.log, k, model)
         assert hits[k] == indicator(path, spec)
         assert progress[k] == score(path, spec)
-    if not progress_stop and isinstance(spec, (FinalSize, DiagnosesIncrement)):
+    if isinstance(spec, (FinalSize, DiagnosesIncrement)):
         # a path that moved and stopped alive before any horizon stopped at
         # the event that decided it, not later
         stopped = (ens.i > 0) & (ens.t < lockstep._stop(spec).get("horizon", np.inf))

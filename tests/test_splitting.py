@@ -13,6 +13,7 @@ from epirare import (
     CumulativeInfections,
     DiagnosesIncrement,
     Duration,
+    EventKind,
     FinalSize,
     HivParams,
     Incidence,
@@ -715,23 +716,32 @@ def test_conditional_sample_leaves_the_estimate_unchanged(name):
 def test_conditional_sample_times_follow_the_conditional_law():
     # On an SIR final size the engine keeps no clock, and the conditional
     # sample draws its holding times after the run.  Each path must be a
-    # valid EpidemicPath, and its extinction time must follow the law of
-    # the extinction times of clocked paths that hit the event (P ~ 2e-2),
-    # by rejection.  One path per run keeps the sample independent.
-    ext_ibps = []
+    # valid EpidemicPath that ends at its decision, the infection that
+    # brings r + i to n_c, and that time must follow the law of the decision
+    # times of clocked paths that hit the event (P ~ 2e-2), by rejection.
+    # One path per run keeps the sample independent; a run whose ensemble
+    # died (17 of the 300) weighs its paths 0 and samples nothing.
+    decided_ibps = []
     for rep in range(300):
         _, ensemble = ibps_estimate(
             TOY, TOY_SPEC, n_particles=50, keep_fraction=0.1,
             seed=SeedSpec(45, replication=rep),
         )
+        if not ensemble.weights.any():
+            continue
         for k in range(50):
             path = epidemic_path(ensemble.log, k, TOY)
-            assert math.isfinite(path.events[-1].time) and path.final_state.i == 0
-        ext_ibps.append(ensemble.log.t[ensemble.log.offsets[1] - 1])
-    clocked = lockstep.sir_ensemble(TOY, 200_000, SeedSpec(46).generator())
-    hits = clocked.n_inf + TOY.i0 >= TOY_SPEC.n_c
+            assert math.isfinite(path.events[-1].time)
+            assert path.events[-1].kind == EventKind.INFECTION
+            assert path.final_state.ever == TOY_SPEC.n_c
+        decided_ibps.append(ensemble.log.t[ensemble.log.offsets[1] - 1])
+    clocked = lockstep._jump_loop(
+        lockstep._sir_rates(TOY), TOY, 200_000, SeedSpec(46).generator(),
+        **lockstep._stop(TOY_SPEC),
+    )
+    hits = clocked.r + clocked.i >= TOY_SPEC.n_c
     assert hits.sum() > 2000
-    assert ks_2samp(ext_ibps, clocked.t[hits]).pvalue > 1e-3
+    assert ks_2samp(decided_ibps, clocked.t[hits]).pvalue > 1e-3
 
 
 ABAKALIKI = SirParams(lam=0.0008254, gamma=0.087613, s0=119, i0=1, scaling=Scaling.UNSCALED)
