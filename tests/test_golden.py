@@ -213,10 +213,10 @@ is,N=40;reps=3;seed=7,9.529e-02,2.172e-02,0,0,
 is,N=40;reps=3;seed=7,2.362e-01,4.739e-02,0,0,
 ce[K=3],N=40;reps=3;seed=7,9.711e-02,1.573e-03,0,0,
 ce[K=3],N=40;reps=3;seed=7,2.445e-01,4.839e-03,0,0,
-ibps[multinomial;keep=0.3],N=40;reps=3;seed=7,8.854e-02,2.197e-02,0,0,
-ibps[keepall;fixed-levels],N=40;reps=3;seed=7,5.073e-02,4.546e-02,0,0,
+ibps[multinomial;keep=0.3],N=40;reps=3;seed=7,1.059e-01,2.242e-02,0,0,
+ibps[keepall;fixed-levels],N=40;reps=3;seed=7,5.785e-02,6.330e-02,0,0,
 ibps[multinomial;keep=0.5;potential_v(a=0.1)],N=40;reps=3;seed=7,1.900e-01,1.772e-02,0,0,
-ibps[multinomial;keep=0.3],N=40;reps=3;seed=7,5.444e-03,2.738e-03,0,0,
+ibps[multinomial;keep=0.3],N=40;reps=3;seed=7,5.496e-03,1.737e-03,0,0,
 temporal[K=2],N=40;reps=3;seed=7,1.952e-01,3.171e-02,0,0,
 temporal[adaptive],N=40;reps=3;seed=7,2.135e-02,1.017e-02,0,0,
 """
@@ -384,8 +384,11 @@ def _engine_digest(name: str) -> str:
     return _digest(ens)
 
 
-PER_LEVEL = {'hiv-diagnoses-keepall': (0.20833333333333334, 0.8666666666666667, 0.31666666666666665, 0.075),
- 'hiv-diagnoses-multinomial': (0.20833333333333334, 0.25),
+PER_LEVEL = {'hiv-diagnoses-keepall': (0.20833333333333334,
+                           0.8666666666666667,
+                           0.31666666666666665,
+                           0.06666666666666667),
+ 'hiv-diagnoses-multinomial': (0.20833333333333334, 0.26666666666666666),
  'hiv-final_size-keepall': (0.225,
                             0.18333333333333332,
                             0.2916666666666667,
@@ -394,11 +397,7 @@ PER_LEVEL = {'hiv-diagnoses-keepall': (0.20833333333333334, 0.8666666666666667, 
                             0.06666666666666667,
                             0.025,
                             0.9916666666666667),
- 'hiv-final_size-multinomial': (0.225,
-                                0.3333333333333333,
-                                0.30833333333333335,
-                                0.2916666666666667,
-                                0.25),
+ 'hiv-final_size-multinomial': (0.225, 0.3333333333333333, 0.30833333333333335, 0.2, 0.65),
  'hiv-incidence-keepall': (0.4, 0.30833333333333335, 0.45, 0.2),
  'hiv-incidence-multinomial': (0.4,
                                0.30833333333333335,
@@ -406,9 +405,9 @@ PER_LEVEL = {'hiv-diagnoses-keepall': (0.20833333333333334, 0.8666666666666667, 
                                0.4583333333333333),
  'sir-diagnoses-keepall': (0.23333333333333334,
                            0.20833333333333334,
-                           0.11666666666666667,
-                           0.025),
- 'sir-diagnoses-multinomial': (0.23333333333333334, 0.25833333333333336, 0.38333333333333336),
+                           0.13333333333333333,
+                           0.041666666666666664),
+ 'sir-diagnoses-multinomial': (0.23333333333333334, 0.25, 0.3333333333333333),
  'sir-final_size-keepall': (0.2, 0.9666666666666667),
  'sir-final_size-multinomial': (0.2, 0.825),
  'sir-incidence-keepall': (0.2833333333333333,
@@ -421,7 +420,7 @@ PER_LEVEL = {'hiv-diagnoses-keepall': (0.20833333333333334, 0.8666666666666667, 
                                0.35833333333333334,
                                0.24166666666666667)}
 
-FIXED_SCHEDULE_PER_LEVEL = (0.6, 0.6833333333333333, 0.7416666666666667, 0.6916666666666667)
+FIXED_SCHEDULE_PER_LEVEL = (0.6, 0.6833333333333333, 0.75, 0.7083333333333334)
 
 TEMPORAL_PER_LEVEL = {'hiv-adaptive': (0.25, 0.25, 0.25, 0.8333333333333334),
  'hiv-grid': (0.5333333333333333, 0.275, 0.3, 0.36666666666666664),
@@ -483,17 +482,17 @@ HIT_TIMES = {'hiv-incidence': ((5.0, 6.0, 8.0, 9.0),
                     (1.314680368137901, 1.47593262332614, NEVER)),
                    (14, 14, 14, 14, 14, 14, 14, 13, 14, 13)),
  'sir-final_size': ((16.0,),
-                    ((3.021585981523172,),
-                     (3.5662162909616426,),
-                     (4.488630003465088,),
-                     (5.242353263428807,),
-                     (5.273619640556228,),
-                     (4.175719723059818,),
-                     (5.908785546664082,),
-                     (5.717243404209984,),
-                     (5.377521963879842,),
-                     (4.732138398641572,)),
-                    (31, 31, 30, 30, 33, 30, 33, 37, 31, 37))}
+                    ((2.4930644110705606,),
+                     (2.0309993674736924,),
+                     (2.3070861952460797,),
+                     (3.168617434008551,),
+                     (4.3113823144343,),
+                     (4.611316367283139,),
+                     (4.5039504332238,),
+                     (4.623908853377381,),
+                     (2.324210506125967,),
+                     (6.470167221630455,)),
+                    (22, 22, 25, 24, 23, 25, 23, 22, 22, 22))}
 
 ENGINE_DIGESTS = {'hiv-diagnoses-bare-fresh': '0fcc34bb2a7d27a09670626b762bf7ffa4031bd955ed48d4d779425377ca2ea7',
  'hiv-diagnoses-bare-init': '4ef888b7f54c7110561d321903afac1c5379d1f31632d2c49352854fbc854a29',
