@@ -259,13 +259,10 @@ def _branch(
     stop[targets] = keep
     member = np.full(n, -1, dtype=np.int64)
     member[targets] = np.arange(len(targets))
-    end = {}
-    for name, col in slots.end._asdict().items():
-        if col is not None:
-            col = col.copy()
-            col[targets] = getattr(ens, name)
-        end[name] = col
-    return _Slots(log.take(source, start, stop), ens.recorded, member, lockstep.Row(**end))
+    end = {name: col.copy() for name, col in slots.end._asdict().items() if col is not None}
+    for name, col in end.items():
+        col[targets] = getattr(ens, name)
+    return _Slots(log.take(source, start, stop), ens.recorded, member, slots.end._replace(**end))
 
 
 def _with_times(
