@@ -140,7 +140,7 @@ class EventLog:
             name: getattr(self, name)
             for name in ("kind", *self.STATE) if getattr(self, name) is not None
         }
-        if tail is None:
+        if tail is None or not len(tail.path):
             starts, lengths, per_path = head_start, head_len, head_len
         else:
             # path j's head range, then its tail range, in the joined columns
@@ -317,7 +317,7 @@ class _Rates:
     (detections) at ``gamma * i + traced * i * decayed``.  With a ``decay``
     rate of the decayed sum the loop thins; without, every proposal is a
     jump and the loop can sum the rate integrals importance sampling needs,
-    the pair integral scaled by ``pair_scale`` where there is one.
+    the pair integral scaled by ``pair_scale`` (1 without mass action).
 
     The rates are held as 0-d arrays: numpy converts a Python float beside a
     row on every call, which the loop would pay each iteration."""
@@ -325,7 +325,7 @@ class _Rates:
     coef: float
     gamma: float
     other_kind: int
-    pair_scale: float | None = None
+    pair_scale: float = 1.0
     traced: float = 0.0
     decay: float | None = None
 
@@ -355,9 +355,7 @@ def _chain_table(rates: _Rates, base: _Rates | None, n_s: int) -> np.ndarray:
     if base is not None:
         per_infective = base.coef * s + base.gamma
         holding = 1.0 / per_infective
-        pair = s * holding
-        if rates.pair_scale is not None:
-            pair = pair * rates.pair_scale
+        pair = s * holding * rates.pair_scale
         rows += [pair, holding, np.log(per_infective / (rates.coef * s + rates.gamma))]
     # mode clip reads s = 0 where s - k is negative
     return np.array(rows).take(np.arange(n_s) - _RUNS[:, None], axis=1, mode="clip")
@@ -504,8 +502,7 @@ def _jump_loop(
                 raise AssertionError("thinning bound fell below the instantaneous rate")
             jump &= u[1] * bound < rate_tot
         if sums:
-            pair = s * i * dt
-            extra[-2] += pair if rates.pair_scale is None else pair * rates.pair_scale
+            extra[-2] += s * i * dt * rates.pair_scale
             extra[-1] += i * dt
         is_inf = u[-1] * rate_tot < rate_inf
         t[...] = t_next
@@ -754,7 +751,7 @@ def _sir_rates(params: SirParams) -> _Rates:
         coef=params.lam / params.population if mass_action else params.lam,
         gamma=params.gamma,
         other_kind=EventKind.REMOVAL.value,
-        pair_scale=1.0 / params.population if mass_action else None,
+        pair_scale=1.0 / params.population if mass_action else 1.0,
     )
 
 

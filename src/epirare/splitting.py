@@ -19,9 +19,9 @@ or the threshold once the event is decided), or on the time axis its
 extinction time (inf while alive); it survives a level it reaches, or on
 the time axis a level it outlives.  An estimator hands the loop a
 fixed schedule of levels or an adaptive rule that picks each level from the
-scores, and the loop decides the final stage itself: the schedule's last,
-or the first adaptive level to reach the event threshold (on the time axis,
-the horizon, which must be finite).
+scores, and the run ends at the first level that reaches the event
+threshold (on the time axis, the horizon, which must be finite): a
+schedule's last, or an adaptive level capped there.
 
 A stage with no survivors ends the run as an extinct ensemble: it estimates
 0 and is counted in ``extinct_ensembles``.  It is not retried, because
@@ -61,6 +61,9 @@ a clock-free batch keeps its runs, and makes rows of only the runs of the
 slots a cut or the conditional sample reads.
 Whole histories are kept only when the conditional sample is returned, and
 only then is every slot grouped; otherwise a child keeps just its cut row.
+The conditional sample's last stage refills through ``_branch`` too: a
+parent's cut at the threshold is its decision, its last row, so each child
+starts decided and is its parent's path.
 
 On an SIR final size the engine runs clock-free (``lockstep``): the level
 cuts read only removal counts, and slots carry no times (their logs have no
@@ -71,8 +74,9 @@ the rates of the states a path visits.
 Stream layout per stage s: particle 0 carries batched mutation draws,
 particle 1 carries selection draws; stage 0 is the initial ensemble.
 Particle 2 at stage 0 carries the conditional sample's deferred holding
-times, one standard exponential per event in path order.  A stream is
-opened only when it is drawn from.
+times, one standard exponential per event in path order.  A refill whose
+children all start decided, as every child of the conditional sample's last
+stage does, opens its particle 0 stream and draws nothing from it.
 """
 
 from __future__ import annotations
@@ -328,17 +332,18 @@ def _stage_loop(
     Stage k's level is the ``schedule``'s k-th entry or, without a schedule,
     ``adaptive(scores, levels)`` from the slots' scores and the levels so
     far, capped at the event threshold (on the time axis, the horizon).  The
-    loop decides the final stage itself: the schedule's last, or the first
-    whose adaptive level reaches the threshold.  ``whole`` keeps every
-    slot's whole history and ends the run with the conditional-law refill
-    and the final paths (``_materialize``); without it slots keep only what
-    later cuts read, and the ensemble holds only the levels.
+    run ends at the first stage whose level reaches the threshold; a
+    schedule ends there and stays below it until then (``ibps_check``,
+    ``temporal_check``).  Every refill is ``_branch``.  ``whole`` keeps
+    every slot's whole history, refills the last stage too and returns the
+    final paths (``_materialize``); without it the last stage is not
+    refilled, a child keeps only its parent's cut row before its own rows
+    (survivors keep every row), and the ensemble holds only the levels.
     """
     on_time, threshold = isinstance(spec, Duration), event_threshold(spec)
     rng0 = seed.stream(particle=0, stage=0).generator()
     slots = _Slots.start(_ensemble_fn(model)(model, n_particles, rng0, spec, record=True))
-    every = np.arange(n_particles)
-    source, extinct = None, False
+    extinct = False
     per_level: list[float] = []
     levels: list[float] = []
     for stage in range(1, _STAGE_CAP + 1):
@@ -348,7 +353,7 @@ def _stage_loop(
             scores = event_progress(spec, slots.end).astype(float)
         level = _stage_level(schedule, adaptive, scores, levels, spec)
         levels.append(level)
-        final_stage = level >= threshold if schedule is None else len(levels) == len(schedule)
+        final_stage = level >= threshold
         surv = scores > level if on_time else scores >= level
         n_surv = int(np.count_nonzero(surv))
         per_level.append(n_surv / n_particles)
@@ -364,11 +369,6 @@ def _stage_loop(
                 parents = np.full(dead.size, surv_idx[int(sel_rng.integers(0, surv_idx.size))])
             else:
                 parents = surv_idx[sel_rng.integers(0, surv_idx.size, size=dead.size)]
-            if final_stage:
-                # conditional-law refill: dead slots copy a surviving path wholesale
-                source = every.copy()
-                source[dead] = parents
-                break
             mut_rng = seed.stream(particle=0, stage=stage).generator()
             slots = _branch(
                 slots, surv_idx, dead, parents, model, spec, level, mut_rng, whole=whole
@@ -383,7 +383,7 @@ def _stage_loop(
     estimate = Estimate(math.prod(per_level), per_level=tuple(per_level), diagnostics=diag)
     if not whole:
         return estimate, ParticleEnsemble(np.empty(0), tuple(levels))
-    log = slots.histories(every) if source is None else slots.histories(every).take(source)
+    log = slots.histories(np.arange(n_particles))
     return estimate, _materialize(log, model, spec, levels, seed.stream(particle=2, stage=0))
 
 
@@ -585,6 +585,8 @@ def temporal_check(
             raise ValueError("time_grid entries must be positive")
         if not math.isclose(time_grid[-1], horizon):
             raise ValueError("time_grid must end at the horizon")
+        if any(t >= horizon for t in time_grid[:-1]):
+            raise ValueError("time_grid times before the last must lie before the horizon")
     if keep_count is not None and not 1 <= keep_count < n_particles:
         raise ValueError("keep_count must lie in [1, n_particles)")
     if not isinstance(model, (SirParams, HivParams)):

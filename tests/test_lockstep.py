@@ -101,7 +101,7 @@ def test_every_path_finished_at_init(name):
     decayed = np.full(len(t), 0.7) if name == "hiv" else None
     init = lockstep.Row(s0 + i0 + r0 - i - r, i, r, t, i, decayed, window_rem=0)
     rng = SeedSpec(31).generator()
-    ens = _jump_loop(name, None, rng, init, horizon=3.0, target="r", target_level=10)
+    ens = _jump_loop(name, None, rng, init, horizon=3.0, target=("r",), target_level=10)
     _check(ens, init, horizon=3.0)
     np.testing.assert_array_equal(ens.s, init[0])
     np.testing.assert_array_equal(ens.t, t)
