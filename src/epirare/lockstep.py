@@ -133,6 +133,10 @@ class EventLog:
         """Path j of the result: rows ``start[j]:stop[j]`` of this log's path
         ``paths[j]`` (all of its rows by default), then path j of ``tail``;
         it stops where path ``paths[j]`` does."""
+        if tail is not None and not len(tail.path):
+            tail = None  # nothing to join
+        if tail is start is stop is None and np.array_equal(paths, np.arange(len(self.t_stop))):
+            return dataclasses.replace(self, t_stop=self.t_stop[paths])  # shares the columns
         base = self.offsets[paths]
         head_start = base if start is None else base + start
         head_len = (self.offsets[paths + 1] if stop is None else base + stop) - head_start
@@ -140,7 +144,7 @@ class EventLog:
             name: getattr(self, name)
             for name in ("kind", *self.STATE) if getattr(self, name) is not None
         }
-        if tail is None or not len(tail.path):
+        if tail is None:
             starts, lengths, per_path = head_start, head_len, head_len
         else:
             # path j's head range, then its tail range, in the joined columns

@@ -60,10 +60,9 @@ its rows in the batch, which stay ungrouped until a later cut reads them;
 a clock-free batch keeps its runs, and makes rows of only the runs of the
 slots a cut or the conditional sample reads.
 Whole histories are kept only when the conditional sample is returned, and
-only then is every slot grouped; otherwise a child keeps just its cut row.
-The conditional sample's last stage refills through ``_branch`` too: a
-parent's cut at the threshold is its decision, its last row, so each child
-starts decided and is its parent's path.
+only then is every slot grouped and the last stage refilled: a parent's cut
+at the threshold is its decision, so each child is its parent's path.
+Otherwise a child keeps just its cut row.
 
 On an SIR final size the engine runs clock-free (``lockstep``): the level
 cuts read only removal counts, and slots carry no times (their logs have no
@@ -75,8 +74,7 @@ Stream layout per stage s: particle 0 carries batched mutation draws,
 particle 1 carries selection draws; stage 0 is the initial ensemble.
 Particle 2 at stage 0 carries the conditional sample's deferred holding
 times, one standard exponential per event in path order.  A refill whose
-children all start decided, as every child of the conditional sample's last
-stage does, opens its particle 0 stream and draws nothing from it.
+children all start decided, as at the last stage, draws nothing.
 """
 
 from __future__ import annotations
@@ -332,13 +330,12 @@ def _stage_loop(
     Stage k's level is the ``schedule``'s k-th entry or, without a schedule,
     ``adaptive(scores, levels)`` from the slots' scores and the levels so
     far, capped at the event threshold (on the time axis, the horizon).  The
-    run ends at the first stage whose level reaches the threshold; a
-    schedule ends there and stays below it until then (``ibps_check``,
-    ``temporal_check``).  Every refill is ``_branch``.  ``whole`` keeps
-    every slot's whole history, refills the last stage too and returns the
-    final paths (``_materialize``); without it the last stage is not
-    refilled, a child keeps only its parent's cut row before its own rows
-    (survivors keep every row), and the ensemble holds only the levels.
+    run ends at the first stage whose level reaches the threshold, where a
+    schedule ends (``ibps_check``, ``temporal_check``).  Every refill is
+    ``_branch``.  ``whole`` keeps every slot's whole history, refills the
+    last stage too and returns the final paths (``_materialize``); without
+    it the last stage is not refilled, a child keeps only its parent's cut
+    row before its own rows, and the ensemble holds only the levels.
     """
     on_time, threshold = isinstance(spec, Duration), event_threshold(spec)
     rng0 = seed.stream(particle=0, stage=0).generator()
@@ -365,6 +362,7 @@ def _stage_loop(
         if dead.size and (whole or not final_stage):
             sel_rng = seed.stream(particle=1, stage=stage).generator()
             (surv_idx,) = surv.nonzero()
+            # the last stage's refill draws a parent per slot under either variant
             if variant == "keepall" and not final_stage:
                 parents = np.full(dead.size, surv_idx[int(sel_rng.integers(0, surv_idx.size))])
             else:
@@ -583,10 +581,8 @@ def temporal_check(
             raise ValueError("time_grid must not be empty")
         if not time_grid[0] > 0:
             raise ValueError("time_grid entries must be positive")
-        if not math.isclose(time_grid[-1], horizon):
-            raise ValueError("time_grid must end at the horizon")
-        if any(t >= horizon for t in time_grid[:-1]):
-            raise ValueError("time_grid times before the last must lie before the horizon")
+        if not math.isclose(time_grid[-1], horizon) or any(t >= horizon for t in time_grid[:-1]):
+            raise ValueError("time_grid must end at the horizon, its earlier times before it")
     if keep_count is not None and not 1 <= keep_count < n_particles:
         raise ValueError("keep_count must lie in [1, n_particles)")
     if not isinstance(model, (SirParams, HivParams)):

@@ -269,6 +269,24 @@ def test_estimate_rejects_an_override_its_method_does_not_read(tmp_path, capsys,
     assert f"reads no {unread}" in captured.err
 
 
+@pytest.mark.parametrize(
+    "text, flags, message",
+    [
+        (TOY_CMC, ["--section", "nope"], "no section 'nope' in "),
+        (TOY_CMC + TOY_CMC.replace("[toy]", "[toy2]"), [],
+         "config has several sections; pick one with --section"),
+    ],
+    ids=["missing-section", "two-sections"],
+)
+def test_estimate_rejects_a_section_it_cannot_pick(tmp_path, capsys, text, flags, message):
+    config = tmp_path / "exp.ini"
+    config.write_text(text)
+    assert main(["estimate", "--config", str(config), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 RF_IBPS = (
     "[rf]\nmodel = rf\nq = 0.9\ns0 = 12\ni0 = 1\nevent = cumulative_infections\n"
     "generations = 5\nn_c = 8\nmethod = ibps\nkeep_fraction = 0.5\n"

@@ -17,6 +17,7 @@ from epirare import (
     EventKind,
     HivParams,
     ParticleEnsemble,
+    ReedFrostParams,
     Scaling,
     SeedSpec,
     SimulationError,
@@ -298,6 +299,25 @@ def test_params_reject_non_finite_rates(value):
         rates = {"lam": 0.5, "gamma1": 1.0, "gamma2": 1.0, "c": 1.0, name: value}
         with pytest.raises(ValueError, match="finite"):
             HivParams(**rates, s0=5, i0=1)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: ReedFrostParams(q=0.0, s0=5, i0=1), "q must lie in"),
+        (lambda: ReedFrostParams(q=1.5, s0=5, i0=1), "q must lie in"),
+        (lambda: ReedFrostParams(q=0.9, s0=-1, i0=1), "initial counts"),
+        (lambda: SirParams(lam=1.0, gamma=1.0, s0=5, i0=1, n=0), "n must be positive"),
+        (lambda: SirParams(lam=1.0, gamma=1.0, s0=5, i0=1, n=-3), "n must be positive"),
+        (lambda: HivParams(lam=0.5, gamma1=1.0, gamma2=1.0, c=1.0, s0=5, i0=-1),
+         "initial counts"),
+    ],
+    ids=["rf-q-zero", "rf-q-above-one", "rf-negative-count", "sir-zero-n", "sir-negative-n",
+         "hiv-negative-count"],
+)
+def test_params_reject_out_of_range_values(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_sir_params_reject_population_below_initial_counts():

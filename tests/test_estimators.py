@@ -157,6 +157,12 @@ def test_importance_ratio_rejects_bad_instrumental():
     mass_action = dataclasses.replace(TOY, scaling=Scaling.MASS_ACTION)
     with pytest.raises(ValueError, match="share scaling"):
         is_estimate(TOY, FinalSize(n_c=5), mass_action, 10, SeedSpec(10))
+    with pytest.raises(TypeError, match="match the model family"):
+        is_estimate(TOY, FinalSize(n_c=5), ReedFrostParams(q=0.9, s0=TOY.s0, i0=TOY.i0), 10,
+                    SeedSpec(10))
+    with pytest.raises(ValueError, match="share the initial condition"):
+        is_estimate(TOY, FinalSize(n_c=5), dataclasses.replace(TOY, s0=TOY.s0 + 1), 10,
+                    SeedSpec(10))
 
 
 def test_importance_ratio_unbiased_against_oracle():

@@ -16,6 +16,7 @@ from epirare import (
     Duration,
     FinalSize,
     HivParams,
+    Incidence,
     ReedFrostParams,
     Scaling,
     SeedSpec,
@@ -144,12 +145,16 @@ def test_parse_rejects_unread_default_keys():
 
 # a valid section body per method, with every option key that method reads
 # on its model and event; ibps and temporal take one of their two schedules
-# each, and ibps on Reed-Frost reads alpha only under a potential rule
+# each, ibps on Reed-Frost reads alpha only under a potential rule, and cmc
+# also parses an incidence event
 SIR_SECTION = "[x]\nlambda = 1\ngamma = 1\ns0 = 9\ni0 = 1\n"
 RF_SECTION = "[x]\nmodel = rf\nq = 0.9\ns0 = 9\ni0 = 1\n"
 RF_EVENT = "cumulative_infections\ngenerations = 4\nn_c = 5"
 METHOD_SECTIONS = {
     "cmc": (SIR_SECTION, "final_size\nn_c = 5", "", {}),
+    "cmc-incidence": (
+        SIR_SECTION, "incidence\nT = 2.0\nn_i = 4", "", {"event": Incidence(T=2.0, n_i=4)}
+    ),
     "is": (
         SIR_SECTION, "final_size\nn_c = 5", "lambda_new = 2\ngamma_new = 0.5\n",
         {"instrumental": SirParams(lam=2.0, gamma=0.5, s0=9, i0=1)},
@@ -474,6 +479,34 @@ PARSE_TIME_CASES = {
         lambda seed: ce_estimate(SirParams(lam=0.0, gamma=1.0, s0=10, i0=2), FinalSize(n_c=5),
                                  100, 3, seed),
     ),
+    "keep-fraction": (
+        SIR_BODY + "event = final_size\nn_c = 10\nmethod = ibps\nkeep_fraction = 1.5\n"
+        "particles = 10\n",
+        lambda seed: ibps_estimate(TOY_SIR, FinalSize(n_c=10), n_particles=10,
+                                   keep_fraction=1.5, seed=seed),
+    ),
+    "is-without-instrumental": (
+        SIR_BODY + "event = final_size\nn_c = 10\nmethod = is\nparticles = 10\n",
+        lambda seed: is_estimate(TOY_SIR, FinalSize(n_c=10), None, 10, seed),
+    ),
+    "temporal-on-rf": (
+        RF_BODY + "event = duration\nT = 2\nmethod = temporal\nkeep_count = 5\nparticles = 10\n",
+        lambda seed: temporal_split_estimate(TOY_RF, 2.0, n_particles=10, keep_count=5,
+                                             seed=seed),
+    ),
+    "grid-from-zero": (
+        SIR_BODY + "event = duration\nT = 2\nmethod = temporal\ntime_grid = 0, 2\n"
+        "particles = 10\n",
+        lambda seed: temporal_split_estimate(TOY_SIR, 2.0, n_particles=10,
+                                             time_grid=(0.0, 2.0), seed=seed),
+    ),
+    # parsed, and a run cut at 3.0000000001 and then at the horizon 3
+    "grid-past-horizon": (
+        SIR_BODY + "event = duration\nT = 3\nmethod = temporal\n"
+        "time_grid = 3.0000000001, 3.0000000002\nparticles = 10\n",
+        lambda seed: temporal_split_estimate(TOY_SIR, 3.0, n_particles=10,
+                                             time_grid=(3.0000000001, 3.0000000002), seed=seed),
+    ),
     # parsed, and a run went through all 100,000 stages of the stage cap
     "temporal-infinite-horizon": (
         SIR_BODY + "event = duration\nT = inf\nmethod = temporal\nkeep_count = 5\n"
@@ -540,8 +573,11 @@ def test_parse_rejects_a_negative_master_seed():
         ("lambda = 0.12\n", "", "missing key: lambda"),
         ("n_c = 10\n", "", "missing key: n_c"),
         ("n_c = 10\n", "n_c = 10%\n", "'%' must be followed by '%' or '(', found: '%'"),
+        ("scaling = unscaled", "scaling = bogus", "unknown scaling: bogus"),
+        ("method = ibps", "method = bogus",
+         "method must be one of ('cmc', 'is', 'ce', 'ibps', 'temporal'): bogus"),
     ],
-    ids=["nan-lambda", "no-lambda", "no-n_c", "stray-percent"],
+    ids=["nan-lambda", "no-lambda", "no-n_c", "stray-percent", "bogus-scaling", "bogus-method"],
 )
 def test_parse_names_the_section_of_a_model_or_event_error(old, new, message):
     # the model's own errors and the INI reader's named no section, and a

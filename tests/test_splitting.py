@@ -715,33 +715,53 @@ def test_conditional_sample_leaves_the_estimate_unchanged(name):
 
 def test_conditional_sample_times_follow_the_conditional_law():
     # On an SIR final size the engine keeps no clock, and the conditional
-    # sample draws its holding times after the run.  Each path must be a
-    # valid EpidemicPath that ends at its decision, the infection that
-    # brings r + i to n_c, and that time must follow the law of the decision
-    # times of clocked paths that hit the event (P ~ 2e-2), by rejection.
-    # One path per run keeps the sample independent; a run whose ensemble
-    # died (17 of the 300) weighs its paths 0 and samples nothing.
-    decided_ibps = []
-    for rep in range(300):
-        _, ensemble = ibps_estimate(
-            TOY, TOY_SPEC, n_particles=50, keep_fraction=0.1,
-            seed=SeedSpec(45, replication=rep),
-        )
-        if not ensemble.weights.any():
-            continue
-        for k in range(50):
-            path = epidemic_path(ensemble.log, k, TOY)
-            assert math.isfinite(path.events[-1].time)
-            assert path.events[-1].kind == EventKind.INFECTION
-            assert path.final_state.ever == TOY_SPEC.n_c
-        decided_ibps.append(ensemble.log.t[ensemble.log.offsets[1] - 1])
+    # sample draws its holding times after the run.  Each path must end at
+    # its decision, the infection that brings r + i to n_c, at a finite time,
+    # and the first runs' paths must be valid EpidemicPaths.
+    # The sample's law is checked through the unnormalised measure, the
+    # quantity splitting estimates without bias: over runs, value times the
+    # mean over the run's final paths of f(T), T the decision time (0 for a
+    # run whose ensemble died), has the mean E[f(T); hit].  The normalised
+    # sample, each surviving run's paths weighted alike, is the conditional
+    # law only as N grows: at N = 50 its mean T runs about 10% long, 7 to 10
+    # standard errors at these seeds.  f is T and 1{T <= x} at the clocked
+    # quartiles x of T; the clocked side is paths stopped at their decision.
     clocked = lockstep._jump_loop(
-        lockstep._sir_rates(TOY), TOY, 200_000, SeedSpec(46).generator(),
+        lockstep._sir_rates(TOY), TOY, 400_000, SeedSpec(46).generator(),
         **lockstep._stop(TOY_SPEC),
     )
-    hits = clocked.r + clocked.i >= TOY_SPEC.n_c
-    assert hits.sum() > 2000
-    assert ks_2samp(decided_ibps, clocked.t[hits]).pvalue > 1e-3
+    hit = clocked.r + clocked.i >= TOY_SPEC.n_c
+    assert hit.sum() > 5000
+    quartiles = np.quantile(clocked.t[hit], [0.25, 0.5, 0.75])
+
+    def tests(times: np.ndarray) -> np.ndarray:
+        # f(T) per path, one row per f
+        return np.vstack([times, *(times <= x for x in quartiles)])
+
+    expected = tests(clocked.t) * hit
+    for master in (45, 145, 245):
+        measure = []
+        for rep in range(1000):
+            estimate, ensemble = ibps_estimate(
+                TOY, TOY_SPEC, n_particles=50, keep_fraction=0.1,
+                seed=SeedSpec(master, replication=rep),
+            )
+            if not ensemble.weights.any():
+                assert estimate.value == 0.0
+                measure.append(np.zeros(len(expected)))
+                continue
+            log = ensemble.log
+            last = log.offsets[1:] - 1
+            assert np.isfinite(log.t[last]).all()
+            assert (log.kind[last] == EventKind.INFECTION.value).all()
+            assert (log.r[last] + log.i[last] == TOY_SPEC.n_c).all()
+            for k in range(50 if rep < 30 else 0):
+                assert epidemic_path(log, k, TOY).final_state.ever == TOY_SPEC.n_c
+            measure.append(estimate.value * tests(log.t[last]) @ ensemble.weights / 50)
+        measure = np.array(measure).T
+        for got, want in zip(measure, expected):
+            se = math.sqrt(got.var(ddof=1) / got.size + want.var(ddof=1) / want.size)
+            assert abs(got.mean() - want.mean()) < 4 * se, (master, got.mean(), want.mean(), se)
 
 
 ABAKALIKI = SirParams(lam=0.0008254, gamma=0.087613, s0=119, i0=1, scaling=Scaling.UNSCALED)
