@@ -734,11 +734,11 @@ def test_conditional_sample_times_follow_the_conditional_law():
     assert hit.sum() > 5000
     quartiles = np.quantile(clocked.t[hit], [0.25, 0.5, 0.75])
 
-    def tests(times: np.ndarray) -> np.ndarray:
+    def f_values(times: np.ndarray) -> np.ndarray:
         # f(T) per path, one row per f
         return np.vstack([times, *(times <= x for x in quartiles)])
 
-    expected = tests(clocked.t) * hit
+    expected = f_values(clocked.t) * hit
     for master in (45, 145, 245):
         measure = []
         for rep in range(1000):
@@ -757,7 +757,7 @@ def test_conditional_sample_times_follow_the_conditional_law():
             assert (log.r[last] + log.i[last] == TOY_SPEC.n_c).all()
             for k in range(50 if rep < 30 else 0):
                 assert epidemic_path(log, k, TOY).final_state.ever == TOY_SPEC.n_c
-            measure.append(estimate.value * tests(log.t[last]) @ ensemble.weights / 50)
+            measure.append(estimate.value * f_values(log.t[last]) @ ensemble.weights / 50)
         measure = np.array(measure).T
         for got, want in zip(measure, expected):
             se = math.sqrt(got.var(ddof=1) / got.size + want.var(ddof=1) / want.size)
