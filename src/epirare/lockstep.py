@@ -29,15 +29,21 @@ the removals between two infections are geometric: a run.  Each iteration
 draws one block of standard exponentials, a row per live path in path
 order and a column per run, up to 16 of them, and takes every live path
 forward run by run, an infection closing each, until the run it stops in.
-The loop reads the runs' rates and every per-event tally from one small
-table indexed by s.  Recording, it keeps its runs rather than rows, and a
-log expands into rows only the runs of the paths it is asked for.  Such a
-call has no times: its ``t`` is NaN and its log has no ``t`` column.
+It takes the live paths in column chunks of at most ``_CHUNK``, each
+drawing its own rows of that block, in one work area per thread that
+outlives the call.  The loop reads the runs' rates and every per-event
+tally from one small table indexed by s.  Recording, it keeps its runs
+rather than rows, and a log expands into rows only the runs of the paths
+it is asked for.  Such a call has no times: its ``t`` is NaN and its log
+has no ``t`` column.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -60,6 +66,8 @@ _RUNS = np.arange(16)
 _LEAST = np.nextafter(0.0, 1.0)
 # the clock-free columns a log expands at once
 _PIECE = 4096
+# the live columns a clock-free iteration takes at once, at most
+_CHUNK = 2048
 
 
 class Row(NamedTuple):
@@ -140,40 +148,47 @@ class EventLog:
         base = self.offsets[paths]
         head_start = base if start is None else base + start
         head_len = (self.offsets[paths + 1] if stop is None else base + stop) - head_start
-        columns = {
-            name: getattr(self, name)
-            for name in ("kind", *self.STATE) if getattr(self, name) is not None
-        }
-        if tail is None:
-            starts, lengths, per_path = head_start, head_len, head_len
-        else:
-            # path j's head range, then its tail range, in the joined columns
-            tail_len = np.diff(tail.offsets)
-            starts = np.column_stack([head_start, len(self.path) + tail.offsets[:-1]]).ravel()
-            lengths = np.column_stack([head_len, tail_len]).ravel()
-            per_path = head_len + tail_len
-            columns = {
-                name: np.concatenate([col, getattr(tail, name)])
-                for name, col in columns.items()
-            }
+        tail_len = 0 if tail is None else np.diff(tail.offsets)
+        per_path = head_len + tail_len
         offsets = np.zeros(len(paths) + 1, dtype=np.int64)
         np.cumsum(per_path, out=offsets[1:])
-        ends = np.cumsum(lengths)
-        rows = np.arange(offsets[-1]) + np.repeat(starts - ends + lengths, lengths)
+        names = [name for name in ("kind", *self.STATE) if getattr(self, name) is not None]
+        head_rows = _ranges(head_start, head_len)
+        if tail is None:
+            columns = {name: getattr(self, name)[head_rows] for name in names}
+        else:
+            # path j's head rows, then its tail rows, each gathered from its
+            # own columns straight into place
+            head_at = _ranges(offsets[:-1], head_len)
+            tail_at = _ranges(offsets[:-1] + head_len, tail_len)
+            tail_rows = _ranges(tail.offsets[:-1], tail_len)
+            columns = {}
+            for name in names:
+                head, rest = getattr(self, name), getattr(tail, name)
+                column = columns[name] = np.empty(offsets[-1], np.result_type(head, rest))
+                column[head_at] = head[head_rows]
+                column[tail_at] = rest[tail_rows]
         return dataclasses.replace(
             self,
             path=np.repeat(np.arange(len(paths)), per_path),
             offsets=offsets,
             t_stop=self.t_stop[paths],
-            **{name: col[rows] for name, col in columns.items()},
+            **columns,
         )
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices starts[j], ..., starts[j] + lengths[j] - 1, range after
+    range."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lengths, lengths)
 
 
 @dataclass
 class Recorded:
     """What one recording engine call kept of its paths' events, in the
-    loop's order, an entry of ``kept`` per iteration; ``log`` groups it by
-    path.
+    loop's order, an entry of ``kept`` per iteration (on a clock-free call,
+    per chunk of an iteration); ``log`` groups it by path.
 
     A clocked call keeps rows: per iteration, a block whose row k is the
     logged quantity ``names[k]`` of the paths that jumped, right after the
@@ -184,11 +199,11 @@ class Recorded:
     reads never joins them.
 
     A clock-free call, one without ``t`` in ``names``, keeps its runs
-    instead: per iteration, the live paths' rows ``names`` at its start
-    and, of ``_take_runs``' outputs, each path's infections and removals
-    and the removals through each of its runs.  ``log`` expands into rows
-    only the runs of the paths it is asked for, so rows nobody reads are
-    never made.
+    instead: per chunk of an iteration, the chunk's paths' rows ``names``
+    at its start and, of ``_take_runs``' outputs, each path's infections
+    and removals and the removals through each of its runs.  ``log``
+    expands into rows only the runs of the paths it is asked for, so rows
+    nobody reads are never made.
 
     Arrays of the size each iteration fills, not one buffer sized ahead for
     the call and doubled when full: with such a buffer a recorded call's
@@ -380,6 +395,35 @@ def _block(start: Row, names: tuple[str, ...], n_paths: int | None) -> np.ndarra
     return block
 
 
+class _WorkArea(threading.local):
+    """A thread's work arrays for the chain loop, kept from call to call in
+    one flat buffer, grown to the most a chunk has asked of it.  Made fresh
+    each iteration, the loop's (16, m) arrays had glibc hand their pages
+    back to the system and fault them in again, hundreds of minor page
+    faults per ce-abakaliki replication, and none with this area
+    (``BENCH_30.json``).  Each thread has its own, so calls in parallel
+    threads never share one."""
+
+    def __init__(self) -> None:
+        self.flat = np.empty(0, np.uint8)
+
+    def arrays(self, *specs: tuple[tuple[int, ...], type]) -> list[np.ndarray]:
+        """C-contiguous arrays of these (shape, dtype) pairs, aligned and
+        not overlapping, holding whatever the last caller left."""
+        dtypes = [np.dtype(dtype) for _, dtype in specs]
+        sizes = [-(-math.prod(shape) * dtype.itemsize // 64) * 64
+                 for (shape, _), dtype in zip(specs, dtypes)]
+        if sum(sizes) > len(self.flat):
+            self.flat = np.empty(sum(sizes), np.uint8)
+        return [
+            np.ndarray(shape, dtype, self.flat, at)
+            for (shape, _), dtype, at in zip(specs, dtypes, itertools.accumulate([0, *sizes]))
+        ]
+
+
+_WORK = _WorkArea()
+
+
 def _ensemble(out, finished, names, start: Row, recorded: Recorded | None) -> JumpEnsemble:
     """The call's ensemble: the ``finished`` columns, written back to
     ``out`` in path order, read by their ``names``; n_inf and n_rem count
@@ -565,11 +609,13 @@ def _chain_loop(
     per run, its events times the table's per-event terms at its s.
 
     ``block`` holds the live paths' state as in ``_jump_loop``, but no
-    times; the iteration's own arrays hold a row per run and a column per
-    live path.  With ``record``, each iteration keeps its runs: a copy of
-    the live paths' rows before it takes them, and per path and run the
-    removals through the run; ``Recorded.log`` expands the runs of the
-    paths it is asked for into one row per event."""
+    times.  An iteration takes the live columns in chunks of near-equal
+    width, at most ``_CHUNK``, in path order (``_take_runs``); each chunk
+    draws its own rows of the block, so the draws are those of one block.
+    With ``record``, each chunk keeps its runs: a copy of its paths' rows
+    before it takes them, and per path and run the removals through the
+    run; ``Recorded.log`` expands the runs of the paths it is asked for
+    into one row per event."""
     start = initial_row(model) if init is None else init
     # the rows an event log keeps; then, given a base law, the two rate
     # integrals and the log rate ratio
@@ -583,7 +629,7 @@ def _chain_loop(
     recorded = Recorded(names[:5], rates.other_kind) if record else None
     finished = [out[:, :0]]
     block = out
-    s, i, r, max_i = block[:4]
+    s, i, r = block[:3]
     # a path with s susceptibles ends within s // 16 + 1 iterations
     for _ in range(s_max // len(_RUNS) + 2):
         alive = (i > 0) & (r + i < target)
@@ -591,45 +637,60 @@ def _chain_loop(
         if keep.size < block.shape[1]:
             finished.append(block.take((~alive).nonzero()[0], axis=1))
             block = block.take(keep, axis=1)
-            s, i, r, max_i = block[:4]
+            s, i, r = block[:3]
         if not keep.size:
             break
         width = min(len(_RUNS), int(s.max()) + 1)
-        draws = rng.standard_exponential((keep.size, width))
-        # a zero draw would meet an inf scale where p is 0; the least
-        # subnormal keeps that run endless and changes no other
-        draws += _LEAST
-        steps, removals, done, rise = _take_runs(block, draws, run_scale, terms, target)
-        if record:
-            recorded.kept.append((block[:5].copy(), steps, removals, done))
-        # a path that takes no run whole reads run 0, where i + rise is at most i
-        top = rise.ravel()[np.maximum(steps - 1, 0) * keep.size + np.arange(keep.size)]
-        np.maximum(max_i, i + top, out=max_i)
-        s -= steps
-        i += steps - removals
-        r += removals
-        # freed before the next block is drawn: held over, they cost about 6%
-        # of a ce-abakaliki replication, through how the heap grows
-        del draws, steps, removals, done, rise, top
+        # no chunk of one column beside others: einsum sums a lone column's
+        # tallies in another order than a column among several
+        n_chunks = -(-keep.size // _CHUNK)
+        bounds = [keep.size * j // n_chunks for j in range(n_chunks + 1)]
+        for a, b in zip(bounds, bounds[1:]):
+            chunk = block[:, a:b]
+            rows = chunk[:5].copy() if record else None
+            runs = _take_runs(chunk, rng, width, run_scale, terms, target, record)
+            if record:
+                recorded.kept.append((rows, *runs))
     else:
         raise AssertionError("a chain iteration neither ended a path nor took 16 infections")
 
     return _ensemble(out, finished, names, start, recorded)
 
 
-def _take_runs(block, draws, run_scale, terms, target):
-    """The runs of the paths in ``block`` from their ``draws``, a row per path
-    and a column per run, up to the target on r + i; adds their tallies to
-    ``block``.  Returns, per path, its infections (``steps``) and removals,
-    and per run and path, the removals ``done`` through the run and
-    ``rise``, the most that i has risen over its start right after the
-    infections closing this run and those before it, read only for the
-    runs the path takes whole."""
-    m, width = draws.shape
-    s, i, r = block[:3]
-    at = s.astype(np.intp)
+def _take_runs(block, rng, width, run_scale, terms, target, record):
+    """Take the paths in ``block`` through their runs, up to the target on
+    r + i: draw their standard exponentials, a row per path and ``width``
+    columns, advance their s, i, r and max_i and add their tallies.
+    Returns, per path, its infections (``steps``) and removals, and per run
+    and path the removals ``done`` through the run: what a record keeps,
+    in arrays of their own with ``record`` and otherwise in the thread's
+    work area, which the next chunk overwrites."""
+    m = block.shape[1]
+    s, i, r, max_i = block[:4]
+    # given tallies, a run's events and the terms at its s take rows too
+    tallied = len(terms) + 1 if len(terms) else 0
+    runs, paths, flags, index = _WORK.arrays(
+        ((4 + tallied, width, m), float), ((3 + len(terms), m), float),
+        ((2, width, m), bool), ((4, m), np.intp),
+    )
+    draws, done, room, rise = runs[:4]
+    decisive, top, removals = paths[:3]
+    tally = paths[3:]
+    whole, fits = flags
+    at, last, pick, steps = index
+    draws = draws.reshape(m, width)
+    if record:
+        done, steps, removals = np.empty((width, m)), np.empty(m, np.intp), np.empty(m)
+    columns = np.arange(m)
+    np.copyto(at, s, casting="unsafe")
     k = _RUNS[:width, None]
-    done = run_scale[:width].take(at, axis=1)
+    rng.standard_exponential(out=draws)
+    # a zero draw would meet an inf scale where p is 0; the least subnormal
+    # keeps that run endless and changes no other
+    draws += _LEAST
+    # every index is in range; mode clip takes straight into ``out``, where
+    # the default mode would go through a buffer of its own
+    run_scale[:width].take(at, axis=1, out=done, mode="clip")
     done *= draws.T
     np.floor(done, out=done)
     # removals through each run, inf from the first that never ends
@@ -637,26 +698,51 @@ def _take_runs(block, draws, run_scale, terms, target):
     # the removals a path has room for up to the infection closing run k;
     # it takes each run whole until one does not fit, or until the infection
     # closing run D - 1, which decides the path
-    decisive = target - r - i
-    room = i + k
-    whole = (done < room) & (k < decisive)
-    last = (np.minimum(decisive, width) - 1).astype(np.intp)
+    np.subtract(target, r, out=decisive)
+    decisive -= i
+    np.add(i, k, out=room)
+    np.less(done, room, out=whole)
+    whole &= np.less(k, decisive, out=fits)
+    np.minimum(decisive, width, out=decisive)
+    decisive -= 1
+    np.copyto(last, decisive, casting="unsafe")
     _accumulate_runs(np.logical_and, whole)
-    steps = whole.sum(axis=0)
+    whole.sum(axis=0, out=steps)
     # removals through each run, capped at the room of the run the path
     # stops in (or at run D - 1, the decision, or its last run, where it
     # takes them all)
     capped = np.minimum(done, room, out=room)
-    removals = capped.ravel()[np.minimum(steps, last) * m + np.arange(m)]
-    rise = (k + 1) - done
+    np.minimum(steps, last, out=pick)
+    pick *= m
+    pick += columns
+    capped.ravel().take(pick, out=removals, mode="clip")
+    # the most that i has risen over its start right after the infections
+    # closing each run and those before it, read only for the runs the path
+    # takes whole
+    np.subtract(k + 1, done, out=rise)
     _accumulate_runs(np.maximum, rise)
     if len(terms):
-        through = np.zeros((width + 1, m))
-        np.minimum(capped, removals, out=through[1:])
-        events = through[1:] - through[:-1]
+        # per run, the removals the path takes of it, and its infection if
+        # it takes the run whole
+        events, taken = runs[4], runs[5:]
+        through = np.minimum(capped, removals, out=capped)
+        events[0] = through[0]
+        np.subtract(through[1:], through[:-1], out=events[1:])
         events += whole
-        block[5:] += np.einsum("tkm,km->tm", terms[:, :width].take(at, axis=2), events)
-    return steps, removals, done, rise
+        terms[:, :width].take(at, axis=2, out=taken, mode="clip")
+        block[5:] += np.einsum("tkm,km->tm", taken, events, out=tally)
+    # a path that takes no run whole reads run 0, where i + rise is at most i
+    np.subtract(steps, 1, out=pick)
+    np.maximum(pick, 0, out=pick)
+    pick *= m
+    pick += columns
+    rise.ravel().take(pick, out=top, mode="clip")
+    top += i
+    np.maximum(max_i, top, out=max_i)
+    s -= steps
+    i += np.subtract(steps, removals, out=top)
+    r += removals
+    return steps, removals, done
 
 
 def _expand_runs(runs, at: np.ndarray, n: int) -> tuple[np.ndarray, dict, np.ndarray]:

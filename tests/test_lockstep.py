@@ -7,6 +7,8 @@ runs past the horizon, and the event log agrees with the per-path summaries.
 
 import dataclasses
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -498,8 +500,11 @@ def test_chain_loop_matches_the_per_event_chain():
 class _ZeroDraws:
     """A generator whose standard exponentials are all exactly zero."""
 
-    def standard_exponential(self, shape):
-        return np.zeros(shape)
+    def standard_exponential(self, size=None, out=None):
+        if out is None:
+            return np.zeros(size)
+        out[...] = 0.0
+        return out
 
 
 def test_clock_free_degenerate_rates():
@@ -606,3 +611,65 @@ def test_engines_reject_an_event_they_cannot_decide():
     for engine, model in ((lockstep.sir_ensemble, SIR), (lockstep.hiv_ensemble, HIV)):
         with pytest.raises(TypeError, match="no jump-process stop rule"):
             engine(model, 5, rng, CumulativeInfections(t=3, n_c=2))
+
+
+def _clock_free_arrays(n_paths, seed):
+    """Every array of three clock-free Abakaliki calls on ``n_paths`` paths:
+    unrecorded, recorded with its grouped log, and under a law other than
+    its base law, with its tallies."""
+    model = CHAIN_MODELS["abakaliki"]
+    law = dataclasses.replace(model, lam=2 * model.lam)
+    calls = [
+        lockstep.sir_ensemble(model, n_paths, SeedSpec(seed).generator(), FinalSize(81)),
+        lockstep.sir_ensemble(
+            model, n_paths, SeedSpec(seed + 1).generator(), FinalSize(81), record=True
+        ),
+        lockstep.sir_ensemble(
+            law, n_paths, SeedSpec(seed + 2).generator(), FinalSize(81), base=model
+        ),
+    ]
+    arrays = []
+    for ens in calls:
+        arrays += [getattr(ens, field.name) for field in dataclasses.fields(ens)]
+        arrays.append(ens.log_rate_ratio)
+        if ens.recorded is not None:
+            log = ens.log
+            arrays += [getattr(log, name) for name in ("path", "kind", *log.STATE, "offsets", "t_stop")]
+    return arrays, calls[1].recorded
+
+
+def _assert_same_bytes(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a is b is None or (a.dtype == b.dtype and a.tobytes() == b.tobytes())
+
+
+def test_clock_free_chunks_match_one_chunk(monkeypatch):
+    # the live columns taken a few at a time draw, end and tally every
+    # path as one chunk does, bit for bit; a recorded call keeps an entry
+    # per chunk of an iteration
+    monkeypatch.setattr(lockstep, "_CHUNK", 10**9)
+    whole, whole_record = _clock_free_arrays(3000, 70)
+    monkeypatch.setattr(lockstep, "_CHUNK", 7)
+    chunked, chunked_record = _clock_free_arrays(3000, 70)
+    _assert_same_bytes(chunked, whole)
+    assert len(chunked_record.kept) > 3000 // 7 > len(whole_record.kept)
+    assert max(len(start[0]) for start, *_ in chunked_record.kept) == 7
+
+
+def test_clock_free_calls_in_threads_match_calls_in_turn():
+    # each thread keeps its own work area: threads running clock-free calls
+    # at once, each at its own size, get the bytes of the same calls run
+    # one after the other
+    jobs = [(1000 + 700 * k, 80 + 3 * k) for k in range(4)]
+    in_turn = [_clock_free_arrays(*job)[0] for job in jobs]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(jobs)) as pool:
+            futures = [pool.submit(_clock_free_arrays, *job) for job in jobs * 2]
+            at_once = [future.result(timeout=120)[0] for future in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    for got, expected in zip(at_once, in_turn * 2):
+        _assert_same_bytes(got, expected)
