@@ -41,7 +41,6 @@ has no ``t`` column.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -396,29 +395,23 @@ def _block(start: Row, names: tuple[str, ...], n_paths: int | None) -> np.ndarra
 
 
 class _WorkArea(threading.local):
-    """A thread's work arrays for the chain loop, kept from call to call in
-    one flat buffer, grown to the most a chunk has asked of it.  Made fresh
-    each iteration, the loop's (16, m) arrays had glibc hand their pages
-    back to the system and fault them in again, hundreds of minor page
-    faults per ce-abakaliki replication, and none with this area
-    (``BENCH_30.json``).  Each thread has its own, so calls in parallel
-    threads never share one."""
+    """A thread's work array for the chain loop, kept from call to call and
+    grown to the most a chunk has asked of it.  Made fresh each iteration,
+    the loop's (16, m) arrays had glibc hand their pages back to the system
+    and fault them in again, hundreds of minor page faults per ce-abakaliki
+    replication, and none with this area (``BENCH_30.json``).  Each thread
+    has its own, so calls in parallel threads never share one."""
 
     def __init__(self) -> None:
-        self.flat = np.empty(0, np.uint8)
+        self.flat = np.empty(0)
 
-    def arrays(self, *specs: tuple[tuple[int, ...], type]) -> list[np.ndarray]:
-        """C-contiguous arrays of these (shape, dtype) pairs, aligned and
-        not overlapping, holding whatever the last caller left."""
-        dtypes = [np.dtype(dtype) for _, dtype in specs]
-        sizes = [-(-math.prod(shape) * dtype.itemsize // 64) * 64
-                 for (shape, _), dtype in zip(specs, dtypes)]
-        if sum(sizes) > len(self.flat):
-            self.flat = np.empty(sum(sizes), np.uint8)
-        return [
-            np.ndarray(shape, dtype, self.flat, at)
-            for (shape, _), dtype, at in zip(specs, dtypes, itertools.accumulate([0, *sizes]))
-        ]
+    def floats(self, shape: tuple[int, ...]) -> np.ndarray:
+        """A C-contiguous float array of ``shape``, holding whatever the
+        last caller left."""
+        n = math.prod(shape)
+        if n > len(self.flat):
+            self.flat = np.empty(n)
+        return self.flat[:n].reshape(shape)
 
 
 _WORK = _WorkArea()
@@ -662,28 +655,19 @@ def _take_runs(block, rng, width, run_scale, terms, target, record):
     r + i: draw their standard exponentials, a row per path and ``width``
     columns, advance their s, i, r and max_i and add their tallies.
     Returns, per path, its infections (``steps``) and removals, and per run
-    and path the removals ``done`` through the run: what a record keeps,
-    in arrays of their own with ``record`` and otherwise in the thread's
-    work area, which the next chunk overwrites."""
+    and path the removals ``done`` through the run: what a record keeps.
+    The arrays of a row per run are views of the thread's work area, which
+    the next chunk overwrites; with ``record``, ``done`` has its own."""
     m = block.shape[1]
     s, i, r, max_i = block[:4]
     # given tallies, a run's events and the terms at its s take rows too
-    tallied = len(terms) + 1 if len(terms) else 0
-    runs, paths, flags, index = _WORK.arrays(
-        ((4 + tallied, width, m), float), ((3 + len(terms), m), float),
-        ((2, width, m), bool), ((4, m), np.intp),
-    )
+    runs = _WORK.floats((4 + (len(terms) + 1 if len(terms) else 0), width, m))
     draws, done, room, rise = runs[:4]
-    decisive, top, removals = paths[:3]
-    tally = paths[3:]
-    whole, fits = flags
-    at, last, pick, steps = index
-    draws = draws.reshape(m, width)
     if record:
-        done, steps, removals = np.empty((width, m)), np.empty(m, np.intp), np.empty(m)
-    columns = np.arange(m)
-    np.copyto(at, s, casting="unsafe")
+        done = np.empty((width, m))
+    at = s.astype(np.intp)
     k = _RUNS[:width, None]
+    draws = draws.reshape(m, width)
     rng.standard_exponential(out=draws)
     # a zero draw would meet an inf scale where p is 0; the least subnormal
     # keeps that run endless and changes no other
@@ -698,24 +682,17 @@ def _take_runs(block, rng, width, run_scale, terms, target, record):
     # the removals a path has room for up to the infection closing run k;
     # it takes each run whole until one does not fit, or until the infection
     # closing run D - 1, which decides the path
-    np.subtract(target, r, out=decisive)
-    decisive -= i
+    decisive = target - r - i
     np.add(i, k, out=room)
-    np.less(done, room, out=whole)
-    whole &= np.less(k, decisive, out=fits)
-    np.minimum(decisive, width, out=decisive)
-    decisive -= 1
-    np.copyto(last, decisive, casting="unsafe")
+    whole = (done < room) & (k < decisive)
+    last = (np.minimum(decisive, width) - 1).astype(np.intp)
     _accumulate_runs(np.logical_and, whole)
-    whole.sum(axis=0, out=steps)
+    steps = whole.sum(axis=0)
     # removals through each run, capped at the room of the run the path
     # stops in (or at run D - 1, the decision, or its last run, where it
     # takes them all)
     capped = np.minimum(done, room, out=room)
-    np.minimum(steps, last, out=pick)
-    pick *= m
-    pick += columns
-    capped.ravel().take(pick, out=removals, mode="clip")
+    removals = capped.ravel()[np.minimum(steps, last) * m + np.arange(m)]
     # the most that i has risen over its start right after the infections
     # closing each run and those before it, read only for the runs the path
     # takes whole
@@ -730,17 +707,12 @@ def _take_runs(block, rng, width, run_scale, terms, target, record):
         np.subtract(through[1:], through[:-1], out=events[1:])
         events += whole
         terms[:, :width].take(at, axis=2, out=taken, mode="clip")
-        block[5:] += np.einsum("tkm,km->tm", taken, events, out=tally)
+        block[5:] += np.einsum("tkm,km->tm", taken, events)
     # a path that takes no run whole reads run 0, where i + rise is at most i
-    np.subtract(steps, 1, out=pick)
-    np.maximum(pick, 0, out=pick)
-    pick *= m
-    pick += columns
-    rise.ravel().take(pick, out=top, mode="clip")
-    top += i
-    np.maximum(max_i, top, out=max_i)
+    top = rise.ravel()[np.maximum(steps - 1, 0) * m + np.arange(m)]
+    np.maximum(max_i, i + top, out=max_i)
     s -= steps
-    i += np.subtract(steps, removals, out=top)
+    i += steps - removals
     r += removals
     return steps, removals, done
 
@@ -750,7 +722,7 @@ def _expand_runs(runs, at: np.ndarray, n: int) -> tuple[np.ndarray, dict, np.nda
     sorted by that place: their count per place, their columns and their
     infection flags.
 
-    Only those paths' columns are taken from each iteration, into one block
+    Only those paths' columns are taken from each entry, into one block
     ordered by place and, for a place, by iteration, so their runs expand
     straight into each path's rows in event order; no row is sorted.  The
     block expands ``_PIECE`` columns at a time, which bounds what the
