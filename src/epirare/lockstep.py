@@ -660,8 +660,10 @@ def _take_runs(block, rng, width, run_scale, terms, target, record):
     the next chunk overwrites; with ``record``, ``done`` has its own."""
     m = block.shape[1]
     s, i, r, max_i = block[:4]
-    # given tallies, a run's events and the terms at its s take rows too
-    runs = _WORK.floats((4 + (len(terms) + 1 if len(terms) else 0), width, m))
+    # per run: its draws, the removals through it, the room, the rise and,
+    # given tallies, its events and the terms at its s
+    tallied = len(terms) + 1 if len(terms) else 0
+    runs = _WORK.floats((4 + tallied, width, m))
     draws, done, room, rise = runs[:4]
     if record:
         done = np.empty((width, m))
