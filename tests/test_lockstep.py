@@ -633,8 +633,8 @@ def _clock_free_arrays(n_paths, seed):
         arrays += [getattr(ens, field.name) for field in dataclasses.fields(ens)]
         arrays.append(ens.log_rate_ratio)
         if ens.recorded is not None:
-            log = ens.log
-            arrays += [getattr(log, name) for name in ("path", "kind", *log.STATE, "offsets", "t_stop")]
+            columns = ("path", "kind", *ens.log.STATE, "offsets", "t_stop")
+            arrays += [getattr(ens.log, name) for name in columns]
     return arrays, calls[1].recorded
 
 
