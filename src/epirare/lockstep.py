@@ -17,10 +17,11 @@ the window's removals reach theirs (``_stop``).
 SIR and contact tracing share one loop, ``_jump_loop``, and plug into it
 through their rate constants, ``_Rates``; only contact tracing, whose rates
 decay between jumps, runs by thinning.  The loop keeps the live paths' state
-compacted, a column per live path in path order, and drops paths as they
-finish.  Each iteration draws uniforms for exactly the live paths: waiting
-times, then (thinning only) acceptances, then event kinds, each in path
-order.  ``tests/test_golden.py`` pins the outputs of this order.
+compacted, a column per live path in path order, and writes each path's
+column into the call's output as it finishes.  Each iteration draws
+uniforms for exactly the live paths: waiting times, then (thinning only)
+acceptances, then event kinds, each in path order.  ``tests/test_golden.py``
+pins the outputs of this order.
 
 An SIR final size depends on the embedded jump chain alone, so that call
 runs clock-free, in a loop of its own, ``_chain_loop``.  On SIR the chance
@@ -142,8 +143,6 @@ class EventLog:
         it stops where path ``paths[j]`` does."""
         if tail is not None and not len(tail.path):
             tail = None  # nothing to join
-        if tail is start is stop is None and np.array_equal(paths, np.arange(len(self.t_stop))):
-            return dataclasses.replace(self, t_stop=self.t_stop[paths])  # shares the columns
         base = self.offsets[paths]
         head_start = base if start is None else base + start
         head_len = (self.offsets[paths + 1] if stop is None else base + stop) - head_start
@@ -417,22 +416,33 @@ class _WorkArea(threading.local):
 _WORK = _WorkArea()
 
 
-def _ensemble(out, finished, names, start: Row, recorded: Recorded | None) -> JumpEnsemble:
-    """The call's ensemble: the ``finished`` columns, written back to
-    ``out`` in path order, read by their ``names``; n_inf and n_rem count
+def _compact(out: np.ndarray, block: np.ndarray, alive: np.ndarray, path: int):
+    """The indices of the ``alive`` columns of ``block`` and a block of just
+    those; each other column is finished and goes to ``out``, at its path."""
+    (keep,) = alive.nonzero()
+    if keep.size < block.shape[1]:
+        gone = block.take((~alive).nonzero()[0], axis=1)
+        out[:, gone[path].astype(np.intp)] = gone
+        block = block.take(keep, axis=1)
+    return keep, block
+
+
+def _ensemble(out, names, start: Row, recorded: Recorded | None) -> JumpEnsemble:
+    """The call's ensemble from ``out``, every path's finished column in
+    path order, read by their ``names``; n_inf and n_rem count
     from ``start``; ``t`` is NaN where ``names`` has no times, and is the
     ``recorded`` paths' ``t_stop``."""
-    done = np.concatenate(finished, axis=1)
-    out[:, done[names.index("path")].astype(np.intp)] = done
     row = dict(zip(names, out))
     s, i, r, max_i = (row[name].astype(np.int64) for name in ("s", "i", "r", "max_i"))
     t = row.get("t", np.full(len(s), np.nan))
     if recorded is not None:
         recorded.t_stop = t
+    # a call that sums no rate integrals reports them as 0
+    sums = [row[name] for name in ("int_pair", "int_i") if name in row] or np.zeros((2, len(s)))
     return JumpEnsemble(
         s, i, r, t, max_i,
         np.asarray(start.s, dtype=np.int64) - s, r - np.asarray(start.r, dtype=np.int64),
-        row.get("int_pair", np.zeros(len(s))), row.get("int_i", np.zeros(len(s))),
+        *sums,
         row["window_rem"].astype(np.int64) if "window_rem" in row else None,
         row.get("decayed"),
         recorded=recorded, log_rate_ratio=row.get("log_rate_ratio"),
@@ -472,8 +482,8 @@ def _jump_loop(
     loop sums each path's two rate integrals (without thinning).
 
     ``block`` holds the live paths' state, a row per quantity and a column
-    per path (counts are exact in float64); finished columns go to
-    ``finished`` and are written back to ``out`` at the end.  With
+    per path (counts are exact in float64); a finished column goes straight
+    to ``out``, the call's output, at its path's place (``_compact``).  With
     ``record``, each iteration keeps the logged rows of the columns that
     jumped, after the jump, and whether each jump was an infection, in the
     call's ``Recorded``.  A path with infectives and no event rate waits
@@ -503,7 +513,6 @@ def _jump_loop(
     stop_rows = None if target is None else [names.index(name) for name in target]
     out = _block(start, names, n_paths)
     recorded = Recorded(logged, rates.other_kind) if record else None
-    finished = [out[:, :0]]
     block = out
     # views of the block's rows, taken again only when the block is compacted
     s, i, r, t, max_i, path, *extra = block
@@ -514,10 +523,8 @@ def _jump_loop(
             # one target column is read in place; only r + i adds rows
             first, *more = stop_rows
             alive &= sum((block[k] for k in more), block[first]) < target_level
-        (keep,) = alive.nonzero()
-        if keep.size < block.shape[1]:
-            finished.append(block.take((~alive).nonzero()[0], axis=1))
-            block = block.take(keep, axis=1)
+        keep, block = _compact(out, block, alive, 5)
+        if keep.size < alive.size:
             s, i, r, t, max_i, path, *extra = block
         if not keep.size:
             break
@@ -562,7 +569,7 @@ def _jump_loop(
     else:
         raise SimulationError("iteration cap exceeded in ensemble simulation")
 
-    ens = _ensemble(out, finished, names, start, recorded)
+    ens = _ensemble(out, names, start, recorded)
     if np.isinf(ens.t).any():
         raise SimulationError("a path can never end: it has infectives but no event rate")
     return ens
@@ -601,8 +608,8 @@ def _chain_loop(
     steps from it, and the loop needs no iteration cap.  The tallies add,
     per run, its events times the table's per-event terms at its s.
 
-    ``block`` holds the live paths' state as in ``_jump_loop``, but no
-    times.  An iteration takes the live columns in chunks of near-equal
+    ``block`` holds the live paths' state, and ``out`` the finished ones',
+    as in ``_jump_loop``, but no times.  An iteration takes the live columns in chunks of near-equal
     width, at most ``_CHUNK``, in path order (``_take_runs``); each chunk
     draws its own rows of the block, so the draws are those of one block.
     With ``record``, each chunk keeps its runs: a copy of its paths' rows
@@ -620,16 +627,13 @@ def _chain_loop(
     run_scale, terms = table[0], table[1:]
     target = np.array(np.ceil(target_level), dtype=float)
     recorded = Recorded(names[:5], rates.other_kind) if record else None
-    finished = [out[:, :0]]
     block = out
     s, i, r = block[:3]
     # a path with s susceptibles ends within s // 16 + 1 iterations
     for _ in range(s_max // len(_RUNS) + 2):
         alive = (i > 0) & (r + i < target)
-        (keep,) = alive.nonzero()
-        if keep.size < block.shape[1]:
-            finished.append(block.take((~alive).nonzero()[0], axis=1))
-            block = block.take(keep, axis=1)
+        keep, block = _compact(out, block, alive, 4)
+        if keep.size < alive.size:
             s, i, r = block[:3]
         if not keep.size:
             break
@@ -647,7 +651,7 @@ def _chain_loop(
     else:
         raise AssertionError("a chain iteration neither ended a path nor took 16 infections")
 
-    return _ensemble(out, finished, names, start, recorded)
+    return _ensemble(out, names, start, recorded)
 
 
 def _take_runs(block, rng, width, run_scale, terms, target, record):

@@ -55,10 +55,11 @@ Every refill is one primitive, ``_branch``: group the survivors'
 histories, count each parent's rows up to its cut (a level cut is the
 first event at which progress reaches the level, a time cut the last event
 at or before the time), and start one lockstep batch from the parents'
-states there.  A child keeps its parent's rows up to the cut and
-its rows in the batch, which stay ungrouped until a later cut reads them;
-a clock-free batch keeps its runs, and makes rows of only the runs of the
-slots a cut or the conditional sample reads.
+states there.  The slots then point into the log they branched from: a
+survivor at its history, a child at its parent's rows up to the cut, and a
+child at its rows in the batch too, which stay ungrouped.  A later cut or
+the conditional sample copies each row it reads once; a clock-free batch
+keeps its runs, and makes rows of only the runs of the slots so read.
 Whole histories are kept only when the conditional sample is returned, and
 only then is every slot grouped and the last stage refilled: a parent's cut
 at the threshold is its decision, so each child is its parent's path.
@@ -86,19 +87,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lockstep
-from .core import (
-    HivParams,
-    ModelParams,
-    ReedFrostParams,
-    SeedSpec,
-    SirParams,
-)
-from .estimators import (
-    Diagnostics,
-    Estimate,
-    _ensemble_fn,
-    _validate_event_model,
-)
+from .core import HivParams, ModelParams, ReedFrostParams, SeedSpec, SirParams
+from .estimators import Diagnostics, Estimate, _ensemble_fn, _validate_event_model
 from .events import (
     CumulativeInfections,
     Duration,
@@ -170,8 +160,9 @@ class _Slots:
     """The slots of a continuous-time ensemble, their histories grouped only
     on request.
 
-    Slot k's history is its ``head`` rows (an event log over the slots; none
-    before the first refill) followed by its rows in the latest engine call,
+    Slot k's history is rows ``start[k]:stop[k]`` of path ``source[k]``
+    (the ``ranges``) of the log it branched from, ``origin`` (both None
+    before the first refill), followed by its rows in the latest engine call,
     ``batch``, as that call's path ``member[k]`` (-1: no rows there).  A
     refill batch starts from the rows its slots branched at, so its rows go
     on from their histories as they are.  ``end`` holds each slot's state
@@ -179,7 +170,8 @@ class _Slots:
     at its stop time ``t``.
     """
 
-    head: lockstep.EventLog | None
+    origin: lockstep.EventLog | None
+    ranges: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     batch: lockstep.Recorded
     member: np.ndarray
     end: lockstep.Row
@@ -188,12 +180,13 @@ class _Slots:
     def start(cls, ens: lockstep.JumpEnsemble) -> "_Slots":
         """Slot k holds path k of a recorded engine call."""
         end = lockstep.Row(*(getattr(ens, name) for name in lockstep.Row._fields))
-        return cls(None, ens.recorded, np.arange(len(ens.t)), end)
+        return cls(None, None, ens.recorded, np.arange(len(ens.t)), end)
 
     def histories(self, slots: np.ndarray) -> lockstep.EventLog:
         """Path j of the log is slot ``slots[j]``'s history."""
-        tail = self.batch.log(self.member[slots])
-        log = tail if self.head is None else self.head.take(slots, tail=tail)
+        log = self.batch.log(self.member[slots])
+        if self.origin is not None:
+            log = self.origin.take(*(ends[slots] for ends in self.ranges), tail=log)
         log.t_stop = self.end.t[slots]
         return log
 
@@ -237,13 +230,18 @@ def _branch(
     time otherwise.  One lockstep batch simulates all children from these
     rows; each child's history is its parent's rows up to the cut (only the
     last of them unless ``whole``) followed by its rows in the batch.
-    Survivors keep their histories.
+    Survivors keep their histories.  The new slots point into the grouped
+    survivors' log the cuts read; a later read copies the rows it needs.
     """
     log = slots.histories(surv)
     on_time = isinstance(spec, Duration)
-    keep = log.count(log.t <= level) if on_time else _level_cut(log, model, spec, level)
-    at = np.searchsorted(surv, parents)
-    keep = keep[at]
+    rows = log.count(log.t <= level) if on_time else _level_cut(log, model, spec, level)
+    # each slot's path in ``log``: its own, or a target's parent's
+    lineage = np.arange(len(slots.member))
+    lineage[targets] = parents
+    source = np.searchsorted(surv, lineage)
+    at = source[targets]
+    keep = rows[at]
     cut = log.state_after(at, keep, lockstep.initial_row(model))
     if on_time:
         if cut.decayed is not None:
@@ -251,20 +249,16 @@ def _branch(
         cut = cut._replace(t=np.full(len(parents), level))
     ens = _ensemble_fn(model)(model, None, rng, spec, init=cut, record=True)
 
-    n = len(slots.member)
-    source = np.zeros(n, dtype=np.int64)
-    source[surv] = np.arange(len(surv))
-    source[targets] = at
-    start = np.zeros(n, dtype=np.int64)
-    start[targets] = keep - (keep if whole else np.minimum(keep, 1))
     stop = np.diff(log.offsets)[source]
     stop[targets] = keep
-    member = np.full(n, -1, dtype=np.int64)
+    start = np.zeros_like(stop)
+    start[targets] = keep - (keep if whole else np.minimum(keep, 1))
+    member = np.full(len(source), -1)
     member[targets] = np.arange(len(targets))
     end = {name: col.copy() for name, col in slots.end._asdict().items() if col is not None}
     for name, col in end.items():
         col[targets] = getattr(ens, name)
-    return _Slots(log.take(source, start, stop), ens.recorded, member, slots.end._replace(**end))
+    return _Slots(log, (source, start, stop), ens.recorded, member, slots.end._replace(**end))
 
 
 def _with_times(

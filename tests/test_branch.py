@@ -201,20 +201,21 @@ def test_level_branch(model_name, event_name, n, seed, level, whole, data):
     event_name=st.sampled_from(sorted(EVENTS)),
     n=st.integers(2, 25),
     seed=st.integers(0, 2**32 - 1),
-    level=st.integers(1, 6),
     whole=st.booleans(),
     data=st.data(),
 )
-def test_branches_stack(model_name, event_name, n, seed, level, whole, data):
-    # the second cut groups survivors whose rows span a head and a refill
-    # batch counted from its start states
+def test_branches_stack(model_name, event_name, n, seed, whole, data):
+    # each later cut groups survivors whose rows span ranges of the log the
+    # last cut branched from and a refill batch counted from its start
+    # states; the third reads ranges of a log itself read through ranges
     model, spec, ens = _start(model_name, event_name, n, seed)
     slots = _Slots.start(ens)
-    for stage in (1, 2):
+    level = 0
+    for stage in (1, 2, 3):
         progress = event_progress(spec, slots.end)
-        if stage == 2:
-            level = int(progress.max())
-        assume(np.any(progress >= level) and np.any(progress < level))
+        assume(progress.max() > level)
+        level = data.draw(st.integers(level + 1, int(progress.max())), label=f"level {stage}")
+        assume(np.any(progress < level))
         surv = np.flatnonzero(progress >= level)
         targets = np.flatnonzero(progress < level)
         parents = _pick_parents(data, surv, targets.size)

@@ -8,6 +8,7 @@ runs past the horizon, and the event log agrees with the per-path summaries.
 import dataclasses
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -339,12 +340,14 @@ def test_clock_free_logs_expand_only_the_paths_asked_for(monkeypatch):
 def test_take_rows_of_paths(name):
     ens = _simulate(name, 12, 37, Duration(1.5))
     log = ens.log
+    lengths = np.diff(log.offsets)
     paths = np.array([3, 3, 0, 11, 5])
-    start = np.array([0, 1, 0, 2, 0])
-    stop = np.minimum(np.diff(log.offsets)[paths], np.array([2, 4, 0, 9, 9]))
-    start = np.minimum(start, stop)
+    stop = np.minimum(lengths[paths], np.array([2, 4, 0, 9, 9]))
+    start = np.minimum(np.array([0, 1, 0, 2, 0]), stop)
     tail = ens.recorded.log(np.array([1, -1, 2, 4, 6]))
-    for with_tail in (None, tail):
+    every = np.arange(12)
+    cases = [(paths, start, stop, None), (paths, start, stop, tail), (every, None, None, None)]
+    for paths, start, stop, with_tail in cases:
         taken = log.take(paths, start, stop, with_tail)
         for j, k in enumerate(paths):
             a = log.offsets[k]
@@ -352,13 +355,17 @@ def test_take_rows_of_paths(name):
                 col = getattr(log, column)
                 if col is None:
                     continue
-                expected = col[a + start[j]:a + stop[j]]
+                expected = col[a:a + lengths[k]] if start is None else col[a + start[j]:a + stop[j]]
                 if with_tail is not None:
                     rows = slice(with_tail.offsets[j], with_tail.offsets[j + 1])
                     expected = np.concatenate([expected, getattr(with_tail, column)[rows]])
                 got = getattr(taken, column)[taken.offsets[j]:taken.offsets[j + 1]]
                 assert np.array_equal(got, expected)
         assert np.array_equal(taken.t_stop, log.t_stop[paths])
+    # the last case, every path whole, is the log itself, column for column
+    for field in dataclasses.fields(log):
+        a, b = getattr(taken, field.name), getattr(log, field.name)
+        assert a is b is None or (a.dtype == b.dtype and np.array_equal(a, b))
 
 
 def test_base_changes_only_the_tallies():
@@ -673,3 +680,25 @@ def test_clock_free_calls_in_threads_match_calls_in_turn():
         sys.setswitchinterval(switch)
     for got, expected in zip(at_once, in_turn * 2):
         _assert_same_bytes(got, expected)
+
+
+@pytest.mark.parametrize("weighted", [True, False], ids=["ce-law", "cmc"])
+def test_clock_free_call_holds_few_copies_of_its_state(weighted):
+    # numpy reports its buffers to tracemalloc: a large clock-free call
+    # peaks at a few times its state block (a row per quantity, a column
+    # per path), because finished columns go straight to the output and
+    # only the live ones are compacted; the first call grows the thread's
+    # work area, which outlives it, so the traced call allocates none
+    aba, n = CHAIN_MODELS["abakaliki"], 100_000
+    # the cross-entropy law fitted on the Abakaliki tail, tallied against that law
+    ce_law = dataclasses.replace(aba, lam=0.0010635, gamma=0.070326)
+    model, base, rows = (ce_law, aba, 8) if weighted else (aba, None, 5)
+    lockstep.sir_ensemble(model, 5000, SeedSpec(1).generator(), FinalSize(81), base=base)
+    tracemalloc.start()
+    try:
+        ens = lockstep.sir_ensemble(model, n, SeedSpec(2).generator(), FinalSize(81), base=base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (ens.r + ens.i).max() == 81
+    assert peak < 3.5 * rows * n * 8
