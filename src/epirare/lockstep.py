@@ -438,7 +438,7 @@ def _ensemble(out, names, start: Row, recorded: Recorded | None) -> JumpEnsemble
     if recorded is not None:
         recorded.t_stop = t
     # a call that sums no rate integrals reports them as 0
-    sums = [row[name] for name in ("int_pair", "int_i") if name in row] or np.zeros((2, len(s)))
+    sums = (row["int_pair"], row["int_i"]) if "int_pair" in row else np.zeros((2, len(s)))
     return JumpEnsemble(
         s, i, r, t, max_i,
         np.asarray(start.s, dtype=np.int64) - s, r - np.asarray(start.r, dtype=np.int64),
@@ -609,13 +609,13 @@ def _chain_loop(
     per run, its events times the table's per-event terms at its s.
 
     ``block`` holds the live paths' state, and ``out`` the finished ones',
-    as in ``_jump_loop``, but no times.  An iteration takes the live columns in chunks of near-equal
-    width, at most ``_CHUNK``, in path order (``_take_runs``); each chunk
-    draws its own rows of the block, so the draws are those of one block.
-    With ``record``, each chunk keeps its runs: a copy of its paths' rows
-    before it takes them, and per path and run the removals through the
-    run; ``Recorded.log`` expands the runs of the paths it is asked for
-    into one row per event."""
+    as in ``_jump_loop``, but no times.  An iteration takes the live columns
+    in chunks of near-equal width, at most ``_CHUNK``, in path order
+    (``_take_runs``); each chunk draws its own rows of the block, so the
+    draws are those of one block.  With ``record``, each chunk keeps its
+    runs: a copy of its paths' rows before it takes them, and per path and
+    run the removals through the run; ``Recorded.log`` expands the runs of
+    the paths it is asked for into one row per event."""
     start = initial_row(model) if init is None else init
     # the rows an event log keeps; then, given a base law, the two rate
     # integrals and the log rate ratio

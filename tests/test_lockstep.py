@@ -364,8 +364,8 @@ def test_take_rows_of_paths(name):
         assert np.array_equal(taken.t_stop, log.t_stop[paths])
     # the last case, every path whole, is the log itself, column for column
     for field in dataclasses.fields(log):
-        a, b = getattr(taken, field.name), getattr(log, field.name)
-        assert a is b is None or (a.dtype == b.dtype and np.array_equal(a, b))
+        got, want = getattr(taken, field.name), getattr(log, field.name)
+        assert got is want is None or (got.dtype == want.dtype and np.array_equal(got, want))
 
 
 def test_base_changes_only_the_tallies():
@@ -687,13 +687,13 @@ def test_clock_free_call_holds_few_copies_of_its_state(weighted):
     # numpy reports its buffers to tracemalloc: a large clock-free call
     # peaks at a few times its state block (a row per quantity, a column
     # per path), because finished columns go straight to the output and
-    # only the live ones are compacted; the first call grows the thread's
-    # work area, which outlives it, so the traced call allocates none
+    # only the live ones are compacted; a first call of the same size grows
+    # the thread's work area, which outlives it, so the traced call makes none
     aba, n = CHAIN_MODELS["abakaliki"], 100_000
     # the cross-entropy law fitted on the Abakaliki tail, tallied against that law
     ce_law = dataclasses.replace(aba, lam=0.0010635, gamma=0.070326)
     model, base, rows = (ce_law, aba, 8) if weighted else (aba, None, 5)
-    lockstep.sir_ensemble(model, 5000, SeedSpec(1).generator(), FinalSize(81), base=base)
+    lockstep.sir_ensemble(model, n, SeedSpec(1).generator(), FinalSize(81), base=base)
     tracemalloc.start()
     try:
         ens = lockstep.sir_ensemble(model, n, SeedSpec(2).generator(), FinalSize(81), base=base)
