@@ -21,7 +21,11 @@ compacted, a column per live path in path order, and writes each path's
 column into the call's output as it finishes.  Each iteration draws
 uniforms for exactly the live paths: waiting times, then (thinning only)
 acceptances, then event kinds, each in path order.  ``tests/test_golden.py``
-pins the outputs of this order.
+pins the outputs of this order.  Once at most ``_NARROW`` paths are live,
+the loop goes on in Python floats (``_narrow_loop``), where a numpy call
+would cost more than its few columns' arithmetic: the same draws and the
+same IEEE operations in the same order, so the same bytes, and one kept
+block for all of those iterations.
 
 An SIR final size depends on the embedded jump chain alone, so that call
 runs clock-free, in a loop of its own, ``_chain_loop``.  On SIR the chance
@@ -68,6 +72,8 @@ _LEAST = np.nextafter(0.0, 1.0)
 _PIECE = 4096
 # the live columns a clock-free iteration takes at once, at most
 _CHUNK = 2048
+# the live paths at or below which the clocked loop goes on in Python floats
+_NARROW = 16
 
 
 class Row(NamedTuple):
@@ -186,7 +192,8 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 class Recorded:
     """What one recording engine call kept of its paths' events, in the
     loop's order, an entry of ``kept`` per iteration (on a clock-free call,
-    per chunk of an iteration); ``log`` groups it by path.
+    per chunk of an iteration; on a clocked one, one for all the iterations
+    of its narrow phase, ``_narrow_loop``); ``log`` groups it by path.
 
     A clocked call keeps rows: per iteration, a block whose row k is the
     logged quantity ``names[k]`` of the paths that jumped, right after the
@@ -491,7 +498,11 @@ def _jump_loop(
 
     The loop runs once per event of the slowest path, mostly on a handful
     of live paths, so it keeps numpy's fixed cost per call down: constants
-    are 0-d arrays, and it calls no ufunc with keywords."""
+    are 0-d arrays, and a ufunc writes in place through ``out=``, not
+    through a temporary and a copy.  Once an iteration starts with at most
+    ``_NARROW`` live paths, ``_narrow_loop`` runs this and every later
+    iteration on Python floats, and keeps their rows as one block; the
+    iteration cap counts its iterations too."""
     if init is not None and init.t is None:
         raise ValueError("a clocked call starts from rows with times")
     thinning = rates.decay is not None
@@ -516,7 +527,7 @@ def _jump_loop(
     block = out
     # views of the block's rows, taken again only when the block is compacted
     s, i, r, t, max_i, path, *extra = block
-    for _ in range(_ITERATION_CAP + 1):
+    for it in range(_ITERATION_CAP + 1):
         alive = i > 0
         alive &= t < horizon
         if stop_rows is not None:
@@ -527,6 +538,13 @@ def _jump_loop(
         if keep.size < alive.size:
             s, i, r, t, max_i, path, *extra = block
         if not keep.size:
+            break
+        if keep.size <= _NARROW:
+            _narrow_loop(
+                rates, block, out, rng, _ITERATION_CAP + 1 - it, horizon=horizon,
+                stop_rows=stop_rows, target_level=target_level, window=window,
+                recorded=recorded, sums=sums,
+            )
             break
         decayed = extra[0] if thinning else None
         rate_inf = rates.coef * s * i
@@ -546,7 +564,7 @@ def _jump_loop(
             bound = rate_tot
             decayed *= np.exp(neg_decay * dt)
             rate_tot = rate_inf + (rate_rem + traced * decayed)
-            if (rate_tot > bound * slack).any():
+            if np.count_nonzero(rate_tot > bound * slack):
                 raise AssertionError("thinning bound fell below the instantaneous rate")
             jump &= u[1] * bound < rate_tot
         if sums:
@@ -559,7 +577,7 @@ def _jump_loop(
         i += inf
         i -= rem
         r += rem
-        max_i[...] = np.maximum(max_i, i)
+        np.maximum(max_i, i, out=max_i)
         if thinning:
             decayed += rem
         if window is not None:
@@ -573,6 +591,106 @@ def _jump_loop(
     if np.isinf(ens.t).any():
         raise SimulationError("a path can never end: it has infectives but no event rate")
     return ens
+
+
+def _narrow_loop(
+    rates: _Rates, block, out, rng, iterations, *, horizon, stop_rows, target_level, window,
+    recorded, sums,
+) -> None:
+    """``_jump_loop``'s iterations from one that starts with the live
+    columns ``block``, in Python floats, until every path has ended or
+    ``iterations``, what is left of the iteration cap, have run; each
+    finished column goes to ``out`` at its path.
+
+    Each iteration draws the block the vector loop draws, and applies
+    numpy's ``log1p`` and ``exp`` to the row of its live paths as that loop
+    does: ``math``'s differ from them in the last bits.  Every other step is
+    the IEEE operation the vector loop makes, in its order.  The horizon
+    caps a wait as ``np.minimum`` does, which keeps a NaN, and a wait over a
+    zero rate, where Python would raise, is divided in numpy, under the
+    caller's error state.  With ``recorded``, the rows of all these
+    iterations are kept as one block."""
+    thinning = rates.decay is not None
+    coef, gamma, traced, pair_scale = (
+        float(x) for x in (rates.coef, rates.gamma, rates.traced, rates.pair_scale))
+    neg_decay, slack = (-float(rates.decay), 1.0 + 1e-12) if thinning else (None, None)
+    horizon = float(horizon)
+    if stop_rows is not None:
+        (first, *more), target_level = stop_rows, float(target_level)
+    if window is not None:
+        opens, closes, w = float(window[0]), float(window[1]), 6 + thinning
+    n_logged = len(recorded.names) if recorded is not None else 0
+    live, finished, rows, flags = block.T.tolist(), [], [], []
+    for _ in range(iterations):
+        if not live:
+            break
+        u = rng.random((3 if thinning else 2, len(live)))
+        log_u = np.log1p(-u[0]).tolist()
+        *_, accept, kind = u.tolist()
+        # the wait, to the horizon at most, and whether it ends in a proposal
+        proposed, args = [], []
+        for col, lg in zip(live, log_u):
+            s, i, t = col[0], col[1], col[3]
+            rate_inf = coef * s * i
+            rate_rem = gamma * i
+            rate_tot = rate_inf + rate_rem
+            if thinning:
+                rate_tot += traced * i * col[6]
+            try:
+                t_new = t - lg / rate_tot
+            except ZeroDivisionError:
+                t_new = t - float(np.float64(lg) / rate_tot)
+            t_next = horizon if t_new > horizon else t_new
+            dt = t_next - t
+            proposed.append((rate_inf, rate_rem, rate_tot, t_next, dt, t_new <= horizon))
+            if thinning:
+                args.append(neg_decay * dt)
+        factors = np.exp(np.array(args)).tolist() if thinning else None
+        survivors = []
+        for j, col in enumerate(live):
+            rate_inf, rate_rem, rate_tot, t_next, dt, jump = proposed[j]
+            s, i, r, max_i = col[0], col[1], col[2], col[4]
+            if thinning:
+                bound = rate_tot
+                col[6] *= factors[j]
+                rate_tot = rate_inf + (rate_rem + traced * i * col[6])
+                if rate_tot > bound * slack:
+                    raise AssertionError("thinning bound fell below the instantaneous rate")
+                jump = jump and accept[j] * bound < rate_tot
+            if sums:
+                col[-2] += s * i * dt * pair_scale
+                col[-1] += i * dt
+            is_inf = kind[j] * rate_tot < rate_inf
+            inf, rem = jump and is_inf, jump and not is_inf
+            col[0] = s - inf
+            col[1] = i = i + inf - rem
+            col[2] = r + rem
+            col[3] = t_next
+            if i > max_i:
+                col[4] = i
+            if thinning:
+                col[6] += rem
+            if window is not None:
+                col[w] += rem and opens < t_next <= closes
+            if jump and n_logged:
+                rows.append(col[:n_logged])
+                flags.append(is_inf)
+            if stop_rows is None:
+                alive = True
+            else:
+                progress = col[first]
+                for k in more:
+                    progress += col[k]
+                alive = progress < target_level
+            (survivors if alive and i > 0 and t_next < horizon else finished).append(col)
+        live = survivors
+    else:
+        raise SimulationError("iteration cap exceeded in ensemble simulation")
+    done = np.array(finished).T
+    out[:, done[5].astype(np.intp)] = done
+    if recorded is not None:
+        recorded.kept.append(
+            (np.array(rows).reshape(-1, n_logged).T, np.array(flags, dtype=bool)))
 
 
 def _chain_loop(

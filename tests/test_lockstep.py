@@ -6,6 +6,7 @@ runs past the horizon, and the event log agrees with the per-path summaries.
 """
 
 import dataclasses
+import itertools
 import math
 import sys
 import tracemalloc
@@ -173,17 +174,26 @@ def test_window_without_removals(name):
     assert np.any((ens.window_rem == 0) & (ens.n_inf > 0))
 
 
+# the clocked loop at ``_NARROW`` 0 runs every iteration on arrays, and
+# above a call's width every iteration in Python floats
+PHASES = pytest.mark.parametrize("narrow", [0, 10**9], ids=["vector", "narrow"])
+
+
+@PHASES
 @pytest.mark.parametrize("name", sorted(MODELS))
-def test_iteration_cap_raises(monkeypatch, name):
+def test_iteration_cap_raises(monkeypatch, name, narrow):
     monkeypatch.setattr(lockstep, "_ITERATION_CAP", 3)
+    monkeypatch.setattr(lockstep, "_NARROW", narrow)
     with pytest.raises(SimulationError, match="iteration cap"):
         _simulate(name, 50, 34)
 
 
-def test_path_that_can_never_end_fails_without_a_horizon(monkeypatch):
+@PHASES
+def test_path_that_can_never_end_fails_without_a_horizon(monkeypatch, narrow):
     # no spontaneous detection and, once everyone is infected, nothing to
     # trace: the event rate is 0 with infectives left
     monkeypatch.setattr(lockstep, "_ITERATION_CAP", 1000)
+    monkeypatch.setattr(lockstep, "_NARROW", narrow)
     model = HivParams(lam=0.5, gamma1=0.0, gamma2=1.0, c=1.0, s0=5, i0=1)
     with pytest.raises(SimulationError, match="can never end"):
         lockstep.hiv_ensemble(model, 3, SeedSpec(49).generator(), record=True)
@@ -505,13 +515,17 @@ def test_chain_loop_matches_the_per_event_chain():
 
 
 class _ZeroDraws:
-    """A generator whose standard exponentials are all exactly zero."""
+    """A generator whose uniforms and standard exponentials are all exactly
+    zero."""
 
     def standard_exponential(self, size=None, out=None):
         if out is None:
             return np.zeros(size)
         out[...] = 0.0
         return out
+
+    def random(self, size=None):
+        return np.zeros(size)
 
 
 def test_clock_free_degenerate_rates():
@@ -635,6 +649,11 @@ def _clock_free_arrays(n_paths, seed):
             law, n_paths, SeedSpec(seed + 2).generator(), FinalSize(81), base=model
         ),
     ]
+    return _arrays(calls), calls[1].recorded
+
+
+def _arrays(calls):
+    """Every array of the ensembles ``calls``, and of their grouped logs."""
     arrays = []
     for ens in calls:
         arrays += [getattr(ens, field.name) for field in dataclasses.fields(ens)]
@@ -642,7 +661,7 @@ def _clock_free_arrays(n_paths, seed):
         if ens.recorded is not None:
             columns = ("path", "kind", *ens.log.STATE, "offsets", "t_stop")
             arrays += [getattr(ens.log, name) for name in columns]
-    return arrays, calls[1].recorded
+    return arrays
 
 
 def _assert_same_bytes(got, expected):
@@ -702,3 +721,43 @@ def test_clock_free_call_holds_few_copies_of_its_state(weighted):
         tracemalloc.stop()
     assert (ens.r + ens.i).max() == 81
     assert peak < 3.5 * rows * n * 8
+
+
+def _clocked_arrays(n_paths, seed):
+    """Every array of clocked calls on ``n_paths`` paths, as
+    ``_clock_free_arrays``: on both models, without an event and with each
+    clocked one, unrecorded and recorded, from fresh starts and from rows
+    cut at time 1, some of them finished there; an SIR call under a law
+    other than its base law, with its rate integrals; and a call whose
+    draws are all 0, so that a path left with infectives and no event rate
+    waits 0/0."""
+    calls = []
+    for name, model in sorted(MODELS.items()):
+        engine = getattr(lockstep, f"{name}_ensemble")
+        cut = _simulate(name, n_paths, seed, Duration(1.0))
+        rows = lockstep.Row(cut.s, cut.i, cut.r, cut.t, cut.max_i, cut.decayed, cut.r % 3)
+        assert (rows.i == 0).any() and (rows.window_rem >= 2).any()
+        events = [None, Duration(4.0), Incidence(4.0, 6), DiagnosesIncrement(0.5, 2.0, 2)]
+        events += [FinalSize(12)] * (name == "hiv")
+        for k, event in enumerate(events):
+            for init, record in itertools.product((None, rows), (False, True)):
+                rng = SeedSpec(seed + k).generator()
+                calls.append(engine(model, n_paths, rng, event, init=init, record=record))
+    law = dataclasses.replace(SIR, lam=2 * SIR.lam)
+    for k, event in enumerate((None, DiagnosesIncrement(0.5, 2.0, 3))):
+        rng = SeedSpec(seed + 10 + k).generator()
+        calls.append(lockstep.sir_ensemble(law, n_paths, rng, event, base=SIR, record=True))
+    quiet = HivParams(lam=0.5, gamma1=0.0, gamma2=1.0, c=1.0, s0=5, i0=1)
+    calls.append(lockstep.hiv_ensemble(quiet, n_paths, _ZeroDraws(), Duration(5.0), record=True))
+    return _arrays(calls)
+
+
+def test_clocked_output_does_not_depend_on_the_narrow_phase(monkeypatch):
+    # the clocked loop's last few live paths go on in Python floats: every
+    # output byte is the same whether a call hands them over at the default
+    # width, never, or from its start
+    assert 0 < lockstep._NARROW < 300
+    expected = _clocked_arrays(300, 81)
+    for narrow in (0, 10**9):
+        monkeypatch.setattr(lockstep, "_NARROW", narrow)
+        _assert_same_bytes(_clocked_arrays(300, 81), expected)
