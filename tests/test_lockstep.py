@@ -176,32 +176,41 @@ def test_window_without_removals(name):
 
 # the clocked loop at ``_NARROW`` 0 runs every iteration on arrays, and
 # above a call's width every iteration in Python floats
-PHASES = pytest.mark.parametrize("narrow", [0, 10**9], ids=["vector", "narrow"])
+PHASES = (0, 10**9)
 
 
-@PHASES
 @pytest.mark.parametrize("name", sorted(MODELS))
-def test_iteration_cap_raises(monkeypatch, name, narrow):
-    monkeypatch.setattr(lockstep, "_ITERATION_CAP", 3)
-    monkeypatch.setattr(lockstep, "_NARROW", narrow)
-    with pytest.raises(SimulationError, match="iteration cap"):
+def test_iteration_cap_raises(monkeypatch, name):
+    # the cap counts the iterations of both phases: a call that takes n
+    # iterations runs under a cap of n and fails under n - 1, on arrays
+    # alone, in Python floats alone, and handing over at the default width
+    handover = lockstep._NARROW
+    monkeypatch.setattr(lockstep, "_NARROW", 0)
+    n = len(_simulate(name, 50, 34).recorded.kept)
+    for narrow in (*PHASES, handover):
+        monkeypatch.setattr(lockstep, "_NARROW", narrow)
+        monkeypatch.setattr(lockstep, "_ITERATION_CAP", n)
         _simulate(name, 50, 34)
+        monkeypatch.setattr(lockstep, "_ITERATION_CAP", n - 1)
+        with pytest.raises(SimulationError, match="iteration cap"):
+            _simulate(name, 50, 34)
 
 
-@PHASES
-def test_path_that_can_never_end_fails_without_a_horizon(monkeypatch, narrow):
+def test_path_that_can_never_end_fails_without_a_horizon(monkeypatch):
     # no spontaneous detection and, once everyone is infected, nothing to
-    # trace: the event rate is 0 with infectives left
+    # trace: the event rate is 0 with infectives left; in either phase
     monkeypatch.setattr(lockstep, "_ITERATION_CAP", 1000)
-    monkeypatch.setattr(lockstep, "_NARROW", narrow)
     model = HivParams(lam=0.5, gamma1=0.0, gamma2=1.0, c=1.0, s0=5, i0=1)
-    with pytest.raises(SimulationError, match="can never end"):
-        lockstep.hiv_ensemble(model, 3, SeedSpec(49).generator(), record=True)
-    # with a horizon every path waits out to it
-    ens = lockstep.hiv_ensemble(model, 3, SeedSpec(49).generator(), Duration(5.0), record=True)
-    np.testing.assert_array_equal(ens.t, 5.0)
-    np.testing.assert_array_equal(ens.i, 6)
-    np.testing.assert_array_equal(ens.n_rem, 0)
+    for narrow in PHASES:
+        monkeypatch.setattr(lockstep, "_NARROW", narrow)
+        with pytest.raises(SimulationError, match="can never end"):
+            lockstep.hiv_ensemble(model, 3, SeedSpec(49).generator(), record=True)
+        # with a horizon every path waits out to it
+        rng = SeedSpec(49).generator()
+        ens = lockstep.hiv_ensemble(model, 3, rng, Duration(5.0), record=True)
+        np.testing.assert_array_equal(ens.t, 5.0)
+        np.testing.assert_array_equal(ens.i, 6)
+        np.testing.assert_array_equal(ens.n_rem, 0)
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -758,6 +767,6 @@ def test_clocked_output_does_not_depend_on_the_narrow_phase(monkeypatch):
     # width, never, or from its start
     assert 0 < lockstep._NARROW < 300
     expected = _clocked_arrays(300, 81)
-    for narrow in (0, 10**9):
+    for narrow in PHASES:
         monkeypatch.setattr(lockstep, "_NARROW", narrow)
         _assert_same_bytes(_clocked_arrays(300, 81), expected)
