@@ -26,7 +26,6 @@ from .core import (
     SeedSpec,
     SirParams,
 )
-from .estimators import _ensemble_fn
 from .events import Duration
 from .final_size import exact_final_size, tail_pf
 from .harness import METHOD_RECORDS, parse_config_file, run, sweep, write_sweep_csv
@@ -113,7 +112,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             # Duration(0) is no event: a zero horizon stops the path at its start
             if args.horizon != 0:
                 event = None if args.horizon is None else Duration(args.horizon)
-                log = _ensemble_fn(model)(model, 1, rng, event, record=True).log
+                log = lockstep.jump_ensemble(model, 1, rng, event, record=True).log
                 rows = zip(log.t.tolist(), log.kind.tolist(), log.s.tolist(), log.i.tolist(),
                            log.r.tolist())
             start = lockstep.initial_row(model)
@@ -175,7 +174,7 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
     # One simulation batch serves every threshold: tail frequencies are all
     # computed from the same final sizes.
     rng = SeedSpec(args.seed).generator()
-    ens = lockstep.sir_ensemble(model, args.replicates, rng)
+    ens = lockstep.jump_ensemble(model, args.replicates, rng)
     sizes = ens.r
     with _out_stream(args.out) as out:
         out.write("n_c,exact,cmc\n")

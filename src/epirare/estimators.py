@@ -9,6 +9,8 @@ its own paths were drawn, with the standard error of that mean.
 Each estimator consumes a SeedSpec whose replication coordinate is set by the
 caller; internal phases derive sibling streams through the stage coordinate,
 so a run is reproducible bit for bit from (master seed, replication).
+Every jump-process batch runs through ``lockstep.jump_ensemble``, and which
+events pair with which model is ``events.event_model_check``'s rule.
 """
 
 from __future__ import annotations
@@ -20,20 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lockstep
-from .core import (
-    HivParams,
-    ModelParams,
-    ReedFrostParams,
-    SeedSpec,
-    SirParams,
-)
-from .events import (
-    CumulativeInfections,
-    Duration,
-    EventSpec,
-    event_progress,
-    event_threshold,
-)
+from .core import ModelParams, ReedFrostParams, SeedSpec, SirParams
+from .events import Duration, EventSpec, event_model_check, event_progress, event_threshold
 
 __all__ = [
     "Diagnostics",
@@ -93,28 +83,11 @@ def _batch_indicators(batch: lockstep.JumpEnsemble, spec: EventSpec) -> np.ndarr
     return event_progress(spec, batch) >= event_threshold(spec)
 
 
-def _ensemble_fn(model: ModelParams):
-    if isinstance(model, SirParams):
-        return lockstep.sir_ensemble
-    if isinstance(model, HivParams):
-        return lockstep.hiv_ensemble
-    raise TypeError(f"not a jump-process model: {model}")
-
-
-def _validate_event_model(model: ModelParams, spec: EventSpec) -> None:
-    discrete = isinstance(model, ReedFrostParams)
-    if discrete != isinstance(spec, CumulativeInfections):
-        raise ValueError(
-            "cumulative-infection events pair with the Reed-Frost model; "
-            "all other events pair with the jump-process models"
-        )
-
-
 def cmc_check(model: ModelParams, spec: EventSpec, n_paths: int) -> None:
     """Raise on the arguments ``cmc`` rejects; importance sampling runs it too."""
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
-    _validate_event_model(model, spec)
+    event_model_check(model, spec)
 
 
 def cmc(model: ModelParams, spec: EventSpec, n_paths: int, seed: SeedSpec) -> Estimate:
@@ -125,7 +98,7 @@ def cmc(model: ModelParams, spec: EventSpec, n_paths: int, seed: SeedSpec) -> Es
         _, infectives = lockstep.rf_chains(model, spec.t - 1, n_paths, rng)
         hits = infectives.sum(axis=1) >= spec.n_c
     else:
-        batch = _ensemble_fn(model)(model, n_paths, rng, spec)
+        batch = lockstep.jump_ensemble(model, n_paths, rng, spec)
         hits = _batch_indicators(batch, spec)
     value = float(np.mean(hits))
     std_error = _weight_sd(hits) / math.sqrt(n_paths)
@@ -178,7 +151,7 @@ def _is_weights(
         )
         paths = (S, I)
     else:
-        paths = lockstep.sir_ensemble(instrumental, n_paths, rng, spec, base=model)
+        paths = lockstep.jump_ensemble(instrumental, n_paths, rng, spec, base=model)
         hits = _batch_indicators(paths, spec)
         log_ratio = _sir_log_ratio(paths, model, instrumental)
     finite = np.isfinite(log_ratio)

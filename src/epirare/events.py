@@ -8,7 +8,8 @@ is decided where r + i reaches the threshold.  The event is progress
 reaching the threshold, and splitting levels are values of it; the
 indicator, the level cuts and the stage scores all read ``event_progress``.
 The engines stop each path where its event is decided (``lockstep._stop``).
-``quantile_levels`` turns ensemble scores into adaptive splitting levels.
+``quantile_levels`` turns ensemble scores into adaptive splitting levels,
+and ``event_model_check`` holds which events pair with which models.
 What follows a level that does not pass the previous one, the stall rule
 of adaptive splitting, is decided in ``ibps_estimate`` alone.
 Every parameter check is written as ``not value > bound`` so that a NaN
@@ -23,6 +24,8 @@ from typing import ClassVar, Sequence, Union
 
 import numpy as np
 
+from .core import ModelParams, ReedFrostParams
+
 __all__ = [
     "CumulativeInfections",
     "DiagnosesIncrement",
@@ -30,6 +33,7 @@ __all__ = [
     "EventSpec",
     "FinalSize",
     "Incidence",
+    "event_model_check",
     "event_progress",
     "event_threshold",
     "quantile_levels",
@@ -113,6 +117,16 @@ class CumulativeInfections:
 
 
 EventSpec = Union[Duration, FinalSize, Incidence, DiagnosesIncrement, CumulativeInfections]
+
+
+def event_model_check(model: ModelParams, spec: EventSpec) -> None:
+    """Raise unless ``spec`` is an event of ``model``'s family."""
+    discrete = isinstance(model, ReedFrostParams)
+    if discrete != isinstance(spec, CumulativeInfections):
+        raise ValueError(
+            "cumulative-infection events pair with the Reed-Frost model; "
+            "all other events pair with the jump-process models"
+        )
 
 
 def event_threshold(spec: EventSpec) -> float:

@@ -12,7 +12,9 @@ A call stops each path where the event it is given is decided, at
 extinction without one, and tallies what the likelihood ratio against its
 ``base`` law needs, given one.  A final size is decided once r + i, the
 count ever infected, reaches its threshold, and a diagnoses increment once
-the window's removals reach theirs (``_stop``).
+the window's removals reach theirs (``_stop``).  Every call from outside
+this module goes through one entry, ``jump_ensemble``, which picks the
+model's engine; ``wait_out`` takes rows on to a time with no event.
 
 SIR and contact tracing share one loop, ``_jump_loop``, and plug into it
 through their rate constants, ``_Rates``; only contact tracing, whose rates
@@ -40,7 +42,7 @@ outlives the call.  The loop reads the runs' rates and every per-event
 tally from one small table indexed by s.  Recording, it keeps its runs
 rather than rows, and a log expands into rows only the runs of the paths
 it is asked for.  Such a call has no times: its ``t`` is NaN and its log
-has no ``t`` column.
+has no ``t`` column, until ``clock`` draws them given the chain.
 """
 
 from __future__ import annotations
@@ -58,8 +60,8 @@ from .core import EventKind, HivParams, ReedFrostParams, Scaling, SimulationErro
 from .events import DiagnosesIncrement, Duration, EventSpec, FinalSize, Incidence
 
 __all__ = [
-    "EventLog", "JumpEnsemble", "Recorded", "Row", "hiv_ensemble", "initial_row", "rf_advance",
-    "rf_chains", "rf_loglik", "sir_ensemble",
+    "EventLog", "JumpEnsemble", "Recorded", "Row", "clock", "hiv_ensemble", "initial_row",
+    "jump_ensemble", "rf_advance", "rf_chains", "rf_loglik", "sir_ensemble", "wait_out",
 ]
 
 _ITERATION_CAP = 100_000_000
@@ -333,6 +335,13 @@ def initial_row(model: SirParams | HivParams) -> Row:
         return Row(model.s0, model.i0, 0, 0.0, model.i0, window_rem=0)
     decayed = float(sum(np.exp(-model.c * a) for a in model.initial_detection_ages))
     return Row(model.s0, model.i0, model.r0_count, 0.0, model.i0, decayed, 0)
+
+
+def wait_out(model: SirParams | HivParams, row: Row, t: float) -> Row:
+    """``row`` waited out to the time ``t``: contact tracing's sum decays on to it."""
+    if row.decayed is not None:
+        row = row._replace(decayed=row.decayed * np.exp(-model.c * (t - row.t)))
+    return row._replace(t=np.full(len(row.s), t))
 
 
 @dataclass(frozen=True)
@@ -772,6 +781,27 @@ def _chain_loop(
     return _ensemble(out, names, start, recorded)
 
 
+def clock(log: EventLog, model: SirParams, rng: np.random.Generator) -> EventLog:
+    """A clock-free log with event times: given the jump chain, a path's
+    holding times are independent exponentials at the model's total event
+    rate in the state before each event.  One draw per row, in log order;
+    a path stops at its last event (at 0 with none)."""
+    start = initial_row(model)
+    length = np.diff(log.offsets)
+    first = log.offsets[:-1][length > 0]
+    s_before, i_before = np.roll(log.s, 1), np.roll(log.i, 1)
+    s_before[first], i_before[first] = start.s, start.i
+    rate = model.pair_rate(s_before, i_before) + model.gamma * i_before
+    hold = rng.standard_exponential(len(rate)) / rate
+    # each path's holding times summed along a row of its own after a 0, padded
+    # with zeros: exactly the path's own cumulative sums, its stop time last
+    column = np.arange(len(hold)) - np.repeat(log.offsets[:-1], length) + 1
+    padded = np.zeros((len(length), length.max(initial=0) + 1))
+    padded[log.path, column] = hold
+    times = np.cumsum(padded, axis=1)
+    return dataclasses.replace(log, t=times[log.path, column], t_stop=times[:, -1])
+
+
 def _take_runs(block, rng, width, run_scale, terms, target, record):
     """Take the paths in ``block`` through their runs, up to the target on
     r + i: draw their standard exponentials, a row per path and ``width``
@@ -1032,6 +1062,17 @@ def hiv_ensemble(
         _hiv_rates(params), params, n_paths, rng, init=init, record=record,
         **_stop(event),
     )
+
+
+def jump_ensemble(model: SirParams | HivParams, n_paths: int | None, rng: np.random.Generator,
+                  event: EventSpec | None = None, *, init: Row | None = None,
+                  base: SirParams | None = None, record: bool = False) -> JumpEnsemble:
+    """``sir_ensemble`` or ``hiv_ensemble``, by the model; only SIR takes ``base``."""
+    if isinstance(model, SirParams):
+        return sir_ensemble(model, n_paths, rng, event, init=init, base=base, record=record)
+    if isinstance(model, HivParams) and base is None:
+        return hiv_ensemble(model, n_paths, rng, event, init=init, record=record)
+    raise TypeError(f"no jump engine for {model}" + ("" if base is None else " with a base law"))
 
 
 def rf_advance(

@@ -54,10 +54,10 @@ state there, so stopping loses nothing of the conditional law.
 Every refill is one primitive, ``_branch``: group the survivors'
 histories, count each parent's rows up to its cut (a level cut is the
 first event at which progress reaches the level, a time cut the last event
-at or before the time), and start one lockstep batch from the parents'
-states there.  The slots then point into the log they branched from: a
-survivor at its history, a child at its parent's rows up to the cut, and a
-child at its rows in the batch too, which stay ungrouped.  A later cut or
+at or before the time), and start one batch (``lockstep.jump_ensemble``)
+from the parents' states there.  The slots then point into the log they
+branched from: a survivor at its history, a child at its parent's rows up
+to the cut, and a child at its rows in the batch too, which stay ungrouped.  A later cut or
 the conditional sample copies each row it reads once; a clock-free batch
 keeps its runs, and makes rows of only the runs of the slots so read.
 Whole histories are kept only when the conditional sample is returned, and
@@ -67,9 +67,11 @@ Otherwise a child keeps just its cut row.
 
 On an SIR final size the engine runs clock-free (``lockstep``): the level
 cuts read only removal counts, and slots carry no times (their logs have no
-``t`` column).  The conditional sample then draws its times after the run:
-given the jump chain, the holding times are independent exponentials at
-the rates of the states a path visits.
+``t`` column).  The conditional sample then draws its times after the run
+(``lockstep.clock``): given the jump chain, the holding times are
+independent exponentials at the rates of the states a path visits.
+A model's rates are read in ``lockstep`` alone, and which events pair with
+which models in ``events``.
 
 Stream layout per stage s: particle 0 carries batched mutation draws,
 particle 1 carries selection draws; stage 0 is the initial ensemble.
@@ -80,7 +82,6 @@ children all start decided, as at the last stage, draws nothing.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -88,11 +89,12 @@ import numpy as np
 
 from . import lockstep
 from .core import HivParams, ModelParams, ReedFrostParams, SeedSpec, SirParams
-from .estimators import Diagnostics, Estimate, _ensemble_fn, _validate_event_model
+from .estimators import Diagnostics, Estimate
 from .events import (
     CumulativeInfections,
     Duration,
     EventSpec,
+    event_model_check,
     event_progress,
     event_threshold,
     quantile_levels,
@@ -226,8 +228,9 @@ def _branch(
     A parent's cut is the first event at which its progress reaches
     ``level`` (``_level_cut``) or, on the time axis (``Duration``), its last
     event at or before the time ``level``.  A child starts from its parent's
-    row after the cut, at that time on the time axis and at the cut event's
-    time otherwise.  One lockstep batch simulates all children from these
+    row after the cut, waited out to that time on the time axis
+    (``lockstep.wait_out``) and at the cut event's time otherwise.  One
+    batch (``lockstep.jump_ensemble``) simulates all children from these
     rows; each child's history is its parent's rows up to the cut (only the
     last of them unless ``whole``) followed by its rows in the batch.
     Survivors keep their histories.  The new slots point into the grouped
@@ -243,11 +246,8 @@ def _branch(
     at = source[targets]
     keep = rows[at]
     cut = log.state_after(at, keep, lockstep.initial_row(model))
-    if on_time:
-        if cut.decayed is not None:
-            cut = cut._replace(decayed=cut.decayed * np.exp(-model.c * (level - cut.t)))
-        cut = cut._replace(t=np.full(len(parents), level))
-    ens = _ensemble_fn(model)(model, None, rng, spec, init=cut, record=True)
+    cut = lockstep.wait_out(model, cut, level) if on_time else cut
+    ens = lockstep.jump_ensemble(model, None, rng, spec, init=cut, record=True)
 
     stop = np.diff(log.offsets)[source]
     stop[targets] = keep
@@ -261,29 +261,6 @@ def _branch(
     return _Slots(log, (source, start, stop), ens.recorded, member, slots.end._replace(**end))
 
 
-def _with_times(
-    log: lockstep.EventLog, model: SirParams, rng: np.random.Generator
-) -> lockstep.EventLog:
-    """A clock-free log with event times: given the jump chain, a path's
-    holding times are independent exponentials at the model's total event
-    rate in the state before each event.  One draw per row, in log order;
-    a path stops at its last event (at 0 with none)."""
-    start = lockstep.initial_row(model)
-    length = np.diff(log.offsets)
-    first = log.offsets[:-1][length > 0]
-    s_before, i_before = np.roll(log.s, 1), np.roll(log.i, 1)
-    s_before[first], i_before[first] = start.s, start.i
-    rate = model.pair_rate(s_before, i_before) + model.gamma * i_before
-    hold = rng.standard_exponential(len(rate)) / rate
-    # each path's holding times summed along a row of its own after a 0, padded
-    # with zeros: exactly the path's own cumulative sums, its stop time last
-    column = np.arange(len(hold)) - np.repeat(log.offsets[:-1], length) + 1
-    padded = np.zeros((len(length), length.max(initial=0) + 1))
-    padded[log.path, column] = hold
-    times = np.cumsum(padded, axis=1)
-    return dataclasses.replace(log, t=times[log.path, column], t_stop=times[:, -1])
-
-
 def _materialize(
     log: lockstep.EventLog,
     model: ModelParams,
@@ -294,7 +271,7 @@ def _materialize(
     """The final paths, weighted by whether they attain the event; a
     clock-free log first gets its times from the stream ``times``."""
     if log.t is None:
-        log = _with_times(log, model, times.generator())
+        log = lockstep.clock(log, model, times.generator())
     initial = lockstep.initial_row(model)
     every, length = np.arange(len(log.t_stop)), np.diff(log.offsets)
     hits = np.empty((len(length), len(levels)))
@@ -333,7 +310,7 @@ def _stage_loop(
     """
     on_time, threshold = isinstance(spec, Duration), event_threshold(spec)
     rng0 = seed.stream(particle=0, stage=0).generator()
-    slots = _Slots.start(_ensemble_fn(model)(model, n_particles, rng0, spec, record=True))
+    slots = _Slots.start(lockstep.jump_ensemble(model, n_particles, rng0, spec, record=True))
     extinct = False
     per_level: list[float] = []
     levels: list[float] = []
@@ -508,7 +485,7 @@ def ibps_check(
     if unread:
         raise ValueError(f"ibps reads no {', '.join(unread)} on {spec}: "
                          + "; ".join(unread.values()))
-    _validate_event_model(model, spec)
+    event_model_check(model, spec)
 
 
 def ibps_estimate(

@@ -28,9 +28,8 @@ from epirare import (
     SeedSpec,
     SirParams,
 )
-from epirare.estimators import _ensemble_fn
 from epirare.events import event_progress
-from epirare.lockstep import Row, initial_row
+from epirare.lockstep import Row, initial_row, jump_ensemble
 from epirare.splitting import _branch, _level_cut, _Slots
 
 MODELS = {
@@ -107,8 +106,7 @@ def _check_history(log, model, k, spec=None):
 
 def _start(model_name, event_name, n, seed):
     model, spec = MODELS[model_name], EVENTS[event_name]
-    fn = _ensemble_fn(model)
-    ens = fn(model, n, SeedSpec(seed).generator(), spec, record=True)
+    ens = jump_ensemble(model, n, SeedSpec(seed).generator(), spec, record=True)
     return model, spec, ens
 
 
@@ -242,8 +240,9 @@ def test_branches_stack(model_name, event_name, n, seed, whole, data):
 def test_time_branch(model_name, n, seed, t_cut, whole, data):
     model = MODELS[model_name]
     horizon = 3.0
-    fn = _ensemble_fn(model)
-    slots = _Slots.start(fn(model, n, SeedSpec(seed).generator(), Duration(horizon), record=True))
+    slots = _Slots.start(
+        jump_ensemble(model, n, SeedSpec(seed).generator(), Duration(horizon), record=True)
+    )
     log = _grouped(slots, model, Duration(horizon))
     ext = np.where(slots.end.i == 0, slots.end.t, math.inf)
     assume(np.any(ext > t_cut) and np.any(ext <= t_cut))
@@ -299,7 +298,7 @@ def test_a_decided_slot_branches_at_its_decision(model_name):
     # cuts it at that last row, and a child branched there starts decided,
     # stops at once and ends at its cut row, with the parent's rows
     model, spec, n = MODELS[model_name], FinalSize(n_c=8), 40
-    ens = _ensemble_fn(model)(model, n, SeedSpec(11).generator(), spec, record=True)
+    ens = jump_ensemble(model, n, SeedSpec(11).generator(), spec, record=True)
     slots = _Slots.start(ens)
     log = _grouped(slots, model, spec)
     progress = event_progress(spec, slots.end)

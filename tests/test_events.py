@@ -21,7 +21,7 @@ from epirare import (
     quantile_levels,
 )
 from epirare.events import event_progress, event_threshold
-from epirare.estimators import _batch_indicators, _ensemble_fn
+from epirare.estimators import _batch_indicators
 from reference import (
     NEVER, CompartmentState, EpidemicPath, JumpEvent, StopRule, epidemic_path, hitting_time,
     indicator, progress_hitting_time, score, sir_simulate,
@@ -296,7 +296,7 @@ def test_engine_columns_decide_events_as_the_reference(model_name, spec, n, seed
             lockstep._sir_rates(model), model, n, rng, record=True, **lockstep._stop(spec)
         )
     else:
-        ens = _ensemble_fn(model)(model, n, rng, spec, record=True)
+        ens = lockstep.jump_ensemble(model, n, rng, spec, record=True)
     hits = _batch_indicators(ens, spec)
     if isinstance(spec, Duration):
         progress = ens.extinction_times()

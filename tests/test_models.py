@@ -16,7 +16,6 @@ from epirare import (
     exact_final_size,
 )
 from epirare import lockstep
-from epirare.estimators import _ensemble_fn
 from reference import (
     NEVER,
     CompartmentState,
@@ -285,7 +284,7 @@ def _reference_extinctions(params, seed, n, horizon=math.inf):
 
 
 def _engine_extinctions(params, seed, n, horizon=math.inf):
-    ens = _ensemble_fn(params)(params, n, SeedSpec(seed).generator(), Duration(horizon))
+    ens = lockstep.jump_ensemble(params, n, SeedSpec(seed).generator(), Duration(horizon))
     return ens.extinction_times()
 
 
