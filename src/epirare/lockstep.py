@@ -12,9 +12,9 @@ A call stops each path where the event it is given is decided, at
 extinction without one, and tallies what the likelihood ratio against its
 ``base`` law needs, given one.  A final size is decided once r + i, the
 count ever infected, reaches its threshold, and a diagnoses increment once
-the window's removals reach theirs (``_stop``).  Every call from outside
-this module goes through one entry, ``jump_ensemble``, which picks the
-model's engine; ``wait_out`` takes rows on to a time with no event.
+the window's removals reach theirs (``_stop``).  Every jump-process batch
+from outside this module goes through one entry, ``jump_ensemble``, which
+picks the model's engine; ``wait_out`` takes rows on to a time with no event.
 
 SIR and contact tracing share one loop, ``_jump_loop``, and plug into it
 through their rate constants, ``_Rates``; only contact tracing, whose rates
@@ -1067,7 +1067,8 @@ def hiv_ensemble(
 def jump_ensemble(model: SirParams | HivParams, n_paths: int | None, rng: np.random.Generator,
                   event: EventSpec | None = None, *, init: Row | None = None,
                   base: SirParams | None = None, record: bool = False) -> JumpEnsemble:
-    """``sir_ensemble`` or ``hiv_ensemble``, by the model; only SIR takes ``base``."""
+    """``sir_ensemble`` or ``hiv_ensemble`` by the model, found by name at call
+    time so that a wrapper bound to either name sees the call; only SIR takes ``base``."""
     if isinstance(model, SirParams):
         return sir_ensemble(model, n_paths, rng, event, init=init, base=base, record=record)
     if isinstance(model, HivParams) and base is None:

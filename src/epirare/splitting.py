@@ -57,9 +57,10 @@ first event at which progress reaches the level, a time cut the last event
 at or before the time), and start one batch (``lockstep.jump_ensemble``)
 from the parents' states there.  The slots then point into the log they
 branched from: a survivor at its history, a child at its parent's rows up
-to the cut, and a child at its rows in the batch too, which stay ungrouped.  A later cut or
-the conditional sample copies each row it reads once; a clock-free batch
-keeps its runs, and makes rows of only the runs of the slots so read.
+to the cut, and a child at its rows in the batch too, which stay
+ungrouped.  A later cut or the conditional sample copies each row it reads
+once; a clock-free batch keeps its runs, and makes rows of only the runs
+of the slots so read.
 Whole histories are kept only when the conditional sample is returned, and
 only then is every slot grouped and the last stage refilled: a parent's cut
 at the threshold is its decision, so each child is its parent's path.
@@ -70,8 +71,6 @@ cuts read only removal counts, and slots carry no times (their logs have no
 ``t`` column).  The conditional sample then draws its times after the run
 (``lockstep.clock``): given the jump chain, the holding times are
 independent exponentials at the rates of the states a path visits.
-A model's rates are read in ``lockstep`` alone, and which events pair with
-which models in ``events``.
 
 Stream layout per stage s: particle 0 carries batched mutation draws,
 particle 1 carries selection draws; stage 0 is the initial ensemble.

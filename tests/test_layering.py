@@ -56,11 +56,6 @@ def _private_reads(source: str, own: str, modules: set[str]) -> list[str]:
                     bound[alias.asname or alias.name] = alias.name
                 elif module != own and _private(alias.name):
                     found.append(f"{module or '__init__'}.{alias.name}")
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                head, _, module = alias.name.partition(".")
-                if head == PACKAGE and module in modules and alias.asname:
-                    bound[alias.asname] = module
     for node in ast.walk(ast.parse(source)):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and bound.get(node.value.id, own) != own and _private(node.attr)):
