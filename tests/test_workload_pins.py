@@ -5,8 +5,13 @@ of a 1000-path run: iterations with a handful of live paths, survivor sets of
 about ten slots, refill batches that outlive most of their siblings.  These
 pins cover them.  Each configuration is defined here, not imported from the
 benchmark, so the pins hold whatever the benchmark does; a change that keeps
-the order of random draws must leave every value here unchanged.
+the order of random draws must leave every value here unchanged.  A change
+that moves draws on purpose regenerates them with
+``PYTHONPATH=src python tests/test_workload_pins.py`` and says so in
+CHANGES.md.
 """
+
+import pprint
 
 import pytest
 
@@ -63,3 +68,11 @@ PINS = {
 def test_workload_estimate_pinned(name, rep):
     value = RUNS[name](SeedSpec(MASTER_SEED, replication=rep))
     assert value.hex() == PINS[name][rep]
+
+
+if __name__ == "__main__":
+    pins = {
+        name: tuple(RUNS[name](SeedSpec(MASTER_SEED, replication=rep)).hex() for rep in range(3))
+        for name in sorted(RUNS)
+    }
+    print(f"PINS = {pprint.pformat(pins, width=96)}")
