@@ -765,8 +765,8 @@ def _chain_loop(
         if not keep.size:
             break
         width = min(len(_RUNS), int(s.max()) + 1)
-        # no chunk of one column beside others: einsum sums a lone column's
-        # tallies in another order than a column among several
+        # chunks of near-equal width; a path draws and tallies the same bits
+        # whatever the width of its chunk
         n_chunks = -(-keep.size // _CHUNK)
         bounds = [keep.size * j // n_chunks for j in range(n_chunks + 1)]
         for a, b in zip(bounds, bounds[1:]):
@@ -861,7 +861,11 @@ def _take_runs(block, rng, width, run_scale, terms, target, record):
         np.subtract(through[1:], through[:-1], out=events[1:])
         events += whole
         terms[:, :width].take(at, axis=2, out=taken, mode="clip")
-        block[5:] += np.einsum("tkm,km->tm", taken, events)
+        if m == 1:
+            # einsum sums a lone contiguous column in another order than
+            # columns side by side; beside a copy of itself it sums in theirs
+            taken, events = taken.repeat(2, axis=2), events.repeat(2, axis=1)
+        block[5:] += np.einsum("tkm,km->tm", taken, events)[:, :m]
     # a path that takes no run whole reads run 0, where i + rise is at most i
     top = rise.ravel()[np.maximum(steps - 1, 0) * m + np.arange(m)]
     np.maximum(max_i, i + top, out=max_i)

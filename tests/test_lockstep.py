@@ -692,6 +692,30 @@ def test_clock_free_chunks_match_one_chunk(monkeypatch):
     assert max(len(start[0]) for start, *_ in chunked_record.kept) == 7
 
 
+def test_take_runs_tallies_a_lone_column_as_one_beside_another():
+    # a path's tallies do not depend on the paths that share its chunk: a
+    # column taken alone and the same column beside another, drawing from
+    # generators in the same state, sum the same bits
+    model = CHAIN_MODELS["abakaliki"]
+    law = dataclasses.replace(model, lam=2 * model.lam)
+    table = lockstep._chain_table(
+        lockstep._sir_rates(law), lockstep._sir_rates(model), model.s0 + 1
+    )
+    target = np.array(81.0)
+    states = np.random.default_rng(72)
+    for case in range(200):
+        s, other_s = states.integers(0, model.s0 + 1, size=2)
+        i, other_i = states.integers(1, 10, size=2)
+        lone = np.array([[s, i, 0, i, 0, 0, 0, 0]], dtype=float).T
+        pair = np.column_stack([lone[:, 0], [other_s, other_i, 0, other_i, 1, 0, 0, 0]])
+        for block in (lone, pair):
+            lockstep._take_runs(
+                block, SeedSpec(73, replication=case).generator(), 16, table[0], table[1:],
+                target, False,
+            )
+        assert lone[:, 0].tobytes() == pair[:, 0].tobytes(), case
+
+
 def test_clock_free_calls_in_threads_match_calls_in_turn():
     # each thread keeps its own work area: threads running clock-free calls
     # at once, each at its own size, get the bytes of the same calls run
