@@ -68,6 +68,9 @@ _ITERATION_CAP = 100_000_000
 # the runs a clock-free iteration draws per path, at most: it takes a path
 # forward by at most this many infections
 _RUNS = np.arange(16)
+# the runs a call's first clock-free iteration draws per path, at most: most
+# paths end within their first few
+_FIRST_RUNS = 4
 # the least subnormal double
 _LEAST = np.nextafter(0.0, 1.0)
 # the clock-free columns a log expands at once
@@ -756,15 +759,15 @@ def _chain_loop(
     recorded = Recorded(names[:5], rates.other_kind) if record else None
     block = out
     s, i, r = block[:3]
-    # a path with s susceptibles ends within s // 16 + 1 iterations
-    for _ in range(s_max // len(_RUNS) + 2):
+    # a path with s susceptibles ends within (s - 4) // 16 + 2 iterations
+    for it in range((s_max + len(_RUNS) - _FIRST_RUNS) // len(_RUNS) + 2):
         alive = (i > 0) & (r + i < target)
         keep, block = _compact(out, block, alive, 4)
         if keep.size < alive.size:
             s, i, r = block[:3]
         if not keep.size:
             break
-        width = min(len(_RUNS), int(s.max()) + 1)
+        width = min(len(_RUNS) if it else _FIRST_RUNS, int(s.max()) + 1)
         # chunks of near-equal width; a path draws and tallies the same bits
         # whatever the width of its chunk
         n_chunks = -(-keep.size // _CHUNK)
@@ -776,7 +779,7 @@ def _chain_loop(
             if record:
                 recorded.kept.append((rows, *runs))
     else:
-        raise AssertionError("a chain iteration neither ended a path nor took 16 infections")
+        raise AssertionError("a chain iteration neither ended a path nor took `width` infections")
 
     return _ensemble(out, names, start, recorded)
 

@@ -571,8 +571,9 @@ def test_clock_free_degenerate_rates():
 
 def test_clock_free_draws_one_exponential_block_per_iteration():
     # replay: each iteration draws one block of standard exponentials, a
-    # row per live path in path order and min(16, s + 1) columns for the
-    # largest live s; column k is the run of removals at s - k, of length
+    # row per live path in path order and min(width, s + 1) columns for the
+    # largest live s, where the width is 4 in a call's first iteration and 16
+    # in every later one; column k is the run of removals at s - k, of length
     # floor(E / -log(1 - p)) by inverse CDF with p = c*s/(c*s + gamma), and
     # endless where p is 0; a path takes each run and the infection closing
     # it until a run holds all the removals it has room for, i, since
@@ -582,7 +583,7 @@ def test_clock_free_draws_one_exponential_block_per_iteration():
     coef, target = model.lam / model.population, 30
     s0 = np.array([0, 1, 2, 3, 5, 8, 13, 17, 20, 24, 28, 31])
     n = len(s0)
-    init = lockstep.Row(s0, np.full(n, 2), np.arange(n), None, np.full(n, 2))
+    init = lockstep.Row(s0, np.full(n, 2), np.arange(n) // 2, None, np.full(n, 2))
     engine_rng = SeedSpec(39).generator()
     ens = lockstep.sir_ensemble(
         model, None, engine_rng, FinalSize(target), init=init, record=True
@@ -590,10 +591,11 @@ def test_clock_free_draws_one_exponential_block_per_iteration():
     rng = SeedSpec(39).generator()
     s, i, r = ([int(x) for x in column] for column in init[:3])
     kinds = [[] for _ in range(n)]
-    iterations = 0
+    # per iteration, the paths that took every run of its block
+    whole_blocks = []
     while live := [k for k in range(n) if i[k] > 0 and r[k] + i[k] < target]:
-        iterations += 1
-        width = min(16, max(s[k] for k in live) + 1)
+        width = min(16 if whole_blocks else 4, max(s[k] for k in live) + 1)
+        whole_blocks.append(set())
         for k, row in zip(live, rng.standard_exponential((len(live), width))):
             for e in row:
                 p = coef * s[k] / (coef * s[k] + model.gamma)
@@ -608,6 +610,8 @@ def test_clock_free_draws_one_exponential_block_per_iteration():
                 s[k], i[k] = s[k] - 1, i[k] + 1
                 if r[k] + i[k] >= target:
                     break
+            else:
+                whole_blocks[-1].add(k)
     log = ens.log
     for k in range(n):
         assert log.kind[log.offsets[k]:log.offsets[k + 1]].tolist() == kinds[k]
@@ -615,11 +619,14 @@ def test_clock_free_draws_one_exponential_block_per_iteration():
         np.testing.assert_array_equal(got, want)
     _check(ens, init, clock_free=True)
     # the replay covered extinction at s = 0, a path the decision stopped
-    # short of r's target, and a path that took a whole block of 16
-    # infections
-    assert iterations > 1 and ((ens.s == 0) & (ens.i == 0)).any()
+    # short of r's target, a path that ended inside the first block of 4
+    # runs, one that took that whole block, and one that took a whole later
+    # block of 16
+    assert len(whole_blocks) > 2 and ((ens.s == 0) & (ens.i == 0)).any()
     assert ((ens.i > 0) & (ens.r < target) & (ens.r + ens.i == target)).any()
-    assert (ens.n_inf > 16).any()
+    first = whole_blocks[0]
+    assert first and any(k not in first and ens.n_inf[k] < 4 for k in range(n))
+    assert any(whole_blocks[1:])
     # and nothing else was drawn
     assert engine_rng.random() == rng.random()
 
