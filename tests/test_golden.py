@@ -206,14 +206,14 @@ keep_count = 10
 
 GOLDEN_CSV = """\
 method,params,value,stderr,extinct_ensembles,zero_runs,wall_seconds
-cmc,N=40;reps=3;seed=7,2.167e-01,1.443e-02,0,0,
+cmc,N=40;reps=3;seed=7,2.000e-01,8.660e-02,0,0,
 cmc,N=40;reps=3;seed=7,4.583e-01,6.292e-02,0,0,
 cmc,N=40;reps=3;seed=7,3.667e-01,3.819e-02,0,0,
-is,N=40;reps=3;seed=7,9.529e-02,2.172e-02,0,0,
+is,N=40;reps=3;seed=7,1.095e-01,2.221e-02,0,0,
 is,N=40;reps=3;seed=7,2.362e-01,4.739e-02,0,0,
-ce[K=3],N=40;reps=3;seed=7,9.711e-02,1.573e-03,0,0,
+ce[K=3],N=40;reps=3;seed=7,9.716e-02,1.500e-02,0,0,
 ce[K=3],N=40;reps=3;seed=7,2.445e-01,4.839e-03,0,0,
-ibps[multinomial;keep=0.3],N=40;reps=3;seed=7,1.059e-01,2.242e-02,0,0,
+ibps[multinomial;keep=0.3],N=40;reps=3;seed=7,1.152e-01,3.822e-02,0,0,
 ibps[keepall;fixed-levels],N=40;reps=3;seed=7,5.785e-02,6.330e-02,0,0,
 ibps[multinomial;keep=0.5;potential_v(a=0.1)],N=40;reps=3;seed=7,1.900e-01,1.772e-02,0,0,
 ibps[multinomial;keep=0.3],N=40;reps=3;seed=7,5.496e-03,1.737e-03,0,0,
@@ -408,8 +408,8 @@ PER_LEVEL = {'hiv-diagnoses-keepall': (0.20833333333333334,
                            0.13333333333333333,
                            0.041666666666666664),
  'sir-diagnoses-multinomial': (0.23333333333333334, 0.25, 0.3333333333333333),
- 'sir-final_size-keepall': (0.2, 0.9666666666666667),
- 'sir-final_size-multinomial': (0.2, 0.825),
+ 'sir-final_size-keepall': (0.23333333333333334, 0.9),
+ 'sir-final_size-multinomial': (0.23333333333333334, 0.6833333333333333),
  'sir-incidence-keepall': (0.2833333333333333,
                            0.225,
                            0.39166666666666666,
@@ -420,7 +420,7 @@ PER_LEVEL = {'hiv-diagnoses-keepall': (0.20833333333333334,
                                0.35833333333333334,
                                0.24166666666666667)}
 
-FIXED_SCHEDULE_PER_LEVEL = (0.6, 0.6833333333333333, 0.75, 0.7083333333333334)
+FIXED_SCHEDULE_PER_LEVEL = (0.6166666666666667, 0.6, 0.6666666666666666, 0.625)
 
 TEMPORAL_PER_LEVEL = {'hiv-adaptive': (0.25, 0.25, 0.25, 0.8333333333333334),
  'hiv-grid': (0.5333333333333333, 0.275, 0.3, 0.36666666666666664),
@@ -481,18 +481,18 @@ HIT_TIMES = {'hiv-incidence': ((5.0, 6.0, 8.0, 9.0),
                     (1.314680368137901, 1.9881414834052706, NEVER),
                     (1.314680368137901, 1.47593262332614, NEVER)),
                    (14, 14, 14, 14, 14, 14, 14, 13, 14, 13)),
- 'sir-final_size': ((16.0,),
-                    ((2.4930644110705606,),
-                     (2.0309993674736924,),
-                     (2.3070861952460797,),
-                     (3.168617434008551,),
-                     (4.3113823144343,),
-                     (4.611316367283139,),
-                     (4.5039504332238,),
-                     (4.623908853377381,),
-                     (2.324210506125967,),
-                     (6.470167221630455,)),
-                    (22, 22, 25, 24, 23, 25, 23, 22, 22, 22))}
+ 'sir-final_size': ((15.0, 16.0),
+                    ((1.7566364285926077, 1.7566364285926077),
+                     (1.2587635936904928, 1.2587635936904928),
+                     (1.7903316612391402, 1.7903316612391402),
+                     (1.3544005745438719, 1.3544005745438719),
+                     (2.0089089766731707, 2.0089089766731707),
+                     (1.9644386041298554, 1.9644386041298554),
+                     (2.8935103329385723, 2.8935103329385723),
+                     (2.1150740441556293, 2.1150740441556293),
+                     (2.3932720571466515, 2.3932720571466515),
+                     (1.9741715602775587, 1.9741715602775587)),
+                    (17, 17, 17, 17, 20, 20, 20, 17, 17, 17))}
 
 ENGINE_DIGESTS = {'hiv-diagnoses-bare-fresh': '0fcc34bb2a7d27a09670626b762bf7ffa4031bd955ed48d4d779425377ca2ea7',
  'hiv-diagnoses-bare-init': '4ef888b7f54c7110561d321903afac1c5379d1f31632d2c49352854fbc854a29',
@@ -519,13 +519,13 @@ ENGINE_DIGESTS = {'hiv-diagnoses-bare-fresh': '0fcc34bb2a7d27a09670626b762bf7ffa
  'sir-duration-record-fresh': '35ceab641b63f03f80751eceb17644290becfb845f7c1ca65a67aa578671cfaf',
  'sir-duration-record-init': '91d3b959fdf012841403490bd75a6dde4f38cdafcf9d09924bc42723b257995d',
  'sir-final_size-bare-fresh': '2dc8ee009af810c5b9a054e0a8407afdffb1e421073a391eeb524ab8aa86262b',
- 'sir-final_size-bare-fresh-clock_free': 'f96412d324fa493e18b38a522826765a6d4e590c179b1efdbc3ab1155945e3be',
+ 'sir-final_size-bare-fresh-clock_free': '940b0655bf8e8bece85de8612308f491a1cd7d9c52a69d76b04874e27aa6ad60',
  'sir-final_size-bare-init': '08def2f9a640048aaad5a9f3756bb53baa7a93d541b9954a58c10ffec1343b2d',
- 'sir-final_size-bare-init-clock_free': '361cdf74e3219516c95d49094fa14d9582169b56845101b87f60fbe8fa217c10',
+ 'sir-final_size-bare-init-clock_free': '658e95c7c4bf6593bdb9febc30b5b8026a11090afac63ea755718aa6ad0f11ef',
  'sir-final_size-record-fresh': '0010f0635d5465437bdb320b713d6cb5add3f3890200d2fca07fc7efd5bf9073',
- 'sir-final_size-record-fresh-clock_free': '1a1afa3140bdffec168bfa5bd558d8aef3fed13eb467ce6dc3a5e95f7ecad0f9',
+ 'sir-final_size-record-fresh-clock_free': '1ac0eaa5b87d56f871b4336b061e372f5a6eba77a6205047cf0e9dcc0f2086f4',
  'sir-final_size-record-init': '819d26551013bb95e0a20bcaacd62d78b077f6f5576ce774e44e004fc7991994',
- 'sir-final_size-record-init-clock_free': 'eed8962daf35085e63cb30b37dfd1632b0851c088a23141e26db895d40c13c0e',
+ 'sir-final_size-record-init-clock_free': '8dff35a19d15af151104681e324da47bfd71902c665ef28c85f15054419bc078',
  'sir-incidence-bare-fresh': '57b476331c9c9ee848e76c131a9e6c0bf56305d72763f1c959cf5c39756e1ef2',
  'sir-incidence-bare-init': '643a7a7924f18d4540109e54b4cfc1d53757e3ef68604c8b582753cc0cf08aef',
  'sir-incidence-record-fresh': '26479c79089099245df88803ce9e3e79d607f5620342cdb022649a72bc369ef4',

@@ -54,13 +54,11 @@ def _ce(seed):
 RUNS = {"ibps-abakaliki": _ibps, "temporal-contact-tracing": _temporal, "ce-abakaliki": _ce}
 
 # float.hex() of the estimate of replications 0, 1 and 2
-PINS = {
-    "ibps-abakaliki": ("0x1.4b9cb6848beb6p-9", "0x1.c8216c61522a7p-10", "0x1.5fcc1871e6cd2p-10"),
-    "temporal-contact-tracing": (
-        "0x1.bc98a222d5174p-11", "0x1.bda5119ce0761p-11", "0x1.bf37b8d3f1845p-11",
-    ),
-    "ce-abakaliki": ("0x1.551195b7347fcp-9", "0x1.4749575f0812fp-9", "0x1.34e0ec91e2aadp-9"),
-}
+PINS = {'ce-abakaliki': ('0x1.4f956dfaafad3p-9', '0x1.3cafc6b079c09p-9', '0x1.62c6487401f1dp-9'),
+ 'ibps-abakaliki': ('0x1.9e30014f8b589p-11', '0x1.ef73c0c1fc8f3p-10', '0x1.99780baa582dbp-10'),
+ 'temporal-contact-tracing': ('0x1.bc98a222d5174p-11',
+                              '0x1.bda5119ce0761p-11',
+                              '0x1.bf37b8d3f1845p-11')}
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
