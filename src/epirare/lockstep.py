@@ -34,9 +34,10 @@ runs clock-free, in a loop of its own, ``_chain_loop``.  On SIR the chance
 that an event is an infection, c*s/(c*s + gamma), does not depend on i, so
 the removals between two infections are geometric: a run.  Each iteration
 draws one block of standard exponentials, a row per live path in path
-order and a column per run, up to 16 of them, and takes every live path
-forward run by run, an infection closing each, until the run it stops in.
-It takes the live paths in column chunks of at most ``_CHUNK``, each
+order and a column per run, up to 4 of them in a call's first iteration,
+where most paths end, and up to 16 in every later one, and takes every live
+path forward run by run, an infection closing each, until the run it stops
+in.  It takes the live paths in column chunks of at most ``_CHUNK``, each
 drawing its own rows of that block, in one work area per thread that
 outlives the call.  The loop reads the runs' rates and every per-event
 tally from one small table indexed by s.  Recording, it keeps its runs
@@ -211,9 +212,10 @@ class Recorded:
     A clock-free call, one without ``t`` in ``names``, keeps its runs
     instead: per chunk of an iteration, the chunk's paths' rows ``names``
     at its start and, of ``_take_runs``' outputs, each path's infections
-    and removals and the removals through each of its runs.  ``log``
-    expands into rows only the runs of the paths it is asked for, so rows
-    nobody reads are never made.
+    and removals and the removals through each of its runs, a row per run
+    of the iteration's block (at most 4 in the first iteration, 16 in
+    later ones).  ``log`` expands into rows only the runs of the paths it
+    is asked for, so rows nobody reads are never made.
 
     Arrays of the size each iteration fills, not one buffer sized ahead for
     the call and doubled when full: with such a buffer a recorded call's
@@ -727,9 +729,12 @@ def _chain_loop(
     does not depend on i, so the removals before the next infection are
     Geometric(p(s)): a run.  Each iteration draws one block of standard
     exponentials in path order, a row per live path and ``width`` =
-    min(16, s + 1) columns for the largest live s; column k is the run at
-    s - k, of length floor(E / -log(1 - p(s - k))), which never ends where p
-    is 0 (past s = 0 too, so no column beyond is ever read).  A path takes
+    min(w, s + 1) columns for the largest live s.  w is ``_FIRST_RUNS`` = 4
+    in the call's first iteration, where most paths end, and 16 in every
+    later one: it follows the iteration's index alone, not the paths beside
+    a path.  Column k is the run at s - k, of length
+    floor(E / -log(1 - p(s - k))), which never ends where p is 0 (past
+    s = 0 too, so no column beyond is ever read).  A path takes
     the runs in turn, each closed by an infection.  Only infections raise
     r + i, so a path has room for i removals and D = target - r - i
     infections: it stops inside the first run that holds its i, or right
@@ -1029,11 +1034,12 @@ def sir_ensemble(
 
     A final size depends on the embedded jump chain alone: that call runs
     clock-free, one run of removals and its closing infection at a time, up
-    to 16 per path per iteration, in ``_chain_loop``; every other call runs
-    ``_jump_loop``.  Given the ``base`` law, the call sums what the
-    likelihood ratio against it needs (``JumpEnsemble``).  ``init`` holds
-    event-log rows, one per path, to continue cut paths from; otherwise
-    paths start fresh.  ``record`` keeps what every event's row needs.
+    to 4 per path in its first iteration and 16 in each later one, in
+    ``_chain_loop``; every other call runs ``_jump_loop``.  Given the
+    ``base`` law, the call sums what the likelihood ratio against it needs
+    (``JumpEnsemble``).  ``init`` holds event-log rows, one per path, to
+    continue cut paths from; otherwise paths start fresh.  ``record`` keeps
+    what every event's row needs.
     """
     rates = _sir_rates(params)
     base_rates = None if base is None else _sir_rates(base)

@@ -7,7 +7,8 @@ splitting estimators accept, the level-hit times of one conditional sample,
 and a digest of every field and event-log column the jump engines return,
 clocked and clock-free.  Clock-free calls run the chain loop: each iteration
 draws one block of standard exponentials, a row per live path and a column
-per run of removals.  A change that moves draws on purpose regenerates the
+per run of removals, at most 4 runs in a call's first iteration and 16 in
+each later one.  A change that moves draws on purpose regenerates the
 pins with ``PYTHONPATH=src python tests/test_golden.py`` and says so in
 CHANGES.md.
 """

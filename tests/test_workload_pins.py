@@ -64,13 +64,13 @@ PINS = {'ce-abakaliki': ('0x1.4f956dfaafad3p-9', '0x1.3cafc6b079c09p-9', '0x1.62
 @pytest.mark.parametrize("name", sorted(RUNS))
 @pytest.mark.parametrize("rep", range(3))
 def test_workload_estimate_pinned(name, rep):
-    value = RUNS[name](SeedSpec(MASTER_SEED, replication=rep))
-    assert value.hex() == PINS[name][rep]
+    assert _estimate_hex(name, rep) == PINS[name][rep]
+
+
+def _estimate_hex(name, rep):
+    return RUNS[name](SeedSpec(MASTER_SEED, replication=rep)).hex()
 
 
 if __name__ == "__main__":
-    pins = {
-        name: tuple(RUNS[name](SeedSpec(MASTER_SEED, replication=rep)).hex() for rep in range(3))
-        for name in sorted(RUNS)
-    }
+    pins = {name: tuple(_estimate_hex(name, rep) for rep in range(3)) for name in sorted(RUNS)}
     print(f"PINS = {pprint.pformat(pins, width=96)}")
