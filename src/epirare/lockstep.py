@@ -6,8 +6,10 @@ integrals, and with ``record=True`` what an event log needs).  A row is the
 engine's own state of a path right after one of its events, as the loop
 holds it.  A call hands back what it recorded in the loop's order
 (``Recorded``); grouping it by path into an ``EventLog`` happens on
-request, for every path or for the few a caller reads.  Each path starts
-from such a row (``Row``): ``initial_row``'s, or one a caller cut it at.
+request, for every path or for the few a caller reads, and a cut
+(``Recorded.cut``) reads some paths' rows at a level or a time with no
+log.  Each path starts from such a row (``Row``): ``initial_row``'s, or
+one a caller cut it at.
 A call stops each path where the event it is given is decided, at
 extinction without one, and tallies what the likelihood ratio against its
 ``base`` law needs, given one.  A final size is decided once r + i, the
@@ -40,25 +42,28 @@ path forward run by run, an infection closing each, until the run it stops
 in.  It takes the live paths in column chunks of at most ``_CHUNK``, each
 drawing its own rows of that block, in one work area per thread that
 outlives the call.  The loop reads the runs' rates and every per-event
-tally from one small table indexed by s.  Recording, it keeps its runs
-rather than rows, and a log expands into rows only the runs of the paths
-it is asked for.  Such a call has no times: its ``t`` is NaN and its log
-has no ``t`` column, until ``clock`` draws them given the chain.
+tally from one small table indexed by s, kept from call to call for the
+last few models.  Recording, it keeps its runs rather than rows, a log
+expands into rows only the runs of the paths it is asked for, and a cut
+makes none.  Such a call has no times: its ``t`` is NaN and its log has no
+``t`` column, until ``clock`` draws them given the chain.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import EventKind, HivParams, ReedFrostParams, Scaling, SimulationError, SirParams
-from .events import DiagnosesIncrement, Duration, EventSpec, FinalSize, Incidence
+from .events import DiagnosesIncrement, Duration, EventSpec, FinalSize, Incidence, event_progress
 
 __all__ = [
     "EventLog", "JumpEnsemble", "Recorded", "Row", "clock", "hiv_ensemble", "initial_row",
@@ -80,6 +85,8 @@ _PIECE = 4096
 _CHUNK = 2048
 # the live paths at or below which the clocked loop goes on in Python floats
 _NARROW = 16
+# the models' rates, and the chain tables, kept from call to call, at most
+_CACHED = 8
 
 
 class Row(NamedTuple):
@@ -95,6 +102,11 @@ class Row(NamedTuple):
     max_i: np.ndarray | int
     decayed: np.ndarray | float | None = None
     window_rem: np.ndarray | int | None = None
+
+    def take(self, index: np.ndarray) -> "Row":
+        """Rows ``index`` of the per-path columns; a column of one value for
+        every path stays as it is."""
+        return Row(*(col[index] if np.ndim(col) else col for col in self))
 
 
 @dataclass
@@ -199,15 +211,17 @@ class Recorded:
     """What one recording engine call kept of its paths' events, in the
     loop's order, an entry of ``kept`` per iteration (on a clock-free call,
     per chunk of an iteration; on a clocked one, one for all the iterations
-    of its narrow phase, ``_narrow_loop``); ``log`` groups it by path.
+    of its narrow phase, ``_narrow_loop``).  ``log`` groups it by path, and
+    ``cut`` reads each of some paths' state at a cut without a log.
 
     A clocked call keeps rows: per iteration, a block whose row k is the
     logged quantity ``names[k]`` of the paths that jumped, right after the
     jump, an event-log column (``Row``) or ``path``, the path's index in the
     call, and whether each jump was an infection.  A path's rows come in
     time order, interleaved with the other paths' rows.  The blocks are
-    joined when a log is first read, and kept joined, so a call no log
-    reads never joins them.
+    joined, and ordered by path once, when a log or a cut first reads them,
+    and kept so, so a call nothing reads never joins them and a later read
+    touches only the rows of the paths it asks for.
 
     A clock-free call, one without ``t`` in ``names``, keeps its runs
     instead: per chunk of an iteration, the chunk's paths' rows ``names``
@@ -215,7 +229,8 @@ class Recorded:
     and removals and the removals through each of its runs, a row per run
     of the iteration's block (at most 4 in the first iteration, 16 in
     later ones).  ``log`` expands into rows only the runs of the paths it
-    is asked for, so rows nobody reads are never made.
+    is asked for, and ``cut`` works out its rows from the runs, so rows
+    nobody reads are never made.
 
     Arrays of the size each iteration fills, not one buffer sized ahead for
     the call and doubled when full: with such a buffer a recorded call's
@@ -237,15 +252,15 @@ class Recorded:
         """The rows grouped by path: path j of the log holds the rows of this
         call's path ``paths[j]``, or none where that is -1 (its ``t_stop`` is
         then nan); no path may appear twice."""
-        # each call path's position in ``paths``; the extra last entry is
-        # where -1 points, and stays -1
-        at = np.full(len(self.t_stop) + 1, -1, dtype=np.intp)
-        at[paths] = np.arange(len(paths))
-        at[-1] = -1
         n = len(paths)
         if "t" in self.names:
-            per_path, columns, is_inf = self._group(at, n)
+            per_path, columns, is_inf = self._group(paths)
         else:
+            # each call path's position in ``paths``; the extra last entry is
+            # where -1 points, and stays -1
+            at = np.full(len(self.t_stop) + 1, -1, dtype=np.intp)
+            at[paths] = np.arange(n)
+            at[-1] = -1
             per_path, columns, is_inf = _expand_runs(self.kept, at, n)
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(per_path, out=offsets[1:])
@@ -256,27 +271,105 @@ class Recorded:
             **{name: columns.get(name) for name in EventLog.STATE},
         )
 
-    def _group(self, at: np.ndarray, n: int) -> tuple[np.ndarray, dict, np.ndarray]:
-        """The kept rows of the paths at ``at`` >= 0, sorted by that place:
-        their count per place, their columns and their infection flags."""
+    def cut(
+        self, paths: np.ndarray, start: Row, spec: EventSpec, level: float
+    ) -> tuple[Row, np.ndarray]:
+        """Per path ``paths[j]`` of this call, which it started from row j of
+        ``start`` (a column of one value starts every path), its state right
+        after its cut event, in the columns its log has, and how many of its
+        own events lead up to the cut, that event included.
+
+        On the time axis (a ``Duration`` ``spec``) the cut event is the
+        path's last event at or before the time ``level``; otherwise it is
+        the first at which its progress on ``spec``, the event the call
+        stopped on (``events.event_progress``), reaches ``ceil(level)``, and
+        the path must reach it.  Where the path's own events never get
+        there, because its start row already reaches the level or no event
+        comes by the time, the cut is at the start: the start row and 0."""
+        if "t" in self.names:
+            return self._cut_rows(paths, start, spec, level)
+        return _cut_runs(self.kept, paths, start, spec, level)
+
+    @cached_property
+    def _by_path(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """A clocked call's rows joined, their infection flags, the order
+        that groups them by path (in loop order within a path) and where
+        each path's rows start in it, the last entry one past the end."""
         rows = np.concatenate(
             [np.empty((len(self.names), 0)), *(block for block, _ in self.kept)], axis=1
         )
         is_inf = np.concatenate([np.empty(0, bool), *(flags for _, flags in self.kept)])
-        # kept joined: the blocks are freed before the columns are taken, so
-        # a read does not hold both copies, and a second read joins nothing
+        # kept joined: the blocks are freed, and a second read joins nothing
         self.kept = [(rows, is_inf)]
-        row = dict(zip(self.names, rows))
-        key = at[row["path"].astype(np.intp)]
-        (picked,) = (key >= 0).nonzero()
-        key = key[picked]
-        order = picked[np.argsort(key, kind="stable")]
+        n = len(self.t_stop)
+        # numpy sorts 16-bit keys stably by radix, in linear time
+        path = rows[self.names.index("path")].astype(np.uint16 if n <= 1 << 16 else np.intp)
+        offsets = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(path, minlength=n), out=offsets[1:])
+        return rows, is_inf, np.argsort(path, kind="stable"), offsets
+
+    def _rows_of(self, paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The places in the joined rows of the rows of each path ``paths[j]``
+        (none where that is -1), path after path, and their count per path."""
+        _, _, order, offsets = self._by_path
+        first = offsets[paths]
+        lengths = np.append(np.diff(offsets), 0)[paths]
+        return order[_ranges(first, lengths)], lengths
+
+    def _group(self, paths: np.ndarray) -> tuple[np.ndarray, dict, np.ndarray]:
+        """The kept rows of ``paths`` >= 0, path after path: their count per
+        path, their columns and their infection flags."""
+        rows, is_inf, _, _ = self._by_path
+        picked, lengths = self._rows_of(paths)
         # one row at a time: a sorted copy of the whole block would double
         # the log's peak memory; counts come back as integers
-        columns = {name: row[name][order].astype(
-            float if name in ("t", "decayed") else np.int64, copy=False
-        ) for name in EventLog.STATE if name in row}
-        return np.bincount(key, minlength=n), columns, is_inf[order]
+        columns = {name: row[picked].astype(_dtype(name), copy=False)
+                   for name, row in zip(self.names, rows) if name in EventLog.STATE}
+        return lengths, columns, is_inf[picked]
+
+    def _cut_rows(self, paths, start, spec, level) -> tuple[Row, np.ndarray]:
+        """``cut`` on a clocked call, from the kept rows of ``paths`` alone."""
+        rows = self._by_path[0]
+        picked, lengths = self._rows_of(paths)
+        names = dict(zip(self.names, rows))
+        if isinstance(spec, Duration):
+            before = names["t"][picked] <= level
+        else:
+            lvl = math.ceil(level)
+            read = {spec.progress, "r", "i"}
+            before = event_progress(spec, SimpleNamespace(
+                **{name: names[name][picked] for name in read})) < lvl
+        # rows come in time order, so the rows before the cut lead a path's
+        # own; the count of them per path, from their running sum
+        ends = np.cumsum(lengths)
+        running = np.concatenate([[0], np.cumsum(before)])
+        count = running[ends] - running[ends - lengths]
+        if not isinstance(spec, Duration):
+            count += 1
+            count[event_progress(spec, start) >= lvl] = 0
+            if (count > lengths).any():
+                raise ValueError(f"a path never reaches the level {level}")
+        moved = count > 0
+        at = picked[(ends - lengths + count - 1)[moved]]
+        values = {name: row[at] for name, row in names.items() if name != "path"}
+        return _row_at(start, len(paths), moved, values), count.astype(np.int64)
+
+
+def _dtype(name: str) -> type:
+    """An event-log column's type: times and decayed sums are floats, every
+    other column counts."""
+    return float if name in ("t", "decayed") else np.int64
+
+
+def _row_at(start: Row, n: int, moved: np.ndarray, values: dict) -> Row:
+    """The ``n`` rows that are ``start``'s, save where ``moved``, where they
+    are, in turn, those of ``values``, a column of them by name."""
+    row = dict.fromkeys(Row._fields)
+    for name, value in values.items():
+        col = row[name] = np.empty(n, _dtype(name))
+        col[...] = getattr(start, name)
+        col[moved] = value
+    return Row(**row)
 
 
 @dataclass
@@ -349,7 +442,7 @@ def wait_out(model: SirParams | HivParams, row: Row, t: float) -> Row:
     return row._replace(t=np.full(len(row.s), t))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Rates:
     """The rates of one model: infections at ``coef * s * i``, removals
     (detections) at ``gamma * i + traced * i * decayed``.  With a ``decay``
@@ -358,7 +451,9 @@ class _Rates:
     the pair integral scaled by ``pair_scale`` (1 without mass action).
 
     The rates are held as 0-d arrays: numpy converts a Python float beside a
-    row on every call, which the loop would pay each iteration."""
+    row on every call, which the loop would pay each iteration.  A model's
+    rates are made once and kept (``_kept_rates``), so they hash by
+    identity, which is what keys their chain tables (``_chain_table``)."""
 
     coef: float
     gamma: float
@@ -373,6 +468,7 @@ class _Rates:
                 object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
 
 
+@functools.lru_cache(maxsize=_CACHED)
 def _chain_table(rates: _Rates, base: _Rates | None, n_s: int) -> np.ndarray:
     """Per run k = 0..15 of a chain iteration and susceptible count s in
     0..n_s-1, what the chain loop reads at s - k (at 0 past it): first the
@@ -385,7 +481,12 @@ def _chain_table(rates: _Rates, base: _Rates | None, n_s: int) -> np.ndarray:
     before the event, at the base law's rates: given the chain, the whole
     path's ratio times a holding time has the mean of the holding time
     under the base law, so these are the conditional expectations of the
-    integrals weighted by the ratio."""
+    integrals weighted by the ratio.
+
+    An entry depends on s - k alone, so a larger table holds a smaller one
+    as its leading columns.  The last ``_CACHED`` tables are kept, read
+    only: a cross-entropy run fits a new law, and so a new table of 61 KB
+    on Abakaliki, every iteration."""
     s = np.arange(n_s, dtype=float)
     # 1 - p = gamma/(c*s + gamma), so -log(1 - p) = log1p(c*s/gamma)
     run_rate = np.log1p(rates.coef * s / rates.gamma)
@@ -396,7 +497,9 @@ def _chain_table(rates: _Rates, base: _Rates | None, n_s: int) -> np.ndarray:
         pair = s * holding * rates.pair_scale
         rows += [pair, holding, np.log(per_infective / (rates.coef * s + rates.gamma))]
     # mode clip reads s = 0 where s - k is negative
-    return np.array(rows).take(np.arange(n_s) - _RUNS[:, None], axis=1, mode="clip")
+    table = np.array(rows).take(np.arange(n_s) - _RUNS[:, None], axis=1, mode="clip")
+    table.flags.writeable = False
+    return table
 
 
 def _block(start: Row, names: tuple[str, ...], n_paths: int | None) -> np.ndarray:
@@ -750,7 +853,9 @@ def _chain_loop(
     draws are those of one block.  With ``record``, each chunk keeps its
     runs: a copy of its paths' rows before it takes them, and per path and
     run the removals through the run; ``Recorded.log`` expands the runs of
-    the paths it is asked for into one row per event."""
+    the paths it is asked for into one row per event, and ``Recorded.cut``
+    works out a row from them.  The table comes from ``_chain_table``'s
+    cache, built for rows up to s0 or the largest start s."""
     start = initial_row(model) if init is None else init
     # the rows an event log keeps; then, given a base law, the two rate
     # integrals and the log rate ratio
@@ -758,7 +863,8 @@ def _chain_loop(
         "int_pair", "int_i", "log_rate_ratio") * (base is not None)
     out = _block(start, names, n_paths)
     s_max = int(out[0].max(initial=0))
-    table = _chain_table(rates, base, s_max + 1)
+    # one table for every call on the model that starts no path above s0
+    table = _chain_table(rates, base, max(s_max, model.s0) + 1)
     run_scale, terms = table[0], table[1:]
     target = np.array(np.ceil(target_level), dtype=float)
     recorded = Recorded(names[:5], rates.other_kind) if record else None
@@ -931,6 +1037,61 @@ def _expand_runs(runs, at: np.ndarray, n: int) -> tuple[np.ndarray, dict, np.nda
     return per_path, columns, is_inf
 
 
+def _cut_runs(runs, paths: np.ndarray, start: Row, spec: FinalSize, level: float):
+    """``Recorded.cut`` on a clock-free call's ``runs``, by arithmetic on
+    the entries that hold the asked paths' cuts.
+
+    Progress on a final size is r until the decision, the path's last
+    event, so a path whose start is below the level ``lvl`` reaches it at
+    its (lvl - r)-th removal or else at its decision.  That is in the last
+    entry that starts the path below the level: the entries are searched
+    from the last back, each for the paths not yet found.  In it, the
+    path's R-th removal comes after the k infections closing the runs whose
+    removals run out before R, and its state and events so far follow from
+    the entry's start row and the call's.  A path cut at its start takes
+    no step from it."""
+    lvl, n = math.ceil(level), len(paths)
+    # per path, the start row of the entry that holds its cut, its steps,
+    # removals and removals through each run there: the call's start row
+    # and none until the entry is found; runs past an entry's block never end
+    state = np.empty((4, n))
+    for row, name in zip(state, ("s", "i", "r", "max_i")):
+        row[...] = getattr(start, name)
+    s0, r0 = state[0].copy(), state[2].copy()
+    below = (r0 < lvl) & (r0 + state[1] < spec.n_c)
+    # the paths not found yet, and their keys in an entry's ``path`` row
+    (todo,) = below.nonzero()
+    key = paths[todo].astype(float)
+    steps, removals, done = np.zeros(n, np.intp), np.zeros(n), np.full((len(_RUNS), n), np.inf)
+    for rows, it_steps, it_removals, it_done in reversed(runs):
+        if not len(todo):
+            break
+        col = np.searchsorted(rows[4], key).clip(max=rows.shape[1] - 1)
+        hit = (rows[4, col] == key) & (rows[2, col] < lvl)
+        if not hit.any():
+            continue
+        j, col = todo[hit], col[hit]
+        state[:, j] = rows[:4, col]
+        steps[j], removals[j] = it_steps[col], it_removals[col]
+        done[:len(it_done), j] = it_done[:, col]
+        todo, key = todo[~hit], key[~hit]
+    s, i, r, max_i = state
+    need = (lvl - r) * below
+    within = need <= removals
+    k = np.where(within, (done < need).sum(axis=0), steps)
+    taken = np.where(within, need, removals)
+    if len(todo) or (r + i + k < spec.n_c)[~within].any():
+        raise ValueError(f"a path never reaches the level {level}")
+    # the most that i rose over the entry's start, right after the
+    # infections closing each run and those before it
+    rise = np.maximum.accumulate(_RUNS[:, None] + 1 - done, axis=0)
+    top = np.where(k > 0, rise[np.maximum(k - 1, 0), np.arange(n)] + i, -np.inf)
+    row = (s - k, i + k - taken, r + taken, None, np.maximum(max_i, top))
+    count = s0 - s + r - r0 + k + taken
+    cut = Row(*(None if col is None else col.astype(np.int64) for col in row))
+    return cut, count.astype(np.int64)
+
+
 def _record_runs(start, steps, removals, done):
     """One row per event of the columns' paths through their runs, column
     by column: each run's removals, then the infection closing it, for the
@@ -973,9 +1134,14 @@ def _record_runs(start, steps, removals, done):
     return state, is_inf
 
 
+# the last ``_CACHED`` models' rates, each made once: a call builds none of
+# its five 0-d arrays again, and its chain table is found by them
+_kept_rates = functools.lru_cache(maxsize=_CACHED)(_Rates)
+
+
 def _sir_rates(params: SirParams) -> _Rates:
     mass_action = params.scaling is Scaling.MASS_ACTION
-    return _Rates(
+    return _kept_rates(
         coef=params.lam / params.population if mass_action else params.lam,
         gamma=params.gamma,
         other_kind=EventKind.REMOVAL.value,
@@ -984,7 +1150,7 @@ def _sir_rates(params: SirParams) -> _Rates:
 
 
 def _hiv_rates(params: HivParams) -> _Rates:
-    return _Rates(
+    return _kept_rates(
         coef=params.lam, gamma=params.gamma1, other_kind=EventKind.DETECTION.value,
         traced=params.gamma2, decay=params.c,
     )

@@ -43,28 +43,30 @@ Discrete-generation events instead redraw the whole ensemble from the
 weighted selection distribution every generation (the weighted-potential
 normalization requires it), so a ``variant`` is rejected on them.
 
-Continuous-time ensembles keep each slot's history as event-log rows
-(``lockstep.EventLog``): its events with the state after each.  Slots are
-scored by the engine's end states, and histories are grouped only on
-request (``_Slots``).  The engine stops a path where its event is decided
-(``lockstep._stop``), so a slot branched from a decided path starts
-decided, stops at once and scores the threshold.  The event is known when
-it is decided, and the path after that follows the model's law from its
-state there, so stopping loses nothing of the conditional law.
-Every refill is one primitive, ``_branch``: group the survivors'
-histories, count each parent's rows up to its cut (a level cut is the
-first event at which progress reaches the level, a time cut the last event
-at or before the time), and start one batch (``lockstep.jump_ensemble``)
-from the parents' states there.  The slots then point into the log they
-branched from: a survivor at its history, a child at its parent's rows up
-to the cut, and a child at its rows in the batch too, which stay
-ungrouped.  A later cut or the conditional sample copies each row it reads
-once; a clock-free batch keeps its runs, and makes rows of only the runs
-of the slots so read.
-Whole histories are kept only when the conditional sample is returned, and
-only then is every slot grouped and the last stage refilled: a parent's cut
-at the threshold is its decision, so each child is its parent's path.
-Otherwise a child keeps just its cut row.
+Each slot of a continuous-time ensemble is a path of the engine call it
+ran in, what that call recorded (``lockstep.Recorded``), started from a row
+(``lockstep.Row``): the fresh start, or its parent's row at a cut.  Slots
+are scored by the engine's end states (``_Slots``).  The engine stops a
+path where its event is decided (``lockstep._stop``), so a slot branched
+from a decided path starts decided, stops at once and scores the
+threshold.  The event is known when it is decided, and the path after that
+follows the model's law from its state there, so stopping loses nothing of
+the conditional law.
+Every refill is one primitive, ``_branch``: ask the calls the survivors ran
+in for each parent's row at its cut (``lockstep.Recorded.cut``; a level
+cut is the first event at which progress reaches the level, a time cut the
+last event at or before the time), and start one batch
+(``lockstep.jump_ensemble``) from those rows.  No event row is made for
+it: a clock-free call answers from its runs, a clocked one from the rows
+it kept of the parents alone.  The children are the batch's paths, the
+survivors stay paths of their calls, and a call no slot is a path of is
+dropped.
+Whole histories (``lockstep.EventLog``: a path's events with the state
+after each) are kept only when the conditional sample is returned, and
+only then are the survivors' histories grouped at each refill and the last
+stage refilled: a child's history is its parent's up to the cut, then its
+rows in the batch, and a parent's cut at the threshold is its decision, so
+each child is its parent's path.
 
 On an SIR final size the engine runs clock-free (``lockstep``): the level
 cuts read only removal counts, and slots carry no times (their logs have no
@@ -81,6 +83,7 @@ children all start decided, as at the last stage, draws nothing.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -158,36 +161,72 @@ class ParticleEnsemble:
 
 @dataclass
 class _Slots:
-    """The slots of a continuous-time ensemble, their histories grouped only
-    on request.
+    """The slots of a continuous-time ensemble, each a path of the engine
+    call it ran in.
 
-    Slot k's history is rows ``start[k]:stop[k]`` of path ``source[k]``
-    (the ``ranges``) of the log it branched from, ``origin`` (both None
-    before the first refill), followed by its rows in the latest engine call,
-    ``batch``, as that call's path ``member[k]`` (-1: no rows there).  A
-    refill batch starts from the rows its slots branched at, so its rows go
-    on from their histories as they are.  ``end`` holds each slot's state
-    where it stopped, from the engine's end states: after its last event,
-    at its stop time ``t``.
+    Slot k is path ``member[k]`` of the recorded call ``batches[batch[k]]``,
+    which started it from row ``member[k]`` of that call's ``starts`` entry:
+    the fresh start, or the row its parent was cut at, as the parent's log
+    holds it.  ``end`` holds each slot's state where it stopped, from the
+    engine's end states: after its last event, at its stop time ``t``.
+
+    Only when whole histories are kept (``lead`` is not None) are they
+    grouped: slot k's history is then rows ``:stop[k]`` of path
+    ``source[k]`` (the ``ranges``) of ``origin``, the log of the survivors'
+    histories the last refill grouped (both None before the first),
+    followed by its rows in the latest call if it ran there; ``lead[k]``
+    rows of its history come before its own rows in its call.
     """
 
-    origin: lockstep.EventLog | None
-    ranges: tuple[np.ndarray, np.ndarray, np.ndarray] | None
-    batch: lockstep.Recorded
+    batches: list[lockstep.Recorded]
+    starts: list[lockstep.Row]
+    batch: np.ndarray
     member: np.ndarray
     end: lockstep.Row
+    lead: np.ndarray | None = None
+    origin: lockstep.EventLog | None = None
+    ranges: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
-    def start(cls, ens: lockstep.JumpEnsemble) -> "_Slots":
-        """Slot k holds path k of a recorded engine call."""
+    def start(cls, ens: lockstep.JumpEnsemble, model: ModelParams, whole: bool) -> "_Slots":
+        """Slot k holds path k of a recorded engine call from the fresh
+        start; ``whole`` keeps whole histories."""
+        n = len(ens.t)
         end = lockstep.Row(*(getattr(ens, name) for name in lockstep.Row._fields))
-        return cls(None, None, ens.recorded, np.arange(len(ens.t)), end)
+        lead = np.zeros(n, np.int64) if whole else None
+        return cls([ens.recorded], [lockstep.initial_row(model)], np.zeros(n, np.intp),
+                   np.arange(n), end, lead)
+
+    def cut(
+        self, slots: np.ndarray, spec: EventSpec, level: float
+    ) -> tuple[lockstep.Row, np.ndarray]:
+        """Each slot's state at its cut and its own events up to it, from
+        the calls the slots ran in (``lockstep.Recorded.cut``)."""
+        member = self.member[slots]
+        if len(self.batches) == 1:
+            return self.batches[0].cut(member, self.starts[0].take(member), spec, level)
+        batch = self.batch[slots]
+        parts = [(b, (batch == b).nonzero()[0]) for b in np.unique(batch)]
+        cuts = [self.batches[b].cut(member[j], self.starts[b].take(member[j]), spec, level)
+                for b, j in parts]
+        # the calls' cuts, each at its slots' places
+        count = np.empty(len(slots), np.int64)
+        columns = {name: np.empty(len(slots), col.dtype)
+                   for name, col in cuts[0][0]._asdict().items() if col is not None}
+        for (_, j), (row, counts) in zip(parts, cuts):
+            count[j] = counts
+            for name, col in columns.items():
+                col[j] = getattr(row, name)
+        return lockstep.Row(**{**dict.fromkeys(lockstep.Row._fields), **columns}), count
 
     def histories(self, slots: np.ndarray) -> lockstep.EventLog:
-        """Path j of the log is slot ``slots[j]``'s history."""
-        log = self.batch.log(self.member[slots])
+        """Path j of the log is slot ``slots[j]``'s history; only with whole
+        histories kept."""
+        latest = len(self.batches) - 1
+        log = self.batches[-1].log(np.where(self.batch[slots] == latest, self.member[slots], -1))
         if self.origin is not None:
-            log = self.origin.take(*(ends[slots] for ends in self.ranges), tail=log)
+            source, stop = self.ranges
+            log = self.origin.take(source[slots], None, stop[slots], tail=log)
         log.t_stop = self.end.t[slots]
         return log
 
@@ -217,47 +256,55 @@ def _branch(
     spec: EventSpec,
     level: float,
     rng: np.random.Generator,
-    *,
-    whole: bool,
 ) -> _Slots:
     """Branch each target slot from its parent at a cut and simulate it onward.
 
     Every slot is a survivor, in the sorted ``surv``, or a target; the
-    parents are survivors, and only the survivors' histories are grouped.
-    A parent's cut is the first event at which its progress reaches
-    ``level`` (``_level_cut``) or, on the time axis (``Duration``), its last
-    event at or before the time ``level``.  A child starts from its parent's
-    row after the cut, waited out to that time on the time axis
-    (``lockstep.wait_out``) and at the cut event's time otherwise.  One
-    batch (``lockstep.jump_ensemble``) simulates all children from these
-    rows; each child's history is its parent's rows up to the cut (only the
-    last of them unless ``whole``) followed by its rows in the batch.
-    Survivors keep their histories.  The new slots point into the grouped
-    survivors' log the cuts read; a later read copies the rows it needs.
-    """
-    log = slots.histories(surv)
-    on_time = isinstance(spec, Duration)
-    rows = log.count(log.t <= level) if on_time else _level_cut(log, model, spec, level)
-    # each slot's path in ``log``: its own, or a target's parent's
-    lineage = np.arange(len(slots.member))
-    lineage[targets] = parents
-    source = np.searchsorted(surv, lineage)
-    at = source[targets]
-    keep = rows[at]
-    cut = log.state_after(at, keep, lockstep.initial_row(model))
-    cut = lockstep.wait_out(model, cut, level) if on_time else cut
-    ens = lockstep.jump_ensemble(model, None, rng, spec, init=cut, record=True)
+    parents are survivors.  A parent's cut is the first event at which its
+    progress reaches ``level`` or, on the time axis (``Duration``), its last
+    event at or before the time ``level``; the calls the survivors ran in
+    give their rows there (``_Slots.cut``).  A child starts from its parent's row after the cut, waited out to that
+    time on the time axis (``lockstep.wait_out``) and at the cut event's
+    time otherwise.  One batch (``lockstep.jump_ensemble``) simulates all
+    children from these rows, and each child is a path of it; survivors stay
+    paths of their calls, and a call no slot is a path of is dropped.
 
-    stop = np.diff(log.offsets)[source]
-    stop[targets] = keep
-    start = np.zeros_like(stop)
-    start[targets] = keep - (keep if whole else np.minimum(keep, 1))
-    member = np.full(len(source), -1)
+    With whole histories kept, the survivors' histories are grouped, and a
+    child's history is its parent's up to the cut, then its rows in the
+    batch.
+    """
+    cut, count = slots.cut(surv, spec, level)
+    # each target's parent's place in ``surv``
+    at = np.searchsorted(surv, parents)
+    start = cut.take(at)
+    init = lockstep.wait_out(model, start, level) if isinstance(spec, Duration) else start
+    ens = lockstep.jump_ensemble(model, None, rng, spec, init=init, record=True)
+
+    batch, member = slots.batch.copy(), slots.member.copy()
+    batch[targets] = len(slots.batches)
     member[targets] = np.arange(len(targets))
+    used = np.zeros(len(slots.batches) + 1, bool)
+    used[batch] = True
+    batches = [b for b, u in zip([*slots.batches, ens.recorded], used) if u]
+    starts = [row for row, u in zip([*slots.starts, start], used) if u]
     end = {name: col.copy() for name, col in slots.end._asdict().items() if col is not None}
     for name, col in end.items():
         col[targets] = getattr(ens, name)
-    return _Slots(log, (source, start, stop), ens.recorded, member, slots.end._replace(**end))
+    branched = _Slots(batches, starts, (np.cumsum(used) - 1)[batch], member,
+                      slots.end._replace(**end))
+    if slots.lead is None:
+        return branched
+    log = slots.histories(surv)
+    # each slot's path in ``log``: its own, or a target's parent's
+    lineage = np.arange(len(batch))
+    lineage[targets] = parents
+    source = np.searchsorted(surv, lineage)
+    keep = slots.lead[surv][at] + count[at]
+    stop = np.diff(log.offsets)[source]
+    stop[targets] = keep
+    lead = slots.lead.copy()
+    lead[targets] = keep
+    return dataclasses.replace(branched, lead=lead, origin=log, ranges=(source, stop))
 
 
 def _materialize(
@@ -309,7 +356,9 @@ def _stage_loop(
     """
     on_time, threshold = isinstance(spec, Duration), event_threshold(spec)
     rng0 = seed.stream(particle=0, stage=0).generator()
-    slots = _Slots.start(lockstep.jump_ensemble(model, n_particles, rng0, spec, record=True))
+    slots = _Slots.start(
+        lockstep.jump_ensemble(model, n_particles, rng0, spec, record=True), model, whole
+    )
     extinct = False
     per_level: list[float] = []
     levels: list[float] = []
@@ -338,9 +387,7 @@ def _stage_loop(
             else:
                 parents = surv_idx[sel_rng.integers(0, surv_idx.size, size=dead.size)]
             mut_rng = seed.stream(particle=0, stage=stage).generator()
-            slots = _branch(
-                slots, surv_idx, dead, parents, model, spec, level, mut_rng, whole=whole
-            )
+            slots = _branch(slots, surv_idx, dead, parents, model, spec, level, mut_rng)
         if final_stage:
             break
     else:

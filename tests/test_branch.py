@@ -3,11 +3,14 @@
 Every check compares the vectorised log against a direct replay of one path
 at a time: the state after each event, the cut a refill starts from, and the
 contact-tracing sum re-summed over the detections of the history.  A branch
-groups only the survivors' histories and scores slots by the engine's end
-states, so the checks also compare those with the whole grouped histories.
-On an SIR final size the engine runs clock-free and histories carry no
-times, so there, and only there, the checks require a log without a ``t``
-column and NaN stop times, read no time order and compare NaN as equal.
+reads its parents' cuts from the engine calls they ran in, groups no
+history unless whole histories are kept, and scores slots by the engine's
+end states, so the checks compare those with the whole grouped histories:
+each stage runs an ensemble that keeps them beside one that does not, from
+the same draws, and requires the two to agree.  On an SIR final size the
+engine runs clock-free and histories carry no times, so there, and only
+there, the checks require a log without a ``t`` column and NaN stop times,
+read no time order and compare NaN as equal.
 """
 
 import math
@@ -29,7 +32,7 @@ from epirare import (
     SirParams,
 )
 from epirare.events import event_progress
-from epirare.lockstep import Row, initial_row, jump_ensemble
+from epirare.lockstep import Row, initial_row, jump_ensemble, wait_out
 from epirare.splitting import _branch, _level_cut, _Slots
 
 MODELS = {
@@ -136,6 +139,48 @@ def _grouped(slots, model, spec):
     return log
 
 
+def _same_row(got, want, nan=False):
+    for name in Row._fields:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            a, b = np.asarray(a), np.asarray(b)
+            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=nan), name
+
+
+def _cut(slots, log, model, spec, level, paths):
+    """The record's cut of slots ``paths`` is the grouped log's: each one's
+    row there and, after the rows its history holds before its own, its
+    count; returns the cut."""
+    row, count = slots.cut(paths, spec, level)
+    if isinstance(spec, Duration):
+        keep = log.count(log.t <= level)[paths]
+    else:
+        keep = _level_cut(log, model, spec, level)[paths]
+    assert np.array_equal(slots.lead[paths] + count, keep)
+    _same_row(row, log.state_after(paths, keep, initial_row(model)))
+    return row, count
+
+
+def _agree(slots, plain, paths, spec, level):
+    """An ensemble without histories holds the slots, their end states and
+    their cuts of one with them."""
+    assert plain.lead is None and plain.origin is None
+    assert np.array_equal(plain.batch, slots.batch)
+    assert np.array_equal(plain.member, slots.member)
+    _same_row(plain.end, slots.end, nan=True)
+    for mine, theirs in zip(plain.starts, slots.starts, strict=True):
+        _same_row(mine, theirs)
+    (row, count), (want, want_count) = plain.cut(paths, spec, level), slots.cut(paths, spec, level)
+    _same_row(row, want)
+    assert np.array_equal(count, want_count)
+
+
+def _start_row(slots, k):
+    """The row slot k started from."""
+    return slots.starts[slots.batch[k]].take(np.array([slots.member[k]]))
+
+
 def _pick_parents(data, candidates, size):
     picks = data.draw(
         st.lists(st.integers(0, candidates.size - 1), min_size=size, max_size=size)
@@ -150,12 +195,11 @@ def _pick_parents(data, candidates, size):
     n=st.integers(2, 25),
     seed=st.integers(0, 2**32 - 1),
     level=st.integers(1, 6),
-    whole=st.booleans(),
     data=st.data(),
 )
-def test_level_branch(model_name, event_name, n, seed, level, whole, data):
+def test_level_branch(model_name, event_name, n, seed, level, data):
     model, spec, ens = _start(model_name, event_name, n, seed)
-    slots = _Slots.start(ens)
+    slots, plain = _Slots.start(ens, model, True), _Slots.start(ens, model, False)
     log = _grouped(slots, model, spec)
     clock_free = _clock_free(model, spec)
     progress = event_progress(spec, slots.end)
@@ -164,9 +208,20 @@ def test_level_branch(model_name, event_name, n, seed, level, whole, data):
     surv = np.flatnonzero(progress >= level)
     parents = _pick_parents(data, surv, targets.size)
     keep = _level_cut(log, model, spec, level)
-    rng = SeedSpec(seed, replication=1).generator()
-    branched = _branch(slots, surv, targets, parents, model, spec, level, rng, whole=whole)
+    _cut(slots, log, model, spec, level, surv)
+    _agree(slots, plain, surv, spec, level)
+    branched = _branch(
+        slots, surv, targets, parents, model, spec, level, SeedSpec(seed, replication=1).generator()
+    )
+    flat = _branch(
+        plain, surv, targets, parents, model, spec, level, SeedSpec(seed, replication=1).generator()
+    )
     new = _grouped(branched, model, spec)
+    # a child starts at its parent's cut, so its start row already reaches
+    # the level: it cuts there, with none of its own events
+    _, count = _cut(branched, new, model, spec, level, np.arange(n))
+    assert np.all(count[targets] == 0)
+    _agree(branched, flat, np.arange(n), spec, level)
 
     total = model.s0 + model.i0 + initial_row(model).r
     assert np.all(new.s + new.i + new.r == total)
@@ -178,19 +233,18 @@ def test_level_branch(model_name, event_name, n, seed, level, whole, data):
     for child, parent in zip(targets, parents):
         cut = keep[parent]
         old, fresh = _rows(log, parent), _rows(new, child)
-        kept = cut if whole else min(cut, 1)
         for name, col in old.items():
-            assert np.array_equal(fresh[name][:kept], col[cut - kept:cut])
+            assert np.array_equal(fresh[name][:cut], col[:cut])
         # the parent's state at the cut, which the child starts from
         at_cut = log.state_after(np.array([parent]), np.array([cut]), initial)
+        _same_row(_start_row(flat, child), at_cut)
         assert event_progress(spec, at_cut)[0] >= level
         if cut > 0:
             assert cut == 1 or row_progress[log.offsets[parent] + cut - 2] < level
             if not clock_free:
-                assert np.all(fresh["t"][kept:] >= old["t"][cut - 1])
+                assert np.all(fresh["t"][cut:] >= old["t"][cut - 1])
         assert event_progress(spec, branched.end)[child] >= level
-        if whole:
-            _check_history(new, model, child, spec)
+        _check_history(new, model, child, spec)
 
 
 @settings(max_examples=30, deadline=None)
@@ -199,15 +253,16 @@ def test_level_branch(model_name, event_name, n, seed, level, whole, data):
     event_name=st.sampled_from(sorted(EVENTS)),
     n=st.integers(2, 25),
     seed=st.integers(0, 2**32 - 1),
-    whole=st.booleans(),
     data=st.data(),
 )
-def test_branches_stack(model_name, event_name, n, seed, whole, data):
-    # each later cut groups survivors whose rows span ranges of the log the
-    # last cut branched from and a refill batch counted from its start
-    # states; the third reads ranges of a log itself read through ranges
+def test_branches_stack(model_name, event_name, n, seed, data):
+    # each later cut reads survivors that ran in calls of earlier stages,
+    # and groups histories that span ranges of the log the last cut
+    # branched from and a refill batch counted from its start states; the
+    # third reads ranges of a log itself read through ranges
     model, spec, ens = _start(model_name, event_name, n, seed)
-    slots = _Slots.start(ens)
+    slots, plain = _Slots.start(ens, model, True), _Slots.start(ens, model, False)
+    log = _grouped(slots, model, spec)
     level = 0
     for stage in (1, 2, 3):
         progress = event_progress(spec, slots.end)
@@ -217,15 +272,22 @@ def test_branches_stack(model_name, event_name, n, seed, whole, data):
         surv = np.flatnonzero(progress >= level)
         targets = np.flatnonzero(progress < level)
         parents = _pick_parents(data, surv, targets.size)
-        rng = SeedSpec(seed, replication=stage).generator()
-        slots = _branch(slots, surv, targets, parents, model, spec, level, rng, whole=whole)
+        _cut(slots, log, model, spec, level, surv)
+        _agree(slots, plain, surv, spec, level)
+        rng = SeedSpec(seed, replication=stage)
+        slots = _branch(slots, surv, targets, parents, model, spec, level, rng.generator())
+        plain = _branch(plain, surv, targets, parents, model, spec, level, rng.generator())
         log = _grouped(slots, model, spec)
         assert np.all(event_progress(spec, slots.end) >= level)
+        # only the calls some slot ran in are kept
+        assert np.array_equal(np.unique(slots.batch), np.arange(len(slots.batches)))
+        assert len(slots.batches) == len(slots.starts) <= stage + 1
+    _cut(slots, log, model, spec, level, np.arange(n))
+    _agree(slots, plain, np.arange(n), spec, level)
     total = model.s0 + model.i0 + initial_row(model).r
     assert np.all(log.s + log.i + log.r == total)
-    if whole:
-        for k in range(n):
-            _check_history(log, model, k, spec)
+    for k in range(n):
+        _check_history(log, model, k, spec)
 
 
 @settings(max_examples=40, deadline=None)
@@ -234,41 +296,50 @@ def test_branches_stack(model_name, event_name, n, seed, whole, data):
     n=st.integers(2, 25),
     seed=st.integers(0, 2**32 - 1),
     t_cut=st.floats(0.05, 2.5),
-    whole=st.booleans(),
+    later=st.floats(0.0, 1.0),
     data=st.data(),
 )
-def test_time_branch(model_name, n, seed, t_cut, whole, data):
-    model = MODELS[model_name]
-    horizon = 3.0
-    slots = _Slots.start(
-        jump_ensemble(model, n, SeedSpec(seed).generator(), Duration(horizon), record=True)
-    )
-    log = _grouped(slots, model, Duration(horizon))
+def test_time_branch(model_name, n, seed, t_cut, later, data):
+    model, spec = MODELS[model_name], Duration(3.0)
+    ens = jump_ensemble(model, n, SeedSpec(seed).generator(), spec, record=True)
+    slots, plain = _Slots.start(ens, model, True), _Slots.start(ens, model, False)
+    log = _grouped(slots, model, spec)
     ext = np.where(slots.end.i == 0, slots.end.t, math.inf)
     assume(np.any(ext > t_cut) and np.any(ext <= t_cut))
     targets = np.flatnonzero(ext <= t_cut)
     surv = np.flatnonzero(ext > t_cut)
     parents = _pick_parents(data, surv, targets.size)
     keep = log.count(log.t <= t_cut)
-    rng = SeedSpec(seed, replication=1).generator()
-    branched = _branch(
-        slots, surv, targets, parents, model, Duration(horizon), t_cut, rng, whole=whole
-    )
-    new = _grouped(branched, model, Duration(horizon))
+    _cut(slots, log, model, spec, t_cut, surv)
+    _agree(slots, plain, surv, spec, t_cut)
+    rng = SeedSpec(seed, replication=1)
+    branched = _branch(slots, surv, targets, parents, model, spec, t_cut, rng.generator())
+    flat = _branch(plain, surv, targets, parents, model, spec, t_cut, rng.generator())
+    new = _grouped(branched, model, spec)
+    # a child's own events all come after the time it was cut at, so a cut
+    # there is its start row: its parent's, not waited out to the time
+    row, count = _cut(branched, new, model, spec, t_cut, np.arange(n))
+    assert np.all(count[targets] == 0)
+    parent_rows = log.state_after(parents, keep[parents], initial_row(model))
+    assert np.array_equal(row.t[targets], parent_rows.t)
+    waited = wait_out(model, row.take(targets), t_cut)
+    assert np.all(waited.t == t_cut) and np.all(row.t[targets] <= t_cut)
+    _agree(branched, flat, np.arange(n), spec, t_cut)
+    t_later = t_cut + later * (3.0 - t_cut)
+    _cut(branched, new, model, spec, t_later, np.arange(n))
+    _agree(branched, flat, np.arange(n), spec, t_later)
 
     total = model.s0 + model.i0 + initial_row(model).r
     assert np.all(new.s + new.i + new.r == total)
     for child, parent in zip(targets, parents):
         cut = keep[parent]
         old, fresh = _rows(log, parent), _rows(new, child)
-        kept = cut if whole else min(cut, 1)
         assert np.all(old["t"][:cut] <= t_cut) and np.all(old["t"][cut:] > t_cut)
         for name, col in old.items():
-            assert np.array_equal(fresh[name][:kept], col[cut - kept:cut])
-        assert np.all(fresh["t"][kept:] > t_cut)
-        assert new.t_stop[child] == pytest.approx(horizon) or fresh["i"][-1] == 0
-        if whole:
-            _check_history(new, model, child)
+            assert np.array_equal(fresh[name][:cut], col[:cut])
+        assert np.all(fresh["t"][cut:] > t_cut)
+        assert new.t_stop[child] == pytest.approx(3.0) or fresh["i"][-1] == 0
+        _check_history(new, model, child)
 
 
 @pytest.mark.parametrize("model_name", sorted(MODELS))
@@ -289,6 +360,13 @@ def test_level_cut_counts_from_the_initial_state():
     first_removal = log.count(log.r < 3) + 1
     assert np.array_equal(_level_cut(log, model, spec, 2.5), first_removal)
     assert np.array_equal(_level_cut(log, model, spec, 3), first_removal)
+    # the record cuts there too: at the initial state, with no event of its own
+    slots, every = _Slots.start(ens, model, True), np.arange(20)
+    for level, counts in ((1, 0), (2, 0), (2.5, first_removal), (3, first_removal)):
+        row, count = _cut(slots, log, model, spec, level, every)
+        assert np.array_equal(count, np.broadcast_to(counts, 20))
+    row, _ = slots.cut(every, spec, 2)
+    assert np.all(row.r == 2) and np.all(row.decayed == initial_row(model).decayed)
 
 
 @pytest.mark.parametrize("model_name", sorted(MODELS))
@@ -299,7 +377,7 @@ def test_a_decided_slot_branches_at_its_decision(model_name):
     # stops at once and ends at its cut row, with the parent's rows
     model, spec, n = MODELS[model_name], FinalSize(n_c=8), 40
     ens = jump_ensemble(model, n, SeedSpec(11).generator(), spec, record=True)
-    slots = _Slots.start(ens)
+    slots, plain = _Slots.start(ens, model, True), _Slots.start(ens, model, False)
     log = _grouped(slots, model, spec)
     progress = event_progress(spec, slots.end)
     decided = (ens.r + ens.i >= spec.n_c) & (ens.r < spec.n_c)
@@ -311,12 +389,23 @@ def test_a_decided_slot_branches_at_its_decision(model_name):
     assert _level_cut(log, model, spec, level)[parent] == rows[parent]
     surv, targets = np.flatnonzero(progress >= level), np.flatnonzero(progress < level)
     assert targets.size
+    _, count = _cut(slots, log, model, spec, level, surv)
+    # the decision is the parent's last event
+    assert count[np.searchsorted(surv, parent)] == rows[parent]
+    _agree(slots, plain, surv, spec, level)
     parents = np.full(targets.size, parent)
-    rng = SeedSpec(12).generator()
-    branched = _branch(slots, surv, targets, parents, model, spec, level, rng, whole=True)
+    branched = _branch(slots, surv, targets, parents, model, spec, level, SeedSpec(12).generator())
+    flat = _branch(plain, surv, targets, parents, model, spec, level, SeedSpec(12).generator())
     new = _grouped(branched, model, spec)
     assert np.all(np.diff(new.offsets)[targets] == rows[parent])
     for child in targets:
         fresh, old = _rows(new, child), _rows(log, parent)
         assert all(np.array_equal(fresh[name], old[name]) for name in old)
     assert np.all(event_progress(spec, branched.end)[targets] == spec.n_c)
+    # a child starts decided, past every level up to the threshold: it cuts
+    # at its start row, the decision, with no event of its own
+    for later in (level, spec.n_c):
+        row, count = _cut(branched, new, model, spec, later, targets)
+        assert np.all(count == 0)
+        assert np.all(row.r + row.i == spec.n_c)
+        _agree(branched, flat, targets, spec, later)

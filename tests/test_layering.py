@@ -1,8 +1,8 @@
 """The seams between the package's modules.
 
-A module reads no ``_``-prefixed name of another package module, and every
-jump-process batch outside ``lockstep`` runs through its one entry,
-``lockstep.jump_ensemble``.
+A module reads no ``_``-prefixed name of another package module, splitting
+reads no engine record's layout, and every jump-process batch outside
+``lockstep`` runs through its one entry, ``lockstep.jump_ensemble``.
 """
 
 import ast
@@ -90,6 +90,14 @@ def test_no_module_reads_another_modules_private_names():
         if (reads := _private_reads(path.read_text(encoding="utf-8"), path.stem, modules))
     }
     assert found == {}
+
+
+def test_splitting_reads_no_record_layout():
+    # what an engine call keeps, and how, stays inside lockstep: splitting
+    # reads a record through its queries, never its ``kept`` entries
+    tree = ast.parse((SRC / "splitting.py").read_text(encoding="utf-8"))
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "kept"]
 
 
 @pytest.fixture

@@ -801,3 +801,53 @@ def test_clocked_output_does_not_depend_on_the_narrow_phase(monkeypatch):
     for narrow in PHASES:
         monkeypatch.setattr(lockstep, "_NARROW", narrow)
         _assert_same_bytes(_clocked_arrays(300, 81), expected)
+
+
+def _chain_bytes(law, base, init):
+    ens = lockstep.jump_ensemble(
+        law, None, SeedSpec(81).generator(), FinalSize(81), init=init, base=base, record=True
+    )
+    fields = ("s", "i", "r", "max_i", "int_pair", "int_i", "log_rate_ratio")
+    return b"".join(getattr(ens, name).tobytes() for name in fields)
+
+
+def test_kept_engine_constants_give_the_bytes_of_fresh_ones(monkeypatch):
+    # a refill starts its paths below s0, and its call reads the model's
+    # kept table, one built for s0: the bytes of a call that builds its
+    # rates and a table of its own size afresh
+    model = CHAIN_MODELS["abakaliki"]
+    law = dataclasses.replace(model, lam=2 * model.lam)
+    s = np.arange(60, 100)
+    init = lockstep.Row(s, np.full(40, 3), 120 - s - 3, None, np.full(40, 5))
+    lockstep._chain_table.cache_clear()
+    lockstep._kept_rates.cache_clear()
+    fresh = _chain_bytes(law, model, init)
+    assert lockstep._chain_table.cache_info().currsize == 1
+    assert _chain_bytes(law, model, init) == fresh
+    assert lockstep._chain_table.cache_info().hits == 1
+    build = lockstep._chain_table.__wrapped__
+    own_size = int(s.max()) + 1
+    monkeypatch.setattr(lockstep, "_chain_table", lambda rates, base, n_s: build(
+        lockstep._Rates(rates.coef, rates.gamma, rates.other_kind, rates.pair_scale),
+        lockstep._Rates(base.coef, base.gamma, base.other_kind, base.pair_scale), own_size,
+    ))
+    assert _chain_bytes(law, model, init) == fresh
+    # a clocked call from kept rates
+    lockstep._kept_rates.cache_clear()
+    runs = [_simulate("hiv", 50, 82, Duration(2.0)) for _ in range(2)]
+    for name in ("s", "i", "r", "t", "max_i", "decayed"):
+        assert getattr(runs[0], name).tobytes() == getattr(runs[1], name).tobytes()
+
+
+def test_engine_constants_kept_within_their_bound():
+    # cross-entropy fits a new law every iteration: the cache keeps the
+    # last few laws' rates and tables, not every one
+    model = CHAIN_MODELS["abakaliki"]
+    for k in range(3 * lockstep._CACHED):
+        law = dataclasses.replace(model, lam=model.lam * (1 + k / 10))
+        lockstep.jump_ensemble(law, 5, SeedSpec(83).generator(), FinalSize(81), base=model)
+        lockstep.jump_ensemble(HIV, 5, SeedSpec(83).generator(), Duration(1.0))
+        for cache in (lockstep._chain_table, lockstep._kept_rates):
+            info = cache.cache_info()
+            assert info.maxsize == lockstep._CACHED and info.currsize <= info.maxsize
+    assert lockstep._chain_table.cache_info().currsize == lockstep._CACHED

@@ -814,3 +814,35 @@ def test_conditional_sample_columns_match_the_reference(case, n, keep, variant, 
             expected = progress_hitting_time(path, spec, level)
             got = ensemble.level_hit_times[k, j]
             assert np.isinf(got) if expected is NEVER else got == expected
+
+
+@pytest.mark.parametrize(
+    "levels", [{"keep_fraction": 0.01}, {"schedule": (30, 60, 81)}], ids=["adaptive", "schedule"]
+)
+def test_a_replication_makes_no_event_rows(levels, monkeypatch):
+    # without the conditional sample, a refill reads its parents' cuts from
+    # the engine's record: no call's rows are grouped into a log, and no
+    # clock-free run is expanded into rows
+    calls = []
+
+    def counted(fn):
+        def call(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(lockstep, "_expand_runs", counted(lockstep._expand_runs))
+    monkeypatch.setattr(lockstep.Recorded, "log", counted(lockstep.Recorded.log))
+    engine, refills = lockstep.jump_ensemble, []
+
+    def refill(*args, init=None, **kwargs):
+        refills.append(init is not None)
+        return engine(*args, init=init, **kwargs)
+
+    monkeypatch.setattr(lockstep, "jump_ensemble", refill)
+    est, _ = ibps_estimate(
+        ABAKALIKI, FinalSize(81), n_particles=1000, seed=SeedSpec(7), conditional_sample=False,
+        **levels,
+    )
+    assert est.value > 0 and sum(refills) >= 1
+    assert calls == []
