@@ -221,7 +221,8 @@ class Recorded:
     time order, interleaved with the other paths' rows.  The blocks are
     joined, and ordered by path once, when a log or a cut first reads them,
     and kept so, so a call nothing reads never joins them and a later read
-    touches only the rows of the paths it asks for.
+    touches only the rows of the paths it asks for.  ``keep`` drops the
+    rows of the paths no later read asks for.
 
     A clock-free call, one without ``t`` in ``names``, keeps its runs
     instead: per chunk of an iteration, the chunk's paths' rows ``names``
@@ -247,6 +248,8 @@ class Recorded:
     other_kind: int
     kept: list[tuple[np.ndarray, ...]] = dataclasses.field(default_factory=list)
     t_stop: np.ndarray | None = None
+    _order: tuple[np.ndarray | None, np.ndarray] | None = dataclasses.field(
+        default=None, init=False, repr=False)
 
     def log(self, paths: np.ndarray) -> EventLog:
         """The rows grouped by path: path j of the log holds the rows of this
@@ -290,37 +293,50 @@ class Recorded:
             return self._cut_rows(paths, start, spec, level)
         return _cut_runs(self.kept, paths, start, spec, level)
 
-    @cached_property
-    def _by_path(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """A clocked call's rows joined, their infection flags, the order
-        that groups them by path (in loop order within a path) and where
-        each path's rows start in it, the last entry one past the end."""
-        rows = np.concatenate(
-            [np.empty((len(self.names), 0)), *(block for block, _ in self.kept)], axis=1
-        )
-        is_inf = np.concatenate([np.empty(0, bool), *(flags for _, flags in self.kept)])
-        # kept joined: the blocks are freed, and a second read joins nothing
-        self.kept = [(rows, is_inf)]
-        n = len(self.t_stop)
-        # numpy sorts 16-bit keys stably by radix, in linear time
-        path = rows[self.names.index("path")].astype(np.uint16 if n <= 1 << 16 else np.intp)
-        offsets = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(path, minlength=n), out=offsets[1:])
-        return rows, is_inf, np.argsort(path, kind="stable"), offsets
+    def keep(self, paths: np.ndarray) -> None:
+        """Drop the rows of every path of this call but ``paths``, which
+        increase: a later read asks for none of the others.  A clock-free
+        call keeps its runs, which are small, whole."""
+        if "t" in self.names:
+            picked, lengths = self._rows_of(paths)
+            rows, is_inf = self.kept[0]
+            self.kept = [(rows[:, picked], is_inf[picked])]
+            per_path = np.zeros(len(self.t_stop), np.intp)
+            per_path[paths] = lengths
+            offsets = np.zeros(len(per_path) + 1, np.intp)
+            np.cumsum(per_path, out=offsets[1:])
+            self._order = None, offsets
 
     def _rows_of(self, paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The places in the joined rows of the rows of each path ``paths[j]``
-        (none where that is -1), path after path, and their count per path."""
-        _, _, order, offsets = self._by_path
-        first = offsets[paths]
+        """The places in a clocked call's joined rows of the rows of each
+        path ``paths[j]`` (none where that is -1), path after path, and
+        their count per path.
+
+        The first read joins the blocks, and keeps them joined, and finds
+        the order that groups them by path, in loop order within a path;
+        a call nothing reads never joins them."""
+        if self._order is None:
+            rows = np.concatenate(
+                [np.empty((len(self.names), 0)), *(block for block, _ in self.kept)], axis=1
+            )
+            is_inf = np.concatenate([np.empty(0, bool), *(flags for _, flags in self.kept)])
+            self.kept = [(rows, is_inf)]
+            n = len(self.t_stop)
+            # numpy sorts 16-bit keys stably by radix, in linear time
+            path = rows[self.names.index("path")].astype(np.uint16 if n <= 1 << 16 else np.intp)
+            offsets = np.zeros(n + 1, dtype=np.intp)
+            np.cumsum(np.bincount(path, minlength=n), out=offsets[1:])
+            self._order = np.argsort(path, kind="stable"), offsets
+        order, offsets = self._order
         lengths = np.append(np.diff(offsets), 0)[paths]
-        return order[_ranges(first, lengths)], lengths
+        picked = _ranges(offsets[paths], lengths)
+        return (picked if order is None else order[picked]), lengths
 
     def _group(self, paths: np.ndarray) -> tuple[np.ndarray, dict, np.ndarray]:
         """The kept rows of ``paths`` >= 0, path after path: their count per
         path, their columns and their infection flags."""
-        rows, is_inf, _, _ = self._by_path
         picked, lengths = self._rows_of(paths)
+        rows, is_inf = self.kept[0]
         # one row at a time: a sorted copy of the whole block would double
         # the log's peak memory; counts come back as integers
         columns = {name: row[picked].astype(_dtype(name), copy=False)
@@ -329,9 +345,8 @@ class Recorded:
 
     def _cut_rows(self, paths, start, spec, level) -> tuple[Row, np.ndarray]:
         """``cut`` on a clocked call, from the kept rows of ``paths`` alone."""
-        rows = self._by_path[0]
         picked, lengths = self._rows_of(paths)
-        names = dict(zip(self.names, rows))
+        names = dict(zip(self.names, self.kept[0][0]))
         if isinstance(spec, Duration):
             before = names["t"][picked] <= level
         else:

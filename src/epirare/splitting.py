@@ -59,8 +59,8 @@ last event at or before the time), and start one batch
 (``lockstep.jump_ensemble``) from those rows.  No event row is made for
 it: a clock-free call answers from its runs, a clocked one from the rows
 it kept of the parents alone.  The children are the batch's paths, the
-survivors stay paths of their calls, and a call no slot is a path of is
-dropped.
+survivors stay paths of their calls, a clocked call keeps the rows of the
+slots still in it alone, and a call no slot is a path of is dropped.
 Whole histories (``lockstep.EventLog``: a path's events with the state
 after each) are kept only when the conditional sample is returned, and
 only then are the survivors' histories grouped at each refill and the last
@@ -201,14 +201,21 @@ class _Slots:
         self, slots: np.ndarray, spec: EventSpec, level: float
     ) -> tuple[lockstep.Row, np.ndarray]:
         """Each slot's state at its cut and its own events up to it, from
-        the calls the slots ran in (``lockstep.Recorded.cut``)."""
+        the calls the slots ran in (``lockstep.Recorded.cut``).  Every
+        other slot is refilled from these cuts, so the calls then keep the
+        rows of these slots alone (``lockstep.Recorded.keep``): a long
+        clocked call's rows are dropped before its refill batch runs."""
         member = self.member[slots]
         if len(self.batches) == 1:
-            return self.batches[0].cut(member, self.starts[0].take(member), spec, level)
+            cut = self.batches[0].cut(member, self.starts[0].take(member), spec, level)
+            self.batches[0].keep(member)
+            return cut
         batch = self.batch[slots]
         parts = [(b, (batch == b).nonzero()[0]) for b in np.unique(batch)]
         cuts = [self.batches[b].cut(member[j], self.starts[b].take(member[j]), spec, level)
                 for b, j in parts]
+        for b, j in parts:
+            self.batches[b].keep(member[j])
         # the calls' cuts, each at its slots' places
         count = np.empty(len(slots), np.int64)
         columns = {name: np.empty(len(slots), col.dtype)
@@ -267,7 +274,8 @@ def _branch(
     time on the time axis (``lockstep.wait_out``) and at the cut event's
     time otherwise.  One batch (``lockstep.jump_ensemble``) simulates all
     children from these rows, and each child is a path of it; survivors stay
-    paths of their calls, and a call no slot is a path of is dropped.
+    paths of their calls, which keep the survivors' rows alone, and a call
+    no slot is a path of is dropped.
 
     With whole histories kept, the survivors' histories are grouped, and a
     child's history is its parent's up to the cut, then its rows in the

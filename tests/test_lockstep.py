@@ -851,3 +851,27 @@ def test_engine_constants_kept_within_their_bound():
             info = cache.cache_info()
             assert info.maxsize == lockstep._CACHED and info.currsize <= info.maxsize
     assert lockstep._chain_table.cache_info().currsize == lockstep._CACHED
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_a_record_keeps_the_rows_of_the_paths_it_is_told_to(name):
+    # after ``keep``, the kept paths read as before, and the other paths'
+    # rows are gone
+    ens = _simulate(name, 40, 84, Duration(2.0))
+    paths = np.array([0, 3, 4, 17, 39])
+    log, start = ens.log, lockstep.initial_row(MODELS[name])
+    before = ens.recorded.cut(paths, start, Duration(2.0), 1.0)
+    ens.recorded.keep(paths)
+    (rows, flags), = ens.recorded.kept
+    assert rows.shape[1] == len(flags) == np.diff(log.offsets)[paths].sum()
+    after = ens.recorded.cut(paths, start, Duration(2.0), 1.0)
+    for got, want in zip((*after[0], after[1]), (*before[0], before[1])):
+        assert got is want is None or np.array_equal(got, want)
+    kept = ens.recorded.log(paths[[4, 0, 2]])
+    assert np.array_equal(kept.t, np.concatenate(
+        [log.t[log.offsets[k]:log.offsets[k + 1]] for k in paths[[4, 0, 2]]]))
+    # a clock-free call keeps its runs
+    chain = _simulate("sir", 40, 84, FinalSize(20))
+    runs = list(chain.recorded.kept)
+    chain.recorded.keep(paths)
+    assert chain.recorded.kept == runs
