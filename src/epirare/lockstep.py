@@ -86,7 +86,7 @@ _CHUNK = 2048
 # the live paths at or below which the clocked loop goes on in Python floats
 _NARROW = 16
 # the models' rates, and the chain tables, kept from call to call, at most
-_CACHED = 8
+_CACHED = 4
 
 
 class Row(NamedTuple):
@@ -480,7 +480,10 @@ class _Rates:
     def __post_init__(self) -> None:
         for name in ("coef", "gamma", "pair_scale", "traced", "decay"):
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
+                value = np.array(getattr(self, name), dtype=float)
+                # kept rates are shared by every call on the model
+                value.flags.writeable = False
+                object.__setattr__(self, name, value)
 
 
 @functools.lru_cache(maxsize=_CACHED)
