@@ -219,10 +219,10 @@ class Recorded:
     jump, an event-log column (``Row``) or ``path``, the path's index in the
     call, and whether each jump was an infection.  A path's rows come in
     time order, interleaved with the other paths' rows.  The blocks are
-    joined, and ordered by path once, when a log or a cut first reads them,
-    and kept so, so a call nothing reads never joins them and a later read
-    touches only the rows of the paths it asks for.  ``keep`` drops the
-    rows of the paths no later read asks for.
+    joined when a log or a cut first reads them, and kept joined, so a
+    call nothing reads never joins them.  ``keep`` drops the rows of the
+    paths no later read asks for, and groups the others by path, so a
+    later read touches only the rows it asks for.
 
     A clock-free call, one without ``t`` in ``names``, keeps its runs
     instead: per chunk of an iteration, the chunk's paths' rows ``names``
@@ -248,8 +248,8 @@ class Recorded:
     other_kind: int
     kept: list[tuple[np.ndarray, ...]] = dataclasses.field(default_factory=list)
     t_stop: np.ndarray | None = None
-    _order: tuple[np.ndarray | None, np.ndarray] | None = dataclasses.field(
-        default=None, init=False, repr=False)
+    # where each path's rows start in ``kept``, once ``keep`` has grouped them
+    _offsets: np.ndarray | None = dataclasses.field(default=None, init=False, repr=False)
 
     def log(self, paths: np.ndarray) -> EventLog:
         """The rows grouped by path: path j of the log holds the rows of this
@@ -303,34 +303,34 @@ class Recorded:
             self.kept = [(rows[:, picked], is_inf[picked])]
             per_path = np.zeros(len(self.t_stop), np.intp)
             per_path[paths] = lengths
-            offsets = np.zeros(len(per_path) + 1, np.intp)
-            np.cumsum(per_path, out=offsets[1:])
-            self._order = None, offsets
+            self._offsets = np.zeros(len(per_path) + 1, np.intp)
+            np.cumsum(per_path, out=self._offsets[1:])
 
     def _rows_of(self, paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The places in a clocked call's joined rows of the rows of each
         path ``paths[j]`` (none where that is -1), path after path, and
-        their count per path.
-
-        The first read joins the blocks, and keeps them joined, and finds
-        the order that groups them by path, in loop order within a path;
-        a call nothing reads never joins them."""
-        if self._order is None:
+        their count per path.  The first read joins the blocks, and keeps
+        them joined, so a call nothing reads never joins them."""
+        if self._offsets is not None:
+            lengths = np.append(np.diff(self._offsets), 0)[paths]
+            return _ranges(self._offsets[paths], lengths), lengths
+        if len(self.kept) != 1:
             rows = np.concatenate(
                 [np.empty((len(self.names), 0)), *(block for block, _ in self.kept)], axis=1
             )
             is_inf = np.concatenate([np.empty(0, bool), *(flags for _, flags in self.kept)])
             self.kept = [(rows, is_inf)]
-            n = len(self.t_stop)
-            # numpy sorts 16-bit keys stably by radix, in linear time
-            path = rows[self.names.index("path")].astype(np.uint16 if n <= 1 << 16 else np.intp)
-            offsets = np.zeros(n + 1, dtype=np.intp)
-            np.cumsum(np.bincount(path, minlength=n), out=offsets[1:])
-            self._order = np.argsort(path, kind="stable"), offsets
-        order, offsets = self._order
-        lengths = np.append(np.diff(offsets), 0)[paths]
-        picked = _ranges(offsets[paths], lengths)
-        return (picked if order is None else order[picked]), lengths
+        # each call path's position in ``paths``; the extra last entry is
+        # where -1 points, and stays -1
+        at = np.full(len(self.t_stop) + 1, -1, dtype=np.intp)
+        at[paths] = np.arange(len(paths))
+        at[-1] = -1
+        key = at[self.kept[0][0][self.names.index("path")].astype(np.intp)]
+        (picked,) = (key >= 0).nonzero()
+        key = key[picked]
+        # numpy sorts 16-bit keys stably by radix, in linear time
+        order = np.argsort(key.astype(np.uint16) if len(paths) <= 1 << 16 else key, kind="stable")
+        return picked[order], np.bincount(key, minlength=len(paths))
 
     def _group(self, paths: np.ndarray) -> tuple[np.ndarray, dict, np.ndarray]:
         """The kept rows of ``paths`` >= 0, path after path: their count per

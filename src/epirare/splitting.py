@@ -202,20 +202,20 @@ class _Slots:
     ) -> tuple[lockstep.Row, np.ndarray]:
         """Each slot's state at its cut and its own events up to it, from
         the calls the slots ran in (``lockstep.Recorded.cut``).  Every
-        other slot is refilled from these cuts, so the calls then keep the
-        rows of these slots alone (``lockstep.Recorded.keep``): a long
-        clocked call's rows are dropped before its refill batch runs."""
+        other slot is refilled from these cuts, so the calls keep the rows
+        of these slots alone (``lockstep.Recorded.keep``): a clocked call's
+        other rows are dropped before the refill batch runs."""
         member = self.member[slots]
         if len(self.batches) == 1:
-            cut = self.batches[0].cut(member, self.starts[0].take(member), spec, level)
             self.batches[0].keep(member)
-            return cut
+            return self.batches[0].cut(member, self.starts[0].take(member), spec, level)
         batch = self.batch[slots]
         parts = [(b, (batch == b).nonzero()[0]) for b in np.unique(batch)]
-        cuts = [self.batches[b].cut(member[j], self.starts[b].take(member[j]), spec, level)
-                for b, j in parts]
+        cuts = []
         for b, j in parts:
             self.batches[b].keep(member[j])
+            start = self.starts[b].take(member[j])
+            cuts.append(self.batches[b].cut(member[j], start, spec, level))
         # the calls' cuts, each at its slots' places
         count = np.empty(len(slots), np.int64)
         columns = {name: np.empty(len(slots), col.dtype)
