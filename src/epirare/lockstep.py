@@ -259,12 +259,7 @@ class Recorded:
         if "t" in self.names:
             per_path, columns, is_inf = self._group(paths)
         else:
-            # each call path's position in ``paths``; the extra last entry is
-            # where -1 points, and stays -1
-            at = np.full(len(self.t_stop) + 1, -1, dtype=np.intp)
-            at[paths] = np.arange(n)
-            at[-1] = -1
-            per_path, columns, is_inf = _expand_runs(self.kept, at, n)
+            per_path, columns, is_inf = _expand_runs(self.kept, self._places(paths), n)
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(per_path, out=offsets[1:])
         kind = np.where(is_inf, np.int8(EventKind.INFECTION.value), np.int8(self.other_kind))
@@ -320,17 +315,20 @@ class Recorded:
             )
             is_inf = np.concatenate([np.empty(0, bool), *(flags for _, flags in self.kept)])
             self.kept = [(rows, is_inf)]
-        # each call path's position in ``paths``; the extra last entry is
-        # where -1 points, and stays -1
-        at = np.full(len(self.t_stop) + 1, -1, dtype=np.intp)
-        at[paths] = np.arange(len(paths))
-        at[-1] = -1
-        key = at[self.kept[0][0][self.names.index("path")].astype(np.intp)]
+        key = self._places(paths)[self.kept[0][0][self.names.index("path")].astype(np.intp)]
         (picked,) = (key >= 0).nonzero()
         key = key[picked]
         # numpy sorts 16-bit keys stably by radix, in linear time
         order = np.argsort(key.astype(np.uint16) if len(paths) <= 1 << 16 else key, kind="stable")
         return picked[order], np.bincount(key, minlength=len(paths))
+
+    def _places(self, paths: np.ndarray) -> np.ndarray:
+        """Each call path's position in ``paths``, -1 where it is not
+        there; the extra last entry is where -1 points, and stays -1."""
+        at = np.full(len(self.t_stop) + 1, -1, dtype=np.intp)
+        at[paths] = np.arange(len(paths))
+        at[-1] = -1
+        return at
 
     def _group(self, paths: np.ndarray) -> tuple[np.ndarray, dict, np.ndarray]:
         """The kept rows of ``paths`` >= 0, path after path: their count per

@@ -205,17 +205,17 @@ class _Slots:
         other slot is refilled from these cuts, so the calls keep the rows
         of these slots alone (``lockstep.Recorded.keep``): a clocked call's
         other rows are dropped before the refill batch runs."""
-        member = self.member[slots]
-        if len(self.batches) == 1:
-            self.batches[0].keep(member)
-            return self.batches[0].cut(member, self.starts[0].take(member), spec, level)
-        batch = self.batch[slots]
-        parts = [(b, (batch == b).nonzero()[0]) for b in np.unique(batch)]
+        member, batch = self.member[slots], self.batch[slots]
+        # the places in ``slots`` of the slots of each call
+        parts = [(0, slice(None))] if len(self.batches) == 1 else [
+            (b, (batch == b).nonzero()[0]) for b in np.unique(batch)]
         cuts = []
         for b, j in parts:
             self.batches[b].keep(member[j])
             start = self.starts[b].take(member[j])
             cuts.append(self.batches[b].cut(member[j], start, spec, level))
+        if len(cuts) == 1:
+            return cuts[0]
         # the calls' cuts, each at its slots' places
         count = np.empty(len(slots), np.int64)
         columns = {name: np.empty(len(slots), col.dtype)
@@ -270,12 +270,13 @@ def _branch(
     parents are survivors.  A parent's cut is the first event at which its
     progress reaches ``level`` or, on the time axis (``Duration``), its last
     event at or before the time ``level``; the calls the survivors ran in
-    give their rows there (``_Slots.cut``).  A child starts from its parent's row after the cut, waited out to that
-    time on the time axis (``lockstep.wait_out``) and at the cut event's
-    time otherwise.  One batch (``lockstep.jump_ensemble``) simulates all
-    children from these rows, and each child is a path of it; survivors stay
-    paths of their calls, which keep the survivors' rows alone, and a call
-    no slot is a path of is dropped.
+    give their rows there (``_Slots.cut``).  A child starts from its
+    parent's row after the cut, waited out to that time on the time axis
+    (``lockstep.wait_out``) and at the cut event's time otherwise.  One
+    batch (``lockstep.jump_ensemble``) simulates all children from these
+    rows, and each child is a path of it; survivors stay paths of their
+    calls, which keep the survivors' rows alone, and a call no slot is a
+    path of is dropped.
 
     With whole histories kept, the survivors' histories are grouped, and a
     child's history is its parent's up to the cut, then its rows in the
