@@ -155,48 +155,25 @@ class EventLog:
                 state[name][has_rows] = col[rows]
         return Row(**state)
 
-    def take(
-        self,
-        paths: np.ndarray,
-        start: np.ndarray | None = None,
-        stop: np.ndarray | None = None,
-        tail: "EventLog | None" = None,
+    @staticmethod
+    def join(
+        logs: list["EventLog"], first: np.ndarray, per_path: np.ndarray, length: np.ndarray
     ) -> "EventLog":
-        """Path j of the result: rows ``start[j]:stop[j]`` of this log's path
-        ``paths[j]`` (all of its rows by default), then path j of ``tail``;
-        it stops where path ``paths[j]`` does."""
-        if tail is not None and not len(tail.path):
-            tail = None  # nothing to join
-        base = self.offsets[paths]
-        head_start = base if start is None else base + start
-        head_len = (self.offsets[paths + 1] if stop is None else base + stop) - head_start
-        tail_len = 0 if tail is None else np.diff(tail.offsets)
-        per_path = head_len + tail_len
-        offsets = np.zeros(len(paths) + 1, dtype=np.int64)
-        np.cumsum(per_path, out=offsets[1:])
-        names = [name for name in ("kind", *self.STATE) if getattr(self, name) is not None]
-        head_rows = _ranges(head_start, head_len)
-        if tail is None:
-            columns = {name: getattr(self, name)[head_rows] for name in names}
-        else:
-            # path j's head rows, then its tail rows, each gathered from its
-            # own columns straight into place
-            head_at = _ranges(offsets[:-1], head_len)
-            tail_at = _ranges(offsets[:-1] + head_len, tail_len)
-            tail_rows = _ranges(tail.offsets[:-1], tail_len)
-            columns = {}
-            for name in names:
-                head, rest = getattr(self, name), getattr(tail, name)
-                column = columns[name] = np.empty(offsets[-1], np.result_type(head, rest))
-                column[head_at] = head[head_rows]
-                column[tail_at] = rest[tail_rows]
-        return dataclasses.replace(
-            self,
-            path=np.repeat(np.arange(len(paths)), per_path),
-            offsets=offsets,
-            t_stop=self.t_stop[paths],
-            **columns,
-        )
+        """Path j of the result joins its ``per_path[j]`` pieces, the next
+        ones in turn: piece q is the ``length[q]`` rows from row ``first[q]``
+        of the logs' rows, log after log.  The logs have the same columns;
+        the result's ``t_stop`` is NaN."""
+        n = len(per_path)
+        path = np.repeat(np.repeat(np.arange(n), per_path), length)
+        offsets = np.zeros(n + 1, np.int64)
+        np.cumsum(np.bincount(path, minlength=n), out=offsets[1:])
+        rows = _ranges(first, length)
+        columns = {
+            name: None if getattr(logs[0], name) is None
+            else np.concatenate([getattr(log, name) for log in logs])[rows]
+            for name in ("kind", *EventLog.STATE)
+        }
+        return EventLog(path=path, offsets=offsets, t_stop=np.full(n, np.nan), **columns)
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -253,9 +230,11 @@ class Recorded:
 
     def log(self, paths: np.ndarray) -> EventLog:
         """The rows grouped by path: path j of the log holds the rows of this
-        call's path ``paths[j]``, or none where that is -1 (its ``t_stop`` is
-        then nan); no path may appear twice."""
+        call's path ``paths[j]``.  A path asked for twice raises
+        ``ValueError``."""
         n = len(paths)
+        if len(np.unique(paths)) < n:
+            raise ValueError("a path is asked for twice")
         if "t" in self.names:
             per_path, columns, is_inf = self._group(paths)
         else:
@@ -265,7 +244,7 @@ class Recorded:
         kind = np.where(is_inf, np.int8(EventKind.INFECTION.value), np.int8(self.other_kind))
         return EventLog(
             path=np.repeat(np.arange(n), per_path), kind=kind, offsets=offsets,
-            t_stop=np.append(self.t_stop, np.nan)[paths],
+            t_stop=self.t_stop[paths],
             **{name: columns.get(name) for name in EventLog.STATE},
         )
 
@@ -303,11 +282,11 @@ class Recorded:
 
     def _rows_of(self, paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The places in a clocked call's joined rows of the rows of each
-        path ``paths[j]`` (none where that is -1), path after path, and
+        path ``paths[j]``, path after path, and
         their count per path.  The first read joins the blocks, and keeps
         them joined, so a call nothing reads never joins them."""
         if self._offsets is not None:
-            lengths = np.append(np.diff(self._offsets), 0)[paths]
+            lengths = np.diff(self._offsets)[paths]
             return _ranges(self._offsets[paths], lengths), lengths
         if len(self.kept) != 1:
             rows = np.concatenate(
@@ -324,14 +303,13 @@ class Recorded:
 
     def _places(self, paths: np.ndarray) -> np.ndarray:
         """Each call path's position in ``paths``, -1 where it is not
-        there; the extra last entry is where -1 points, and stays -1."""
-        at = np.full(len(self.t_stop) + 1, -1, dtype=np.intp)
+        there."""
+        at = np.full(len(self.t_stop), -1, dtype=np.intp)
         at[paths] = np.arange(len(paths))
-        at[-1] = -1
         return at
 
     def _group(self, paths: np.ndarray) -> tuple[np.ndarray, dict, np.ndarray]:
-        """The kept rows of ``paths`` >= 0, path after path: their count per
+        """The kept rows of ``paths``, path after path: their count per
         path, their columns and their infection flags."""
         picked, lengths = self._rows_of(paths)
         rows, is_inf = self.kept[0]

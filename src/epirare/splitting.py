@@ -63,10 +63,13 @@ survivors stay paths of their calls, a clocked call keeps the rows of the
 slots still in it alone, and a call no slot is a path of is dropped.
 Whole histories (``lockstep.EventLog``: a path's events with the state
 after each) are kept only when the conditional sample is returned, and
-only then are the survivors' histories grouped at each refill and the last
-stage refilled: a child's history is its parent's up to the cut, then its
-rows in the batch, and a parent's cut at the threshold is its decision, so
-each child is its parent's path.
+only then is the last stage refilled.  Each slot then carries its
+ancestral line: per refill, its ancestor's call and path there and the
+count of that path's rows up to its cut.  The calls keep the rows the
+lines read, and the final log is joined once from them
+(``_Slots.histories``): a child's history is its parent's up to the cut,
+then its rows in the batch, and a parent's cut at the threshold is its
+decision, so each child is its parent's path.
 
 On an SIR final size the engine runs clock-free (``lockstep``): the level
 cuts read only removal counts, and slots carry no times (their logs have no
@@ -83,7 +86,6 @@ children all start decided, as at the last stage, draws nothing.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -170,12 +172,13 @@ class _Slots:
     holds it.  ``end`` holds each slot's state where it stopped, from the
     engine's end states: after its last event, at its stop time ``t``.
 
-    Only when whole histories are kept (``lead`` is not None) are they
-    grouped: slot k's history is then rows ``:stop[k]`` of path
-    ``source[k]`` (the ``ranges``) of ``origin``, the log of the survivors'
-    histories the last refill grouped (both None before the first),
-    followed by its rows in the latest call if it ran there; ``lead[k]``
-    rows of its history come before its own rows in its call.
+    Only when whole histories are kept is ``line`` set, the slots'
+    ancestral lines, of shape (3, refills, slots): ``line[:, f, k]`` is
+    the call (an index into ``batches``) and the path there of slot k's
+    ancestor at refill f, and the count of that path's own rows up to its
+    cut then.  The count is 0 where the ancestor survived the refill, and
+    an entry of count 0 reads no call.  Slot k's history is those rows,
+    refill after refill, then its own rows in its call.
     """
 
     batches: list[lockstep.Recorded]
@@ -183,9 +186,7 @@ class _Slots:
     batch: np.ndarray
     member: np.ndarray
     end: lockstep.Row
-    lead: np.ndarray | None = None
-    origin: lockstep.EventLog | None = None
-    ranges: tuple[np.ndarray, np.ndarray] | None = None
+    line: np.ndarray | None = None
 
     @classmethod
     def start(cls, ens: lockstep.JumpEnsemble, model: ModelParams, whole: bool) -> "_Slots":
@@ -193,9 +194,9 @@ class _Slots:
         start; ``whole`` keeps whole histories."""
         n = len(ens.t)
         end = lockstep.Row(*(getattr(ens, name) for name in lockstep.Row._fields))
-        lead = np.zeros(n, np.int64) if whole else None
+        line = np.zeros((3, 0, n), np.int64) if whole else None
         return cls([ens.recorded], [lockstep.initial_row(model)], np.zeros(n, np.intp),
-                   np.arange(n), end, lead)
+                   np.arange(n), end, line)
 
     def cut(
         self, slots: np.ndarray, spec: EventSpec, level: float
@@ -203,37 +204,48 @@ class _Slots:
         """Each slot's state at its cut and its own events up to it, from
         the calls the slots ran in (``lockstep.Recorded.cut``).  Every
         other slot is refilled from these cuts, so the calls keep the rows
-        of these slots alone (``lockstep.Recorded.keep``): a clocked call's
-        other rows are dropped before the refill batch runs."""
+        of these slots alone (``lockstep.Recorded.keep``), and of the paths
+        their lines read: a clocked call's other rows are dropped before
+        the refill batch runs."""
         member, batch = self.member[slots], self.batch[slots]
         # the places in ``slots`` of the slots of each call
         parts = [(0, slice(None))] if len(self.batches) == 1 else [
             (b, (batch == b).nonzero()[0]) for b in np.unique(batch)]
+        if self.line is not None:
+            call, path, count = self.line[:, :, slots]
+            call, path = call[count > 0], path[count > 0]
         cuts = []
         for b, j in parts:
-            self.batches[b].keep(member[j])
+            keep = member[j] if self.line is None else np.union1d(member[j], path[call == b])
+            self.batches[b].keep(keep)
             start = self.starts[b].take(member[j])
             cuts.append(self.batches[b].cut(member[j], start, spec, level))
         if len(cuts) == 1:
             return cuts[0]
-        # the calls' cuts, each at its slots' places
-        count = np.empty(len(slots), np.int64)
-        columns = {name: np.empty(len(slots), col.dtype)
-                   for name, col in cuts[0][0]._asdict().items() if col is not None}
-        for (_, j), (row, counts) in zip(parts, cuts):
-            count[j] = counts
-            for name, col in columns.items():
-                col[j] = getattr(row, name)
-        return lockstep.Row(**{**dict.fromkeys(lockstep.Row._fields), **columns}), count
+        # the calls' cuts, put back at their slots' places
+        order = np.argsort(np.concatenate([j for _, j in parts]))
+        rows, counts = zip(*cuts)
+        columns = (None if col[0] is None else np.concatenate(col)[order] for col in zip(*rows))
+        return lockstep.Row(*columns), np.concatenate(counts)[order]
 
     def histories(self, slots: np.ndarray) -> lockstep.EventLog:
         """Path j of the log is slot ``slots[j]``'s history; only with whole
-        histories kept."""
-        latest = len(self.batches) - 1
-        log = self.batches[-1].log(np.where(self.batch[slots] == latest, self.member[slots], -1))
-        if self.origin is not None:
-            source, stop = self.ranges
-            log = self.origin.take(source[slots], None, stop[slots], tail=log)
+        histories kept.  Each call logs the paths read of it once."""
+        n = len(slots)
+        own = np.stack([self.batch[slots], self.member[slots], np.full(n, -1)])
+        pieces = np.concatenate([self.line[:, :, slots], own[:, None]], axis=1)
+        # each slot's pieces in turn, its own rows last (-1: all of them)
+        call, path, length = pieces.transpose(0, 2, 1).reshape(3, -1)
+        logs, first, rows = [], np.zeros(len(call), np.int64), 0
+        for b, recorded in enumerate(self.batches):
+            (q,) = ((call == b) & (length != 0)).nonzero()
+            paths, at = np.unique(path[q], return_inverse=True)
+            log = recorded.log(paths)
+            first[q] = rows + log.offsets[at]
+            length[q] = np.where(length[q] < 0, np.diff(log.offsets)[at], length[q])
+            logs.append(log)
+            rows += log.offsets[-1]
+        log = lockstep.EventLog.join(logs, first, np.full(n, pieces.shape[1]), length)
         log.t_stop = self.end.t[slots]
         return log
 
@@ -275,12 +287,12 @@ def _branch(
     (``lockstep.wait_out``) and at the cut event's time otherwise.  One
     batch (``lockstep.jump_ensemble``) simulates all children from these
     rows, and each child is a path of it; survivors stay paths of their
-    calls, which keep the survivors' rows alone, and a call no slot is a
-    path of is dropped.
+    calls, which keep the survivors' rows alone.
 
-    With whole histories kept, the survivors' histories are grouped, and a
-    child's history is its parent's up to the cut, then its rows in the
-    batch.
+    With whole histories kept, a child's line is its parent's, then the
+    parent's call, path and count of its own rows up to the cut; a
+    survivor's line gains an entry of no rows.  A call stays while a slot
+    runs in it or a line reads rows of it, and is dropped after.
     """
     cut, count = slots.cut(surv, spec, level)
     # each target's parent's place in ``surv``
@@ -294,26 +306,25 @@ def _branch(
     member[targets] = np.arange(len(targets))
     used = np.zeros(len(slots.batches) + 1, bool)
     used[batch] = True
+    line = slots.line
+    if line is not None:
+        # each slot's own line, or a target's parent's
+        lineage = np.arange(len(batch))
+        lineage[targets] = parents
+        own = np.zeros(len(batch), np.int64)
+        own[targets] = count[at]
+        entry = np.stack([slots.batch[lineage], slots.member[lineage], own])
+        line = np.concatenate([line[:, :, lineage], entry[:, None]], axis=1)
+        used[line[0][line[2] > 0]] = True
+    place = np.cumsum(used) - 1
+    if line is not None:
+        line[0] = place[line[0]]
     batches = [b for b, u in zip([*slots.batches, ens.recorded], used) if u]
     starts = [row for row, u in zip([*slots.starts, start], used) if u]
     end = {name: col.copy() for name, col in slots.end._asdict().items() if col is not None}
     for name, col in end.items():
         col[targets] = getattr(ens, name)
-    branched = _Slots(batches, starts, (np.cumsum(used) - 1)[batch], member,
-                      slots.end._replace(**end))
-    if slots.lead is None:
-        return branched
-    log = slots.histories(surv)
-    # each slot's path in ``log``: its own, or a target's parent's
-    lineage = np.arange(len(batch))
-    lineage[targets] = parents
-    source = np.searchsorted(surv, lineage)
-    keep = slots.lead[surv][at] + count[at]
-    stop = np.diff(log.offsets)[source]
-    stop[targets] = keep
-    lead = slots.lead.copy()
-    lead[targets] = keep
-    return dataclasses.replace(branched, lead=lead, origin=log, ranges=(source, stop))
+    return _Slots(batches, starts, place[batch], member, slots.end._replace(**end), line)
 
 
 def _materialize(
@@ -358,10 +369,11 @@ def _stage_loop(
     far, capped at the event threshold (on the time axis, the horizon).  The
     run ends at the first stage whose level reaches the threshold, where a
     schedule ends (``ibps_check``, ``temporal_check``).  Every refill is
-    ``_branch``.  ``whole`` keeps every slot's whole history, refills the
-    last stage too and returns the final paths (``_materialize``); without
-    it the last stage is not refilled, a child keeps only its parent's cut
-    row before its own rows, and the ensemble holds only the levels.
+    ``_branch``.  ``whole`` keeps every slot's ancestral line, refills the
+    last stage too and returns the final paths (``_materialize``), joined
+    from the lines once, after the last refill; without it the last stage
+    is not refilled, a child keeps only its parent's cut row before its own
+    rows, and the ensemble holds only the levels.
     """
     on_time, threshold = isinstance(spec, Duration), event_threshold(spec)
     rng0 = seed.stream(particle=0, stage=0).generator()

@@ -3,11 +3,13 @@
 Every check compares the vectorised log against a direct replay of one path
 at a time: the state after each event, the cut a refill starts from, and the
 contact-tracing sum re-summed over the detections of the history.  A branch
-reads its parents' cuts from the engine calls they ran in, groups no
-history unless whole histories are kept, and scores slots by the engine's
-end states, so the checks compare those with the whole grouped histories:
-each stage runs an ensemble that keeps them beside one that does not, from
-the same draws, and requires the two to agree.  On an SIR final size the
+reads its parents' cuts from the engine calls they ran in, and scores
+slots by the engine's end states; only with whole histories kept does a
+slot carry its ancestral line, from which the histories are joined.  So
+the checks compare the cuts and end states with the joined histories:
+each stage runs an ensemble that keeps them beside one that does not, each
+from its own engine call at the same seed (a refill drops rows from the
+calls it reads), and requires the two to agree.  On an SIR final size the
 engine runs clock-free and histories carry no times, so there, and only
 there, the checks require a log without a ``t`` column and NaN stop times,
 read no time order and compare NaN as equal.
@@ -32,7 +34,7 @@ from epirare import (
     SirParams,
 )
 from epirare.events import event_progress
-from epirare.lockstep import Row, initial_row, jump_ensemble, wait_out
+from epirare.lockstep import EventLog, Row, initial_row, jump_ensemble, wait_out
 from epirare.splitting import _branch, _level_cut, _Slots
 
 MODELS = {
@@ -113,6 +115,17 @@ def _start(model_name, event_name, n, seed):
     return model, spec, ens
 
 
+def _pair(model, spec, n, seed):
+    """An ensemble that keeps whole histories and one that does not, each
+    from its own engine call at the same seed: a cut of one drops rows of
+    its calls that the other may still read."""
+    return tuple(
+        _Slots.start(jump_ensemble(model, n, SeedSpec(seed).generator(), spec, record=True),
+                     model, whole)
+        for whole in (True, False)
+    )
+
+
 def _grouped(slots, model, spec):
     """Every slot's history; checks that a slot's end state is its last row's,
     save its stop time and the decayed sum there, and that grouping some
@@ -130,7 +143,10 @@ def _grouped(slots, model, spec):
         assert log.t is None and np.isnan(log.t_stop).all()
     assert np.array_equal(log.t_stop, slots.end.t, equal_nan=clock_free)
     some = np.arange(n)[::-3]
-    part, expected = slots.histories(some), log.take(some)
+    rows = np.diff(log.offsets)[some]
+    part = slots.histories(some)
+    expected = EventLog.join([log], log.offsets[some], np.ones_like(some), rows)
+    expected.t_stop = log.t_stop[some]
     for name in ("path", "t", "kind", *log.STATE, "offsets", "t_stop"):
         got, want = getattr(part, name), getattr(expected, name)
         assert (got is None and want is None) or np.array_equal(
@@ -157,19 +173,22 @@ def _cut(slots, log, model, spec, level, paths):
         keep = log.count(log.t <= level)[paths]
     else:
         keep = _level_cut(log, model, spec, level)[paths]
-    assert np.array_equal(slots.lead[paths] + count, keep)
+    assert np.array_equal(slots.line[2][:, paths].sum(axis=0) + count, keep)
     _same_row(row, log.state_after(paths, keep, initial_row(model)))
     return row, count
 
 
 def _agree(slots, plain, paths, spec, level):
     """An ensemble without histories holds the slots, their end states and
-    their cuts of one with them."""
-    assert plain.lead is None and plain.origin is None
-    assert np.array_equal(plain.batch, slots.batch)
+    their cuts of one with them.  The one with them also keeps the calls
+    its lines read, so a slot's call is compared by its order among the
+    calls the slots run in."""
+    assert plain.line is None
+    calls, order = np.unique(slots.batch, return_inverse=True)
+    assert np.array_equal(plain.batch, order)
     assert np.array_equal(plain.member, slots.member)
     _same_row(plain.end, slots.end, nan=True)
-    for mine, theirs in zip(plain.starts, slots.starts, strict=True):
+    for mine, theirs in zip(plain.starts, [slots.starts[b] for b in calls], strict=True):
         _same_row(mine, theirs)
     (row, count), (want, want_count) = plain.cut(paths, spec, level), slots.cut(paths, spec, level)
     _same_row(row, want)
@@ -198,8 +217,8 @@ def _pick_parents(data, candidates, size):
     data=st.data(),
 )
 def test_level_branch(model_name, event_name, n, seed, level, data):
-    model, spec, ens = _start(model_name, event_name, n, seed)
-    slots, plain = _Slots.start(ens, model, True), _Slots.start(ens, model, False)
+    model, spec = MODELS[model_name], EVENTS[event_name]
+    slots, plain = _pair(model, spec, n, seed)
     log = _grouped(slots, model, spec)
     clock_free = _clock_free(model, spec)
     progress = event_progress(spec, slots.end)
@@ -257,11 +276,10 @@ def test_level_branch(model_name, event_name, n, seed, level, data):
 )
 def test_branches_stack(model_name, event_name, n, seed, data):
     # each later cut reads survivors that ran in calls of earlier stages,
-    # and groups histories that span ranges of the log the last cut
-    # branched from and a refill batch counted from its start states; the
-    # third reads ranges of a log itself read through ranges
-    model, spec, ens = _start(model_name, event_name, n, seed)
-    slots, plain = _Slots.start(ens, model, True), _Slots.start(ens, model, False)
+    # and joins histories from lines that read rows of up to three calls,
+    # some of which no slot runs in any more
+    model, spec = MODELS[model_name], EVENTS[event_name]
+    slots, plain = _pair(model, spec, n, seed)
     log = _grouped(slots, model, spec)
     level = 0
     for stage in (1, 2, 3):
@@ -279,8 +297,11 @@ def test_branches_stack(model_name, event_name, n, seed, data):
         plain = _branch(plain, surv, targets, parents, model, spec, level, rng.generator())
         log = _grouped(slots, model, spec)
         assert np.all(event_progress(spec, slots.end) >= level)
-        # only the calls some slot ran in are kept
-        assert np.array_equal(np.unique(slots.batch), np.arange(len(slots.batches)))
+        # only the calls some slot runs in, or some line reads rows of, are kept
+        call, _, count = slots.line
+        read = np.union1d(slots.batch, call[count > 0])
+        assert np.array_equal(read, np.arange(len(slots.batches)))
+        assert np.array_equal(np.unique(plain.batch), np.arange(len(plain.batches)))
         assert len(slots.batches) == len(slots.starts) <= stage + 1
     _cut(slots, log, model, spec, level, np.arange(n))
     _agree(slots, plain, np.arange(n), spec, level)
@@ -301,8 +322,7 @@ def test_branches_stack(model_name, event_name, n, seed, data):
 )
 def test_time_branch(model_name, n, seed, t_cut, later, data):
     model, spec = MODELS[model_name], Duration(3.0)
-    ens = jump_ensemble(model, n, SeedSpec(seed).generator(), spec, record=True)
-    slots, plain = _Slots.start(ens, model, True), _Slots.start(ens, model, False)
+    slots, plain = _pair(model, spec, n, seed)
     log = _grouped(slots, model, spec)
     ext = np.where(slots.end.i == 0, slots.end.t, math.inf)
     assume(np.any(ext > t_cut) and np.any(ext <= t_cut))
@@ -377,7 +397,7 @@ def test_a_decided_slot_branches_at_its_decision(model_name):
     # stops at once and ends at its cut row, with the parent's rows
     model, spec, n = MODELS[model_name], FinalSize(n_c=8), 40
     ens = jump_ensemble(model, n, SeedSpec(11).generator(), spec, record=True)
-    slots, plain = _Slots.start(ens, model, True), _Slots.start(ens, model, False)
+    slots, plain = _Slots.start(ens, model, True), _pair(model, spec, n, 11)[1]
     log = _grouped(slots, model, spec)
     progress = event_progress(spec, slots.end)
     decided = (ens.r + ens.i >= spec.n_c) & (ens.r < spec.n_c)

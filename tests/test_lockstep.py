@@ -292,7 +292,7 @@ def test_recorded_rows_grouped_for_some_paths(name, monkeypatch):
     ens = GROUPED[name]()
     clocked = not name.startswith("sir-final-size")
     iterations = len(ens.recorded.kept)
-    first = ens.recorded.log(np.array([41, -1, 7]))
+    first = ens.recorded.log(np.array([41, 7]))
     # a clocked call's blocks are joined by the first read, not by the call
     assert iterations > 1 and len(ens.recorded.kept) == (1 if clocked else iterations)
     whole = ens.log
@@ -300,7 +300,7 @@ def test_recorded_rows_grouped_for_some_paths(name, monkeypatch):
         # a clock-free path's runs span iterations
         assert (ens.n_inf > len(lockstep._RUNS)).any()
     requests = [
-        np.array([41, -1, 7, 0, 59, -1, 12]), np.array([5]), np.arange(60),
+        np.array([41, 7, 0, 59, 12]), np.array([5]), np.arange(60),
         np.arange(60)[::-1], np.array([], dtype=np.intp),
     ]
     for pieces in (None, 3):
@@ -311,22 +311,19 @@ def test_recorded_rows_grouped_for_some_paths(name, monkeypatch):
             some = ens.recorded.log(paths)
             per_path = np.diff(some.offsets)
             assert np.array_equal(some.path, np.repeat(np.arange(len(paths)), per_path))
-            assert np.array_equal(
-                some.t_stop, np.append(whole.t_stop, np.nan)[paths], equal_nan=True
-            )
+            assert np.array_equal(some.t_stop, whole.t_stop[paths], equal_nan=True)
             for column in ("t", "kind", *whole.STATE):
                 expected = getattr(whole, column)
                 if expected is None:
                     assert getattr(some, column) is None
                     continue
                 expected = np.concatenate([expected[:0]] + [
-                    expected[whole.offsets[k]:whole.offsets[k + 1]] for k in paths if k >= 0
+                    expected[whole.offsets[k]:whole.offsets[k + 1]] for k in paths
                 ])
                 got = getattr(some, column)
                 assert got.dtype == expected.dtype and np.array_equal(got, expected)
-            assert (per_path[paths < 0] == 0).all()
     # a second read of the same paths gives the same log
-    again = ens.recorded.log(np.array([41, -1, 7]))
+    again = ens.recorded.log(np.array([41, 7]))
     for column in ("path", "offsets", "t_stop", "t", "kind", *whole.STATE):
         expected, got = getattr(first, column), getattr(again, column)
         assert got is expected is None or np.array_equal(got, expected, equal_nan=True)
@@ -346,7 +343,7 @@ def test_clock_free_logs_expand_only_the_paths_asked_for(monkeypatch):
     assert expanded == []
     # the longest path spans two iterations
     most = np.argsort(ens.n_inf)
-    paths = np.array([most[-1], -1, most[0], most[-2]])
+    paths = np.array([most[-1], most[0], most[-2]])
     ens.recorded.log(paths)
     live = sum(np.isin(start[4], paths).sum() for start, *_ in ens.recorded.kept)
     assert sum(expanded) == live > 3
@@ -355,36 +352,52 @@ def test_clock_free_logs_expand_only_the_paths_asked_for(monkeypatch):
     assert sum(expanded) == sum(len(steps) for _, steps, *_ in ens.recorded.kept)
 
 
-@pytest.mark.parametrize("name", sorted(MODELS))
-def test_take_rows_of_paths(name):
-    ens = _simulate(name, 12, 37, Duration(1.5))
-    log = ens.log
-    lengths = np.diff(log.offsets)
-    paths = np.array([3, 3, 0, 11, 5])
-    stop = np.minimum(lengths[paths], np.array([2, 4, 0, 9, 9]))
-    start = np.minimum(np.array([0, 1, 0, 2, 0]), stop)
-    tail = ens.recorded.log(np.array([1, -1, 2, 4, 6]))
-    every = np.arange(12)
-    cases = [(paths, start, stop, None), (paths, start, stop, tail), (every, None, None, None)]
-    for paths, start, stop, with_tail in cases:
-        taken = log.take(paths, start, stop, with_tail)
-        for j, k in enumerate(paths):
-            a = log.offsets[k]
-            for column in ("t", "kind", *log.STATE):
-                col = getattr(log, column)
-                if col is None:
-                    continue
-                expected = col[a:a + lengths[k]] if start is None else col[a + start[j]:a + stop[j]]
-                if with_tail is not None:
-                    rows = slice(with_tail.offsets[j], with_tail.offsets[j + 1])
-                    expected = np.concatenate([expected, getattr(with_tail, column)[rows]])
-                got = getattr(taken, column)[taken.offsets[j]:taken.offsets[j + 1]]
-                assert np.array_equal(got, expected)
-        assert np.array_equal(taken.t_stop, log.t_stop[paths])
-    # the last case, every path whole, is the log itself, column for column
-    for field in dataclasses.fields(log):
-        got, want = getattr(taken, field.name), getattr(log, field.name)
-        assert got is want is None or (got.dtype == want.dtype and np.array_equal(got, want))
+@pytest.mark.parametrize("name", ["hiv", "sir", "sir-final-size"])
+def test_join_pieces_of_logs(name):
+    # a path of the joined log is its pieces' rows in turn, each the
+    # leading rows of a path of either log; a piece may be empty, and a
+    # path may have no piece
+    model, event = name.split("-")[0], FinalSize(20) if name.endswith("size") else Duration(1.5)
+    ens = _simulate(model, 12, 37, event)
+    logs = [ens.log, ens.recorded.log(np.array([6, 1, 4]))]
+    assert (logs[0].t is None) == (name == "sir-final-size")
+    # (log, path, rows) per piece, and each joined path's pieces
+    pieces = [[(0, 4, 3), (1, 0, None)], [], [(1, 2, 0), (0, 11, None)],
+              [(1, 1, 1), (0, 0, 2), (1, 2, None)], [(0, 0, 0)]]
+    base = [0, logs[0].offsets[-1]]
+    first, length = [], []
+    for log, path, rows in itertools.chain(*pieces):
+        offsets = logs[log].offsets
+        first.append(base[log] + offsets[path])
+        length.append(offsets[path + 1] - offsets[path] if rows is None else rows)
+    # the leading rows of a piece are a proper part of its path's
+    assert all(np.diff(logs[0].offsets)[[4, 0]] > [3, 2]) and np.diff(logs[1].offsets)[1] > 1
+    joined = lockstep.EventLog.join(
+        logs, np.array(first), np.array([len(p) for p in pieces]), np.array(length))
+    assert np.isnan(joined.t_stop).all() and len(joined.t_stop) == len(pieces)
+    assert np.array_equal(joined.path, np.repeat(np.arange(len(pieces)), np.diff(joined.offsets)))
+    for column in ("t", "kind", *logs[0].STATE):
+        if getattr(logs[0], column) is None:
+            assert getattr(joined, column) is None
+            continue
+        for j, path_pieces in enumerate(pieces):
+            expected = [getattr(logs[0], column)[:0]]
+            for log, path, rows in path_pieces:
+                a, b = logs[log].offsets[path:path + 2]
+                expected.append(getattr(logs[log], column)[a:b if rows is None else a + rows])
+            got = getattr(joined, column)[joined.offsets[j]:joined.offsets[j + 1]]
+            want = np.concatenate(expected)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert joined.offsets[1] == joined.offsets[2] and joined.offsets[4] == joined.offsets[5]
+
+
+@pytest.mark.parametrize("name", ["hiv", "sir", "sir-final-size"])
+def test_a_log_asks_for_each_path_once(name):
+    # a path asked for twice would read its rows at one place alone
+    model, event = name.split("-")[0], FinalSize(16) if name.endswith("size") else Duration(3.0)
+    ens = _simulate(model, 5, 21, event)
+    with pytest.raises(ValueError, match="twice"):
+        ens.recorded.log(np.array([2, 2, 4]))
 
 
 def test_base_changes_only_the_tallies():

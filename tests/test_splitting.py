@@ -846,3 +846,29 @@ def test_a_replication_makes_no_event_rows(levels, monkeypatch):
     )
     assert est.value > 0 and sum(refills) >= 1
     assert calls == []
+
+
+@pytest.mark.parametrize("case", ["abakaliki-final_size", "hiv-incidence"])
+def test_a_conditional_sample_logs_each_call_once_at_the_end(case, monkeypatch):
+    # a conditional sample joins its final log once, from the slots'
+    # ancestral lines: no refill logs a call, and the final log reads each
+    # call it keeps once
+    model, spec = (ABAKALIKI, FinalSize(81)) if case.startswith("abakaliki") else (
+        HIV, HIV_EVENTS["incidence"])
+    events, log, histories = [], lockstep.Recorded.log, splitting._Slots.histories
+
+    def logged(self, paths):
+        events.append("log")
+        return log(self, paths)
+
+    def joined(self, slots):
+        events.append(("histories", len(self.batches)))
+        return histories(self, slots)
+
+    monkeypatch.setattr(lockstep.Recorded, "log", logged)
+    monkeypatch.setattr(splitting._Slots, "histories", joined)
+    est, ensemble = ibps_estimate(model, spec, n_particles=100, keep_fraction=0.2,
+                                  seed=SeedSpec(8))
+    assert est.value > 0 and len(est.per_level) >= 3
+    (name, kept), *rest = events
+    assert name == "histories" and kept >= 2 and rest == ["log"] * kept
