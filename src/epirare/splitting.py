@@ -287,12 +287,12 @@ def _branch(
     (``lockstep.wait_out``) and at the cut event's time otherwise.  One
     batch (``lockstep.jump_ensemble``) simulates all children from these
     rows, and each child is a path of it; survivors stay paths of their
-    calls, which keep the survivors' rows alone.
+    calls, which keep the survivors' rows alone.  A call stays while a slot
+    runs in it or a slot's line reads rows of it, and is dropped after.
 
     With whole histories kept, a child's line is its parent's, then the
     parent's call, path and count of its own rows up to the cut; a
-    survivor's line gains an entry of no rows.  A call stays while a slot
-    runs in it or a line reads rows of it, and is dropped after.
+    survivor's line gains an entry of no rows.
     """
     cut, count = slots.cut(surv, spec, level)
     # each target's parent's place in ``surv``
